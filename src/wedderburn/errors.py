@@ -2,19 +2,7 @@
 
 from __future__ import annotations
 
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .ffield import _prime_divisors
 
 
 class ModularCaseError(ValueError):

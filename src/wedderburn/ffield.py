@@ -7,13 +7,17 @@ discrete-log tables.  Polynomial factorization runs the classical pipeline:
 squarefree split via gcd with the derivative (with p-th root extraction in
 characteristic p), distinct-degree split via iterated Frobenius, and seeded
 Cantor-Zassenhaus equal-degree splitting.  Row reduction and kernels are
-computed in exact field arithmetic; rank() additionally has a vectorized
-path that rewrites each entry as its k x k multiplication matrix over F_p
-and eliminates modulo p with numpy int64 arithmetic.
+computed in exact field arithmetic; rank() is array-backed: the entries'
+coefficient vectors, expanded by one einsum against the powers of the
+modulus's companion matrix, are eliminated modulo p.  Overflow rule: below
+p = 2**31 arrays are int64 and sums of products are reduced modulo p before
+they can pass 2**63 - 1; from 2**31 up arrays hold Python ints (dtype
+object) and rank() is exact row reduction.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 
@@ -34,12 +38,17 @@ __all__ = [
 ]
 
 QMAX_BITS = 63  # p**k must stay below 2**63
+ARRAY_P_LIMIT = 2**31  # int64 arrays below this p, Python-int arrays from it up
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all of _MR_WITNESSES (Sorenson-Webster 2015)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3 * 10**24."""
+    """Miller-Rabin with the first twelve prime bases, a proof for every
+    n < 3317044064679887385961981; from that bound up a strong Lucas test is
+    added, which makes it the Baillie-PSW test (no known counterexample)."""
     if n < 2:
         return False
     for sp in _MR_WITNESSES:
@@ -60,25 +69,73 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _is_strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd positive n."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters (Baillie-Wagstaff 1980)
+    for odd n with no prime factor below 41: D is the first of 5, -7, 9,
+    -11, ... with (D/n) = -1, P = 1 and Q = (1 - D) / 4."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        return (x if x % 2 == 0 else x + n) // 2 % n
+
+    # U_m, V_m and Q^m for the prefixes m of d's binary expansion, P = 1
+    U, V, Qm = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qm = U * V % n, (V * V - 2 * Qm) % n, Qm * Qm % n
+        if bit == "1":
+            U, V, Qm = half(U + V), half(D * U + V), Qm * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qm = (V * V - 2 * Qm) % n, Qm * Qm % n
+        if V == 0:
+            return True
+    return False
 
 
 class FieldSpec:
     """The field F_q, q = p**k, presented as F_p[x] modulo a monic irreducible
     polynomial of degree k.  For k = 1 the modulus is x itself and elements
-    are length-1 coefficient vectors."""
+    are length-1 coefficient vectors.  Built by make_field, which checks p
+    and k and finds an irreducible modulus.  ``x_powers`` holds x^0 ..
+    x^(2k-2) mod the modulus as rows of dtype ``dtype``, the array dtype."""
 
-    __slots__ = ("p", "k", "q", "modulus", "_pow_reds", "_zero", "_one")
+    __slots__ = ("p", "k", "q", "modulus", "dtype", "x_powers", "_pow_reds", "_zero", "_one")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if p < 5:
-            raise ValueError(f"p = {p} is below the supported minimum of 5")
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
-        if p**k >= 2**QMAX_BITS:
-            raise ValueError(f"q = {p}^{k} exceeds the 2^{QMAX_BITS} bound")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
@@ -98,10 +155,10 @@ class FieldSpec:
                     shifted[i] = (shifted[i] + top * reds[0][i]) % p
             cur = tuple(shifted)
         self._pow_reds = reds if k > 1 else []
+        self.dtype = np.int64 if p < ARRAY_P_LIMIT else object
+        self.x_powers = np.array(np.eye(k, dtype=int).tolist() + self._pow_reds, dtype=self.dtype)
         self._zero = FieldElement(self, (0,) * k)
         self._one = FieldElement(self, (1,) + (0,) * (k - 1))
-        if k > 1 and not _is_irreducible_mod_p(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
 
     # tuple-level arithmetic -------------------------------------------------
 
@@ -163,20 +220,6 @@ class FieldSpec:
         if self.k == 1:
             return (pow(a[0], -1, self.p),)
         return self.pow_t(a, self.q - 2)
-
-    def shift_t(self, a):
-        """Coefficients of a * x reduced below degree k."""
-        p, k = self.p, self.k
-        if k == 1:
-            # the modulus is x itself, so multiplying by x kills everything
-            return ((a[0] * ((-self.modulus[0]) % p)) % p,)
-        top = a[-1]
-        out = [0] + list(a[:-1])
-        if top:
-            red = self._pow_reds[0]
-            for i in range(k):
-                out[i] = (out[i] + top * red[i]) % p
-        return tuple(out)
 
     # element constructors ---------------------------------------------------
 
@@ -333,14 +376,6 @@ class FieldElement:
         return str(list(self.coeffs))
 
 
-def _is_irreducible_mod_p(modulus: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of a monic polynomial over the prime field, tested on
-    raw coefficient lists (used to validate a FieldSpec modulus)."""
-    prime = _prime_field(p)
-    f = Polynomial.from_coeffs(prime, [prime.scalar(c) for c in modulus])
-    return f.is_irreducible()
-
-
 @lru_cache(maxsize=None)
 def _prime_field(p: int) -> FieldSpec:
     return FieldSpec(p, 1, (0, 1))
@@ -352,14 +387,14 @@ def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
     Different seeds may select different moduli; all decomposition outputs
     are independent of that choice.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
     if p < 5:
         raise ValueError(f"p = {p} is below the supported minimum of 5")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if p**k >= 2**QMAX_BITS:
         raise ValueError(f"q = {p}^{k} exceeds the 2^{QMAX_BITS} bound")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if k == 1:
         return _prime_field(p)
     prime = _prime_field(p)
@@ -814,18 +849,36 @@ def minpoly_operator(spec: FieldSpec, apply, dim: int) -> Polynomial:
 
 
 class MatrixFq:
-    """Dense matrix over F_q with exact row reduction, kernel, and rank."""
+    """Dense matrix over F_q with exact row reduction, kernel, and rank.  A
+    matrix built by from_array turns into rows when ``rows`` is first read."""
 
-    __slots__ = ("spec", "nrows", "ncols", "rows")
+    __slots__ = ("spec", "nrows", "ncols", "_rows", "_arr")
 
     def __init__(self, spec: FieldSpec, rows):
         self.spec = spec
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
+        self._rows = [list(r) for r in rows]
+        self._arr = None
+        self.nrows = len(self._rows)
+        self.ncols = len(self._rows[0]) if self._rows else 0
+        for r in self._rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
+
+    @classmethod
+    def from_array(cls, spec: FieldSpec, arr: np.ndarray) -> "MatrixFq":
+        """The matrix whose entry (i, j) has coefficient vector arr[i, j]: an
+        array of shape (nrows, ncols, k) and dtype spec.dtype, reduced mod p."""
+        m = cls.__new__(cls)
+        m.spec, m._rows, m._arr = spec, None, arr
+        m.nrows, m.ncols = arr.shape[:2]
+        return m
+
+    @property
+    def rows(self) -> list[list["FieldElement"]]:
+        if self._rows is None:
+            self._rows = [[FieldElement(self.spec, tuple(c)) for c in row] for row in self._arr.tolist()]
+            self._arr = None
+        return self._rows
 
     @classmethod
     def zeros(cls, spec, nrows: int, ncols: int) -> "MatrixFq":
@@ -883,30 +936,24 @@ class MatrixFq:
         return basis
 
     def rank(self) -> int:
-        """Exact rank.  When p fits in int64 arithmetic the matrix is rewritten
-        over F_p (each entry becomes its k x k multiplication matrix) and
-        eliminated with vectorized numpy operations; rank over F_q is the F_p
-        rank divided by k."""
+        """Exact rank.  Below p = 2**31 each entry a becomes its k x k
+        multiplication matrix sum_t a_t C^t over F_p (C the companion matrix
+        of the modulus); the F_p rank, found with int64 numpy elimination, is
+        k times the rank over F_q."""
         if self.nrows == 0 or self.ncols == 0:
             return 0
-        p, k = self.spec.p, self.spec.k
-        if p >= 2**31:
-            return len(self.row_reduce()[1])
-        if k == 1:
-            arr = np.array([[e.coeffs[0] for e in row] for row in self.rows], dtype=np.int64)
-            return _rank_mod_p(arr, p)
-        arr = np.zeros((k * self.nrows, k * self.ncols), dtype=np.int64)
         spec = self.spec
-        for i, row in enumerate(self.rows):
-            for j, e in enumerate(row):
-                if not e:
-                    continue
-                col = e.coeffs
-                for c in range(k):
-                    for r in range(k):
-                        arr[k * i + r, k * j + c] = col[r]
-                    col = spec.shift_t(col)
-        rk = _rank_mod_p(arr, p)
+        p, k = spec.p, spec.k
+        if p >= ARRAY_P_LIMIT:
+            return len(self.row_reduce()[1])
+        arr = self._arr
+        if arr is None:
+            arr = np.array([[e.coeffs for e in row] for row in self._rows], dtype=np.int64)
+        # companion[t, c] = x^(t+c), column c of C^t; an entry of the blow-up is
+        # a sum of k products below p**2, less than 2**63 as p**k < 2**63
+        companion = spec.x_powers[np.add.outer(np.arange(k), np.arange(k))]
+        blown = np.einsum("ijt,tcr->irjc", arr, companion).reshape(k * self.nrows, k * self.ncols)
+        rk = _rank_mod_p(blown, p)
         if rk % k:
             raise AssertionError("blown-up rank not divisible by extension degree (bug)")
         return rk // k
@@ -915,9 +962,10 @@ class MatrixFq:
         return f"MatrixFq({self.nrows}x{self.ncols} over {self.spec!r})"
 
 
-def _rank_mod_p(arr: np.ndarray, p: int) -> int:
-    """In-place Gaussian elimination rank of an int64 matrix modulo p."""
-    a = arr % p
+def _rank_mod_p(a: np.ndarray, p: int) -> int:
+    """Rank modulo p of an int64 matrix by Gaussian elimination in place: a is
+    overwritten."""
+    a %= p
     nrows, ncols = a.shape
     r = 0
     for c in range(ncols):

@@ -10,6 +10,11 @@ equals the block dimension, which certifies the block center is a field.
 For each primitive idempotent e the block dimension D = dim e*F_q[G] is an
 exact rank computation, the center degree d = dim e*Z is read off the
 splitting, and the matrix size n satisfies D = d * n^2 exactly.
+
+Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product gathers
+its right factor through the group's left-division table and does k^2
+matrix-vector products mod p; the overflow rule is ffield's, with the sum
+over the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ModularCaseError
 from .ffield import FieldElement, FieldSpec, MatrixFq, Polynomial, factor, minpoly
@@ -27,9 +34,10 @@ __all__ = ["AlgebraElement", "CentralSplit", "multiply", "center_basis", "split_
 
 class AlgebraElement:
     """An element of F_q[G]: one coefficient per group element, indexed by the
-    group's enumeration order."""
+    group's enumeration order.  ``arr`` has shape (|G|, k) and dtype
+    ``spec.dtype``: row g holds the coefficient of g as k residues mod p."""
 
-    __slots__ = ("group", "spec", "coeffs")
+    __slots__ = ("group", "spec", "arr")
 
     def __init__(self, group: FiniteGroup, spec: FieldSpec, coeffs):
         coeffs = tuple(coeffs)
@@ -37,30 +45,37 @@ class AlgebraElement:
             raise ValueError(f"need {group.order} coefficients, got {len(coeffs)}")
         self.group = group
         self.spec = spec
-        self.coeffs = coeffs
+        self.arr = np.array([c.coeffs for c in coeffs], dtype=spec.dtype)
+
+    @classmethod
+    def _from_array(cls, group, spec, arr) -> "AlgebraElement":
+        out = cls.__new__(cls)
+        out.group, out.spec, out.arr = group, spec, arr
+        return out
 
     @classmethod
     def zero(cls, group, spec) -> "AlgebraElement":
-        return cls(group, spec, (spec.zero,) * group.order)
+        return cls._from_array(group, spec, np.zeros((group.order, spec.k), dtype=spec.dtype))
 
     @classmethod
     def unit(cls, group, spec) -> "AlgebraElement":
-        coeffs = [spec.zero] * group.order
-        coeffs[0] = spec.one
-        return cls(group, spec, coeffs)
+        return cls.from_group_index(group, spec, 0)
 
     @classmethod
     def from_group_index(cls, group, spec, i: int) -> "AlgebraElement":
-        coeffs = [spec.zero] * group.order
-        coeffs[i] = spec.one
-        return cls(group, spec, coeffs)
+        out = cls.zero(group, spec)
+        out.arr[i, 0] = 1
+        return out
 
     @classmethod
     def class_sum(cls, group, spec, class_index: int) -> "AlgebraElement":
-        coeffs = [spec.zero] * group.order
-        for i in group.classes[class_index].indices:
-            coeffs[i] = spec.one
-        return cls(group, spec, coeffs)
+        out = cls.zero(group, spec)
+        out.arr[sorted(group.classes[class_index].indices), 0] = 1
+        return out
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        return tuple(FieldElement(self.spec, tuple(row)) for row in self.arr.tolist())
 
     def _check_compatible(self, other: "AlgebraElement"):
         if self.group is not other.group:
@@ -70,27 +85,32 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
-        return AlgebraElement(self.group, self.spec, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraElement._from_array(self.group, self.spec, (self.arr + other.arr) % self.spec.p)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_compatible(other)
-        return AlgebraElement(self.group, self.spec, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return AlgebraElement._from_array(self.group, self.spec, (self.arr - other.arr) % self.spec.p)
 
     def __mul__(self, other) -> "AlgebraElement":
+        spec = self.spec
+        p, k = spec.p, spec.k
         if isinstance(other, FieldElement):
-            return AlgebraElement(self.group, self.spec, (c * other for c in self.coeffs))
-        self._check_compatible(other)
-        table = self.group.mul_table
-        out = [self.spec.zero] * self.group.order
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            row = table[i]
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    k = row[j]
-                    out[k] = out[k] + a * b
-        return AlgebraElement(self.group, self.spec, out)
+            if other.spec != spec:
+                raise ValueError("mixing elements of different fields")
+            # y[g, t, s] = a_t(g) * c_s, the coefficient of x^(t+s)
+            y = self.arr[:, :, None] * np.array(other.coeffs, dtype=spec.dtype) % p
+        else:
+            self._check_compatible(other)
+            # y[g, t, s] = sum over h of a_t(h) * b_s(h^-1 g)
+            n = self.group.order
+            gathered = other.arr[self.group.left_division_table].reshape(n, n * k)
+            step = n if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
+            y = sum(self.arr[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
+            y = (y % p).reshape(k, n, k).transpose(1, 0, 2)
+        conv = np.zeros((self.group.order, 2 * k - 1), dtype=spec.dtype)
+        for t in range(k):
+            conv[:, t : t + k] += y[:, t, :]
+        return AlgebraElement._from_array(self.group, spec, (conv % p) @ spec.x_powers % p)
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -98,21 +118,21 @@ class AlgebraElement:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.arr.any()
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, AlgebraElement)
             and self.group is other.group
             and self.spec == other.spec
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.arr, other.arr)
         )
 
     def __hash__(self) -> int:
-        return hash(tuple(c.coeffs for c in self.coeffs))
+        return hash(tuple(map(tuple, self.arr.tolist())))
 
     def __repr__(self) -> str:
-        support = sum(1 for c in self.coeffs if c)
+        support = int(np.count_nonzero(self.arr.any(axis=1)))
         return f"AlgebraElement(support={support}/{self.group.order})"
 
 
@@ -331,18 +351,10 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
 
 def _right_ideal_dimension(E: AlgebraElement) -> int:
     """dim over F_q of E * F_q[G]: rank of the matrix whose columns are the
-    right translates E * g, each a permutation of E's coefficient vector."""
-    G = E.group
-    n = G.order
-    table = G.mul_table
-    inv = G.inverse_indices
-    rows = [[None] * n for _ in range(n)]
-    coeffs = E.coeffs
-    for g in range(n):
-        gi = inv[g]
-        for h in range(n):
-            rows[h][g] = coeffs[table[h][gi]]
-    return MatrixFq(E.spec, rows).rank()
+    right translates E * g, entry (h, g) = E(h g^-1).  The matrix with entry
+    (h, g) = E(h^-1 g) is the same one with rows and columns relabelled by
+    inversion, so it has the same rank."""
+    return MatrixFq.from_array(E.spec, E.arr[E.group.left_division_table]).rank()
 
 
 def verify_split(split: CentralSplit) -> bool:
@@ -375,21 +387,21 @@ def verify_split(split: CentralSplit) -> bool:
             if delta * e != e * delta:
                 return False
     # coefficients constant on conjugacy classes
+    class_first = [min(G.classes[ci].indices) for ci in G.class_index_of]
     for e in es:
-        for c in G.classes:
-            vals = {e.coeffs[i].coeffs for i in c.indices}
-            if len(vals) > 1:
-                return False
+        if not np.array_equal(e.arr, e.arr[class_first]):
+            return False
     # dimension bookkeeping: D_i = d_i * n_i^2, sum D_i = |G|, ranks agree
     if sum(split.block_dims) != G.order:
         return False
     Z = _CenterAlgebra(G, spec)
+    reps = [G.index(c.representative) for c in G.classes]
     for e, D, d, n in zip(es, split.block_dims, split.center_dims, split.matrix_sizes):
         if d * n * n != D:
             return False
         if math.isqrt(D // d) ** 2 * d != D:
             return False
-        center_vec = [e.coeffs[G.index(c.representative)] for c in G.classes]
+        center_vec = [FieldElement(spec, tuple(row)) for row in e.arr[reps].tolist()]
         if Z.block_dimension(center_vec) != d:
             return False
         if _right_ideal_dimension(e) != D:

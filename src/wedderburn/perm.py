@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "Permutation",
     "ConjClass",
@@ -174,8 +176,9 @@ class FiniteGroup:
     """A fully enumerated permutation group.
 
     Immutable after construction; safe for concurrent reads.  The
-    multiplication table and class-product coefficients are built lazily and
-    cached (both are deterministic functions of the element list).
+    multiplication table, its left-division form and the class-product
+    coefficients are built lazily and cached (all are deterministic functions
+    of the element list).
     """
 
     def __init__(self, generators, elements):
@@ -188,6 +191,7 @@ class FiniteGroup:
         self.exponent = math.lcm(*(c.element_order for c in self.classes))
         self._mul_table: list[list[int]] | None = None
         self._inv_indices: list[int] | None = None
+        self._left_division: np.ndarray | None = None
         self._class_coeffs: list[list[list[int]]] | None = None
 
     def index(self, g: Permutation) -> int:
@@ -218,6 +222,15 @@ class FiniteGroup:
         if self._inv_indices is None:
             self._inv_indices = [self._index[g.inverse().images] for g in self.elements]
         return self._inv_indices
+
+    @property
+    def left_division_table(self) -> np.ndarray:
+        """int32 array with entry [h, g] = index of g_h^-1 * g_g; gathering a
+        coefficient array through it lines up the terms of a convolution."""
+        if self._left_division is None:
+            table = np.array(self.mul_table, dtype=np.int32)
+            self._left_division = table[self.inverse_indices]
+        return self._left_division
 
     def point_orbits(self) -> list[list[int]]:
         """Orbits of the group on its 0-indexed points."""

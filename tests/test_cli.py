@@ -136,6 +136,42 @@ def test_units_text_and_json_agree(capsys):
             assert f"GL({comp['n']}, 11)" in text_out
 
 
+def _gl_order(n, q):
+    out = 1
+    for i in range(n):
+        out *= q**n - q**i
+    return out
+
+
+def _parse_decimal(digits):
+    # in pieces, so the test does not depend on the int-from-str digit limit
+    value = 0
+    for i in range(0, len(digits), 500):
+        piece = digits[i : i + 500]
+        value = value * 10 ** len(piece) + int(piece)
+    return value
+
+
+def test_units_order_beyond_int_str_digit_limit(capsys):
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, ["units", "--p", "199", "--k", "12", "--format", "json"])
+    assert code == 0
+    q = 199**12
+    # q = 1 mod 7: type 1, F_q + M(3, F_q)^2 + M(6, F_q) + M(7, F_q) + M(8, F_q)
+    expected = 1
+    for n in (1, 3, 3, 6, 7, 8):
+        expected *= _gl_order(n, q)
+    order = json.loads(out)["order"]
+    assert len(order) > limit
+    assert _parse_decimal(order) == expected
+    code, text, _ = run(capsys, ["units", "--p", "199", "--k", "12"])
+    assert code == 0
+    assert f"order: {order}" in text
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_check_small_grid(capsys):
     code, out, _ = run(capsys, ["check", "--p", "11,13", "--k", "1..3"])
     assert code == 0
@@ -158,6 +194,21 @@ def test_check_prime_ranges_skip_composites(capsys):
     code, out, _ = run(capsys, ["check", "--p", "11..19", "--k", "1"])
     assert code == 0
     assert "checked 4 cells" in out  # 11, 13, 17, 19
+
+
+def test_check_reports_modular_cells_as_skipped(capsys):
+    code, out, _ = run(capsys, ["check", "--p", "5..13", "--k", "1"])
+    assert code == 0
+    assert "SKIP p=7 k=1" in out
+    assert "SKIP p=5" not in out and "SKIP p=11" not in out and "SKIP p=13" not in out
+    assert "checked 3 cells: 3 ok, 0 mismatches, 1 skipped" in out  # 5, 11, 13
+
+
+def test_decompose_rejects_strong_pseudoprime(capsys):
+    code, out, err = run(capsys, ["decompose", "--p", "3317044064679887385961981"])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert "not prime" in err and "Traceback" not in err
 
 
 def test_check_detects_mismatch(capsys, monkeypatch):

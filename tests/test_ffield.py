@@ -22,6 +22,15 @@ def test_is_prime_small():
     assert not is_prime(2**32 + 1)
 
 
+def test_is_prime_above_the_miller_rabin_bound():
+    # psi_12 = 1287836182261 * 2575672364521 is a strong pseudoprime to the
+    # twelve fixed bases; the strong Lucas test rejects it
+    assert not is_prime(3317044064679887385961981)
+    assert is_prime(2**89 - 1)
+    assert is_prime(2**127 - 1)
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
+
+
 def test_make_field_prime():
     f11 = make_field(11)
     assert (f11.p, f11.k, f11.q) == (11, 1, 11)

@@ -1,0 +1,141 @@
+"""Differential tests of the array kernels: the group-algebra product against
+a plain convolution in FieldElement arithmetic, and the companion-matrix
+rank expansion against exact row reduction."""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wedderburn import (
+    AlgebraElement,
+    MatrixFq,
+    generate,
+    make_field,
+    parse_cycles,
+    split_center,
+    verify_split,
+)
+from wedderburn.oracle import _right_ideal_dimension
+
+FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0)}
+
+
+def reference_product(a, b):
+    """sum over i, j of a(g_i) b(g_j) g_i g_j, one FieldElement at a time."""
+    table = a.group.mul_table
+    out = [a.spec.zero] * a.group.order
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    out[table[i][j]] = out[table[i][j]] + x * y
+    return tuple(out)
+
+
+def random_element(G, spec, rng, density=1.0):
+    return AlgebraElement(
+        G, spec, [spec.random_element(rng) if rng.random() < density else spec.zero for _ in range(G.order)]
+    )
+
+
+def extreme_element(G, spec):
+    """Every coefficient p - 1 in every position: the largest int64 terms."""
+    return AlgebraElement(G, spec, [spec.element([spec.p - 1] * spec.k)] * G.order)
+
+
+@pytest.fixture(scope="module")
+def c7c3():
+    # x -> x + 1 and x -> 2x on Z/7; its blocks have d > 1 over most fields
+    return generate([parse_cycles("(1,2,3,4,5,6,7)", 7), parse_cycles("(2,3,5)(4,7,6)", 7)])
+
+
+@pytest.fixture(scope="module")
+def q8():
+    # left regular action on 1, -1, i, -i, j, -j, k, -k
+    return generate([parse_cycles("(1,3,2,4)(5,7,6,8)", 8), parse_cycles("(1,5,2,6)(3,8,4,7)", 8)])
+
+
+@settings(max_examples=12, deadline=None)
+@given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32),
+       density=st.sampled_from([0.05, 0.3, 1.0]))
+def test_product_matches_convolution_sl32(sl32_s8, field, seed, density):
+    spec = FIELDS[field]
+    rng = random.Random(seed)
+    a = random_element(sl32_s8, spec, rng, density)
+    b = random_element(sl32_s8, spec, rng, density)
+    assert (a * b).coeffs == reference_product(a, b)
+    c = spec.random_element(rng)
+    assert (a * c).coeffs == tuple(x * c for x in a.coeffs)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+
+
+@pytest.mark.parametrize("p, k", [(2**31 - 1, 1), (2**31 - 1, 2), (2**31 + 11, 1), (2**61 - 1, 1)])
+def test_product_exact_near_int64_limits(q8, c7c3, p, k):
+    # below 2**31 the sum over the group runs in chunks of 2 terms; from 2**31
+    # up the arrays hold Python ints
+    spec = make_field(p, k, seed=0)
+    rng = random.Random(p + k)
+    for G in (q8, c7c3):
+        top = extreme_element(G, spec)
+        assert (top * top).coeffs == reference_product(top, top)
+        a, b = random_element(G, spec, rng), random_element(G, spec, rng)
+        assert (a * b).coeffs == reference_product(a, b)
+        assert (a * top).coeffs == reference_product(a, top)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_split_and_verify_near_int64_limits(c7c3, p):
+    # p = 1 mod 21, so F_p[C7:C3] splits into three fields and two M(3, F_p)
+    split = split_center(c7c3, make_field(p), seed=0)
+    assert split.pairs() == ((1, 1), (1, 1), (1, 1), (3, 1), (3, 1))
+    assert verify_split(split)
+
+
+def test_right_ideal_dimension_matches_right_translates(c7c3):
+    # the kernel's matrix E(h^-1 g) against the defining one, E(h g^-1)
+    table, inv = c7c3.mul_table, c7c3.inverse_indices
+    for spec in (make_field(11), make_field(11, 2, seed=0)):
+        for E in split_center(c7c3, spec, seed=0).idempotents:
+            coeffs = E.coeffs
+            rows = [[coeffs[table[h][inv[g]]] for g in range(c7c3.order)] for h in range(c7c3.order)]
+            assert _right_ideal_dimension(E) == len(MatrixFq(spec, rows).row_reduce()[1])
+
+
+def _random_matrix(spec, rng, nrows, ncols, rank_cap):
+    """An nrows x ncols matrix of rank at most rank_cap: a product of random
+    nrows x r and r x ncols factors, sometimes with one row copied over another."""
+    r = rng.randint(0, rank_cap)
+    left = [[spec.random_element(rng) for _ in range(r)] for _ in range(nrows)]
+    right = [[spec.random_element(rng) for _ in range(ncols)] for _ in range(r)]
+    rows = [[sum((left[i][t] * right[t][j] for t in range(r)), spec.zero) for j in range(ncols)]
+            for i in range(nrows)]
+    if nrows > 1 and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    return MatrixFq(spec, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([(11, 2), (13, 3)]), seed=st.integers(0, 2**32))
+def test_rank_expansion_matches_row_reduce(field, seed):
+    spec = FIELDS[field]
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    m = _random_matrix(spec, rng, nrows, ncols, min(nrows, ncols))
+    expected = len(m.row_reduce()[1])
+    assert m.rank() == expected
+    arr = np.array([[e.coeffs for e in row] for row in m.rows], dtype=np.int64)
+    assert MatrixFq.from_array(spec, arr).rank() == expected
+
+
+def test_from_array_rows_are_what_rank_sees():
+    spec = FIELDS[(11, 2)]
+    arr = np.zeros((3, 3, 2), dtype=np.int64)
+    arr[0, 0, 0] = arr[1, 1, 1] = arr[2, 2, 0] = 1
+    m = MatrixFq.from_array(spec, arr)
+    assert m.rank() == 3
+    m.rows[2] = [spec.zero] * 3
+    assert m.rank() == 2

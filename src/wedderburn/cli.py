@@ -252,9 +252,10 @@ def cmd_oracle(args) -> int:
     lines = [
         f"brute-force decomposition over F_{args.p}^{args.k} (|G| = {G.order})",
         "components: " + " + ".join(f"M({n}, q{'^' + str(d) if d > 1 else ''})" for n, d in pairs),
-        f"elapsed: {elapsed:.2f}s",
     ]
     _emit(payload, args.format, lines)
+    if args.format == "text":
+        print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)  # wall time; stdout stays deterministic
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ class CycloContext:
     k: int
     q: int
     e: int  # group exponent
-    r: int  # p'-part of the exponent; equals e since p does not divide |G|
     i_q: tuple[int, ...]  # the subgroup of residues mod e generated by q
 
 
@@ -51,7 +50,7 @@ def build_context(G: FiniteGroup, p: int, k: int) -> CycloContext:
     while cur not in i_q:
         i_q.add(cur)
         cur = cur * qm % e
-    return CycloContext(group=G, p=p, k=k, q=p**k, e=e, r=e, i_q=tuple(sorted(i_q)))
+    return CycloContext(group=G, p=p, k=k, q=p**k, e=e, i_q=tuple(sorted(i_q)))
 
 
 def cyclotomic_partition(ctx: CycloContext) -> CycloPartition:

@@ -7,12 +7,12 @@ discrete-log tables.  Polynomial factorization runs the classical pipeline:
 squarefree split via gcd with the derivative (with p-th root extraction in
 characteristic p), distinct-degree split via iterated Frobenius, and seeded
 Cantor-Zassenhaus equal-degree splitting.  Row reduction and kernels are
-computed in exact field arithmetic; rank() is array-backed: the entries'
-coefficient vectors, expanded by one einsum against the powers of the
-modulus's companion matrix, are eliminated modulo p.  Overflow rule: below
-p = 2**31 arrays are int64 and sums of products are reduced modulo p before
-they can pass 2**63 - 1; from 2**31 up arrays hold Python ints (dtype
-object) and rank() is exact row reduction.
+computed in exact field arithmetic; rank() is array-backed for every p: the
+entries' coefficient vectors, expanded by one einsum against the powers of
+the modulus's companion matrix, are eliminated modulo p.  Overflow rule:
+below p = 2**31 arrays are int64 and sums of products are reduced modulo p
+before they can pass 2**63 - 1; from 2**31 up arrays hold Python ints
+(dtype object), on which the same numpy code is exact.
 """
 
 from __future__ import annotations
@@ -936,21 +936,20 @@ class MatrixFq:
         return basis
 
     def rank(self) -> int:
-        """Exact rank.  Below p = 2**31 each entry a becomes its k x k
-        multiplication matrix sum_t a_t C^t over F_p (C the companion matrix
-        of the modulus); the F_p rank, found with int64 numpy elimination, is
-        k times the rank over F_q."""
+        """Exact rank.  Each entry a becomes its k x k multiplication matrix
+        sum_t a_t C^t over F_p (C the companion matrix of the modulus); the
+        F_p rank, found by numpy elimination on arrays of dtype spec.dtype,
+        is k times the rank over F_q."""
         if self.nrows == 0 or self.ncols == 0:
             return 0
         spec = self.spec
         p, k = spec.p, spec.k
-        if p >= ARRAY_P_LIMIT:
-            return len(self.row_reduce()[1])
         arr = self._arr
         if arr is None:
-            arr = np.array([[e.coeffs for e in row] for row in self._rows], dtype=np.int64)
+            arr = np.array([[e.coeffs for e in row] for row in self._rows], dtype=spec.dtype)
         # companion[t, c] = x^(t+c), column c of C^t; an entry of the blow-up is
-        # a sum of k products below p**2, less than 2**63 as p**k < 2**63
+        # a sum of k products below p**2, less than 2**63 in int64 (p < 2**31
+        # and p**k < 2**63)
         companion = spec.x_powers[np.add.outer(np.arange(k), np.arange(k))]
         blown = np.einsum("ijt,tcr->irjc", arr, companion).reshape(k * self.nrows, k * self.ncols)
         rk = _rank_mod_p(blown, p)
@@ -963,8 +962,8 @@ class MatrixFq:
 
 
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank modulo p of an int64 matrix by Gaussian elimination in place: a is
-    overwritten."""
+    """Rank modulo p of an integer matrix (int64 below p = 2**31, Python ints
+    from there up) by Gaussian elimination in place: a is overwritten."""
     a %= p
     nrows, ncols = a.shape
     r = 0

@@ -11,10 +11,13 @@ For each primitive idempotent e the block dimension D = dim e*F_q[G] is an
 exact rank computation, the center degree d = dim e*Z is read off the
 splitting, and the matrix size n satisfies D = d * n^2 exactly.
 
-Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product gathers
-its right factor through the group's left-division table and does k^2
-matrix-vector products mod p; the overflow rule is ffield's, with the sum
-over the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms.
+Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product
+writes the coefficient of g as sum over h of a(h^-1) * b(h g): it gathers
+its right factor through the group's multiplication table, permutes the
+left one by inversion, and does k^2 matrix-vector products mod p; the
+overflow rule is ffield's, with the sum over the group cut into chunks of
+(2**63 - 1) // (p - 1)**2 terms.  The center works in the class-sum basis
+with the integer class-product coefficients.
 """
 
 from __future__ import annotations
@@ -101,11 +104,13 @@ class AlgebraElement:
             y = self.arr[:, :, None] * np.array(other.coeffs, dtype=spec.dtype) % p
         else:
             self._check_compatible(other)
-            # y[g, t, s] = sum over h of a_t(h) * b_s(h^-1 g)
-            n = self.group.order
-            gathered = other.arr[self.group.left_division_table].reshape(n, n * k)
+            # y[g, t, s] = sum over h of a_t(h^-1) * b_s(h g)
+            G = self.group
+            n = G.order
+            left = self.arr[G.inverse_indices]
+            gathered = other.arr[G.mul_table].reshape(n, n * k)
             step = n if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
-            y = sum(self.arr[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
+            y = sum(left[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
             y = (y % p).reshape(k, n, k).transpose(1, 0, 2)
         conv = np.zeros((self.group.order, 2 * k - 1), dtype=spec.dtype)
         for t in range(k):
@@ -162,18 +167,19 @@ class CentralSplit:
 
 
 class _CenterAlgebra:
-    """The center of F_q[G] in the class-sum basis, with integer structure
-    constants reduced into the field on demand."""
+    """The center of F_q[G] in the class-sum basis.  Vectors are lists of m
+    field elements; products by class sums run on their (m, k) coefficient
+    arrays against the integer class-product coefficients c, and every entry
+    of c[i].T @ v is below |G| * p (column k of c[i] sums to |K_i|)."""
 
     def __init__(self, G: FiniteGroup, spec: FieldSpec):
         self.G = G
         self.spec = spec
         self.m = len(G.classes)
-        raw = G.class_product_coefficients()
-        self.sc = [
-            [[spec.scalar(raw[i][j][k]) for k in range(self.m)] for j in range(self.m)]
-            for i in range(self.m)
-        ]
+        self.c = G.class_product_coefficients()
+
+    def _array(self, v: list[FieldElement]) -> np.ndarray:
+        return np.array([x.coeffs for x in v], dtype=self.spec.dtype)
 
     def one(self) -> list[FieldElement]:
         vec = [self.spec.zero] * self.m
@@ -182,15 +188,8 @@ class _CenterAlgebra:
 
     def mul_class(self, i: int, v: list[FieldElement]) -> list[FieldElement]:
         """Product (class sum i) * v."""
-        out = [self.spec.zero] * self.m
-        sci = self.sc[i]
-        for j, c in enumerate(v):
-            if c:
-                row = sci[j]
-                for k in range(self.m):
-                    if row[k]:
-                        out[k] = out[k] + c * row[k]
-        return out
+        out = self.c[i].T @ self._array(v) % self.spec.p
+        return [FieldElement(self.spec, tuple(row)) for row in out.tolist()]
 
     def mul(self, u: list[FieldElement], v: list[FieldElement]) -> list[FieldElement]:
         out = [self.spec.zero] * self.m
@@ -207,12 +206,11 @@ class _CenterAlgebra:
 
     def block_dimension(self, e: list[FieldElement]) -> int:
         """Dimension over F_q of e*Z, the span of the projected class sums."""
-        rows = [self.mul_class(i, e) for i in range(self.m)]
-        return MatrixFq(self.spec, rows).rank()
+        rows = self.c.transpose(0, 2, 1) @ self._array(e) % self.spec.p  # row i: mul_class(i, e)
+        return MatrixFq.from_array(self.spec, rows).rank()
 
     def to_algebra(self, v: list[FieldElement]) -> AlgebraElement:
-        coeffs = [v[self.G.class_index_of[i]] for i in range(self.G.order)]
-        return AlgebraElement(self.G, self.spec, coeffs)
+        return AlgebraElement._from_array(self.G, self.spec, self._array(v)[list(self.G.class_index_of)])
 
 
 def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors, seed: int):
@@ -251,11 +249,7 @@ def _block_minpoly(Z: _CenterAlgebra, e, mul_by):
     together with the power sequence e, w, w^2, ... needed to evaluate
     polynomials at it."""
     powers = [list(e)]
-
-    def apply(v):
-        return mul_by(v)
-
-    mu = minpoly(Z.spec, apply, e, Z.m)
+    mu = minpoly(Z.spec, mul_by, e, Z.m)
     for _ in range(1, mu.degree()):
         powers.append(mul_by(powers[-1]))
     return mu, powers
@@ -352,9 +346,9 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
 def _right_ideal_dimension(E: AlgebraElement) -> int:
     """dim over F_q of E * F_q[G]: rank of the matrix whose columns are the
     right translates E * g, entry (h, g) = E(h g^-1).  The matrix with entry
-    (h, g) = E(h^-1 g) is the same one with rows and columns relabelled by
-    inversion, so it has the same rank."""
-    return MatrixFq.from_array(E.spec, E.arr[E.group.left_division_table]).rank()
+    (h, g) = E(h g), E gathered through the multiplication table, is the same
+    one with its columns relabelled by inversion, so it has the same rank."""
+    return MatrixFq.from_array(E.spec, E.arr[E.group.mul_table]).rank()
 
 
 def verify_split(split: CentralSplit) -> bool:

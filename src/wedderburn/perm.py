@@ -176,9 +176,10 @@ class FiniteGroup:
     """A fully enumerated permutation group.
 
     Immutable after construction; safe for concurrent reads.  The
-    multiplication table, its left-division form and the class-product
-    coefficients are built lazily and cached (all are deterministic functions
-    of the element list).
+    multiplication table (the only |G| x |G| structure), the inverse indices
+    and the class-product coefficients are built lazily, cached and
+    read-only (all are deterministic functions of the element list and the
+    generators).
     """
 
     def __init__(self, generators, elements):
@@ -189,10 +190,9 @@ class FiniteGroup:
         self._index = {g.images: i for i, g in enumerate(self.elements)}
         self.classes, self.class_index_of = _conjugacy_partition(self.elements, self.generators, self._index)
         self.exponent = math.lcm(*(c.element_order for c in self.classes))
-        self._mul_table: list[list[int]] | None = None
-        self._inv_indices: list[int] | None = None
-        self._left_division: np.ndarray | None = None
-        self._class_coeffs: list[list[list[int]]] | None = None
+        self._mul_table: np.ndarray | None = None
+        self._inv_indices: np.ndarray | None = None
+        self._class_coeffs: np.ndarray | None = None
 
     def index(self, g: Permutation) -> int:
         try:
@@ -204,33 +204,40 @@ class FiniteGroup:
         return isinstance(g, Permutation) and g.images in self._index
 
     @property
-    def mul_table(self) -> list[list[int]]:
-        """Full index-level multiplication table, table[i][j] = index of g_i * g_j."""
+    def mul_table(self) -> np.ndarray:
+        """int32 array with T[a, j] = index of g_a * g_j, the group's one
+        |G| x |G| table.  Column 0 is the identity's; the others are filled
+        breadth-first from the generators' right action: when g_c = g_j * g,
+        T[:, c] = R_g[T[:, j]] with R_g[i] = index of g_i * g."""
         if self._mul_table is None:
-            els = self.elements
-            idx = self._index
-            table = []
-            for a in els:
-                ai = a.images
-                row = [idx[tuple(ai[b.images[t]] for t in range(self.degree))] for b in els]
-                table.append(row)
+            if not self.elements[0].is_identity():
+                raise ValueError("the element list must start with the identity")
+            n = self.order
+            right = [np.array([self.index(x * g) for x in self.elements], dtype=np.int32) for g in self.generators]
+            table = np.empty((n, n), dtype=np.int32)
+            table[:, 0] = np.arange(n)
+            reached = [True] + [False] * (n - 1)
+            queue = [0]
+            for j in queue:
+                for r in right:
+                    c = r[j]
+                    if not reached[c]:
+                        reached[c] = True
+                        table[:, c] = r[table[:, j]]
+                        queue.append(c)
+            if len(queue) != n:
+                raise ValueError("the generators do not generate the element list")
+            table.setflags(write=False)
             self._mul_table = table
         return self._mul_table
 
     @property
-    def inverse_indices(self) -> list[int]:
+    def inverse_indices(self) -> np.ndarray:
+        """Array whose entry i is the index of g_i^-1."""
         if self._inv_indices is None:
-            self._inv_indices = [self._index[g.inverse().images] for g in self.elements]
+            self._inv_indices = np.array([self._index[g.inverse().images] for g in self.elements])
+            self._inv_indices.setflags(write=False)
         return self._inv_indices
-
-    @property
-    def left_division_table(self) -> np.ndarray:
-        """int32 array with entry [h, g] = index of g_h^-1 * g_g; gathering a
-        coefficient array through it lines up the terms of a convolution."""
-        if self._left_division is None:
-            table = np.array(self.mul_table, dtype=np.int32)
-            self._left_division = table[self.inverse_indices]
-        return self._left_division
 
     def point_orbits(self) -> list[list[int]]:
         """Orbits of the group on its 0-indexed points."""
@@ -253,28 +260,23 @@ class FiniteGroup:
             orbits.append(sorted(orb))
         return orbits
 
-    def class_product_coefficients(self) -> list[list[list[int]]]:
-        """Integer structure constants of the class sums: writing K_i for the
-        sum of class i, K_i * K_j = sum_k c[i][j][k] * K_k in the group ring
-        over the integers."""
+    def class_product_coefficients(self) -> np.ndarray:
+        """Integer structure constants of the class sums as an int64 array
+        c of shape (m, m, m): K_i * K_j = sum_k c[i, j, k] * K_k in the group
+        ring over the integers, K_i the sum of class i.  For a fixed z in
+        class k, c[i, j, k] counts the x in K_i with x^-1 z in K_j; so only
+        the m columns of the table at the class representatives are read."""
         if self._class_coeffs is None:
-            table = self.mul_table
             m = len(self.classes)
-            by_class = [sorted(c.indices) for c in self.classes]
-            cls_of = self.class_index_of
-            coeffs = [[[0] * m for _ in range(m)] for _ in range(m)]
-            for i in range(m):
-                for j in range(m):
-                    bucket = [0] * m
-                    for x in by_class[i]:
-                        row = table[x]
-                        for y in by_class[j]:
-                            bucket[cls_of[row[y]]] += 1
-                    for k in range(m):
-                        size_k = self.classes[k].size
-                        if bucket[k] % size_k:
-                            raise ArithmeticError("class product not constant on classes")
-                        coeffs[i][j][k] = bucket[k] // size_k
+            cls = np.array(self.class_index_of)
+            coeffs = np.empty((m, m, m), dtype=np.int64)
+            for k, c in enumerate(self.classes):
+                left_quotients = self.mul_table[self.inverse_indices, self.index(c.representative)]
+                coeffs[:, :, k] = np.bincount(cls * m + cls[left_quotients], minlength=m * m).reshape(m, m)
+            sizes = np.array([c.size for c in self.classes])
+            if not np.array_equal(coeffs @ sizes, np.outer(sizes, sizes)):
+                raise ArithmeticError("class products do not have |K_i| * |K_j| terms")
+            coeffs.setflags(write=False)
             self._class_coeffs = coeffs
         return self._class_coeffs
 

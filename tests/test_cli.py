@@ -95,6 +95,16 @@ def test_oracle_respects_qmax(capsys):
     assert "qmax" in err
 
 
+def test_oracle_text_stdout_is_deterministic(capsys):
+    # the wall-clock line goes to stderr
+    code, out1, err = run(capsys, ["oracle", "--p", "11"])
+    assert code == 0
+    assert "elapsed:" in err and "elapsed" not in out1
+    code, out2, _ = run(capsys, ["oracle", "--p", "11"])
+    assert code == 0
+    assert out1 == out2
+
+
 def test_units_json_schema_and_stability(capsys):
     argv = ["units", "--p", "13", "--k", "1", "--format", "json"]
     code, out1, _ = run(capsys, argv)

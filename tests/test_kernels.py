@@ -9,18 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedderburn import (
-    AlgebraElement,
-    MatrixFq,
-    generate,
-    make_field,
-    parse_cycles,
-    split_center,
-    verify_split,
-)
+from wedderburn import AlgebraElement, MatrixFq, make_field, split_center, verify_split
 from wedderburn.oracle import _right_ideal_dimension
 
-FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0)}
+FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0),
+          (2**31 + 11, 2): make_field(2**31 + 11, 2, seed=0)}
 
 
 def reference_product(a, b):
@@ -46,18 +39,6 @@ def extreme_element(G, spec):
     return AlgebraElement(G, spec, [spec.element([spec.p - 1] * spec.k)] * G.order)
 
 
-@pytest.fixture(scope="module")
-def c7c3():
-    # x -> x + 1 and x -> 2x on Z/7; its blocks have d > 1 over most fields
-    return generate([parse_cycles("(1,2,3,4,5,6,7)", 7), parse_cycles("(2,3,5)(4,7,6)", 7)])
-
-
-@pytest.fixture(scope="module")
-def q8():
-    # left regular action on 1, -1, i, -i, j, -j, k, -k
-    return generate([parse_cycles("(1,3,2,4)(5,7,6,8)", 8), parse_cycles("(1,5,2,6)(3,8,4,7)", 8)])
-
-
 @settings(max_examples=12, deadline=None)
 @given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32),
        density=st.sampled_from([0.05, 0.3, 1.0]))
@@ -73,7 +54,7 @@ def test_product_matches_convolution_sl32(sl32_s8, field, seed, density):
     assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
 
 
-@pytest.mark.parametrize("p, k", [(2**31 - 1, 1), (2**31 - 1, 2), (2**31 + 11, 1), (2**61 - 1, 1)])
+@pytest.mark.parametrize("p, k", [(2**31 - 1, 1), (2**31 - 1, 2), (2**31 + 11, 1), (2**31 + 11, 2), (2**61 - 1, 1)])
 def test_product_exact_near_int64_limits(q8, c7c3, p, k):
     # below 2**31 the sum over the group runs in chunks of 2 terms; from 2**31
     # up the arrays hold Python ints
@@ -119,7 +100,7 @@ def _random_matrix(spec, rng, nrows, ncols, rank_cap):
 
 
 @settings(max_examples=40, deadline=None)
-@given(field=st.sampled_from([(11, 2), (13, 3)]), seed=st.integers(0, 2**32))
+@given(field=st.sampled_from([(11, 2), (13, 3), (2**31 + 11, 2)]), seed=st.integers(0, 2**32))
 def test_rank_expansion_matches_row_reduce(field, seed):
     spec = FIELDS[field]
     rng = random.Random(seed)
@@ -127,7 +108,7 @@ def test_rank_expansion_matches_row_reduce(field, seed):
     m = _random_matrix(spec, rng, nrows, ncols, min(nrows, ncols))
     expected = len(m.row_reduce()[1])
     assert m.rank() == expected
-    arr = np.array([[e.coeffs for e in row] for row in m.rows], dtype=np.int64)
+    arr = np.array([[e.coeffs for e in row] for row in m.rows], dtype=spec.dtype)
     assert MatrixFq.from_array(spec, arr).rank() == expected
 
 

@@ -1,9 +1,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from wedderburn import (
+    FiniteGroup,
     Permutation,
     compose,
     element_order,
@@ -244,3 +246,52 @@ def test_builtin_p2f2_matches_s8_class_data(sl32_s8, sl32_p2f2):
     left = [(c.element_order, c.size) for c in sl32_s8.classes]
     right = [(c.element_order, c.size) for c in sl32_p2f2.classes]
     assert left == right
+
+
+TABLE_GROUPS = ["sl32_s8", "sl32_p2f2", "s5", "c7c3", "q8", "trivial"]
+
+
+@pytest.fixture(params=TABLE_GROUPS)
+def table_group(request):
+    if request.param == "trivial":
+        return generate([Permutation.identity(3)])
+    return request.getfixturevalue(request.param)
+
+
+def test_mul_table_matches_products(table_group):
+    G = table_group
+    T = G.mul_table
+    assert T.shape == (G.order, G.order) and T.dtype == np.int32
+    for i, a in enumerate(G.elements):
+        assert T[i].tolist() == [G.index(a * b) for b in G.elements]
+
+
+def test_inverse_indices_match_inverse(table_group):
+    G = table_group
+    assert G.inverse_indices.tolist() == [G.index(g.inverse()) for g in G.elements]
+
+
+def test_class_product_coefficients_brute_force(table_group):
+    # count the pairs (x, y) in K_i x K_j by their product, and require the
+    # count to be c[i, j, k] at every z in K_k, not only at the representative
+    G = table_group
+    c = G.class_product_coefficients()
+    m = len(G.classes)
+    assert c.shape == (m, m, m) and c.dtype == np.int64
+    members = [sorted(cl.indices) for cl in G.classes]
+    for i in range(m):
+        for j in range(m):
+            count = [0] * G.order
+            for x in members[i]:
+                for y in members[j]:
+                    count[G.index(G.elements[x] * G.elements[y])] += 1
+            for k in range(m):
+                assert {count[z] for z in members[k]} == {c[i, j, k]}
+
+
+def test_mul_table_rejects_generators_that_do_not_generate(s5):
+    G = FiniteGroup([parse_cycles("(1,2,3,4,5)", 5)], s5.elements)
+    with pytest.raises(ValueError):
+        G.mul_table
+    with pytest.raises(ValueError):
+        G.class_product_coefficients()

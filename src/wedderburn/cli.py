@@ -46,8 +46,6 @@ def _add_common(sub: argparse.ArgumentParser, with_pk: bool = True):
                      help="group source: builtin:{sl32-s8,sl32-p2f2,s5} or file:PATH")
     sub.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--qmax", type=int, default=DEFAULT_QMAX,
-                     help="largest field size the brute-force path will touch")
     if with_pk:
         sub.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
         sub.add_argument("--k", type=int, default=1, help="extension degree, q = p^k")
@@ -67,6 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("oracle", help="brute-force block decomposition of F_q[G]")
     _add_common(sub)
+    sub.add_argument("--qmax", type=int, default=DEFAULT_QMAX,
+                     help="largest field size the brute-force path will touch")
 
     sub = subs.add_parser("units", help="unit group of F_q[G]")
     _add_common(sub)
@@ -75,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--group", default="builtin:sl32-s8",
                      help="group source (the reference grid applies to SL(3,2))")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--qmax", type=int, default=DEFAULT_QMAX)
+    sub.add_argument("--qmax", type=int, default=DEFAULT_QMAX,
+                     help="largest field size --with-oracle will touch")
     sub.add_argument("--p", default="11..199", help="primes, e.g. '11,13' or '11..199'")
     sub.add_argument("--k", default="1..12", help="extension degrees, e.g. '1' or '1..12'")
     sub.add_argument("--with-oracle", action="store_true",

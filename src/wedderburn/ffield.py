@@ -6,13 +6,16 @@ found by seeded search; there are no Conway-polynomial tables and no
 discrete-log tables.  Polynomial factorization runs the classical pipeline:
 squarefree split via gcd with the derivative (with p-th root extraction in
 characteristic p), distinct-degree split via iterated Frobenius, and seeded
-Cantor-Zassenhaus equal-degree splitting.  Row reduction and kernels are
-computed in exact field arithmetic; rank() is array-backed for every p: the
-entries' coefficient vectors, expanded by one einsum against the powers of
-the modulus's companion matrix, are eliminated modulo p.  Overflow rule:
-below p = 2**31 arrays are int64 and sums of products are reduced modulo p
-before they can pass 2**63 - 1; from 2**31 up arrays hold Python ints
-(dtype object), on which the same numpy code is exact.
+Cantor-Zassenhaus equal-degree splitting.  Vectors over F_q in hot paths are
+arrays of shape (..., k) over F_p, and FieldSpec.mul_arrays is their one
+entrywise product.  Row reduction and kernels are computed in exact field
+arithmetic; minpoly reads the minimal polynomial off the row reduction of
+its Krylov matrix.  rank() is array-backed for every p: the entries'
+coefficient vectors, expanded by one einsum against the powers of the
+modulus's companion matrix, are eliminated modulo p.  Overflow rule: below
+p = 2**31 arrays are int64 and sums of products are reduced modulo p before
+they can pass 2**63 - 1; from 2**31 up arrays hold Python ints (dtype
+object), on which the same numpy code is exact.
 """
 
 from __future__ import annotations
@@ -173,6 +176,25 @@ class FieldSpec:
     def neg_t(self, a):
         p = self.p
         return tuple((-x) % p for x in a)
+
+    # array-level arithmetic -------------------------------------------------
+
+    def fold(self, y: np.ndarray) -> np.ndarray:
+        """Reduce an array of shape (..., k, k) whose entry [..., t, s], below
+        p, is the coefficient of x^(t+s), to the (..., k) coefficients of the
+        sum mod the modulus.  Each degree sums at most k entries and is reduced
+        before the fold through ``x_powers``, whose rows for x^0 .. x^(k-1) are
+        unit vectors: the fold sums stay below 2**63."""
+        k = self.k
+        conv = np.zeros(y.shape[:-2] + (2 * k - 1,), dtype=self.dtype)
+        for t in range(k):
+            conv[..., t : t + k] += y[..., t, :]
+        return (conv % self.p) @ self.x_powers % self.p
+
+    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Entrywise product in F_q of broadcastable arrays of shape (..., k)
+        with entries reduced mod p."""
+        return self.fold(a[..., :, None] * b[..., None, :] % self.p)
 
     def mul_t(self, a, b):
         p, k = self.p, self.k
@@ -796,40 +818,26 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
 # Krylov minimal polynomials ---------------------------------------------------
 
 
-def minpoly(spec: FieldSpec, apply, v, dim: int) -> Polynomial:
+def minpoly(spec: FieldSpec, apply, v: np.ndarray, dim: int) -> Polynomial:
     """Monic minimal polynomial m of a linear operator relative to the start
     vector v: the least-degree monic m with m(operator) applied to v = 0.
 
-    ``apply`` maps a length-dim list of field elements to another; the Krylov
-    sequence v, Av, A^2 v, ... is reduced incrementally until dependence.
+    ``v`` is a (dim, k) array of dtype spec.dtype reduced mod p, and
+    ``apply`` maps such arrays to such arrays.  The Krylov vectors v, Av, ...,
+    A^dim v are the columns of a matrix; after row reduction its first free
+    column t is the first power that depends on the lower ones, and that
+    column's kernel vector, supported on columns 0..t with a 1 at t, holds
+    the coefficients of m.
     """
-    v = [spec.element(c) for c in v]
-    if len(v) != dim:
+    shape = (dim, spec.k)
+    if np.shape(v) != shape:
         raise ValueError("start vector has wrong dimension")
-    rows: list[tuple[int, list[FieldElement], list[FieldElement]]] = []
-    raw = v
-    for step in range(dim + 1):
-        w = list(raw)
-        combo = [spec.zero] * (dim + 1)
-        combo[step] = spec.one
-        for piv, rvec, rcombo in rows:
-            c = w[piv]
-            if c:
-                for i in range(dim):
-                    w[i] = w[i] - c * rvec[i]
-                for i in range(dim + 1):
-                    combo[i] = combo[i] - c * rcombo[i]
-        piv = next((i for i, c in enumerate(w) if c), None)
-        if piv is None:
-            return Polynomial(spec, combo[: step + 1])
-        inv = w[piv].inverse()
-        w = [c * inv for c in w]
-        combo = [c * inv for c in combo]
-        rows.append((piv, w, combo))
-        raw = list(apply(raw))
-        if len(raw) != dim:
+    krylov = [v]
+    for _ in range(dim):
+        krylov.append(apply(krylov[-1]))
+        if np.shape(krylov[-1]) != shape:
             raise ValueError("operator changed the dimension")
-    raise AssertionError("no linear dependence within dim+1 Krylov steps (operator not linear?)")
+    return Polynomial(spec, MatrixFq.from_array(spec, np.stack(krylov, axis=1)).kernel()[0])
 
 
 def minpoly_operator(spec: FieldSpec, apply, dim: int) -> Polynomial:
@@ -837,8 +845,8 @@ def minpoly_operator(spec: FieldSpec, apply, dim: int) -> Polynomial:
     minimal polynomials over the standard basis, with early exit at degree dim."""
     acc = Polynomial.one(spec)
     for i in range(dim):
-        e = [spec.zero] * dim
-        e[i] = spec.one
+        e = np.zeros((dim, spec.k), dtype=spec.dtype)
+        e[i, 0] = 1
         acc = poly_lcm(acc, minpoly(spec, apply, e, dim))
         if acc.degree() == dim:
             break

@@ -14,10 +14,13 @@ splitting, and the matrix size n satisfies D = d * n^2 exactly.
 Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product
 writes the coefficient of g as sum over h of a(h^-1) * b(h g): it gathers
 its right factor through the group's multiplication table, permutes the
-left one by inversion, and does k^2 matrix-vector products mod p; the
-overflow rule is ffield's, with the sum over the group cut into chunks of
-(2**63 - 1) // (p - 1)**2 terms.  The center works in the class-sum basis
-with the integer class-product coefficients.
+left one by inversion, does k^2 matrix-vector products mod p and folds the
+result with FieldSpec.fold; the overflow rule is ffield's, with the sum over
+the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms.  The center
+works in the class-sum basis on (m, k) arrays, m the number of classes:
+products by class sums are integer matmuls against the class-product
+coefficients, and general products and the evaluation of polynomials at a
+central element use FieldSpec.mul_arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from .ffield import FieldElement, FieldSpec, MatrixFq, Polynomial, factor, minpo
 from .perm import FiniteGroup
 
 __all__ = ["AlgebraElement", "CentralSplit", "multiply", "center_basis", "split_center", "verify_split"]
+
+MAX_RANDOM_DRAWS = 40  # random central elements tried per block after the class sums
 
 
 class AlgebraElement:
@@ -96,26 +101,21 @@ class AlgebraElement:
 
     def __mul__(self, other) -> "AlgebraElement":
         spec = self.spec
-        p, k = spec.p, spec.k
         if isinstance(other, FieldElement):
             if other.spec != spec:
                 raise ValueError("mixing elements of different fields")
-            # y[g, t, s] = a_t(g) * c_s, the coefficient of x^(t+s)
-            y = self.arr[:, :, None] * np.array(other.coeffs, dtype=spec.dtype) % p
+            arr = spec.mul_arrays(self.arr, np.array(other.coeffs, dtype=spec.dtype))
         else:
             self._check_compatible(other)
             # y[g, t, s] = sum over h of a_t(h^-1) * b_s(h g)
             G = self.group
-            n = G.order
+            n, p, k = G.order, spec.p, spec.k
             left = self.arr[G.inverse_indices]
             gathered = other.arr[G.mul_table].reshape(n, n * k)
             step = n if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
             y = sum(left[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
-            y = (y % p).reshape(k, n, k).transpose(1, 0, 2)
-        conv = np.zeros((self.group.order, 2 * k - 1), dtype=spec.dtype)
-        for t in range(k):
-            conv[:, t : t + k] += y[:, t, :]
-        return AlgebraElement._from_array(self.group, spec, (conv % p) @ spec.x_powers % p)
+            arr = spec.fold((y % p).reshape(k, n, k).transpose(1, 0, 2))
+        return AlgebraElement._from_array(self.group, spec, arr)
 
     def __rmul__(self, other):
         if isinstance(other, FieldElement):
@@ -167,10 +167,10 @@ class CentralSplit:
 
 
 class _CenterAlgebra:
-    """The center of F_q[G] in the class-sum basis.  Vectors are lists of m
-    field elements; products by class sums run on their (m, k) coefficient
-    arrays against the integer class-product coefficients c, and every entry
-    of c[i].T @ v is below |G| * p (column k of c[i] sums to |K_i|)."""
+    """The center of F_q[G] in the class-sum basis.  Vectors are (m, k)
+    coefficient arrays of dtype spec.dtype; products run against the integer
+    class-product coefficients c, and every entry of c[i].T @ v is below
+    |G| * p (column k of c[i] sums to |K_i|)."""
 
     def __init__(self, G: FiniteGroup, spec: FieldSpec):
         self.G = G
@@ -178,84 +178,67 @@ class _CenterAlgebra:
         self.m = len(G.classes)
         self.c = G.class_product_coefficients()
 
-    def _array(self, v: list[FieldElement]) -> np.ndarray:
-        return np.array([x.coeffs for x in v], dtype=self.spec.dtype)
-
-    def one(self) -> list[FieldElement]:
-        vec = [self.spec.zero] * self.m
-        vec[0] = self.spec.one  # the identity element is its own (size-1) class
+    def one(self) -> np.ndarray:
+        vec = np.zeros((self.m, self.spec.k), dtype=self.spec.dtype)
+        vec[0, 0] = 1  # the identity element is its own (size-1) class
         return vec
 
-    def mul_class(self, i: int, v: list[FieldElement]) -> list[FieldElement]:
+    def mul_class(self, i: int, v: np.ndarray) -> np.ndarray:
         """Product (class sum i) * v."""
-        out = self.c[i].T @ self._array(v) % self.spec.p
-        return [FieldElement(self.spec, tuple(row)) for row in out.tolist()]
+        return self.c[i].T @ v % self.spec.p
 
-    def mul(self, u: list[FieldElement], v: list[FieldElement]) -> list[FieldElement]:
-        out = [self.spec.zero] * self.m
-        for i, a in enumerate(u):
-            if a:
-                w = self.mul_class(i, v)
-                for k in range(self.m):
-                    if w[k]:
-                        out[k] = out[k] + a * w[k]
-        return out
+    def _mul_classes(self, v: np.ndarray) -> np.ndarray:
+        """The (m, m, k) array whose row i is mul_class(i, v)."""
+        return self.c.transpose(0, 2, 1) @ v % self.spec.p
 
-    def is_zero(self, v) -> bool:
-        return not any(v)
+    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Product u * v = sum over i of u_i * (class sum i) * v."""
+        return self.spec.mul_arrays(u[:, None], self._mul_classes(v)).sum(0) % self.spec.p
 
-    def block_dimension(self, e: list[FieldElement]) -> int:
+    def block_dimension(self, e: np.ndarray) -> int:
         """Dimension over F_q of e*Z, the span of the projected class sums."""
-        rows = self.c.transpose(0, 2, 1) @ self._array(e) % self.spec.p  # row i: mul_class(i, e)
-        return MatrixFq.from_array(self.spec, rows).rank()
+        return MatrixFq.from_array(self.spec, self._mul_classes(e)).rank()
 
-    def to_algebra(self, v: list[FieldElement]) -> AlgebraElement:
-        return AlgebraElement._from_array(self.G, self.spec, self._array(v)[list(self.G.class_index_of)])
+    def to_algebra(self, v: np.ndarray) -> AlgebraElement:
+        return AlgebraElement._from_array(self.G, self.spec, v[list(self.G.class_index_of)])
 
 
-def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors, seed: int):
+def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
     """Refine the idempotent e along the coprime factorization mu = prod f_j:
-    the new idempotents are h_j(w) where h_j = 1 mod f_j and 0 mod the rest."""
+    the new idempotents are h_j(w) where h_j = 1 mod f_j and 0 mod the rest,
+    evaluated at the stacked powers e, w, ..., w^(deg mu - 1)."""
     spec = Z.spec
-    outs = []
-    for f_j, _ in factors:
+    coeffs = np.zeros((len(factors), len(powers), spec.k), dtype=spec.dtype)
+    for j, (f_j, _) in enumerate(factors):
         g_j = mu // f_j
         gcd, s_j, _ = g_j.xgcd(f_j)
         if gcd.degree() != 0:
             raise AssertionError("minimal polynomial factors are not coprime (bug)")
         h_j = (s_j * g_j) % mu
-        vec = [spec.zero] * Z.m
         for t, c in enumerate(h_j.coeffs):
-            if c:
-                pw = powers[t]
-                for idx in range(Z.m):
-                    if pw[idx]:
-                        vec[idx] = vec[idx] + c * pw[idx]
-        outs.append(vec)
-    acc = [spec.zero] * Z.m
-    for v in outs:
-        acc = [a + b for a, b in zip(acc, v)]
-    if acc != list(e):
+            coeffs[j, t] = c.coeffs
+    outs = spec.mul_arrays(coeffs[:, :, None], powers).sum(1) % spec.p
+    if not np.array_equal(outs.sum(0) % spec.p, e):
         raise AssertionError("refined idempotents do not sum to the block unit (bug)")
     for a in range(len(outs)):
         for b in range(a + 1, len(outs)):
-            if not Z.is_zero(Z.mul(outs[a], outs[b])):
+            if Z.mul(outs[a], outs[b]).any():
                 raise AssertionError("refined idempotents are not orthogonal (bug)")
-    return outs
+    return list(outs)
 
 
 def _block_minpoly(Z: _CenterAlgebra, e, mul_by):
     """Minimal polynomial of a central element acting on the block with unit e,
-    together with the power sequence e, w, w^2, ... needed to evaluate
+    together with the stacked powers e, w, w^2, ... needed to evaluate
     polynomials at it."""
-    powers = [list(e)]
+    powers = [e]
     mu = minpoly(Z.spec, mul_by, e, Z.m)
     for _ in range(1, mu.degree()):
         powers.append(mul_by(powers[-1]))
-    return mu, powers
+    return mu, np.stack(powers)
 
 
-def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int, max_random: int = 40):
+def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
     """Either split the block of e into at least two finer idempotents, or
     return None once the block is certified to be a field.
 
@@ -275,22 +258,21 @@ def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int, max_random:
             raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")
         facs = factor(mu, seed=seed)
         if len(facs) > 1:
-            return _crt_idempotents(Z, e, powers, mu, facs, seed)
+            return _crt_idempotents(Z, e, powers, mu, facs)
         if mu.degree() == dim:
             certified = True
         return None
 
     for i in range(Z.m):
-        proj = Z.mul_class(i, e)
-        if Z.is_zero(proj):
+        if not Z.mul_class(i, e).any():
             continue
         split = inspect(lambda v, i=i: Z.mul_class(i, v))
         if split:
             return split
     if certified:
         return None
-    for _ in range(max_random):
-        z = [Z.spec.random_element(rng) for _ in range(Z.m)]
+    for _ in range(MAX_RANDOM_DRAWS):
+        z = np.array([Z.spec.random_element(rng).coeffs for _ in range(Z.m)], dtype=Z.spec.dtype)
         split = inspect(lambda v: Z.mul(z, v))
         if split:
             return split
@@ -315,8 +297,9 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
             final.append(e)
         else:
             work.extend(split)
-    # deterministic block order regardless of the splitting path
-    final.sort(key=lambda v: [c.index() for c in v])
+    # deterministic block order regardless of the splitting path: rows
+    # compared as reversed coefficient vectors, i.e. by base-p value
+    final.sort(key=lambda v: v[:, ::-1].tolist())
     idempotents = []
     block_dims = []
     center_dims = []
@@ -395,8 +378,7 @@ def verify_split(split: CentralSplit) -> bool:
             return False
         if math.isqrt(D // d) ** 2 * d != D:
             return False
-        center_vec = [FieldElement(spec, tuple(row)) for row in e.arr[reps].tolist()]
-        if Z.block_dimension(center_vec) != d:
+        if Z.block_dimension(e.arr[reps]) != d:
             return False
         if _right_ideal_dimension(e) != D:
             return False

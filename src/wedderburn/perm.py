@@ -1,9 +1,10 @@
 """Permutations, finite permutation groups, and conjugacy-class data.
 
-Groups are stored fully enumerated: a breadth-first closure of the generator
-set, the dense element list, and conjugacy classes ordered by
-(element order, class size, first-seen index).  Points are 1-indexed in all
-input and output (cycle notation, group files) and 0-indexed internally.
+Groups are stored fully enumerated: FiniteGroup computes the breadth-first
+closure of its generators, the dense element list, the generators' right
+action on it, and conjugacy classes ordered by (element order, class size,
+first-seen index).  Points are 1-indexed in all input and output (cycle
+notation, group files) and 0-indexed internally.
 """
 
 from __future__ import annotations
@@ -173,21 +174,49 @@ class ConjClass:
 
 
 class FiniteGroup:
-    """A fully enumerated permutation group.
+    """The permutation group generated by a nonempty list of permutations of
+    common degree, fully enumerated.
 
-    Immutable after construction; safe for concurrent reads.  The
+    The element list is the breadth-first closure of the generators from the
+    identity: g_0 is the identity and each later g_c is first reached as
+    g_j * gens[s] with j < c, so the same generator list always yields the
+    same ordering.  Raises ValueError if the closure would exceed ``cap``
+    elements.  Immutable after construction; safe for concurrent reads.  The
     multiplication table (the only |G| x |G| structure), the inverse indices
     and the class-product coefficients are built lazily, cached and
-    read-only (all are deterministic functions of the element list and the
-    generators).
+    read-only.
     """
 
-    def __init__(self, generators, elements):
-        self.generators = tuple(generators)
+    def __init__(self, generators, cap: int = DEFAULT_CAP):
+        gens = tuple(generators)
+        if not gens:
+            raise ValueError("generator list must be nonempty")
+        degree = gens[0].degree
+        if any(g.degree != degree for g in gens):
+            raise ValueError("generators must share a common degree")
+        ident = Permutation.identity(degree)
+        elements = [ident]
+        index = {ident.images: 0}
+        parents = [None]  # parents[c] = (j, s) with g_c = g_j * gens[s]
+        right = [[] for _ in gens]  # right[s][j] = index of g_j * gens[s]
+        for j, x in enumerate(elements):  # the list grows while it is walked
+            for s, g in enumerate(gens):
+                y = x * g
+                c = index.get(y.images)
+                if c is None:
+                    if len(elements) >= cap:
+                        raise ValueError(f"group closure exceeds cap of {cap} elements")
+                    c = index[y.images] = len(elements)
+                    elements.append(y)
+                    parents.append((j, s))
+                right[s].append(c)
+        self.generators = gens
         self.elements = tuple(elements)
-        self.degree = self.elements[0].degree
-        self.order = len(self.elements)
-        self._index = {g.images: i for i, g in enumerate(self.elements)}
+        self.degree = degree
+        self.order = len(elements)
+        self._index = index
+        self._parents = parents
+        self._right = [np.array(r, dtype=np.int32) for r in right]
         self.classes, self.class_index_of = _conjugacy_partition(self.elements, self.generators, self._index)
         self.exponent = math.lcm(*(c.element_order for c in self.classes))
         self._mul_table: np.ndarray | None = None
@@ -207,26 +236,16 @@ class FiniteGroup:
     def mul_table(self) -> np.ndarray:
         """int32 array with T[a, j] = index of g_a * g_j, the group's one
         |G| x |G| table.  Column 0 is the identity's; the others are filled
-        breadth-first from the generators' right action: when g_c = g_j * g,
-        T[:, c] = R_g[T[:, j]] with R_g[i] = index of g_i * g."""
+        in element order from the generators' right action recorded by the
+        closure: when g_c = g_j * gens[s] (j < c), T[:, c] = R_s[T[:, j]]
+        with R_s[i] = index of g_i * gens[s]."""
         if self._mul_table is None:
-            if not self.elements[0].is_identity():
-                raise ValueError("the element list must start with the identity")
             n = self.order
-            right = [np.array([self.index(x * g) for x in self.elements], dtype=np.int32) for g in self.generators]
             table = np.empty((n, n), dtype=np.int32)
             table[:, 0] = np.arange(n)
-            reached = [True] + [False] * (n - 1)
-            queue = [0]
-            for j in queue:
-                for r in right:
-                    c = r[j]
-                    if not reached[c]:
-                        reached[c] = True
-                        table[:, c] = r[table[:, j]]
-                        queue.append(c)
-            if len(queue) != n:
-                raise ValueError("the generators do not generate the element list")
+            for c in range(1, n):
+                j, s = self._parents[c]
+                table[:, c] = self._right[s][table[:, j]]
             table.setflags(write=False)
             self._mul_table = table
         return self._mul_table
@@ -329,35 +348,9 @@ def _conjugacy_partition(elements, generators, index):
 
 
 def generate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
-    """Breadth-first closure of a nonempty generator list of common degree.
-
-    Deterministic: the same generator list always yields the same element
-    ordering.  Raises if the closure would exceed ``cap`` elements.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("generator list must be nonempty")
-    degree = gens[0].degree
-    for g in gens:
-        if g.degree != degree:
-            raise ValueError("generators must share a common degree")
-    ident = Permutation.identity(degree)
-    elements = [ident]
-    index = {ident.images: 0}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.images not in index:
-                    if len(elements) >= cap:
-                        raise ValueError(f"group closure exceeds cap of {cap} elements")
-                    index[y.images] = len(elements)
-                    elements.append(y)
-                    new.append(y)
-        frontier = new
-    return FiniteGroup(gens, elements)
+    """The group generated by a nonempty generator list of common degree:
+    FiniteGroup(gens, cap), its breadth-first closure."""
+    return FiniteGroup(gens, cap)
 
 
 def conjugacy_classes(G: FiniteGroup) -> tuple[ConjClass, ...]:

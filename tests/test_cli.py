@@ -258,3 +258,15 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["decompose"])  # missing required --p
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--qmax", "5", "--p", "11"],
+    ["units", "--qmax", "5", "--p", "11"],
+    ["classes", "--qmax", "5"],
+    ["check", "--format", "json", "--p", "11", "--k", "1"],
+])
+def test_flags_that_nothing_reads_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2

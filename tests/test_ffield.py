@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from wedderburn import (
@@ -185,13 +186,19 @@ def test_factor_rejects_zero(f11):
         factor(Polynomial.zero(f11))
 
 
+def _vector(elements):
+    """The (dim, k) array of a list of field elements."""
+    spec = elements[0].spec
+    return np.array([c.coeffs for c in elements], dtype=spec.dtype)
+
+
 def test_minpoly_identity_and_zero(f11):
     dim = 4
-    v = [f11.one, f11.zero, f11.scalar(3), f11.zero]
-    m_id = minpoly(f11, lambda w: list(w), v, dim)
+    v = _vector([f11.one, f11.zero, f11.scalar(3), f11.zero])
+    m_id = minpoly(f11, lambda w: w, v, dim)
     x = Polynomial.x(f11)
     assert m_id == x - Polynomial.one(f11)
-    m_zero = minpoly(f11, lambda w: [f11.zero] * dim, v, dim)
+    m_zero = minpoly(f11, np.zeros_like, v, dim)
     assert m_zero == x
 
 
@@ -199,9 +206,9 @@ def test_minpoly_shift_is_nilpotent(f11):
     dim = 5
 
     def shift(w):
-        return [f11.zero] + list(w[:-1])
+        return np.concatenate([np.zeros_like(w[:1]), w[:-1]])
 
-    v = [f11.one] + [f11.zero] * (dim - 1)
+    v = _vector([f11.one] + [f11.zero] * (dim - 1))
     assert minpoly(f11, shift, v, dim) == Polynomial.x(f11) ** dim
 
 
@@ -210,14 +217,10 @@ def test_minpoly_companion_matrix(f11):
     x = Polynomial.x(f11)
     f = x**3 + x + Polynomial(f11, [f11.scalar(4)])
 
-    def mul_by_x(w):
-        poly = Polynomial(f11, w)
-        return list((poly * x % f).coeffs) + [f11.zero] * (3 - (poly * x % f).degree() - 1)
-
     def apply(w):
-        out = (Polynomial(f11, w) * x) % f
+        out = (Polynomial(f11, [f11.element(c) for c in w.tolist()]) * x) % f
         cs = list(out.coeffs)
-        return cs + [f11.zero] * (3 - len(cs))
+        return _vector(cs + [f11.zero] * (3 - len(cs)))
 
     got = minpoly_operator(f11, apply, 3)
     assert got == f.monic()
@@ -249,7 +252,8 @@ def test_minpoly_divides_charpoly(f11):
         rows = [[f11.random_element(rng) for _ in range(3)] for _ in range(3)]
 
         def apply(w):
-            return [sum((rows[i][j] * w[j] for j in range(3)), f11.zero) for i in range(3)]
+            w = [f11.element(c) for c in w.tolist()]
+            return _vector([sum((rows[i][j] * w[j] for j in range(3)), f11.zero) for i in range(3)])
 
         mp = minpoly_operator(f11, apply, 3)
         cp = _charpoly_3x3(f11, rows)

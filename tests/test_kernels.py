@@ -1,6 +1,8 @@
-"""Differential tests of the array kernels: the group-algebra product against
-a plain convolution in FieldElement arithmetic, and the companion-matrix
-rank expansion against exact row reduction."""
+"""Differential tests of the array kernels: the F_q product of arrays and the
+group-algebra product against plain FieldElement arithmetic, the center's
+products against the group algebra's, minimal polynomials against their
+definition, and the companion-matrix rank expansion against exact row
+reduction."""
 
 import random
 
@@ -9,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wedderburn import AlgebraElement, MatrixFq, make_field, split_center, verify_split
-from wedderburn.oracle import _right_ideal_dimension
+from wedderburn import AlgebraElement, MatrixFq, make_field, minpoly, split_center, verify_split
+from wedderburn.oracle import _CenterAlgebra, _right_ideal_dimension
 
 FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0),
           (2**31 + 11, 2): make_field(2**31 + 11, 2, seed=0)}
+CENTER_FIELDS = [(11, 1), (13, 2), (13, 3), (2**31 + 11, 2)]
 
 
 def reference_product(a, b):
@@ -52,6 +55,67 @@ def test_product_matches_convolution_sl32(sl32_s8, field, seed, density):
     assert (a * c).coeffs == tuple(x * c for x in a.coeffs)
     assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
     assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+
+
+def random_array(spec, rng, shape):
+    """A random array of the given shape + (k,) with entries reduced mod p."""
+    count = int(np.prod(shape, dtype=np.int64)) * spec.k
+    return np.array([rng.randrange(spec.p) for _ in range(count)], dtype=spec.dtype).reshape(shape + (spec.k,))
+
+
+@settings(max_examples=20, deadline=None)
+@given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32),
+       shapes=st.sampled_from([((), ()), ((3,), ()), ((), (4,)), ((2, 1), (1, 3)), ((5,), (5,))]))
+def test_mul_arrays_matches_field_elements(field, seed, shapes):
+    spec = FIELDS[field]
+    rng = random.Random(seed)
+    a, b = random_array(spec, rng, shapes[0]), random_array(spec, rng, shapes[1])
+    out = spec.mul_arrays(a, b)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    assert out.shape == shape + (spec.k,)
+    a_b, b_b = np.broadcast_to(a, shape + (spec.k,)), np.broadcast_to(b, shape + (spec.k,))
+    for idx in np.ndindex(shape):
+        expected = spec.element(a_b[idx].tolist()) * spec.element(b_b[idx].tolist())
+        assert tuple(out[idx].tolist()) == expected.coeffs
+
+
+@pytest.mark.parametrize("field", CENTER_FIELDS, ids=lambda f: f"{f[0]}^{f[1]}")
+@pytest.mark.parametrize("group", ["sl32_s8", "c7c3"])
+def test_center_products_match_group_algebra(request, group, field):
+    G = request.getfixturevalue(group)
+    spec = make_field(*field, seed=0)
+    Z = _CenterAlgebra(G, spec)
+    rng = random.Random(f"{group}:{field}")
+    for _ in range(2):
+        u, v = random_array(spec, rng, (Z.m,)), random_array(spec, rng, (Z.m,))
+        assert Z.to_algebra(Z.mul(u, v)) == Z.to_algebra(u) * Z.to_algebra(v)
+    for i in range(Z.m):
+        assert Z.to_algebra(Z.mul_class(i, v)) == AlgebraElement.class_sum(G, spec, i) * Z.to_algebra(v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32))
+def test_minpoly_annihilates_and_has_krylov_rank(field, seed):
+    # A = c*I + (dim x r)(r x dim): minimal polynomials of degree up to r + 1
+    spec = FIELDS[field]
+    p = spec.p
+    rng = random.Random(seed)
+    dim, r = rng.randint(1, 7), rng.randint(0, 3)
+    low = spec.mul_arrays(random_array(spec, rng, (dim, 1, r)), random_array(spec, rng, (1, dim, r))).sum(2) % p
+    A = (low + np.eye(dim, dtype=spec.dtype)[:, :, None] * random_array(spec, rng, ())) % p
+
+    def apply(w):
+        return spec.mul_arrays(A, w[None]).sum(1) % p
+
+    v = random_array(spec, rng, (dim,))
+    m = minpoly(spec, apply, v, dim)
+    assert m.leading() == spec.one
+    krylov = [v]
+    for _ in range(dim):
+        krylov.append(apply(krylov[-1]))
+    coeffs = np.array([c.coeffs for c in m.coeffs], dtype=spec.dtype)
+    assert not (spec.mul_arrays(coeffs[:, None], np.stack(krylov[: m.degree() + 1])).sum(0) % p).any()
+    assert m.degree() == MatrixFq.from_array(spec, np.stack(krylov, axis=1)).rank()
 
 
 @pytest.mark.parametrize("p, k", [(2**31 - 1, 1), (2**31 - 1, 2), (2**31 + 11, 1), (2**31 + 11, 2), (2**61 - 1, 1)])

@@ -289,9 +289,11 @@ def test_class_product_coefficients_brute_force(table_group):
                 assert {count[z] for z in members[k]} == {c[i, j, k]}
 
 
-def test_mul_table_rejects_generators_that_do_not_generate(s5):
-    G = FiniteGroup([parse_cycles("(1,2,3,4,5)", 5)], s5.elements)
-    with pytest.raises(ValueError):
-        G.mul_table
-    with pytest.raises(ValueError):
-        G.class_product_coefficients()
+def test_group_is_what_its_generators_generate():
+    # the 5-cycle alone generates C5, whatever group it was taken from
+    G = FiniteGroup([parse_cycles("(1,2,3,4,5)", 5)])
+    assert G.order == 5
+    assert len(G.classes) == 5
+    T = G.mul_table
+    for i, a in enumerate(G.elements):
+        assert T[i].tolist() == [G.index(a * b) for b in G.elements]

@@ -3,8 +3,8 @@ finite fields, with unit-group reporting.
 
 The analytic pipeline derives the block structure of F_q[G] from conjugacy
 data alone; an independent brute-force path splits the regular algebra into
-its primitive central idempotents and reads the same structure off explicit
-ranks.  The flagship example is SL(3,2) with |G| = 168.
+its primitive central idempotents and reads the same structure off traces
+and explicit ranks.  The flagship example is SL(3,2) with |G| = 168.
 """
 
 from .charkit import ActionReport, PermCharacter, deleted_module_check, inner_product, perm_character

@@ -237,6 +237,8 @@ def cmd_decompose(args) -> int:
 def cmd_oracle(args) -> int:
     G = resolve_group(args.group)
     _validate_p(args.p)
+    if G.order % args.p == 0:
+        raise ModularCaseError(args.p, G.order)
     q = args.p**args.k
     if q > args.qmax:
         raise ValueError(f"q = {q} exceeds --qmax {args.qmax}")

@@ -7,9 +7,22 @@ multiplication by it on each current block, factoring that polynomial, and
 combining the coprime factors into finer idempotents.  A block is accepted
 once some element of it has an irreducible minimal polynomial whose degree
 equals the block dimension, which certifies the block center is a field.
-For each primitive idempotent e the block dimension D = dim e*F_q[G] is an
-exact rank computation, the center degree d = dim e*Z is read off the
-splitting, and the matrix size n satisfies D = d * n^2 exactly.
+For each primitive idempotent e the center degree d = dim e*Z is read off
+the splitting, and the block dimension D = dim e*F_q[G] is pinned by a
+certificate that needs no |G| x |G| rank in most cases.  Four facts each
+confine D to a set:
+  - left multiplication by e is a projection onto e*F_q[G], and its trace in
+    the group basis is |G| * e(1), so D = |G| * e(1) mod p (e(1), the
+    identity coefficient, lies in F_p);
+  - the block is simple with center the field e*Z, so it is M_n(F_{q^d})
+    and D = d * n^2 <= |G|;
+  - the idempotents are orthogonal and sum to 1, so the D_i sum to |G|;
+  - the rank of any submatrix of the matrix of right translates of e is at
+    most D, whatever rows and columns were drawn.
+So the true D_i never leaves its feasible set, and a set with one value left
+is a proof.  When p > |G| the congruence alone leaves one value; blocks left
+open after a fixed number of submatrix ranks get the full rank.  The matrix
+size n then satisfies D = d * n^2 exactly.
 
 Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product
 writes the coefficient of g as sum over h of a(h^-1) * b(h g): it gathers
@@ -38,6 +51,7 @@ from .perm import FiniteGroup
 __all__ = ["AlgebraElement", "CentralSplit", "multiply", "center_basis", "split_center", "verify_split"]
 
 MAX_RANDOM_DRAWS = 40  # random central elements tried per block after the class sums
+MAX_SUBMATRIX_TESTS = 48  # submatrix ranks per split before full ranks; S6 over F_7 needs 22
 
 
 class AlgebraElement:
@@ -283,7 +297,15 @@ def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
 
 def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit:
     """Compute the primitive central idempotents of F_q[G] and each block's
-    (matrix size, center degree) by explicit calculation in the algebra."""
+    (matrix size, center degree) by explicit calculation in the algebra.
+
+    Each block dimension D comes from the certificate in the module
+    docstring, worked by _pin_block_dims: the candidates d * n^2 <= |G|
+    congruent to |G| * e(1) mod p, bounded below by ranks of random
+    submatrices of the block's matrix E(h g) and above by |G| minus the other
+    blocks' lower bounds.  When p > |G| the congruence alone pins every D;
+    once MAX_SUBMATRIX_TESTS submatrix ranks are spent, each block still open
+    gets the full rank of E(h g)."""
     if G.order % spec.p == 0:
         raise ModularCaseError(spec.p, G.order)
     Z = _CenterAlgebra(G, spec)
@@ -300,23 +322,23 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     # deterministic block order regardless of the splitting path: rows
     # compared as reversed coefficient vectors, i.e. by base-p value
     final.sort(key=lambda v: v[:, ::-1].tolist())
-    idempotents = []
-    block_dims = []
-    center_dims = []
-    sizes = []
-    for e in final:
-        d = Z.block_dimension(e)
-        E = Z.to_algebra(e)
-        D = _right_ideal_dimension(E)
-        if D % d:
-            raise AssertionError("block dimension not divisible by center degree (bug)")
-        n = math.isqrt(D // d)
-        if n * n * d != D:
-            raise AssertionError("block dimension is not d * n^2 (bug)")
-        idempotents.append(E)
-        block_dims.append(D)
-        center_dims.append(d)
-        sizes.append(n)
+    idempotents = [Z.to_algebra(e) for e in final]
+    center_dims = [Z.block_dimension(e) for e in final]
+    candidates = []
+    for e, d in zip(final, center_dims):
+        if e[0, 1:].any():
+            raise AssertionError("identity coefficient of an idempotent is not in F_p (bug)")
+        trace = G.order * int(e[0, 0]) % spec.p
+        candidates.append([d * n * n for n in range(1, math.isqrt(G.order // d) + 1)
+                           if (d * n * n - trace) % spec.p == 0])
+
+    def submatrix_rank(i: int, w: int) -> int:
+        rows, cols = rng.sample(range(G.order), w), rng.sample(range(G.order), w)
+        return MatrixFq.from_array(spec, idempotents[i].arr[G.mul_table[np.ix_(rows, cols)]]).rank()
+
+    block_dims = _pin_block_dims(G.order, candidates, submatrix_rank,
+                                 lambda i: _right_ideal_dimension(idempotents[i]))
+    sizes = [math.isqrt(D // d) for D, d in zip(block_dims, center_dims)]
     order = sorted(range(len(final)), key=lambda i: (center_dims[i], sizes[i], i))
     return CentralSplit(
         idempotents=tuple(idempotents[i] for i in order),
@@ -324,6 +346,56 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
         center_dims=tuple(center_dims[i] for i in order),
         matrix_sizes=tuple(sizes[i] for i in order),
     )
+
+
+def _pin_block_dims(total: int, candidates, lower_bound, exact) -> list[int]:
+    """The block dimensions D_i, given that D_i lies in the list candidates[i]
+    (ascending) and that the D_i sum to total.
+
+    lower_bound(i, w) must return a number at most D_i, found from a w x w
+    submatrix; exact(i) must return D_i.  Each block keeps a proven lower
+    bound L_i, and its feasible set is the candidates in
+    [L_i, total - sum over j != i of L_j].  Every L_i is raised to the least
+    value of its feasible set until nothing changes; a block whose feasible
+    set is one value is pinned, and pinning raises the bounds that cap the
+    others.  While a block is open, the open block with the fewest misses
+    (tests that left its least feasible value standing, as every test does
+    when that value is D_i), then with the smallest second feasible value,
+    gets a lower bound from a submatrix of width that value + 2; after
+    MAX_SUBMATRIX_TESTS tests, open blocks get exact(i) one at a time, which
+    leaves the feasible set {exact(i)} or, if that is not feasible, empty.
+    An empty feasible set, or pinned values that miss the total, raise
+    AssertionError."""
+    candidates = [list(c) for c in candidates]
+    lower = [0] * len(candidates)
+    misses = [0] * len(candidates)
+    budget = MAX_SUBMATRIX_TESTS
+    while True:
+        while True:
+            slack = total - sum(lower)
+            feasible = [[D for D in c if lo <= D <= lo + slack] for c, lo in zip(candidates, lower)]
+            if not all(feasible):
+                raise AssertionError("no block dimension fits the trace and the bounds (bug)")
+            least = [f[0] for f in feasible]
+            if least == lower:
+                break
+            lower = least
+        open_blocks = [i for i, f in enumerate(feasible) if len(f) > 1]
+        if not open_blocks:
+            if slack:
+                raise AssertionError("pinned block dimensions do not sum to the total (bug)")
+            return lower
+        i = min(open_blocks, key=lambda i: (misses[i], feasible[i][1], i))
+        if budget:
+            budget -= 1
+            bound = lower_bound(i, min(feasible[i][1] + 2, total))
+            if bound > lower[i]:
+                lower[i] = bound
+            else:
+                misses[i] += 1
+        else:
+            D = exact(i)
+            candidates[i] = [D] if D in candidates[i] else []
 
 
 def _right_ideal_dimension(E: AlgebraElement) -> int:
@@ -336,7 +408,11 @@ def _right_ideal_dimension(E: AlgebraElement) -> int:
 
 def verify_split(split: CentralSplit) -> bool:
     """Recheck every invariant of a central splitting by explicit algebra
-    multiplication and rank computation; returns False on the first failure."""
+    multiplication and rank computation; returns False on the first failure.
+    Each block dimension is recomputed as the full rank of the block's
+    |G| x |G| matrix of right translates, a route independent of the trace
+    certificate split_center uses, and must also satisfy D = |G| * e(1)
+    mod p with e(1) in F_p."""
     es = split.idempotents
     if not es:
         return False
@@ -368,7 +444,8 @@ def verify_split(split: CentralSplit) -> bool:
     for e in es:
         if not np.array_equal(e.arr, e.arr[class_first]):
             return False
-    # dimension bookkeeping: D_i = d_i * n_i^2, sum D_i = |G|, ranks agree
+    # dimension bookkeeping: D_i = d_i * n_i^2, sum D_i = |G|, the trace
+    # congruence holds and the ranks agree
     if sum(split.block_dims) != G.order:
         return False
     Z = _CenterAlgebra(G, spec)
@@ -376,7 +453,7 @@ def verify_split(split: CentralSplit) -> bool:
     for e, D, d, n in zip(es, split.block_dims, split.center_dims, split.matrix_sizes):
         if d * n * n != D:
             return False
-        if math.isqrt(D // d) ** 2 * d != D:
+        if e.arr[0, 1:].any() or (G.order * int(e.arr[0, 0]) - D) % spec.p:
             return False
         if Z.block_dimension(e.arr[reps]) != d:
             return False

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from wedderburn import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SL32_GENS = "degree 8\n(3,7,5)(4,8,6)\n(1,2,6)(3,4,8)\n"
 
@@ -67,6 +73,25 @@ def test_decompose_modular_case_exits_3(capsys):
     code, _, err = run(capsys, ["decompose", "--p", "7", "--k", "1"])
     assert code == 3
     assert "modular case" in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "oracle"])
+def test_modular_prime_below_5_exits_3(capsys, command):
+    # |C7:C3| = 21: p = 3 is modular, which comes before the p >= 5 field bound
+    code, _, err = run(capsys, [command, "--group", f"file:{ROOT / 'bench/groups/c7c3.txt'}", "--p", "3"])
+    assert code == 3
+    assert "modular case" in err
+
+
+def test_python_m_wedderburn_runs_the_cli(capsys):
+    path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-m", "wedderburn", "oracle", "--p", "11"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, ["oracle", "--p", "11"])
+    assert code == 0
+    assert proc.stdout == out
 
 
 def test_decompose_nonunique_exits_4(capsys):

@@ -114,6 +114,22 @@ def test_verify_rejects_corruption(sl32_s8, f11, split11):
     assert not verify_split(corrupted)
 
 
+def test_verify_checks_the_trace_congruence(split11, monkeypatch):
+    # swap the dimensions of the 6x6 and 7x7 blocks: D = d*n^2 and the sum
+    # still hold, and with the rank route stubbed to agree, only the trace
+    # congruence D = |G| * e(1) mod p (36 and 49 differ mod 11) can tell
+    assert split11.block_dims[3:5] == (36, 49)
+    es = split11.idempotents
+
+    def swap(t):
+        return t[:3] + (t[4], t[3]) + t[5:]
+
+    swapped = type(split11)(es, swap(split11.block_dims), split11.center_dims, swap(split11.matrix_sizes))
+    claimed = dict(zip(map(id, es), swapped.block_dims))
+    monkeypatch.setattr("wedderburn.oracle._right_ideal_dimension", lambda e: claimed[id(e)])
+    assert not verify_split(swapped)
+
+
 def test_split_f5_type2(sl32_s8):
     f5 = make_field(5)
     split = split_center(sl32_s8, f5, seed=0)

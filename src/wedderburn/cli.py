@@ -16,7 +16,7 @@ import time
 
 from . import oracle as oracle_mod
 from .errors import ModularCaseError
-from .ffield import is_prime, make_field
+from .ffield import check_p_min, is_prime, make_field
 from .perm import BUILTIN_GROUPS, FiniteGroup, builtin_sl32_on_p2f2, builtin_sl32_s8, load_group
 from .units import sl32_expected_row, unit_group
 from .wedder import (
@@ -156,6 +156,16 @@ def _validate_p(p: int):
         raise ValueError(f"p = {p} is not prime")
 
 
+def _check_p(p: int, G: FiniteGroup):
+    """The checks on p shared by decompose, units and oracle, in this order:
+    p is prime (exit 2), p does not divide |G| (exit 3), p is at least the
+    field layer's minimum (exit 2)."""
+    _validate_p(p)
+    if G.order % p == 0:
+        raise ModularCaseError(p, G.order)
+    check_p_min(p)
+
+
 def _decimal_string(n: int) -> str:
     """Decimal digits of n >= 0, converted in pieces short enough for any
     int-to-str digit limit; the interpreter's setting is left alone."""
@@ -186,7 +196,7 @@ def _component_json(dec: Decomposition) -> list[dict]:
 
 
 def _run_analytic(args, G: FiniteGroup) -> SolverReport:
-    _validate_p(args.p)
+    _check_p(args.p, G)
     return analytic_decomposition(G, args.p, args.k, _actions_for(args.group, G))
 
 
@@ -236,9 +246,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_oracle(args) -> int:
     G = resolve_group(args.group)
-    _validate_p(args.p)
-    if G.order % args.p == 0:
-        raise ModularCaseError(args.p, G.order)
+    _check_p(args.p, G)
     q = args.p**args.k
     if q > args.qmax:
         raise ValueError(f"q = {q} exceeds --qmax {args.qmax}")

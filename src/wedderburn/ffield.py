@@ -6,16 +6,16 @@ found by seeded search; there are no Conway-polynomial tables and no
 discrete-log tables.  Polynomial factorization runs the classical pipeline:
 squarefree split via gcd with the derivative (with p-th root extraction in
 characteristic p), distinct-degree split via iterated Frobenius, and seeded
-Cantor-Zassenhaus equal-degree splitting.  Vectors over F_q in hot paths are
-arrays of shape (..., k) over F_p, and FieldSpec.mul_arrays is their one
-entrywise product.  Row reduction and kernels are computed in exact field
-arithmetic; minpoly reads the minimal polynomial off the row reduction of
-its Krylov matrix.  rank() is array-backed for every p: the entries'
-coefficient vectors, expanded by one einsum against the powers of the
-modulus's companion matrix, are eliminated modulo p.  Overflow rule: below
-p = 2**31 arrays are int64 and sums of products are reduced modulo p before
-they can pass 2**63 - 1; from 2**31 up arrays hold Python ints (dtype
-object), on which the same numpy code is exact.
+Cantor-Zassenhaus equal-degree splitting.  Vectors and matrices over F_q in
+hot paths are arrays of shape (..., k) over F_p, and FieldSpec.mul_arrays is
+their one entrywise product.  There is one elimination, _rank_mod_p, on the
+F_p blow-up of an F_q matrix (each entry expanded by one einsum against the
+powers of the modulus's companion matrix): MatrixFq.rank reads the rank off
+it, and minpoly reads the minimal polynomial off the echelon form of its
+Krylov matrix.  Overflow rule: below p = 2**31 arrays are int64 and sums of
+products are reduced modulo p before they can pass 2**63 - 1; from 2**31 up
+arrays hold Python ints (dtype object), on which the same numpy code is
+exact.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 QMAX_BITS = 63  # p**k must stay below 2**63
+P_MIN = 5  # the least supported characteristic
 ARRAY_P_LIMIT = 2**31  # int64 arrays below this p, Python-int arrays from it up
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -398,6 +399,12 @@ class FieldElement:
         return str(list(self.coeffs))
 
 
+def check_p_min(p: int):
+    """Raise ValueError if p is below P_MIN; make_field and the CLI both check this."""
+    if p < P_MIN:
+        raise ValueError(f"p = {p} is below the supported minimum of {P_MIN}")
+
+
 @lru_cache(maxsize=None)
 def _prime_field(p: int) -> FieldSpec:
     return FieldSpec(p, 1, (0, 1))
@@ -409,8 +416,7 @@ def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
     Different seeds may select different moduli; all decomposition outputs
     are independent of that choice.
     """
-    if p < 5:
-        raise ValueError(f"p = {p} is below the supported minimum of 5")
+    check_p_min(p)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if p**k >= 2**QMAX_BITS:
@@ -824,10 +830,13 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray, dim: int) -> Polynomial:
 
     ``v`` is a (dim, k) array of dtype spec.dtype reduced mod p, and
     ``apply`` maps such arrays to such arrays.  The Krylov vectors v, Av, ...,
-    A^dim v are the columns of a matrix; after row reduction its first free
-    column t is the first power that depends on the lower ones, and that
-    column's kernel vector, supported on columns 0..t with a 1 at t, holds
-    the coefficients of m.
+    A^dim v are the columns of a matrix over F_q, and _rank_mod_p reduces its
+    blow-up over F_p.  With t = deg m, the column blocks 0..t-1 are
+    independent over F_q and every later block depends on them, so the
+    pivots are exactly the first kt = k*t columns.  Column kt is A^t v
+    itself; back-substitution in the unit upper triangle U = a[:kt, :kt]
+    solves U y = -a[:kt, kt], and the coefficient of X^j in m is
+    y[jk:(j+1)k].  A zero start vector gives t = 0 and m = 1.
     """
     shape = (dim, spec.k)
     if np.shape(v) != shape:
@@ -837,7 +846,15 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray, dim: int) -> Polynomial:
         krylov.append(apply(krylov[-1]))
         if np.shape(krylov[-1]) != shape:
             raise ValueError("operator changed the dimension")
-    return Polynomial(spec, MatrixFq.from_array(spec, np.stack(krylov, axis=1)).kernel()[0])
+    p, k = spec.p, spec.k
+    a = _blow_up(spec, np.stack(krylov, axis=1))
+    kt = _rank_mod_p(a, p)
+    if kt % k or not (np.diagonal(a)[:kt] == 1).all():
+        raise AssertionError("Krylov pivots are not the leading columns (bug)")
+    y = np.zeros(kt, dtype=spec.dtype)
+    for r in range(kt - 1, -1, -1):
+        y[r] = (-a[r, kt] - (a[r, r + 1 : kt] * y[r + 1 :] % p).sum()) % p
+    return Polynomial._from_tuples(spec, [tuple(c) for c in y.reshape(-1, k).tolist()] + [spec.one.coeffs])
 
 
 def minpoly_operator(spec: FieldSpec, apply, dim: int) -> Polynomial:
@@ -857,110 +874,20 @@ def minpoly_operator(spec: FieldSpec, apply, dim: int) -> Polynomial:
 
 
 class MatrixFq:
-    """Dense matrix over F_q with exact row reduction, kernel, and rank.  A
-    matrix built by from_array turns into rows when ``rows`` is first read."""
+    """Dense matrix over F_q on an (nrows, ncols, k) array of dtype
+    spec.dtype, reduced mod p: entry (i, j) has coefficient vector arr[i, j]."""
 
-    __slots__ = ("spec", "nrows", "ncols", "_rows", "_arr")
+    __slots__ = ("spec", "arr", "nrows", "ncols")
 
-    def __init__(self, spec: FieldSpec, rows):
+    def __init__(self, spec: FieldSpec, arr: np.ndarray):
         self.spec = spec
-        self._rows = [list(r) for r in rows]
-        self._arr = None
-        self.nrows = len(self._rows)
-        self.ncols = len(self._rows[0]) if self._rows else 0
-        for r in self._rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows")
-
-    @classmethod
-    def from_array(cls, spec: FieldSpec, arr: np.ndarray) -> "MatrixFq":
-        """The matrix whose entry (i, j) has coefficient vector arr[i, j]: an
-        array of shape (nrows, ncols, k) and dtype spec.dtype, reduced mod p."""
-        m = cls.__new__(cls)
-        m.spec, m._rows, m._arr = spec, None, arr
-        m.nrows, m.ncols = arr.shape[:2]
-        return m
-
-    @property
-    def rows(self) -> list[list["FieldElement"]]:
-        if self._rows is None:
-            self._rows = [[FieldElement(self.spec, tuple(c)) for c in row] for row in self._arr.tolist()]
-            self._arr = None
-        return self._rows
-
-    @classmethod
-    def zeros(cls, spec, nrows: int, ncols: int) -> "MatrixFq":
-        z = spec.zero
-        return cls(spec, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, spec, n: int) -> "MatrixFq":
-        m = cls.zeros(spec, n, n)
-        for i in range(n):
-            m.rows[i][i] = spec.one
-        return m
-
-    def copy(self) -> "MatrixFq":
-        return MatrixFq(self.spec, self.rows)
-
-    def row_reduce(self) -> tuple["MatrixFq", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        out = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            pr = next((i for i in range(r, self.nrows) if out[i][c]), None)
-            if pr is None:
-                continue
-            out[r], out[pr] = out[pr], out[r]
-            inv = out[r][c].inverse()
-            out[r] = [x * inv for x in out[r]]
-            prow = out[r]
-            for i in range(self.nrows):
-                if i != r and out[i][c]:
-                    f = out[i][c]
-                    row = out[i]
-                    out[i] = [row[j] - f * prow[j] for j in range(self.ncols)]
-            pivots.append(c)
-            r += 1
-        return MatrixFq(self.spec, out), tuple(pivots)
-
-    def kernel(self) -> list[list["FieldElement"]]:
-        """Basis of the right null space, one vector per free column."""
-        rref, pivots = self.row_reduce()
-        spec = self.spec
-        pivot_set = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            vec = [spec.zero] * self.ncols
-            vec[free] = spec.one
-            for r, pc in enumerate(pivots):
-                vec[pc] = -rref.rows[r][free]
-            basis.append(vec)
-        return basis
+        self.arr = arr
+        self.nrows, self.ncols = arr.shape[:2]
 
     def rank(self) -> int:
-        """Exact rank.  Each entry a becomes its k x k multiplication matrix
-        sum_t a_t C^t over F_p (C the companion matrix of the modulus); the
-        F_p rank, found by numpy elimination on arrays of dtype spec.dtype,
-        is k times the rank over F_q."""
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
-        spec = self.spec
-        p, k = spec.p, spec.k
-        arr = self._arr
-        if arr is None:
-            arr = np.array([[e.coeffs for e in row] for row in self._rows], dtype=spec.dtype)
-        # companion[t, c] = x^(t+c), column c of C^t; an entry of the blow-up is
-        # a sum of k products below p**2, less than 2**63 in int64 (p < 2**31
-        # and p**k < 2**63)
-        companion = spec.x_powers[np.add.outer(np.arange(k), np.arange(k))]
-        blown = np.einsum("ijt,tcr->irjc", arr, companion).reshape(k * self.nrows, k * self.ncols)
-        rk = _rank_mod_p(blown, p)
+        """Exact rank: the F_p rank of the blow-up is k times the rank over F_q."""
+        k = self.spec.k
+        rk = _rank_mod_p(_blow_up(self.spec, self.arr), self.spec.p)
         if rk % k:
             raise AssertionError("blown-up rank not divisible by extension degree (bug)")
         return rk // k
@@ -969,9 +896,26 @@ class MatrixFq:
         return f"MatrixFq({self.nrows}x{self.ncols} over {self.spec!r})"
 
 
+def _blow_up(spec: FieldSpec, arr: np.ndarray) -> np.ndarray:
+    """The F_p matrix of an (nrows, ncols, k) array over F_q, as a fresh
+    (k * nrows, k * ncols) array: entry (i, j) becomes its k x k
+    multiplication matrix sum_t a_t C^t (C the companion matrix of the
+    modulus), whose column c holds the coefficients of arr[i, j] * x^c."""
+    k = spec.k
+    nrows, ncols = arr.shape[:2]
+    # companion[t, c] = x^(t+c), column c of C^t; an entry of the blow-up is
+    # a sum of k products below p**2, less than 2**63 in int64 (p < 2**31
+    # and p**k < 2**63)
+    companion = spec.x_powers[np.add.outer(np.arange(k), np.arange(k))]
+    return np.einsum("ijt,tcr->irjc", arr, companion).reshape(k * nrows, k * ncols)
+
+
 def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank modulo p of an integer matrix (int64 below p = 2**31, Python ints
-    from there up) by Gaussian elimination in place: a is overwritten."""
+    """Rank r modulo p of an integer matrix (int64 below p = 2**31, Python
+    ints from there up) by Gaussian elimination in place.  On return a is
+    reduced mod p and in row echelon form: rows 0..r-1 are the pivot rows,
+    each zero left of its pivot and with the pivot scaled to 1, every entry
+    below a pivot is zero, and rows r and up are zero."""
     a %= p
     nrows, ncols = a.shape
     r = 0

@@ -211,7 +211,7 @@ class _CenterAlgebra:
 
     def block_dimension(self, e: np.ndarray) -> int:
         """Dimension over F_q of e*Z, the span of the projected class sums."""
-        return MatrixFq.from_array(self.spec, self._mul_classes(e)).rank()
+        return MatrixFq(self.spec, self._mul_classes(e)).rank()
 
     def to_algebra(self, v: np.ndarray) -> AlgebraElement:
         return AlgebraElement._from_array(self.G, self.spec, v[list(self.G.class_index_of)])
@@ -253,8 +253,9 @@ def _block_minpoly(Z: _CenterAlgebra, e, mul_by):
 
 
 def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
-    """Either split the block of e into at least two finer idempotents, or
-    return None once the block is certified to be a field.
+    """(split, d) with d = dim e*Z: split is a list of at least two finer
+    idempotents of the block of e, or None once the block is certified to be
+    a field, of degree d over F_q.
 
     Candidates are the class sums in class order, then seeded random central
     elements.  Certification: some candidate's minimal polynomial on the
@@ -262,7 +263,7 @@ def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
     """
     dim = Z.block_dimension(e)
     if dim == 1:
-        return None
+        return None, dim
     certified = False
 
     def inspect(mul_by):
@@ -282,16 +283,16 @@ def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
             continue
         split = inspect(lambda v, i=i: Z.mul_class(i, v))
         if split:
-            return split
+            return split, dim
     if certified:
-        return None
+        return None, dim
     for _ in range(MAX_RANDOM_DRAWS):
         z = np.array([Z.spec.random_element(rng).coeffs for _ in range(Z.m)], dtype=Z.spec.dtype)
         split = inspect(lambda v: Z.mul(z, v))
         if split:
-            return split
+            return split, dim
         if certified:
-            return None
+            return None, dim
     raise RuntimeError("failed to split or certify a center block (bug)")
 
 
@@ -311,21 +312,21 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     Z = _CenterAlgebra(G, spec)
     rng = random.Random(f"split:{seed}:{spec.p}:{spec.k}:{G.order}")
     work = [Z.one()]
-    final = []
+    final = []  # (idempotent, center degree)
     while work:
         e = work.pop()
-        split = _try_refine(Z, e, rng, seed)
+        split, d = _try_refine(Z, e, rng, seed)
         if split is None:
-            final.append(e)
+            final.append((e, d))
         else:
             work.extend(split)
     # deterministic block order regardless of the splitting path: rows
     # compared as reversed coefficient vectors, i.e. by base-p value
-    final.sort(key=lambda v: v[:, ::-1].tolist())
-    idempotents = [Z.to_algebra(e) for e in final]
-    center_dims = [Z.block_dimension(e) for e in final]
+    final.sort(key=lambda ed: ed[0][:, ::-1].tolist())
+    idempotents = [Z.to_algebra(e) for e, _ in final]
+    center_dims = [d for _, d in final]
     candidates = []
-    for e, d in zip(final, center_dims):
+    for e, d in final:
         if e[0, 1:].any():
             raise AssertionError("identity coefficient of an idempotent is not in F_p (bug)")
         trace = G.order * int(e[0, 0]) % spec.p
@@ -334,7 +335,7 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
 
     def submatrix_rank(i: int, w: int) -> int:
         rows, cols = rng.sample(range(G.order), w), rng.sample(range(G.order), w)
-        return MatrixFq.from_array(spec, idempotents[i].arr[G.mul_table[np.ix_(rows, cols)]]).rank()
+        return MatrixFq(spec, idempotents[i].arr[G.mul_table[np.ix_(rows, cols)]]).rank()
 
     block_dims = _pin_block_dims(G.order, candidates, submatrix_rank,
                                  lambda i: _right_ideal_dimension(idempotents[i]))
@@ -403,7 +404,7 @@ def _right_ideal_dimension(E: AlgebraElement) -> int:
     right translates E * g, entry (h, g) = E(h g^-1).  The matrix with entry
     (h, g) = E(h g), E gathered through the multiplication table, is the same
     one with its columns relabelled by inversion, so it has the same rank."""
-    return MatrixFq.from_array(E.spec, E.arr[E.group.mul_table]).rank()
+    return MatrixFq(E.spec, E.arr[E.group.mul_table]).rank()
 
 
 def verify_split(split: CentralSplit) -> bool:

@@ -75,12 +75,21 @@ def test_decompose_modular_case_exits_3(capsys):
     assert "modular case" in err
 
 
-@pytest.mark.parametrize("command", ["decompose", "oracle"])
+@pytest.mark.parametrize("command", ["decompose", "oracle", "units"])
 def test_modular_prime_below_5_exits_3(capsys, command):
     # |C7:C3| = 21: p = 3 is modular, which comes before the p >= 5 field bound
     code, _, err = run(capsys, [command, "--group", f"file:{ROOT / 'bench/groups/c7c3.txt'}", "--p", "3"])
     assert code == 3
     assert "modular case" in err
+
+
+@pytest.mark.parametrize("group, p", [("q8", 3), ("c7c3", 2)])
+@pytest.mark.parametrize("command", ["decompose", "oracle", "units"])
+def test_coprime_prime_below_5_exits_2(capsys, command, group, p):
+    code, _, err = run(capsys, [command, "--group", f"file:{ROOT / 'bench/groups' / (group + '.txt')}",
+                                "--p", str(p)])
+    assert code == 2
+    assert "below the supported minimum of 5" in err
 
 
 def test_python_m_wedderburn_runs_the_cli(capsys):

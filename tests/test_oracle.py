@@ -16,6 +16,7 @@ from wedderburn import (
     split_center,
     verify_split,
 )
+from wedderburn.oracle import _CenterAlgebra
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +129,24 @@ def test_verify_checks_the_trace_congruence(split11, monkeypatch):
     claimed = dict(zip(map(id, es), swapped.block_dims))
     monkeypatch.setattr("wedderburn.oracle._right_ideal_dimension", lambda e: claimed[id(e)])
     assert not verify_split(swapped)
+
+
+def test_split_ranks_each_center_block_once(sl32_s8, f11, monkeypatch):
+    # the final blocks reuse the center degree their last refinement ranked;
+    # verify_split ranks every block again, on its own
+    seen = []
+    rank = _CenterAlgebra.block_dimension
+
+    def counting(self, e):
+        seen.append(e.tobytes())
+        return rank(self, e)
+
+    monkeypatch.setattr(_CenterAlgebra, "block_dimension", counting)
+    split = split_center(sl32_s8, f11, seed=0)
+    assert len(seen) == len(set(seen))
+    calls = len(seen)
+    assert verify_split(split)
+    assert len(seen) == calls + len(split.idempotents)
 
 
 def test_split_f5_type2(sl32_s8):

@@ -21,7 +21,7 @@ from .ffield import (
     minpoly,
     minpoly_operator,
 )
-from .oracle import AlgebraElement, CentralSplit, center_basis, multiply, split_center, verify_split
+from .oracle import AlgebraElement, CentralSplit, center_basis, split_center, verify_split
 from .perm import (
     BUILTIN_GROUPS,
     ConjClass,
@@ -30,9 +30,6 @@ from .perm import (
     builtin_s5,
     builtin_sl32_on_p2f2,
     builtin_sl32_s8,
-    compose,
-    conjugacy_classes,
-    element_order,
     generate,
     load_group,
     parse_cycles,

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: classes, decompose, oracle, units, check.  Exit codes:
-0 success, 1 check mismatch, 2 input or parse error, 3 unsupported modular
-case (the characteristic divides the group order), 4 the analytic solver
-could not pin a unique decomposition.  `check` reports a modular cell as
-skipped and goes on with the rest of the grid.
+0 success, 1 a check failed: a reference-grid mismatch or an internal
+consistency check, 2 input or parse error, 3 unsupported modular case (the
+characteristic divides the group order), 4 the analytic solver could not pin
+a unique decomposition.  `check` reports a modular cell as skipped and goes
+on with the rest of the grid.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .ffield import check_p_min, is_prime, make_field
 from .perm import BUILTIN_GROUPS, FiniteGroup, builtin_sl32_on_p2f2, builtin_sl32_s8, load_group
 from .units import sl32_expected_row, unit_group
 from .wedder import (
-    Decomposition,
     SolverReport,
     analytic_decomposition,
     classify_type,
@@ -191,8 +191,8 @@ def cmd_classes(args) -> int:
     return EXIT_OK
 
 
-def _component_json(dec: Decomposition) -> list[dict]:
-    return [{"n": c.n, "d": c.d} for c in dec.components]
+def _component_json(pairs) -> list[dict]:
+    return [{"n": n, "d": d} for n, d in pairs]
 
 
 def _run_analytic(args, G: FiniteGroup) -> SolverReport:
@@ -204,19 +204,17 @@ def _print_nonunique(report: SolverReport, fmt: str):
     if fmt == "json":
         payload = {
             "unique": False,
-            "candidates": [_component_json(d) for d in report.solutions],
+            "candidates": [_component_json(d.pairs()) for d in report.solutions],
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(f"analytic solver found {len(report.solutions)} candidate decompositions:")
         for d in report.solutions:
-            print("  " + _format_components(d))
+            print("  " + _format_components(d.pairs()))
 
 
-def _format_components(dec: Decomposition) -> str:
-    return " + ".join(
-        f"M({c.n}, q{'^' + str(c.d) if c.d > 1 else ''})" for c in dec.components
-    )
+def _format_components(pairs) -> str:
+    return " + ".join(f"M({n}, q{'^' + str(d) if d > 1 else ''})" for n, d in pairs)
 
 
 def cmd_decompose(args) -> int:
@@ -230,12 +228,12 @@ def cmd_decompose(args) -> int:
     payload = {
         "q": {"p": args.p, "k": args.k},
         "type": t,
-        "components": _component_json(dec),
+        "components": _component_json(dec.pairs()),
         "splitting_field": splitting_field_check(dec),
     }
     lines = [
         f"F_q[G] for q = {args.p}^{args.k}, |G| = {G.order}",
-        "components: " + _format_components(dec),
+        "components: " + _format_components(dec.pairs()),
     ]
     if t is not None:
         lines.append(f"type: {t}")
@@ -254,14 +252,13 @@ def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     split = oracle_mod.split_center(G, spec, seed=args.seed)
     elapsed = time.perf_counter() - t0
-    pairs = split.pairs()
     payload = {
         "q": {"p": args.p, "k": args.k},
-        "components": [{"n": n, "d": d} for n, d in pairs],
+        "components": _component_json(split.pairs()),
     }
     lines = [
         f"brute-force decomposition over F_{args.p}^{args.k} (|G| = {G.order})",
-        "components: " + " + ".join(f"M({n}, q{'^' + str(d) if d > 1 else ''})" for n, d in pairs),
+        "components: " + _format_components(split.pairs()),
     ]
     _emit(payload, args.format, lines)
     if args.format == "text":
@@ -282,7 +279,7 @@ def cmd_units(args) -> int:
     payload = {
         "q": {"p": args.p, "k": args.k},
         "type": t,
-        "components": _component_json(dec),
+        "components": _component_json(dec.pairs()),
         "unit_group": [{"n": c.n, "field": f"{args.p}^{args.k * c.d}"} for c in dec.components],
         "order": order,
     }
@@ -370,6 +367,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (AssertionError, RuntimeError, ArithmeticError) as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ __all__ = [
     "factor",
     "minpoly",
     "minpoly_operator",
-    "poly_gcd",
     "poly_lcm",
 ]
 
@@ -720,10 +719,6 @@ def _prime_divisors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    return a.gcd(b)
 
 
 def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -48,7 +48,7 @@ from .errors import ModularCaseError
 from .ffield import FieldElement, FieldSpec, MatrixFq, Polynomial, factor, minpoly
 from .perm import FiniteGroup
 
-__all__ = ["AlgebraElement", "CentralSplit", "multiply", "center_basis", "split_center", "verify_split"]
+__all__ = ["AlgebraElement", "CentralSplit", "center_basis", "split_center", "verify_split"]
 
 MAX_RANDOM_DRAWS = 40  # random central elements tried per block after the class sums
 MAX_SUBMATRIX_TESTS = 48  # submatrix ranks per split before full ranks; S6 over F_7 needs 22
@@ -153,11 +153,6 @@ class AlgebraElement:
     def __repr__(self) -> str:
         support = int(np.count_nonzero(self.arr.any(axis=1)))
         return f"AlgebraElement(support={support}/{self.group.order})"
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Convolution product: the coefficient of g is sum over h of a(h) * b(h^-1 g)."""
-    return a * b
 
 
 def center_basis(G: FiniteGroup, spec: FieldSpec) -> list[AlgebraElement]:

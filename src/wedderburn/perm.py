@@ -21,10 +21,7 @@ __all__ = [
     "ConjClass",
     "FiniteGroup",
     "parse_cycles",
-    "compose",
-    "element_order",
     "generate",
-    "conjugacy_classes",
     "power_class",
     "builtin_sl32_s8",
     "builtin_sl32_on_p2f2",
@@ -63,6 +60,7 @@ class Permutation:
         return self.images[i]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
+        """(a*b)(i) = a(b(i))."""
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         oi = other.images
@@ -151,15 +149,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a - 1] = b - 1
     return Permutation(images)
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """(a*b)(i) = a(b(i))."""
-    return a * b
-
-
-def element_order(g: Permutation) -> int:
-    return g.order()
 
 
 @dataclass(frozen=True)
@@ -351,10 +340,6 @@ def generate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The group generated by a nonempty generator list of common degree:
     FiniteGroup(gens, cap), its breadth-first closure."""
     return FiniteGroup(gens, cap)
-
-
-def conjugacy_classes(G: FiniteGroup) -> tuple[ConjClass, ...]:
-    return G.classes
 
 
 def power_class(G: FiniteGroup, class_index: int, m: int) -> int:

@@ -3,8 +3,10 @@
 Combines three exact ingredients: the block count and center degrees from
 the q-power orbits, matrix blocks forced by doubly transitive permutation
 actions, and the mass constraint sum(d * n^2) = |G|.  The solver enumerates
-every assignment of matrix sizes to the remaining center-degree slots and
-reports whether the constraints pin the decomposition uniquely.
+every assignment of matrix sizes to the remaining center-degree slots, one
+memoized recursion in which each multiset appears once, lists the candidates
+in (d, n) order and reports whether the constraints pin the decomposition
+uniquely.
 """
 
 from __future__ import annotations
@@ -105,7 +107,9 @@ def solve(group_order: int, degrees, forced, p: int | None = None, k: int | None
 
     Every forced block consumes one degree-1 slot.  The remaining slots are
     filled with all matrix sizes n >= 1 such that the total mass equals the
-    group order; solutions are deduplicated as multisets.
+    group order.  Sizes never increase within a degree, so each multiset
+    appears once; the enumeration is memoized on (slot, remaining mass,
+    largest n) and the candidates come sorted by their (d, n) keys.
     """
     degrees = sorted(degrees)
     forced = tuple(sorted(forced, key=Component.sort_key))
@@ -120,48 +124,29 @@ def solve(group_order: int, degrees, forced, p: int | None = None, k: int | None
     forced_mass = sum(c.mass() for c in forced)
     if forced_mass > group_order:
         raise ValueError(f"forced mass {forced_mass} exceeds group order {group_order}")
-    remaining = list(degrees)
-    for _ in range(len(forced)):
-        remaining.remove(1)
-    groups = sorted({d: remaining.count(d) for d in remaining}.items())
+    slots = degrees[len(forced):]
     target = group_order - forced_mass
-    # minimal mass still owed by groups gi.. (every slot holds at least n = 1)
-    suffix_min = [0] * (len(groups) + 1)
-    for gi in range(len(groups) - 1, -1, -1):
-        d, cnt = groups[gi]
-        suffix_min[gi] = suffix_min[gi + 1] + d * cnt
-    solutions: list[tuple[Component, ...]] = []
-    chosen: list[Component] = []
 
-    def assign_group(gi: int, rem: int):
-        if gi == len(groups):
-            if rem == 0:
-                solutions.append(tuple(chosen))
-            return
-        d, cnt = groups[gi]
+    @lru_cache(maxsize=None)
+    def fill(i: int, rem: int, top: int) -> tuple[tuple[Component, ...], ...]:
+        """Every filling of slots i.. with masses summing to rem, n <= top in slot i."""
+        if i == len(slots):
+            return ((),) if rem == 0 else ()
+        d = slots[i]
+        same = i + 1 < len(slots) and slots[i + 1] == d
+        return tuple(
+            (Component(n, d),) + rest
+            for n in range(min(top, math.isqrt(rem // d)), 0, -1)
+            for rest in fill(i + 1, rem - d * n * n, n if same else target)
+        )
 
-        def assign_slot(j: int, rem2: int, last: int):
-            if j == cnt:
-                assign_group(gi + 1, rem2)
-                return
-            reserve = (cnt - j - 1) * d + suffix_min[gi + 1]
-            budget = rem2 - reserve
-            if budget < d:
-                return
-            nmax = min(last, math.isqrt(budget // d))
-            for n in range(nmax, 0, -1):
-                chosen.append(Component(n, d))
-                assign_slot(j + 1, rem2 - d * n * n, n)
-                chosen.pop()
-
-        assign_slot(0, rem, math.isqrt(max(target, 0)))
-
-    assign_group(0, target)
-    decs = tuple(
-        Decomposition(components=forced + sol, group_order=group_order, p=p, k=k)
-        for sol in sorted(solutions, key=lambda s: tuple(c.sort_key() for c in sorted(s, key=Component.sort_key)))
+    sols = fill(0, target, target)
+    fill.cache_clear()  # the wrapper is a reference cycle; free its entries now
+    decs = sorted(
+        (Decomposition(components=forced + sol, group_order=group_order, p=p, k=k) for sol in sols),
+        key=lambda dec: tuple(c.sort_key() for c in dec.components),
     )
-    return SolverReport(solutions=decs, unique=len(decs) == 1, forced=forced)
+    return SolverReport(solutions=tuple(decs), unique=len(decs) == 1, forced=forced)
 
 
 def is_sl32_class_data(G: FiniteGroup) -> bool:

@@ -267,6 +267,29 @@ def test_check_detects_mismatch(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize(
+    "target, command, exc",
+    [
+        ("split_center", "oracle", AssertionError("(bug) blocks miss |G|")),
+        ("split_center", "oracle", RuntimeError("(bug) refinement stalled")),
+        ("split_center", "oracle", ArithmeticError("class constants fail the count")),
+        ("analytic_decomposition", "decompose", AssertionError("(bug) two order-7 classes")),
+    ],
+    ids=["assertion", "runtime", "arithmetic", "assertion-analytic"],
+)
+def test_internal_check_failure_exits_1_without_traceback(capsys, monkeypatch, target, command, exc):
+    from wedderburn import oracle
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(oracle if target == "split_center" else cli, target, fail)
+    code, out, err = run(capsys, [command, "--p", "11"])
+    assert code == cli.EXIT_MISMATCH == 1
+    assert out == ""
+    assert err == f"error: internal check failed: {exc}\n"
+
+
 def test_check_rejects_non_sl32_group(capsys):
     code, _, err = run(capsys, ["check", "--group", "builtin:s5", "--p", "11", "--k", "1"])
     assert code == 2

@@ -1,6 +1,11 @@
+import hashlib
+import itertools
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wedderburn import (
     Component,
@@ -11,6 +16,7 @@ from wedderburn import (
     forced_components,
     generate,
     is_prime,
+    load_group,
     is_sl32_class_data,
     Permutation,
     solve,
@@ -85,6 +91,59 @@ def test_solve_negative_control_matches_brute_force():
     assert len(rep.solutions) == len(oracle)
     got = {tuple(sorted((c.n for c in d.components), reverse=True)) for d in rep.solutions}
     assert got == {tuple(sorted((1,) + s, reverse=True)) for s in oracle}
+
+
+def brute_force_solve(group_order, degrees, forced):
+    """The ordered (n, d) pair lists `solve` should return, or None where it
+    should raise ValueError: itertools over the sizes of each slot, one sorted
+    multiset per choice, filtered by mass and sorted by the (d, n) keys."""
+    forced = [(c.n, c.d) for c in forced]
+    ones = list(degrees).count(1)
+    mass = sum(d * n * n for n, d in forced)
+    if any(d != 1 for _, d in forced) or len(forced) > ones or mass > group_order:
+        return None
+    slots = sorted(degrees)[len(forced):]
+    sizes = [range(1, math.isqrt(group_order // d) + 1) for d in slots]
+    found = set()
+    for ns in itertools.product(*sizes):
+        blocks = forced + list(zip(ns, slots))
+        if sum(d * n * n for n, d in blocks) == group_order:
+            found.add(tuple(sorted(blocks, key=lambda b: (b[1], b[0]))))
+    if any((1, 1) not in sol for sol in found):
+        return None  # Decomposition refuses a candidate without the trivial block
+    return sorted(found, key=lambda sol: [(d, n) for n, d in sol])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    group_order=st.integers(1, 200),
+    degrees=st.lists(st.sampled_from([1, 2, 3, 4]), max_size=5),
+    forced=st.lists(st.tuples(st.integers(1, 14), st.sampled_from([1, 1, 1, 2])), max_size=3),
+    trivial=st.booleans(),
+)
+@example(group_order=10, degrees=[1], forced=[], trivial=True)  # no slot left, forced mass < |G|
+@example(group_order=1, degrees=[1], forced=[], trivial=True)  # no slot left, forced mass = |G|
+@example(group_order=50, degrees=[1, 1, 2], forced=[(7, 1)], trivial=False)
+@example(group_order=168, degrees=[1] * 5, forced=[], trivial=True)
+def test_solve_matches_brute_force(group_order, degrees, forced, trivial):
+    forced = [Component(n, d) for n, d in ([(1, 1)] if trivial else []) + forced]
+    expected = brute_force_solve(group_order, degrees, forced)
+    if expected is None:
+        with pytest.raises(ValueError):
+            solve(group_order, degrees, forced)
+        return
+    rep = solve(group_order, degrees, forced, p=11, k=1)
+    assert [dec.pairs() for dec in rep.solutions] == expected
+    assert rep.unique == (len(expected) == 1)
+
+
+def test_solve_pins_s6_candidates():
+    # the count and a sha256 of the ordered candidate list pin both the set and its order
+    G = load_group(Path(__file__).resolve().parents[1] / "bench" / "groups" / "s6.txt")
+    rep = analytic_decomposition(G, 11, 1, [G])
+    assert len(rep.solutions) == 3037 and not rep.unique
+    digest = hashlib.sha256(str([d.pairs() for d in rep.solutions]).encode()).hexdigest()
+    assert digest == "9517268e226402cb1898d9ff40e76e1f3ffbb7e64213e9a3dcfa2e16f949586d"
 
 
 def test_solve_restoring_forced_restores_uniqueness():

@@ -6,16 +6,18 @@ found by seeded search; there are no Conway-polynomial tables and no
 discrete-log tables.  Polynomial factorization runs the classical pipeline:
 squarefree split via gcd with the derivative (with p-th root extraction in
 characteristic p), distinct-degree split via iterated Frobenius, and seeded
-Cantor-Zassenhaus equal-degree splitting.  Vectors and matrices over F_q in
-hot paths are arrays of shape (..., k) over F_p, and FieldSpec.mul_arrays is
-their one entrywise product.  There is one elimination, _rank_mod_p, on the
-F_p blow-up of an F_q matrix (each entry expanded by one einsum against the
-powers of the modulus's companion matrix): MatrixFq.rank reads the rank off
-it, and minpoly reads the minimal polynomial off the echelon form of its
-Krylov matrix.  Overflow rule: below p = 2**31 arrays are int64 and sums of
-products are reduced modulo p before they can pass 2**63 - 1; from 2**31 up
-arrays hold Python ints (dtype object), on which the same numpy code is
-exact.
+Cantor-Zassenhaus equal-degree splitting.  A Polynomial holds its
+coefficients as length-k tuples and runs the FieldSpec tuple kernels;
+FieldElement is the boundary type, one scalar that callers build and read.
+Vectors and matrices over F_q in hot paths are arrays of shape (..., k) over
+F_p, and FieldSpec.mul_arrays is their one entrywise product.  There is one
+elimination, _rank_mod_p, on the F_p blow-up of an F_q matrix (each entry
+expanded by one einsum against the powers of the modulus's companion
+matrix): MatrixFq.rank reads the rank off it, and minpoly reads the minimal
+polynomial off the echelon form of its Krylov matrix.  Overflow rule: below
+p = 2**31 arrays are int64 and sums of products are reduced modulo p before
+they can pass 2**63 - 1; from 2**31 up arrays hold Python ints (dtype
+object), on which the same numpy code is exact.
 """
 
 from __future__ import annotations
@@ -269,22 +271,8 @@ class FieldSpec:
             raise ValueError(f"coefficient vector must have length {self.k}")
         return FieldElement(self, coeffs)
 
-    def from_index(self, idx: int) -> "FieldElement":
-        """The element whose little-endian base-p digit vector is idx in 0..q-1."""
-        if not 0 <= idx < self.q:
-            raise ValueError(f"index {idx} out of range 0..{self.q - 1}")
-        coeffs = []
-        for _ in range(self.k):
-            idx, r = divmod(idx, self.p)
-            coeffs.append(r)
-        return FieldElement(self, tuple(coeffs))
-
     def random_element(self, rng: random.Random) -> "FieldElement":
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
-
-    def iter_elements(self):
-        for idx in range(self.q):
-            yield self.from_index(idx)
 
     def __eq__(self, other) -> bool:
         return (
@@ -385,13 +373,6 @@ class FieldElement:
     def __hash__(self) -> int:
         return hash((self.coeffs, self.spec.p, self.spec.k))
 
-    def index(self) -> int:
-        """Little-endian base-p encoding, the inverse of FieldSpec.from_index."""
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * self.spec.p + c
-        return out
-
     def __repr__(self) -> str:
         if self.spec.k == 1:
             return str(self.coeffs[0])
@@ -428,21 +409,24 @@ def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
     rng = random.Random(f"modulus:{seed}:{p}:{k}")
     for _ in range(4000):
         coeffs = [rng.randrange(p) for _ in range(k)] + [1]
-        f = Polynomial.from_coeffs(prime, [prime.scalar(c) for c in coeffs])
+        f = Polynomial(prime, [(c,) for c in coeffs])
         if f.is_irreducible():
             return FieldSpec(p, k, tuple(coeffs))
     raise RuntimeError(f"no irreducible modulus of degree {k} over F_{p} found (bug)")
 
 
 class Polynomial:
-    """Dense polynomial over F_q; coefficient 0 is the constant term and
-    trailing zeros are trimmed (the zero polynomial has no coefficients)."""
+    """Dense polynomial over F_q on coefficient tuples: coeffs[i] is the
+    length-k coefficient vector of x^i, and trailing zeros are trimmed (the
+    zero polynomial has no coefficients).  The constructor also takes
+    FieldElements, and leading() and evaluate() return them; every other
+    method runs the FieldSpec tuple kernels."""
 
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        cs = list(coeffs)
-        while cs and not cs[-1]:
+        cs = [c.coeffs if isinstance(c, FieldElement) else c for c in coeffs]
+        while cs and not any(cs[-1]):
             cs.pop()
         self.spec = spec
         self.coeffs = tuple(cs)
@@ -453,15 +437,11 @@ class Polynomial:
 
     @classmethod
     def one(cls, spec) -> "Polynomial":
-        return cls(spec, (spec.one,))
+        return cls(spec, (spec.one.coeffs,))
 
     @classmethod
     def x(cls, spec) -> "Polynomial":
-        return cls(spec, (spec.zero, spec.one))
-
-    @classmethod
-    def from_coeffs(cls, spec, coeffs) -> "Polynomial":
-        return cls(spec, [spec.element(c) for c in coeffs])
+        return cls(spec, (spec.zero.coeffs, spec.one.coeffs))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -472,57 +452,38 @@ class Polynomial:
     def leading(self) -> "FieldElement":
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return FieldElement(self.spec, self.coeffs[-1])
+
+    def _scaled(self, c) -> "Polynomial":
+        mul_t = self.spec.mul_t
+        return Polynomial(self.spec, [mul_t(a, c) for a in self.coeffs])
 
     def monic(self) -> "Polynomial":
-        if self.is_zero():
+        if self.is_zero() or self.coeffs[-1] == self.spec.one.coeffs:
             return self
-        lc = self.leading()
-        if lc == self.spec.one:
-            return self
-        inv = lc.inverse()
-        return Polynomial(self.spec, [c * inv for c in self.coeffs])
+        return self._scaled(self.spec.inv_t(self.coeffs[-1]))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Polynomial(self.spec, out)
+        add_t = self.spec.add_t
+        return Polynomial(self.spec, [add_t(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        out = list(self.coeffs) + [self.spec.zero] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] - c
-        return Polynomial(self.spec, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.spec, [-c for c in self.coeffs])
+        return Polynomial(self.spec, [self.spec.neg_t(c) for c in self.coeffs])
 
-    def _tuples(self) -> list[tuple[int, ...]]:
-        return [c.coeffs for c in self.coeffs]
-
-    @classmethod
-    def _from_tuples(cls, spec, tuples) -> "Polynomial":
-        return cls(spec, [FieldElement(spec, t) for t in tuples])
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, FieldElement):
-            return Polynomial(self.spec, [c * other for c in self.coeffs])
-        return Polynomial._from_tuples(self.spec, _poly_mul_t(self.spec, self._tuples(), other._tuples()))
-
-    def __rmul__(self, other):
-        if isinstance(other, FieldElement):
-            return self * other
-        return NotImplemented
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        return Polynomial(self.spec, _poly_mul_t(self.spec, self.coeffs, other.coeffs))
 
     def __divmod__(self, other: "Polynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = _poly_divmod_t(self.spec, self._tuples(), other._tuples())
-        return Polynomial._from_tuples(self.spec, quo), Polynomial._from_tuples(self.spec, rem)
+        quo, rem = _poly_divmod_t(self.spec, self.coeffs, other.coeffs)
+        return Polynomial(self.spec, quo), Polynomial(self.spec, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -533,38 +494,40 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         spec = self.spec
         result = [spec.one.coeffs]
-        base = self._tuples()
+        base = self.coeffs
         while e:
             if e & 1:
                 result = _poly_mul_t(spec, result, base)
             base = _poly_mul_t(spec, base, base)
             e >>= 1
-        return Polynomial._from_tuples(spec, result)
+        return Polynomial(spec, result)
 
     def pow_mod(self, e: int, m: "Polynomial") -> "Polynomial":
         spec = self.spec
-        mt = m._tuples()
+        mt = m.coeffs
         if not mt:
             raise ZeroDivisionError("polynomial modulus is zero")
         inv_lc = spec.inv_t(mt[-1])
         result = _poly_divmod_t(spec, [spec.one.coeffs], mt, inv_lc)[1]
-        base = _poly_divmod_t(spec, self._tuples(), mt, inv_lc)[1]
+        base = _poly_divmod_t(spec, self.coeffs, mt, inv_lc)[1]
         while e:
             if e & 1:
                 result = _poly_divmod_t(spec, _poly_mul_t(spec, result, base), mt, inv_lc)[1]
             base = _poly_divmod_t(spec, _poly_mul_t(spec, base, base), mt, inv_lc)[1]
             e >>= 1
-        return Polynomial._from_tuples(spec, result)
+        return Polynomial(spec, result)
 
     def derivative(self) -> "Polynomial":
-        spec = self.spec
-        return Polynomial(spec, [spec.scalar(i) * c for i, c in enumerate(self.coeffs)][1:])
+        p = self.spec.p
+        return Polynomial(self.spec, [tuple(i * a % p for a in c) for i, c in enumerate(self.coeffs)][1:])
 
-    def evaluate(self, x: "FieldElement") -> "FieldElement":
-        acc = self.spec.zero
+    def evaluate(self, x) -> "FieldElement":
+        spec = self.spec
+        xt = spec.element(x).coeffs
+        acc = spec.zero.coeffs
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = spec.add_t(spec.mul_t(acc, xt), c)
+        return FieldElement(spec, acc)
 
     def pth_root(self) -> "Polynomial":
         """For f with zero derivative, the unique g with g**p = f."""
@@ -574,8 +537,8 @@ class Polynomial:
         out = []
         for i, c in enumerate(self.coeffs):
             if i % p == 0:
-                out.append(c**root_exp)
-            elif c:
+                out.append(spec.pow_t(c, root_exp))
+            elif any(c):
                 raise ValueError("polynomial is not a p-th power")
         return Polynomial(spec, out)
 
@@ -583,7 +546,7 @@ class Polynomial:
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        return a.monic()
 
     def xgcd(self, other: "Polynomial"):
         """Extended gcd: returns (g, s, t) with s*self + t*other = g, g monic."""
@@ -598,16 +561,8 @@ class Polynomial:
             t0, t1 = t1, t0 - q * t1
         if r0.is_zero():
             return r0, s0, t0
-        inv = r0.leading().inverse()
-        return r0 * inv, s0 * inv, t0 * inv
-
-    def is_squarefree(self) -> bool:
-        if self.is_zero():
-            return False
-        d = self.derivative()
-        if d.is_zero():
-            return self.degree() == 0
-        return self.gcd(d).degree() == 0
+        inv = spec.inv_t(r0.coeffs[-1])
+        return r0._scaled(inv), s0._scaled(inv), t0._scaled(inv)
 
     def frobenius_iterates(self, count: int) -> list["Polynomial"]:
         """[x^(q^1), ..., x^(q^count)] all reduced modulo self."""
@@ -644,10 +599,12 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash(tuple(c.coeffs for c in self.coeffs))
+        return hash(self.coeffs)
 
     def sort_key(self):
-        return (self.degree(), tuple(c.index() for c in self.coeffs))
+        """(degree, coefficients), each coefficient ordered by its base-p
+        value: compared as its reversed tuple."""
+        return (self.degree(), tuple(c[::-1] for c in self.coeffs))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -655,9 +612,9 @@ class Polynomial:
         terms = []
         for i in range(self.degree(), -1, -1):
             c = self.coeffs[i]
-            if not c:
+            if not any(c):
                 continue
-            cs = repr(c)
+            cs = str(c[0]) if self.spec.k == 1 else str(list(c))
             if i == 0:
                 terms.append(cs)
             elif i == 1:
@@ -732,7 +689,8 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def factor(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
     """Full factorization of a nonzero polynomial into monic irreducibles with
-    multiplicities, sorted by (degree, coefficient encoding).  The product of
+    multiplicities, sorted by Polynomial.sort_key: degree, then the base-p
+    values of the coefficients from the constant term up.  The product of
     the factors with multiplicities equals f up to its leading coefficient."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -803,7 +761,7 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
     n = f.degree()
     half = (spec.q**d - 1) // 2
     while True:
-        a = Polynomial(spec, [spec.random_element(rng) for _ in range(n)])
+        a = Polynomial(spec, [spec.random_element(rng).coeffs for _ in range(n)])
         if a.degree() < 1:
             continue
         g = a.gcd(f)
@@ -849,7 +807,7 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray, dim: int) -> Polynomial:
     y = np.zeros(kt, dtype=spec.dtype)
     for r in range(kt - 1, -1, -1):
         y[r] = (-a[r, kt] - (a[r, r + 1 : kt] * y[r + 1 :] % p).sum()) % p
-    return Polynomial._from_tuples(spec, [tuple(c) for c in y.reshape(-1, k).tolist()] + [spec.one.coeffs])
+    return Polynomial(spec, [tuple(c) for c in y.reshape(-1, k).tolist()] + [spec.one.coeffs])
 
 
 def minpoly_operator(spec: FieldSpec, apply, dim: int) -> Polynomial:

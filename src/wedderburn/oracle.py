@@ -6,7 +6,9 @@ repeatedly picking a central element, computing the minimal polynomial of
 multiplication by it on each current block, factoring that polynomial, and
 combining the coprime factors into finer idempotents.  A block is accepted
 once some element of it has an irreducible minimal polynomial whose degree
-equals the block dimension, which certifies the block center is a field.
+equals the block dimension, which certifies the block center is a field; the
+search on that block stops there, since no element can split a field and
+primitive central idempotents are unique.
 For each primitive idempotent e the center degree d = dim e*Z is read off
 the splitting, and the block dimension D = dim e*F_q[G] is pinned by a
 certificate that needs no |G| x |G| rank in most cases.  Four facts each
@@ -38,9 +40,11 @@ central element use FieldSpec.mul_arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -224,8 +228,7 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
         if gcd.degree() != 0:
             raise AssertionError("minimal polynomial factors are not coprime (bug)")
         h_j = (s_j * g_j) % mu
-        for t, c in enumerate(h_j.coeffs):
-            coeffs[j, t] = c.coeffs
+        coeffs[j, : len(h_j.coeffs)] = h_j.coeffs
     outs = spec.mul_arrays(coeffs[:, :, None], powers).sum(1) % spec.p
     if not np.array_equal(outs.sum(0) % spec.p, e):
         raise AssertionError("refined idempotents do not sum to the block unit (bug)")
@@ -236,57 +239,38 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
     return list(outs)
 
 
-def _block_minpoly(Z: _CenterAlgebra, e, mul_by):
-    """Minimal polynomial of a central element acting on the block with unit e,
-    together with the stacked powers e, w, w^2, ... needed to evaluate
-    polynomials at it."""
-    powers = [e]
-    mu = minpoly(Z.spec, mul_by, e, Z.m)
-    for _ in range(1, mu.degree()):
-        powers.append(mul_by(powers[-1]))
-    return mu, np.stack(powers)
-
-
 def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
     """(split, d) with d = dim e*Z: split is a list of at least two finer
     idempotents of the block of e, or None once the block is certified to be
     a field, of degree d over F_q.
 
-    Candidates are the class sums in class order, then seeded random central
-    elements.  Certification: some candidate's minimal polynomial on the
-    block is irreducible with degree equal to the block dimension.
+    Candidates are the class sums that act nontrivially on the block, in
+    class order, then up to MAX_RANDOM_DRAWS seeded random central elements,
+    each drawn only when reached.  The search stops at the first candidate
+    whose minimal polynomial mu on the block has two or more irreducible
+    factors (a split), or is irreducible of degree dim e*Z (the block center
+    is then F_q[w], a field, and no element splits it).  A repeated factor of
+    mu contradicts semisimplicity.
     """
     dim = Z.block_dimension(e)
     if dim == 1:
         return None, dim
-    certified = False
-
-    def inspect(mul_by):
-        nonlocal certified
-        mu, powers = _block_minpoly(Z, e, mul_by)
-        if not mu.is_squarefree():
-            raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")
+    spec = Z.spec
+    draws = (np.array([spec.random_element(rng).coeffs for _ in range(Z.m)], dtype=spec.dtype)
+             for _ in range(MAX_RANDOM_DRAWS))
+    candidates = itertools.chain((partial(Z.mul_class, i) for i in range(Z.m) if Z.mul_class(i, e).any()),
+                                 (partial(Z.mul, z) for z in draws))
+    for mul_by in candidates:
+        mu = minpoly(spec, mul_by, e, Z.m)
         facs = factor(mu, seed=seed)
+        if any(mult > 1 for _, mult in facs):
+            raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")
         if len(facs) > 1:
-            return _crt_idempotents(Z, e, powers, mu, facs)
+            powers = [e]
+            for _ in range(1, mu.degree()):
+                powers.append(mul_by(powers[-1]))
+            return _crt_idempotents(Z, e, np.stack(powers), mu, facs), dim
         if mu.degree() == dim:
-            certified = True
-        return None
-
-    for i in range(Z.m):
-        if not Z.mul_class(i, e).any():
-            continue
-        split = inspect(lambda v, i=i: Z.mul_class(i, v))
-        if split:
-            return split, dim
-    if certified:
-        return None, dim
-    for _ in range(MAX_RANDOM_DRAWS):
-        z = np.array([Z.spec.random_element(rng).coeffs for _ in range(Z.m)], dtype=Z.spec.dtype)
-        split = inspect(lambda v: Z.mul(z, v))
-        if split:
-            return split, dim
-        if certified:
             return None, dim
     raise RuntimeError("failed to split or certify a center block (bug)")
 

@@ -84,9 +84,6 @@ class Permutation:
             m >>= 1
         return result
 
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images))
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles as 1-indexed tuples, each starting at its least point."""
         seen = [False] * self.degree

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedderburn import (
     MatrixFq,
@@ -96,17 +98,12 @@ def test_frobenius_is_additive(f169):
         assert (a + b) ** p == a**p + b**p
 
 
-def test_element_index_roundtrip(f169):
-    for idx in (0, 1, 12, 13, 168):
-        assert f169.from_index(idx).index() == idx
-
-
 def test_factor_x2_minus_1(f11):
     x = Polynomial.x(f11)
     f = x * x - Polynomial.one(f11)
     facs = factor(f)
     assert [(g.degree(), m) for g, m in facs] == [(1, 1), (1, 1)]
-    roots = sorted(g.coeffs[0].index() for g, _ in facs)
+    roots = sorted(g.coeffs[0][0] for g, _ in facs)
     assert roots == [1, 10]  # x - 1 and x + 1 = x - 10
 
 
@@ -124,7 +121,7 @@ def test_factor_x6_minus_1_splits(f13):
     x = Polynomial.x(f13)
     f = x**6 - Polynomial.one(f13)
     # oracle: evaluate at all 13 field elements; exactly the 6 sixth roots vanish
-    roots = [a for a in f13.iter_elements() if not f.evaluate(a)]
+    roots = [a for a in range(13) if not f.evaluate(a)]
     assert len(roots) == 6
     facs = factor(f)
     assert len(facs) == 6
@@ -188,6 +185,64 @@ def test_factor_rejects_zero(f11):
         factor(Polynomial.zero(f11))
 
 
+TUPLE_FIELDS = [make_field(11), make_field(13, 2), make_field(13, 3)]
+
+
+@st.composite
+def _field_and_polys(draw, count):
+    """A field from TUPLE_FIELDS and `count` polynomials over it of degree
+    below 8, built from coefficient tuples (the zero polynomial included)."""
+    spec = draw(st.sampled_from(TUPLE_FIELDS))
+    coeff = st.tuples(*[st.integers(0, spec.p - 1)] * spec.k)
+    return spec, [Polynomial(spec, draw(st.lists(coeff, max_size=8))) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_field_and_polys(2))
+def test_divmod_on_tuples(case):
+    spec, (a, b) = case
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+        return
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.degree() < b.degree()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_field_and_polys(2))
+def test_xgcd_on_tuples(case):
+    spec, (a, b) = case
+    g, s, t = a.xgcd(b)
+    assert s * a + t * b == g
+    if a.is_zero() and b.is_zero():
+        assert g.is_zero()
+        return
+    assert g.leading() == spec.one
+    assert (a % g).is_zero() and (b % g).is_zero()
+    assert g == a.gcd(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_and_polys(1))
+def test_polynomial_from_field_elements_equals_from_tuples(case):
+    spec, (f,) = case
+    g = Polynomial(spec, [spec.element(c) for c in f.coeffs])
+    assert g == f and hash(g) == hash(f)
+    assert all(type(c) is tuple and len(c) == spec.k for c in g.coeffs)
+
+
+def test_factor_orders_coefficients_by_base_p_value(f169):
+    # the constant terms are -(1, 2) = (12, 11), base-p value 12 + 11 * 13 =
+    # 155, and -(2, 1) = (11, 12), value 167; compared as plain tuples the
+    # second would come first
+    x = Polynomial.x(f169)
+    f = (x - Polynomial(f169, [(1, 2)])) * (x - Polynomial(f169, [(2, 1)]))
+    facs = factor(f)
+    assert [g.coeffs for g, _ in facs] == [((12, 11), (1, 0)), ((11, 12), (1, 0))]
+
+
 def _vector(elements):
     """The (dim, k) array of a list of field elements."""
     spec = elements[0].spec
@@ -221,7 +276,7 @@ def test_minpoly_companion_matrix(f11):
 
     def apply(w):
         out = (Polynomial(f11, [f11.element(c) for c in w.tolist()]) * x) % f
-        cs = list(out.coeffs)
+        cs = [f11.element(c) for c in out.coeffs]
         return _vector(cs + [f11.zero] * (3 - len(cs)))
 
     got = minpoly_operator(f11, apply, 3)

@@ -137,7 +137,7 @@ def test_minpoly_annihilates_and_has_krylov_rank(field, seed):
     krylov = [v]
     for _ in range(dim):
         krylov.append(apply(krylov[-1]))
-    coeffs = np.array([c.coeffs for c in m.coeffs], dtype=spec.dtype)
+    coeffs = np.array(m.coeffs, dtype=spec.dtype)
     assert not (spec.mul_arrays(coeffs[:, None], np.stack(krylov[: m.degree() + 1])).sum(0) % p).any()
     assert m.degree() == MatrixFq(spec, np.stack(krylov, axis=1)).rank()
 

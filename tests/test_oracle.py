@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from wedderburn import (
     split_center,
     verify_split,
 )
+from wedderburn import cli, oracle
+from wedderburn.cli import resolve_group
 from wedderburn.oracle import _CenterAlgebra
 
 
@@ -146,6 +149,38 @@ def test_split_ranks_each_center_block_once(sl32_s8, f11, monkeypatch):
     calls = len(seen)
     assert verify_split(split)
     assert len(seen) == calls + len(split.idempotents)
+
+
+C15 = f"file:{Path(__file__).resolve().parents[1] / 'bench' / 'groups' / 'c15.txt'}"
+
+
+def test_refinement_stops_at_a_certified_block(f11, monkeypatch):
+    # C15 over F_11 has ten blocks: 20 factorizations decide every split
+    # and certificate; searching on after a certificate took 85
+    calls = []
+    real = oracle.factor
+
+    def counting(mu, seed=0):
+        calls.append(mu.degree())
+        return real(mu, seed=seed)
+
+    monkeypatch.setattr(oracle, "factor", counting)
+    split = split_center(resolve_group(C15), f11, seed=0)
+    assert len(split.idempotents) == 10
+    assert len(calls) == 20
+
+
+def test_repeated_factor_of_a_minimal_polynomial_is_an_internal_error(sl32_s8, f11, monkeypatch, capsys):
+    def squared(mu, seed=0):
+        return [(mu, 2)]
+
+    monkeypatch.setattr(oracle, "factor", squared)
+    with pytest.raises(AssertionError, match="non-squarefree"):
+        split_center(sl32_s8, f11, seed=0)
+    code = cli.main(["oracle", "--group", C15, "--p", "11"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: internal check failed: non-squarefree")
 
 
 def test_split_f5_type2(sl32_s8):

@@ -14,7 +14,12 @@ F_p, and FieldSpec.mul_arrays is their one entrywise product.  There is one
 elimination, _rank_mod_p, on the F_p blow-up of an F_q matrix (each entry
 expanded by one einsum against the powers of the modulus's companion
 matrix): MatrixFq.rank reads the rank off it, and minpoly reads the minimal
-polynomial off the echelon form of its Krylov matrix.  Overflow rule: below
+polynomial off the echelon form of its Krylov matrix.  A matrix whose
+entries all lie in F_p skips the blow-up: MatrixFq.rank eliminates its
+constant coefficients, since rank does not change under field extension.
+The elimination delays its reductions: each pivot subtracts unreduced
+products of at most (p - 1)**2, and the trailing block is reduced only
+before t updates could break p + t (p - 1)**2 < 2**63.  Overflow rule: below
 p = 2**31 arrays are int64 and sums of products are reduced modulo p before
 they can pass 2**63 - 1; from 2**31 up arrays hold Python ints (dtype
 object), on which the same numpy code is exact.
@@ -838,9 +843,14 @@ class MatrixFq:
         self.nrows, self.ncols = arr.shape[:2]
 
     def rank(self) -> int:
-        """Exact rank: the F_p rank of the blow-up is k times the rank over F_q."""
-        k = self.spec.k
-        rk = _rank_mod_p(_blow_up(self.spec, self.arr), self.spec.p)
+        """Exact rank.  When every entry lies in F_p it is the F_p rank of the
+        constant coefficients, since rank does not change under field
+        extension; otherwise the F_p rank of the blow-up is k times the rank
+        over F_q."""
+        p, k = self.spec.p, self.spec.k
+        if not self.arr[..., 1:].any():
+            return _rank_mod_p(self.arr[..., 0].copy(), p)
+        rk = _rank_mod_p(_blow_up(self.spec, self.arr), p)
         if rk % k:
             raise AssertionError("blown-up rank not divisible by extension degree (bug)")
         return rk // k
@@ -868,24 +878,40 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     ints from there up) by Gaussian elimination in place.  On return a is
     reduced mod p and in row echelon form: rows 0..r-1 are the pivot rows,
     each zero left of its pivot and with the pivot scaled to 1, every entry
-    below a pivot is zero, and rows r and up are zero."""
+    below a pivot is zero, and rows r and up are zero.
+
+    Reduction is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
+    each pivot reduces only its column and its row, and subtracts the
+    unreduced products col * row, each at most (p - 1)**2, from the rows
+    below.  After t such updates an entry lies in (-t (p - 1)**2, p), so the
+    trailing block is reduced once every ``period`` updates, the most with
+    p + t (p - 1)**2 < 2**63; Python ints reduce on every update."""
     a %= p
     nrows, ncols = a.shape
-    r = 0
+    period = 1 if a.dtype == object else (2**63 - 1 - p) // (p - 1) ** 2
+    r = pending = 0
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        col = a[r:, c] % p
+        nz = np.nonzero(col)[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = (a[r, c:] * inv) % p
-        below = np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            sel = r + 1 + below
-            a[sel, c:] = (a[sel, c:] - np.outer(a[sel, c], a[r, c:])) % p
+        row = a[r, c:] % p
+        row = row * pow(int(row[0]), -1, p) % p
+        a[r, c:] = row
+        if nz.size > 1:
+            # the row swapped down to pr has a zero in column c, so nz[1:]
+            # still indexes the rows below the pivot that need the update
+            sel = r + nz[1:]
+            a[sel, c:] -= np.outer(col[nz[1:]], row)
+            pending += 1
+            if pending == period:
+                a[r + 1 :, c:] %= p
+                pending = 0
         r += 1
+    a %= p
     return r

@@ -1,8 +1,9 @@
 """Differential tests of the array kernels: the F_q product of arrays and the
 group-algebra product against plain FieldElement arithmetic, the center's
 products against the group algebra's, minimal polynomials against their
-definition, and the companion-matrix rank expansion against a plain
-FieldElement row reduction."""
+definition, the companion-matrix rank expansion against a plain
+FieldElement row reduction, and the echelon form that the delayed-reduction
+elimination leaves against a plain-Python one."""
 
 import random
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
+from wedderburn.ffield import _blow_up, _rank_mod_p
 from wedderburn.oracle import _CenterAlgebra, _right_ideal_dimension
 
 FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0),
@@ -232,3 +234,72 @@ def test_from_array_rows_are_what_rank_sees():
     assert arr.sum() == 3  # rank eliminates a copy
     m.arr[2] = 0
     assert m.rank() == 2
+
+
+def reference_echelon(rows, p):
+    """The row echelon form _rank_mod_p promises, on lists of Python ints
+    reduced at every step: first nonzero pivot, swapped up, scaled to 1."""
+    out = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(out[0])):
+        pr = next((i for i in range(r, len(out)) if out[i][c]), None)
+        if pr is None:
+            continue
+        out[r], out[pr] = out[pr], out[r]
+        inv = pow(out[r][c], -1, p)
+        out[r] = [x * inv % p for x in out[r]]
+        for i in range(r + 1, len(out)):
+            f = out[i][c]
+            if f:
+                out[i] = [(x - f * y) % p for x, y in zip(out[i], out[r])]
+        r += 1
+    return out
+
+
+def _worst_case_rows(p, n):
+    """L U mod p with L unit lower and U unit upper triangular, p - 1 off the
+    diagonal: every pivot's column and scaled row are p - 1 below and right
+    of it, so every update subtracts (p - 1)**2 from every trailing entry."""
+    low = [[1 if i == j else p - 1 if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else p - 1 if j > i else 0 for j in range(n)] for i in range(n)]
+    return [[sum(low[i][t] * up[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
+
+
+# the unreduced updates between two reductions of the trailing block:
+# (2**63 - 1 - p) // (p - 1)**2 is about 9.2e16, 8 and 2
+@pytest.mark.parametrize("p", [11, 1073741789, 2**31 - 1])
+def test_delayed_reduction_leaves_the_reference_echelon_form(p):
+    rng = random.Random(p)
+    low_rank = np.array([[rng.randrange(p) for _ in range(31)] for _ in range(44)], dtype=object).dot(
+        np.array([[rng.randrange(p) for _ in range(36)] for _ in range(31)], dtype=object)) % p
+    cases = [_worst_case_rows(p, 40), [[rng.randrange(p) for _ in range(44)] for _ in range(36)], low_rank.tolist()]
+    for rows, rank in zip(cases, (40, 36, 31)):
+        a = np.array(rows, dtype=np.int64)
+        assert _rank_mod_p(a, p) == rank
+        assert a.tolist() == reference_echelon(rows, p)
+
+
+def test_rank_blows_up_entries_outside_fp():
+    # diag(x, 1) over F_{13^3}: rank 2, though its constant coefficients
+    # diag(0, 1) have rank 1
+    spec = FIELDS[(13, 3)]
+    x = spec.element([0, 1, 0])
+    m = as_matrix(spec, [[x, spec.zero], [spec.zero, spec.one]])
+    assert m.rank() == 2
+    assert _rank_mod_p(m.arr[..., 0].copy(), spec.p) == 1
+
+
+def test_rank_of_fp_entries_skips_the_blow_up(monkeypatch):
+    spec = FIELDS[(13, 3)]
+    rng = random.Random(13)
+    rows = [[spec.element(rng.randrange(spec.p)) for _ in range(7)] for _ in range(3)]
+    rows += [[a + b for a, b in zip(rows[0], rows[1])], rows[2]]
+    m = as_matrix(spec, rows)
+    expected = _rank_mod_p(_blow_up(spec, m.arr), spec.p) // spec.k
+    assert expected == reference_rank(rows) == 3
+
+    def no_blow_up(*args):
+        raise AssertionError("an F_p-valued matrix was blown up")
+
+    monkeypatch.setattr("wedderburn.ffield._blow_up", no_blow_up)
+    assert m.rank() == expected

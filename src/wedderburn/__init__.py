@@ -19,9 +19,8 @@ from .ffield import (
     is_prime,
     make_field,
     minpoly,
-    minpoly_operator,
 )
-from .oracle import AlgebraElement, CentralSplit, center_basis, split_center, verify_split
+from .oracle import AlgebraElement, CentralSplit, split_center, verify_split
 from .perm import (
     BUILTIN_GROUPS,
     ConjClass,

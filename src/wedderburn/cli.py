@@ -166,6 +166,12 @@ def _check_p(p: int, G: FiniteGroup):
     check_p_min(p)
 
 
+def _exceeds_qmax(p: int, k: int, qmax: int) -> bool:
+    """p**k > qmax; a k above qmax's bit length decides it without building
+    p**k, since p >= 2."""
+    return k > qmax.bit_length() or p**k > qmax
+
+
 def _decimal_string(n: int) -> str:
     """Decimal digits of n >= 0, converted in pieces short enough for any
     int-to-str digit limit; the interpreter's setting is left alone."""
@@ -245,9 +251,8 @@ def cmd_decompose(args) -> int:
 def cmd_oracle(args) -> int:
     G = resolve_group(args.group)
     _check_p(args.p, G)
-    q = args.p**args.k
-    if q > args.qmax:
-        raise ValueError(f"q = {q} exceeds --qmax {args.qmax}")
+    if _exceeds_qmax(args.p, args.k, args.qmax):
+        raise ValueError(f"q = {args.p}^{args.k} exceeds --qmax {args.qmax}")
     spec = make_field(args.p, args.k, seed=args.seed)
     t0 = time.perf_counter()
     split = oracle_mod.split_center(G, spec, seed=args.seed)
@@ -329,7 +334,7 @@ def cmd_check(args) -> int:
             if splitting_field_check(dec) != (row.family_type == 1):
                 failures.append(f"{label}: splitting-field verdict mismatch")
                 continue
-            if args.with_oracle and p**k <= args.qmax:
+            if args.with_oracle and not _exceeds_qmax(p, k, args.qmax):
                 oracle_cells += 1
                 spec = make_field(p, k, seed=args.seed)
                 split = oracle_mod.split_center(G, spec, seed=args.seed)

@@ -23,9 +23,13 @@ class CycloContext:
     group: FiniteGroup
     p: int
     k: int
-    q: int
     e: int  # group exponent
     i_q: tuple[int, ...]  # the subgroup of residues mod e generated by q
+
+    @property
+    def q(self) -> int:
+        """p**k, computed on demand: the orbits need only q mod e."""
+        return self.p**self.k
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ def build_context(G: FiniteGroup, p: int, k: int) -> CycloContext:
     while cur not in i_q:
         i_q.add(cur)
         cur = cur * qm % e
-    return CycloContext(group=G, p=p, k=k, q=p**k, e=e, i_q=tuple(sorted(i_q)))
+    return CycloContext(group=G, p=p, k=k, e=e, i_q=tuple(sorted(i_q)))
 
 
 def cyclotomic_partition(ctx: CycloContext) -> CycloPartition:

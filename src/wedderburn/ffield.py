@@ -19,10 +19,12 @@ entries all lie in F_p skips the blow-up: MatrixFq.rank eliminates its
 constant coefficients, since rank does not change under field extension.
 The elimination delays its reductions: each pivot subtracts unreduced
 products of at most (p - 1)**2, and the trailing block is reduced only
-before t updates could break p + t (p - 1)**2 < 2**63.  Overflow rule: below
-p = 2**31 arrays are int64 and sums of products are reduced modulo p before
-they can pass 2**63 - 1; from 2**31 up arrays hold Python ints (dtype
-object), on which the same numpy code is exact.
+before t updates could break p + t (p - 1)**2 < 2**63.  Overflow rule:
+arrays are int64 when p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the
+bound FieldSpec.fold needs, and sums of products are reduced modulo p before
+they can pass 2**63 - 1; otherwise arrays hold Python ints (dtype object),
+on which the same numpy code is exact.  Every field make_field builds has
+p**k < 2**63 and so meets the bound whenever p < 2**31.
 """
 
 from __future__ import annotations
@@ -42,13 +44,11 @@ __all__ = [
     "make_field",
     "factor",
     "minpoly",
-    "minpoly_operator",
-    "poly_lcm",
 ]
 
 QMAX_BITS = 63  # p**k must stay below 2**63
 P_MIN = 5  # the least supported characteristic
-ARRAY_P_LIMIT = 2**31  # int64 arrays below this p, Python-int arrays from it up
+ARRAY_P_LIMIT = 2**31  # int64 arrays need p below this, Python-int arrays from it up
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the least strong pseudoprime to all of _MR_WITNESSES (Sorenson-Webster 2015)
@@ -141,7 +141,15 @@ class FieldSpec:
     polynomial of degree k.  For k = 1 the modulus is x itself and elements
     are length-1 coefficient vectors.  Built by make_field, which checks p
     and k and finds an irreducible modulus.  ``x_powers`` holds x^0 ..
-    x^(2k-2) mod the modulus as rows of dtype ``dtype``, the array dtype."""
+    x^(2k-2) mod the modulus as rows of dtype ``dtype``, the array dtype:
+    int64 when p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the bound fold
+    needs, and object (Python ints) otherwise.
+
+    With a prime power P = p**s in place of p, the same object is the Galois
+    ring (Z/P)[x]/(modulus) for a modulus irreducible mod p: add_t, sub_t,
+    neg_t, mul_t, fold and mul_arrays only add and multiply, so they are
+    exact there too, while inversion, and whatever relies on it, needs a
+    field."""
 
     __slots__ = ("p", "k", "q", "modulus", "dtype", "x_powers", "_pow_reds", "_zero", "_one")
 
@@ -165,7 +173,7 @@ class FieldSpec:
                     shifted[i] = (shifted[i] + top * reds[0][i]) % p
             cur = tuple(shifted)
         self._pow_reds = reds if k > 1 else []
-        self.dtype = np.int64 if p < ARRAY_P_LIMIT else object
+        self.dtype = np.int64 if p < ARRAY_P_LIMIT and p + (k - 1) * (p - 1) ** 2 < 2**63 else object
         self.x_powers = np.array(np.eye(k, dtype=int).tolist() + self._pow_reds, dtype=self.dtype)
         self._zero = FieldElement(self, (0,) * k)
         self._one = FieldElement(self, (1,) + (0,) * (k - 1))
@@ -404,7 +412,7 @@ def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
     check_p_min(p)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if p**k >= 2**QMAX_BITS:
+    if k >= QMAX_BITS or p**k >= 2**QMAX_BITS:  # the first test spares building a huge p**k
         raise ValueError(f"q = {p}^{k} exceeds the 2^{QMAX_BITS} bound")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -683,12 +691,6 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero() or b.is_zero():
-        return Polynomial.zero(a.spec)
-    return ((a * b) // a.gcd(b)).monic()
-
-
 # factorization ---------------------------------------------------------------
 
 
@@ -813,19 +815,6 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray, dim: int) -> Polynomial:
     for r in range(kt - 1, -1, -1):
         y[r] = (-a[r, kt] - (a[r, r + 1 : kt] * y[r + 1 :] % p).sum()) % p
     return Polynomial(spec, [tuple(c) for c in y.reshape(-1, k).tolist()] + [spec.one.coeffs])
-
-
-def minpoly_operator(spec: FieldSpec, apply, dim: int) -> Polynomial:
-    """Minimal polynomial of the operator itself: the lcm of per-vector
-    minimal polynomials over the standard basis, with early exit at degree dim."""
-    acc = Polynomial.one(spec)
-    for i in range(dim):
-        e = np.zeros((dim, spec.k), dtype=spec.dtype)
-        e[i, 0] = 1
-        acc = poly_lcm(acc, minpoly(spec, apply, e, dim))
-        if acc.degree() == dim:
-            break
-    return acc
 
 
 # exact linear algebra ---------------------------------------------------------

@@ -10,21 +10,17 @@ equals the block dimension, which certifies the block center is a field; the
 search on that block stops there, since no element can split a field and
 primitive central idempotents are unique.
 For each primitive idempotent e the center degree d = dim e*Z is read off
-the splitting, and the block dimension D = dim e*F_q[G] is pinned by a
-certificate that needs no |G| x |G| rank in most cases.  Four facts each
-confine D to a set:
-  - left multiplication by e is a projection onto e*F_q[G], and its trace in
-    the group basis is |G| * e(1), so D = |G| * e(1) mod p (e(1), the
-    identity coefficient, lies in F_p);
-  - the block is simple with center the field e*Z, so it is M_n(F_{q^d})
-    and D = d * n^2 <= |G|;
-  - the idempotents are orthogonal and sum to 1, so the D_i sum to |G|;
-  - the rank of any submatrix of the matrix of right translates of e is at
-    most D, whatever rows and columns were drawn.
-So the true D_i never leaves its feasible set, and a set with one value left
-is a proof.  When p > |G| the congruence alone leaves one value; blocks left
-open after a fixed number of submatrix ranks get the full rank.  The matrix
-size n then satisfies D = d * n^2 exactly.
+the splitting, and the block dimension D = dim e*F_q[G] off a trace, with
+no rank of a |G| x |G| matrix.  Left multiplication by e is a projection
+onto e*F_q[G], and its trace in the group basis is |G| * e(1), so
+D = |G| * e(1) mod p.  To make that exact for every p, e is lifted to the
+Galois ring (Z/p^s)[x]/(modulus), s the least exponent with p^s > |G|, by
+Newton's step e <- 3e^2 - 2e^3 (the standard lifting of idempotents; Curtis
+and Reiner, Methods of Representation Theory I, 1981).  The lift is a
+central idempotent; left multiplication by it projects onto a free module of
+rank D with trace |G| * e(1), and 1 <= D <= |G| < p^s, so D is that trace
+mod p^s.  The block is simple with center the field e*Z, so it is
+M_n(F_{q^d}) and the matrix size n satisfies D = d * n^2; the D sum to |G|.
 
 Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product
 writes the coefficient of g as sum over h of a(h^-1) * b(h g): it gathers
@@ -52,10 +48,9 @@ from .errors import ModularCaseError
 from .ffield import FieldElement, FieldSpec, MatrixFq, Polynomial, factor, minpoly
 from .perm import FiniteGroup
 
-__all__ = ["AlgebraElement", "CentralSplit", "center_basis", "split_center", "verify_split"]
+__all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
 
 MAX_RANDOM_DRAWS = 40  # random central elements tried per block after the class sums
-MAX_SUBMATRIX_TESTS = 48  # submatrix ranks per split before full ranks; S6 over F_7 needs 22
 
 
 class AlgebraElement:
@@ -91,12 +86,6 @@ class AlgebraElement:
     def from_group_index(cls, group, spec, i: int) -> "AlgebraElement":
         out = cls.zero(group, spec)
         out.arr[i, 0] = 1
-        return out
-
-    @classmethod
-    def class_sum(cls, group, spec, class_index: int) -> "AlgebraElement":
-        out = cls.zero(group, spec)
-        out.arr[sorted(group.classes[class_index].indices), 0] = 1
         return out
 
     @property
@@ -159,11 +148,6 @@ class AlgebraElement:
         return f"AlgebraElement(support={support}/{self.group.order})"
 
 
-def center_basis(G: FiniteGroup, spec: FieldSpec) -> list[AlgebraElement]:
-    """One class sum per conjugacy class; they commute pairwise and span the center."""
-    return [AlgebraElement.class_sum(G, spec, ci) for ci in range(len(G.classes))]
-
-
 @dataclass(frozen=True)
 class CentralSplit:
     """The primitive central idempotents together with, per block, the block
@@ -183,7 +167,9 @@ class _CenterAlgebra:
     """The center of F_q[G] in the class-sum basis.  Vectors are (m, k)
     coefficient arrays of dtype spec.dtype; products run against the integer
     class-product coefficients c, and every entry of c[i].T @ v is below
-    |G| * p (column k of c[i] sums to |K_i|)."""
+    |G| * p (column k of c[i] sums to |K_i|).  The products only add and
+    multiply, so over spec = FieldSpec(p^s, k, modulus) they are those of
+    the center of the group ring over the Galois ring."""
 
     def __init__(self, G: FiniteGroup, spec: FieldSpec):
         self.G = G
@@ -279,13 +265,10 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     """Compute the primitive central idempotents of F_q[G] and each block's
     (matrix size, center degree) by explicit calculation in the algebra.
 
-    Each block dimension D comes from the certificate in the module
-    docstring, worked by _pin_block_dims: the candidates d * n^2 <= |G|
-    congruent to |G| * e(1) mod p, bounded below by ranks of random
-    submatrices of the block's matrix E(h g) and above by |G| minus the other
-    blocks' lower bounds.  When p > |G| the congruence alone pins every D;
-    once MAX_SUBMATRIX_TESTS submatrix ranks are spent, each block still open
-    gets the full rank of E(h g)."""
+    The refinement works in the center, whose ranks are m x m for m classes.
+    Each block dimension D is the trace of the idempotent lifted mod p^s, as
+    in the module docstring; split_center checks that every D is d * n^2 for
+    an integer n >= 1 and that the D sum to |G|."""
     if G.order % spec.p == 0:
         raise ModularCaseError(spec.p, G.order)
     Z = _CenterAlgebra(G, spec)
@@ -304,21 +287,12 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     final.sort(key=lambda ed: ed[0][:, ::-1].tolist())
     idempotents = [Z.to_algebra(e) for e, _ in final]
     center_dims = [d for _, d in final]
-    candidates = []
-    for e, d in final:
-        if e[0, 1:].any():
-            raise AssertionError("identity coefficient of an idempotent is not in F_p (bug)")
-        trace = G.order * int(e[0, 0]) % spec.p
-        candidates.append([d * n * n for n in range(1, math.isqrt(G.order // d) + 1)
-                           if (d * n * n - trace) % spec.p == 0])
-
-    def submatrix_rank(i: int, w: int) -> int:
-        rows, cols = rng.sample(range(G.order), w), rng.sample(range(G.order), w)
-        return MatrixFq(spec, idempotents[i].arr[G.mul_table[np.ix_(rows, cols)]]).rank()
-
-    block_dims = _pin_block_dims(G.order, candidates, submatrix_rank,
-                                 lambda i: _right_ideal_dimension(idempotents[i]))
+    block_dims = _lifted_block_dims(G, spec, [e for e, _ in final])
     sizes = [math.isqrt(D // d) for D, d in zip(block_dims, center_dims)]
+    if any(n < 1 or d * n * n != D for D, d, n in zip(block_dims, center_dims, sizes)):
+        raise AssertionError("a block dimension is not d * n^2 (bug)")
+    if sum(block_dims) != G.order:
+        raise AssertionError("block dimensions do not sum to |G| (bug)")
     order = sorted(range(len(final)), key=lambda i: (center_dims[i], sizes[i], i))
     return CentralSplit(
         idempotents=tuple(idempotents[i] for i in order),
@@ -328,54 +302,26 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     )
 
 
-def _pin_block_dims(total: int, candidates, lower_bound, exact) -> list[int]:
-    """The block dimensions D_i, given that D_i lies in the list candidates[i]
-    (ascending) and that the D_i sum to total.
-
-    lower_bound(i, w) must return a number at most D_i, found from a w x w
-    submatrix; exact(i) must return D_i.  Each block keeps a proven lower
-    bound L_i, and its feasible set is the candidates in
-    [L_i, total - sum over j != i of L_j].  Every L_i is raised to the least
-    value of its feasible set until nothing changes; a block whose feasible
-    set is one value is pinned, and pinning raises the bounds that cap the
-    others.  While a block is open, the open block with the fewest misses
-    (tests that left its least feasible value standing, as every test does
-    when that value is D_i), then with the smallest second feasible value,
-    gets a lower bound from a submatrix of width that value + 2; after
-    MAX_SUBMATRIX_TESTS tests, open blocks get exact(i) one at a time, which
-    leaves the feasible set {exact(i)} or, if that is not feasible, empty.
-    An empty feasible set, or pinned values that miss the total, raise
-    AssertionError."""
-    candidates = [list(c) for c in candidates]
-    lower = [0] * len(candidates)
-    misses = [0] * len(candidates)
-    budget = MAX_SUBMATRIX_TESTS
-    while True:
-        while True:
-            slack = total - sum(lower)
-            feasible = [[D for D in c if lo <= D <= lo + slack] for c, lo in zip(candidates, lower)]
-            if not all(feasible):
-                raise AssertionError("no block dimension fits the trace and the bounds (bug)")
-            least = [f[0] for f in feasible]
-            if least == lower:
-                break
-            lower = least
-        open_blocks = [i for i, f in enumerate(feasible) if len(f) > 1]
-        if not open_blocks:
-            if slack:
-                raise AssertionError("pinned block dimensions do not sum to the total (bug)")
-            return lower
-        i = min(open_blocks, key=lambda i: (misses[i], feasible[i][1], i))
-        if budget:
-            budget -= 1
-            bound = lower_bound(i, min(feasible[i][1] + 2, total))
-            if bound > lower[i]:
-                lower[i] = bound
-            else:
-                misses[i] += 1
-        else:
-            D = exact(i)
-            candidates[i] = [D] if D in candidates[i] else []
+def _lifted_block_dims(G: FiniteGroup, spec: FieldSpec, idempotents) -> list[int]:
+    """D = dim e*F_q[G] for each (m, k) class-sum idempotent e, read off the
+    trace |G| * e(1) of e lifted to the Galois ring FieldSpec(p^s, k,
+    modulus), s the least exponent with p^s > |G|.  Each Newton step
+    e <- 3e^2 - 2e^3 doubles the power of p modulo which e^2 = e holds, so
+    ceil(log2 s) steps lift e mod p^s; when p > |G|, s = 1 and no step runs."""
+    P, s = spec.p, 1
+    while P <= G.order:
+        P, s = P * spec.p, s + 1
+    Z = _CenterAlgebra(G, FieldSpec(P, spec.k, spec.modulus))
+    dims = []
+    for e in idempotents:
+        e = e.astype(Z.spec.dtype)
+        for _ in range((s - 1).bit_length()):
+            e2 = Z.mul(e, e)
+            e = (3 * e2 - 2 * Z.mul(e2, e)) % P
+        if e[0, 1:].any():
+            raise AssertionError("identity coefficient of a lifted idempotent is not in Z/p^s (bug)")
+        dims.append(G.order * int(e[0, 0]) % P)
+    return dims
 
 
 def _right_ideal_dimension(E: AlgebraElement) -> int:
@@ -390,9 +336,9 @@ def verify_split(split: CentralSplit) -> bool:
     """Recheck every invariant of a central splitting by explicit algebra
     multiplication and rank computation; returns False on the first failure.
     Each block dimension is recomputed as the full rank of the block's
-    |G| x |G| matrix of right translates, a route independent of the trace
-    certificate split_center uses, and must also satisfy D = |G| * e(1)
-    mod p with e(1) in F_p."""
+    |G| x |G| matrix of right translates, a route independent of the lifted
+    trace split_center uses, and must also satisfy D = |G| * e(1) mod p
+    with e(1) in F_p."""
     es = split.idempotents
     if not es:
         return False

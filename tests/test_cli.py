@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,21 @@ def test_oracle_respects_qmax(capsys):
     code, _, err = run(capsys, ["oracle", "--p", "11", "--k", "12"])
     assert code == 2
     assert "qmax" in err
+
+
+def test_huge_k_ends_quickly():
+    # no command builds p**k: decompose and check need only p**k mod the
+    # group exponent, and oracle and check's cross-check compare k with the
+    # bit length of --qmax first
+    path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for command, code, err in (("decompose", 0, ""), ("oracle", 2, "exceeds --qmax"), ("check --with-oracle", 0, "")):
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "wedderburn", *command.split(), "--p", "11", "--k", "100000000"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert err in proc.stderr
+        assert time.perf_counter() - t0 < 2, command
 
 
 def test_oracle_text_stdout_is_deterministic(capsys):

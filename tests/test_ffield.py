@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wedderburn import (
+    FieldSpec,
     MatrixFq,
     Polynomial,
     factor,
     is_prime,
     make_field,
     minpoly,
-    minpoly_operator,
 )
-from wedderburn.ffield import poly_lcm
 
 from test_kernels import as_matrix, reference_rank
 
@@ -64,6 +63,21 @@ def test_make_field_rejects():
         make_field(5, 0)
     with pytest.raises(ValueError):
         make_field(5, 40)  # 5^40 is far beyond the 2^63 bound
+    with pytest.raises(ValueError):
+        make_field(5, 10**8)  # rejected without building 5^k
+
+
+@pytest.mark.parametrize("p,k,dtype", [
+    (11, 1, np.int64),
+    (11**3, 12, np.int64),  # a Galois ring mod 11^3: 1331 + 11 * 1330**2 < 2**63
+    (2**31 - 1, 3, np.int64),  # p + 2 (p - 1)**2 < 2**63
+    (2**31 - 1, 4, object),  # p + 3 (p - 1)**2 > 2**63, though p < 2**31
+    (2**31 + 11, 1, object),
+])
+def test_field_spec_dtype_follows_the_fold_bound(p, k, dtype):
+    spec = FieldSpec(p, k, (1,) + (0,) * (k - 1) + (1,))
+    assert spec.dtype is dtype
+    assert (dtype is np.int64) == (p < 2**31 and p + (k - 1) * (p - 1) ** 2 < 2**63)
 
 
 def test_make_field_accepts_7():
@@ -279,7 +293,8 @@ def test_minpoly_companion_matrix(f11):
         cs = [f11.element(c) for c in out.coeffs]
         return _vector(cs + [f11.zero] * (3 - len(cs)))
 
-    got = minpoly_operator(f11, apply, 3)
+    # 1 is a cyclic vector: 1, x, x^2 span F_11[x]/(f)
+    got = minpoly(f11, apply, _vector([f11.one, f11.zero, f11.zero]), 3)
     assert got == f.monic()
 
 
@@ -312,18 +327,9 @@ def test_minpoly_divides_charpoly(f11):
             w = [f11.element(c) for c in w.tolist()]
             return _vector([sum((rows[i][j] * w[j] for j in range(3)), f11.zero) for i in range(3)])
 
-        mp = minpoly_operator(f11, apply, 3)
+        mp = minpoly(f11, apply, _vector([f11.random_element(rng) for _ in range(3)]), 3)
         cp = _charpoly_3x3(f11, rows)
         assert (cp % mp).is_zero()
-
-
-def test_poly_lcm(f11):
-    x = Polynomial.x(f11)
-    a = (x - Polynomial.one(f11)) * (x + Polynomial.one(f11))
-    b = (x - Polynomial.one(f11)) * x
-    l = poly_lcm(a, b)
-    assert l.degree() == 3
-    assert (l % a).is_zero() and (l % b).is_zero()
 
 
 def test_row_reduce_identity_and_zero(f11):

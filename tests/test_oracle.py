@@ -5,11 +5,11 @@ import pytest
 
 from wedderburn import (
     AlgebraElement,
+    MatrixFq,
     ModularCaseError,
     Permutation,
     analytic_decomposition,
     build_context,
-    center_basis,
     component_count_and_degrees,
     generate,
     make_field,
@@ -53,8 +53,18 @@ def test_multiply_rejects_mismatch(sl32_s8, s5, f11, f13):
         a * AlgebraElement.unit(sl32_s8, f13)
 
 
+def class_sums(G, spec):
+    """One class sum per conjugacy class, in class order."""
+    sums = []
+    for c in G.classes:
+        s = AlgebraElement.zero(G, spec)
+        s.arr[sorted(c.indices), 0] = 1
+        sums.append(s)
+    return sums
+
+
 def test_class_sums_are_central(sl32_s8, f11):
-    sums = center_basis(sl32_s8, f11)
+    sums = class_sums(sl32_s8, f11)
     assert len(sums) == 6
     deltas = [AlgebraElement.from_group_index(sl32_s8, f11, sl32_s8.index(g)) for g in sl32_s8.generators]
     for s in sums:
@@ -63,11 +73,6 @@ def test_class_sums_are_central(sl32_s8, f11):
     for a in sums:
         for b in sums:
             assert a * b == b * a
-
-
-def test_center_basis_trivial_group(f11):
-    G = generate([Permutation.identity(1)])
-    assert len(center_basis(G, f11)) == 1
 
 
 def test_all_ones_squared(sl32_s8, f11):
@@ -151,7 +156,44 @@ def test_split_ranks_each_center_block_once(sl32_s8, f11, monkeypatch):
     assert len(seen) == calls + len(split.idempotents)
 
 
-C15 = f"file:{Path(__file__).resolve().parents[1] / 'bench' / 'groups' / 'c15.txt'}"
+GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
+C15 = f"file:{GROUP_DIR / 'c15.txt'}"
+
+
+@pytest.mark.parametrize("group,p,k", [("builtin:sl32-s8", 11, 1), ("builtin:sl32-s8", 13, 3),
+                                       (f"file:{GROUP_DIR / 's6.txt'}", 7, 1)],
+                         ids=["sl32-F11", "sl32-F13^3", "s6-F7"])
+def test_split_ranks_only_center_matrices(group, p, k, monkeypatch):
+    # every rank split_center takes is of an m x m center matrix; block
+    # dimensions come from the lifted trace, not from ranks of |G| x |G|
+    # matrices or their submatrices
+    G = resolve_group(group)
+    rows = []
+    rank = MatrixFq.rank
+
+    def recording(self):
+        rows.append(self.nrows)
+        return rank(self)
+
+    monkeypatch.setattr(MatrixFq, "rank", recording)
+    split_center(G, make_field(p, k, seed=0), seed=0)
+    assert rows and max(rows) <= len(G.classes)
+
+
+def test_lifted_dims_that_miss_the_order_are_an_internal_error(sl32_s8, f11, monkeypatch, capsys):
+    real = oracle._lifted_block_dims
+
+    def off_by_a_block(G, spec, idempotents):
+        dims = real(G, spec, idempotents)
+        return [4 if D == 1 else D for D in dims]  # still d * n^2, but the sum misses |G|
+
+    monkeypatch.setattr(oracle, "_lifted_block_dims", off_by_a_block)
+    with pytest.raises(AssertionError, match="do not sum to"):
+        split_center(sl32_s8, f11, seed=0)
+    code = cli.main(["oracle", "--p", "11"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: internal check failed: block dimensions do not sum to")
 
 
 def test_refinement_stops_at_a_certified_block(f11, monkeypatch):

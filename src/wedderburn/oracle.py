@@ -335,49 +335,40 @@ def _right_ideal_dimension(E: AlgebraElement) -> int:
 def verify_split(split: CentralSplit) -> bool:
     """Recheck every invariant of a central splitting by explicit algebra
     multiplication and rank computation; returns False on the first failure.
-    Each block dimension is recomputed as the full rank of the block's
-    |G| x |G| matrix of right translates, a route independent of the lifted
-    trace split_center uses, and must also satisfy D = |G| * e(1) mod p
-    with e(1) in F_p."""
+
+    The checks run in this order, each invariant once:
+    1. the four tuples have one entry per block, and there is a block;
+    2. every e_i is constant on conjugacy classes, so central (the class sums
+       span the center of F_q[G]);
+    3. the e_i sum to 1;
+    4. e_i * e_j = 0 for i < j.  Central elements commute, so this covers
+       i > j, and e_i = e_i * sum_j e_j = e_i^2: the e_i are idempotent;
+    5. per block, d >= 1, n >= 1 and D = d * n^2, the D sum to |G|, the trace
+       congruence D = |G| * e(1) mod p holds with e(1) in F_p, d is the rank
+       of e*Z and D the full rank of the block's |G| x |G| matrix of right
+       translates.  That rank is a route independent of the lifted trace
+       split_center uses, and D >= 1 makes it prove e != 0."""
     es = split.idempotents
-    if not es:
+    if not es or not len(es) == len(split.block_dims) == len(split.center_dims) == len(split.matrix_sizes):
         return False
     G = es[0].group
     spec = es[0].spec
-    # idempotent system: e_i e_j = delta_ij e_i and the e_i sum to 1
+    reps = [G.index(c.representative) for c in G.classes]  # each class's first-seen index
+    class_first = [reps[ci] for ci in G.class_index_of]
+    if any(not np.array_equal(e.arr, e.arr[class_first]) for e in es):
+        return False
     total = AlgebraElement.zero(G, spec)
     for e in es:
         total = total + e
     if total != AlgebraElement.unit(G, spec):
         return False
-    for i, a in enumerate(es):
-        for j, b in enumerate(es):
-            prod = a * b
-            if i == j:
-                if prod != a:
-                    return False
-            elif not prod.is_zero():
-                return False
-    # centrality, witnessed on the generators
-    for gen in G.generators:
-        gi = G.index(gen)
-        delta = AlgebraElement.from_group_index(G, spec, gi)
-        for e in es:
-            if delta * e != e * delta:
-                return False
-    # coefficients constant on conjugacy classes
-    class_first = [min(G.classes[ci].indices) for ci in G.class_index_of]
-    for e in es:
-        if not np.array_equal(e.arr, e.arr[class_first]):
-            return False
-    # dimension bookkeeping: D_i = d_i * n_i^2, sum D_i = |G|, the trace
-    # congruence holds and the ranks agree
+    if any(not (a * b).is_zero() for a, b in itertools.combinations(es, 2)):
+        return False
     if sum(split.block_dims) != G.order:
         return False
     Z = _CenterAlgebra(G, spec)
-    reps = [G.index(c.representative) for c in G.classes]
     for e, D, d, n in zip(es, split.block_dims, split.center_dims, split.matrix_sizes):
-        if d * n * n != D:
+        if d < 1 or n < 1 or d * n * n != D:
             return False
         if e.arr[0, 1:].any() or (G.order * int(e.arr[0, 0]) - D) % spec.p:
             return False

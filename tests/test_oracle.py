@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -138,6 +139,74 @@ def test_verify_checks_the_trace_congruence(split11, monkeypatch):
     assert not verify_split(swapped)
 
 
+def test_verify_rejects_a_zero_idempotent(sl32_s8, f11, split11):
+    # an extra zero block keeps the sum, orthogonality and idempotence;
+    # unequal tuples must not be truncated away, and an appended
+    # (D, d, n) = (0, 0, 0) must not pass as D = d * n^2
+    es = split11.idempotents + (AlgebraElement.zero(sl32_s8, f11),)
+    assert not verify_split(dataclasses.replace(split11, idempotents=es))
+    padded = dataclasses.replace(split11, idempotents=es, block_dims=split11.block_dims + (0,),
+                                 center_dims=split11.center_dims + (0,),
+                                 matrix_sizes=split11.matrix_sizes + (0,))
+    assert not verify_split(padded)
+
+
+def counting_products(monkeypatch):
+    """Count the AlgebraElement products made from here on."""
+    calls = []
+    mul = AlgebraElement.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    return calls
+
+
+def test_verify_rejects_class_functions_that_are_not_orthogonal(split11, monkeypatch):
+    # (2 e0, e1 - e0) are central and still sum to 1, but their product is
+    # -2 e0 and neither is idempotent: the first product rejects them
+    e0, e1 = split11.idempotents[:2]
+    es = (e0 + e0, e1 - e0) + split11.idempotents[2:]
+    calls = counting_products(monkeypatch)
+    assert not verify_split(dataclasses.replace(split11, idempotents=es))
+    assert len(calls) == 1
+
+
+def test_verify_rejects_a_sum_preserving_non_central_change(sl32_s8, f11, split11, monkeypatch):
+    # move one coefficient of a nontrivial class from e3 to e2: the sum is
+    # still 1, but neither is constant on that class, which verify checks
+    # before any product
+    cls = sl32_s8.classes[1]
+    assert cls.size > 1
+    delta = AlgebraElement.from_group_index(sl32_s8, f11, max(cls.indices))
+    es = list(split11.idempotents)
+    es[2], es[3] = es[2] + delta, es[3] - delta
+    calls = counting_products(monkeypatch)
+    assert not verify_split(dataclasses.replace(split11, idempotents=tuple(es)))
+    assert not calls
+
+
+def test_verify_rejects_a_missing_block_before_any_product(split11, monkeypatch):
+    # the other blocks are still central, orthogonal and idempotent, but
+    # their sum is not 1
+    dropped = type(split11)(split11.idempotents[:-1], split11.block_dims[:-1],
+                            split11.center_dims[:-1], split11.matrix_sizes[:-1])
+    calls = counting_products(monkeypatch)
+    assert not verify_split(dropped)
+    assert not calls
+
+
+@pytest.mark.parametrize("p,products", [(11, 15), (13, 10)])
+def test_verify_makes_one_product_per_pair_of_blocks(sl32_s8, p, products, monkeypatch):
+    # m(m-1)/2 products for m blocks: 6 blocks over F_11, 5 over F_13
+    split = split_center(sl32_s8, make_field(p), seed=0)
+    calls = counting_products(monkeypatch)
+    assert verify_split(split)
+    assert len(calls) == products
+
+
 def test_split_ranks_each_center_block_once(sl32_s8, f11, monkeypatch):
     # the final blocks reuse the center degree their last refinement ranked;
     # verify_split ranks every block again, on its own
@@ -266,3 +335,14 @@ def test_split_s5(s5, f11):
     split = split_center(s5, f11, seed=0)
     assert split.pairs() == ((1, 1), (1, 1), (4, 1), (4, 1), (5, 1), (5, 1), (6, 1))
     assert verify_split(split)
+
+
+# the zoo groups of bench/workloads.py up to PSL(2,7), each at its two primes
+ZOO_PRIMES = {"c15": (11, 17), "q8": (5, 11), "d10": (7, 31), "a4": (5, 13), "s4": (7, 29),
+              "c7c3": (11, 43), "a5": (7, 61), "s5": (13, 127), "psl27": (13, 179)}
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name, ps in ZOO_PRIMES.items() for p in ps])
+def test_verify_split_on_the_zoo(name, p):
+    G = resolve_group(f"file:{GROUP_DIR / (name + '.txt')}")
+    assert verify_split(split_center(G, make_field(p), seed=0))

@@ -206,13 +206,22 @@ def _run_analytic(args, G: FiniteGroup) -> SolverReport:
     return analytic_decomposition(G, args.p, args.k, _actions_for(args.group, G))
 
 
+def _nonunique_json(report: SolverReport) -> str:
+    """The text of json.dumps({"candidates": [[{"d": d, "n": n}, ...], ...],
+    "unique": False}, indent=2, sort_keys=True), joined from one piece per
+    distinct block: with indent the json module drops to its pure-Python
+    encoder, which costs many times the bytes it writes."""
+    distinct = {c for dec in report.solutions for c in dec.components}
+    block = {c: f'      {{\n        "d": {c.d},\n        "n": {c.n}\n      }}' for c in distinct}
+    rows = ["    [\n" + ",\n".join(map(block.__getitem__, dec.components)) + "\n    ]"
+            for dec in report.solutions]
+    candidates = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return f'{{\n  "candidates": {candidates},\n  "unique": false\n}}'
+
+
 def _print_nonunique(report: SolverReport, fmt: str):
     if fmt == "json":
-        payload = {
-            "unique": False,
-            "candidates": [_component_json(d.pairs()) for d in report.solutions],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_nonunique_json(report))
     else:
         print(f"analytic solver found {len(report.solutions)} candidate decompositions:")
         for d in report.solutions:

@@ -60,18 +60,18 @@ class Permutation:
         return self.images[i]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        """(a*b)(i) = a(b(i))."""
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        oi = other.images
-        si = self.images
-        return Permutation(si[oi[i]] for i in range(len(si)))
+        """(a*b)(i) = a(b(i)).  A product of bijections is a bijection, so the
+        result is not checked again."""
+        si, oi = self.images, other.images
+        if len(si) != len(oi):
+            raise ValueError(f"degree mismatch: {len(si)} vs {len(oi)}")
+        return _bijection(tuple([si[j] for j in oi]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return _bijection(tuple(inv))
 
     def __pow__(self, m: int) -> "Permutation":
         m %= self.order()
@@ -118,6 +118,14 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}; deg {self.degree}]"
+
+
+def _bijection(images: tuple) -> Permutation:
+    """The Permutation of an image tuple already known to be a bijection,
+    built without the check."""
+    perm = object.__new__(Permutation)
+    perm.images = images
+    return perm
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:

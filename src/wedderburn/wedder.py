@@ -108,8 +108,11 @@ def solve(group_order: int, degrees, forced, p: int | None = None, k: int | None
     Every forced block consumes one degree-1 slot.  The remaining slots are
     filled with all matrix sizes n >= 1 such that the total mass equals the
     group order.  Sizes never increase within a degree, so each multiset
-    appears once; the enumeration is memoized on (slot, remaining mass,
-    largest n) and the candidates come sorted by their (d, n) keys.
+    appears once, and once the last slots share one degree, sizes too small
+    to hold the remaining mass are skipped.  The enumeration is memoized on
+    (slot, remaining mass, largest n) and works on (d, n) int pairs; the
+    candidates come sorted by those keys, with one Component built per
+    distinct block.
     """
     degrees = sorted(degrees)
     forced = tuple(sorted(forced, key=Component.sort_key))
@@ -126,27 +129,34 @@ def solve(group_order: int, degrees, forced, p: int | None = None, k: int | None
         raise ValueError(f"forced mass {forced_mass} exceeds group order {group_order}")
     slots = degrees[len(forced):]
     target = group_order - forced_mass
+    # tail[i]: the number of slots i.. when they all have slots[i]'s degree (slots are sorted), else 0
+    tail = [len(slots) - i if d == slots[-1] else 0 for i, d in enumerate(slots)]
 
     @lru_cache(maxsize=None)
-    def fill(i: int, rem: int, top: int) -> tuple[tuple[Component, ...], ...]:
-        """Every filling of slots i.. with masses summing to rem, n <= top in slot i."""
+    def fill(i: int, rem: int, top: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every filling of slots i.. as (d, n) pairs with masses summing to
+        rem, n <= top in slot i."""
         if i == len(slots):
             return ((),) if rem == 0 else ()
         d = slots[i]
         same = i + 1 < len(slots) and slots[i + 1] == d
+        # slots i.. of one degree d and sizes <= n hold at most tail[i] * d * n^2: n >= lo
+        lo = math.isqrt(max(rem - 1, 0) // (d * tail[i])) + 1 if tail[i] else 1
         return tuple(
-            (Component(n, d),) + rest
-            for n in range(min(top, math.isqrt(rem // d)), 0, -1)
+            ((d, n),) + rest
+            for n in range(min(top, math.isqrt(rem // d)), lo - 1, -1)
             for rest in fill(i + 1, rem - d * n * n, n if same else target)
         )
 
-    sols = fill(0, target, target)
+    forced_keys = tuple(c.sort_key() for c in forced)
+    keys = sorted(tuple(sorted(forced_keys + sol)) for sol in fill(0, target, target))
     fill.cache_clear()  # the wrapper is a reference cycle; free its entries now
-    decs = sorted(
-        (Decomposition(components=forced + sol, group_order=group_order, p=p, k=k) for sol in sols),
-        key=lambda dec: tuple(c.sort_key() for c in dec.components),
+    comps = {(d, n): Component(n, d) for d, n in set().union(*keys)}
+    decs = tuple(
+        Decomposition(components=tuple(map(comps.__getitem__, key)), group_order=group_order, p=p, k=k)
+        for key in keys
     )
-    return SolverReport(solutions=tuple(decs), unique=len(decs) == 1, forced=forced)
+    return SolverReport(solutions=decs, unique=len(decs) == 1, forced=forced)
 
 
 def is_sl32_class_data(G: FiniteGroup) -> bool:

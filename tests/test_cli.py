@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from wedderburn import cli
+from wedderburn.perm import load_group
+from wedderburn.wedder import SolverReport, analytic_decomposition
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,6 +111,52 @@ def test_decompose_nonunique_exits_4(capsys):
     code, out, _ = run(capsys, ["decompose", "--group", "builtin:s5", "--p", "11"])
     assert code == 4
     assert "candidate decompositions" in out
+
+
+@pytest.mark.parametrize("name, p, top_degree", [("s6", 11, 1), ("a6", 11, 1), ("a6", 367, 2),
+                                                 ("s5", 13, 1), ("d10", 7, 2), ("psl27", 179, 1)])
+def test_nonunique_json_matches_json_dumps(capsys, name, p, top_degree):
+    group = ROOT / "bench" / "groups" / f"{name}.txt"
+    code, out, _ = run(capsys, ["decompose", "--group", f"file:{group}", "--p", str(p),
+                                "--format", "json"])
+    assert code == 4
+    G = load_group(group)
+    report = analytic_decomposition(G, p, 1, [G])
+    # blocks over F_{q^2} exercise the writer's d = 2 pieces
+    assert max(c.d for dec in report.solutions for c in dec.components) == top_degree
+    candidates = [[{"n": n, "d": d} for n, d in dec.pairs()] for dec in report.solutions]
+    payload = {"unique": False, "candidates": candidates}
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_nonunique_json_without_candidates(capsys):
+    report = SolverReport(solutions=(), unique=False, forced=())
+    cli._print_nonunique(report, "json")
+    out = capsys.readouterr().out
+    assert out == json.dumps({"candidates": [], "unique": False}, indent=2, sort_keys=True) + "\n"
+    assert '"candidates": []' in out
+
+
+def test_decompose_s6_json_bytes_pinned(capsys):
+    # sha256 of the 3037-candidate listing as json.dumps(indent=2, sort_keys=True) printed it
+    group = ROOT / "bench" / "groups" / "s6.txt"
+    code, out, _ = run(capsys, ["decompose", "--group", f"file:{group}", "--p", "11",
+                                "--format", "json"])
+    assert code == 4
+    assert len(json.loads(out)["candidates"]) == 3037
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "3146a92ec6f857668b46cfb74ecbed5c02922e7b3b144dee6a47d6258e2455f1"
+
+
+def test_units_nonunique_prints_decompose_candidates(capsys):
+    argv = ["--group", "builtin:s5", "--p", "11", "--format", "json"]
+    code, out_units, _ = run(capsys, ["units", *argv])
+    assert code == 4
+    code, out_dec, _ = run(capsys, ["decompose", *argv])
+    assert code == 4
+    assert out_units == out_dec
+    data = json.loads(out_units)
+    assert data["unique"] is False and len(data["candidates"]) == 6
 
 
 def test_decompose_nonprime_exits_2(capsys):

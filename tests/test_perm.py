@@ -105,6 +105,25 @@ def test_compose_applies_right_factor_first():
     assert (a * b)(1) == 2
 
 
+@pytest.mark.parametrize("images", [[0, 0, 1], [1, 2, 3], [0, 2, 2, 1]])
+def test_permutation_rejects_non_bijections(images):
+    with pytest.raises(ValueError):
+        Permutation(images)
+
+
+def test_products_compose_right_to_left():
+    rng = random.Random(7)
+    for degree in (1, 2, 5, 9):
+        for _ in range(20):
+            a = Permutation(rng.sample(range(degree), degree))
+            b = Permutation(rng.sample(range(degree), degree))
+            ab = a * b
+            assert [ab(i) for i in range(degree)] == [a(b(i)) for i in range(degree)]
+            assert sorted(ab.images) == list(range(degree))
+            assert ab == Permutation(ab.images) and hash(ab) == hash(Permutation(ab.images))
+            assert a.inverse() * a == Permutation.identity(degree)
+
+
 def test_element_order():
     assert Permutation.identity(8).order() == 1
     assert parse_cycles("(2,3,5,4,7,8,6)", 8).order() == 7

@@ -22,12 +22,21 @@ rank D with trace |G| * e(1), and 1 <= D <= |G| < p^s, so D is that trace
 mod p^s.  The block is simple with center the field e*Z, so it is
 M_n(F_{q^d}) and the matrix size n satisfies D = d * n^2; the D sum to |G|.
 
+verify_split re-proves each D without the trace and without a |G| x |G|
+rank: once the idempotents are shown central, orthogonal and summing to 1,
+F_q[G] is the direct sum of the right ideals e*F_q[G], whose dimensions sum
+to |G|.  The rank of any submatrix of e's matrix of right translates is a
+lower bound on its D, so oversampled random submatrices whose ranks reach
+the claimed D, with the claimed D summing to |G|, prove every D exact.
+
 Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product
 writes the coefficient of g as sum over h of a(h^-1) * b(h g): it gathers
 its right factor through the group's multiplication table, permutes the
 left one by inversion, does k^2 matrix-vector products mod p and folds the
 result with FieldSpec.fold; the overflow rule is ffield's, with the sum over
-the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms.  The center
+the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms.  One kernel
+multiplies several left factors by one right factor against a single
+gather; a single product is its one-left call.  The center
 works in the class-sum basis on (m, k) arrays, m the number of classes:
 products by class sums are integer matmuls against the class-product
 coefficients, and general products and the evaluation of polynomials at a
@@ -51,6 +60,7 @@ from .perm import FiniteGroup
 __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
 
 MAX_RANDOM_DRAWS = 40  # random central elements tried per block after the class sums
+CERTIFICATE_OVERSAMPLE = 32  # rows and columns past D in verify_split's sampled submatrices
 
 
 class AlgebraElement:
@@ -114,14 +124,7 @@ class AlgebraElement:
             arr = spec.mul_arrays(self.arr, np.array(other.coeffs, dtype=spec.dtype))
         else:
             self._check_compatible(other)
-            # y[g, t, s] = sum over h of a_t(h^-1) * b_s(h g)
-            G = self.group
-            n, p, k = G.order, spec.p, spec.k
-            left = self.arr[G.inverse_indices]
-            gathered = other.arr[G.mul_table].reshape(n, n * k)
-            step = n if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
-            y = sum(left[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
-            arr = spec.fold((y % p).reshape(k, n, k).transpose(1, 0, 2))
+            arr = _products([self], other)[0]
         return AlgebraElement._from_array(self.group, spec, arr)
 
     def __rmul__(self, other):
@@ -146,6 +149,22 @@ class AlgebraElement:
     def __repr__(self) -> str:
         support = int(np.count_nonzero(self.arr.any(axis=1)))
         return f"AlgebraElement(support={support}/{self.group.order})"
+
+
+def _products(lefts, right: AlgebraElement) -> np.ndarray:
+    """The products a * right for every a in lefts, elements of right's
+    algebra, as one (len(lefts), |G|, k) array.  right is gathered through
+    the multiplication table once, and the stacked left factors, permuted by
+    inversion, meet it in one matmul per chunk of the sum over the group."""
+    G, spec = right.group, right.spec
+    n, p, k = G.order, spec.p, spec.k
+    m = len(lefts)
+    # y[i, g, t, s] = sum over h of a_{i,t}(h^-1) * b_s(h g)
+    left = np.stack([a.arr for a in lefts], axis=1)[G.inverse_indices].reshape(n, m * k)
+    gathered = right.arr[G.mul_table].reshape(n, n * k)
+    step = n if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
+    y = sum(left[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
+    return spec.fold((y % p).reshape(m, k, n, k).transpose(0, 2, 1, 3))
 
 
 @dataclass(frozen=True)
@@ -332,6 +351,16 @@ def _right_ideal_dimension(E: AlgebraElement) -> int:
     return MatrixFq(E.spec, E.arr[E.group.mul_table]).rank()
 
 
+def _sampled_rank(E: AlgebraElement, w: int, rng: random.Random) -> int:
+    """Rank of the w x w submatrix of E(h g) on w random rows h and w random
+    columns g, drawn from rng: a lower bound on _right_ideal_dimension(E).
+    Only its w^2 entries are gathered through the multiplication table."""
+    G = E.group
+    rows = rng.sample(range(G.order), w)
+    cols = rng.sample(range(G.order), w)
+    return MatrixFq(E.spec, E.arr[G.mul_table[np.ix_(rows, cols)]]).rank()
+
+
 def verify_split(split: CentralSplit) -> bool:
     """Recheck every invariant of a central splitting by explicit algebra
     multiplication and rank computation; returns False on the first failure.
@@ -341,13 +370,23 @@ def verify_split(split: CentralSplit) -> bool:
     2. every e_i is constant on conjugacy classes, so central (the class sums
        span the center of F_q[G]);
     3. the e_i sum to 1;
-    4. e_i * e_j = 0 for i < j.  Central elements commute, so this covers
+    4. e_i * e_j = 0 for i < j, one batched product per e_j against the
+       stacked e_0, ..., e_(j-1).  Central elements commute, so this covers
        i > j, and e_i = e_i * sum_j e_j = e_i^2: the e_i are idempotent;
     5. per block, d >= 1, n >= 1 and D = d * n^2, the D sum to |G|, the trace
        congruence D = |G| * e(1) mod p holds with e(1) in F_p, d is the rank
-       of e*Z and D the full rank of the block's |G| x |G| matrix of right
-       translates.  That rank is a route independent of the lifted trace
-       split_center uses, and D >= 1 makes it prove e != 0."""
+       of e*Z, and D = dim e*F_q[G] by a rank certificate.
+
+    The certificate ranks a w x w submatrix of the block's |G| x |G| matrix
+    E(h g), w = min(|G|, D + CERTIFICATE_OVERSAMPLE), its rows and columns
+    drawn from verify's own seeded stream; a rank short of D gets one fresh
+    draw, and a second short rank falls back to the full rank.  Why it is a
+    proof: by 2-4, F_q[G] is the direct sum of the right ideals e_i*F_q[G],
+    so their true dimensions D_i' sum to |G|.  A submatrix rank L_i is at
+    most D_i', so L_i > D_i rejects; a block that fell back has L_i = D_i'.
+    If L_i = D_i for every block, then D_i <= D_i' for all i and both sum to
+    |G|, so every D_i is exact.  The route shares no step with the lifted
+    trace split_center uses, and D >= 1 makes it prove e != 0."""
     es = split.idempotents
     if not es or not len(es) == len(split.block_dims) == len(split.center_dims) == len(split.matrix_sizes):
         return False
@@ -362,11 +401,12 @@ def verify_split(split: CentralSplit) -> bool:
         total = total + e
     if total != AlgebraElement.unit(G, spec):
         return False
-    if any(not (a * b).is_zero() for a, b in itertools.combinations(es, 2)):
+    if any(_products(es[:j], es[j]).any() for j in range(1, len(es))):
         return False
     if sum(split.block_dims) != G.order:
         return False
     Z = _CenterAlgebra(G, spec)
+    rng = random.Random(f"verify:{spec.p}:{spec.k}:{G.order}")
     for e, D, d, n in zip(es, split.block_dims, split.center_dims, split.matrix_sizes):
         if d < 1 or n < 1 or d * n * n != D:
             return False
@@ -374,6 +414,12 @@ def verify_split(split: CentralSplit) -> bool:
             return False
         if Z.block_dimension(e.arr[reps]) != d:
             return False
-        if _right_ideal_dimension(e) != D:
+        w = min(G.order, D + CERTIFICATE_OVERSAMPLE)
+        rank = _sampled_rank(e, w, rng)
+        if rank < D:
+            rank = _sampled_rank(e, w, rng)
+        if rank < D:
+            rank = _right_ideal_dimension(e)
+        if rank != D:
             return False
     return True

@@ -1,7 +1,7 @@
 """Block dimensions of F_q[G]: split_center reads each D = dim e*F_q[G] off
 the trace |G| * e(1) of the idempotent e lifted to the Galois ring mod p^s,
-p^s > |G|; the full rank of e's |G| x |G| matrix of right translates is the
-independent route verify_split keeps, and the reference here."""
+p^s > |G|; the full rank of e's |G| x |G| matrix of right translates is
+verify_split's fallback, and the reference here."""
 
 from pathlib import Path
 

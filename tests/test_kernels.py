@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
 from wedderburn.ffield import _blow_up, _rank_mod_p
-from wedderburn.oracle import _CenterAlgebra, _right_ideal_dimension
+from wedderburn.oracle import _CenterAlgebra, _products, _right_ideal_dimension
 
 FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0),
           (2**31 + 11, 2): make_field(2**31 + 11, 2, seed=0)}
@@ -105,6 +105,20 @@ def test_mul_arrays_matches_field_elements(field, seed, shapes):
         assert tuple(out[idx].tolist()) == expected.coeffs
 
 
+@settings(max_examples=10, deadline=None)
+@given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32), count=st.integers(1, 4),
+       density=st.sampled_from([0.05, 0.3, 1.0]))
+def test_batched_products_match_pairwise(sl32_s8, field, seed, count, density):
+    spec = FIELDS[field]
+    rng = random.Random(seed)
+    lefts = [random_element(sl32_s8, spec, rng, density) for _ in range(count)]
+    right = random_element(sl32_s8, spec, rng, density)
+    out = _products(lefts, right)
+    assert out.shape == (count, 168, spec.k)
+    for a, row in zip(lefts, out):
+        assert np.array_equal(row, (a * right).arr)
+
+
 @pytest.mark.parametrize("field", CENTER_FIELDS, ids=lambda f: f"{f[0]}^{f[1]}")
 @pytest.mark.parametrize("group", ["sl32_s8", "c7c3"])
 def test_center_products_match_group_algebra(request, group, field):
@@ -185,10 +199,11 @@ def test_product_exact_near_int64_limits(q8, c7c3, p, k):
         assert (a * top).coeffs == reference_product(a, top)
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
-def test_split_and_verify_near_int64_limits(c7c3, p):
-    # p = 1 mod 21, so F_p[C7:C3] splits into three fields and two M(3, F_p)
-    split = split_center(c7c3, make_field(p), seed=0)
+@pytest.mark.parametrize("field", [(2**31 - 1, 1), (2**61 - 1, 1), (2**31 + 11, 2)],
+                         ids=lambda f: str(f[0]) if f[1] == 1 else f"{f[0]}^{f[1]}")
+def test_split_and_verify_near_int64_limits(c7c3, field):
+    # q = 1 mod 21, so F_q[C7:C3] splits into three fields and two M(3, F_q)
+    split = split_center(c7c3, make_field(*field, seed=0), seed=0)
     assert split.pairs() == ((1, 1), (1, 1), (1, 1), (3, 1), (3, 1))
     assert verify_split(split)
 

@@ -134,9 +134,81 @@ def test_verify_checks_the_trace_congruence(split11, monkeypatch):
         return t[:3] + (t[4], t[3]) + t[5:]
 
     swapped = type(split11)(es, swap(split11.block_dims), split11.center_dims, swap(split11.matrix_sizes))
-    claimed = dict(zip(map(id, es), swapped.block_dims))
-    monkeypatch.setattr("wedderburn.oracle._right_ideal_dimension", lambda e: claimed[id(e)])
+    ranks_agree_with(swapped, monkeypatch)
     assert not verify_split(swapped)
+
+
+def ranks_agree_with(split, monkeypatch):
+    """Stub both rank routes of verify_split, the sampled certificate and its
+    full-rank fallback, to return each block's claimed dimension."""
+    claimed = dict(zip(map(id, split.idempotents), split.block_dims))
+    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, w, rng: claimed[id(e)])
+    monkeypatch.setattr(oracle, "_right_ideal_dimension", lambda e: claimed[id(e)])
+
+
+def recording(monkeypatch, name):
+    """Patch oracle.<name> to record each value it returns."""
+    seen = []
+    real = getattr(oracle, name)
+
+    def wrapper(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(oracle, name, wrapper)
+    return seen
+
+
+def test_verify_rejects_a_rank_only_swap(split11, monkeypatch):
+    # swap a 3x3 block (D = 9) with the 8x8 one (D = 64): D = d*n^2, the sum
+    # and the center degree still hold, and so does the trace congruence,
+    # as 9 = 64 mod 11.  Only the rank certificate can tell: the block that
+    # claims 64 has sampled ranks of at most 9, and its full rank is 9
+    assert split11.block_dims[1] == 9 and split11.block_dims[5] == 64
+
+    def swap(t):
+        return (t[0], t[5]) + t[2:5] + (t[1],)
+
+    swapped = dataclasses.replace(split11, block_dims=swap(split11.block_dims),
+                                  matrix_sizes=swap(split11.matrix_sizes))
+    with monkeypatch.context() as m:
+        ranks_agree_with(swapped, m)
+        assert verify_split(swapped)
+    sampled = recording(monkeypatch, "_sampled_rank")
+    full = recording(monkeypatch, "_right_ideal_dimension")
+    assert not verify_split(swapped)
+    assert sampled[0] == 1 and len(sampled) == 3 and max(sampled[1:]) <= 9
+    assert full == [9]
+
+
+def no_full_rank(monkeypatch):
+    def full_rank(E):
+        raise AssertionError("verify_split fell back to a full rank")
+
+    monkeypatch.setattr(oracle, "_right_ideal_dimension", full_rank)
+
+
+# the seven fields of the sl32_oracle benchmark, then F_5 and F_169
+SL32_FIELDS = ((11, 1), (13, 1), (17, 1), (23, 1), (29, 1), (11, 2), (13, 3), (5, 1), (13, 2))
+
+
+@pytest.mark.parametrize("group", ["builtin:sl32-s8", "builtin:sl32-p2f2"])
+def test_verify_takes_no_full_rank_on_good_splits(group, monkeypatch):
+    G = resolve_group(group)
+    no_full_rank(monkeypatch)
+    for p, k in SL32_FIELDS:
+        assert verify_split(split_center(G, make_field(p, k, seed=0), seed=0)), (p, k)
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
+def test_short_draws_fall_back_to_one_full_rank_per_block(sl32_s8, p, k, monkeypatch):
+    split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
+    draws = []
+    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, w, rng: draws.append(w) or 0)
+    full = recording(monkeypatch, "_right_ideal_dimension")
+    assert verify_split(split)
+    assert full == list(split.block_dims)
+    assert draws == [min(168, D + oracle.CERTIFICATE_OVERSAMPLE) for D in split.block_dims for _ in range(2)]
 
 
 def test_verify_rejects_a_zero_idempotent(sl32_s8, f11, split11):
@@ -152,15 +224,17 @@ def test_verify_rejects_a_zero_idempotent(sl32_s8, f11, split11):
 
 
 def counting_products(monkeypatch):
-    """Count the AlgebraElement products made from here on."""
+    """Record the number of left factors of each call of the product kernel,
+    which AlgebraElement products and verify_split's batches share, from
+    here on."""
     calls = []
-    mul = AlgebraElement.__mul__
+    products = oracle._products
 
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
+    def counting(lefts, right):
+        calls.append(len(lefts))
+        return products(lefts, right)
 
-    monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+    monkeypatch.setattr(oracle, "_products", counting)
     return calls
 
 
@@ -200,11 +274,13 @@ def test_verify_rejects_a_missing_block_before_any_product(split11, monkeypatch)
 
 @pytest.mark.parametrize("p,products", [(11, 15), (13, 10)])
 def test_verify_makes_one_product_per_pair_of_blocks(sl32_s8, p, products, monkeypatch):
-    # m(m-1)/2 products for m blocks: 6 blocks over F_11, 5 over F_13
+    # m(m-1)/2 products for m blocks, 6 blocks over F_11 and 5 over F_13, in
+    # m - 1 kernel calls: e_j against the stacked e_0, ..., e_(j-1)
     split = split_center(sl32_s8, make_field(p), seed=0)
     calls = counting_products(monkeypatch)
     assert verify_split(split)
-    assert len(calls) == products
+    assert calls == list(range(1, len(split.idempotents)))
+    assert sum(calls) == products
 
 
 def test_split_ranks_each_center_block_once(sl32_s8, f11, monkeypatch):
@@ -337,12 +413,16 @@ def test_split_s5(s5, f11):
     assert verify_split(split)
 
 
-# the zoo groups of bench/workloads.py up to PSL(2,7), each at its two primes
+# the zoo groups of bench/workloads.py, each at its two primes
 ZOO_PRIMES = {"c15": (11, 17), "q8": (5, 11), "d10": (7, 31), "a4": (5, 13), "s4": (7, 29),
-              "c7c3": (11, 43), "a5": (7, 61), "s5": (13, 127), "psl27": (13, 179)}
+              "c7c3": (11, 43), "a5": (7, 61), "s5": (13, 127), "psl27": (13, 179),
+              "a6": (11, 367), "s6": (11, 727)}
 
 
 @pytest.mark.parametrize("name,p", [(name, p) for name, ps in ZOO_PRIMES.items() for p in ps])
-def test_verify_split_on_the_zoo(name, p):
+def test_verify_split_on_the_zoo(name, p, monkeypatch):
+    # every block dimension is proved by the sampled rank certificate
     G = resolve_group(f"file:{GROUP_DIR / (name + '.txt')}")
-    assert verify_split(split_center(G, make_field(p), seed=0))
+    split = split_center(G, make_field(p), seed=0)
+    no_full_rank(monkeypatch)
+    assert verify_split(split)

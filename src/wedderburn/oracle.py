@@ -8,7 +8,11 @@ combining the coprime factors into finer idempotents.  A block is accepted
 once some element of it has an irreducible minimal polynomial whose degree
 equals the block dimension, which certifies the block center is a field; the
 search on that block stops there, since no element can split a field and
-primitive central idempotents are unique.
+primitive central idempotents are unique.  Over F_q, q = p^k, the
+refinement runs over F_p first: a block whose center has degree d over F_p
+splits over F_q into gcd(d, k) blocks (Lidl and Niederreiter, Finite
+Fields, Thm 3.46), so only the blocks with gcd(d, k) > 1 are refined again
+in F_q arithmetic, and every other one is final as it stands.
 For each primitive idempotent e the center degree d = dim e*Z is read off
 the splitting, and the block dimension D = dim e*F_q[G] off a trace, with
 no rank of a |G| x |G| matrix.  Left multiplication by e is a projection
@@ -36,7 +40,9 @@ left one by inversion, does k^2 matrix-vector products mod p and folds the
 result with FieldSpec.fold; the overflow rule is ffield's, with the sum over
 the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms.  One kernel
 multiplies several left factors by one right factor against a single
-gather; a single product is its one-left call.  The center
+gather; a single product is its one-left call.  When every factor lies in
+F_p, the kernel runs over F_p on the constant coefficients, as
+MatrixFq.rank does.  The center
 works in the class-sum basis on (m, k) arrays, m the number of classes:
 products by class sums are integer matmuls against the class-product
 coefficients, and general products and the evaluation of polynomials at a
@@ -54,7 +60,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ModularCaseError
-from .ffield import FieldElement, FieldSpec, MatrixFq, Polynomial, factor, minpoly
+from .ffield import FieldElement, FieldSpec, MatrixFq, Polynomial, _prime_field, factor, minpoly
 from .perm import FiniteGroup
 
 __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
@@ -153,18 +159,41 @@ class AlgebraElement:
 
 def _products(lefts, right: AlgebraElement) -> np.ndarray:
     """The products a * right for every a in lefts, elements of right's
-    algebra, as one (len(lefts), |G|, k) array.  right is gathered through
-    the multiplication table once, and the stacked left factors, permuted by
-    inversion, meet it in one matmul per chunk of the sum over the group."""
+    algebra, as one (len(lefts), |G|, k) array.  When k > 1 and every factor
+    lies in F_p, as the idempotents of most blocks do, they are the products
+    over F_p of the constant coefficients, embedded: the shortcut
+    MatrixFq.rank takes, with a k-th of the gather and a k^2-th of the
+    matmul."""
     G, spec = right.group, right.spec
+    arrs = [a.arr for a in lefts] + [right.arr]
+    if spec.k > 1 and not any(x[:, 1:].any() for x in arrs):
+        prime = _prime_field(spec.p)
+        return _embed(spec, _convolve(G, prime, [x[:, :1].astype(prime.dtype) for x in arrs]))
+    return _convolve(G, spec, arrs)
+
+
+def _convolve(G: FiniteGroup, spec: FieldSpec, arrs) -> np.ndarray:
+    """The products a * b over F_q = spec for every (|G|, k) array a in
+    arrs[:-1], b = arrs[-1], as one (len(arrs) - 1, |G|, k) array.  b is
+    gathered through the multiplication table once, and the stacked left
+    factors, permuted by inversion, meet it in one matmul per chunk of the
+    sum over the group."""
     n, p, k = G.order, spec.p, spec.k
-    m = len(lefts)
+    m = len(arrs) - 1
     # y[i, g, t, s] = sum over h of a_{i,t}(h^-1) * b_s(h g)
-    left = np.stack([a.arr for a in lefts], axis=1)[G.inverse_indices].reshape(n, m * k)
-    gathered = right.arr[G.mul_table].reshape(n, n * k)
+    left = np.stack(arrs[:-1], axis=1)[G.inverse_indices].reshape(n, m * k)
+    gathered = arrs[-1][G.mul_table].reshape(n, n * k)
     step = n if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
     y = sum(left[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
     return spec.fold((y % p).reshape(m, k, n, k).transpose(0, 2, 1, 3))
+
+
+def _embed(spec: FieldSpec, v: np.ndarray) -> np.ndarray:
+    """The array (..., 1) over F_p as the array (..., k) over F_q = spec
+    with the same entries: zeros in coefficients 1 .. k-1."""
+    out = np.zeros(v.shape[:-1] + (spec.k,), dtype=spec.dtype)
+    out[..., :1] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -280,20 +309,11 @@ def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
     raise RuntimeError("failed to split or certify a center block (bug)")
 
 
-def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit:
-    """Compute the primitive central idempotents of F_q[G] and each block's
-    (matrix size, center degree) by explicit calculation in the algebra.
-
-    The refinement works in the center, whose ranks are m x m for m classes.
-    Each block dimension D is the trace of the idempotent lifted mod p^s, as
-    in the module docstring; split_center checks that every D is d * n^2 for
-    an integer n >= 1 and that the D sum to |G|."""
-    if G.order % spec.p == 0:
-        raise ModularCaseError(spec.p, G.order)
-    Z = _CenterAlgebra(G, spec)
-    rng = random.Random(f"split:{seed}:{spec.p}:{spec.k}:{G.order}")
-    work = [Z.one()]
-    final = []  # (idempotent, center degree)
+def _refine(Z: _CenterAlgebra, work: list, rng: random.Random, seed: int) -> list:
+    """(e, d) for every primitive idempotent e of Z below the idempotents in
+    work, d = dim e*Z: each block is refined by _try_refine until it is
+    certified a field."""
+    final = []
     while work:
         e = work.pop()
         split, d = _try_refine(Z, e, rng, seed)
@@ -301,6 +321,34 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
             final.append((e, d))
         else:
             work.extend(split)
+    return final
+
+
+def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit:
+    """Compute the primitive central idempotents of F_q[G] and each block's
+    (matrix size, center degree) by explicit calculation in the algebra.
+
+    The refinement works in the center, whose ranks are m x m for m classes.
+    It runs over F_p first, with the stream a k = 1 split draws from, so
+    that most of it is arithmetic on length-1 coefficient vectors.  A block
+    of F_p[G] whose center has degree d over F_p splits over F_q into
+    gcd(d, k) blocks of center degree d / gcd(d, k) (an irreducible
+    polynomial of degree d over F_p factors so over F_{p^k}; Lidl and
+    Niederreiter, Finite Fields, Thm 3.46).  So a block with gcd(d, k) = 1
+    is final, and only the others are refined again over F_q, by the same
+    loop.  Each block dimension D is the trace of the idempotent lifted mod
+    p^s, as in the module docstring; split_center checks that every D is
+    d * n^2 for an integer n >= 1 and that the D sum to |G|."""
+    if G.order % spec.p == 0:
+        raise ModularCaseError(spec.p, G.order)
+    Z = _CenterAlgebra(G, spec)
+    Zp = Z if spec.k == 1 else _CenterAlgebra(G, _prime_field(spec.p))
+    rng = random.Random(f"split:{seed}:{spec.p}:1:{G.order}")
+    final = _refine(Zp, [Zp.one()], rng, seed)
+    if spec.k > 1:
+        final = [(_embed(spec, e), d) for e, d in final]
+        work = [e for e, d in final if math.gcd(d, spec.k) > 1]
+        final = [(e, d) for e, d in final if math.gcd(d, spec.k) == 1] + _refine(Z, work, rng, seed)
     # deterministic block order regardless of the splitting path: rows
     # compared as reversed coefficient vectors, i.e. by base-p value
     final.sort(key=lambda ed: ed[0][:, ::-1].tolist())

@@ -41,11 +41,28 @@ PINNED = [
         "12cd67e9d2b68d47096f92eb0d94e0b2f0eaf8ed45196b14258c5085a7cbe54c",
         "10a5a793ea5346a88071e891ae8bb09e418dfa98aea198d3451972ad3bf83b68",
     )),
+    # the d = 2 block over F_13 splits over F_169: the one F_q refinement
+    ("sl32_s8", 13, 2, ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1)), (1, 9, 9, 36, 49, 64), (
+        "b16b1e1d2eb539d8ec6517b684715d7a52ef2866d09526fb90d35757e4794f01",
+        "8c95fda1716690ac93efd6a95c5d9177adf0d741864e7cbbc9900b413a2e9ff4",
+        "c7aa9d0bc04d94e8434ab65d71d4d5706cc2c9cebb8ead300d0b1745624b5e71",
+        "1c34f4e4c525c921aa3690e6b6f6ba0109fcf871ff77a578844e07e391706d89",
+        "8abb5a94fd42d2ac0d2614373b3c671410aa111850ccb3f797f69a45b5b972ec",
+        "ad5c55b7daa03a15baad709c524e26b497dfe2c32a6e7e77b2fed0b178a7d1d8",
+    )),
     ("c7c3", 11, 1, ((1, 1), (3, 1), (3, 1), (1, 2)), (1, 9, 9, 2), (
         "cd15b7f9ab0148329a3d566c9ec89080ed62fb623e56ad9e8599f3358b3e5e2c",
         "467685fcb7939d76b1383a9790c1dfaed7e9e5295e0d2a4fa782357ede520880",
         "ddc52e5c251bde9bf994cd608f6a50ec7a3fa732a02ca86fb7411aa3401f664c",
         "ecdb297046d30699a6e2c4697bbf56764edab6e5a2446316c17d6507d3deefb6",
+    )),
+    # the (1, 2) block over F_11 splits over F_121 into two of degree 1
+    ("c7c3", 11, 2, ((1, 1), (1, 1), (1, 1), (3, 1), (3, 1)), (1, 1, 1, 9, 9), (
+        "a6059bae8e4795a2f4eb8a053eb99e181fe18925cfec71d88da37b1fc6b43728",
+        "5aa5186067240495f1cc450306bfb652db13e96dde656a049c5c64d58cb3ba83",
+        "641db6a73fd3c3aeb6cefce56bf5d123136be1519944ab6126ce58aa99cc9d35",
+        "863eeece1090e6765235fade3faad655042a7947853527a852d5766ac740f75b",
+        "601ef2c13d9747db6f7586fbd7732996901cd9a50056489e0bf60e9f885c7190",
     )),
     ("c7c3", 43, 1, ((1, 1), (1, 1), (1, 1), (3, 1), (3, 1)), (1, 1, 1, 9, 9), (
         "e833011c896a057ca07c5a35b7d182ad4233c606bd24dc39cc95c57000418fea",

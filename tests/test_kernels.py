@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
@@ -105,18 +105,43 @@ def test_mul_arrays_matches_field_elements(field, seed, shapes):
         assert tuple(out[idx].tolist()) == expected.coeffs
 
 
-@settings(max_examples=10, deadline=None)
+def reference_products(lefts, b):
+    """sum over h of a(h^-1) * b(h g) for each a in lefts, with h^-1 and h g
+    looked up through G.index and each term a FieldSpec.mul_t of coefficient
+    tuples: no multiplication table, inversion array or array kernel."""
+    G, spec = b.group, b.spec
+    inverse = [G.index(h.inverse()) for h in G.elements]
+    hg = [[G.index(h * g) for g in G.elements] for h in G.elements]
+    bs = b.arr.tolist()
+    out = []
+    for a in lefts:
+        terms = [(x, hg[i]) for i, x in enumerate(a.arr[inverse].tolist()) if any(x)]
+        row = [spec.zero.coeffs] * G.order
+        for j in range(G.order):
+            for x, hg_i in terms:
+                row[j] = spec.add_t(row[j], spec.mul_t(x, bs[hg_i[j]]))
+        out.append(row)
+    return out
+
+
+@settings(max_examples=12, deadline=None)
 @given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32), count=st.integers(1, 4),
-       density=st.sampled_from([0.05, 0.3, 1.0]))
-def test_batched_products_match_pairwise(sl32_s8, field, seed, count, density):
+       density=st.sampled_from([0.05, 0.3, 1.0]), rational=st.lists(st.booleans(), min_size=5, max_size=5))
+@example(field=(13, 3), seed=0, count=3, density=1.0, rational=[True] * 5)
+@example(field=(2**31 + 11, 2), seed=1, count=2, density=0.3, rational=[True] * 5)
+@example(field=(11, 2), seed=2, count=2, density=1.0, rational=[True, True, False, True, True])
+def test_batched_products_match_pairwise(sl32_s8, field, seed, count, density, rational):
+    # rational[i]: factor i lies in F_p; when all of them do and k > 1, the
+    # products take their F_p shortcut
     spec = FIELDS[field]
     rng = random.Random(seed)
-    lefts = [random_element(sl32_s8, spec, rng, density) for _ in range(count)]
-    right = random_element(sl32_s8, spec, rng, density)
-    out = _products(lefts, right)
+    factors = [random_element(sl32_s8, spec, rng, density) for _ in range(count + 1)]
+    for x, in_prime_field in zip(factors, rational):
+        if in_prime_field:
+            x.arr[:, 1:] = 0
+    out = _products(factors[:-1], factors[-1])
     assert out.shape == (count, 168, spec.k)
-    for a, row in zip(lefts, out):
-        assert np.array_equal(row, (a * right).arr)
+    assert out.tolist() == [[list(c) for c in row] for row in reference_products(factors[:-1], factors[-1])]
 
 
 @pytest.mark.parametrize("field", CENTER_FIELDS, ids=lambda f: f"{f[0]}^{f[1]}")

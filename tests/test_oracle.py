@@ -357,6 +357,31 @@ def test_refinement_stops_at_a_certified_block(f11, monkeypatch):
     assert len(calls) == 20
 
 
+@pytest.mark.parametrize("p,k,refined", [(11, 2, []), (13, 3, []), (13, 2, [2, 1, 1])])
+def test_extension_refines_only_blocks_whose_degree_shares_a_factor_with_k(sl32_s8, p, k, refined, monkeypatch):
+    # SL(3,2) over F_p has center degrees 1, and a 2 for p = 13: over F_q
+    # only the d = 2 block at even k is refined again, into two of degree 1
+    factored = []  # extension degree of each factored polynomial's field
+    blocks = []  # center dimension of each block refined over F_q
+    real_factor, real_refine = oracle.factor, oracle._try_refine
+
+    def counting_factor(mu, seed=0):
+        factored.append(mu.spec.k)
+        return real_factor(mu, seed=seed)
+
+    def recording_refine(Z, e, rng, seed):
+        split, d = real_refine(Z, e, rng, seed)
+        if Z.spec.k > 1:
+            blocks.append(d)
+        return split, d
+
+    monkeypatch.setattr(oracle, "factor", counting_factor)
+    monkeypatch.setattr(oracle, "_try_refine", recording_refine)
+    split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
+    assert blocks == refined
+    assert set(factored) == ({1, k} if refined else {1})
+
+
 def test_repeated_factor_of_a_minimal_polynomial_is_an_internal_error(sl32_s8, f11, monkeypatch, capsys):
     def squared(mu, seed=0):
         return [(mu, 2)]

@@ -40,9 +40,9 @@ left one by inversion, does k^2 matrix-vector products mod p and folds the
 result with FieldSpec.fold; the overflow rule is ffield's, with the sum over
 the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms.  One kernel
 multiplies several left factors by one right factor against a single
-gather; a single product is its one-left call.  When every factor lies in
-F_p, the kernel runs over F_p on the constant coefficients, as
-MatrixFq.rank does.  The center
+gather; a single product is its one-left call, and verify_split's
+orthogonality check asks it only for the coefficients at the class
+representatives, gathering the m table columns there.  The center
 works in the class-sum basis on (m, k) arrays, m the number of classes:
 products by class sums are integer matmuls against the class-product
 coefficients, and general products and the evaluation of polynomials at a
@@ -130,13 +130,8 @@ class AlgebraElement:
             arr = spec.mul_arrays(self.arr, np.array(other.coeffs, dtype=spec.dtype))
         else:
             self._check_compatible(other)
-            arr = _products([self], other)[0]
+            arr = _convolve(self.group, spec, [self.arr, other.arr])[0]
         return AlgebraElement._from_array(self.group, spec, arr)
-
-    def __rmul__(self, other):
-        if isinstance(other, FieldElement):
-            return self * other
-        return NotImplemented
 
     def is_zero(self) -> bool:
         return not self.arr.any()
@@ -149,43 +144,29 @@ class AlgebraElement:
             and np.array_equal(self.arr, other.arr)
         )
 
-    def __hash__(self) -> int:
-        return hash(tuple(map(tuple, self.arr.tolist())))
-
     def __repr__(self) -> str:
         support = int(np.count_nonzero(self.arr.any(axis=1)))
         return f"AlgebraElement(support={support}/{self.group.order})"
 
 
-def _products(lefts, right: AlgebraElement) -> np.ndarray:
-    """The products a * right for every a in lefts, elements of right's
-    algebra, as one (len(lefts), |G|, k) array.  When k > 1 and every factor
-    lies in F_p, as the idempotents of most blocks do, they are the products
-    over F_p of the constant coefficients, embedded: the shortcut
-    MatrixFq.rank takes, with a k-th of the gather and a k^2-th of the
-    matmul."""
-    G, spec = right.group, right.spec
-    arrs = [a.arr for a in lefts] + [right.arr]
-    if spec.k > 1 and not any(x[:, 1:].any() for x in arrs):
-        prime = _prime_field(spec.p)
-        return _embed(spec, _convolve(G, prime, [x[:, :1].astype(prime.dtype) for x in arrs]))
-    return _convolve(G, spec, arrs)
-
-
-def _convolve(G: FiniteGroup, spec: FieldSpec, arrs) -> np.ndarray:
+def _convolve(G: FiniteGroup, spec: FieldSpec, arrs, cols=None) -> np.ndarray:
     """The products a * b over F_q = spec for every (|G|, k) array a in
-    arrs[:-1], b = arrs[-1], as one (len(arrs) - 1, |G|, k) array.  b is
-    gathered through the multiplication table once, and the stacked left
-    factors, permuted by inversion, meet it in one matmul per chunk of the
-    sum over the group."""
+    arrs[:-1], b = arrs[-1], as one (len(arrs) - 1, |G|, k) array; given the
+    group indices cols, only the coefficients of the products at those
+    elements, as one (len(arrs) - 1, len(cols), k) array.  b is gathered
+    through the multiplication table, or only its columns cols, once, and
+    the stacked left factors, permuted by inversion, meet it in one matmul
+    per chunk of the sum over the group."""
     n, p, k = G.order, spec.p, spec.k
     m = len(arrs) - 1
-    # y[i, g, t, s] = sum over h of a_{i,t}(h^-1) * b_s(h g)
+    table = G.mul_table if cols is None else G.mul_table[:, cols]
+    c = table.shape[1]
+    # y[i, g, t, s] = sum over h of a_{i,t}(h^-1) * b_s(h g), g in cols or in G
     left = np.stack(arrs[:-1], axis=1)[G.inverse_indices].reshape(n, m * k)
-    gathered = arrs[-1][G.mul_table].reshape(n, n * k)
+    gathered = arrs[-1][table].reshape(n, c * k)
     step = n if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
     y = sum(left[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
-    return spec.fold((y % p).reshape(m, k, n, k).transpose(0, 2, 1, 3))
+    return spec.fold((y % p).reshape(m, k, c, k).transpose(0, 2, 1, 3))
 
 
 def _embed(spec: FieldSpec, v: np.ndarray) -> np.ndarray:
@@ -418,9 +399,15 @@ def verify_split(split: CentralSplit) -> bool:
     2. every e_i is constant on conjugacy classes, so central (the class sums
        span the center of F_q[G]);
     3. the e_i sum to 1;
-    4. e_i * e_j = 0 for i < j, one batched product per e_j against the
-       stacked e_0, ..., e_(j-1).  Central elements commute, so this covers
-       i > j, and e_i = e_i * sum_j e_j = e_i^2: the e_i are idempotent;
+    4. e_i * e_j = 0 for i < j.  By 2, e_i * e_j is central, so it is zero
+       exactly when it vanishes at one representative g_c per class, where
+       its value is sum over h of e_i(h^-1) * e_j(h g_c).  One kernel call
+       per e_j against the stacked e_0, ..., e_(j-1) reads only the m table
+       columns at the representatives, and none of the split's class
+       constants: O(B^2 * m * |G| * k^2) for B blocks, not the
+       O(B^2 * |G|^2 * k^2) of whole products.  Central elements commute,
+       so this covers i > j, and e_i = e_i * sum_j e_j = e_i^2: the e_i
+       are idempotent;
     5. per block, d >= 1, n >= 1 and D = d * n^2, the D sum to |G|, the trace
        congruence D = |G| * e(1) mod p holds with e(1) in F_p, d is the rank
        of e*Z, and D = dim e*F_q[G] by a rank certificate.
@@ -449,7 +436,7 @@ def verify_split(split: CentralSplit) -> bool:
         total = total + e
     if total != AlgebraElement.unit(G, spec):
         return False
-    if any(_products(es[:j], es[j]).any() for j in range(1, len(es))):
+    if any(_convolve(G, spec, [e.arr for e in es[: j + 1]], reps).any() for j in range(1, len(es))):
         return False
     if sum(split.block_dims) != G.order:
         return False

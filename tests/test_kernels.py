@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
 from wedderburn.ffield import _blow_up, _rank_mod_p
-from wedderburn.oracle import _CenterAlgebra, _products, _right_ideal_dimension
+from wedderburn.oracle import _CenterAlgebra, _convolve, _right_ideal_dimension
 
 FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0),
           (2**31 + 11, 2): make_field(2**31 + 11, 2, seed=0)}
@@ -131,17 +131,24 @@ def reference_products(lefts, b):
 @example(field=(2**31 + 11, 2), seed=1, count=2, density=0.3, rational=[True] * 5)
 @example(field=(11, 2), seed=2, count=2, density=1.0, rational=[True, True, False, True, True])
 def test_batched_products_match_pairwise(sl32_s8, field, seed, count, density, rational):
-    # rational[i]: factor i lies in F_p; when all of them do and k > 1, the
-    # products take their F_p shortcut
+    # rational[i]: factor i lies in F_p, as most idempotents do; cols asks
+    # for the products at a few group elements only, as verify_split does
+    # at the class representatives
     spec = FIELDS[field]
     rng = random.Random(seed)
     factors = [random_element(sl32_s8, spec, rng, density) for _ in range(count + 1)]
     for x, in_prime_field in zip(factors, rational):
         if in_prime_field:
             x.arr[:, 1:] = 0
-    out = _products(factors[:-1], factors[-1])
+    arrs = [x.arr for x in factors]
+    expected = [[list(c) for c in row] for row in reference_products(factors[:-1], factors[-1])]
+    out = _convolve(sl32_s8, spec, arrs)
     assert out.shape == (count, 168, spec.k)
-    assert out.tolist() == [[list(c) for c in row] for row in reference_products(factors[:-1], factors[-1])]
+    assert out.tolist() == expected
+    cols = rng.sample(range(168), rng.randint(1, 8))
+    out = _convolve(sl32_s8, spec, arrs, cols)
+    assert out.shape == (count, len(cols), spec.k)
+    assert out.tolist() == [[row[g] for g in cols] for row in expected]
 
 
 @pytest.mark.parametrize("field", CENTER_FIELDS, ids=lambda f: f"{f[0]}^{f[1]}")

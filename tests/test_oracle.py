@@ -223,18 +223,20 @@ def test_verify_rejects_a_zero_idempotent(sl32_s8, f11, split11):
     assert not verify_split(padded)
 
 
-def counting_products(monkeypatch):
+def counting_products(monkeypatch, seen_cols=None):
     """Record the number of left factors of each call of the product kernel,
     which AlgebraElement products and verify_split's batches share, from
-    here on."""
+    here on; given a list seen_cols, append each call's cols to it too."""
     calls = []
-    products = oracle._products
+    convolve = oracle._convolve
 
-    def counting(lefts, right):
-        calls.append(len(lefts))
-        return products(lefts, right)
+    def counting(G, spec, arrs, cols=None):
+        calls.append(len(arrs) - 1)
+        if seen_cols is not None:
+            seen_cols.append(cols)
+        return convolve(G, spec, arrs, cols)
 
-    monkeypatch.setattr(oracle, "_products", counting)
+    monkeypatch.setattr(oracle, "_convolve", counting)
     return calls
 
 
@@ -281,6 +283,19 @@ def test_verify_makes_one_product_per_pair_of_blocks(sl32_s8, p, products, monke
     assert verify_split(split)
     assert calls == list(range(1, len(split.idempotents)))
     assert sum(calls) == products
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
+def test_verify_multiplies_only_at_class_representatives(sl32_s8, p, k, monkeypatch):
+    # the e_i are class functions, so each e_i * e_j is central and verify
+    # reads it at one representative per class, never at all of G
+    split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
+    reps = [sl32_s8.index(c.representative) for c in sl32_s8.classes]
+    seen = []
+    counting_products(monkeypatch, seen)
+    assert verify_split(split)
+    assert len(reps) == len(sl32_s8.classes)
+    assert seen == [reps] * (len(split.idempotents) - 1)
 
 
 def test_split_ranks_each_center_block_once(sl32_s8, f11, monkeypatch):

@@ -215,17 +215,6 @@ class FieldSpec:
         p, k = self.p, self.k
         if k == 1:
             return ((a[0] * b[0]) % p,)
-        if k == 2:
-            a0, a1 = a
-            b0, b1 = b
-            c0 = a0 * b0
-            c1 = a0 * b1 + a1 * b0
-            c2 = (a1 * b1) % p
-            if c2:
-                r0, r1 = self._pow_reds[0]
-                c0 += c2 * r0
-                c1 += c2 * r1
-            return (c0 % p, c1 % p)
         conv = [0] * (2 * k - 1)
         for i, ai in enumerate(a):
             if ai:

@@ -1,10 +1,13 @@
 """Permutations, finite permutation groups, and conjugacy-class data.
 
 Groups are stored fully enumerated: FiniteGroup computes the breadth-first
-closure of its generators, the dense element list, the generators' right
-action on it, and conjugacy classes ordered by (element order, class size,
-first-seen index).  Points are 1-indexed in all input and output (cycle
-notation, group files) and 0-indexed internally.
+closure of its generators on image tuples, the dense element list, the
+generators' right action on it as integer index maps, the inverse indices
+and the conjugacy classes ordered by (element order, class size, first-seen
+index); only the multiplication table and the class constants are lazy.
+Permutation is the boundary type callers build and read: the group makes
+one per element and multiplies none.  Points are 1-indexed in all input and
+output (cycle notation, group files) and 0-indexed internally.
 """
 
 from __future__ import annotations
@@ -176,9 +179,10 @@ class FiniteGroup:
     g_j * gens[s] with j < c, so the same generator list always yields the
     same ordering.  Raises ValueError if the closure would exceed ``cap``
     elements.  Immutable after construction; safe for concurrent reads.  The
-    multiplication table (the only |G| x |G| structure), the inverse indices
-    and the class-product coefficients are built lazily, cached and
-    read-only.
+    closure, the inverse indices and the classes are computed on image
+    tuples and index maps, with no Permutation product or inverse; only the
+    multiplication table (the only |G| x |G| structure) and the
+    class-product coefficients are built lazily, cached and read-only.
     """
 
     def __init__(self, generators, cap: int = DEFAULT_CAP):
@@ -188,33 +192,38 @@ class FiniteGroup:
         degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators must share a common degree")
-        ident = Permutation.identity(degree)
-        elements = [ident]
-        index = {ident.images: 0}
+        images = [tuple(range(degree))]
+        index = {images[0]: 0}
         parents = [None]  # parents[c] = (j, s) with g_c = g_j * gens[s]
         right = [[] for _ in gens]  # right[s][j] = index of g_j * gens[s]
-        for j, x in enumerate(elements):  # the list grows while it is walked
-            for s, g in enumerate(gens):
-                y = x * g
-                c = index.get(y.images)
+        gen_images = [g.images for g in gens]
+        for j, x in enumerate(images):  # the list grows while it is walked
+            for s, g_images in enumerate(gen_images):
+                y = tuple([x[i] for i in g_images])
+                c = index.get(y)
                 if c is None:
-                    if len(elements) >= cap:
+                    if len(images) >= cap:
                         raise ValueError(f"group closure exceeds cap of {cap} elements")
-                    c = index[y.images] = len(elements)
-                    elements.append(y)
+                    c = index[y] = len(images)
+                    images.append(y)
                     parents.append((j, s))
                 right[s].append(c)
         self.generators = gens
-        self.elements = tuple(elements)
+        self.elements = tuple(map(_bijection, images))
         self.degree = degree
-        self.order = len(elements)
+        self.order = len(images)
         self._index = index
         self._parents = parents
         self._right = [np.array(r, dtype=np.int32) for r in right]
-        self.classes, self.class_index_of = _conjugacy_partition(self.elements, self.generators, self._index)
+        # row i of argsort is the image tuple of g_i^-1
+        inv = np.array([index[tuple(row)] for row in np.argsort(images, axis=1).tolist()])
+        inv.setflags(write=False)
+        self.inverse_indices = inv
+        # conjugation by g as an index map: x -> xg -> g^-1 x^-1 -> g^-1 x^-1 g -> g^-1 x g
+        conjugations = [inv[r[inv[r]]].tolist() for r in self._right]
+        self.classes, self.class_index_of = _conjugacy_partition(self.elements, conjugations)
         self.exponent = math.lcm(*(c.element_order for c in self.classes))
         self._mul_table: np.ndarray | None = None
-        self._inv_indices: np.ndarray | None = None
         self._class_coeffs: np.ndarray | None = None
 
     def index(self, g: Permutation) -> int:
@@ -243,14 +252,6 @@ class FiniteGroup:
             table.setflags(write=False)
             self._mul_table = table
         return self._mul_table
-
-    @property
-    def inverse_indices(self) -> np.ndarray:
-        """Array whose entry i is the index of g_i^-1."""
-        if self._inv_indices is None:
-            self._inv_indices = np.array([self._index[g.inverse().images] for g in self.elements])
-            self._inv_indices.setflags(write=False)
-        return self._inv_indices
 
     def point_orbits(self) -> list[list[int]]:
         """Orbits of the group on its 0-indexed points."""
@@ -297,34 +298,34 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, degree={self.degree}, classes={len(self.classes)})"
 
 
-def _conjugacy_partition(elements, generators, index):
+def _conjugacy_partition(elements, conjugations):
     """Partition the element list into conjugacy classes.
 
-    Classes are ordered by (element order, size, first-seen index); the
-    representative is the first-seen member, so the labelling is a
-    deterministic function of the enumeration order.
+    ``conjugations`` holds one index map per generator g, entry x the index
+    of g^-1 g_x g; the classes are the orbits of these maps, found by a walk
+    over integer lists.  Classes are ordered by (element order, size,
+    first-seen index); the representative is the first-seen member, so the
+    labelling is a deterministic function of the enumeration order.
     """
     n = len(elements)
-    gen_invs = [g.inverse() for g in generators]
-    assigned = [False] * n
+    label = [-1] * n  # label[x] = position in raw of the orbit of x
     raw = []
     for start in range(n):
-        if assigned[start]:
+        if label[start] >= 0:
             continue
-        members = {start}
-        queue = [start]
-        assigned[start] = True
-        while queue:
-            x = queue.pop()
-            gx = elements[x]
-            for g, gi in zip(generators, gen_invs):
-                y = index[(g * gx * gi).images]
-                if y not in members:
-                    members.add(y)
-                    assigned[y] = True
-                    queue.append(y)
+        members = [start]
+        label[start] = len(raw)
+        for x in members:  # the list grows while it is walked
+            for conj in conjugations:
+                y = conj[x]
+                if label[y] < 0:
+                    label[y] = len(raw)
+                    members.append(y)
         raw.append((elements[start].order(), len(members), start, members))
-    raw.sort(key=lambda t: (t[0], t[1], t[2]))
+    ranked = sorted(range(len(raw)), key=lambda r: raw[r][:3])
+    rank = [0] * len(raw)
+    for ci, r in enumerate(ranked):
+        rank[r] = ci
     classes = tuple(
         ConjClass(
             representative=elements[first],
@@ -332,13 +333,9 @@ def _conjugacy_partition(elements, generators, index):
             element_order=order,
             indices=frozenset(members),
         )
-        for order, size, first, members in raw
+        for order, size, first, members in (raw[r] for r in ranked)
     )
-    class_index_of = [0] * n
-    for ci, c in enumerate(classes):
-        for i in c.indices:
-            class_index_of[i] = ci
-    return classes, tuple(class_index_of)
+    return classes, tuple(rank[lab] for lab in label)
 
 
 def generate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:

@@ -84,7 +84,6 @@ class Decomposition:
 class SolverReport:
     solutions: tuple[Decomposition, ...]
     unique: bool
-    forced: tuple[Component, ...]
 
 
 def forced_components(G: FiniteGroup, p: int, actions) -> list[Component]:
@@ -156,7 +155,7 @@ def solve(group_order: int, degrees, forced, p: int | None = None, k: int | None
         Decomposition(components=tuple(map(comps.__getitem__, key)), group_order=group_order, p=p, k=k)
         for key in keys
     )
-    return SolverReport(solutions=decs, unique=len(decs) == 1, forced=forced)
+    return SolverReport(solutions=decs, unique=len(decs) == 1)
 
 
 def is_sl32_class_data(G: FiniteGroup) -> bool:

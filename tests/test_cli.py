@@ -130,7 +130,7 @@ def test_nonunique_json_matches_json_dumps(capsys, name, p, top_degree):
 
 
 def test_nonunique_json_without_candidates(capsys):
-    report = SolverReport(solutions=(), unique=False, forced=())
+    report = SolverReport(solutions=(), unique=False)
     cli._print_nonunique(report, "json")
     out = capsys.readouterr().out
     assert out == json.dumps({"candidates": [], "unique": False}, indent=2, sort_keys=True) + "\n"

@@ -165,18 +165,6 @@ def test_class_table_sl32(sl32_s8):
     assert [c.element_order for c in sl32_s8.classes] == [1, 2, 3, 4, 7, 7]
 
 
-def test_classes_partition_and_conjugation_closure(sl32_s8):
-    G = sl32_s8
-    assert sum(c.size for c in G.classes) == G.order
-    assert all(len(c.indices) == c.size for c in G.classes)
-    for c in G.classes:
-        for i in itertools.islice(c.indices, 5):
-            x = G.elements[i]
-            assert x.order() == c.element_order
-            for g in G.generators:
-                assert G.class_index_of[G.index(g * x * g.inverse())] == G.class_index_of[i]
-
-
 def test_power_class_fusion(sl32_s8):
     G = sl32_s8
     a, b = 4, 5  # the two order-7 classes
@@ -273,6 +261,49 @@ def table_group(request):
     if request.param == "trivial":
         return generate([Permutation.identity(3)])
     return request.getfixturevalue(request.param)
+
+
+def test_classes_partition_and_conjugation_closure(table_group):
+    G = table_group
+    assert sum(c.size for c in G.classes) == G.order
+    assert all(len(c.indices) == c.size for c in G.classes)
+    for c in G.classes:
+        for i in itertools.islice(c.indices, 5):
+            x = G.elements[i]
+            assert x.order() == c.element_order
+            for g in G.generators:
+                assert G.class_index_of[G.index(g * x * g.inverse())] == G.class_index_of[i]
+    oracle = brute_force_group([g.images for g in G.generators], G.degree)
+    oracle_classes = brute_force_classes(oracle, G.degree)
+    members = [{G.elements[i].images for i in c.indices} for c in G.classes]
+    assert len(members) == len(oracle_classes)
+    assert all(m in oracle_classes for m in members)
+    assert all(G.class_index_of[i] == ci for ci, c in enumerate(G.classes) for i in c.indices)
+
+
+def test_building_a_group_multiplies_no_permutations(monkeypatch):
+    # the closure, inverses and classes run on image tuples and index maps
+    calls = {"mul": 0, "inverse": 0}
+    mul, inverse = Permutation.__mul__, Permutation.inverse
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    def counted_inverse(a):
+        calls["inverse"] += 1
+        return inverse(a)
+
+    s5_gens = [parse_cycles("(1,2,3,4,5)", 5), parse_cycles("(1,2)", 5)]
+    c7c3_gens = [parse_cycles("(1,2,3,4,5,6,7)", 7), parse_cycles("(2,3,5)(4,7,6)", 7)]
+    monkeypatch.setattr(Permutation, "__mul__", counted_mul)
+    monkeypatch.setattr(Permutation, "inverse", counted_inverse)
+    for gens, order, n_classes in [(s5_gens, 120, 7), (c7c3_gens, 21, 5)]:
+        G = FiniteGroup(gens)
+        assert (G.order, len(G.classes), G.inverse_indices.shape) == (order, n_classes, (order,))
+    assert calls == {"mul": 0, "inverse": 0}
+    s5_gens[0] * s5_gens[1].inverse()
+    assert calls == {"mul": 1, "inverse": 1}  # the counters do see calls
 
 
 def test_mul_table_matches_products(table_group):

@@ -1,9 +1,10 @@
 """Orbits of conjugacy classes under the q-power map.
 
-Over F_q with q coprime to |G|, conjugacy classes fuse into orbits of the
-map that sends the class of g to the class of g^q.  The number of orbits is
-the number of simple blocks of F_q[G], and each orbit's size is the degree
-over F_q of the corresponding block's center field.
+Over F_q with q coprime to |G|, the class map sigma_q: class of g -> class
+of g^q is a permutation of the classes, and the classes fuse into its
+cycles.  The number of cycles is the number of simple blocks of F_q[G],
+and each cycle's length is the degree over F_q of the corresponding
+block's center field.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ModularCaseError
 from .ffield import is_prime
-from .perm import FiniteGroup, power_class
+from .perm import FiniteGroup, _orbits, power_class
 
 __all__ = ["CycloContext", "CycloPartition", "build_context", "cyclotomic_partition", "component_count_and_degrees"]
 
@@ -24,7 +25,6 @@ class CycloContext:
     p: int
     k: int
     e: int  # group exponent
-    i_q: tuple[int, ...]  # the subgroup of residues mod e generated by q
 
     @property
     def q(self) -> int:
@@ -48,30 +48,20 @@ def build_context(G: FiniteGroup, p: int, k: int) -> CycloContext:
     e = G.exponent
     if math.gcd(p, e) != 1:
         raise AssertionError("exponent shares a factor with p despite p not dividing |G|")
-    qm = pow(p, k, e)
-    i_q = {1 % e}
-    cur = qm % e
-    while cur not in i_q:
-        i_q.add(cur)
-        cur = cur * qm % e
-    return CycloContext(group=G, p=p, k=k, e=e, i_q=tuple(sorted(i_q)))
+    return CycloContext(group=G, p=p, k=k, e=e)
 
 
 def cyclotomic_partition(ctx: CycloContext) -> CycloPartition:
-    """Orbits of the class set under all power maps l in I_q, each orbit
-    listed in ascending class order and orbits ordered by smallest member."""
+    """The cycles of sigma_q on the classes, each listed in ascending class
+    order and ordered by smallest member.  The class of g^q depends only on
+    the class of g, and powering by q^j is the j-th iterate of sigma_q, so
+    sigma_q is read off with one power_class call per class."""
     G = ctx.group
     m = len(G.classes)
-    seen = [False] * m
-    orbits = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        orbit = sorted({power_class(G, start, l) for l in ctx.i_q})
-        for c in orbit:
-            seen[c] = True
-        orbits.append(tuple(orbit))
-    return CycloPartition(orbits=tuple(orbits), sizes=tuple(len(o) for o in orbits))
+    q = pow(ctx.p, ctx.k, ctx.e)
+    frobenius = [power_class(G, c, q) for c in range(m)]
+    orbits = tuple(tuple(sorted(o)) for o in _orbits(m, [frobenius])[0])
+    return CycloPartition(orbits=orbits, sizes=tuple(len(o) for o in orbits))
 
 
 def component_count_and_degrees(ctx: CycloContext) -> tuple[int, tuple[int, ...]]:

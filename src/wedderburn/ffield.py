@@ -421,13 +421,14 @@ class Polynomial:
     """Dense polynomial over F_q on coefficient tuples: coeffs[i] is the
     length-k coefficient vector of x^i, and trailing zeros are trimmed (the
     zero polynomial has no coefficients).  The constructor also takes
-    FieldElements, and leading() and evaluate() return them; every other
-    method runs the FieldSpec tuple kernels."""
+    FieldElements of ``spec`` (one of another field raises ValueError), and
+    leading() and evaluate() return them; every other method runs the
+    FieldSpec tuple kernels."""
 
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        cs = [c.coeffs if isinstance(c, FieldElement) else c for c in coeffs]
+        cs = [spec.element(c).coeffs if isinstance(c, FieldElement) else c for c in coeffs]
         while cs and not any(cs[-1]):
             cs.pop()
         self.spec = spec

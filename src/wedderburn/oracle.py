@@ -71,7 +71,8 @@ CERTIFICATE_OVERSAMPLE = 32  # rows and columns past D in verify_split's sampled
 
 class AlgebraElement:
     """An element of F_q[G]: one coefficient per group element, indexed by the
-    group's enumeration order.  ``arr`` has shape (|G|, k) and dtype
+    group's enumeration order, each a FieldElement of ``spec`` (one of
+    another field raises ValueError).  ``arr`` has shape (|G|, k) and dtype
     ``spec.dtype``: row g holds the coefficient of g as k residues mod p."""
 
     __slots__ = ("group", "spec", "arr")
@@ -82,7 +83,7 @@ class AlgebraElement:
             raise ValueError(f"need {group.order} coefficients, got {len(coeffs)}")
         self.group = group
         self.spec = spec
-        self.arr = np.array([c.coeffs for c in coeffs], dtype=spec.dtype)
+        self.arr = np.array([spec.element(c).coeffs for c in coeffs], dtype=spec.dtype)
 
     @classmethod
     def _from_array(cls, group, spec, arr) -> "AlgebraElement":

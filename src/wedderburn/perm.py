@@ -254,25 +254,8 @@ class FiniteGroup:
         return self._mul_table
 
     def point_orbits(self) -> list[list[int]]:
-        """Orbits of the group on its 0-indexed points."""
-        seen = [False] * self.degree
-        orbits = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            orb = [start]
-            seen[start] = True
-            queue = [start]
-            while queue:
-                x = queue.pop()
-                for g in self.generators:
-                    y = g(x)
-                    if not seen[y]:
-                        seen[y] = True
-                        orb.append(y)
-                        queue.append(y)
-            orbits.append(sorted(orb))
-        return orbits
+        """Orbits of the group on its 0-indexed points, each sorted."""
+        return [sorted(o) for o in _orbits(self.degree, [g.images for g in self.generators])[0]]
 
     def class_product_coefficients(self) -> np.ndarray:
         """Integer structure constants of the class sums as an int64 array
@@ -298,30 +281,37 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, degree={self.degree}, classes={len(self.classes)})"
 
 
-def _conjugacy_partition(elements, conjugations):
-    """Partition the element list into conjugacy classes.
-
-    ``conjugations`` holds one index map per generator g, entry x the index
-    of g^-1 g_x g; the classes are the orbits of these maps, found by a walk
-    over integer lists.  Classes are ordered by (element order, size,
-    first-seen index); the representative is the first-seen member, so the
-    labelling is a deterministic function of the enumeration order.
-    """
-    n = len(elements)
-    label = [-1] * n  # label[x] = position in raw of the orbit of x
-    raw = []
+def _orbits(n, maps):
+    """Orbits of range(n) under bijections of it, each given as an int list
+    (entry x the image of x).  Returns (orbits, label): the orbits in order
+    of their least member, each listed in discovery order from that member,
+    and label[x] the position of the orbit of x.  A bijection of a finite
+    set has its inverse among its powers, so the forward closure of a point
+    is its orbit under the group the maps generate."""
+    label = [-1] * n
+    orbits = []
     for start in range(n):
         if label[start] >= 0:
             continue
         members = [start]
-        label[start] = len(raw)
+        label[start] = len(orbits)
         for x in members:  # the list grows while it is walked
-            for conj in conjugations:
-                y = conj[x]
+            for f in maps:
+                y = f[x]
                 if label[y] < 0:
-                    label[y] = len(raw)
+                    label[y] = len(orbits)
                     members.append(y)
-        raw.append((elements[start].order(), len(members), start, members))
+        orbits.append(members)
+    return orbits, label
+
+
+def _conjugacy_partition(elements, conjugations):
+    """The conjugacy classes: the orbits of ``conjugations`` (one index map
+    per generator g, entry x the index of g^-1 g_x g), ordered by (element
+    order, size, first-seen index), each represented by its first-seen
+    member.  Returns (classes, class_index_of)."""
+    orbits, label = _orbits(len(elements), conjugations)
+    raw = [(elements[o[0]].order(), len(o), o[0], o) for o in orbits]
     ranked = sorted(range(len(raw)), key=lambda r: raw[r][:3])
     rank = [0] * len(raw)
     for ci, r in enumerate(ranked):

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from wedderburn import (
+    BUILTIN_GROUPS,
     ModularCaseError,
     Permutation,
     build_context,
@@ -10,24 +12,46 @@ from wedderburn import (
     cyclotomic_partition,
     generate,
     is_prime,
+    load_group,
     power_class,
 )
+from wedderburn import cyclo
 
 GOOD_PRIMES = [p for p in range(5, 101) if is_prime(p) and p != 7]
+
+GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
+
+# the zoo benchmark's two primes per group file, and 11 and 13 for the builtins
+PARTITION_CASES = [
+    ("c15", 11, 17), ("q8", 5, 11), ("d10", 7, 31), ("a4", 5, 13), ("s4", 7, 29), ("c7c3", 11, 43),
+    ("a5", 7, 61), ("s5", 13, 127), ("psl27", 13, 179), ("a6", 11, 367), ("s6", 11, 727),
+] + [(f"builtin:{name}", 11, 13) for name in sorted(BUILTIN_GROUPS)]
+
+
+def i_q(ctx):
+    """The subgroup {q^j mod e} of the residues mod e, sorted."""
+    return tuple(sorted({pow(ctx.q, j, ctx.e) for j in range(ctx.e)}))
+
+
+def i_q_orbits(ctx):
+    """Orbits of the classes under all power maps l in I_q, each sorted and
+    ordered by smallest member: the reference partition."""
+    G = ctx.group
+    return tuple(sorted({tuple(sorted({power_class(G, c, l) for l in i_q(ctx)})) for c in range(len(G.classes))}))
 
 
 def test_context_q_congruent_1_mod_84(sl32_s8):
     # 13^2 = 169 = 2*84 + 1, so every power map is the identity on classes
     ctx = build_context(sl32_s8, 13, 2)
     assert ctx.e == 84
-    assert ctx.i_q == (1,)
+    assert i_q(ctx) == (1,)
     part = cyclotomic_partition(ctx)
     assert part.sizes == (1,) * 6
 
 
 def test_context_p13(sl32_s8):
     ctx = build_context(sl32_s8, 13, 1)
-    assert ctx.i_q == (1, 13)
+    assert i_q(ctx) == (1, 13)
     assert ctx.q == 13
     part = cyclotomic_partition(ctx)
     assert sorted(part.sizes) == [1, 1, 1, 1, 2]
@@ -59,16 +83,6 @@ def test_component_counts(sl32_s8):
     assert component_count_and_degrees(build_context(sl32_s8, 13, 2)) == (6, (1,) * 6)
 
 
-def test_i_q_is_multiplicatively_closed(sl32_s8):
-    for p in (11, 13, 29, 97):
-        ctx = build_context(sl32_s8, p, 1)
-        s = set(ctx.i_q)
-        assert 1 in s
-        for a in s:
-            for b in s:
-                assert a * b % ctx.e in s
-
-
 def test_partition_grid_invariants(sl32_s8):
     for p in GOOD_PRIMES:
         for k in range(1, 13):
@@ -80,7 +94,7 @@ def test_partition_grid_invariants(sl32_s8):
             merged = any(len(o) == 2 for o in part.orbits)
             assert merged == (pow(p, k, 7) in (3, 5, 6)), (p, k)
             assert sum(part.sizes) == 6
-            ordq = len(ctx.i_q)
+            ordq = len(i_q(ctx))
             assert all(ordq % size == 0 for size in part.sizes)
 
 
@@ -91,7 +105,7 @@ def test_orbit_closure_under_power_maps(sl32_s8):
         part = cyclotomic_partition(ctx)
         for orbit in part.orbits:
             for c in orbit:
-                for l in ctx.i_q:
+                for l in i_q(ctx):
                     assert power_class(sl32_s8, c, l) in orbit
 
 
@@ -99,3 +113,30 @@ def test_exponent_and_gcd(sl32_s8):
     ctx = build_context(sl32_s8, 11, 3)
     assert ctx.e == sl32_s8.exponent == 84
     assert math.gcd(ctx.q, ctx.e) == 1
+
+
+@pytest.mark.parametrize("name,p1,p2", PARTITION_CASES, ids=[c[0] for c in PARTITION_CASES])
+def test_partition_is_the_i_q_orbit_partition(name, p1, p2):
+    G = BUILTIN_GROUPS[name[8:]]() if name.startswith("builtin:") else load_group(GROUP_DIR / f"{name}.txt")
+    for p in (p1, p2):
+        for k in (1, 2, 3):
+            ctx = build_context(G, p, k)
+            part = cyclotomic_partition(ctx)
+            assert part.orbits == i_q_orbits(ctx), (name, p, k)
+            assert part.sizes == tuple(len(o) for o in part.orbits)
+
+
+@pytest.mark.parametrize("group,p,m", [("sl32_s8", 11, 6), ("sl32_s8", 13, 6), ("c15", 17, 15)])
+def test_partition_makes_one_power_class_call_per_class(group, p, m, request, monkeypatch):
+    # sigma_q is read off once per class, whatever the orbit lengths
+    G = load_group(GROUP_DIR / "c15.txt") if group == "c15" else request.getfixturevalue(group)
+    assert len(G.classes) == m
+    calls = []
+
+    def counted(G, c, l):
+        calls.append(c)
+        return power_class(G, c, l)
+
+    monkeypatch.setattr(cyclo, "power_class", counted)
+    cyclotomic_partition(build_context(G, p, 1))
+    assert sorted(calls) == list(range(m))

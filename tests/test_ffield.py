@@ -403,3 +403,14 @@ def test_pow_and_truediv(f13):
     assert (f13.one / a) == f13.scalar(7)
     with pytest.raises(ZeroDivisionError):
         f13.zero.inverse()
+
+
+def test_polynomial_rejects_coefficients_of_another_field(f11, f13, f169):
+    with pytest.raises(ValueError):
+        Polynomial(f11, [f13.scalar(12), f13.one])
+    with pytest.raises(ValueError):
+        Polynomial(f11, [f169.element([1, 1])])
+    # an equal field built apart, and coefficient tuples, are accepted as before
+    twin = FieldSpec(11, 1, f11.modulus)
+    assert twin is not f11
+    assert Polynomial(f11, [twin.one, twin.one]) == Polynomial(f11, [(1,), (1,)])

@@ -466,3 +466,13 @@ def test_verify_split_on_the_zoo(name, p, monkeypatch):
     split = split_center(G, make_field(p), seed=0)
     no_full_rank(monkeypatch)
     assert verify_split(split)
+
+
+def test_algebra_element_rejects_coefficients_of_another_field(sl32_s8, f11, f13):
+    f121 = make_field(11, 2, seed=0)
+    with pytest.raises(ValueError):
+        AlgebraElement(sl32_s8, f13, [f11.scalar(5)] * sl32_s8.order)
+    with pytest.raises(ValueError):
+        AlgebraElement(sl32_s8, f11, [f121.element([1, 1])] * sl32_s8.order)
+    a = AlgebraElement(sl32_s8, f11, [f11.scalar(5)] * sl32_s8.order)
+    assert a.arr.shape == (sl32_s8.order, 1) and (a.arr == 5).all()

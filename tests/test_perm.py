@@ -345,3 +345,28 @@ def test_group_is_what_its_generators_generate():
     T = G.mul_table
     for i, a in enumerate(G.elements):
         assert T[i].tolist() == [G.index(a * b) for b in G.elements]
+
+
+def brute_force_point_orbits(G):
+    """Each point's closure under the generators, one per orbit, sorted."""
+    orbits = set()
+    for start in range(G.degree):
+        orb = {start}
+        while True:
+            grown = orb | {g(x) for g in G.generators for x in orb}
+            if grown == orb:
+                break
+            orb = grown
+        orbits.add(tuple(sorted(orb)))
+    return [list(o) for o in sorted(orbits)]
+
+
+def test_point_orbits_match_brute_force(table_group):
+    G = table_group
+    assert G.point_orbits() == brute_force_point_orbits(G)
+
+
+def test_point_orbits_of_an_intransitive_group():
+    # S3 on {1,2,3} inside 5 points fixes 4 and 5
+    H = FiniteGroup([parse_cycles("(1,2,3)", 5), parse_cycles("(1,2)", 5)])
+    assert H.point_orbits() == brute_force_point_orbits(H) == [[0, 1, 2], [3], [4]]

@@ -7,8 +7,8 @@ its primitive central idempotents and reads the same structure off traces
 and explicit ranks.  The flagship example is SL(3,2) with |G| = 168.
 """
 
-from .charkit import ActionReport, PermCharacter, deleted_module_check, inner_product, perm_character
-from .cyclo import CycloContext, CycloPartition, build_context, component_count_and_degrees, cyclotomic_partition
+from .charkit import deleted_module_check, inner_product, perm_character
+from .cyclo import cyclotomic_partition
 from .errors import ModularCaseError
 from .ffield import (
     FieldElement,

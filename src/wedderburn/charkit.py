@@ -1,89 +1,57 @@
 """Permutation characters and the double-transitivity certificate for the
 deleted permutation module.
 
-For a group acting on k points, the deleted module is the codimension-1
+For a group acting on w points, the deleted module is the codimension-1
 space of zero-sum vectors inside the natural permutation module.  When the
-action is doubly transitive and the characteristic p divides neither k nor
+action is doubly transitive and the characteristic p divides neither w nor
 the order of a two-point stabilizer, that module is irreducible, which
-forces a matrix block of size k - 1 over the prime field of scalars.
+forces a matrix block of size w - 1 over the prime field of scalars.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ffield import is_prime
 from .perm import FiniteGroup
 
-__all__ = ["PermCharacter", "ActionReport", "perm_character", "inner_product", "deleted_module_check"]
+__all__ = ["perm_character", "inner_product", "deleted_module_check"]
 
 
-@dataclass(frozen=True)
-class PermCharacter:
-    """Fixed-point counts of a permutation action, one value per conjugacy
-    class; the value at the identity class is the number of points."""
-
-    group: FiniteGroup
-    values: tuple[int, ...]
-    degree: int
-
-    @classmethod
-    def trivial(cls, G: FiniteGroup) -> "PermCharacter":
-        return cls(G, (1,) * len(G.classes), 1)
+def perm_character(G: FiniteGroup) -> tuple[int, ...]:
+    """Fixed-point counts of the action, one value per conjugacy class; the
+    value at the identity class (class 0) is the number of points."""
+    return tuple(sum(1 for i in range(G.degree) if c.representative(i) == i) for c in G.classes)
 
 
-def perm_character(G: FiniteGroup) -> PermCharacter:
-    values = tuple(
-        sum(1 for i in range(G.degree) if c.representative(i) == i) for c in G.classes
-    )
-    return PermCharacter(G, values, G.degree)
-
-
-def inner_product(a: PermCharacter, b: PermCharacter) -> int:
-    """Class-sum form of the character inner product; the characters here are
-    integer-valued and self-conjugate, and the result must be an exact integer."""
-    if a.group is not b.group:
-        raise ValueError("characters belong to different groups")
-    G = a.group
-    total = sum(c.size * av * bv for c, av, bv in zip(G.classes, a.values, b.values))
+def inner_product(G: FiniteGroup, a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Class-sum form of the inner product of two class functions of G; the
+    characters here are integer-valued and self-conjugate, and the result
+    must be an exact integer."""
+    m = len(G.classes)
+    if len(a) != m or len(b) != m:
+        raise ValueError(f"class functions must have {m} values, got {len(a)} and {len(b)}")
+    total = sum(c.size * av * bv for c, av, bv in zip(G.classes, a, b))
     if total % G.order:
         raise ArithmeticError(f"inner product {total}/{G.order} is not an integer")
     return total // G.order
 
 
-@dataclass(frozen=True)
-class ActionReport:
-    num_orbits: int
-    inner_norm: int
-    stab1_order: int
-    stab2_order: int
-    doubly_transitive: bool
+def deleted_module_check(G: FiniteGroup, p: int) -> bool:
+    """Certify the deleted permutation module irreducible in characteristic p:
+    true iff the action on w points is doubly transitive, p does not divide
+    w, and p does not divide the two-point stabilizer order |G_12|.
 
-
-def deleted_module_check(G: FiniteGroup, p: int) -> tuple[ActionReport, bool]:
-    """Certify the deleted permutation module irreducible in characteristic p.
-
-    Verdict is true iff the action is doubly transitive, p does not divide the
-    number of points, and p does not divide the two-point stabilizer order.
-    Stabilizer orders are obtained by direct counting.
+    By Burnside's lemma <chi, chi> counts the orbits of G on ordered pairs of
+    points.  With r point orbits, the diagonal pairs form r of them, and for
+    w >= 2 the pairs of distinct points add at least one more, so the norm is
+    at least r + 1.  Norm 2 thus forces r = 1 and a single orbit on pairs of
+    distinct points, and a doubly transitive action has norm 2.  Norm 2 also
+    rules out w = 1 (norm 1), so orbit-stabilizer on the w(w - 1) distinct
+    pairs gives |G_12| = |G| / (w(w - 1)).
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     chi = perm_character(G)
-    num_orbits = len(G.point_orbits())
-    norm = inner_product(chi, chi)
-    stab1 = sum(1 for g in G.elements if g(0) == 0)
-    if G.degree >= 2:
-        stab2 = sum(1 for g in G.elements if g(0) == 0 and g(1) == 1)
-    else:
-        stab2 = stab1
-    doubly = num_orbits == 1 and norm == 2
-    report = ActionReport(
-        num_orbits=num_orbits,
-        inner_norm=norm,
-        stab1_order=stab1,
-        stab2_order=stab2,
-        doubly_transitive=doubly,
-    )
-    verdict = doubly and G.degree % p != 0 and stab2 % p != 0
-    return report, verdict
+    if inner_product(G, chi, chi) != 2:
+        return False
+    w = chi[0]
+    return w % p != 0 and G.order // (w * (w - 1)) % p != 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .charkit import deleted_module_check
-from .cyclo import build_context, cyclotomic_partition, component_count_and_degrees
+from .cyclo import cyclotomic_partition
 from .errors import ModularCaseError
 from .perm import FiniteGroup, builtin_sl32_s8
 
@@ -94,8 +94,7 @@ def forced_components(G: FiniteGroup, p: int, actions) -> list[Component]:
         raise ModularCaseError(p, G.order)
     comps = [Component(1, 1)]
     for action in actions:
-        _, ok = deleted_module_check(action, p)
-        if ok:
+        if deleted_module_check(action, p):
             comps.append(Component(action.degree - 1, 1))
     return comps
 
@@ -111,9 +110,13 @@ def solve(group_order: int, degrees, forced, p: int | None = None, k: int | None
     to hold the remaining mass are skipped.  The enumeration is memoized on
     (slot, remaining mass, largest n) and works on (d, n) int pairs; the
     candidates come sorted by those keys, with one Component built per
-    distinct block.
+    distinct block.  Raises ValueError for a center degree below 1.
     """
-    degrees = sorted(degrees)
+    degrees = list(degrees)
+    for d in degrees:
+        if d < 1:
+            raise ValueError(f"center degree {d} must be at least 1")
+    degrees.sort()
     forced = tuple(sorted(forced, key=Component.sort_key))
     for c in forced:
         if c.d != 1:
@@ -187,11 +190,8 @@ def classify_type(p: int, k: int) -> int:
     """
     if p in (2, 3, 7):
         raise ModularCaseError(p, 168)
-    G = builtin_sl32_s8()
-    ctx = build_context(G, p, k)
-    part = cyclotomic_partition(ctx)
     a, b = _order7_class_indices()
-    merged = any(a in orbit and b in orbit for orbit in part.orbits)
+    merged = any(a in orbit and b in orbit for orbit in cyclotomic_partition(builtin_sl32_s8(), p, k))
     return 2 if merged else 1
 
 
@@ -204,7 +204,6 @@ def splitting_field_check(dec: Decomposition) -> bool:
 def analytic_decomposition(G: FiniteGroup, p: int, k: int, actions) -> SolverReport:
     """The full analytic pipeline: center degrees from the q-power orbits,
     forced blocks from the given actions, then exhaustive mass assignment."""
-    ctx = build_context(G, p, k)
-    _, degrees = component_count_and_degrees(ctx)
+    degrees = [len(o) for o in cyclotomic_partition(G, p, k)]
     forced = forced_components(G, p, actions)
     return solve(G.order, degrees, forced, p=p, k=k)

@@ -7,8 +7,7 @@ from wedderburn import (
     BUILTIN_GROUPS,
     ModularCaseError,
     Permutation,
-    build_context,
-    component_count_and_degrees,
+    classify_type,
     cyclotomic_partition,
     generate,
     is_prime,
@@ -28,91 +27,96 @@ PARTITION_CASES = [
 ] + [(f"builtin:{name}", 11, 13) for name in sorted(BUILTIN_GROUPS)]
 
 
-def i_q(ctx):
-    """The subgroup {q^j mod e} of the residues mod e, sorted."""
-    return tuple(sorted({pow(ctx.q, j, ctx.e) for j in range(ctx.e)}))
+def i_q(G, p, k):
+    """The subgroup {q^j mod e} of the residues mod e = exp(G), q = p^k, sorted."""
+    e = G.exponent
+    return tuple(sorted({pow(p**k, j, e) for j in range(e)}))
 
 
-def i_q_orbits(ctx):
+def i_q_orbits(G, p, k):
     """Orbits of the classes under all power maps l in I_q, each sorted and
     ordered by smallest member: the reference partition."""
-    G = ctx.group
-    return tuple(sorted({tuple(sorted({power_class(G, c, l) for l in i_q(ctx)})) for c in range(len(G.classes))}))
+    return tuple(sorted({tuple(sorted({power_class(G, c, l) for l in i_q(G, p, k)})) for c in range(len(G.classes))}))
+
+
+def sizes(orbits):
+    return tuple(len(o) for o in orbits)
 
 
 def test_context_q_congruent_1_mod_84(sl32_s8):
     # 13^2 = 169 = 2*84 + 1, so every power map is the identity on classes
-    ctx = build_context(sl32_s8, 13, 2)
-    assert ctx.e == 84
-    assert i_q(ctx) == (1,)
-    part = cyclotomic_partition(ctx)
-    assert part.sizes == (1,) * 6
+    assert sl32_s8.exponent == 84
+    assert i_q(sl32_s8, 13, 2) == (1,)
+    assert sizes(cyclotomic_partition(sl32_s8, 13, 2)) == (1,) * 6
 
 
 def test_context_p13(sl32_s8):
-    ctx = build_context(sl32_s8, 13, 1)
-    assert i_q(ctx) == (1, 13)
-    assert ctx.q == 13
-    part = cyclotomic_partition(ctx)
-    assert sorted(part.sizes) == [1, 1, 1, 1, 2]
-    merged = next(o for o in part.orbits if len(o) == 2)
+    assert i_q(sl32_s8, 13, 1) == (1, 13)
+    orbits = cyclotomic_partition(sl32_s8, 13, 1)
+    assert sorted(sizes(orbits)) == [1, 1, 1, 1, 2]
+    merged = next(o for o in orbits if len(o) == 2)
     assert merged == (4, 5)  # the two order-7 classes fuse
 
 
 def test_context_rejects_modular_case(sl32_s8):
     for p in (2, 3, 7):
         with pytest.raises(ModularCaseError):
-            build_context(sl32_s8, p, 1)
+            cyclotomic_partition(sl32_s8, p, 1)
     with pytest.raises(ValueError):
-        build_context(sl32_s8, 6, 1)
+        cyclotomic_partition(sl32_s8, 6, 1)
     with pytest.raises(ValueError):
-        build_context(sl32_s8, 11, 0)
+        cyclotomic_partition(sl32_s8, 11, 0)
+
+
+def test_input_checks_run_in_order(sl32_s8):
+    # primality first, then k, then the modular case
+    with pytest.raises(ValueError, match="not prime"):
+        cyclotomic_partition(sl32_s8, 6, 0)
+    with pytest.raises(ValueError, match="k must be positive"):
+        cyclotomic_partition(sl32_s8, 7, 0)
+    # classify_type rejects the modular primes before it looks at k
+    with pytest.raises(ModularCaseError):
+        classify_type(7, 0)
 
 
 def test_trivial_group_partition():
     G = generate([Permutation.identity(2)])
-    ctx = build_context(G, 11, 1)
-    part = cyclotomic_partition(ctx)
-    assert part.orbits == ((0,),)
-    assert component_count_and_degrees(ctx) == (1, (1,))
+    assert cyclotomic_partition(G, 11, 1) == ((0,),)
 
 
 def test_component_counts(sl32_s8):
-    assert component_count_and_degrees(build_context(sl32_s8, 11, 1)) == (6, (1,) * 6)
-    assert component_count_and_degrees(build_context(sl32_s8, 13, 1)) == (5, (1, 1, 1, 1, 2))
-    assert component_count_and_degrees(build_context(sl32_s8, 13, 2)) == (6, (1,) * 6)
+    assert sizes(cyclotomic_partition(sl32_s8, 11, 1)) == (1,) * 6
+    assert sorted(sizes(cyclotomic_partition(sl32_s8, 13, 1))) == [1, 1, 1, 1, 2]
+    assert sizes(cyclotomic_partition(sl32_s8, 13, 2)) == (1,) * 6
 
 
 def test_partition_grid_invariants(sl32_s8):
     for p in GOOD_PRIMES:
         for k in range(1, 13):
-            ctx = build_context(sl32_s8, p, k)
-            part = cyclotomic_partition(ctx)
+            orbits = cyclotomic_partition(sl32_s8, p, k)
             # rational classes stay alone
             for rational in (0, 1, 2, 3):
-                assert (rational,) in part.orbits, (p, k)
-            merged = any(len(o) == 2 for o in part.orbits)
+                assert (rational,) in orbits, (p, k)
+            merged = any(len(o) == 2 for o in orbits)
             assert merged == (pow(p, k, 7) in (3, 5, 6)), (p, k)
-            assert sum(part.sizes) == 6
-            ordq = len(i_q(ctx))
-            assert all(ordq % size == 0 for size in part.sizes)
+            assert sum(sizes(orbits)) == 6
+            ordq = len(i_q(sl32_s8, p, k))
+            assert all(ordq % size == 0 for size in sizes(orbits))
 
 
 def test_orbit_closure_under_power_maps(sl32_s8):
     # applying any power map from I_q to any orbit member stays in the orbit
     for p in (13, 23, 41):
-        ctx = build_context(sl32_s8, p, 1)
-        part = cyclotomic_partition(ctx)
-        for orbit in part.orbits:
+        for orbit in cyclotomic_partition(sl32_s8, p, 1):
             for c in orbit:
-                for l in i_q(ctx):
+                for l in i_q(sl32_s8, p, 1):
                     assert power_class(sl32_s8, c, l) in orbit
 
 
 def test_exponent_and_gcd(sl32_s8):
-    ctx = build_context(sl32_s8, 11, 3)
-    assert ctx.e == sl32_s8.exponent == 84
-    assert math.gcd(ctx.q, ctx.e) == 1
+    assert sl32_s8.exponent == 84
+    assert math.gcd(11**3, sl32_s8.exponent) == 1
+    assert cyclotomic_partition(sl32_s8, 11, 3) == i_q_orbits(sl32_s8, 11, 3)
 
 
 @pytest.mark.parametrize("name,p1,p2", PARTITION_CASES, ids=[c[0] for c in PARTITION_CASES])
@@ -120,10 +124,7 @@ def test_partition_is_the_i_q_orbit_partition(name, p1, p2):
     G = BUILTIN_GROUPS[name[8:]]() if name.startswith("builtin:") else load_group(GROUP_DIR / f"{name}.txt")
     for p in (p1, p2):
         for k in (1, 2, 3):
-            ctx = build_context(G, p, k)
-            part = cyclotomic_partition(ctx)
-            assert part.orbits == i_q_orbits(ctx), (name, p, k)
-            assert part.sizes == tuple(len(o) for o in part.orbits)
+            assert cyclotomic_partition(G, p, k) == i_q_orbits(G, p, k), (name, p, k)
 
 
 @pytest.mark.parametrize("group,p,m", [("sl32_s8", 11, 6), ("sl32_s8", 13, 6), ("c15", 17, 15)])
@@ -138,5 +139,5 @@ def test_partition_makes_one_power_class_call_per_class(group, p, m, request, mo
         return power_class(G, c, l)
 
     monkeypatch.setattr(cyclo, "power_class", counted)
-    cyclotomic_partition(build_context(G, p, 1))
+    cyclotomic_partition(G, p, 1)
     assert sorted(calls) == list(range(m))

@@ -10,8 +10,7 @@ from wedderburn import (
     ModularCaseError,
     Permutation,
     analytic_decomposition,
-    build_context,
-    component_count_and_degrees,
+    cyclotomic_partition,
     generate,
     make_field,
     split_center,
@@ -425,9 +424,9 @@ def test_split_agrees_with_analytic_and_cyclo(sl32_s8, sl32_p2f2):
         rep = analytic_decomposition(sl32_s8, p, k, actions)
         assert rep.unique
         assert split.pairs() == rep.solutions[0].pairs(), (p, k)
-        n_blocks, degrees = component_count_and_degrees(build_context(sl32_s8, p, k))
-        assert len(split.idempotents) == n_blocks
-        assert tuple(sorted(split.center_dims)) == degrees
+        orbits = cyclotomic_partition(sl32_s8, p, k)
+        assert len(split.idempotents) == len(orbits)
+        assert sorted(split.center_dims) == sorted(len(o) for o in orbits)
 
 
 def test_split_modulus_independence(sl32_s8):

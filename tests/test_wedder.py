@@ -160,6 +160,16 @@ def test_solve_errors():
         solve(168, [1] * 6, [Component(3, 2)])  # forced blocks must have d = 1
 
 
+def test_solve_rejects_degrees_below_one():
+    # a degree 0 slot would divide by zero, a negative one would reach isqrt
+    with pytest.raises(ValueError, match="center degree 0 must be at least 1"):
+        solve(10, [0, 1], [])
+    with pytest.raises(ValueError, match="center degree -1 must be at least 1"):
+        solve(10, [-1, 1], [])
+    with pytest.raises(ValueError, match="center degree -2 must be at least 1"):
+        solve(10, [1, -2, 0], [Component(1, 1)])
+
+
 def test_solve_no_solution_reports_empty():
     rep = solve(7, [1, 1], [Component(1, 1)])  # 1 + n^2 = 7 has no solution
     assert rep.solutions == () and not rep.unique

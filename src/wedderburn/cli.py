@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 from . import oracle as oracle_mod
 from .errors import ModularCaseError
@@ -51,7 +52,11 @@ def _add_common(sub: argparse.ArgumentParser, with_pk: bool = True):
         sub.add_argument("--k", type=int, default=1, help="extension degree, q = p^k")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+    It is read-only after it is built: parse_args and the help and usage
+    printers only read it.  build_parser.__wrapped__() builds a fresh one."""
     parser = argparse.ArgumentParser(prog="wedderburn",
                                      description="Exact block decompositions of semisimple group "
                                                  "algebras F_q[G] and their unit groups.")
@@ -371,6 +376,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  main can be called any
+    number of times in one process; each call reads the one cached parser,
+    which is read-only after it is built, and keeps no other state."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

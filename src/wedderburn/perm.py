@@ -6,8 +6,9 @@ generators' right action on it as integer index maps, the inverse indices
 and the conjugacy classes ordered by (element order, class size, first-seen
 index); only the multiplication table and the class constants are lazy.
 Permutation is the boundary type callers build and read: the group makes
-one per element and multiplies none.  Points are 1-indexed in all input and
-output (cycle notation, group files) and 0-indexed internally.
+one per element and multiplies none, and a power is one walk over cycles.
+Points are 1-indexed in all input and output (cycle notation, group files)
+and 0-indexed internally.
 """
 
 from __future__ import annotations
@@ -77,15 +78,25 @@ class Permutation:
         return _bijection(tuple(inv))
 
     def __pow__(self, m: int) -> "Permutation":
-        m %= self.order()
-        result = Permutation.identity(self.degree)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            base = base * base
-            m >>= 1
-        return result
+        """g**m by one walk over the cycles of g: under g**m each point moves
+        m steps along its cycle, and m % len(cycle) is exact for every
+        integer m, negative or zero included.  No product is made."""
+        imgs = self.images
+        out = list(imgs)
+        seen = [False] * len(imgs)
+        for start, nxt in enumerate(imgs):
+            if seen[start] or nxt == start:
+                continue
+            cyc = [start]
+            while nxt != start:
+                cyc.append(nxt)
+                nxt = imgs[nxt]
+            for i in cyc:
+                seen[i] = True
+            s = m % len(cyc)
+            for i, j in zip(cyc, cyc[s:] + cyc[:s]):
+                out[i] = j
+        return _bijection(tuple(out))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles as 1-indexed tuples, each starting at its least point."""

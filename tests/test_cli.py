@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -394,3 +395,68 @@ def test_flags_that_nothing_reads_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+
+
+# (5,) + the primes 11..199 and k = 1..12: the cells of the SL(3,2) reference grid
+GRID_PRIMES = (5,) + tuple(p for p in range(11, 200) if all(p % d for d in range(2, p)))
+GRID_KS = tuple(range(1, 13))
+
+
+def test_units_grid_bytes_pinned(capsys):
+    # sha256 over "<exit code>\n<stdout>" of every cell, primes outer and k inner
+    digest = hashlib.sha256()
+    for p in GRID_PRIMES:
+        for k in GRID_KS:
+            code, out, _ = run(capsys, ["units", "--p", str(p), "--k", str(k), "--format", "json"])
+            digest.update(f"{code}\n{out}".encode())
+    assert len(GRID_PRIMES) * len(GRID_KS) == 516
+    assert digest.hexdigest() == "0387bda0a7068b33fc5fd872eccc810510815a30cc1591f28e6827e78ee9fd5f"
+
+
+SUBCOMMAND_CALLS = [
+    ["units", "--p", "13", "--k", "2", "--format", "json"],
+    ["decompose", "--p", "11", "--k", "3"],
+    ["oracle", "--p", "11", "--format", "json"],
+    ["classes", "--group", "builtin:s5"],
+    ["check", "--p", "11,13", "--k", "1..2"],
+]
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    cli.main(["classes"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    for argv in SUBCOMMAND_CALLS:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+    cli.build_parser.__wrapped__()
+    assert len(built) == 1 + len(SUBCOMMAND_CALLS)  # the counter does see the parser and subparsers
+
+
+def _call(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit {exc.code}"
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_leaks_no_state(capsys, monkeypatch):
+    # a usage error and --help first, then every subcommand, on the cached
+    # parser and then on a parser built afresh for each call
+    calls = [["decompose"], ["--help"], ["units", "--help"], *SUBCOMMAND_CALLS]
+    cached = [_call(capsys, argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_call(capsys, argv) for argv in calls]
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == ["SystemExit 2", "SystemExit 0", "SystemExit 0",
+                                               0, 0, 0, 0, 0]
+    assert "required: --p" in cached[0][2] and "usage: wedderburn" in cached[1][1]

@@ -193,6 +193,42 @@ def test_power_class_depends_only_on_m_mod_order(sl32_s8):
         assert power_class(sl32_s8, ci, m) == power_class(sl32_s8, ci, m % order)
 
 
+def test_pow_is_repeated_product(table_group):
+    # g**m is the product of m mod ord(g) copies of g, for negative and zero m too
+    for g in table_group.elements:
+        order = g.order()
+        one = Permutation.identity(g.degree)
+        copies = [one]
+        for _ in range(order - 1):
+            copies.append(copies[-1] * g)
+        for m in range(-2 * order, 2 * order + 1):
+            assert g**m == copies[m % order]
+
+
+def test_pow_degree_one():
+    g = Permutation([0])
+    for m in (-3, -1, 0, 1, 5):
+        assert g**m == g and (g**m).degree == 1
+
+
+def test_power_class_multiplies_no_permutations(monkeypatch, sl32_s8, s5):
+    calls = {"mul": 0}
+    mul = Permutation.__mul__
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted_mul)
+    for G in (sl32_s8, s5):
+        for ci, cl in enumerate(G.classes):
+            for m in range(-cl.element_order, 2 * cl.element_order + 1):
+                power_class(G, ci, m)
+    assert calls == {"mul": 0}
+    s5.elements[1] * s5.elements[2]
+    assert calls == {"mul": 1}  # the counter does see calls
+
+
 def test_builtin_p2f2(sl32_p2f2):
     G = sl32_p2f2
     assert G.order == 168

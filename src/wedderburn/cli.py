@@ -2,8 +2,8 @@
 
 Subcommands: classes, decompose, oracle, units, check.  Exit codes:
 0 success, 1 a check failed: a reference-grid mismatch or an internal
-consistency check, 2 input or parse error, 3 unsupported modular case (the
-characteristic divides the group order), 4 the analytic solver could not pin
+consistency check, 2 input or parse error, or out of memory, 3 unsupported
+modular case (p divides the group order), 4 the analytic solver could not pin
 a unique decomposition.  `check` reports a modular cell as skipped and goes
 on with the rest of the grid.
 """
@@ -388,6 +388,9 @@ def main(argv=None) -> int:
         return EXIT_MODULAR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (AssertionError, RuntimeError, ArithmeticError) as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)

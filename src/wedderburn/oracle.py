@@ -35,18 +35,18 @@ the claimed D, with the claimed D summing to |G|, prove every D exact.
 
 Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product
 writes the coefficient of g as sum over h of a(h^-1) * b(h g): it gathers
-its right factor through the group's multiplication table, permutes the
-left one by inversion, does k^2 matrix-vector products mod p and folds the
-result with FieldSpec.fold; the overflow rule is ffield's, with the sum over
-the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms.  One kernel
-multiplies several left factors by one right factor against a single
-gather; a single product is its one-left call, and verify_split's
-orthogonality check asks it only for the coefficients at the class
-representatives, gathering the m table columns there.  The center
-works in the class-sum basis on (m, k) arrays, m the number of classes:
+its right factor through the multiplication-table columns it is given,
+permutes the left one by inversion, does k^2 matrix-vector products mod p
+and folds the result with FieldSpec.fold; the overflow rule is ffield's,
+with the sum over the group cut into chunks of (2**63 - 1) // (p - 1)**2
+terms.  One kernel multiplies several left factors by one right factor
+against a single gather: a single product is its one-left call on the full
+table, and verify_split's orthogonality check gathers through only the m
+columns at the class representatives of the one full table it builds per
+call.  split_center reads only the short prefix of columns the class
+constants need.  The center works in the class-sum basis on (m, k) arrays:
 products by class sums are integer matmuls against the class-product
-coefficients, and general products and the evaluation of polynomials at a
-central element use FieldSpec.mul_arrays.
+coefficients, and other products use FieldSpec.mul_arrays.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class AlgebraElement:
             arr = spec.mul_arrays(self.arr, np.array(other.coeffs, dtype=spec.dtype))
         else:
             self._check_compatible(other)
-            arr = _convolve(self.group, spec, [self.arr, other.arr])[0]
+            arr = _convolve(self.group, spec, [self.arr, other.arr], self.group.mul_table())[0]
         return AlgebraElement._from_array(self.group, spec, arr)
 
     def is_zero(self) -> bool:
@@ -150,19 +150,16 @@ class AlgebraElement:
         return f"AlgebraElement(support={support}/{self.group.order})"
 
 
-def _convolve(G: FiniteGroup, spec: FieldSpec, arrs, cols=None) -> np.ndarray:
-    """The products a * b over F_q = spec for every (|G|, k) array a in
-    arrs[:-1], b = arrs[-1], as one (len(arrs) - 1, |G|, k) array; given the
-    group indices cols, only the coefficients of the products at those
-    elements, as one (len(arrs) - 1, len(cols), k) array.  b is gathered
-    through the multiplication table, or only its columns cols, once, and
-    the stacked left factors, permuted by inversion, meet it in one matmul
-    per chunk of the sum over the group."""
+def _convolve(G: FiniteGroup, spec: FieldSpec, arrs, table: np.ndarray) -> np.ndarray:
+    """The coefficients of a * b over F_q = spec at the group elements whose
+    multiplication-table columns ``table`` holds, for every (|G|, k) array a
+    in arrs[:-1] and b = arrs[-1], as one (len(arrs) - 1, c, k) array for c
+    columns.  b is gathered through table once, and the stacked left factors,
+    permuted by inversion, meet it in one matmul per chunk of the sum."""
     n, p, k = G.order, spec.p, spec.k
     m = len(arrs) - 1
-    table = G.mul_table if cols is None else G.mul_table[:, cols]
     c = table.shape[1]
-    # y[i, g, t, s] = sum over h of a_{i,t}(h^-1) * b_s(h g), g in cols or in G
+    # y[i, g, t, s] = sum over h of a_{i,t}(h^-1) * b_s(h g), g over the table's columns
     left = np.stack(arrs[:-1], axis=1)[G.inverse_indices].reshape(n, m * k)
     gathered = arrs[-1][table].reshape(n, c * k)
     step = n if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
@@ -373,22 +370,20 @@ def _lifted_block_dims(G: FiniteGroup, spec: FieldSpec, idempotents) -> list[int
     return dims
 
 
-def _right_ideal_dimension(E: AlgebraElement) -> int:
+def _right_ideal_dimension(E: AlgebraElement, table: np.ndarray) -> int:
     """dim over F_q of E * F_q[G]: rank of the matrix whose columns are the
     right translates E * g, entry (h, g) = E(h g^-1).  The matrix with entry
-    (h, g) = E(h g), E gathered through the multiplication table, is the same
-    one with its columns relabelled by inversion, so it has the same rank."""
-    return MatrixFq(E.spec, E.arr[E.group.mul_table]).rank()
+    (h, g) = E(h g), E gathered through the full table, is the same one with
+    its columns relabelled by inversion, so it has the same rank."""
+    return MatrixFq(E.spec, E.arr[table]).rank()
 
 
-def _sampled_rank(E: AlgebraElement, w: int, rng: random.Random) -> int:
+def _sampled_rank(E: AlgebraElement, table: np.ndarray, w: int, rng: random.Random) -> int:
     """Rank of the w x w submatrix of E(h g) on w random rows h and w random
-    columns g, drawn from rng: a lower bound on _right_ideal_dimension(E).
-    Only its w^2 entries are gathered through the multiplication table."""
-    G = E.group
-    rows = rng.sample(range(G.order), w)
-    cols = rng.sample(range(G.order), w)
-    return MatrixFq(E.spec, E.arr[G.mul_table[np.ix_(rows, cols)]]).rank()
+    columns g, drawn from rng: a lower bound on _right_ideal_dimension(E,
+    table).  Only its w^2 entries are gathered through the full table."""
+    rows, cols = (rng.sample(range(len(table)), w) for _ in range(2))
+    return MatrixFq(E.spec, E.arr[table[np.ix_(rows, cols)]]).rank()
 
 
 def verify_split(split: CentralSplit) -> bool:
@@ -403,8 +398,8 @@ def verify_split(split: CentralSplit) -> bool:
     4. e_i * e_j = 0 for i < j.  By 2, e_i * e_j is central, so it is zero
        exactly when it vanishes at one representative g_c per class, where
        its value is sum over h of e_i(h^-1) * e_j(h g_c).  One kernel call
-       per e_j against the stacked e_0, ..., e_(j-1) reads only the m table
-       columns at the representatives, and none of the split's class
+       per e_j against the stacked e_0, ..., e_(j-1) gathers only through
+       the m table columns at the representatives, and none of the split's class
        constants: O(B^2 * m * |G| * k^2) for B blocks, not the
        O(B^2 * |G|^2 * k^2) of whole products.  Central elements commute,
        so this covers i > j, and e_i = e_i * sum_j e_j = e_i^2: the e_i
@@ -422,7 +417,8 @@ def verify_split(split: CentralSplit) -> bool:
     most D_i', so L_i > D_i rejects; a block that fell back has L_i = D_i'.
     If L_i = D_i for every block, then D_i <= D_i' for all i and both sum to
     |G|, so every D_i is exact.  The route shares no step with the lifted
-    trace split_center uses, and D >= 1 makes it prove e != 0."""
+    trace split_center uses, and D >= 1 makes it prove e != 0.  The products
+    and all ranks read one full table, built once the sum check passes."""
     es = split.idempotents
     if not es or not len(es) == len(split.block_dims) == len(split.center_dims) == len(split.matrix_sizes):
         return False
@@ -437,7 +433,8 @@ def verify_split(split: CentralSplit) -> bool:
         total = total + e
     if total != AlgebraElement.unit(G, spec):
         return False
-    if any(_convolve(G, spec, [e.arr for e in es[: j + 1]], reps).any() for j in range(1, len(es))):
+    table = G.mul_table()
+    if any(_convolve(G, spec, [e.arr for e in es[: j + 1]], table[:, reps]).any() for j in range(1, len(es))):
         return False
     if sum(split.block_dims) != G.order:
         return False
@@ -451,11 +448,11 @@ def verify_split(split: CentralSplit) -> bool:
         if Z.block_dimension(e.arr[reps]) != d:
             return False
         w = min(G.order, D + CERTIFICATE_OVERSAMPLE)
-        rank = _sampled_rank(e, w, rng)
+        rank = _sampled_rank(e, table, w, rng)
         if rank < D:
-            rank = _sampled_rank(e, w, rng)
+            rank = _sampled_rank(e, table, w, rng)
         if rank < D:
-            rank = _right_ideal_dimension(e)
+            rank = _right_ideal_dimension(e, table)
         if rank != D:
             return False
     return True

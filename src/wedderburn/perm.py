@@ -4,7 +4,7 @@ Groups are stored fully enumerated: FiniteGroup computes the breadth-first
 closure of its generators on image tuples, the dense element list, the
 generators' right action on it as integer index maps, the inverse indices
 and the conjugacy classes ordered by (element order, class size, first-seen
-index); only the multiplication table and the class constants are lazy.
+index); the class constants are lazy, and mul_table is built on each call.
 Permutation is the boundary type callers build and read: the group makes
 one per element and multiplies none, and a power is one walk over cycles.
 Points are 1-indexed in all input and output (cycle notation, group files)
@@ -191,9 +191,9 @@ class FiniteGroup:
     same ordering.  Raises ValueError if the closure would exceed ``cap``
     elements.  Immutable after construction; safe for concurrent reads.  The
     closure, the inverse indices and the classes are computed on image
-    tuples and index maps, with no Permutation product or inverse; only the
-    multiplication table (the only |G| x |G| structure) and the
-    class-product coefficients are built lazily, cached and read-only.
+    tuples and index maps, with no Permutation product or inverse; the
+    class-product coefficients are built lazily, cached and read-only.  No
+    |G| x |G| structure is kept: mul_table builds the columns asked for.
     """
 
     def __init__(self, generators, cap: int = DEFAULT_CAP):
@@ -234,7 +234,6 @@ class FiniteGroup:
         conjugations = [inv[r[inv[r]]].tolist() for r in self._right]
         self.classes, self.class_index_of = _conjugacy_partition(self.elements, conjugations)
         self.exponent = math.lcm(*(c.element_order for c in self.classes))
-        self._mul_table: np.ndarray | None = None
         self._class_coeffs: np.ndarray | None = None
 
     def index(self, g: Permutation) -> int:
@@ -246,23 +245,21 @@ class FiniteGroup:
     def __contains__(self, g) -> bool:
         return isinstance(g, Permutation) and g.images in self._index
 
-    @property
-    def mul_table(self) -> np.ndarray:
-        """int32 array with T[a, j] = index of g_a * g_j, the group's one
-        |G| x |G| table.  Column 0 is the identity's; the others are filled
-        in element order from the generators' right action recorded by the
-        closure: when g_c = g_j * gens[s] (j < c), T[:, c] = R_s[T[:, j]]
-        with R_s[i] = index of g_i * gens[s]."""
-        if self._mul_table is None:
-            n = self.order
-            table = np.empty((n, n), dtype=np.int32)
-            table[:, 0] = np.arange(n)
-            for c in range(1, n):
-                j, s = self._parents[c]
-                table[:, c] = self._right[s][table[:, j]]
-            table.setflags(write=False)
-            self._mul_table = table
-        return self._mul_table
+    def mul_table(self, stop: int | None = None) -> np.ndarray:
+        """int32 array with T[a, j] = index of g_a * g_j for the first
+        ``stop`` columns j (1 <= stop <= |G|), all |G| by default, built
+        afresh on each call.  Column 0 is the identity's; the others are
+        filled in element order from the generators' right action recorded
+        by the closure: when g_c = g_j * gens[s] (j < c), T[:, c] = R_s[T[:, j]]
+        with R_s[i] = index of g_i * gens[s].  Elements are numbered
+        breadth-first, so every prefix of columns holds its own parents."""
+        n = self.order
+        table = np.empty((n, n if stop is None else stop), dtype=np.int32)
+        table[:, 0] = np.arange(n)
+        for c in range(1, table.shape[1]):
+            j, s = self._parents[c]
+            table[:, c] = self._right[s].take(table[:, j])
+        return table
 
     def point_orbits(self) -> list[list[int]]:
         """Orbits of the group on its 0-indexed points, each sorted."""
@@ -273,13 +270,16 @@ class FiniteGroup:
         c of shape (m, m, m): K_i * K_j = sum_k c[i, j, k] * K_k in the group
         ring over the integers, K_i the sum of class i.  For a fixed z in
         class k, c[i, j, k] counts the x in K_i with x^-1 z in K_j; so only
-        the m columns of the table at the class representatives are read."""
+        the table's columns up to the last class representative are built,
+        a short prefix as each representative is first-seen in its class."""
         if self._class_coeffs is None:
             m = len(self.classes)
             cls = np.array(self.class_index_of)
+            reps = [self.index(c.representative) for c in self.classes]
+            table = self.mul_table(max(reps) + 1)
             coeffs = np.empty((m, m, m), dtype=np.int64)
-            for k, c in enumerate(self.classes):
-                left_quotients = self.mul_table[self.inverse_indices, self.index(c.representative)]
+            for k, r in enumerate(reps):
+                left_quotients = table[self.inverse_indices, r]
                 coeffs[:, :, k] = np.bincount(cls * m + cls[left_quotients], minlength=m * m).reshape(m, m)
             sizes = np.array([c.size for c in self.classes])
             if not np.array_equal(coeffs @ sizes, np.outer(sizes, sizes)):

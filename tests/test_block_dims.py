@@ -31,10 +31,11 @@ GROUPS = (
 @pytest.mark.parametrize("name,below,above", GROUPS, ids=[g[0] for g in GROUPS])
 def test_block_dims_match_full_rank(name, below, above):
     G = resolve_group(name if name.startswith("builtin:") else f"file:{GROUP_DIR / name}.txt")
+    table = G.mul_table()
     for p in (below, above):
         split = split_center(G, make_field(p), seed=0)
         for e, D in zip(split.idempotents, split.block_dims):
-            assert D == _right_ideal_dimension(e), (name, p)
+            assert D == _right_ideal_dimension(e, table), (name, p)
             trace = G.order * int(e.arr[0, 0]) % p
             assert (D - trace) % p == 0, (name, p)
             if p > G.order:
@@ -48,7 +49,8 @@ def test_lifted_block_dims_match_full_rank(name, p, k):
     G = resolve_group(name if name.startswith("builtin:") else f"file:{GROUP_DIR / name}.txt")
     assert p < G.order
     split = split_center(G, make_field(p, k, seed=0), seed=0)
+    table = G.mul_table()
     for e, D in zip(split.idempotents, split.block_dims):
-        assert D == _right_ideal_dimension(e)
+        assert D == _right_ideal_dimension(e, table)
     if k > 1:
         assert any(e.arr[:, 1:].any() for e in split.idempotents)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -356,6 +357,37 @@ def test_internal_check_failure_exits_1_without_traceback(capsys, monkeypatch, t
     assert code == cli.EXIT_MISMATCH == 1
     assert out == ""
     assert err == f"error: internal check failed: {exc}\n"
+
+
+def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
+    from wedderburn import oracle
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 33.6 GiB")
+
+    monkeypatch.setattr(oracle, "split_center", exhausted)
+    code, out, err = run(capsys, ["oracle", "--p", "11"])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 33.6 GiB\n"
+
+
+def test_oracle_a8_needs_no_full_table(tmp_path):
+    # |A8| = 20160: a full int32 table is 1.6 GB, more than the 1 GB address
+    # space the run gets; the split reads 621 of its columns.  One BLAS
+    # thread, as each further one reserves about 40 MB of address space
+    group = tmp_path / "a8.txt"
+    group.write_text("degree 8\n(1,2,3)\n(2,3,4,5,6,7,8)\n")
+    path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), OPENBLAS_NUM_THREADS="1")
+    limit = (10**9, 10**9)
+    proc = subprocess.run([sys.executable, "-m", "wedderburn", "oracle", "--group", f"file:{group}", "--p", "20161",
+                           "--format", "json"], capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit))
+    assert proc.returncode == 0, proc.stderr
+    components = json.loads(proc.stdout)["components"]
+    assert {c["d"] for c in components} == {1}
+    assert sorted(c["n"] for c in components) == [1, 7, 14, 20, 21, 21, 21, 28, 35, 45, 45, 56, 64, 70]
 
 
 def test_check_rejects_non_sl32_group(capsys):

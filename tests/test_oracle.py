@@ -6,6 +6,7 @@ import pytest
 
 from wedderburn import (
     AlgebraElement,
+    FiniteGroup,
     MatrixFq,
     ModularCaseError,
     Permutation,
@@ -37,7 +38,7 @@ def test_multiply_unit_law(sl32_s8, f11):
 def test_multiply_group_elements_follow_table(sl32_s8, f11):
     # delta_g * delta_h = delta_{gh}
     rng = random.Random(1)
-    table = sl32_s8.mul_table
+    table = sl32_s8.mul_table()
     for _ in range(20):
         i, j = rng.randrange(168), rng.randrange(168)
         a = AlgebraElement.from_group_index(sl32_s8, f11, i)
@@ -141,8 +142,8 @@ def ranks_agree_with(split, monkeypatch):
     """Stub both rank routes of verify_split, the sampled certificate and its
     full-rank fallback, to return each block's claimed dimension."""
     claimed = dict(zip(map(id, split.idempotents), split.block_dims))
-    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, w, rng: claimed[id(e)])
-    monkeypatch.setattr(oracle, "_right_ideal_dimension", lambda e: claimed[id(e)])
+    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, table, w, rng: claimed[id(e)])
+    monkeypatch.setattr(oracle, "_right_ideal_dimension", lambda e, table: claimed[id(e)])
 
 
 def recording(monkeypatch, name):
@@ -181,7 +182,7 @@ def test_verify_rejects_a_rank_only_swap(split11, monkeypatch):
 
 
 def no_full_rank(monkeypatch):
-    def full_rank(E):
+    def full_rank(E, table):
         raise AssertionError("verify_split fell back to a full rank")
 
     monkeypatch.setattr(oracle, "_right_ideal_dimension", full_rank)
@@ -203,7 +204,7 @@ def test_verify_takes_no_full_rank_on_good_splits(group, monkeypatch):
 def test_short_draws_fall_back_to_one_full_rank_per_block(sl32_s8, p, k, monkeypatch):
     split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
     draws = []
-    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, w, rng: draws.append(w) or 0)
+    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, table, w, rng: draws.append(w) or 0)
     full = recording(monkeypatch, "_right_ideal_dimension")
     assert verify_split(split)
     assert full == list(split.block_dims)
@@ -225,15 +226,16 @@ def test_verify_rejects_a_zero_idempotent(sl32_s8, f11, split11):
 def counting_products(monkeypatch, seen_cols=None):
     """Record the number of left factors of each call of the product kernel,
     which AlgebraElement products and verify_split's batches share, from
-    here on; given a list seen_cols, append each call's cols to it too."""
+    here on; given a list seen_cols, append to it the group indices of each
+    call's table columns, the table's row 0, as g_0 is the identity."""
     calls = []
     convolve = oracle._convolve
 
-    def counting(G, spec, arrs, cols=None):
+    def counting(G, spec, arrs, table):
         calls.append(len(arrs) - 1)
         if seen_cols is not None:
-            seen_cols.append(cols)
-        return convolve(G, spec, arrs, cols)
+            seen_cols.append(table[0].tolist())
+        return convolve(G, spec, arrs, table)
 
     monkeypatch.setattr(oracle, "_convolve", counting)
     return calls
@@ -465,6 +467,51 @@ def test_verify_split_on_the_zoo(name, p, monkeypatch):
     split = split_center(G, make_field(p), seed=0)
     no_full_rank(monkeypatch)
     assert verify_split(split)
+
+
+def table_reads(monkeypatch, full_reads=True):
+    """Record the stop of each FiniteGroup.mul_table call from here on; with
+    full_reads False, a read of the whole table raises."""
+    stops = []
+    real = FiniteGroup.mul_table
+
+    def reading(self, stop=None):
+        stops.append(stop)
+        if stop is None and not full_reads:
+            raise AssertionError("read the whole multiplication table")
+        return real(self, stop)
+
+    monkeypatch.setattr(FiniteGroup, "mul_table", reading)
+    return stops
+
+
+SPLIT_READS = [(f"file:{GROUP_DIR / (name + '.txt')}", p) for name, ps in ZOO_PRIMES.items() for p in ps] + [
+    (f"builtin:{name}", p) for name in ("sl32-s8", "sl32-p2f2") for p in (13, 179)]
+
+
+@pytest.mark.parametrize("group,p", SPLIT_READS, ids=[f"{Path(g).stem}-F{p}" for g, p in SPLIT_READS])
+def test_split_reads_the_table_only_up_to_the_last_representative(group, p, monkeypatch):
+    # the class constants are the split's one use of the table, and they
+    # read its columns at the class representatives, each first-seen; a
+    # fresh copy of the group has no class constants cached
+    G = FiniteGroup(resolve_group(group).generators)
+    stops = table_reads(monkeypatch, full_reads=False)
+    split_center(G, make_field(p), seed=0)
+    assert stops == [max(G.index(c.representative) for c in G.classes) + 1]
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
+def test_verify_reads_the_full_table_once(sl32_s8, p, k, monkeypatch):
+    # the products, the sampled ranks and every full-rank fallback share
+    # one table per call
+    split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
+    stops = table_reads(monkeypatch)
+    assert verify_split(split)
+    assert stops == [None]
+    stops.clear()
+    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, table, w, rng: 0)
+    assert verify_split(split)
+    assert stops == [None]
 
 
 def test_algebra_element_rejects_coefficients_of_another_field(sl32_s8, f11, f13):

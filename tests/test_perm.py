@@ -1,17 +1,23 @@
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wedderburn import (
+    BUILTIN_GROUPS,
     FiniteGroup,
     Permutation,
     generate,
+    load_group,
     parse_cycles,
     parse_group_text,
     power_class,
 )
+
+GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
+
 
 def brute_force_group(gen_images, degree):
     """Independent closure: multiply image tuples until no new ones appear."""
@@ -344,10 +350,24 @@ def test_building_a_group_multiplies_no_permutations(monkeypatch):
 
 def test_mul_table_matches_products(table_group):
     G = table_group
-    T = G.mul_table
+    T = G.mul_table()
     assert T.shape == (G.order, G.order) and T.dtype == np.int32
     for i, a in enumerate(G.elements):
         assert T[i].tolist() == [G.index(a * b) for b in G.elements]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GROUP_DIR.glob("*.txt")) + sorted(BUILTIN_GROUPS))
+def test_mul_table_prefix_is_its_leading_columns(name):
+    # elements are numbered breadth-first, so a prefix of columns is filled
+    # from its own columns; the table is built afresh and never kept
+    G = BUILTIN_GROUPS[name]() if name in BUILTIN_GROUPS else load_group(GROUP_DIR / f"{name}.txt")
+    T = G.mul_table()
+    last_rep = max(G.index(c.representative) for c in G.classes)
+    for stop in sorted({1, 2, G.order // 3, last_rep + 1, G.order - 1, G.order}):
+        assert np.array_equal(G.mul_table(stop), T[:, :stop]), stop
+    G.class_product_coefficients()
+    assert G.mul_table() is not T
+    assert not any(isinstance(v, np.ndarray) and v.shape == T.shape for v in vars(G).values())
 
 
 def test_inverse_indices_match_inverse(table_group):
@@ -378,7 +398,7 @@ def test_group_is_what_its_generators_generate():
     G = FiniteGroup([parse_cycles("(1,2,3,4,5)", 5)])
     assert G.order == 5
     assert len(G.classes) == 5
-    T = G.mul_table
+    T = G.mul_table()
     for i, a in enumerate(G.elements):
         assert T[i].tolist() == [G.index(a * b) for b in G.elements]
 

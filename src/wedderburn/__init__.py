@@ -52,6 +52,7 @@ from .wedder import (
     classify_type,
     forced_components,
     is_sl32_class_data,
+    sl32_type,
     solve,
     splitting_field_check,
 )

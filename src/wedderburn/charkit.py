@@ -19,7 +19,8 @@ __all__ = ["perm_character", "inner_product", "deleted_module_check"]
 def perm_character(G: FiniteGroup) -> tuple[int, ...]:
     """Fixed-point counts of the action, one value per conjugacy class; the
     value at the identity class (class 0) is the number of points."""
-    return tuple(sum(1 for i in range(G.degree) if c.representative(i) == i) for c in G.classes)
+    points = range(G.degree)
+    return tuple(sum(map(int.__eq__, c.representative.images, points)) for c in G.classes)
 
 
 def inner_product(G: FiniteGroup, a: tuple[int, ...], b: tuple[int, ...]) -> int:

@@ -6,12 +6,18 @@ consistency check, 2 input or parse error, or out of memory, 3 unsupported
 modular case (p divides the group order), 4 the analytic solver could not pin
 a unique decomposition.  `check` reports a modular cell as skipped and goes
 on with the rest of the grid.
+
+With --format json every command prints the bytes that
+json.dumps(payload, indent=2, sort_keys=True) would print, written by hand
+for each fixed payload shape: with indent the json module drops to its
+pure-Python encoder, which costs many times the bytes it writes.  Every
+string in the payloads is ASCII with no quote or backslash (digits, p^e and
+cycle notation), so none needs escaping.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from functools import lru_cache
@@ -24,8 +30,8 @@ from .units import sl32_expected_row, unit_group
 from .wedder import (
     SolverReport,
     analytic_decomposition,
-    classify_type,
     is_sl32_class_data,
+    sl32_type,
     splitting_field_check,
 )
 
@@ -106,18 +112,37 @@ def _actions_for(source: str, G: FiniteGroup) -> list[FiniteGroup]:
     return [G]
 
 
-def _type_or_none(source: str, p: int, k: int):
+def _type_or_none(source: str, G: FiniteGroup, report: SolverReport):
     if source.startswith("builtin:sl32"):
-        return classify_type(p, k)
+        return sl32_type(G, report.partition)
     return None
 
 
-def _emit(payload: dict, fmt: str, text_lines: list[str]):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _emit(json_text: str, fmt: str, text_lines: list[str]):
+    """Print the payload's JSON or its text lines.  json_text is written by
+    hand, in the bytes of json.dumps(payload, indent=2, sort_keys=True)."""
+    print(json_text if fmt == "json" else "\n".join(text_lines))
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON array of item texts as json.dumps(indent=2) lays it out on a
+    line indented by pad; each item is laid out for pad plus two spaces."""
+    if not items:
+        return "[]"
+    inner = "\n  " + pad
+    return f"[{inner}{(',' + inner).join(items)}\n{pad}]"
+
+
+def _block_json(n: int, d: int, pad: str) -> str:
+    return f'{{\n{pad}  "d": {d},\n{pad}  "n": {n}\n{pad}}}'
+
+
+def _components_json(pairs) -> str:
+    return _json_list([_block_json(n, d, "    ") for n, d in pairs], "  ")
+
+
+def _q_json(p: int, k: int) -> str:
+    return f'{{\n    "k": {k},\n    "p": {p}\n  }}'
 
 
 def _parse_int_ranges(text: str) -> list[int]:
@@ -190,20 +215,16 @@ def _decimal_string(n: int) -> str:
 
 def cmd_classes(args) -> int:
     G = resolve_group(args.group)
-    rows = [
-        {"representative": c.representative.cycle_string(), "order": c.element_order, "size": c.size}
-        for c in G.classes
-    ]
-    payload = {"degree": G.degree, "order": G.order, "exponent": G.exponent, "classes": rows}
+    reps = [c.representative.cycle_string() for c in G.classes]
+    rows = [f'{{\n      "order": {c.element_order},\n      "representative": "{r}",\n'
+            f'      "size": {c.size}\n    }}' for c, r in zip(G.classes, reps)]
+    json_text = (f'{{\n  "classes": {_json_list(rows, "  ")},\n  "degree": {G.degree},\n'
+                 f'  "exponent": {G.exponent},\n  "order": {G.order}\n}}')
     lines = [f"group of order {G.order} on {G.degree} points, exponent {G.exponent}"]
-    for i, r in enumerate(rows, start=1):
-        lines.append(f"  C{i}: rep {r['representative']}  order {r['order']}  size {r['size']}")
-    _emit(payload, args.format, lines)
+    for i, (c, r) in enumerate(zip(G.classes, reps), start=1):
+        lines.append(f"  C{i}: rep {r}  order {c.element_order}  size {c.size}")
+    _emit(json_text, args.format, lines)
     return EXIT_OK
-
-
-def _component_json(pairs) -> list[dict]:
-    return [{"n": n, "d": d} for n, d in pairs]
 
 
 def _run_analytic(args, G: FiniteGroup) -> SolverReport:
@@ -211,22 +232,19 @@ def _run_analytic(args, G: FiniteGroup) -> SolverReport:
     return analytic_decomposition(G, args.p, args.k, _actions_for(args.group, G))
 
 
-def _nonunique_json(report: SolverReport) -> str:
-    """The text of json.dumps({"candidates": [[{"d": d, "n": n}, ...], ...],
-    "unique": False}, indent=2, sort_keys=True), joined from one piece per
-    distinct block: with indent the json module drops to its pure-Python
-    encoder, which costs many times the bytes it writes."""
-    distinct = {c for dec in report.solutions for c in dec.components}
-    block = {c: f'      {{\n        "d": {c.d},\n        "n": {c.n}\n      }}' for c in distinct}
-    rows = ["    [\n" + ",\n".join(map(block.__getitem__, dec.components)) + "\n    ]"
-            for dec in report.solutions]
-    candidates = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    return f'{{\n  "candidates": {candidates},\n  "unique": false\n}}'
-
-
 def _print_nonunique(report: SolverReport, fmt: str):
+    """Every candidate, as text or as the JSON of {"candidates": [[{"d": d,
+    "n": n}, ...], ...], "unique": false}.  The JSON is joined from one piece
+    per distinct block, and the listing (1.6 MB for S6 over F_11) is printed
+    as it is joined, with no copy into a larger string."""
     if fmt == "json":
-        print(_nonunique_json(report))
+        distinct = {c for dec in report.solutions for c in dec.components}
+        block = {c: _block_json(c.n, c.d, "      ") for c in distinct}
+        sep = ",\n      "  # every candidate holds the (1, 1) block
+        rows = [f"[\n      {sep.join(map(block.__getitem__, dec.components))}\n    ]"
+                for dec in report.solutions]
+        listing = ("[\n    ", ",\n    ".join(rows), "\n  ]") if rows else ("[]",)
+        print('{\n  "candidates": ', *listing, ',\n  "unique": false\n}', sep="")
     else:
         print(f"analytic solver found {len(report.solutions)} candidate decompositions:")
         for d in report.solutions:
@@ -244,21 +262,19 @@ def cmd_decompose(args) -> int:
         _print_nonunique(report, args.format)
         return EXIT_NONUNIQUE
     dec = report.solutions[0]
-    t = _type_or_none(args.group, args.p, args.k)
-    payload = {
-        "q": {"p": args.p, "k": args.k},
-        "type": t,
-        "components": _component_json(dec.pairs()),
-        "splitting_field": splitting_field_check(dec),
-    }
+    t = _type_or_none(args.group, G, report)
+    split = splitting_field_check(dec)
+    json_text = (f'{{\n  "components": {_components_json(dec.pairs())},\n  "q": {_q_json(args.p, args.k)},\n'
+                 f'  "splitting_field": {"true" if split else "false"},\n'
+                 f'  "type": {"null" if t is None else t}\n}}')
     lines = [
         f"F_q[G] for q = {args.p}^{args.k}, |G| = {G.order}",
         "components: " + _format_components(dec.pairs()),
     ]
     if t is not None:
         lines.append(f"type: {t}")
-    lines.append(f"splitting field: {'yes' if payload['splitting_field'] else 'no'}")
-    _emit(payload, args.format, lines)
+    lines.append(f"splitting field: {'yes' if split else 'no'}")
+    _emit(json_text, args.format, lines)
     return EXIT_OK
 
 
@@ -271,15 +287,13 @@ def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     split = oracle_mod.split_center(G, spec, seed=args.seed)
     elapsed = time.perf_counter() - t0
-    payload = {
-        "q": {"p": args.p, "k": args.k},
-        "components": _component_json(split.pairs()),
-    }
+    json_text = (f'{{\n  "components": {_components_json(split.pairs())},\n'
+                 f'  "q": {_q_json(args.p, args.k)}\n}}')
     lines = [
         f"brute-force decomposition over F_{args.p}^{args.k} (|G| = {G.order})",
         "components: " + _format_components(split.pairs()),
     ]
-    _emit(payload, args.format, lines)
+    _emit(json_text, args.format, lines)
     if args.format == "text":
         print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)  # wall time; stdout stays deterministic
     return EXIT_OK
@@ -293,21 +307,19 @@ def cmd_units(args) -> int:
         return EXIT_NONUNIQUE
     dec = report.solutions[0]
     ug = unit_group(dec)
-    t = _type_or_none(args.group, args.p, args.k)
+    t = _type_or_none(args.group, G, report)
     order = _decimal_string(ug.total_order)
-    payload = {
-        "q": {"p": args.p, "k": args.k},
-        "type": t,
-        "components": _component_json(dec.pairs()),
-        "unit_group": [{"n": c.n, "field": f"{args.p}^{args.k * c.d}"} for c in dec.components],
-        "order": order,
-    }
+    units = [f'{{\n      "field": "{args.p}^{args.k * c.d}",\n      "n": {c.n}\n    }}'
+             for c in dec.components]
+    json_text = (f'{{\n  "components": {_components_json(dec.pairs())},\n  "order": "{order}",\n'
+                 f'  "q": {_q_json(args.p, args.k)},\n  "type": {"null" if t is None else t},\n'
+                 f'  "unit_group": {_json_list(units, "  ")}\n}}')
     lines = [
         f"unit group of F_q[G], q = {args.p}^{args.k}, |G| = {G.order}",
         ug.display(),
         f"order: {order}",
     ]
-    _emit(payload, args.format, lines)
+    _emit(json_text, args.format, lines)
     return EXIT_OK
 
 
@@ -342,7 +354,7 @@ def cmd_check(args) -> int:
                 failures.append(f"{label}: got {dec.pairs()}, reference says "
                                 f"{tuple((c.n, c.d) for c in row.components)}")
                 continue
-            if classify_type(p, k) != row.family_type:
+            if sl32_type(G, report.partition) != row.family_type:
                 failures.append(f"{label}: type mismatch")
                 continue
             if splitting_field_check(dec) != (row.family_type == 1):

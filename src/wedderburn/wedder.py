@@ -12,7 +12,7 @@ uniquely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .charkit import deleted_module_check
@@ -27,6 +27,7 @@ __all__ = [
     "forced_components",
     "solve",
     "classify_type",
+    "sl32_type",
     "splitting_field_check",
     "is_sl32_class_data",
     "SL32_CLASS_SIZES",
@@ -82,8 +83,13 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class SolverReport:
+    """The candidates of one solve; analytic_decomposition also keeps the
+    q-power cycles the center degrees were read from, so a caller reads the
+    SL(3,2) type off them without computing them again."""
+
     solutions: tuple[Decomposition, ...]
     unique: bool
+    partition: tuple[tuple[int, ...], ...] = ()
 
 
 def forced_components(G: FiniteGroup, p: int, actions) -> list[Component]:
@@ -172,13 +178,15 @@ def is_sl32_class_data(G: FiniteGroup) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def _order7_class_indices() -> tuple[int, int]:
-    G = builtin_sl32_s8()
-    idx = tuple(i for i, c in enumerate(G.classes) if c.element_order == 7)
+def sl32_type(G: FiniteGroup, partition) -> int:
+    """The type of an SL(3,2) cell read off the q-power cycles of G's
+    classes: 2 when G's two order-7 classes share a cycle (five blocks, one
+    of them over F_{q^2}), else 1 (six blocks over F_q)."""
+    idx = [i for i, c in enumerate(G.classes) if c.element_order == 7]
     if len(idx) != 2:
         raise AssertionError("SL(3,2) must have exactly two classes of order-7 elements")
-    return idx
+    a, b = idx
+    return 2 if any(a in cycle and b in cycle for cycle in partition) else 1
 
 
 def classify_type(p: int, k: int) -> int:
@@ -186,13 +194,13 @@ def classify_type(p: int, k: int) -> int:
     alone in its q-power orbit (six blocks over F_q), type 2 when the two
     order-7 classes fuse (five blocks, one of them over F_{q^2}).
 
-    Computed from the group itself, never from a lookup table.
+    Computed from the group itself, never from a lookup table: sl32_type on
+    the q-power cycles of the builtin SL(3,2).
     """
     if p in (2, 3, 7):
         raise ModularCaseError(p, 168)
-    a, b = _order7_class_indices()
-    merged = any(a in orbit and b in orbit for orbit in cyclotomic_partition(builtin_sl32_s8(), p, k))
-    return 2 if merged else 1
+    G = builtin_sl32_s8()
+    return sl32_type(G, cyclotomic_partition(G, p, k))
 
 
 def splitting_field_check(dec: Decomposition) -> bool:
@@ -203,7 +211,10 @@ def splitting_field_check(dec: Decomposition) -> bool:
 
 def analytic_decomposition(G: FiniteGroup, p: int, k: int, actions) -> SolverReport:
     """The full analytic pipeline: center degrees from the q-power orbits,
-    forced blocks from the given actions, then exhaustive mass assignment."""
-    degrees = [len(o) for o in cyclotomic_partition(G, p, k)]
+    forced blocks from the given actions, then exhaustive mass assignment.
+    The report carries the q-power cycles in its partition field, the one
+    cyclotomic_partition call of the pipeline; sl32_type reads the SL(3,2)
+    type off them."""
+    partition = cyclotomic_partition(G, p, k)
     forced = forced_components(G, p, actions)
-    return solve(G.order, degrees, forced, p=p, k=k)
+    return replace(solve(G.order, [len(o) for o in partition], forced, p=p, k=k), partition=partition)

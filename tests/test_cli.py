@@ -150,6 +150,68 @@ def test_decompose_s6_json_bytes_pinned(capsys):
     assert digest == "3146a92ec6f857668b46cfb74ecbed5c02922e7b3b144dee6a47d6258e2455f1"
 
 
+
+def _json_calls(tmp_path):
+    """JSON calls of every command: the builtins, a file group ("type": null),
+    the trivial group, splitting_field true and false, an order beyond the
+    int-str digit limit and an exit-4 listing."""
+    trivial = tmp_path / "trivial.grp"
+    trivial.write_text("degree 1\n")
+    c15 = f"file:{ROOT / 'bench' / 'groups' / 'c15.txt'}"
+    calls = [["classes", "--group", g] for g in ("builtin:sl32-s8", "builtin:sl32-p2f2", "builtin:s5",
+                                                  c15, f"file:{trivial}")]
+    for cmd in ("decompose", "oracle", "units"):
+        calls += [[cmd, "--p", "11"], [cmd, "--p", "13"],
+                  [cmd, "--group", "builtin:sl32-p2f2", "--p", "13", "--k", "2"],
+                  [cmd, "--group", c15, "--p", "17"], [cmd, "--group", f"file:{trivial}", "--p", "11"]]
+    calls += [["units", "--p", "199", "--k", "12"], ["decompose", "--group", "builtin:s5", "--p", "11"]]
+    return [argv + ["--format", "json"] for argv in calls]
+
+
+def test_json_output_is_json_dumps_layout(capsys, tmp_path):
+    splitting = set()
+    for argv in _json_calls(tmp_path):
+        code, out, _ = run(capsys, argv)
+        assert code in (0, 4), argv
+        data = json.loads(out)
+        assert out == json.dumps(data, indent=2, sort_keys=True) + "\n", argv
+        splitting.add(data.get("splitting_field"))
+    assert splitting == {None, True, False}
+
+
+def test_json_output_needs_no_json_module(capsys, tmp_path, monkeypatch):
+    calls = _json_calls(tmp_path)
+    expected = [run(capsys, argv) for argv in calls]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert [run(capsys, argv) for argv in calls] == expected
+    assert {code for code, _, _ in expected} == {0, 4}
+
+
+def test_one_partition_per_cell(capsys, monkeypatch):
+    from wedderburn import wedder
+
+    calls = []
+    partition = wedder.cyclotomic_partition
+
+    def counted(*args):
+        calls.append(args[1:])
+        return partition(*args)
+
+    monkeypatch.setattr(wedder, "cyclotomic_partition", counted)
+    for argv in (["units", "--p", "13"], ["units", "--p", "11", "--k", "2", "--format", "json"],
+                 ["decompose", "--p", "13", "--k", "3"], ["decompose", "--p", "11", "--format", "json"]):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert len(calls) == 1, argv
+    calls.clear()
+    assert cli.main(["check", "--p", "11,13", "--k", "1..3"]) == 0
+    assert sorted(calls) == [(p, k) for p in (11, 13) for k in (1, 2, 3)]
+    capsys.readouterr()
+
 def test_units_nonunique_prints_decompose_candidates(capsys):
     argv = ["--group", "builtin:s5", "--p", "11", "--format", "json"]
     code, out_units, _ = run(capsys, ["units", *argv])
@@ -444,6 +506,28 @@ def test_units_grid_bytes_pinned(capsys):
     assert len(GRID_PRIMES) * len(GRID_KS) == 516
     assert digest.hexdigest() == "0387bda0a7068b33fc5fd872eccc810510815a30cc1591f28e6827e78ee9fd5f"
 
+
+
+def test_decompose_grid_bytes_pinned(capsys):
+    # sha256 over "<exit code>\n<stdout>" of every cell, as json.dumps(indent=2,
+    # sort_keys=True) printed it
+    digest = hashlib.sha256()
+    for p in GRID_PRIMES:
+        for k in GRID_KS:
+            code, out, _ = run(capsys, ["decompose", "--p", str(p), "--k", str(k), "--format", "json"])
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "e66ac2395022fe4da03f923dc01ca9689357fe5e1d72fe94a35c77f770df1a97"
+
+
+def test_classes_group_files_bytes_pinned(capsys):
+    # sha256 over "<exit code>\n<stdout>" of the 11 group files in name order
+    files = sorted((ROOT / "bench" / "groups").glob("*.txt"))
+    assert len(files) == 11
+    digest = hashlib.sha256()
+    for path in files:
+        code, out, _ = run(capsys, ["classes", "--group", f"file:{path}", "--format", "json"])
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == "db29cceb549c4960c41e15b23c438bbab870497e652a4441cae6b7ca8c9a33a9"
 
 SUBCOMMAND_CALLS = [
     ["units", "--p", "13", "--k", "2", "--format", "json"],

@@ -19,6 +19,7 @@ from wedderburn import (
     load_group,
     is_sl32_class_data,
     Permutation,
+    sl32_type,
     solve,
     splitting_field_check,
 )
@@ -209,6 +210,22 @@ def test_classify_type_matches_reference_rows():
                     continue
                 row = sl32_expected_row(p, k)
                 assert classify_type(p, k) == row.family_type, (p, k)
+
+
+def test_report_partition_gives_the_type_on_every_action(sl32_s8, sl32_p2f2):
+    # the type read off each action's own q-power cycles is the one classify_type gives
+    psl27 = load_group(Path(__file__).resolve().parents[1] / "bench" / "groups" / "psl27.txt")
+    for p in (5, 11, 13, 23, 29, 31, 199):
+        for k in (1, 2, 3, 6):
+            for G in (sl32_s8, sl32_p2f2, psl27):
+                rep = analytic_decomposition(G, p, k, [G])
+                assert sl32_type(G, rep.partition) == classify_type(p, k), (p, k)
+                assert sorted(map(len, rep.partition)) == sorted(c.d for c in rep.solutions[0].components)
+
+
+def test_sl32_type_needs_two_order7_classes(s5):
+    with pytest.raises(AssertionError, match="order-7"):
+        sl32_type(s5, ((0,),))
 
 
 def test_splitting_field_check():

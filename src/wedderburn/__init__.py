@@ -37,8 +37,6 @@ from .perm import (
 )
 from .units import (
     ReferenceRow,
-    UnitFactor,
-    UnitGroupReport,
     gl_order,
     sl32_expected_row,
     sl32_reference_table,

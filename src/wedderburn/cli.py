@@ -51,7 +51,8 @@ _PIECE = 10**_PIECE_DIGITS
 def _add_common(sub: argparse.ArgumentParser, with_pk: bool = True):
     sub.add_argument("--group", default="builtin:sl32-s8",
                      help="group source: builtin:{sl32-s8,sl32-p2f2,s5} or file:PATH")
-    sub.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+    if with_pk:
+        sub.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     if with_pk:
         sub.add_argument("--p", type=int, required=True, help="field characteristic (prime)")
@@ -137,47 +138,37 @@ def _block_json(n: int, d: int, pad: str) -> str:
     return f'{{\n{pad}  "d": {d},\n{pad}  "n": {n}\n{pad}}}'
 
 
-def _components_json(pairs) -> str:
-    return _json_list([_block_json(n, d, "    ") for n, d in pairs], "  ")
+def _components_json(blocks) -> str:
+    return _json_list([_block_json(n, d, "    ") for n, d in blocks], "  ")
 
 
 def _q_json(p: int, k: int) -> str:
     return f'{{\n    "k": {k},\n    "p": {p}\n  }}'
 
 
-def _parse_int_ranges(text: str) -> list[int]:
-    out = []
+def _parse_range_spec(text: str, primes: bool = False) -> list[int]:
+    """The sorted distinct values of a spec such as '11,13' or '11..199'; a
+    range whose end is below its start is an input error.  With primes,
+    'a..b' tokens keep only the primes in the interval, while explicitly
+    listed values must themselves be prime."""
+    out = set()
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
         if ".." in tok:
-            lo, hi = tok.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, tok.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"range {tok!r} ends below its start")
+            out.update(v for v in range(lo, hi + 1) if not primes or is_prime(v))
         else:
-            out.append(int(tok))
+            v = int(tok)
+            if primes:
+                _validate_p(v)
+            out.add(v)
     if not out:
-        raise ValueError(f"empty range specification {text!r}")
-    return sorted(set(out))
-
-
-def _parse_prime_spec(text: str) -> list[int]:
-    """Primes from a range spec: 'a..b' tokens keep only the primes in the
-    interval, while explicitly listed values must themselves be prime."""
-    out = set()
-    for tok in str(text).split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if ".." in tok:
-            lo, hi = tok.split("..", 1)
-            out.update(p for p in range(int(lo), int(hi) + 1) if is_prime(p))
-        else:
-            p = int(tok)
-            _validate_p(p)
-            out.add(p)
-    if not out:
-        raise ValueError(f"no primes in range specification {text!r}")
+        raise ValueError(f"no primes in range specification {text!r}" if primes
+                         else f"empty range specification {text!r}")
     return sorted(out)
 
 
@@ -239,7 +230,7 @@ def _print_nonunique(report: SolverReport, fmt: str):
     as it is joined, with no copy into a larger string."""
     if fmt == "json":
         distinct = {c for dec in report.solutions for c in dec.components}
-        block = {c: _block_json(c.n, c.d, "      ") for c in distinct}
+        block = {c: _block_json(*c, "      ") for c in distinct}
         sep = ",\n      "  # every candidate holds the (1, 1) block
         rows = [f"[\n      {sep.join(map(block.__getitem__, dec.components))}\n    ]"
                 for dec in report.solutions]
@@ -248,11 +239,21 @@ def _print_nonunique(report: SolverReport, fmt: str):
     else:
         print(f"analytic solver found {len(report.solutions)} candidate decompositions:")
         for d in report.solutions:
-            print("  " + _format_components(d.pairs()))
+            print("  " + _format_components(d.components))
 
 
-def _format_components(pairs) -> str:
-    return " + ".join(f"M({n}, q{'^' + str(d) if d > 1 else ''})" for n, d in pairs)
+def _format_components(blocks) -> str:
+    return " + ".join(f"M({n}, q{'^' + str(d) if d > 1 else ''})" for n, d in blocks)
+
+
+def _format_units(p: int, k: int, blocks) -> str:
+    """The unit group as a product of F_{p^e}^× for the 1 x 1 blocks and
+    GL(n, p^e) for the others, e = k * d, with F_p written p."""
+    factors = []
+    for n, d in blocks:
+        field = str(p) if k * d == 1 else f"{p}^{k * d}"
+        factors.append(f"F_{field}^×" if n == 1 else f"GL({n}, {field})")
+    return " × ".join(factors)
 
 
 def cmd_decompose(args) -> int:
@@ -264,12 +265,12 @@ def cmd_decompose(args) -> int:
     dec = report.solutions[0]
     t = _type_or_none(args.group, G, report)
     split = splitting_field_check(dec)
-    json_text = (f'{{\n  "components": {_components_json(dec.pairs())},\n  "q": {_q_json(args.p, args.k)},\n'
+    json_text = (f'{{\n  "components": {_components_json(dec.components)},\n  "q": {_q_json(args.p, args.k)},\n'
                  f'  "splitting_field": {"true" if split else "false"},\n'
                  f'  "type": {"null" if t is None else t}\n}}')
     lines = [
         f"F_q[G] for q = {args.p}^{args.k}, |G| = {G.order}",
-        "components: " + _format_components(dec.pairs()),
+        "components: " + _format_components(dec.components),
     ]
     if t is not None:
         lines.append(f"type: {t}")
@@ -287,11 +288,12 @@ def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     split = oracle_mod.split_center(G, spec, seed=args.seed)
     elapsed = time.perf_counter() - t0
-    json_text = (f'{{\n  "components": {_components_json(split.pairs())},\n'
+    blocks = split.pairs()
+    json_text = (f'{{\n  "components": {_components_json(blocks)},\n'
                  f'  "q": {_q_json(args.p, args.k)}\n}}')
     lines = [
         f"brute-force decomposition over F_{args.p}^{args.k} (|G| = {G.order})",
-        "components: " + _format_components(split.pairs()),
+        "components: " + _format_components(blocks),
     ]
     _emit(json_text, args.format, lines)
     if args.format == "text":
@@ -306,17 +308,15 @@ def cmd_units(args) -> int:
         _print_nonunique(report, args.format)
         return EXIT_NONUNIQUE
     dec = report.solutions[0]
-    ug = unit_group(dec)
     t = _type_or_none(args.group, G, report)
-    order = _decimal_string(ug.total_order)
-    units = [f'{{\n      "field": "{args.p}^{args.k * c.d}",\n      "n": {c.n}\n    }}'
-             for c in dec.components]
-    json_text = (f'{{\n  "components": {_components_json(dec.pairs())},\n  "order": "{order}",\n'
+    order = _decimal_string(unit_group(dec, args.p, args.k))
+    units = [f'{{\n      "field": "{args.p}^{args.k * d}",\n      "n": {n}\n    }}' for n, d in dec.components]
+    json_text = (f'{{\n  "components": {_components_json(dec.components)},\n  "order": "{order}",\n'
                  f'  "q": {_q_json(args.p, args.k)},\n  "type": {"null" if t is None else t},\n'
                  f'  "unit_group": {_json_list(units, "  ")}\n}}')
     lines = [
         f"unit group of F_q[G], q = {args.p}^{args.k}, |G| = {G.order}",
-        ug.display(),
+        _format_units(args.p, args.k, dec.components),
         f"order: {order}",
     ]
     _emit(json_text, args.format, lines)
@@ -328,8 +328,8 @@ def cmd_check(args) -> int:
     if not is_sl32_class_data(G):
         raise ValueError("check compares against the SL(3,2) reference grid; "
                          "use an SL(3,2) group source")
-    ps = _parse_prime_spec(str(args.p))
-    ks = _parse_int_ranges(str(args.k))
+    ps = _parse_range_spec(args.p, primes=True)
+    ks = _parse_range_spec(args.k)
     actions = [builtin_sl32_s8(), builtin_sl32_on_p2f2()]
     cells = 0
     failures = []
@@ -351,8 +351,8 @@ def cmd_check(args) -> int:
             dec = report.solutions[0]
             row = sl32_expected_row(p, k)
             if dec.components != row.components:
-                failures.append(f"{label}: got {dec.pairs()}, reference says "
-                                f"{tuple((c.n, c.d) for c in row.components)}")
+                failures.append(f"{label}: got {dec.components}, reference says "
+                                f"{tuple(map(tuple, row.components))}")
                 continue
             if sl32_type(G, report.partition) != row.family_type:
                 failures.append(f"{label}: type mismatch")
@@ -364,9 +364,9 @@ def cmd_check(args) -> int:
                 oracle_cells += 1
                 spec = make_field(p, k, seed=args.seed)
                 split = oracle_mod.split_center(G, spec, seed=args.seed)
-                if split.pairs() != dec.pairs():
+                if split.pairs() != dec.components:
                     failures.append(f"{label}: brute-force blocks {split.pairs()} "
-                                    f"differ from analytic {dec.pairs()}")
+                                    f"differ from analytic {dec.components}")
     for line in failures:
         print("MISMATCH " + line)
     for label in skipped:

@@ -56,6 +56,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -177,17 +178,19 @@ def _embed(spec: FieldSpec, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CentralSplit:
-    """The primitive central idempotents together with, per block, the block
-    dimension D, the center field degree d, and the matrix size n (D = d*n^2)."""
+    """The primitive central idempotents together with, per block, its
+    (n, d): the block is M_n(F_{q^d}), of dimension D = d*n^2."""
 
     idempotents: tuple[AlgebraElement, ...]
-    block_dims: tuple[int, ...]
-    center_dims: tuple[int, ...]
-    matrix_sizes: tuple[int, ...]
+    blocks: tuple[tuple[int, int], ...]
+
+    @property
+    def block_dims(self) -> tuple[int, ...]:
+        return tuple(d * n * n for n, d in self.blocks)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The block multiset as (n, d) pairs sorted by (d, n)."""
-        return tuple(sorted(zip(self.matrix_sizes, self.center_dims), key=lambda t: (t[1], t[0])))
+        return tuple(sorted(self.blocks, key=itemgetter(1, 0)))
 
 
 class _CenterAlgebra:
@@ -331,20 +334,17 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     # deterministic block order regardless of the splitting path: rows
     # compared as reversed coefficient vectors, i.e. by base-p value
     final.sort(key=lambda ed: ed[0][:, ::-1].tolist())
-    idempotents = [Z.to_algebra(e) for e, _ in final]
-    center_dims = [d for _, d in final]
     block_dims = _lifted_block_dims(G, spec, [e for e, _ in final])
-    sizes = [math.isqrt(D // d) for D, d in zip(block_dims, center_dims)]
-    if any(n < 1 or d * n * n != D for D, d, n in zip(block_dims, center_dims, sizes)):
+    blocks = [(math.isqrt(D // d), d) for D, (_, d) in zip(block_dims, final)]
+    if any(n < 1 or d * n * n != D for D, (n, d) in zip(block_dims, blocks)):
         raise AssertionError("a block dimension is not d * n^2 (bug)")
     if sum(block_dims) != G.order:
         raise AssertionError("block dimensions do not sum to |G| (bug)")
-    order = sorted(range(len(final)), key=lambda i: (center_dims[i], sizes[i], i))
+    # by (d, n), the sort stable on the order above
+    order = sorted(range(len(final)), key=lambda i: (blocks[i][1], blocks[i][0]))
     return CentralSplit(
-        idempotents=tuple(idempotents[i] for i in order),
-        block_dims=tuple(block_dims[i] for i in order),
-        center_dims=tuple(center_dims[i] for i in order),
-        matrix_sizes=tuple(sizes[i] for i in order),
+        idempotents=tuple(Z.to_algebra(final[i][0]) for i in order),
+        blocks=tuple(blocks[i] for i in order),
     )
 
 
@@ -391,7 +391,7 @@ def verify_split(split: CentralSplit) -> bool:
     multiplication and rank computation; returns False on the first failure.
 
     The checks run in this order, each invariant once:
-    1. the four tuples have one entry per block, and there is a block;
+    1. there is a block, and one (n, d) per idempotent;
     2. every e_i is constant on conjugacy classes, so central (the class sums
        span the center of F_q[G]);
     3. the e_i sum to 1;
@@ -404,7 +404,7 @@ def verify_split(split: CentralSplit) -> bool:
        O(B^2 * |G|^2 * k^2) of whole products.  Central elements commute,
        so this covers i > j, and e_i = e_i * sum_j e_j = e_i^2: the e_i
        are idempotent;
-    5. per block, d >= 1, n >= 1 and D = d * n^2, the D sum to |G|, the trace
+    5. the D = d * n^2 sum to |G|, and per block, d >= 1, n >= 1, the trace
        congruence D = |G| * e(1) mod p holds with e(1) in F_p, d is the rank
        of e*Z, and D = dim e*F_q[G] by a rank certificate.
 
@@ -420,7 +420,7 @@ def verify_split(split: CentralSplit) -> bool:
     trace split_center uses, and D >= 1 makes it prove e != 0.  The products
     and all ranks read one full table, built once the sum check passes."""
     es = split.idempotents
-    if not es or not len(es) == len(split.block_dims) == len(split.center_dims) == len(split.matrix_sizes):
+    if not es or len(es) != len(split.blocks):
         return False
     G = es[0].group
     spec = es[0].spec
@@ -440,9 +440,10 @@ def verify_split(split: CentralSplit) -> bool:
         return False
     Z = _CenterAlgebra(G, spec)
     rng = random.Random(f"verify:{spec.p}:{spec.k}:{G.order}")
-    for e, D, d, n in zip(es, split.block_dims, split.center_dims, split.matrix_sizes):
-        if d < 1 or n < 1 or d * n * n != D:
+    for e, (n, d) in zip(es, split.blocks):
+        if d < 1 or n < 1:
             return False
+        D = d * n * n
         if e.arr[0, 1:].any() or (G.order * int(e.arr[0, 0]) - D) % spec.p:
             return False
         if Z.block_dimension(e.arr[reps]) != d:

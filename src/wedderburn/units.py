@@ -3,22 +3,20 @@
 The units of a direct sum of matrix rings form the direct product of the
 general linear groups of the blocks, so a decomposition determines the unit
 group exactly: one GL(n, q^d) factor per block, with F_{q^d}^x for n = 1.
-Orders are exact big integers.
+unit_group returns its order, an exact big integer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .wedder import Component, Decomposition
 
 __all__ = [
-    "UnitFactor",
-    "UnitGroupReport",
     "ReferenceRow",
     "gl_order",
     "unit_group",
-    "field_label",
     "sl32_reference_table",
     "sl32_expected_row",
     "TYPE1_COMPONENTS",
@@ -41,50 +39,10 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-def field_label(p: int, exponent: int) -> str:
-    """Human-readable label for F_{p^exponent}."""
-    return str(p) if exponent == 1 else f"{p}^{exponent}"
-
-
-@dataclass(frozen=True)
-class UnitFactor:
-    """One direct factor of the unit group: GL(n, field_size), displayed as
-    the field's unit group when n = 1."""
-
-    n: int
-    field_size: int
-    display: str
-
-    def order(self) -> int:
-        return gl_order(self.n, self.field_size)
-
-
-@dataclass(frozen=True)
-class UnitGroupReport:
-    factors: tuple[UnitFactor, ...]
-    total_order: int
-
-    def display(self) -> str:
-        return " × ".join(f.display for f in self.factors)
-
-
-def unit_group(dec: Decomposition) -> UnitGroupReport:
-    """Unit group of a decomposition whose base field F_{p^k} is recorded on it."""
-    if dec.p is None or dec.k is None:
-        raise ValueError("decomposition does not record its base field (p, k)")
-    factors = []
-    for c in dec.components:
-        size = dec.p ** (dec.k * c.d)
-        label = field_label(dec.p, dec.k * c.d)
-        if c.n == 1:
-            display = f"F_{label}^×"
-        else:
-            display = f"GL({c.n}, {label})"
-        factors.append(UnitFactor(n=c.n, field_size=size, display=display))
-    total = 1
-    for f in factors:
-        total *= f.order()
-    return UnitGroupReport(factors=tuple(factors), total_order=total)
+def unit_group(dec: Decomposition, p: int, k: int) -> int:
+    """Order of the unit group of a decomposition over F_{p^k}: the product
+    of |GL(n, p^(k d))| over its (n, d) blocks."""
+    return math.prod(gl_order(n, p ** (k * d)) for n, d in dec.components)
 
 
 # SL(3,2) reference classification -------------------------------------------

@@ -11,9 +11,12 @@ uniquely.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 from .charkit import deleted_module_check
 from .cyclo import cyclotomic_partition
@@ -37,48 +40,35 @@ SL32_CLASS_SIZES = (1, 21, 56, 42, 24, 24)
 SL32_CLASS_ORDERS = (1, 2, 3, 4, 7, 7)
 
 
-@dataclass(frozen=True)
-class Component:
-    """One simple block: an n x n matrix ring over the degree-d extension of
-    the coefficient field."""
+class Component(NamedTuple):
+    """One simple block M_n(F_{q^d}): an n x n matrix ring over the degree-d
+    extension of the coefficient field, as the plain pair (n, d)."""
 
     n: int
     d: int
 
-    def mass(self) -> int:
-        return self.d * self.n * self.n
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.d, self.n)
+# blocks are listed in (d, n) order
+_by_degree = itemgetter(1, 0)
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A full block decomposition; components are kept sorted by (d, n) and
-    their masses must add up to the group order."""
+    """A full block decomposition: (n, d) pairs, a Component or a plain
+    tuple each, kept sorted by (d, n), whose masses d * n^2 must add up to
+    the group order."""
 
-    components: tuple[Component, ...]
+    components: tuple[tuple[int, int], ...]
     group_order: int
-    p: int | None = None
-    k: int | None = None
 
     def __post_init__(self):
-        comps = tuple(sorted(self.components, key=Component.sort_key))
+        comps = tuple(sorted(self.components, key=_by_degree))
         object.__setattr__(self, "components", comps)
-        total = sum(c.mass() for c in comps)
+        total = sum(d * n * n for n, d in comps)
         if total != self.group_order:
             raise ValueError(f"component masses sum to {total}, expected {self.group_order}")
-        if Component(1, 1) not in comps:
+        if (1, 1) not in comps:
             raise ValueError("decomposition is missing the trivial (1, 1) block")
-
-    @property
-    def q(self) -> int | None:
-        if self.p is None or self.k is None:
-            return None
-        return self.p**self.k
-
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((c.n, c.d) for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -88,8 +78,11 @@ class SolverReport:
     SL(3,2) type off them without computing them again."""
 
     solutions: tuple[Decomposition, ...]
-    unique: bool
     partition: tuple[tuple[int, ...], ...] = ()
+
+    @property
+    def unique(self) -> bool:
+        return len(self.solutions) == 1
 
 
 def forced_components(G: FiniteGroup, p: int, actions) -> list[Component]:
@@ -105,38 +98,41 @@ def forced_components(G: FiniteGroup, p: int, actions) -> list[Component]:
     return comps
 
 
-def solve(group_order: int, degrees, forced, p: int | None = None, k: int | None = None) -> SolverReport:
+def solve(group_order: int, degrees, forced) -> SolverReport:
     """Enumerate all decompositions consistent with the given center degrees
-    and forced blocks.
+    and forced (n, d) blocks.
 
     Every forced block consumes one degree-1 slot.  The remaining slots are
     filled with all matrix sizes n >= 1 such that the total mass equals the
     group order.  Sizes never increase within a degree, so each multiset
-    appears once, and once the last slots share one degree, sizes too small
-    to hold the remaining mass are skipped.  The enumeration is memoized on
-    (slot, remaining mass, largest n) and works on (d, n) int pairs; the
-    candidates come sorted by those keys, with one Component built per
-    distinct block.  Raises ValueError for a center degree below 1.
+    appears once.  A slot leaves every later slot at least its degree, the
+    mass of a 1 x 1 block, and once the remaining mass is exactly that
+    least mass, the all-1 x 1 filling is the only one.  Once the last slots
+    share one degree, sizes too small to hold the remaining mass are
+    skipped.  The enumeration is memoized on (slot, remaining mass, largest
+    n) and works on (d, n) int pairs, so the candidates come sorted by
+    those keys; each candidate lists its blocks as plain (n, d) pairs.
+    Raises ValueError for a center degree below 1.
     """
-    degrees = list(degrees)
+    degrees = sorted(degrees)
     for d in degrees:
         if d < 1:
             raise ValueError(f"center degree {d} must be at least 1")
-    degrees.sort()
-    forced = tuple(sorted(forced, key=Component.sort_key))
     for c in forced:
-        if c.d != 1:
+        if c[1] != 1:
             raise ValueError(f"forced component {c} must sit over a degree-1 slot")
-    ones = sum(1 for d in degrees if d == 1)
+    ones = degrees.count(1)
     if len(forced) > ones:
         raise ValueError(
             f"{len(forced)} forced components exceed the {ones} available degree-1 slots"
         )
-    forced_mass = sum(c.mass() for c in forced)
+    forced_mass = sum(n * n for n, _ in forced)
     if forced_mass > group_order:
         raise ValueError(f"forced mass {forced_mass} exceeds group order {group_order}")
     slots = degrees[len(forced):]
     target = group_order - forced_mass
+    # least[i]: the least mass slots i.. can take, all of them 1 x 1 blocks
+    least = list(itertools.accumulate(reversed(slots), initial=0))[::-1]
     # tail[i]: the number of slots i.. when they all have slots[i]'s degree (slots are sorted), else 0
     tail = [len(slots) - i if d == slots[-1] else 0 for i, d in enumerate(slots)]
 
@@ -144,27 +140,26 @@ def solve(group_order: int, degrees, forced, p: int | None = None, k: int | None
     def fill(i: int, rem: int, top: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Every filling of slots i.. as (d, n) pairs with masses summing to
         rem, n <= top in slot i."""
+        if rem <= least[i]:
+            return (tuple((d, 1) for d in slots[i:]),) if rem == least[i] else ()
         if i == len(slots):
-            return ((),) if rem == 0 else ()
+            return ()
         d = slots[i]
         same = i + 1 < len(slots) and slots[i + 1] == d
         # slots i.. of one degree d and sizes <= n hold at most tail[i] * d * n^2: n >= lo
-        lo = math.isqrt(max(rem - 1, 0) // (d * tail[i])) + 1 if tail[i] else 1
+        lo = math.isqrt((rem - 1) // (d * tail[i])) + 1 if tail[i] else 1
         return tuple(
             ((d, n),) + rest
-            for n in range(min(top, math.isqrt(rem // d)), lo - 1, -1)
+            for n in range(min(top, math.isqrt((rem - least[i + 1]) // d)), lo - 1, -1)
             for rest in fill(i + 1, rem - d * n * n, n if same else target)
         )
 
-    forced_keys = tuple(c.sort_key() for c in forced)
+    forced_keys = tuple((d, n) for n, d in forced)
     keys = sorted(tuple(sorted(forced_keys + sol)) for sol in fill(0, target, target))
     fill.cache_clear()  # the wrapper is a reference cycle; free its entries now
-    comps = {(d, n): Component(n, d) for d, n in set().union(*keys)}
-    decs = tuple(
-        Decomposition(components=tuple(map(comps.__getitem__, key)), group_order=group_order, p=p, k=k)
-        for key in keys
-    )
-    return SolverReport(solutions=decs, unique=len(decs) == 1)
+    return SolverReport(solutions=tuple(
+        Decomposition(components=tuple([(n, d) for d, n in key]), group_order=group_order) for key in keys
+    ))
 
 
 def is_sl32_class_data(G: FiniteGroup) -> bool:
@@ -206,7 +201,7 @@ def classify_type(p: int, k: int) -> int:
 def splitting_field_check(dec: Decomposition) -> bool:
     """True iff every block sits over the base field itself, equivalently
     sum(n^2) = |G|."""
-    return all(c.d == 1 for c in dec.components)
+    return all(d == 1 for _, d in dec.components)
 
 
 def analytic_decomposition(G: FiniteGroup, p: int, k: int, actions) -> SolverReport:
@@ -217,4 +212,4 @@ def analytic_decomposition(G: FiniteGroup, p: int, k: int, actions) -> SolverRep
     type off them."""
     partition = cyclotomic_partition(G, p, k)
     forced = forced_components(G, p, actions)
-    return replace(solve(G.order, [len(o) for o in partition], forced, p=p, k=k), partition=partition)
+    return SolverReport(solve(G.order, [len(o) for o in partition], forced).solutions, partition)

@@ -125,14 +125,14 @@ def test_nonunique_json_matches_json_dumps(capsys, name, p, top_degree):
     G = load_group(group)
     report = analytic_decomposition(G, p, 1, [G])
     # blocks over F_{q^2} exercise the writer's d = 2 pieces
-    assert max(c.d for dec in report.solutions for c in dec.components) == top_degree
-    candidates = [[{"n": n, "d": d} for n, d in dec.pairs()] for dec in report.solutions]
+    assert max(d for dec in report.solutions for _, d in dec.components) == top_degree
+    candidates = [[{"n": n, "d": d} for n, d in dec.components] for dec in report.solutions]
     payload = {"unique": False, "candidates": candidates}
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_nonunique_json_without_candidates(capsys):
-    report = SolverReport(solutions=(), unique=False)
+    report = SolverReport(solutions=())
     cli._print_nonunique(report, "json")
     out = capsys.readouterr().out
     assert out == json.dumps({"candidates": [], "unique": False}, indent=2, sort_keys=True) + "\n"
@@ -371,6 +371,33 @@ def test_check_prime_ranges_skip_composites(capsys):
     assert "checked 4 cells" in out  # 11, 13, 17, 19
 
 
+@pytest.mark.parametrize("p, k", [("11", "1..2,6..3"), ("11..13,29..17", "1"), ("11", "3..2")])
+def test_check_rejects_reversed_ranges(capsys, p, k):
+    # a range that ends below its start is an input error, never an empty range
+    code, out, err = run(capsys, ["check", "--p", p, "--k", k])
+    assert code == cli.EXIT_INPUT == 2
+    assert out == ""
+    assert "ends below its start" in err
+
+
+def test_check_prime_spec_rules(capsys):
+    # a one-value range is that value; an explicit non-prime is an input error
+    code, out, _ = run(capsys, ["check", "--p", "13..13", "--k", "2..2"])
+    assert (code, out) == (0, "checked 1 cells: 1 ok, 0 mismatches, 0 skipped\n")
+    code, _, err = run(capsys, ["check", "--p", "11,15", "--k", "1"])
+    assert code == 2 and "not prime" in err
+
+
+def test_decompose_c400_fills_400_slots(capsys, tmp_path):
+    # C_400 over F_401: 401 = 1 mod 400, so each of the 400 classes is its
+    # own q-power orbit and the solver fills 400 degree-1 slots
+    group = tmp_path / "c400.txt"
+    group.write_text("degree 400\n(" + ",".join(map(str, range(1, 401))) + ")\n")
+    code, out, err = run(capsys, ["decompose", "--group", f"file:{group}", "--p", "401", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert [(c["n"], c["d"]) for c in json.loads(out)["components"]] == [(1, 1)] * 400
+
+
 def test_check_reports_modular_cells_as_skipped(capsys):
     code, out, _ = run(capsys, ["check", "--p", "5..13", "--k", "1"])
     assert code == 0
@@ -484,6 +511,7 @@ def test_usage_error_exits_2():
     ["units", "--qmax", "5", "--p", "11"],
     ["classes", "--qmax", "5"],
     ["check", "--format", "json", "--p", "11", "--k", "1"],
+    ["classes", "--seed", "1"],
 ])
 def test_flags_that_nothing_reads_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

@@ -114,12 +114,7 @@ def test_verify_rejects_corruption(sl32_s8, f11, split11):
     bad = list(es[2].coeffs)
     bad[5] = bad[5] + f11.one
     es[2] = AlgebraElement(sl32_s8, f11, bad)
-    corrupted = type(split11)(
-        idempotents=tuple(es),
-        block_dims=split11.block_dims,
-        center_dims=split11.center_dims,
-        matrix_sizes=split11.matrix_sizes,
-    )
+    corrupted = type(split11)(idempotents=tuple(es), blocks=split11.blocks)
     assert not verify_split(corrupted)
 
 
@@ -133,7 +128,8 @@ def test_verify_checks_the_trace_congruence(split11, monkeypatch):
     def swap(t):
         return t[:3] + (t[4], t[3]) + t[5:]
 
-    swapped = type(split11)(es, swap(split11.block_dims), split11.center_dims, swap(split11.matrix_sizes))
+    swapped = type(split11)(es, swap(split11.blocks))
+    assert swapped.block_dims == swap(split11.block_dims)
     ranks_agree_with(swapped, monkeypatch)
     assert not verify_split(swapped)
 
@@ -169,8 +165,7 @@ def test_verify_rejects_a_rank_only_swap(split11, monkeypatch):
     def swap(t):
         return (t[0], t[5]) + t[2:5] + (t[1],)
 
-    swapped = dataclasses.replace(split11, block_dims=swap(split11.block_dims),
-                                  matrix_sizes=swap(split11.matrix_sizes))
+    swapped = dataclasses.replace(split11, blocks=swap(split11.blocks))
     with monkeypatch.context() as m:
         ranks_agree_with(swapped, m)
         assert verify_split(swapped)
@@ -212,15 +207,13 @@ def test_short_draws_fall_back_to_one_full_rank_per_block(sl32_s8, p, k, monkeyp
 
 
 def test_verify_rejects_a_zero_idempotent(sl32_s8, f11, split11):
-    # an extra zero block keeps the sum, orthogonality and idempotence;
-    # unequal tuples must not be truncated away, and an appended
-    # (D, d, n) = (0, 0, 0) must not pass as D = d * n^2
+    # an extra zero block keeps the sum, orthogonality and idempotence; an
+    # idempotent without a block must not be truncated away, and an
+    # appended block (n, d) with n = 0 or d = 0, of dimension 0, must not pass
     es = split11.idempotents + (AlgebraElement.zero(sl32_s8, f11),)
     assert not verify_split(dataclasses.replace(split11, idempotents=es))
-    padded = dataclasses.replace(split11, idempotents=es, block_dims=split11.block_dims + (0,),
-                                 center_dims=split11.center_dims + (0,),
-                                 matrix_sizes=split11.matrix_sizes + (0,))
-    assert not verify_split(padded)
+    for block in ((0, 0), (0, 1), (1, 0)):
+        assert not verify_split(dataclasses.replace(split11, idempotents=es, blocks=split11.blocks + (block,)))
 
 
 def counting_products(monkeypatch, seen_cols=None):
@@ -268,8 +261,7 @@ def test_verify_rejects_a_sum_preserving_non_central_change(sl32_s8, f11, split1
 def test_verify_rejects_a_missing_block_before_any_product(split11, monkeypatch):
     # the other blocks are still central, orthogonal and idempotent, but
     # their sum is not 1
-    dropped = type(split11)(split11.idempotents[:-1], split11.block_dims[:-1],
-                            split11.center_dims[:-1], split11.matrix_sizes[:-1])
+    dropped = type(split11)(split11.idempotents[:-1], split11.blocks[:-1])
     calls = counting_products(monkeypatch)
     assert not verify_split(dropped)
     assert not calls
@@ -425,10 +417,10 @@ def test_split_agrees_with_analytic_and_cyclo(sl32_s8, sl32_p2f2):
         split = split_center(sl32_s8, spec, seed=0)
         rep = analytic_decomposition(sl32_s8, p, k, actions)
         assert rep.unique
-        assert split.pairs() == rep.solutions[0].pairs(), (p, k)
+        assert split.pairs() == rep.solutions[0].components, (p, k)
         orbits = cyclotomic_partition(sl32_s8, p, k)
         assert len(split.idempotents) == len(orbits)
-        assert sorted(split.center_dims) == sorted(len(o) for o in orbits)
+        assert sorted(d for _, d in split.blocks) == sorted(len(o) for o in orbits)
 
 
 def test_split_modulus_independence(sl32_s8):
@@ -467,6 +459,25 @@ def test_verify_split_on_the_zoo(name, p, monkeypatch):
     split = split_center(G, make_field(p), seed=0)
     no_full_rank(monkeypatch)
     assert verify_split(split)
+
+
+def plain_int_pairs(blocks) -> bool:
+    return all(len(b) == 2 and type(b[0]) is int and type(b[1]) is int for b in blocks)
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name, ps in ZOO_PRIMES.items() for p in ps])
+def test_split_blocks_are_an_analytic_candidate_on_the_zoo(name, p):
+    # both pipelines give the block multiset as plain (n, d) int pairs: the
+    # split's is the analytic answer where that is unique, else one of its candidates
+    G = resolve_group(f"file:{GROUP_DIR / (name + '.txt')}")
+    blocks = split_center(G, make_field(p), seed=0).pairs()
+    rep = analytic_decomposition(G, p, 1, [G])
+    assert plain_int_pairs(blocks)
+    assert all(plain_int_pairs(dec.components) for dec in rep.solutions)
+    if rep.unique:
+        assert blocks == rep.solutions[0].components
+    else:
+        assert blocks in [dec.components for dec in rep.solutions]
 
 
 def table_reads(monkeypatch, full_reads=True):

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from wedderburn import Component, Decomposition, gl_order, sl32_expected_row, sl32_reference_table, unit_group
+from wedderburn.cli import _format_units
 from wedderburn.units import TYPE1_COMPONENTS, TYPE2_COMPONENTS
 
 
@@ -36,32 +39,31 @@ def test_gl_order_rejects():
 
 
 def test_unit_group_type1():
-    dec = Decomposition(TYPE1_COMPONENTS, 168, p=11, k=1)
-    ug = unit_group(dec)
-    assert ug.display() == "F_11^× × GL(3, 11) × GL(3, 11) × GL(6, 11) × GL(7, 11) × GL(8, 11)"
+    dec = Decomposition(TYPE1_COMPONENTS, 168)
+    assert _format_units(11, 1, dec.components) == "F_11^× × GL(3, 11) × GL(3, 11) × GL(6, 11) × GL(7, 11) × GL(8, 11)"
     expected = 10 * gl_order(3, 11) ** 2 * gl_order(6, 11) * gl_order(7, 11) * gl_order(8, 11)
-    assert ug.total_order == expected
+    assert unit_group(dec, 11, 1) == expected
 
 
 def test_unit_group_type2():
-    dec = Decomposition(TYPE2_COMPONENTS, 168, p=13, k=1)
-    ug = unit_group(dec)
-    assert ug.display() == "F_13^× × GL(6, 13) × GL(7, 13) × GL(8, 13) × GL(3, 13^2)"
-    assert ug.factors[-1].field_size == 169
-    assert ug.total_order % gl_order(3, 169) == 0
+    dec = Decomposition(TYPE2_COMPONENTS, 168)
+    assert _format_units(13, 1, dec.components) == "F_13^× × GL(6, 13) × GL(7, 13) × GL(8, 13) × GL(3, 13^2)"
+    expected = 12 * gl_order(6, 13) * gl_order(7, 13) * gl_order(8, 13) * gl_order(3, 169)
+    assert unit_group(dec, 13, 1) == expected
 
 
 def test_unit_group_trivial():
-    dec = Decomposition((Component(1, 1),), 1, p=11, k=1)
-    ug = unit_group(dec)
-    assert ug.display() == "F_11^×"
-    assert ug.total_order == 10
-
-
-def test_unit_group_requires_field():
     dec = Decomposition((Component(1, 1),), 1)
-    with pytest.raises(ValueError):
-        unit_group(dec)
+    assert _format_units(11, 1, dec.components) == "F_11^×"
+    assert unit_group(dec, 11, 1) == 10
+
+
+def test_unit_group_over_an_extension_field():
+    # over F_{13^2} the d = 2 block sits over F_{13^4}
+    dec = Decomposition(TYPE2_COMPONENTS, 168)
+    assert _format_units(13, 2, dec.components) == (
+        "F_13^2^× × GL(6, 13^2) × GL(7, 13^2) × GL(8, 13^2) × GL(3, 13^4)")
+    assert unit_group(dec, 13, 2) == 168 * gl_order(6, 169) * gl_order(7, 169) * gl_order(8, 169) * gl_order(3, 13**4)
 
 
 def test_reference_table_shape():
@@ -90,9 +92,6 @@ def test_unit_group_matches_reference_for_sample_grid():
     for p in (5, 11, 13, 29, 199):
         for k in (1, 2, 3, 6, 12):
             row = sl32_expected_row(p, k)
-            dec = Decomposition(row.components, 168, p=p, k=k)
-            ug = unit_group(dec)
-            assert len(ug.factors) == len(row.components)
-            sizes = sorted((f.n, f.field_size) for f in ug.factors)
-            want = sorted((c.n, p ** (k * c.d)) for c in row.components)
-            assert sizes == want
+            dec = Decomposition(row.components, 168)
+            want = math.prod(gl_order(c.n, p ** (k * c.d)) for c in row.components)
+            assert unit_group(dec, p, k) == want

@@ -26,10 +26,6 @@ from wedderburn import (
 from wedderburn.units import TYPE1_COMPONENTS, TYPE2_COMPONENTS, sl32_expected_row
 
 
-def pairs(dec):
-    return dec.pairs()
-
-
 def brute_force_square_sums(total, slots):
     """All multisets of `slots` positive integers with squares summing to total."""
     sols = []
@@ -70,18 +66,18 @@ def test_forced_components_rejects_modular(sl32_s8):
 
 def test_solve_type1_unique():
     forced = [Component(1, 1), Component(6, 1), Component(7, 1)]
-    rep = solve(168, [1] * 6, forced, p=11, k=1)
+    rep = solve(168, [1] * 6, forced)
     assert rep.unique
-    assert pairs(rep.solutions[0]) == ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1))
+    assert rep.solutions[0].components == ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1))
 
 
 def test_solve_type2_unique():
     forced = [Component(1, 1), Component(6, 1), Component(7, 1)]
-    rep = solve(168, [1, 1, 1, 1, 2], forced, p=13, k=1)
+    rep = solve(168, [1, 1, 1, 1, 2], forced)
     assert rep.unique
-    assert pairs(rep.solutions[0]) == ((1, 1), (6, 1), (7, 1), (8, 1), (3, 2))
+    assert rep.solutions[0].components == ((1, 1), (6, 1), (7, 1), (8, 1), (3, 2))
     # remaining mass: 64 + 2*9 = 82
-    assert sum(c.mass() for c in rep.solutions[0].components if c not in forced) == 82
+    assert sum(d * n * n for n, d in rep.solutions[0].components if (n, d) not in forced) == 82
 
 
 def test_solve_negative_control_matches_brute_force():
@@ -90,7 +86,7 @@ def test_solve_negative_control_matches_brute_force():
     assert len(oracle) == 11
     assert not rep.unique
     assert len(rep.solutions) == len(oracle)
-    got = {tuple(sorted((c.n for c in d.components), reverse=True)) for d in rep.solutions}
+    got = {tuple(sorted((n for n, _ in d.components), reverse=True)) for d in rep.solutions}
     assert got == {tuple(sorted((1,) + s, reverse=True)) for s in oracle}
 
 
@@ -133,8 +129,8 @@ def test_solve_matches_brute_force(group_order, degrees, forced, trivial):
         with pytest.raises(ValueError):
             solve(group_order, degrees, forced)
         return
-    rep = solve(group_order, degrees, forced, p=11, k=1)
-    assert [dec.pairs() for dec in rep.solutions] == expected
+    rep = solve(group_order, degrees, forced)
+    assert [dec.components for dec in rep.solutions] == expected
     assert rep.unique == (len(expected) == 1)
 
 
@@ -143,8 +139,24 @@ def test_solve_pins_s6_candidates():
     G = load_group(Path(__file__).resolve().parents[1] / "bench" / "groups" / "s6.txt")
     rep = analytic_decomposition(G, 11, 1, [G])
     assert len(rep.solutions) == 3037 and not rep.unique
-    digest = hashlib.sha256(str([d.pairs() for d in rep.solutions]).encode()).hexdigest()
+    digest = hashlib.sha256(str([d.components for d in rep.solutions]).encode()).hexdigest()
     assert digest == "9517268e226402cb1898d9ff40e76e1f3ffbb7e64213e9a3dcfa2e16f949586d"
+
+
+def test_solve_fills_thousands_of_slots_without_deep_recursion():
+    # 5000 degree-1 slots, all 1 x 1: the least remaining mass ends the search at once
+    rep = solve(5000, [1] * 5000, [Component(1, 1)])
+    assert rep.unique and rep.solutions[0].components == ((1, 1),) * 5000
+    # one 2 x 2 block among 1000 slots; a size that would leave a later slot
+    # below its degree is never tried
+    rep = solve(1004, [1] * 1001, [Component(1, 1)])
+    assert rep.unique and rep.solutions[0].components == ((1, 1),) * 1000 + ((2, 1),)
+
+
+def test_component_is_a_plain_pair():
+    assert Component(3, 1) == (3, 1) and Component(3, 2).d == 2
+    blocks = solve(10, [1, 1], [Component(1, 1)]).solutions[0].components
+    assert blocks == ((1, 1), (3, 1)) and type(blocks[1]) is tuple
 
 
 def test_solve_restoring_forced_restores_uniqueness():
@@ -181,8 +193,8 @@ def test_decomposition_validation():
         Decomposition((Component(2, 1),), 5)  # mass mismatch
     with pytest.raises(ValueError):
         Decomposition((Component(2, 1), Component(1, 2)), 6)  # no (1,1) block
-    dec = Decomposition((Component(1, 1), Component(2, 1)), 5, p=11, k=1)
-    assert dec.q == 11
+    dec = Decomposition(((2, 1), Component(1, 1)), 5)
+    assert dec.components == ((1, 1), (2, 1))
 
 
 def test_classify_type_values():
@@ -220,7 +232,7 @@ def test_report_partition_gives_the_type_on_every_action(sl32_s8, sl32_p2f2):
             for G in (sl32_s8, sl32_p2f2, psl27):
                 rep = analytic_decomposition(G, p, k, [G])
                 assert sl32_type(G, rep.partition) == classify_type(p, k), (p, k)
-                assert sorted(map(len, rep.partition)) == sorted(c.d for c in rep.solutions[0].components)
+                assert sorted(map(len, rep.partition)) == sorted(d for _, d in rep.solutions[0].components)
 
 
 def test_sl32_type_needs_two_order7_classes(s5):
@@ -229,12 +241,12 @@ def test_sl32_type_needs_two_order7_classes(s5):
 
 
 def test_splitting_field_check():
-    type1 = Decomposition(TYPE1_COMPONENTS, 168, p=11, k=1)
-    type2 = Decomposition(TYPE2_COMPONENTS, 168, p=13, k=1)
+    type1 = Decomposition(TYPE1_COMPONENTS, 168)
+    type2 = Decomposition(TYPE2_COMPONENTS, 168)
     assert splitting_field_check(type1)
     assert not splitting_field_check(type2)
     assert 1 + 36 + 49 + 64 + 9 + 9 == 168
-    trivial = Decomposition((Component(1, 1),), 1, p=11, k=1)
+    trivial = Decomposition((Component(1, 1),), 1)
     assert splitting_field_check(trivial)
 
 
@@ -245,7 +257,7 @@ def test_analytic_pipeline_sl32(sl32_s8, sl32_p2f2):
     rep = analytic_decomposition(sl32_s8, 13, 1, actions)
     assert rep.unique and rep.solutions[0].components == TYPE2_COMPONENTS
     for dec in rep.solutions:
-        assert sum(c.mass() for c in dec.components) == 168
+        assert sum(d * n * n for n, d in dec.components) == 168
 
 
 def test_analytic_pipeline_s5(s5):
@@ -254,7 +266,7 @@ def test_analytic_pipeline_s5(s5):
     rep = analytic_decomposition(s5, 11, 1, [s5])
     assert not rep.unique
     true_degrees = tuple(sorted([1, 1, 4, 4, 5, 5, 6], reverse=True))
-    got = {tuple(sorted((c.n for c in d.components), reverse=True)) for d in rep.solutions}
+    got = {tuple(sorted((n for n, _ in d.components), reverse=True)) for d in rep.solutions}
     assert true_degrees in got
 
 

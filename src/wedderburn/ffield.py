@@ -6,9 +6,11 @@ found by seeded search; there are no Conway-polynomial tables and no
 discrete-log tables.  Polynomial factorization runs the classical pipeline:
 squarefree split via gcd with the derivative (with p-th root extraction in
 characteristic p), distinct-degree split via iterated Frobenius, and seeded
-Cantor-Zassenhaus equal-degree splitting.  A Polynomial holds its
-coefficients as length-k tuples and runs the FieldSpec tuple kernels;
-FieldElement is the boundary type, one scalar that callers build and read.
+Cantor-Zassenhaus equal-degree splitting.  A scalar is a base-p value, the
+int sum of c_t p**t over its coefficient vector (the residue itself over
+F_p); a Polynomial holds such ints and runs the scalar kernels that
+FieldSpec builds once per field.  FieldElement is the boundary type, one
+coefficient vector that callers build and read.
 Vectors and matrices over F_q in hot paths are arrays of shape (..., k) over
 F_p, and FieldSpec.mul_arrays is their one entrywise product.  There is one
 elimination, _rank_mod_p, on the F_p blow-up of an F_q matrix (each entry
@@ -30,6 +32,7 @@ p**k < 2**63 and so meets the bound whenever p < 2**31.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from functools import lru_cache
 
@@ -145,13 +148,20 @@ class FieldSpec:
     int64 when p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the bound fold
     needs, and object (Python ints) otherwise.
 
-    With a prime power P = p**s in place of p, the same object is the Galois
-    ring (Z/P)[x]/(modulus) for a modulus irreducible mod p: add_t, sub_t,
-    neg_t, mul_t, fold and mul_arrays only add and multiply, so they are
-    exact there too, while inversion, and whatever relies on it, needs a
-    field."""
+    Scalars are base-p values: the int sum of c_t * p**t over a coefficient
+    vector (c_0, ..., c_(k-1)), so over F_p the residue itself; pack and
+    unpack convert.  The scalar kernels add, sub and mul are built once per
+    field (see _scalar_kernels); inv and power build on mul.  Polynomial runs
+    on them, and FieldElement, which keeps its coefficient vector, packs
+    into them.
 
-    __slots__ = ("p", "k", "q", "modulus", "dtype", "x_powers", "_pow_reds", "_zero", "_one")
+    With a prime power P = p**s in place of p, the same object is the Galois
+    ring (Z/P)[x]/(modulus) for a modulus irreducible mod p: add, sub, mul,
+    fold and mul_arrays only add and multiply, so they are exact there too,
+    while inversion, and whatever relies on it, needs a field."""
+
+    __slots__ = ("p", "k", "q", "modulus", "dtype", "x_powers", "add", "sub", "mul",
+                 "_place", "_zero", "_one")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         modulus = tuple(c % p for c in modulus)
@@ -172,25 +182,41 @@ class FieldSpec:
                 for i in range(k):
                     shifted[i] = (shifted[i] + top * reds[0][i]) % p
             cur = tuple(shifted)
-        self._pow_reds = reds if k > 1 else []
         self.dtype = np.int64 if p < ARRAY_P_LIMIT and p + (k - 1) * (p - 1) ** 2 < 2**63 else object
-        self.x_powers = np.array(np.eye(k, dtype=int).tolist() + self._pow_reds, dtype=self.dtype)
+        self.x_powers = np.array(np.eye(k, dtype=int).tolist() + reds, dtype=self.dtype)
+        self._place = [p**t for t in range(k)]
+        self.add, self.sub, self.mul = _scalar_kernels(p, k, self._place, reds)
         self._zero = FieldElement(self, (0,) * k)
         self._one = FieldElement(self, (1,) + (0,) * (k - 1))
 
-    # tuple-level arithmetic -------------------------------------------------
+    # scalar arithmetic on base-p values ---------------------------------------
 
-    def add_t(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+    def pack(self, a) -> int:
+        """The base-p value of a coefficient vector a reduced mod p."""
+        return sum(map(operator.mul, a, self._place))
 
-    def sub_t(self, a, b):
+    def unpack(self, v: int) -> tuple[int, ...]:
+        """The coefficient vector of the base-p value v, 0 <= v < q."""
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return tuple([v // pt % p for pt in self._place])
 
-    def neg_t(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+    def power(self, a: int, e: int) -> int:
+        if e < 0:
+            return self.power(self.inv(a), -e)
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        if self.k == 1:
+            return pow(a, -1, self.p)
+        return self.power(a, self.q - 2)
 
     # array-level arithmetic -------------------------------------------------
 
@@ -210,42 +236,6 @@ class FieldSpec:
         """Entrywise product in F_q of broadcastable arrays of shape (..., k)
         with entries reduced mod p."""
         return self.fold(a[..., :, None] * b[..., None, :] % self.p)
-
-    def mul_t(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        for d in range(2 * k - 2, k - 1, -1):
-            c = conv[d] % p
-            if c:
-                red = self._pow_reds[d - k]
-                for i in range(k):
-                    conv[i] += c * red[i]
-        return tuple(conv[i] % p for i in range(k))
-
-    def pow_t(self, a, e: int):
-        if e < 0:
-            return self.pow_t(self.inv_t(a), -e)
-        result = self._one.coeffs
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_t(result, base)
-            base = self.mul_t(base, base)
-            e >>= 1
-        return result
-
-    def inv_t(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero field element")
-        if self.k == 1:
-            return (pow(a[0], -1, self.p),)
-        return self.pow_t(a, self.q - 2)
 
     # element constructors ---------------------------------------------------
 
@@ -294,7 +284,8 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of F_{p^k}: a length-k coefficient vector over F_p."""
+    """An element of F_{p^k}: a length-k coefficient vector over F_p.  Its
+    arithmetic packs the vectors into the spec's scalar kernels."""
 
     __slots__ = ("spec", "coeffs")
 
@@ -311,54 +302,52 @@ class FieldElement:
             return self.spec.scalar(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _apply(self, kernel, other, reflected=False):
+        """kernel(self, other), or kernel(other, self) when reflected, on base-p values."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.add_t(self.coeffs, o.coeffs))
+        spec = self.spec
+        a, b = spec.pack(self.coeffs), spec.pack(o.coeffs)
+        if reflected:
+            a, b = b, a
+        return FieldElement(spec, spec.unpack(kernel(a, b)))
+
+    def __add__(self, other):
+        return self._apply(self.spec.add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_t(self.coeffs, o.coeffs))
+        return self._apply(self.spec.sub, other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_t(o.coeffs, self.coeffs))
+        return self._apply(self.spec.sub, other, reflected=True)
 
     def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_t(self.coeffs))
+        return self.spec.zero - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_t(self.coeffs, o.coeffs))
+        return self._apply(self.spec.mul, other)
 
     __rmul__ = __mul__
 
+    def _div(self, a: int, b: int) -> int:
+        return self.spec.mul(a, self.spec.inv(b))
+
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_t(self.coeffs, self.spec.inv_t(o.coeffs)))
+        return self._apply(self._div, other)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_t(o.coeffs, self.spec.inv_t(self.coeffs)))
+        return self._apply(self._div, other, reflected=True)
 
     def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow_t(self.coeffs, e))
+        spec = self.spec
+        return FieldElement(spec, spec.unpack(spec.power(spec.pack(self.coeffs), e)))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv_t(self.coeffs))
+        spec = self.spec
+        return FieldElement(spec, spec.unpack(spec.inv(spec.pack(self.coeffs))))
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -379,6 +368,34 @@ class FieldElement:
         if self.spec.k == 1:
             return str(self.coeffs[0])
         return str(list(self.coeffs))
+
+
+def _scalar_kernels(p: int, k: int, place: list[int], reds: list[tuple[int, ...]]):
+    """add, sub and mul on base-p values below p**k; place holds p**t for
+    t < k and reds the coefficient vectors of x^k .. x^(2k-2) mod the
+    modulus.  For k = 1 each is one int operation.  For k > 1 they read
+    digit t of a as a // p**t % p: a // p**t is that digit plus a multiple
+    of p, so (a // p**t + b // p**t) % p is the digit of the sum, and a
+    product folds its convolution's degrees k .. 2k-2 through reds."""
+    if k == 1:
+        return (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p), (lambda a, b: a * b % p)
+    # per coefficient t: p**t and column t of reds
+    terms = [(t, pt, [red[t] for red in reds]) for t, pt in enumerate(place)]
+
+    def mul(a, b):
+        conv = [0] * (2 * k - 1)
+        digits = [b // pt % p for pt in place]
+        for i, pt in enumerate(place):
+            x = a // pt % p
+            if x:
+                for j, y in enumerate(digits):
+                    conv[i + j] += x * y
+        high = conv[k:]
+        return sum([(conv[t] + sum(map(operator.mul, high, col))) % p * pt for t, pt, col in terms])
+
+    return ((lambda a, b: sum([(a // pt + b // pt) % p * pt for pt in place])),
+            (lambda a, b: sum([(a // pt - b // pt) % p * pt for pt in place])),
+            mul)
 
 
 def check_p_min(p: int):
@@ -411,40 +428,55 @@ def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
     rng = random.Random(f"modulus:{seed}:{p}:{k}")
     for _ in range(4000):
         coeffs = [rng.randrange(p) for _ in range(k)] + [1]
-        f = Polynomial(prime, [(c,) for c in coeffs])
+        f = Polynomial(prime, coeffs)
         if f.is_irreducible():
             return FieldSpec(p, k, tuple(coeffs))
     raise RuntimeError(f"no irreducible modulus of degree {k} over F_{p} found (bug)")
 
 
 class Polynomial:
-    """Dense polynomial over F_q on coefficient tuples: coeffs[i] is the
-    length-k coefficient vector of x^i, and trailing zeros are trimmed (the
-    zero polynomial has no coefficients).  The constructor also takes
-    FieldElements of ``spec`` (one of another field raises ValueError), and
-    leading() and evaluate() return them; every other method runs the
-    FieldSpec tuple kernels."""
+    """Dense polynomial over F_q on base-p values: coeffs[i] is the int
+    sum of c_t * p**t over the coefficient vector (c_0, ..., c_(k-1)) of
+    x^i, so over F_p the residue itself, and trailing zeros are trimmed (the
+    zero polynomial has no coefficients).  The constructor takes such ints,
+    FieldElements of ``spec`` (one of another field raises ValueError) and
+    length-k coefficient tuples, and leading() and evaluate() return
+    FieldElements; every other method runs on int lists through the scalar
+    kernels spec.add, spec.sub, spec.mul and spec.inv."""
 
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        cs = [spec.element(c).coeffs if isinstance(c, FieldElement) else c for c in coeffs]
-        while cs and not any(cs[-1]):
-            cs.pop()
+        cs = []
+        for c in coeffs:
+            if isinstance(c, int):
+                if not 0 <= c < spec.q:
+                    raise ValueError(f"coefficient {c} is not a base-p value below q = {spec.q}")
+            else:
+                c = spec.pack(spec.element(c).coeffs)
+            cs.append(c)
         self.spec = spec
-        self.coeffs = tuple(cs)
+        self.coeffs = _trimmed(cs)
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, cs: list[int]) -> "Polynomial":
+        """The polynomial of an int list of reduced base-p values."""
+        f = cls.__new__(cls)
+        f.spec = spec
+        f.coeffs = _trimmed(cs)
+        return f
 
     @classmethod
     def zero(cls, spec) -> "Polynomial":
-        return cls(spec, ())
+        return cls._of(spec, [])
 
     @classmethod
     def one(cls, spec) -> "Polynomial":
-        return cls(spec, (spec.one.coeffs,))
+        return cls._of(spec, [1])
 
     @classmethod
     def x(cls, spec) -> "Polynomial":
-        return cls(spec, (spec.zero.coeffs, spec.one.coeffs))
+        return cls._of(spec, [0, 1])
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -455,38 +487,39 @@ class Polynomial:
     def leading(self) -> "FieldElement":
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.spec, self.coeffs[-1])
+        return FieldElement(self.spec, self.spec.unpack(self.coeffs[-1]))
 
-    def _scaled(self, c) -> "Polynomial":
-        mul_t = self.spec.mul_t
-        return Polynomial(self.spec, [mul_t(a, c) for a in self.coeffs])
+    def _scaled(self, c: int) -> "Polynomial":
+        mul = self.spec.mul
+        return Polynomial._of(self.spec, [mul(a, c) for a in self.coeffs])
 
     def monic(self) -> "Polynomial":
-        if self.is_zero() or self.coeffs[-1] == self.spec.one.coeffs:
+        if self.is_zero() or self.coeffs[-1] == 1:
             return self
-        return self._scaled(self.spec.inv_t(self.coeffs[-1]))
+        return self._scaled(self.spec.inv(self.coeffs[-1]))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        add_t = self.spec.add_t
-        return Polynomial(self.spec, [add_t(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
+        add = self.spec.add
+        return Polynomial._of(self.spec, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + -other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.spec, [self.spec.neg_t(c) for c in self.coeffs])
+        sub = self.spec.sub
+        return Polynomial._of(self.spec, [sub(0, c) for c in self.coeffs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(self.spec, _poly_mul_t(self.spec, self.coeffs, other.coeffs))
+        return Polynomial._of(self.spec, _poly_mul(self.spec, self.coeffs, other.coeffs))
 
     def __divmod__(self, other: "Polynomial"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quo, rem = _poly_divmod_t(self.spec, self.coeffs, other.coeffs)
-        return Polynomial(self.spec, quo), Polynomial(self.spec, rem)
+        quo, rem = _poly_divmod(self.spec, self.coeffs, other.coeffs)
+        return Polynomial._of(self.spec, quo), Polynomial._of(self.spec, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -496,41 +529,42 @@ class Polynomial:
 
     def __pow__(self, e: int) -> "Polynomial":
         spec = self.spec
-        result = [spec.one.coeffs]
+        result = [1]
         base = self.coeffs
         while e:
             if e & 1:
-                result = _poly_mul_t(spec, result, base)
-            base = _poly_mul_t(spec, base, base)
+                result = _poly_mul(spec, result, base)
+            base = _poly_mul(spec, base, base)
             e >>= 1
-        return Polynomial(spec, result)
+        return Polynomial._of(spec, result)
 
     def pow_mod(self, e: int, m: "Polynomial") -> "Polynomial":
         spec = self.spec
-        mt = m.coeffs
-        if not mt:
+        mc = m.coeffs
+        if not mc:
             raise ZeroDivisionError("polynomial modulus is zero")
-        inv_lc = spec.inv_t(mt[-1])
-        result = _poly_divmod_t(spec, [spec.one.coeffs], mt, inv_lc)[1]
-        base = _poly_divmod_t(spec, self.coeffs, mt, inv_lc)[1]
+        inv_lc = spec.inv(mc[-1])
+        result = _poly_divmod(spec, [1], mc, inv_lc)[1]
+        base = _poly_divmod(spec, self.coeffs, mc, inv_lc)[1]
         while e:
             if e & 1:
-                result = _poly_divmod_t(spec, _poly_mul_t(spec, result, base), mt, inv_lc)[1]
-            base = _poly_divmod_t(spec, _poly_mul_t(spec, base, base), mt, inv_lc)[1]
+                result = _poly_divmod(spec, _poly_mul(spec, result, base), mc, inv_lc)[1]
+            base = _poly_divmod(spec, _poly_mul(spec, base, base), mc, inv_lc)[1]
             e >>= 1
-        return Polynomial(spec, result)
+        return Polynomial._of(spec, result)
 
     def derivative(self) -> "Polynomial":
-        p = self.spec.p
-        return Polynomial(self.spec, [tuple(i * a % p for a in c) for i, c in enumerate(self.coeffs)][1:])
+        mul, p = self.spec.mul, self.spec.p
+        return Polynomial._of(self.spec, [mul(i % p, c) for i, c in enumerate(self.coeffs[1:], 1)])
 
     def evaluate(self, x) -> "FieldElement":
         spec = self.spec
-        xt = spec.element(x).coeffs
-        acc = spec.zero.coeffs
+        add, mul = spec.add, spec.mul
+        xv = spec.pack(spec.element(x).coeffs)
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = spec.add_t(spec.mul_t(acc, xt), c)
-        return FieldElement(spec, acc)
+            acc = add(mul(acc, xv), c)
+        return FieldElement(spec, spec.unpack(acc))
 
     def pth_root(self) -> "Polynomial":
         """For f with zero derivative, the unique g with g**p = f."""
@@ -540,10 +574,10 @@ class Polynomial:
         out = []
         for i, c in enumerate(self.coeffs):
             if i % p == 0:
-                out.append(spec.pow_t(c, root_exp))
-            elif any(c):
+                out.append(spec.power(c, root_exp))
+            elif c:
                 raise ValueError("polynomial is not a p-th power")
-        return Polynomial(spec, out)
+        return Polynomial._of(spec, out)
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         a, b = self, other
@@ -564,7 +598,7 @@ class Polynomial:
             t0, t1 = t1, t0 - q * t1
         if r0.is_zero():
             return r0, s0, t0
-        inv = spec.inv_t(r0.coeffs[-1])
+        inv = spec.inv(r0.coeffs[-1])
         return r0._scaled(inv), s0._scaled(inv), t0._scaled(inv)
 
     def frobenius_iterates(self, count: int) -> list["Polynomial"]:
@@ -605,9 +639,8 @@ class Polynomial:
         return hash(self.coeffs)
 
     def sort_key(self):
-        """(degree, coefficients), each coefficient ordered by its base-p
-        value: compared as its reversed tuple."""
-        return (self.degree(), tuple(c[::-1] for c in self.coeffs))
+        """(degree, coefficients): each coefficient ordered by its base-p value."""
+        return (self.degree(), self.coeffs)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -615,9 +648,9 @@ class Polynomial:
         terms = []
         for i in range(self.degree(), -1, -1):
             c = self.coeffs[i]
-            if not any(c):
+            if not c:
                 continue
-            cs = str(c[0]) if self.spec.k == 1 else str(list(c))
+            cs = str(c) if self.spec.k == 1 else str(list(self.spec.unpack(c)))
             if i == 0:
                 terms.append(cs)
             elif i == 1:
@@ -627,42 +660,46 @@ class Polynomial:
         return "Poly[" + " + ".join(terms) + "]"
 
 
-def _poly_mul_t(spec: FieldSpec, a, b):
-    """Product of two coefficient-tuple lists, trimmed."""
+def _trimmed(cs: list[int]) -> tuple[int, ...]:
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _poly_mul(spec: FieldSpec, a, b) -> list[int]:
+    """Product of two int coefficient lists; trimmed when both are."""
     if not a or not b:
         return []
-    mul_t, add_t = spec.mul_t, spec.add_t
-    zero = spec.zero.coeffs
-    out = [zero] * (len(a) + len(b) - 1)
+    mul, add = spec.mul, spec.add
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if any(ai):
+        if ai:
             for j, bj in enumerate(b):
-                if any(bj):
-                    out[i + j] = add_t(out[i + j], mul_t(ai, bj))
-    while out and not any(out[-1]):
-        out.pop()
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
     return out
 
 
-def _poly_divmod_t(spec: FieldSpec, num, den, inv_lc=None):
-    """Long division on coefficient-tuple lists; den must be trimmed nonzero."""
+def _poly_divmod(spec: FieldSpec, num, den, inv_lc=None):
+    """Long division on int coefficient lists; den must be trimmed nonzero.
+    The remainder comes back trimmed."""
     dd = len(den) - 1
     rem = list(num)
     if len(rem) - 1 < dd:
         return [], rem
-    mul_t, sub_t = spec.mul_t, spec.sub_t
+    mul, sub = spec.mul, spec.sub
     if inv_lc is None:
-        inv_lc = spec.inv_t(den[-1])
-    quo = [spec.zero.coeffs] * (len(rem) - dd)
+        inv_lc = spec.inv(den[-1])
+    quo = [0] * (len(rem) - dd)
     for i in range(len(rem) - 1 - dd, -1, -1):
-        c = mul_t(rem[i + dd], inv_lc)
-        if any(c):
+        c = mul(rem[i + dd], inv_lc)
+        if c:
             quo[i] = c
             for j, b in enumerate(den):
-                if any(b):
-                    rem[i + j] = sub_t(rem[i + j], mul_t(c, b))
+                if b:
+                    rem[i + j] = sub(rem[i + j], mul(c, b))
     del rem[dd:]
-    while rem and not any(rem[-1]):
+    while rem and not rem[-1]:
         rem.pop()
     return quo, rem
 
@@ -758,7 +795,7 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
     n = f.degree()
     half = (spec.q**d - 1) // 2
     while True:
-        a = Polynomial(spec, [spec.random_element(rng).coeffs for _ in range(n)])
+        a = Polynomial._of(spec, [spec.pack(spec.random_element(rng).coeffs) for _ in range(n)])
         if a.degree() < 1:
             continue
         g = a.gcd(f)
@@ -804,7 +841,7 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray, dim: int) -> Polynomial:
     y = np.zeros(kt, dtype=spec.dtype)
     for r in range(kt - 1, -1, -1):
         y[r] = (-a[r, kt] - (a[r, r + 1 : kt] * y[r + 1 :] % p).sum()) % p
-    return Polynomial(spec, [tuple(c) for c in y.reshape(-1, k).tolist()] + [spec.one.coeffs])
+    return Polynomial._of(spec, [spec.pack(c) for c in y.reshape(-1, k).tolist()] + [1])
 
 
 # exact linear algebra ---------------------------------------------------------
@@ -864,7 +901,15 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     unreduced products col * row, each at most (p - 1)**2, from the rows
     below.  After t such updates an entry lies in (-t (p - 1)**2, p), so the
     trailing block is reduced once every ``period`` updates, the most with
-    p + t (p - 1)**2 < 2**63; Python ints reduce on every update."""
+    p + t (p - 1)**2 < 2**63; Python ints reduce on every update.
+
+    A pivot step works on slices from the pivot column c on: the pivot row
+    is reduced mod p before it is scaled by its inverse (so the product
+    stays below p**2), the first row below r with a nonzero in column c
+    trades places with row r from c on only, and one outer product
+    updates the whole slice a[r+1:, c:], zero rows of the column included.
+    Left of c those two rows hold multiples of p, which the last reduction
+    turns to zeros, so the result is that of a full row swap."""
     a %= p
     nrows, ncols = a.shape
     period = 1 if a.dtype == object else (2**63 - 1 - p) // (p - 1) ** 2
@@ -877,16 +922,15 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
+        row = a[pr, c:] % p
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        row = a[r, c:] % p
+            # left of c both rows are multiples of p, zero after the last reduction
+            a[pr, c:] = a[r, c:]
+            col[pr - r] = col[0]
         row = row * pow(int(row[0]), -1, p) % p
         a[r, c:] = row
         if nz.size > 1:
-            # the row swapped down to pr has a zero in column c, so nz[1:]
-            # still indexes the rows below the pivot that need the update
-            sel = r + nz[1:]
-            a[sel, c:] -= np.outer(col[nz[1:]], row)
+            a[r + 1 :, c:] -= col[1:, None] * row
             pending += 1
             if pending == period:
                 a[r + 1 :, c:] %= p

@@ -244,7 +244,7 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
         if gcd.degree() != 0:
             raise AssertionError("minimal polynomial factors are not coprime (bug)")
         h_j = (s_j * g_j) % mu
-        coeffs[j, : len(h_j.coeffs)] = h_j.coeffs
+        coeffs[j, : len(h_j.coeffs)] = [spec.unpack(c) for c in h_j.coeffs]
     outs = spec.mul_arrays(coeffs[:, :, None], powers).sum(1) % spec.p
     if not np.array_equal(outs.sum(0) % spec.p, e):
         raise AssertionError("refined idempotents do not sum to the block unit (bug)")

@@ -252,9 +252,11 @@ class FiniteGroup:
         filled in element order from the generators' right action recorded
         by the closure: when g_c = g_j * gens[s] (j < c), T[:, c] = R_s[T[:, j]]
         with R_s[i] = index of g_i * gens[s].  Elements are numbered
-        breadth-first, so every prefix of columns holds its own parents."""
+        breadth-first, so every prefix of columns holds its own parents.
+        The table is column-major (Fortran order), so each column it reads
+        and writes, and each the class constants gather, is contiguous."""
         n = self.order
-        table = np.empty((n, n if stop is None else stop), dtype=np.int32)
+        table = np.empty((n, n if stop is None else stop), dtype=np.int32, order="F")
         table[:, 0] = np.arange(n)
         for c in range(1, table.shape[1]):
             j, s = self._parents[c]

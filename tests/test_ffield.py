@@ -117,7 +117,7 @@ def test_factor_x2_minus_1(f11):
     f = x * x - Polynomial.one(f11)
     facs = factor(f)
     assert [(g.degree(), m) for g, m in facs] == [(1, 1), (1, 1)]
-    roots = sorted(g.coeffs[0][0] for g, _ in facs)
+    roots = sorted(g.coeffs[0] for g, _ in facs)
     assert roots == [1, 10]  # x - 1 and x + 1 = x - 10
 
 
@@ -242,19 +242,132 @@ def test_xgcd_on_tuples(case):
 @given(_field_and_polys(1))
 def test_polynomial_from_field_elements_equals_from_tuples(case):
     spec, (f,) = case
-    g = Polynomial(spec, [spec.element(c) for c in f.coeffs])
+    g = Polynomial(spec, [spec.element(spec.unpack(c)) for c in f.coeffs])
     assert g == f and hash(g) == hash(f)
-    assert all(type(c) is tuple and len(c) == spec.k for c in g.coeffs)
+    assert all(type(c) is int and 0 <= c < spec.q for c in g.coeffs)
 
 
 def test_factor_orders_coefficients_by_base_p_value(f169):
     # the constant terms are -(1, 2) = (12, 11), base-p value 12 + 11 * 13 =
-    # 155, and -(2, 1) = (11, 12), value 167; compared as plain tuples the
-    # second would come first
+    # 155, and -(2, 1) = (11, 12), value 167; compared as coefficient tuples
+    # the second would come first
     x = Polynomial.x(f169)
     f = (x - Polynomial(f169, [(1, 2)])) * (x - Polynomial(f169, [(2, 1)]))
     facs = factor(f)
-    assert [g.coeffs for g, _ in facs] == [((12, 11), (1, 0)), ((11, 12), (1, 0))]
+    assert [g.coeffs for g, _ in facs] == [(155, 1), (167, 1)]
+
+
+def test_polynomial_takes_base_p_values(f169):
+    # x + (2 + 3x) over F_169 from its base-p values, 2 + 3 * 13 = 41 and 1
+    f = Polynomial(f169, [41, 1, 0])
+    assert f == Polynomial(f169, [(2, 3), (1, 0)]) == Polynomial(f169, [f169.element([2, 3]), f169.one])
+    assert f.coeffs == (41, 1) and f.leading() == f169.one
+    for bad in (-1, 169):
+        with pytest.raises(ValueError):
+            Polynomial(f169, [bad])
+
+
+# Polynomial's int kernels against arithmetic on coefficient tuples written
+# here: products reduced by x^k = -(m_0 + ... + m_(k-1) x^(k-1)) from the top
+# degree down, independent of FieldSpec's reduction rows and its base-p code.
+KERNEL_FIELDS = TUPLE_FIELDS + [make_field(2**31 + 11)]
+
+
+def _ref_add(spec, a, b):
+    return tuple((x + y) % spec.p for x, y in zip(a, b))
+
+
+def _ref_mul(spec, a, b):
+    p, k = spec.p, spec.k
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for d in range(2 * k - 2, k - 1, -1):
+        top, conv[d] = conv[d], 0
+        for i in range(k):
+            conv[d - k + i] -= top * spec.modulus[i]
+    return tuple(c % p for c in conv[:k])
+
+
+def _ref_inv(spec, a):
+    out, e = (1,) + (0,) * (spec.k - 1), spec.q - 2
+    while e:
+        if e & 1:
+            out = _ref_mul(spec, out, a)
+        a, e = _ref_mul(spec, a, a), e >> 1
+    return out
+
+
+def _ref_poly_add(spec, f, g):
+    zero = (0,) * spec.k
+    n = max(len(f), len(g))
+    out = [_ref_add(spec, f[i] if i < len(f) else zero, g[i] if i < len(g) else zero) for i in range(n)]
+    while out and not any(out[-1]):
+        out.pop()
+    return out
+
+
+def _ref_poly_mul(spec, f, g):
+    out = []
+    for i, x in enumerate(f):
+        out = _ref_poly_add(spec, out, [(0,) * spec.k] * i + [_ref_mul(spec, x, y) for y in g])
+    return out
+
+
+def _tuples(f):
+    return [f.spec.unpack(c) for c in f.coeffs]
+
+
+@st.composite
+def _kernel_case(draw):
+    """A field from KERNEL_FIELDS, two polynomials of degree below 7 given
+    as coefficient tuples, and a point of the field."""
+    spec = draw(st.sampled_from(KERNEL_FIELDS))
+    coeff = st.tuples(*[st.integers(0, spec.p - 1)] * spec.k)
+    a, b = (draw(st.lists(coeff, max_size=7)) for _ in range(2))
+    return spec, Polynomial(spec, a), Polynomial(spec, b), draw(coeff)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_kernel_case())
+def test_int_kernels_match_tuple_arithmetic(case):
+    spec, a, b, x = case
+    assert spec.dtype is (object if spec.p > 2**31 else np.int64)
+    ta, tb = _tuples(a), _tuples(b)
+    assert all(spec.pack(t) == c for t, c in zip(ta, a.coeffs))
+    for u, v in zip(ta + [x], tb + [x]):
+        s, t = spec.pack(u), spec.pack(v)
+        assert spec.unpack(spec.add(s, t)) == _ref_add(spec, u, v)
+        assert spec.add(spec.sub(s, t), t) == s
+        assert spec.unpack(spec.mul(s, t)) == _ref_mul(spec, u, v)
+        if s:
+            assert spec.unpack(spec.inv(s)) == _ref_inv(spec, u)
+    # evaluate agrees with Horner's rule in tuple arithmetic
+    acc = (0,) * spec.k
+    for c in reversed(ta):
+        acc = _ref_add(spec, _ref_mul(spec, acc, x), c)
+    assert a.evaluate(spec.element(x)).coeffs == acc
+    if b.is_zero():
+        return
+    # a = q b + r with deg r < deg b
+    q, r = divmod(a, b)
+    assert _ref_poly_add(spec, _ref_poly_mul(spec, _tuples(q), tb), _tuples(r)) == ta
+    assert r.degree() < b.degree()
+    # the Bezout identity s a + t b = g
+    g, s, t = a.xgcd(b)
+    assert _ref_poly_add(spec, _ref_poly_mul(spec, _tuples(s), ta), _ref_poly_mul(spec, _tuples(t), tb)) == _tuples(g)
+    assert g.leading() == spec.one
+    if a.is_zero():
+        return
+    # the product of the factors is the monic input
+    product = [(1,) + (0,) * (spec.k - 1)]
+    for f, m in factor(a):
+        assert f.leading() == spec.one
+        for _ in range(m):
+            product = _ref_poly_mul(spec, product, _tuples(f))
+    inv_lc = _ref_inv(spec, ta[-1])
+    assert product == [_ref_mul(spec, c, inv_lc) for c in ta]
 
 
 def _vector(elements):

@@ -107,20 +107,20 @@ def test_mul_arrays_matches_field_elements(field, seed, shapes):
 
 def reference_products(lefts, b):
     """sum over h of a(h^-1) * b(h g) for each a in lefts, with h^-1 and h g
-    looked up through G.index and each term a FieldSpec.mul_t of coefficient
-    tuples: no multiplication table, inversion array or array kernel."""
+    looked up through G.index and each term a FieldSpec.mul of base-p
+    values: no multiplication table, inversion array or array kernel."""
     G, spec = b.group, b.spec
     inverse = [G.index(h.inverse()) for h in G.elements]
     hg = [[G.index(h * g) for g in G.elements] for h in G.elements]
-    bs = b.arr.tolist()
+    bs = [spec.pack(c) for c in b.arr.tolist()]
     out = []
     for a in lefts:
-        terms = [(x, hg[i]) for i, x in enumerate(a.arr[inverse].tolist()) if any(x)]
-        row = [spec.zero.coeffs] * G.order
+        terms = [(spec.pack(x), hg[i]) for i, x in enumerate(a.arr[inverse].tolist()) if any(x)]
+        row = [0] * G.order
         for j in range(G.order):
             for x, hg_i in terms:
-                row[j] = spec.add_t(row[j], spec.mul_t(x, bs[hg_i[j]]))
-        out.append(row)
+                row[j] = spec.add(row[j], spec.mul(x, bs[hg_i[j]]))
+        out.append([spec.unpack(v) for v in row])
     return out
 
 
@@ -187,7 +187,8 @@ def test_minpoly_annihilates_and_has_krylov_rank(field, seed):
     krylov = [v]
     for _ in range(dim):
         krylov.append(apply(krylov[-1]))
-    coeffs = np.array(m.coeffs, dtype=spec.dtype)
+    coeffs = np.array([spec.unpack(c) for c in m.coeffs], dtype=spec.dtype)
+    assert coeffs.shape == (m.degree() + 1, spec.k)
     assert not (spec.mul_arrays(coeffs[:, None], np.stack(krylov[: m.degree() + 1])).sum(0) % p).any()
     assert m.degree() == MatrixFq(spec, np.stack(krylov, axis=1)).rank()
 
@@ -314,18 +315,59 @@ def _worst_case_rows(p, n):
     return [[sum(low[i][t] * up[t][j] for t in range(n)) % p for j in range(n)] for i in range(n)]
 
 
+def _low_rank_rows(rng, p, nrows, ncols, rank):
+    left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)], dtype=object)
+    right = np.array([[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)], dtype=object)
+    return (left.dot(right) % p).tolist()
+
+
+def _staircase_rows(rng, p, nrows, ncols):
+    """Rows with zero leading entries of random lengths, shuffled, so that
+    most pivots are found below the current row and swapped up."""
+    rows = [[0] * rng.randrange(ncols) for _ in range(nrows)]
+    rows = [zeros + [1 + rng.randrange(p - 1)] + [rng.randrange(p) for _ in range(ncols - len(zeros) - 1)]
+            for zeros in rows]
+    rng.shuffle(rows)
+    return rows
+
+
+def _with_zero_lines(rng, rows, count):
+    """rows with count zero rows and count zero columns put in at random places."""
+    rows = [list(r) for r in rows]
+    for _ in range(count):
+        c = rng.randrange(len(rows[0]) + 1)
+        rows = [r[:c] + [0] + r[c:] for r in rows]
+        rows.insert(rng.randrange(len(rows) + 1), [0] * len(rows[0]))
+    return rows
+
+
 # the unreduced updates between two reductions of the trailing block:
-# (2**63 - 1 - p) // (p - 1)**2 is about 9.2e16, 8 and 2
-@pytest.mark.parametrize("p", [11, 1073741789, 2**31 - 1])
+# (2**63 - 1 - p) // (p - 1)**2 is about 9.2e16, 8 and 2; from 2**31 up the
+# arrays hold Python ints and every update is reduced
+@pytest.mark.parametrize("p", [11, 1073741789, 2**31 - 1, 2**31 + 11])
 def test_delayed_reduction_leaves_the_reference_echelon_form(p):
     rng = random.Random(p)
-    low_rank = np.array([[rng.randrange(p) for _ in range(31)] for _ in range(44)], dtype=object).dot(
-        np.array([[rng.randrange(p) for _ in range(36)] for _ in range(31)], dtype=object)) % p
-    cases = [_worst_case_rows(p, 40), [[rng.randrange(p) for _ in range(44)] for _ in range(36)], low_rank.tolist()]
-    for rows, rank in zip(cases, (40, 36, 31)):
-        a = np.array(rows, dtype=np.int64)
+    dtype = np.int64 if p < 2**31 else object
+    cases = [
+        (_worst_case_rows(p, 40), 40),
+        ([[rng.randrange(p) for _ in range(44)] for _ in range(36)], 36),
+        (_low_rank_rows(rng, p, 44, 36, 31), 31),
+        (_staircase_rows(rng, p, 30, 24), None),  # row swaps
+        (_with_zero_lines(rng, _low_rank_rows(rng, p, 20, 18, 12), 5), 12),  # zero rows and columns
+        (_with_zero_lines(rng, _staircase_rows(rng, p, 14, 14), 3), None),
+        (_low_rank_rows(rng, p, 9, 50, 7), 7),  # wide
+        ([[rng.randrange(p) for _ in range(11)] for _ in range(48)], 11),  # tall
+        (_staircase_rows(rng, p, 8, 45), None),
+        (_staircase_rows(rng, p, 45, 8), None),
+        ([[0] * 6 for _ in range(4)], 0),
+    ]
+    for rows, rank in cases:
+        expected = reference_echelon(rows, p)
+        if rank is None:
+            rank = sum(map(any, expected))
+        a = np.array(rows, dtype=dtype)
         assert _rank_mod_p(a, p) == rank
-        assert a.tolist() == reference_echelon(rows, p)
+        assert a.tolist() == expected
 
 
 def test_rank_blows_up_entries_outside_fp():

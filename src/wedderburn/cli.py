@@ -5,7 +5,8 @@ Subcommands: classes, decompose, oracle, units, check.  Exit codes:
 consistency check, 2 input or parse error, or out of memory, 3 unsupported
 modular case (p divides the group order), 4 the analytic solver could not pin
 a unique decomposition.  `check` reports a modular cell as skipped and goes
-on with the rest of the grid.
+on with the rest of the grid.  A reader that closes stdout early (as
+`| head` does) ends the command quietly with exit 0.
 
 With --format json every command prints the bytes that
 json.dumps(payload, indent=2, sort_keys=True) would print, written by hand
@@ -18,6 +19,7 @@ cycle notation), so none needs escaping.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from functools import lru_cache
@@ -107,16 +109,8 @@ def resolve_group(source: str) -> FiniteGroup:
     return load_group(source)
 
 
-def _actions_for(source: str, G: FiniteGroup) -> list[FiniteGroup]:
-    if source.startswith("builtin:sl32"):
-        return [builtin_sl32_s8(), builtin_sl32_on_p2f2()]
-    return [G]
-
-
-def _type_or_none(source: str, G: FiniteGroup, report: SolverReport):
-    if source.startswith("builtin:sl32"):
-        return sl32_type(G, report.partition)
-    return None
+def _sl32_actions() -> list[FiniteGroup]:
+    return [builtin_sl32_s8(), builtin_sl32_on_p2f2()]
 
 
 def _emit(json_text: str, fmt: str, text_lines: list[str]):
@@ -218,9 +212,19 @@ def cmd_classes(args) -> int:
     return EXIT_OK
 
 
-def _run_analytic(args, G: FiniteGroup) -> SolverReport:
+def _solve_analytic(args):
+    """(G, decomposition, type) for decompose and units, or None once every
+    candidate is printed.  Only a builtin:sl32-* source solves with both
+    SL(3,2) actions and has a type; any other, a file copy of SL(3,2)
+    included, solves with its own action, and its type is None."""
+    G = resolve_group(args.group)
     _check_p(args.p, G)
-    return analytic_decomposition(G, args.p, args.k, _actions_for(args.group, G))
+    sl32 = args.group.startswith("builtin:sl32")
+    report = analytic_decomposition(G, args.p, args.k, _sl32_actions() if sl32 else [G])
+    if not report.unique:
+        _print_nonunique(report, args.format)
+        return None
+    return G, report.solutions[0], sl32_type(G, report.partition) if sl32 else None
 
 
 def _print_nonunique(report: SolverReport, fmt: str):
@@ -257,13 +261,10 @@ def _format_units(p: int, k: int, blocks) -> str:
 
 
 def cmd_decompose(args) -> int:
-    G = resolve_group(args.group)
-    report = _run_analytic(args, G)
-    if not report.unique:
-        _print_nonunique(report, args.format)
+    solved = _solve_analytic(args)
+    if solved is None:
         return EXIT_NONUNIQUE
-    dec = report.solutions[0]
-    t = _type_or_none(args.group, G, report)
+    G, dec, t = solved
     split = splitting_field_check(dec)
     json_text = (f'{{\n  "components": {_components_json(dec.components)},\n  "q": {_q_json(args.p, args.k)},\n'
                  f'  "splitting_field": {"true" if split else "false"},\n'
@@ -302,13 +303,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_units(args) -> int:
-    G = resolve_group(args.group)
-    report = _run_analytic(args, G)
-    if not report.unique:
-        _print_nonunique(report, args.format)
+    solved = _solve_analytic(args)
+    if solved is None:
         return EXIT_NONUNIQUE
-    dec = report.solutions[0]
-    t = _type_or_none(args.group, G, report)
+    G, dec, t = solved
     order = _decimal_string(unit_group(dec, args.p, args.k))
     units = [f'{{\n      "field": "{args.p}^{args.k * d}",\n      "n": {n}\n    }}' for n, d in dec.components]
     json_text = (f'{{\n  "components": {_components_json(dec.components)},\n  "order": "{order}",\n'
@@ -330,7 +328,7 @@ def cmd_check(args) -> int:
                          "use an SL(3,2) group source")
     ps = _parse_range_spec(args.p, primes=True)
     ks = _parse_range_spec(args.k)
-    actions = [builtin_sl32_s8(), builtin_sl32_on_p2f2()]
+    actions = _sl32_actions()
     cells = 0
     failures = []
     skipped = []
@@ -394,7 +392,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that closed stdout early shows here at the latest
+        return code
+    except BrokenPipeError:  # fd 1 to devnull, so the final flush at exit reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ModularCaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODULAR

@@ -8,9 +8,10 @@ squarefree split via gcd with the derivative (with p-th root extraction in
 characteristic p), distinct-degree split via iterated Frobenius, and seeded
 Cantor-Zassenhaus equal-degree splitting.  A scalar is a base-p value, the
 int sum of c_t p**t over its coefficient vector (the residue itself over
-F_p); a Polynomial holds such ints and runs the scalar kernels that
-FieldSpec builds once per field.  FieldElement is the boundary type, one
-coefficient vector that callers build and read.
+F_p); Polynomial and FieldElement, the boundary type that callers build
+and read, hold such ints and run the scalar kernels that FieldSpec builds
+once per field.  pack and unpack run only where a scalar meets a row of an
+(..., k) array.
 Vectors and matrices over F_q in hot paths are arrays of shape (..., k) over
 F_p, and FieldSpec.mul_arrays is their one entrywise product.  There is one
 elimination, _rank_mod_p, on the F_p blow-up of an F_q matrix (each entry
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from functools import lru_cache
 
 import numpy as np
 
@@ -150,10 +150,10 @@ class FieldSpec:
 
     Scalars are base-p values: the int sum of c_t * p**t over a coefficient
     vector (c_0, ..., c_(k-1)), so over F_p the residue itself; pack and
-    unpack convert.  The scalar kernels add, sub and mul are built once per
-    field (see _scalar_kernels); inv and power build on mul.  Polynomial runs
-    on them, and FieldElement, which keeps its coefficient vector, packs
-    into them.
+    unpack convert between a value and a row of an (..., k) array.  The
+    scalar kernels add, sub and mul are built once per field (see
+    _scalar_kernels); inv and power build on mul.  Polynomial and
+    FieldElement both hold base-p values and run on them.
 
     With a prime power P = p**s in place of p, the same object is the Galois
     ring (Z/P)[x]/(modulus) for a modulus irreducible mod p: add, sub, mul,
@@ -186,8 +186,8 @@ class FieldSpec:
         self.x_powers = np.array(np.eye(k, dtype=int).tolist() + reds, dtype=self.dtype)
         self._place = [p**t for t in range(k)]
         self.add, self.sub, self.mul = _scalar_kernels(p, k, self._place, reds)
-        self._zero = FieldElement(self, (0,) * k)
-        self._one = FieldElement(self, (1,) + (0,) * (k - 1))
+        self._zero = FieldElement(self, 0)
+        self._one = FieldElement(self, 1)
 
     # scalar arithmetic on base-p values ---------------------------------------
 
@@ -249,7 +249,7 @@ class FieldSpec:
 
     def scalar(self, n: int) -> "FieldElement":
         """Image of the integer n under the canonical map Z -> F_q."""
-        return FieldElement(self, (n % self.p,) + (0,) * (self.k - 1))
+        return FieldElement(self, n % self.p)
 
     def element(self, value) -> "FieldElement":
         if isinstance(value, FieldElement):
@@ -261,10 +261,10 @@ class FieldSpec:
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) != self.k:
             raise ValueError(f"coefficient vector must have length {self.k}")
-        return FieldElement(self, coeffs)
+        return FieldElement(self, self.pack(coeffs))
 
     def random_element(self, rng: random.Random) -> "FieldElement":
-        return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
+        return FieldElement(self, self.pack([rng.randrange(self.p) for _ in range(self.k)]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -284,34 +284,32 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of F_{p^k}: a length-k coefficient vector over F_p.  Its
-    arithmetic packs the vectors into the spec's scalar kernels."""
+    """An element of F_{p^k}, held as its base-p value ``value`` (see
+    FieldSpec); its arithmetic runs the spec's scalar kernels on those ints.
+    ``coeffs``, the length-k coefficient vector over F_p, is read-only."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "value")
 
-    def __init__(self, spec: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, spec: FieldSpec, value: int):
         self.spec = spec
-        self.coeffs = coeffs
+        self.value = value
 
-    def _coerce(self, other):
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.spec.unpack(self.value)
+
+    def _apply(self, kernel, other, reflected=False):
+        """kernel(self, other), or kernel(other, self) when reflected, on
+        base-p values; an int other stands for its image in the field."""
         if isinstance(other, FieldElement):
             if other.spec != self.spec:
                 raise ValueError("mixing elements of different fields")
-            return other
-        if isinstance(other, int):
-            return self.spec.scalar(other)
-        return NotImplemented
-
-    def _apply(self, kernel, other, reflected=False):
-        """kernel(self, other), or kernel(other, self) when reflected, on base-p values."""
-        o = self._coerce(other)
-        if o is NotImplemented:
+            b = other.value
+        elif isinstance(other, int):
+            b = other % self.spec.p
+        else:
             return NotImplemented
-        spec = self.spec
-        a, b = spec.pack(self.coeffs), spec.pack(o.coeffs)
-        if reflected:
-            a, b = b, a
-        return FieldElement(spec, spec.unpack(kernel(a, b)))
+        return FieldElement(self.spec, kernel(b, self.value) if reflected else kernel(self.value, b))
 
     def __add__(self, other):
         return self._apply(self.spec.add, other)
@@ -325,7 +323,7 @@ class FieldElement:
         return self._apply(self.spec.sub, other, reflected=True)
 
     def __neg__(self):
-        return self.spec.zero - self
+        return FieldElement(self.spec, self.spec.sub(0, self.value))
 
     def __mul__(self, other):
         return self._apply(self.spec.mul, other)
@@ -342,31 +340,29 @@ class FieldElement:
         return self._apply(self._div, other, reflected=True)
 
     def __pow__(self, e: int):
-        spec = self.spec
-        return FieldElement(spec, spec.unpack(spec.power(spec.pack(self.coeffs), e)))
+        return FieldElement(self.spec, self.spec.power(self.value, e))
 
     def inverse(self) -> "FieldElement":
-        spec = self.spec
-        return FieldElement(spec, spec.unpack(spec.inv(spec.pack(self.coeffs))))
+        return FieldElement(self.spec, self.spec.inv(self.value))
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.value != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.coeffs == self.spec.scalar(other).coeffs
+            return self.value == other % self.spec.p
         return (
             isinstance(other, FieldElement)
             and self.spec == other.spec
-            and self.coeffs == other.coeffs
+            and self.value == other.value
         )
 
     def __hash__(self) -> int:
-        return hash((self.coeffs, self.spec.p, self.spec.k))
+        return hash((self.value, self.spec.p, self.spec.k))
 
     def __repr__(self) -> str:
         if self.spec.k == 1:
-            return str(self.coeffs[0])
+            return str(self.value)
         return str(list(self.coeffs))
 
 
@@ -404,11 +400,6 @@ def check_p_min(p: int):
         raise ValueError(f"p = {p} is below the supported minimum of {P_MIN}")
 
 
-@lru_cache(maxsize=None)
-def _prime_field(p: int) -> FieldSpec:
-    return FieldSpec(p, 1, (0, 1))
-
-
 def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
     """Build F_{p^k} with a seeded search for a monic irreducible modulus.
 
@@ -422,9 +413,9 @@ def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
         raise ValueError(f"q = {p}^{k} exceeds the 2^{QMAX_BITS} bound")
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    prime = FieldSpec(p, 1, (0, 1))
     if k == 1:
-        return _prime_field(p)
-    prime = _prime_field(p)
+        return prime
     rng = random.Random(f"modulus:{seed}:{p}:{k}")
     for _ in range(4000):
         coeffs = [rng.randrange(p) for _ in range(k)] + [1]
@@ -453,7 +444,7 @@ class Polynomial:
                 if not 0 <= c < spec.q:
                     raise ValueError(f"coefficient {c} is not a base-p value below q = {spec.q}")
             else:
-                c = spec.pack(spec.element(c).coeffs)
+                c = spec.element(c).value
             cs.append(c)
         self.spec = spec
         self.coeffs = _trimmed(cs)
@@ -487,7 +478,7 @@ class Polynomial:
     def leading(self) -> "FieldElement":
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.spec, self.spec.unpack(self.coeffs[-1]))
+        return FieldElement(self.spec, self.coeffs[-1])
 
     def _scaled(self, c: int) -> "Polynomial":
         mul = self.spec.mul
@@ -560,11 +551,11 @@ class Polynomial:
     def evaluate(self, x) -> "FieldElement":
         spec = self.spec
         add, mul = spec.add, spec.mul
-        xv = spec.pack(spec.element(x).coeffs)
+        xv = spec.element(x).value
         acc = 0
         for c in reversed(self.coeffs):
             acc = add(mul(acc, xv), c)
-        return FieldElement(spec, spec.unpack(acc))
+        return FieldElement(spec, acc)
 
     def pth_root(self) -> "Polynomial":
         """For f with zero derivative, the unique g with g**p = f."""
@@ -795,7 +786,7 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
     n = f.degree()
     half = (spec.q**d - 1) // 2
     while True:
-        a = Polynomial._of(spec, [spec.pack(spec.random_element(rng).coeffs) for _ in range(n)])
+        a = Polynomial._of(spec, [spec.random_element(rng).value for _ in range(n)])
         if a.degree() < 1:
             continue
         g = a.gcd(f)
@@ -811,25 +802,25 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
 # Krylov minimal polynomials ---------------------------------------------------
 
 
-def minpoly(spec: FieldSpec, apply, v: np.ndarray, dim: int) -> Polynomial:
+def minpoly(spec: FieldSpec, apply, v: np.ndarray) -> Polynomial:
     """Monic minimal polynomial m of a linear operator relative to the start
     vector v: the least-degree monic m with m(operator) applied to v = 0.
 
-    ``v`` is a (dim, k) array of dtype spec.dtype reduced mod p, and
-    ``apply`` maps such arrays to such arrays.  The Krylov vectors v, Av, ...,
-    A^dim v are the columns of a matrix over F_q, and _rank_mod_p reduces its
-    blow-up over F_p.  With t = deg m, the column blocks 0..t-1 are
+    ``v`` is a (dim, k) array of dtype spec.dtype reduced mod p, dim =
+    len(v), and ``apply`` maps such arrays to such arrays.  The Krylov
+    vectors v, Av, ..., A^dim v are the columns of a matrix over F_q, and
+    _rank_mod_p reduces its blow-up over F_p.  With t = deg m, the column blocks 0..t-1 are
     independent over F_q and every later block depends on them, so the
     pivots are exactly the first kt = k*t columns.  Column kt is A^t v
     itself; back-substitution in the unit upper triangle U = a[:kt, :kt]
     solves U y = -a[:kt, kt], and the coefficient of X^j in m is
     y[jk:(j+1)k].  A zero start vector gives t = 0 and m = 1.
     """
-    shape = (dim, spec.k)
+    shape = (len(v), spec.k)
     if np.shape(v) != shape:
-        raise ValueError("start vector has wrong dimension")
+        raise ValueError(f"start vector must have shape (dim, {spec.k})")
     krylov = [v]
-    for _ in range(dim):
+    for _ in range(shape[0]):
         krylov.append(apply(krylov[-1]))
         if np.shape(krylov[-1]) != shape:
             raise ValueError("operator changed the dimension")

@@ -61,7 +61,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ModularCaseError
-from .ffield import FieldElement, FieldSpec, MatrixFq, Polynomial, _prime_field, factor, minpoly
+from .ffield import FieldElement, FieldSpec, MatrixFq, Polynomial, factor, minpoly
 from .perm import FiniteGroup
 
 __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
@@ -108,7 +108,8 @@ class AlgebraElement:
 
     @property
     def coeffs(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(self.spec, tuple(row)) for row in self.arr.tolist())
+        spec = self.spec
+        return tuple(FieldElement(spec, spec.pack(row)) for row in self.arr.tolist())
 
     def _check_compatible(self, other: "AlgebraElement"):
         if self.group is not other.group:
@@ -277,7 +278,7 @@ def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
     candidates = itertools.chain((partial(Z.mul_class, i) for i in range(Z.m) if Z.mul_class(i, e).any()),
                                  (partial(Z.mul, z) for z in draws))
     for mul_by in candidates:
-        mu = minpoly(spec, mul_by, e, Z.m)
+        mu = minpoly(spec, mul_by, e)
         facs = factor(mu, seed=seed)
         if any(mult > 1 for _, mult in facs):
             raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")
@@ -324,24 +325,23 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     if G.order % spec.p == 0:
         raise ModularCaseError(spec.p, G.order)
     Z = _CenterAlgebra(G, spec)
-    Zp = Z if spec.k == 1 else _CenterAlgebra(G, _prime_field(spec.p))
+    Zp = Z if spec.k == 1 else _CenterAlgebra(G, FieldSpec(spec.p, 1, (0, 1)))
     rng = random.Random(f"split:{seed}:{spec.p}:1:{G.order}")
     final = _refine(Zp, [Zp.one()], rng, seed)
     if spec.k > 1:
         final = [(_embed(spec, e), d) for e, d in final]
         work = [e for e, d in final if math.gcd(d, spec.k) > 1]
         final = [(e, d) for e, d in final if math.gcd(d, spec.k) == 1] + _refine(Z, work, rng, seed)
-    # deterministic block order regardless of the splitting path: rows
-    # compared as reversed coefficient vectors, i.e. by base-p value
-    final.sort(key=lambda ed: ed[0][:, ::-1].tolist())
     block_dims = _lifted_block_dims(G, spec, [e for e, _ in final])
     blocks = [(math.isqrt(D // d), d) for D, (_, d) in zip(block_dims, final)]
     if any(n < 1 or d * n * n != D for D, (n, d) in zip(block_dims, blocks)):
         raise AssertionError("a block dimension is not d * n^2 (bug)")
     if sum(block_dims) != G.order:
         raise AssertionError("block dimensions do not sum to |G| (bug)")
-    # by (d, n), the sort stable on the order above
-    order = sorted(range(len(final)), key=lambda i: (blocks[i][1], blocks[i][0]))
+    # deterministic block order regardless of the splitting path: by (d, n), then
+    # by the idempotent's rows compared as reversed coefficient vectors (base-p values)
+    order = sorted(range(len(final)),
+                   key=lambda i: (blocks[i][1], blocks[i][0], final[i][0][:, ::-1].tolist()))
     return CentralSplit(
         idempotents=tuple(Z.to_algebra(final[i][0]) for i in order),
         blocks=tuple(blocks[i] for i in order),
@@ -424,7 +424,7 @@ def verify_split(split: CentralSplit) -> bool:
         return False
     G = es[0].group
     spec = es[0].spec
-    reps = [G.index(c.representative) for c in G.classes]  # each class's first-seen index
+    reps = [c.index for c in G.classes]  # each class's least index
     class_first = [reps[ci] for ci in G.class_index_of]
     if any(not np.array_equal(e.arr, e.arr[class_first]) for e in es):
         return False

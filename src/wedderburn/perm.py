@@ -6,7 +6,9 @@ generators' right action on it as integer index maps, the inverse indices
 and the conjugacy classes ordered by (element order, class size, first-seen
 index); the class constants are lazy, and mul_table is built on each call.
 Permutation is the boundary type callers build and read: the group makes
-one per element and multiplies none, and a power is one walk over cycles.
+one per element and multiplies none.  Its powers, cycles and order share
+one cycle walk.  A ConjClass keeps its representative's index; which class
+each element is in is recorded once, in FiniteGroup.class_index_of.
 Points are 1-indexed in all input and output (cycle notation, group files)
 and 0-indexed internally.
 """
@@ -77,22 +79,29 @@ class Permutation:
             inv[j] = i
         return _bijection(tuple(inv))
 
-    def __pow__(self, m: int) -> "Permutation":
-        """g**m by one walk over the cycles of g: under g**m each point moves
-        m steps along its cycle, and m % len(cycle) is exact for every
-        integer m, negative or zero included.  No product is made."""
+    def _cycles(self) -> list[list[int]]:
+        """The one cycle walk: nontrivial cycles as 0-indexed lists, each
+        starting at its least point, in order of that point."""
         imgs = self.images
-        out = list(imgs)
         seen = [False] * len(imgs)
+        out = []
         for start, nxt in enumerate(imgs):
             if seen[start] or nxt == start:
                 continue
             cyc = [start]
             while nxt != start:
+                seen[nxt] = True
                 cyc.append(nxt)
                 nxt = imgs[nxt]
-            for i in cyc:
-                seen[i] = True
+            out.append(cyc)
+        return out
+
+    def __pow__(self, m: int) -> "Permutation":
+        """g**m from the cycles of g: under g**m each point moves m steps
+        along its cycle, and m % len(cycle) is exact for every integer m,
+        negative or zero included.  No product is made."""
+        out = list(self.images)
+        for cyc in self._cycles():
             s = m % len(cyc)
             for i, j in zip(cyc, cyc[s:] + cyc[:s]):
                 out[i] = j
@@ -100,23 +109,10 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles as 1-indexed tuples, each starting at its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = []
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                cyc.append(i + 1)
-                i = self.images[i]
-            out.append(tuple(cyc))
-        return out
+        return [tuple([i + 1 for i in cyc]) for cyc in self._cycles()]
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
+        return math.lcm(*map(len, self._cycles()))
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -173,12 +169,14 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 @dataclass(frozen=True)
 class ConjClass:
     """One conjugacy class: representative, size, common element order, and
-    the member positions in the parent group's element list."""
+    index, the representative's position in the parent group's element
+    list, the least position in the class.  The members are not stored:
+    they are the positions i with class_index_of[i] the class's position."""
 
     representative: Permutation
     size: int
     element_order: int
-    indices: frozenset[int]
+    index: int
 
 
 class FiniteGroup:
@@ -277,7 +275,7 @@ class FiniteGroup:
         if self._class_coeffs is None:
             m = len(self.classes)
             cls = np.array(self.class_index_of)
-            reps = [self.index(c.representative) for c in self.classes]
+            reps = [c.index for c in self.classes]
             table = self.mul_table(max(reps) + 1)
             coeffs = np.empty((m, m, m), dtype=np.int64)
             for k, r in enumerate(reps):
@@ -322,21 +320,17 @@ def _conjugacy_partition(elements, conjugations):
     """The conjugacy classes: the orbits of ``conjugations`` (one index map
     per generator g, entry x the index of g^-1 g_x g), ordered by (element
     order, size, first-seen index), each represented by its first-seen
-    member.  Returns (classes, class_index_of)."""
+    member, its least.  Returns (classes, class_index_of), the one record
+    of which class each element is in."""
     orbits, label = _orbits(len(elements), conjugations)
-    raw = [(elements[o[0]].order(), len(o), o[0], o) for o in orbits]
-    ranked = sorted(range(len(raw)), key=lambda r: raw[r][:3])
+    raw = [(elements[o[0]].order(), len(o), o[0]) for o in orbits]
+    ranked = sorted(range(len(raw)), key=raw.__getitem__)
     rank = [0] * len(raw)
     for ci, r in enumerate(ranked):
         rank[r] = ci
     classes = tuple(
-        ConjClass(
-            representative=elements[first],
-            size=size,
-            element_order=order,
-            indices=frozenset(members),
-        )
-        for order, size, first, members in (raw[r] for r in ranked)
+        ConjClass(representative=elements[first], size=size, element_order=order, index=first)
+        for order, size, first in (raw[r] for r in ranked)
     )
     return classes, tuple(rank[lab] for lab in label)
 

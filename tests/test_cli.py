@@ -109,6 +109,47 @@ def test_python_m_wedderburn_runs_the_cli(capsys):
     assert proc.stdout == out
 
 
+@pytest.mark.parametrize("command", ["decompose", "units"])
+def test_sl32_type_and_actions_only_for_builtin_sources(capsys, command):
+    # a file copy of SL(3,2) solves with its own action and reports no type:
+    # at p = 13 that still pins the type-2 blocks, at p = 179 it leaves two
+    # candidates, which both builtin sources, with the two actions, tell apart
+    psl27 = f"file:{ROOT / 'bench' / 'groups' / 'psl27.txt'}"
+    code, out, _ = run(capsys, [command, "--group", psl27, "--p", "13", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert [(c["n"], c["d"]) for c in data["components"]] == [(1, 1), (6, 1), (7, 1), (8, 1), (3, 2)]
+    assert data["type"] is None
+    code, out, _ = run(capsys, [command, "--group", psl27, "--p", "13"])
+    assert code == 0 and "type" not in out
+    code, out, _ = run(capsys, [command, "--group", psl27, "--p", "179", "--format", "json"])
+    assert code == 4
+    assert len(json.loads(out)["candidates"]) == 2
+    for source in ("builtin:sl32-s8", "builtin:sl32-p2f2"):
+        code, out, _ = run(capsys, [command, "--group", source, "--p", "179", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["type"] == 1
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # D_701 on 701 points: its class table is far larger than a pipe buffer,
+    # so the reader closes the pipe while the command is still writing
+    n = 701
+    group = tmp_path / "d701.txt"
+    group.write_text(f"degree {n}\n({','.join(map(str, range(1, n + 1)))})\n"
+                     + "".join(f"({i},{n + 2 - i})" for i in range(2, n // 2 + 2)) + "\n")
+    path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for fmt in ("text", "json"):
+        with subprocess.Popen([sys.executable, "-m", "wedderburn", "classes", "--group", f"file:{group}",
+                               "--format", fmt], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0, err
+        assert err == b""
+
+
 def test_decompose_nonunique_exits_4(capsys):
     code, out, _ = run(capsys, ["decompose", "--group", "builtin:s5", "--p", "11"])
     assert code == 4

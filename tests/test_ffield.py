@@ -52,6 +52,42 @@ def test_make_field_extension_element_orders(f169):
             assert a ** (169) == a  # Frobenius fixed field check via q-power
 
 
+ELEMENT_FIELDS = {"11": make_field(11), "13^2": make_field(13, 2, seed=0), "13^3": make_field(13, 3, seed=0),
+                  "(2^31+11)^2": make_field(2**31 + 11, 2, seed=0)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(ELEMENT_FIELDS)), data=st.data())
+def test_field_element_is_its_base_p_value(name, data):
+    # a FieldElement holds one int, its base-p value, and every operator is
+    # the spec's scalar kernel on those ints
+    spec = ELEMENT_FIELDS[name]
+    p = spec.p
+    vectors = st.lists(st.integers(0, p - 1), min_size=spec.k, max_size=spec.k)
+    a, b = spec.element(data.draw(vectors)), spec.element(data.draw(vectors))
+    n = data.draw(st.integers(-3 * p, 3 * p))
+    e = data.draw(st.integers(-5, 40))
+    assert spec.element(a.coeffs) == a and a.value == spec.pack(a.coeffs)
+    assert (a == n) == (a.value == n % p)
+    assert spec.scalar(n) == n and spec.scalar(n).value == n % p
+    twin = spec.element(list(a.coeffs))
+    assert twin == a and hash(twin) == hash(a)
+    assert (a + b).value == (b + a).value == spec.add(a.value, b.value)
+    assert (a + n).value == (n + a).value == spec.add(a.value, n % p)
+    assert (a - b).value == spec.sub(a.value, b.value)
+    assert (n - a).value == spec.sub(n % p, a.value)
+    assert (-a).value == spec.sub(0, a.value)
+    assert (a * b).value == spec.mul(a.value, b.value)
+    assert (n * a).value == (a * n).value == spec.mul(n % p, a.value)
+    assert bool(a) == (a.value != 0)
+    if b:
+        assert (a / b).value == spec.mul(a.value, spec.inv(b.value))
+        assert (n / b).value == spec.mul(n % p, spec.inv(b.value))
+        assert b.inverse().value == spec.inv(b.value)
+    if a or e >= 0:
+        assert (a**e).value == spec.power(a.value, e)
+
+
 def test_make_field_rejects():
     with pytest.raises(ValueError):
         make_field(4)
@@ -377,13 +413,22 @@ def _vector(elements):
 
 
 def test_minpoly_identity_and_zero(f11):
-    dim = 4
     v = _vector([f11.one, f11.zero, f11.scalar(3), f11.zero])
-    m_id = minpoly(f11, lambda w: w, v, dim)
+    m_id = minpoly(f11, lambda w: w, v)
     x = Polynomial.x(f11)
     assert m_id == x - Polynomial.one(f11)
-    m_zero = minpoly(f11, np.zeros_like, v, dim)
+    m_zero = minpoly(f11, np.zeros_like, v)
     assert m_zero == x
+
+
+def test_minpoly_rejects_a_start_vector_of_the_wrong_k(f11, f169):
+    # dim is len(v); the coefficient axis must still be the field's k
+    with pytest.raises(ValueError):
+        minpoly(f169, lambda w: w, _vector([f11.one, f11.zero]))
+    with pytest.raises(ValueError):
+        minpoly(f11, lambda w: w, _vector([f169.one, f169.zero]))
+    with pytest.raises(ValueError):
+        minpoly(f11, lambda w: w[:-1], _vector([f11.one, f11.zero]))
 
 
 def test_minpoly_shift_is_nilpotent(f11):
@@ -393,7 +438,7 @@ def test_minpoly_shift_is_nilpotent(f11):
         return np.concatenate([np.zeros_like(w[:1]), w[:-1]])
 
     v = _vector([f11.one] + [f11.zero] * (dim - 1))
-    assert minpoly(f11, shift, v, dim) == Polynomial.x(f11) ** dim
+    assert minpoly(f11, shift, v) == Polynomial.x(f11) ** dim
 
 
 def test_minpoly_companion_matrix(f11):
@@ -407,7 +452,7 @@ def test_minpoly_companion_matrix(f11):
         return _vector(cs + [f11.zero] * (3 - len(cs)))
 
     # 1 is a cyclic vector: 1, x, x^2 span F_11[x]/(f)
-    got = minpoly(f11, apply, _vector([f11.one, f11.zero, f11.zero]), 3)
+    got = minpoly(f11, apply, _vector([f11.one, f11.zero, f11.zero]))
     assert got == f.monic()
 
 
@@ -440,7 +485,7 @@ def test_minpoly_divides_charpoly(f11):
             w = [f11.element(c) for c in w.tolist()]
             return _vector([sum((rows[i][j] * w[j] for j in range(3)), f11.zero) for i in range(3)])
 
-        mp = minpoly(f11, apply, _vector([f11.random_element(rng) for _ in range(3)]), 3)
+        mp = minpoly(f11, apply, _vector([f11.random_element(rng) for _ in range(3)]))
         cp = _charpoly_3x3(f11, rows)
         assert (cp % mp).is_zero()
 

@@ -1,4 +1,3 @@
-import itertools
 import random
 from pathlib import Path
 
@@ -37,6 +36,14 @@ def brute_force_group(gen_images, degree):
                     new.append(y)
         frontier = new
     return elems
+
+
+def class_members(G):
+    """The member indices of each class, in class order, read off class_index_of."""
+    members = [[] for _ in G.classes]
+    for i, ci in enumerate(G.class_index_of):
+        members[ci].append(i)
+    return members
 
 
 def brute_force_classes(elems, degree):
@@ -211,6 +218,35 @@ def test_pow_is_repeated_product(table_group):
             assert g**m == copies[m % order]
 
 
+def test_cycle_walk_matches_products_and_inverse():
+    # cycles(), order() and g**m share one cycle walk; check each against
+    # repeated __mul__ and inverse() on seeded random permutations
+    rng = random.Random("cycle-walk")
+    for _ in range(300):
+        degree = rng.randint(1, 12)
+        images = list(range(degree))
+        rng.shuffle(images)
+        g = Permutation(images)
+        one = Permutation.identity(degree)
+        powers = [one, g]  # powers[j] = g^j by repeated products
+        while powers[-1] != one:
+            powers.append(powers[-1] * g)
+        order = len(powers) - 1
+        assert g.order() == order
+        cycles = []
+        for x in range(degree):
+            length = next(j for j in range(1, order + 1) if powers[j](x) == x)
+            cycle = [powers[j](x) for j in range(length)]
+            if length > 1 and min(cycle) == x:
+                cycles.append(tuple(y + 1 for y in cycle))
+        assert g.cycles() == cycles
+        inverse_powers = [one]
+        for _ in range(3):
+            inverse_powers.append(inverse_powers[-1] * g.inverse())
+        for m in range(-3, 2 * order + 1):
+            assert g**m == (inverse_powers[-m] if m < 0 else powers[m % order])
+
+
 def test_pow_degree_one():
     g = Permutation([0])
     for m in (-3, -1, 0, 1, 5):
@@ -308,19 +344,27 @@ def table_group(request):
 def test_classes_partition_and_conjugation_closure(table_group):
     G = table_group
     assert sum(c.size for c in G.classes) == G.order
-    assert all(len(c.indices) == c.size for c in G.classes)
-    for c in G.classes:
-        for i in itertools.islice(c.indices, 5):
+    members = class_members(G)
+    assert [len(m) for m in members] == [c.size for c in G.classes]
+    for c, idx in zip(G.classes, members):
+        for i in idx[:5]:
             x = G.elements[i]
             assert x.order() == c.element_order
             for g in G.generators:
                 assert G.class_index_of[G.index(g * x * g.inverse())] == G.class_index_of[i]
     oracle = brute_force_group([g.images for g in G.generators], G.degree)
     oracle_classes = brute_force_classes(oracle, G.degree)
-    members = [{G.elements[i].images for i in c.indices} for c in G.classes]
-    assert len(members) == len(oracle_classes)
-    assert all(m in oracle_classes for m in members)
-    assert all(G.class_index_of[i] == ci for ci, c in enumerate(G.classes) for i in c.indices)
+    member_sets = [{G.elements[i].images for i in idx} for idx in members]
+    assert len(member_sets) == len(oracle_classes)
+    assert all(m in oracle_classes for m in member_sets)
+
+
+def test_class_index_is_the_least_member_and_the_representative(table_group):
+    G = table_group
+    for ci, (c, idx) in enumerate(zip(G.classes, class_members(G))):
+        assert G.elements[c.index] == c.representative
+        assert G.class_index_of[c.index] == ci
+        assert c.index == idx[0]
 
 
 def test_building_a_group_multiplies_no_permutations(monkeypatch):
@@ -382,7 +426,7 @@ def test_class_product_coefficients_brute_force(table_group):
     c = G.class_product_coefficients()
     m = len(G.classes)
     assert c.shape == (m, m, m) and c.dtype == np.int64
-    members = [sorted(cl.indices) for cl in G.classes]
+    members = class_members(G)
     for i in range(m):
         for j in range(m):
             count = [0] * G.order

@@ -32,6 +32,7 @@ p**k < 2**63 and so meets the bound whenever p < 2**31.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import random
@@ -54,14 +55,32 @@ P_MIN = 5  # the least supported characteristic
 ARRAY_P_LIMIT = 2**31  # int64 arrays need p below this, Python-int arrays from it up
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the least strong pseudoprime to all of _MR_WITNESSES (Sorenson-Webster 2015)
-_MR_BOUND = 3317044064679887385961981
+# psi_j (OEIS A014233): the least strong pseudoprime to all of the first j
+# bases of _MR_WITNESSES, so those j bases prove every n < psi_j; psi_12 and
+# psi_13 = 3317044064679887385961981 were verified by Sorenson-Webster 2015
+_MR_PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases, a proof for every
-    n < 3317044064679887385961981; from that bound up a strong Lucas test is
-    added, which makes it the Baillie-PSW test (no known counterexample)."""
+    """Trial division by the first twelve primes, then Miller-Rabin with the
+    first j of them as bases, the least j with n < psi_j (OEIS A014233):
+    base 2 alone below 2047, all twelve below psi_12 =
+    318665857834031151167461, a proof in each range.  From psi_12 up a
+    strong Lucas test is added to the twelve bases, which makes it the
+    Baillie-PSW test (no known counterexample)."""
     if n < 2:
         return False
     for sp in _MR_WITNESSES:
@@ -72,7 +91,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    j = bisect.bisect_right(_MR_PSI, n)  # n >= psi_1, ..., psi_j
+    for a in _MR_WITNESSES[: j + 1]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -82,7 +102,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_BOUND or _is_strong_lucas_probable_prime(n)
+    return j < len(_MR_PSI) or _is_strong_lucas_probable_prime(n)
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -261,12 +261,14 @@ def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
     idempotents of the block of e, or None once the block is certified to be
     a field, of degree d over F_q.
 
-    Candidates are the class sums that act nontrivially on the block, in
-    class order, then up to MAX_RANDOM_DRAWS seeded random central elements,
-    each drawn only when reached.  The search stops at the first candidate
-    whose minimal polynomial mu on the block has two or more irreducible
-    factors (a split), or is irreducible of degree dim e*Z (the block center
-    is then F_q[w], a field, and no element splits it).  A repeated factor of
+    Candidates are the class sums other than the identity's that act
+    nontrivially on the block, in class order, then up to MAX_RANDOM_DRAWS
+    seeded random central elements, each drawn only when reached.  (The
+    identity's minimal polynomial X - 1 neither splits nor certifies a block
+    with dim e*Z > 1.)  The search stops at the first candidate whose
+    minimal polynomial mu on the block has two or more irreducible factors
+    (a split), or is irreducible of degree dim e*Z (the block center is
+    then F_q[w], a field, and no element splits it).  A repeated factor of
     mu contradicts semisimplicity.
     """
     dim = Z.block_dimension(e)
@@ -275,7 +277,7 @@ def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
     spec = Z.spec
     draws = (np.array([spec.random_element(rng).coeffs for _ in range(Z.m)], dtype=spec.dtype)
              for _ in range(MAX_RANDOM_DRAWS))
-    candidates = itertools.chain((partial(Z.mul_class, i) for i in range(Z.m) if Z.mul_class(i, e).any()),
+    candidates = itertools.chain((partial(Z.mul_class, i) for i in range(1, Z.m) if Z.mul_class(i, e).any()),
                                  (partial(Z.mul, z) for z in draws))
     for mul_by in candidates:
         mu = minpoly(spec, mul_by, e)

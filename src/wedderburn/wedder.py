@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -70,6 +69,16 @@ class Decomposition:
         if (1, 1) not in comps:
             raise ValueError("decomposition is missing the trivial (1, 1) block")
 
+    @classmethod
+    def _trusted(cls, components, group_order) -> "Decomposition":
+        """A decomposition whose components are already sorted by (d, n),
+        with masses summing to group_order and the trivial block, as solve
+        proves for its candidates; no check is repeated."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "components", components)
+        object.__setattr__(out, "group_order", group_order)
+        return out
+
 
 @dataclass(frozen=True)
 class SolverReport:
@@ -110,9 +119,13 @@ def solve(group_order: int, degrees, forced) -> SolverReport:
     least mass, the all-1 x 1 filling is the only one.  Once the last slots
     share one degree, sizes too small to hold the remaining mass are
     skipped.  The enumeration is memoized on (slot, remaining mass, largest
-    n) and works on (d, n) int pairs, so the candidates come sorted by
-    those keys; each candidate lists its blocks as plain (n, d) pairs.
-    Raises ValueError for a center degree below 1.
+    n) and holds tuples of int sizes.  Every candidate has the same degree
+    multiset, so its (d, n) order is the order of its sizes once the
+    degree-1 sizes are merged with the forced ones and every other degree's
+    sizes are reversed; the candidates are sorted once on those int tuples,
+    and each is built once from shared plain (n, d) pairs, its order and
+    mass already proven.  Raises ValueError for a center degree below 1 and
+    when a candidate lacks the trivial (1, 1) block.
     """
     degrees = sorted(degrees)
     for d in degrees:
@@ -136,29 +149,51 @@ def solve(group_order: int, degrees, forced) -> SolverReport:
     # tail[i]: the number of slots i.. when they all have slots[i]'s degree (slots are sorted), else 0
     tail = [len(slots) - i if d == slots[-1] else 0 for i, d in enumerate(slots)]
 
-    @lru_cache(maxsize=None)
-    def fill(i: int, rem: int, top: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Every filling of slots i.. as (d, n) pairs with masses summing to
-        rem, n <= top in slot i."""
+    memo = {}
+
+    def fill(i: int, rem: int, top: int) -> tuple[tuple[int, ...], ...]:
+        """Every filling of slots i.. as sizes n with masses summing to rem,
+        n <= top in slot i."""
         if rem <= least[i]:
-            return (tuple((d, 1) for d in slots[i:]),) if rem == least[i] else ()
+            return ((1,) * (len(slots) - i),) if rem == least[i] else ()
         if i == len(slots):
             return ()
-        d = slots[i]
-        same = i + 1 < len(slots) and slots[i + 1] == d
-        # slots i.. of one degree d and sizes <= n hold at most tail[i] * d * n^2: n >= lo
-        lo = math.isqrt((rem - 1) // (d * tail[i])) + 1 if tail[i] else 1
-        return tuple(
-            ((d, n),) + rest
-            for n in range(min(top, math.isqrt((rem - least[i + 1]) // d)), lo - 1, -1)
-            for rest in fill(i + 1, rem - d * n * n, n if same else target)
-        )
+        found = memo.get((i, rem, top))
+        if found is None:
+            d = slots[i]
+            same = i + 1 < len(slots) and slots[i + 1] == d
+            # slots i.. of one degree d and sizes <= n hold at most tail[i] * d * n^2: n >= lo
+            lo = math.isqrt((rem - 1) // (d * tail[i])) + 1 if tail[i] else 1
+            found = memo[i, rem, top] = tuple(
+                (n,) + rest
+                for n in range(min(top, math.isqrt((rem - least[i + 1]) // d)), lo - 1, -1)
+                for rest in fill(i + 1, rem - d * n * n, n if same else target)
+            )
+        return found
 
-    forced_keys = tuple((d, n) for n, d in forced)
-    keys = sorted(tuple(sorted(forced_keys + sol)) for sol in fill(0, target, target))
-    fill.cache_clear()  # the wrapper is a reference cycle; free its entries now
+    # the candidates' positions in (d, n) order: the forced and slot degree-1
+    # sizes first, then one segment per higher degree, each read reversed
+    free = ones - len(forced)
+    cuts = [free] + [i for i in range(free + 1, len(slots)) if slots[i] != slots[i - 1]] + [len(slots)]
+    head = tuple(n for n, _ in forced)
+    keys = []
+    for sol in fill(0, target, target):
+        key = sorted(head + sol[:free])
+        for a, b in zip(cuts, cuts[1:]):
+            key += sol[a:b][::-1]
+        keys.append(tuple(key))
+    memo.clear()  # fill is a reference cycle; free its entries now
+    keys.sort()
+    if keys and (not ones or keys[-1][0] != 1):
+        # keys[-1] has the largest first size: the least degree-1 size of some candidate exceeds 1
+        raise ValueError("decomposition is missing the trivial (1, 1) block")
+    # one shared (n, d) pair per size of each degree, one table per position
+    pairs = {d: {n: (n, d) for n in range(1, math.isqrt(target // d) + 1)} for d in set(degrees)}
+    if head:
+        pairs[1].update((n, (n, 1)) for n in head)
+    tables = [pairs[d] for d in degrees]
     return SolverReport(solutions=tuple(
-        Decomposition(components=tuple([(n, d) for d, n in key]), group_order=group_order) for key in keys
+        Decomposition._trusted(tuple([t[n] for t, n in zip(tables, key)]), group_order) for key in keys
     ))
 
 

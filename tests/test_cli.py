@@ -448,10 +448,12 @@ def test_check_reports_modular_cells_as_skipped(capsys):
 
 
 def test_decompose_rejects_strong_pseudoprime(capsys):
-    code, out, err = run(capsys, ["decompose", "--p", "3317044064679887385961981"])
-    assert code == cli.EXIT_INPUT
-    assert out == ""
-    assert "not prime" in err and "Traceback" not in err
+    # psi_12 and psi_13 (OEIS A014233) pass Miller-Rabin to the bases 2..37
+    for n in ("318665857834031151167461", "3317044064679887385961981"):
+        code, out, err = run(capsys, ["decompose", "--p", n])
+        assert code == cli.EXIT_INPUT, n
+        assert out == ""
+        assert "not prime" in err and "Traceback" not in err
 
 
 def test_check_detects_mismatch(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -27,12 +28,40 @@ def test_is_prime_small():
 
 
 def test_is_prime_above_the_miller_rabin_bound():
-    # psi_12 = 1287836182261 * 2575672364521 is a strong pseudoprime to the
-    # twelve fixed bases; the strong Lucas test rejects it
+    # psi_12 = 399165290221 * 798330580441 and psi_13 = 1287836182261 *
+    # 2575672364521 are strong pseudoprimes to the twelve fixed bases; the
+    # strong Lucas test rejects both
+    assert not is_prime(318665857834031151167461)
     assert not is_prime(3317044064679887385961981)
     assert is_prime(2**89 - 1)
     assert is_prime(2**127 - 1)
     assert not is_prime((2**89 - 1) * (2**61 - 1))
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 10**6
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+])
+def test_is_prime_rejects_every_strong_pseudoprime_bound(n):
+    # psi_j of OEIS A014233, j <= 11, the least strong pseudoprime to the
+    # first j prime bases; psi_12 and psi_13 are checked above
+    assert not is_prime(n)
 
 
 def test_make_field_prime():

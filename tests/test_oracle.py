@@ -350,8 +350,9 @@ def test_lifted_dims_that_miss_the_order_are_an_internal_error(sl32_s8, f11, mon
 
 
 def test_refinement_stops_at_a_certified_block(f11, monkeypatch):
-    # C15 over F_11 has ten blocks: 20 factorizations decide every split
-    # and certificate; searching on after a certificate took 85
+    # C15 over F_11 has ten blocks: 12 factorizations decide every split
+    # and certificate; searching on after a certificate took 85, and trying
+    # the identity class sum (minimal polynomial X - 1) as well took 20
     calls = []
     real = oracle.factor
 
@@ -362,7 +363,7 @@ def test_refinement_stops_at_a_certified_block(f11, monkeypatch):
     monkeypatch.setattr(oracle, "factor", counting)
     split = split_center(resolve_group(C15), f11, seed=0)
     assert len(split.idempotents) == 10
-    assert len(calls) == 20
+    assert len(calls) == 12
 
 
 @pytest.mark.parametrize("p,k,refined", [(11, 2, []), (13, 3, []), (13, 2, [2, 1, 1])])

@@ -122,6 +122,8 @@ def brute_force_solve(group_order, degrees, forced):
 @example(group_order=1, degrees=[1], forced=[], trivial=True)  # no slot left, forced mass = |G|
 @example(group_order=50, degrees=[1, 1, 2], forced=[(7, 1)], trivial=False)
 @example(group_order=168, degrees=[1] * 5, forced=[], trivial=True)
+# ten candidates: free degree-1 sizes merge with the forced 1 and 2, and a degree's sizes are listed increasing
+@example(group_order=73, degrees=[1, 1, 1, 2, 2, 3], forced=[(2, 1)], trivial=True)
 def test_solve_matches_brute_force(group_order, degrees, forced, trivial):
     forced = [Component(n, d) for n, d in ([(1, 1)] if trivial else []) + forced]
     expected = brute_force_solve(group_order, degrees, forced)
@@ -141,6 +143,23 @@ def test_solve_pins_s6_candidates():
     assert len(rep.solutions) == 3037 and not rep.unique
     digest = hashlib.sha256(str([d.components for d in rep.solutions]).encode()).hexdigest()
     assert digest == "9517268e226402cb1898d9ff40e76e1f3ffbb7e64213e9a3dcfa2e16f949586d"
+
+
+def test_solve_s6_candidates_pass_the_checking_constructor():
+    G = load_group(Path(__file__).resolve().parents[1] / "bench" / "groups" / "s6.txt")
+    rep = analytic_decomposition(G, 11, 1, [G])
+    for dec in rep.solutions:
+        assert dec == Decomposition(dec.components, dec.group_order)
+        assert all(type(c) is tuple and type(c[0]) is int and type(c[1]) is int for c in dec.components)
+
+
+def test_solve_rejects_candidates_without_the_trivial_block():
+    # 8 = 2^2 + 2^2 is the only filling of two degree-1 slots
+    with pytest.raises(ValueError, match="trivial"):
+        solve(8, [1, 1], [])
+    # 27 = 1 + 1 + 5^2 = 3 * 3^2: the second candidate lacks the trivial block
+    with pytest.raises(ValueError, match="trivial"):
+        solve(27, [1, 1, 1], [])
 
 
 def test_solve_fills_thousands_of_slots_without_deep_recursion():

@@ -39,7 +39,6 @@ from .units import (
     ReferenceRow,
     gl_order,
     sl32_expected_row,
-    sl32_reference_table,
     unit_group,
 )
 from .wedder import (

@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
-from .ffield import _prime_divisors
+
+def _prime_divisors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 class ModularCaseError(ValueError):

@@ -378,6 +378,12 @@ class FieldElement:
         )
 
     def __hash__(self) -> int:
+        """An element of F_p (value below p, at any k) hashes as its int, so
+        that sets and dicts find it by the int it equals.  An unreduced int
+        such as 14 over F_11 compares equal but hashes apart: no hash is
+        constant on a residue class and equal to hash(n) for each n in it."""
+        if self.value < self.spec.p:
+            return hash(self.value)
         return hash((self.value, self.spec.p, self.spec.k))
 
     def __repr__(self) -> str:
@@ -421,7 +427,9 @@ def check_p_min(p: int):
 
 
 def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
-    """Build F_{p^k} with a seeded search for a monic irreducible modulus.
+    """Build F_{p^k} with a seeded search for a monic irreducible modulus:
+    random monic polynomials of degree k, each tested by is_irreducible,
+    the distinct-degree walk of factor.
 
     Different seeds may select different moduli; all decomposition outputs
     are independent of that choice.
@@ -612,32 +620,13 @@ class Polynomial:
         inv = spec.inv(r0.coeffs[-1])
         return r0._scaled(inv), s0._scaled(inv), t0._scaled(inv)
 
-    def frobenius_iterates(self, count: int) -> list["Polynomial"]:
-        """[x^(q^1), ..., x^(q^count)] all reduced modulo self."""
-        out = []
-        cur = Polynomial.x(self.spec)
-        for _ in range(count):
-            cur = cur.pow_mod(self.spec.q, self)
-            out.append(cur)
-        return out
-
     def is_irreducible(self) -> bool:
-        """Rabin's test: x^(q^n) = x mod f, and x^(q^(n/t)) - x coprime to f
-        for every prime t dividing n = deg f."""
+        """Ben-Or's test: the distinct-degree walk of factor, stopped at its
+        first part.  f of degree n >= 1 is irreducible exactly when that part
+        is the remainder of degree n, since every reducible f, squarefree or
+        not, has an irreducible factor of degree at most n/2."""
         n = self.degree()
-        if n <= 0:
-            return False
-        if n == 1:
-            return True
-        frob = self.frobenius_iterates(n)
-        xpoly = Polynomial.x(self.spec)
-        if frob[-1] % self != xpoly % self:
-            return False
-        for t in _prime_divisors(n):
-            g = (frob[n // t - 1] - xpoly).gcd(self)
-            if g.degree() != 0:
-                return False
-        return True
+        return n >= 1 and next(_distinct_degree(self.monic()))[1] == n
 
     def __eq__(self, other) -> bool:
         return (
@@ -715,20 +704,6 @@ def _poly_divmod(spec: FieldSpec, num, den, inv_lc=None):
     return quo, rem
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # factorization ---------------------------------------------------------------
 
 
@@ -774,27 +749,35 @@ def _factor_monic(f: Polynomial, rng: random.Random) -> list[tuple[Polynomial, i
 
 
 def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Irreducible factors of a monic squarefree polynomial."""
-    if f.degree() <= 0:
-        return []
-    spec = f.spec
+    """Irreducible factors of a monic squarefree polynomial: each part of the
+    distinct-degree walk, split by Cantor-Zassenhaus."""
     factors: list[Polynomial] = []
-    xpoly = Polynomial.x(spec)
-    rem = f
-    frob = xpoly
-    d = 0
-    while rem.degree() > 0:
-        d += 1
-        if 2 * d > rem.degree():
-            factors.append(rem)
-            break
-        frob = frob.pow_mod(spec.q, rem)
-        g = (frob - xpoly).gcd(rem)
-        if g.degree() > 0:
-            factors.extend(_equal_degree_split(g, d, rng))
-            rem = rem // g
-            frob = frob % rem
+    for g, d in _distinct_degree(f):
+        factors.extend(_equal_degree_split(g, d, rng))
     return factors
+
+
+def _distinct_degree(f: Polynomial):
+    """Distinct-degree walk of a monic polynomial f: for d = 1, 2, ... yield
+    (g, d) with g = gcd(x^(q^d) - x, rest) when it is not 1, where rest is f
+    with the earlier parts divided out, so g is the product of the distinct
+    degree-d irreducible factors of rest.  Once 0 < deg rest < 2d the last
+    item is (rest, deg rest): rest has no factor of degree below d, so for
+    squarefree f it is irreducible, and the parts multiply to f."""
+    q = f.spec.q
+    xpoly = Polynomial.x(f.spec)
+    rest, frob, d = f, xpoly, 0
+    while rest.degree() > 0:
+        d += 1
+        if 2 * d > rest.degree():
+            yield rest, rest.degree()
+            return
+        frob = frob.pow_mod(q, rest)
+        g = (frob - xpoly).gcd(rest)
+        if g.degree() > 0:
+            yield g, d
+            rest = rest // g
+            frob = frob % rest
 
 
 def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:

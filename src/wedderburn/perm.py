@@ -396,7 +396,7 @@ BUILTIN_GROUPS = {
 }
 
 
-def parse_group_text(text: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def parse_group_text(text: str) -> FiniteGroup:
     """Parse the group file format: a `degree N` header line followed by one
     generator per non-empty line in cycle notation; `#` starts a comment."""
     lines = []
@@ -415,9 +415,9 @@ def parse_group_text(text: str, cap: int = DEFAULT_CAP) -> FiniteGroup:
     gens = [parse_cycles(line, degree) for line in lines[1:]]
     if not gens:
         gens = [Permutation.identity(degree)]
-    return generate(gens, cap=cap)
+    return generate(gens)
 
 
-def load_group(path, cap: int = DEFAULT_CAP) -> FiniteGroup:
+def load_group(path) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_text(fh.read(), cap=cap)
+        return parse_group_text(fh.read())

@@ -9,7 +9,7 @@ unit_group returns its order, an exact big integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .wedder import Component, Decomposition
 
@@ -17,7 +17,6 @@ __all__ = [
     "ReferenceRow",
     "gl_order",
     "unit_group",
-    "sl32_reference_table",
     "sl32_expected_row",
     "TYPE1_COMPONENTS",
     "TYPE2_COMPONENTS",
@@ -63,40 +62,20 @@ TYPE2_COMPONENTS = (
     Component(3, 2),
 )
 
-_RESIDUES_ALL = frozenset({1, 2, 3, 4, 5, 6})
-_RESIDUES_SQUARE = frozenset({1, 2, 4})
-_RESIDUES_NONSQUARE = frozenset({3, 5, 6})
 
+class ReferenceRow(NamedTuple):
+    """The SL(3,2) reference answer over one field: its type and blocks."""
 
-@dataclass(frozen=True)
-class ReferenceRow:
-    """One row of the SL(3,2) classification keyed by (p mod 7, k mod 6)."""
-
-    p_mod7: frozenset[int]
-    k_mod6: int
     family_type: int
     components: tuple[Component, ...]
 
 
-def sl32_reference_table() -> tuple[ReferenceRow, ...]:
-    """The nine-row reference classification of F_{p^k} SL(3,2) used as
-    regression data: even k residues are always type 1, odd k residues split
-    by whether p is a square modulo 7."""
-    rows = []
-    for k_res in range(6):
-        if k_res % 2 == 0:
-            rows.append(ReferenceRow(_RESIDUES_ALL, k_res, 1, TYPE1_COMPONENTS))
-        else:
-            rows.append(ReferenceRow(_RESIDUES_SQUARE, k_res, 1, TYPE1_COMPONENTS))
-            rows.append(ReferenceRow(_RESIDUES_NONSQUARE, k_res, 2, TYPE2_COMPONENTS))
-    return tuple(rows)
-
-
 def sl32_expected_row(p: int, k: int) -> ReferenceRow:
-    """Look up the reference row for (p, k); p must not be divisible by 7."""
+    """The paper's answer for F_{p^k} SL(3,2), read off q = p^k alone: type 1
+    when q = 1, 2 or 4 (mod 7), the squares mod 7, and type 2 otherwise.
+    Raises ValueError when 7 divides p, the modular case."""
     if p % 7 == 0:
         raise ValueError("p = 7 is the modular case and has no reference row")
-    for row in sl32_reference_table():
-        if k % 6 == row.k_mod6 and p % 7 in row.p_mod7:
-            return row
-    raise AssertionError("reference table failed to cover (p, k)")
+    if pow(p, k, 7) in (1, 2, 4):
+        return ReferenceRow(1, TYPE1_COMPONENTS)
+    return ReferenceRow(2, TYPE2_COMPONENTS)

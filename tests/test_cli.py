@@ -460,7 +460,7 @@ def test_check_detects_mismatch(capsys, monkeypatch):
     from wedderburn.units import ReferenceRow, TYPE2_COMPONENTS
 
     def wrong_row(p, k):
-        return ReferenceRow(frozenset({p % 7}), k % 6, 2, TYPE2_COMPONENTS)
+        return ReferenceRow(2, TYPE2_COMPONENTS)
 
     monkeypatch.setattr(cli, "sl32_expected_row", wrong_row)
     code, out, _ = run(capsys, ["check", "--p", "11", "--k", "1"])

@@ -117,6 +117,20 @@ def test_field_element_is_its_base_p_value(name, data):
         assert (a**e).value == spec.power(a.value, e)
 
 
+def test_field_element_of_f_p_hashes_as_its_int():
+    f = make_field(11)
+    assert f.scalar(3) == 3
+    assert 3 in {f.scalar(3)}
+    assert f.scalar(3) in {3}
+    assert {3: "x"}.get(f.scalar(3)) == "x"
+    # an unreduced int compares equal but hashes apart
+    assert f.scalar(3) == 14 and 14 not in {f.scalar(3)}
+    # an element of F_13 inside F_{13^2}, at k = 2
+    f169 = make_field(13, 2)
+    assert f169.scalar(5) == 5 and 5 in {f169.scalar(5)}
+    assert {5: "y"}.get(f169.scalar(5)) == "y"
+
+
 def test_make_field_rejects():
     with pytest.raises(ValueError):
         make_field(4)
@@ -230,6 +244,46 @@ def test_factor_roundtrip_seeded(f11, f169):
             for g, _ in facs:
                 assert g.leading() == spec.one
                 assert g.is_irreducible()
+
+
+def _is_irreducible_by_factor(f):
+    return factor(f) == [(f.monic(), 1)]
+
+
+def test_is_irreducible_agrees_with_factor_on_every_small_monic_poly():
+    # every monic polynomial of degree 1..4 over F_5: 5 + 25 + 125 + 625 = 780
+    f5 = make_field(5)
+    count = 0
+    for n in range(1, 5):
+        for value in range(5**n):
+            f = Polynomial(f5, [value // 5**i % 5 for i in range(n)] + [1])
+            assert f.is_irreducible() == _is_irreducible_by_factor(f), f
+            count += 1
+    assert count == 780
+
+
+def test_is_irreducible_agrees_with_factor_seeded(f169):
+    # random polynomials, and squares g^2 h that the walk meets unsplit
+    rng = random.Random(27)
+    for spec in (f169, make_field(7, 3)):
+        for trial in range(60):
+            f = _random_poly(spec, rng, 1 + rng.randrange(7))
+            if trial % 3 == 0:
+                g = _random_poly(spec, rng, 1 + rng.randrange(3))
+                f = g * g * _random_poly(spec, rng, rng.randrange(3))
+            assert f.is_irreducible() == _is_irreducible_by_factor(f), f
+    assert not Polynomial.one(f169).is_irreducible()
+    assert not Polynomial.zero(f169).is_irreducible()
+
+
+@pytest.mark.parametrize("p, k, modulus", [
+    (11, 2, (10, 2, 1)),
+    (13, 3, (1, 8, 2, 1)),
+    (5, 8, (3, 0, 3, 4, 4, 1, 4, 3, 1)),
+    (7, 12, (6, 5, 2, 0, 4, 2, 2, 5, 3, 4, 2, 2, 1)),
+])
+def test_make_field_modulus_is_pinned(p, k, modulus):
+    assert make_field(p, k, 0).modulus == modulus
 
 
 def test_factor_with_forced_multiplicities(f11):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from wedderburn import Component, Decomposition, gl_order, sl32_expected_row, sl32_reference_table, unit_group
+from wedderburn import Component, Decomposition, gl_order, sl32_expected_row, unit_group
 from wedderburn.cli import _format_units
 from wedderburn.units import TYPE1_COMPONENTS, TYPE2_COMPONENTS
 
@@ -66,16 +66,19 @@ def test_unit_group_over_an_extension_field():
     assert unit_group(dec, 13, 2) == 168 * gl_order(6, 169) * gl_order(7, 169) * gl_order(8, 169) * gl_order(3, 13**4)
 
 
-def test_reference_table_shape():
-    rows = sl32_reference_table()
-    assert len(rows) == 9
-    assert sum(1 for r in rows if r.family_type == 1) == 6
-    assert sum(1 for r in rows if r.family_type == 2) == 3
-    # every (p mod 7, k mod 6) pair with p not divisible by 7 is covered exactly once
-    for p_res in range(1, 7):
-        for k_res in range(6):
-            hits = [r for r in rows if k_res == r.k_mod6 and p_res in r.p_mod7]
-            assert len(hits) == 1
+def test_reference_rule_by_residue():
+    # type 1 exactly when q = p^k is a square mod 7: for k even always, for
+    # k odd iff p is; one prime per residue p mod 7 = 1..6
+    type1 = 0
+    for p in (29, 23, 17, 11, 5, 13):
+        for k in range(1, 7):
+            row = sl32_expected_row(p, k)
+            want = 1 if k % 2 == 0 or p % 7 in (1, 2, 4) else 2
+            assert row.family_type == want, (p, k)
+            assert row.components == (TYPE1_COMPONENTS if want == 1 else TYPE2_COMPONENTS)
+            assert sl32_expected_row(p, k + 6) == row
+            type1 += want == 1
+    assert type1 == 27
 
 
 def test_reference_rows():

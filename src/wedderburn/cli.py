@@ -81,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     sub.add_argument("--qmax", type=int, default=DEFAULT_QMAX,
                      help="largest field size the brute-force path will touch")
+    sub.add_argument("--verify", action="store_true",
+                     help="recheck the split by explicit algebra products and ranks before printing it")
 
     sub = subs.add_parser("units", help="unit group of F_q[G]")
     _add_common(sub)
@@ -289,6 +291,9 @@ def cmd_oracle(args) -> int:
     t0 = time.perf_counter()
     split = oracle_mod.split_center(G, spec, seed=args.seed)
     elapsed = time.perf_counter() - t0
+    if args.verify and not oracle_mod.verify_split(split):
+        print("error: verify_split rejected the brute-force decomposition", file=sys.stderr)
+        return EXIT_MISMATCH
     blocks = split.pairs()
     json_text = (f'{{\n  "components": {_components_json(blocks)},\n'
                  f'  "q": {_q_json(args.p, args.k)}\n}}')

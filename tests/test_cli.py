@@ -309,6 +309,27 @@ def test_oracle_text_stdout_is_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("p, k", [(11, 1), (13, 3)])
+def test_oracle_verify_prints_what_oracle_prints(capsys, p, k, fmt):
+    argv = ["oracle", "--p", str(p), "--k", str(k), "--format", fmt]
+    code, plain, _ = run(capsys, argv)
+    assert code == 0
+    code, verified, err = run(capsys, argv + ["--verify"])
+    assert code == 0
+    assert verified == plain
+    assert ("elapsed:" in err) == (fmt == "text")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_verify_failure_exits_1_and_prints_nothing(capsys, monkeypatch, fmt):
+    monkeypatch.setattr("wedderburn.oracle.verify_split", lambda split: False)
+    code, out, err = run(capsys, ["oracle", "--p", "11", "--format", fmt, "--verify"])
+    assert code == cli.EXIT_MISMATCH == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_units_json_schema_and_stability(capsys):
     argv = ["units", "--p", "13", "--k", "1", "--format", "json"]
     code, out1, _ = run(capsys, argv)

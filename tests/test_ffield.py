@@ -15,6 +15,7 @@ from wedderburn import (
     make_field,
     minpoly,
 )
+from wedderburn import ffield
 
 from test_kernels import as_matrix, reference_rank
 
@@ -524,19 +525,32 @@ def test_minpoly_shift_is_nilpotent(f11):
     assert minpoly(f11, shift, v) == Polynomial.x(f11) ** dim
 
 
-def test_minpoly_companion_matrix(f11):
-    # multiplication by x modulo f has minimal polynomial exactly f
-    x = Polynomial.x(f11)
-    f = x**3 + x + Polynomial(f11, [f11.scalar(4)])
+def test_minpoly_companion_matrix():
+    # multiplication by x modulo f has minimal polynomial exactly f.  At
+    # degree 48 the Krylov matrix, 48 x 49, is eliminated in int16 (p = 11,
+    # 31) or int32 (p = 37, 8191), and minpoly reads the echelon form written
+    # back from it; the start vector g gives f / gcd(f, g), and a Krylov
+    # matrix that is not already in echelon form
+    assert 48 * 49 >= ffield._NARROW_MIN_ENTRIES
+    for p in (11, 31, 37, 8191):
+        spec = make_field(p)
+        x = Polynomial.x(spec)
+        rng = random.Random(p)
+        random_f = Polynomial(spec, [spec.random_element(rng) for _ in range(48)] + [spec.one])
+        for f in (x**3 + x + Polynomial(spec, [spec.scalar(4)]), random_f):
+            degree = f.degree()
 
-    def apply(w):
-        out = (Polynomial(f11, [f11.element(c) for c in w.tolist()]) * x) % f
-        cs = [f11.element(c) for c in out.coeffs]
-        return _vector(cs + [f11.zero] * (3 - len(cs)))
+            def as_vector(g):
+                cs = [spec.element(c) for c in g.coeffs]
+                return _vector(cs + [spec.zero] * (degree - len(cs)))
 
-    # 1 is a cyclic vector: 1, x, x^2 span F_11[x]/(f)
-    got = minpoly(f11, apply, _vector([f11.one, f11.zero, f11.zero]))
-    assert got == f.monic()
+            def apply(w):
+                return as_vector((Polynomial(spec, [spec.element(c) for c in w.tolist()]) * x) % f)
+
+            # 1 is a cyclic vector: 1, x, ..., x^(degree-1) span F_p[x]/(f)
+            assert minpoly(spec, apply, as_vector(Polynomial.one(spec))) == f.monic()
+            g = Polynomial(spec, [spec.random_element(rng) for _ in range(degree)])
+            assert minpoly(spec, apply, as_vector(g)) == (f // f.gcd(g)).monic()
 
 
 def _charpoly_3x3(spec, rows):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
-from wedderburn.ffield import _blow_up, _rank_mod_p
+from wedderburn.ffield import _NARROW_MIN_ENTRIES, _blow_up, _rank_mod_p, _working_dtype
 from wedderburn.oracle import _CenterAlgebra, _convolve, _right_ideal_dimension
 
 FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0),
@@ -341,13 +341,32 @@ def _with_zero_lines(rng, rows, count):
     return rows
 
 
-# the unreduced updates between two reductions of the trailing block:
-# (2**63 - 1 - p) // (p - 1)**2 is about 9.2e16, 8 and 2; from 2**31 up the
-# arrays hold Python ints and every update is reduced
-@pytest.mark.parametrize("p", [11, 1073741789, 2**31 - 1, 2**31 + 11])
-def test_delayed_reduction_leaves_the_reference_echelon_form(p):
+def _empty_column_then_pivots(rng, p, nrows, ncols, c):
+    """Random rows whose column c is twice column 0: no pivot in column c,
+    though the block right of it still has full rank."""
+    rows = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+    for row in rows:
+        row[c] = 2 * row[0] % p
+    return rows
+
+
+# the working dtype of each p once a matrix is narrowed, and the unreduced
+# updates between two reductions of the trailing block in it,
+# (2**(bits - 1) - 1 - p) // (p - 1)**2: 327 and 36 in int16 (p = 11, 31),
+# 1657009 and 32 in int32 (p = 37, 8191), and in int64, which smaller
+# matrices keep at every p < 2**31, about 9.2e16 at p = 11, 1.4e11 at 8209,
+# 8 at 1073741789 and 2 at 2**31 - 1; from 2**31 up the arrays hold Python
+# ints and every update is reduced.  The 40 x 40 worst case makes 39
+# updates, so it passes the period at 31 and 8191 (narrowed) and at 2**31 - 1
+WORKING_DTYPES = {11: np.int16, 31: np.int16, 37: np.int32, 8191: np.int32, 8209: np.int64,
+                  1073741789: np.int64, 2**31 - 1: np.int64, 2**31 + 11: object}
+
+
+@pytest.mark.parametrize("p", sorted(WORKING_DTYPES))
+def test_delayed_reduction_leaves_the_reference_echelon_form(p, monkeypatch):
     rng = random.Random(p)
     dtype = np.int64 if p < 2**31 else object
+    assert _working_dtype(np.zeros((1, _NARROW_MIN_ENTRIES), dtype=dtype), p) == WORKING_DTYPES[p]
     cases = [
         (_worst_case_rows(p, 40), 40),
         ([[rng.randrange(p) for _ in range(44)] for _ in range(36)], 36),
@@ -360,14 +379,35 @@ def test_delayed_reduction_leaves_the_reference_echelon_form(p):
         (_staircase_rows(rng, p, 8, 45), None),
         (_staircase_rows(rng, p, 45, 8), None),
         ([[0] * 6 for _ in range(4)], 0),
+        (_empty_column_then_pivots(rng, p, 14, 12, 5), 11),  # the early stop must not fire
+        (_low_rank_rows(rng, p, 30, 30, 12), 12),  # the trailing block empties at column 12
     ]
-    for rows, rank in cases:
-        expected = reference_echelon(rows, p)
-        if rank is None:
-            rank = sum(map(any, expected))
-        a = np.array(rows, dtype=dtype)
-        assert _rank_mod_p(a, p) == rank
-        assert a.tolist() == expected
+    for narrow_from in (_NARROW_MIN_ENTRIES, 0):  # at 0 every case, however small, runs in p's working dtype
+        monkeypatch.setattr("wedderburn.ffield._NARROW_MIN_ENTRIES", narrow_from)
+        for rows, rank in cases:
+            expected = reference_echelon(rows, p)
+            if rank is None:
+                rank = sum(map(any, expected))
+            a = np.array(rows, dtype=dtype)
+            assert _rank_mod_p(a, p) == rank
+            assert a.dtype == dtype
+            assert a.tolist() == expected
+
+
+@pytest.mark.parametrize("p", [31, 37])
+def test_blown_up_rank_in_each_working_dtype(p):
+    # a 24 x 24 matrix over F_{p^2} with entries outside F_p blows up to
+    # 48 x 48, which is eliminated in int16 at p = 31 and int32 at p = 37
+    spec = make_field(p, 2, seed=0)
+    rng = random.Random(p)
+    left = [[spec.random_element(rng) for _ in range(17)] for _ in range(24)]
+    right = [[spec.random_element(rng) for _ in range(24)] for _ in range(17)]
+    rows = [[sum((left[i][t] * right[t][j] for t in range(17)), spec.zero) for j in range(24)]
+            for i in range(24)]
+    m = as_matrix(spec, rows)
+    assert m.arr[..., 1:].any()
+    assert _working_dtype(_blow_up(spec, m.arr), p) == WORKING_DTYPES[p]
+    assert m.rank() == reference_rank(rows) == 17
 
 
 def test_rank_blows_up_entries_outside_fp():

@@ -43,7 +43,6 @@ from .units import (
 )
 from .wedder import (
     Component,
-    Decomposition,
     SolverReport,
     analytic_decomposition,
     classify_type,

@@ -215,10 +215,11 @@ def cmd_classes(args) -> int:
 
 
 def _solve_analytic(args):
-    """(G, decomposition, type) for decompose and units, or None once every
-    candidate is printed.  Only a builtin:sl32-* source solves with both
-    SL(3,2) actions and has a type; any other, a file copy of SL(3,2)
-    included, solves with its own action, and its type is None."""
+    """(G, blocks, type) for decompose and units, the blocks being the unique
+    candidate's (n, d) pairs, or None once every candidate is printed.  Only
+    a builtin:sl32-* source solves with both SL(3,2) actions and has a type;
+    any other, a file copy of SL(3,2) included, solves with its own action,
+    and its type is None."""
     G = resolve_group(args.group)
     _check_p(args.p, G)
     sl32 = args.group.startswith("builtin:sl32")
@@ -235,17 +236,17 @@ def _print_nonunique(report: SolverReport, fmt: str):
     per distinct block, and the listing (1.6 MB for S6 over F_11) is printed
     as it is joined, with no copy into a larger string."""
     if fmt == "json":
-        distinct = {c for dec in report.solutions for c in dec.components}
+        distinct = {c for dec in report.solutions for c in dec}
         block = {c: _block_json(*c, "      ") for c in distinct}
         sep = ",\n      "  # every candidate holds the (1, 1) block
-        rows = [f"[\n      {sep.join(map(block.__getitem__, dec.components))}\n    ]"
+        rows = [f"[\n      {sep.join(map(block.__getitem__, dec))}\n    ]"
                 for dec in report.solutions]
         listing = ("[\n    ", ",\n    ".join(rows), "\n  ]") if rows else ("[]",)
         print('{\n  "candidates": ', *listing, ',\n  "unique": false\n}', sep="")
     else:
         print(f"analytic solver found {len(report.solutions)} candidate decompositions:")
-        for d in report.solutions:
-            print("  " + _format_components(d.components))
+        for dec in report.solutions:
+            print("  " + _format_components(dec))
 
 
 def _format_components(blocks) -> str:
@@ -268,12 +269,12 @@ def cmd_decompose(args) -> int:
         return EXIT_NONUNIQUE
     G, dec, t = solved
     split = splitting_field_check(dec)
-    json_text = (f'{{\n  "components": {_components_json(dec.components)},\n  "q": {_q_json(args.p, args.k)},\n'
+    json_text = (f'{{\n  "components": {_components_json(dec)},\n  "q": {_q_json(args.p, args.k)},\n'
                  f'  "splitting_field": {"true" if split else "false"},\n'
                  f'  "type": {"null" if t is None else t}\n}}')
     lines = [
         f"F_q[G] for q = {args.p}^{args.k}, |G| = {G.order}",
-        "components: " + _format_components(dec.components),
+        "components: " + _format_components(dec),
     ]
     if t is not None:
         lines.append(f"type: {t}")
@@ -313,13 +314,13 @@ def cmd_units(args) -> int:
         return EXIT_NONUNIQUE
     G, dec, t = solved
     order = _decimal_string(unit_group(dec, args.p, args.k))
-    units = [f'{{\n      "field": "{args.p}^{args.k * d}",\n      "n": {n}\n    }}' for n, d in dec.components]
-    json_text = (f'{{\n  "components": {_components_json(dec.components)},\n  "order": "{order}",\n'
+    units = [f'{{\n      "field": "{args.p}^{args.k * d}",\n      "n": {n}\n    }}' for n, d in dec]
+    json_text = (f'{{\n  "components": {_components_json(dec)},\n  "order": "{order}",\n'
                  f'  "q": {_q_json(args.p, args.k)},\n  "type": {"null" if t is None else t},\n'
                  f'  "unit_group": {_json_list(units, "  ")}\n}}')
     lines = [
         f"unit group of F_q[G], q = {args.p}^{args.k}, |G| = {G.order}",
-        _format_units(args.p, args.k, dec.components),
+        _format_units(args.p, args.k, dec),
         f"order: {order}",
     ]
     _emit(json_text, args.format, lines)
@@ -353,8 +354,8 @@ def cmd_check(args) -> int:
                 continue
             dec = report.solutions[0]
             row = sl32_expected_row(p, k)
-            if dec.components != row.components:
-                failures.append(f"{label}: got {dec.components}, reference says "
+            if dec != row.components:
+                failures.append(f"{label}: got {dec}, reference says "
                                 f"{tuple(map(tuple, row.components))}")
                 continue
             if sl32_type(G, report.partition) != row.family_type:
@@ -367,9 +368,9 @@ def cmd_check(args) -> int:
                 oracle_cells += 1
                 spec = make_field(p, k, seed=args.seed)
                 split = oracle_mod.split_center(G, spec, seed=args.seed)
-                if split.pairs() != dec.components:
+                if split.pairs() != dec:
                     failures.append(f"{label}: brute-force blocks {split.pairs()} "
-                                    f"differ from analytic {dec.components}")
+                                    f"differ from analytic {dec}")
     for line in failures:
         print("MISMATCH " + line)
     for label in skipped:

@@ -14,12 +14,13 @@ once per field.  pack and unpack run only where a scalar meets a row of an
 (..., k) array.
 Vectors and matrices over F_q in hot paths are arrays of shape (..., k) over
 F_p, and FieldSpec.mul_arrays is their one entrywise product.  There is one
-elimination, _rank_mod_p, on the F_p blow-up of an F_q matrix (each entry
+elimination, _eliminate, on the F_p blow-up of an F_q matrix (each entry
 expanded by one einsum against the powers of the modulus's companion
 matrix): MatrixFq.rank reads the rank off it, and minpoly reads the minimal
-polynomial off the echelon form of its Krylov matrix.  A matrix whose
-entries all lie in F_p skips the blow-up: MatrixFq.rank eliminates its
-constant coefficients, since rank does not change under field extension.
+polynomial off the echelon form that _rank_mod_p leaves of its Krylov
+matrix.  A matrix whose entries all lie in F_p skips the blow-up:
+MatrixFq.rank eliminates its constant coefficients, since rank does not
+change under field extension.
 The elimination delays its reductions: each pivot subtracts unreduced
 products of at most (p - 1)**2, and the trailing block is reduced only
 before t updates could break p + t (p - 1)**2 <= the working dtype's
@@ -867,9 +868,10 @@ class MatrixFq:
             a = _blow_up(self.spec, self.arr)
         else:
             a, k = self.arr[..., 0], 1
-        # the call's one copy, made in the dtype _rank_mod_p works in, so
-        # that it eliminates in place with no cast and no write-back
-        rk = _rank_mod_p(_reduce(a, p, np.empty(a.shape, _working_dtype(a, p))), p)
+        # the call's one copy, reduced as it is made in the dtype the
+        # elimination works in, which then runs in place on it: one
+        # full-array reduction, no cast and no write-back
+        rk = _eliminate(_reduce(a, p, np.empty(a.shape, _working_dtype(a, p))), p)
         if rk % k:
             raise AssertionError("blown-up rank not divisible by extension degree (bug)")
         return rk // k
@@ -895,7 +897,7 @@ def _blow_up(spec: FieldSpec, arr: np.ndarray) -> np.ndarray:
 # the fewest updates a narrowed dtype must hold between two reductions of the
 # trailing block, each of which costs several updates
 _MIN_PERIOD = 32
-_NARROW_MIN_ENTRIES = 1024  # the least matrix size that is narrowed (see _rank_mod_p)
+_NARROW_MIN_ENTRIES = 1024  # the least matrix size that is narrowed (see _eliminate)
 
 
 def _period(dtype: np.dtype, p: int) -> int:
@@ -919,7 +921,7 @@ def _reduce(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _working_dtype(a: np.ndarray, p: int):
-    """The dtype _rank_mod_p eliminates a in: int16, else int32, the first
+    """The dtype _eliminate works on a in: int16, else int32, the first
     whose _period(dtype, p) is at least _MIN_PERIOD, once a has at least
     _NARROW_MIN_ENTRIES entries; otherwise a's own dtype (int64, or object
     from p = 2**31 up)."""
@@ -937,16 +939,34 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     pivot rows, each zero left of its pivot and with the pivot scaled to 1,
     every entry below a pivot is zero, and rows r and up are zero.
 
-    The elimination runs on a working array of dtype _working_dtype(a, p):
-    a itself, or from _NARROW_MIN_ENTRIES = 1024 entries up (32 x 32) a
-    narrower copy, int16 for p <= 31 and int32 for 37 <= p <= 8191, that is
-    written back into a at the end.  The updates are memory-bound, so the
-    narrow copy pays only on larger matrices: measured on square matrices of
-    full rank, of rank about half and of rank 1 at p = 11, 37 and 5051, the
-    cast and write-back make a rank 3-15% slower at 12 columns, cost about
-    what they save at 24 to 32, and make it 5-20% faster at 40 to 48 and
-    15-45% faster at 64 to 96.  Reduction is delayed (Dumas, Giorgi and Pernet, ACM TOMS
-    35(3), 2008): each pivot reduces only its column and its row, and
+    The elimination (_eliminate) runs on a working array of dtype
+    _working_dtype(a, p): a itself, or from _NARROW_MIN_ENTRIES = 1024
+    entries up (32 x 32) a narrower copy, int16 for p <= 31 and int32 for
+    37 <= p <= 8191, that is written back into a at the end.  The whole
+    array is reduced mod p twice: into the working array before the
+    elimination, and in place after it."""
+    dtype = _working_dtype(a, p)
+    w = a if dtype == a.dtype else np.empty(a.shape, dtype)
+    r = _eliminate(_reduce(a, p, w), p)
+    _reduce(w, p, w)
+    if w is not a:
+        a[...] = w
+    return r
+
+
+def _eliminate(w: np.ndarray, p: int) -> int:
+    """Rank modulo p of w, an array already reduced mod p in its working
+    dtype (_working_dtype), by Gaussian elimination in place.  On return w
+    is congruent mod p to the row echelon form _rank_mod_p describes; its
+    entries are not reduced.
+
+    The updates are memory-bound, so a narrow working copy pays only on
+    larger matrices: measured on square matrices of full rank, of rank
+    about half and of rank 1 at p = 11, 37 and 5051, the cast and
+    write-back make a rank 3-15% slower at 12 columns, cost about what they
+    save at 24 to 32, and make it 5-20% faster at 40 to 48 and 15-45%
+    faster at 64 to 96.  Reduction is delayed (Dumas, Giorgi and Pernet,
+    ACM TOMS 35(3), 2008): each pivot reduces only its column and its row, and
     subtracts the unreduced products col * row, each at most (p - 1)**2,
     from the rows below.  After t such updates an entry lies in
     (-t (p - 1)**2, p), so the trailing block is reduced (_reduce) once
@@ -958,16 +978,13 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
     is reduced mod p before it is scaled by its inverse (so the product
     stays below p**2), the first row below r with a nonzero in column c
     trades places with row r from c on only, and one outer product
-    updates the whole slice a[r+1:, c:], zero rows of the column included.
-    Left of c those two rows hold multiples of p, which the last reduction
-    turns to zeros, so the result is that of a full row swap.  At a column
+    updates the whole slice w[r+1:, c:], zero rows of the column included.
+    Left of c those two rows hold multiples of p, which a reduction turns
+    to zeros, so the result is that of a full row swap.  At a column
     with no pivot the elimination stops once the block right of it, rows r
     and up, is zero mod p: every later column would have no pivot either."""
-    dtype = _working_dtype(a, p)
-    w = a if dtype == a.dtype else np.empty(a.shape, dtype)
-    _reduce(a, p, w)
     nrows, ncols = w.shape
-    period = 1 if dtype == object else _period(dtype, p)
+    period = 1 if w.dtype == object else _period(w.dtype, p)
     r = pending = 0
     for c in range(ncols):
         if r == nrows:
@@ -993,7 +1010,4 @@ def _rank_mod_p(a: np.ndarray, p: int) -> int:
                 _reduce(w[r + 1 :, c:], p, w[r + 1 :, c:])
                 pending = 0
         r += 1
-    _reduce(w, p, w)
-    if w is not a:
-        a[...] = w
     return r

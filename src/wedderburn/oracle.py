@@ -393,7 +393,8 @@ def verify_split(split: CentralSplit) -> bool:
     multiplication and rank computation; returns False on the first failure.
 
     The checks run in this order, each invariant once:
-    1. there is a block, and one (n, d) per idempotent;
+    1. there is a block, one (n, d) per idempotent, and every e_i lies in
+       the same group algebra (one group and one field);
     2. every e_i is constant on conjugacy classes, so central (the class sums
        span the center of F_q[G]);
     3. the e_i sum to 1;
@@ -426,14 +427,13 @@ def verify_split(split: CentralSplit) -> bool:
         return False
     G = es[0].group
     spec = es[0].spec
+    if any(e.group is not G or e.spec != spec for e in es):
+        return False
     reps = [c.index for c in G.classes]  # each class's least index
     class_first = [reps[ci] for ci in G.class_index_of]
     if any(not np.array_equal(e.arr, e.arr[class_first]) for e in es):
         return False
-    total = AlgebraElement.zero(G, spec)
-    for e in es:
-        total = total + e
-    if total != AlgebraElement.unit(G, spec):
+    if not np.array_equal(sum(e.arr for e in es) % spec.p, AlgebraElement.unit(G, spec).arr):
         return False
     table = G.mul_table()
     if any(_convolve(G, spec, [e.arr for e in es[: j + 1]], table[:, reps]).any() for j in range(1, len(es))):

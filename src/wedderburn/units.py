@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .wedder import Component, Decomposition
+from .wedder import Component
 
 __all__ = [
     "ReferenceRow",
@@ -38,10 +38,10 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
-def unit_group(dec: Decomposition, p: int, k: int) -> int:
-    """Order of the unit group of a decomposition over F_{p^k}: the product
-    of |GL(n, p^(k d))| over its (n, d) blocks."""
-    return math.prod(gl_order(n, p ** (k * d)) for n, d in dec.components)
+def unit_group(blocks, p: int, k: int) -> int:
+    """Order of the unit group of a decomposition over F_{p^k}, given as its
+    (n, d) blocks: the product of |GL(n, p^(k d))| over them."""
+    return math.prod(gl_order(n, p ** (k * d)) for n, d in blocks)
 
 
 # SL(3,2) reference classification -------------------------------------------

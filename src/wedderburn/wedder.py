@@ -4,9 +4,9 @@ Combines three exact ingredients: the block count and center degrees from
 the q-power orbits, matrix blocks forced by doubly transitive permutation
 actions, and the mass constraint sum(d * n^2) = |G|.  The solver enumerates
 every assignment of matrix sizes to the remaining center-degree slots, one
-memoized recursion in which each multiset appears once, lists the candidates
-in (d, n) order and reports whether the constraints pin the decomposition
-uniquely.
+memoized recursion in which each multiset appears once, lists each candidate
+as a tuple of plain (n, d) pairs in (d, n) order and reports whether the
+constraints pin the decomposition uniquely.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import NamedTuple
 
 from .charkit import deleted_module_check
@@ -24,8 +23,8 @@ from .perm import FiniteGroup, builtin_sl32_s8
 
 __all__ = [
     "Component",
-    "Decomposition",
     "SolverReport",
+    "analytic_decomposition",
     "forced_components",
     "solve",
     "classify_type",
@@ -47,46 +46,14 @@ class Component(NamedTuple):
     d: int
 
 
-# blocks are listed in (d, n) order
-_by_degree = itemgetter(1, 0)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """A full block decomposition: (n, d) pairs, a Component or a plain
-    tuple each, kept sorted by (d, n), whose masses d * n^2 must add up to
-    the group order."""
-
-    components: tuple[tuple[int, int], ...]
-    group_order: int
-
-    def __post_init__(self):
-        comps = tuple(sorted(self.components, key=_by_degree))
-        object.__setattr__(self, "components", comps)
-        total = sum(d * n * n for n, d in comps)
-        if total != self.group_order:
-            raise ValueError(f"component masses sum to {total}, expected {self.group_order}")
-        if (1, 1) not in comps:
-            raise ValueError("decomposition is missing the trivial (1, 1) block")
-
-    @classmethod
-    def _trusted(cls, components, group_order) -> "Decomposition":
-        """A decomposition whose components are already sorted by (d, n),
-        with masses summing to group_order and the trivial block, as solve
-        proves for its candidates; no check is repeated."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "components", components)
-        object.__setattr__(out, "group_order", group_order)
-        return out
-
-
 @dataclass(frozen=True)
 class SolverReport:
-    """The candidates of one solve; analytic_decomposition also keeps the
-    q-power cycles the center degrees were read from, so a caller reads the
-    SL(3,2) type off them without computing them again."""
+    """The candidates of one solve, each a tuple of (n, d) pairs in (d, n)
+    order; analytic_decomposition also keeps the q-power cycles the center
+    degrees were read from, so a caller reads the SL(3,2) type off them
+    without computing them again."""
 
-    solutions: tuple[Decomposition, ...]
+    solutions: tuple[tuple[tuple[int, int], ...], ...]
     partition: tuple[tuple[int, ...], ...] = ()
 
     @property
@@ -109,7 +76,8 @@ def forced_components(G: FiniteGroup, p: int, actions) -> list[Component]:
 
 def solve(group_order: int, degrees, forced) -> SolverReport:
     """Enumerate all decompositions consistent with the given center degrees
-    and forced (n, d) blocks.
+    and forced (n, d) blocks, each candidate a tuple of (n, d) int pairs in
+    (d, n) order.
 
     Every forced block consumes one degree-1 slot.  The remaining slots are
     filled with all matrix sizes n >= 1 such that the total mass equals the
@@ -123,8 +91,7 @@ def solve(group_order: int, degrees, forced) -> SolverReport:
     multiset, so its (d, n) order is the order of its sizes once the
     degree-1 sizes are merged with the forced ones and every other degree's
     sizes are reversed; the candidates are sorted once on those int tuples,
-    and each is built once from shared plain (n, d) pairs, its order and
-    mass already proven.  Raises ValueError for a center degree below 1 and
+    and each is built once from shared plain (n, d) pairs.  Raises ValueError for a center degree below 1 and
     when a candidate lacks the trivial (1, 1) block.
     """
     degrees = sorted(degrees)
@@ -192,9 +159,7 @@ def solve(group_order: int, degrees, forced) -> SolverReport:
     if head:
         pairs[1].update((n, (n, 1)) for n in head)
     tables = [pairs[d] for d in degrees]
-    return SolverReport(solutions=tuple(
-        Decomposition._trusted(tuple([t[n] for t, n in zip(tables, key)]), group_order) for key in keys
-    ))
+    return SolverReport(solutions=tuple([tuple(map(dict.__getitem__, tables, key)) for key in keys]))
 
 
 def is_sl32_class_data(G: FiniteGroup) -> bool:
@@ -233,10 +198,10 @@ def classify_type(p: int, k: int) -> int:
     return sl32_type(G, cyclotomic_partition(G, p, k))
 
 
-def splitting_field_check(dec: Decomposition) -> bool:
-    """True iff every block sits over the base field itself, equivalently
-    sum(n^2) = |G|."""
-    return all(d == 1 for _, d in dec.components)
+def splitting_field_check(blocks) -> bool:
+    """True iff every (n, d) block sits over the base field itself,
+    equivalently sum(n^2) = |G|."""
+    return all(d == 1 for _, d in blocks)
 
 
 def analytic_decomposition(G: FiniteGroup, p: int, k: int, actions) -> SolverReport:

@@ -106,7 +106,7 @@ def test_criterion_4_reference_grid():
             dec = rep.solutions[0] if rep.unique else None
             cell_ok = (
                 rep.unique
-                and dec.components == row.components
+                and dec == row.components
                 and classify_type(p, k) == row.family_type
             )
             if cell_ok:

@@ -166,8 +166,8 @@ def test_nonunique_json_matches_json_dumps(capsys, name, p, top_degree):
     G = load_group(group)
     report = analytic_decomposition(G, p, 1, [G])
     # blocks over F_{q^2} exercise the writer's d = 2 pieces
-    assert max(d for dec in report.solutions for _, d in dec.components) == top_degree
-    candidates = [[{"n": n, "d": d} for n, d in dec.components] for dec in report.solutions]
+    assert max(d for dec in report.solutions for _, d in dec) == top_degree
+    candidates = [[{"n": n, "d": d} for n, d in dec] for dec in report.solutions]
     payload = {"unique": False, "candidates": candidates}
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
+from wedderburn import ffield
 from wedderburn.ffield import _NARROW_MIN_ENTRIES, _blow_up, _rank_mod_p, _working_dtype
 from wedderburn.oracle import _CenterAlgebra, _convolve, _right_ideal_dimension
 
@@ -408,6 +409,66 @@ def test_blown_up_rank_in_each_working_dtype(p):
     assert m.arr[..., 1:].any()
     assert _working_dtype(_blow_up(spec, m.arr), p) == WORKING_DTYPES[p]
     assert m.rank() == reference_rank(rows) == 17
+
+
+def full_reductions(monkeypatch, call):
+    """call() with _reduce and _eliminate watched: the count of _reduce calls
+    on an array of the eliminated shape before, during and after _eliminate."""
+    events = []
+    reduce, eliminate = ffield._reduce, ffield._eliminate
+
+    def watched_reduce(x, p, out=None):
+        events.append(x.shape)
+        return reduce(x, p, out)
+
+    def watched_eliminate(w, p):
+        events.append("start")
+        r = eliminate(w, p)
+        events.append(("end", w.shape))
+        return r
+
+    monkeypatch.setattr(ffield, "_reduce", watched_reduce)
+    monkeypatch.setattr(ffield, "_eliminate", watched_eliminate)
+    result = call()
+    shape = next(e for e in events if e[0] == "end")[1]
+    start, end = events.index("start"), events.index(("end", shape))
+    return result, tuple(sum(e == shape for e in part)
+                         for part in (events[:start], events[start:end], events[end + 1:]))
+
+
+@pytest.mark.parametrize("field, size, outside_fp", [
+    ((11, 1), 5, False),
+    ((11, 1), 48, False),  # narrowed to int16
+    ((11, 2), 24, True),  # blown up to 48 x 48
+    ((13, 3), 4, True),
+    ((13, 3), 6, False),
+    ((2**31 + 11, 2), 6, False),  # Python ints
+])
+def test_rank_reduces_the_whole_array_once(field, size, outside_fp, monkeypatch):
+    # MatrixFq.rank reduces its working copy as it makes it, and nothing
+    # reduces the whole array again, before the pivot loop or after it
+    spec = FIELDS[field]
+    rng = random.Random(size)
+    if outside_fp:
+        rows = [[spec.random_element(rng) for _ in range(size)] for _ in range(size)]
+    else:
+        rows = [[spec.element(rng.randrange(spec.p)) for _ in range(size)] for _ in range(size)]
+    m = as_matrix(spec, rows)
+    assert bool(m.arr[..., 1:].any()) == outside_fp
+    rank, counts = full_reductions(monkeypatch, m.rank)
+    assert rank == reference_rank(rows)
+    assert counts == (1, 0, 0)
+
+
+@pytest.mark.parametrize("p, size, dtype", [(11, 5, np.int64), (11, 48, np.int64), (2**31 + 11, 6, object)])
+def test_rank_mod_p_reduces_the_whole_array_before_and_after(p, size, dtype, monkeypatch):
+    # once into the working array, once more for the echelon form it writes back
+    rng = random.Random(size)
+    rows = [[rng.randrange(-p * p, p * p) for _ in range(size)] for _ in range(size)]
+    a = np.array(rows, dtype=dtype)
+    rank, counts = full_reductions(monkeypatch, lambda: _rank_mod_p(a, p))
+    assert counts == (1, 0, 1)
+    assert a.tolist() == reference_echelon(rows, p) and rank == sum(map(any, a.tolist()))
 
 
 def test_rank_blows_up_entries_outside_fp():

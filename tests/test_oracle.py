@@ -267,6 +267,20 @@ def test_verify_rejects_a_missing_block_before_any_product(split11, monkeypatch)
     assert not calls
 
 
+@pytest.mark.parametrize("position", [0, 3])
+def test_verify_rejects_idempotents_of_another_field_or_group(sl32_s8, sl32_p2f2, f11, f13, split11, position,
+                                                               monkeypatch):
+    # one idempotent swapped in from the split over F_13, or from the split of
+    # the other SL(3,2) action over F_11: False, with no product and no raise
+    others = [split_center(sl32_s8, f13, seed=0), split_center(sl32_p2f2, f11, seed=0)]
+    calls = counting_products(monkeypatch)
+    for other in others:
+        es = list(split11.idempotents)
+        es[position] = other.idempotents[position]
+        assert not verify_split(dataclasses.replace(split11, idempotents=tuple(es)))
+    assert not calls
+
+
 @pytest.mark.parametrize("p,products", [(11, 15), (13, 10)])
 def test_verify_makes_one_product_per_pair_of_blocks(sl32_s8, p, products, monkeypatch):
     # m(m-1)/2 products for m blocks, 6 blocks over F_11 and 5 over F_13, in
@@ -418,7 +432,7 @@ def test_split_agrees_with_analytic_and_cyclo(sl32_s8, sl32_p2f2):
         split = split_center(sl32_s8, spec, seed=0)
         rep = analytic_decomposition(sl32_s8, p, k, actions)
         assert rep.unique
-        assert split.pairs() == rep.solutions[0].components, (p, k)
+        assert split.pairs() == rep.solutions[0], (p, k)
         orbits = cyclotomic_partition(sl32_s8, p, k)
         assert len(split.idempotents) == len(orbits)
         assert sorted(d for _, d in split.blocks) == sorted(len(o) for o in orbits)
@@ -474,11 +488,11 @@ def test_split_blocks_are_an_analytic_candidate_on_the_zoo(name, p):
     blocks = split_center(G, make_field(p), seed=0).pairs()
     rep = analytic_decomposition(G, p, 1, [G])
     assert plain_int_pairs(blocks)
-    assert all(plain_int_pairs(dec.components) for dec in rep.solutions)
+    assert all(plain_int_pairs(dec) for dec in rep.solutions)
     if rep.unique:
-        assert blocks == rep.solutions[0].components
+        assert blocks == rep.solutions[0]
     else:
-        assert blocks in [dec.components for dec in rep.solutions]
+        assert blocks in rep.solutions
 
 
 def table_reads(monkeypatch, full_reads=True):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wedderburn import (
     Component,
-    Decomposition,
     ModularCaseError,
     analytic_decomposition,
     classify_type,
@@ -68,16 +67,16 @@ def test_solve_type1_unique():
     forced = [Component(1, 1), Component(6, 1), Component(7, 1)]
     rep = solve(168, [1] * 6, forced)
     assert rep.unique
-    assert rep.solutions[0].components == ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1))
+    assert rep.solutions[0] == ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1))
 
 
 def test_solve_type2_unique():
     forced = [Component(1, 1), Component(6, 1), Component(7, 1)]
     rep = solve(168, [1, 1, 1, 1, 2], forced)
     assert rep.unique
-    assert rep.solutions[0].components == ((1, 1), (6, 1), (7, 1), (8, 1), (3, 2))
+    assert rep.solutions[0] == ((1, 1), (6, 1), (7, 1), (8, 1), (3, 2))
     # remaining mass: 64 + 2*9 = 82
-    assert sum(d * n * n for n, d in rep.solutions[0].components if (n, d) not in forced) == 82
+    assert sum(d * n * n for n, d in rep.solutions[0] if (n, d) not in forced) == 82
 
 
 def test_solve_negative_control_matches_brute_force():
@@ -86,7 +85,7 @@ def test_solve_negative_control_matches_brute_force():
     assert len(oracle) == 11
     assert not rep.unique
     assert len(rep.solutions) == len(oracle)
-    got = {tuple(sorted((n for n, _ in d.components), reverse=True)) for d in rep.solutions}
+    got = {tuple(sorted((n for n, _ in dec), reverse=True)) for dec in rep.solutions}
     assert got == {tuple(sorted((1,) + s, reverse=True)) for s in oracle}
 
 
@@ -107,7 +106,7 @@ def brute_force_solve(group_order, degrees, forced):
         if sum(d * n * n for n, d in blocks) == group_order:
             found.add(tuple(sorted(blocks, key=lambda b: (b[1], b[0]))))
     if any((1, 1) not in sol for sol in found):
-        return None  # Decomposition refuses a candidate without the trivial block
+        return None  # solve refuses a candidate without the trivial block
     return sorted(found, key=lambda sol: [(d, n) for n, d in sol])
 
 
@@ -132,7 +131,10 @@ def test_solve_matches_brute_force(group_order, degrees, forced, trivial):
             solve(group_order, degrees, forced)
         return
     rep = solve(group_order, degrees, forced)
-    assert [dec.components for dec in rep.solutions] == expected
+    assert list(rep.solutions) == expected
+    # plain tuples of exact int pairs, whatever type the forced blocks had
+    assert all(type(dec) is tuple and all(type(c) is tuple and type(c[0]) is int and type(c[1]) is int
+                                          for c in dec) for dec in rep.solutions)
     assert rep.unique == (len(expected) == 1)
 
 
@@ -141,16 +143,8 @@ def test_solve_pins_s6_candidates():
     G = load_group(Path(__file__).resolve().parents[1] / "bench" / "groups" / "s6.txt")
     rep = analytic_decomposition(G, 11, 1, [G])
     assert len(rep.solutions) == 3037 and not rep.unique
-    digest = hashlib.sha256(str([d.components for d in rep.solutions]).encode()).hexdigest()
+    digest = hashlib.sha256(str(list(rep.solutions)).encode()).hexdigest()
     assert digest == "9517268e226402cb1898d9ff40e76e1f3ffbb7e64213e9a3dcfa2e16f949586d"
-
-
-def test_solve_s6_candidates_pass_the_checking_constructor():
-    G = load_group(Path(__file__).resolve().parents[1] / "bench" / "groups" / "s6.txt")
-    rep = analytic_decomposition(G, 11, 1, [G])
-    for dec in rep.solutions:
-        assert dec == Decomposition(dec.components, dec.group_order)
-        assert all(type(c) is tuple and type(c[0]) is int and type(c[1]) is int for c in dec.components)
 
 
 def test_solve_rejects_candidates_without_the_trivial_block():
@@ -165,16 +159,16 @@ def test_solve_rejects_candidates_without_the_trivial_block():
 def test_solve_fills_thousands_of_slots_without_deep_recursion():
     # 5000 degree-1 slots, all 1 x 1: the least remaining mass ends the search at once
     rep = solve(5000, [1] * 5000, [Component(1, 1)])
-    assert rep.unique and rep.solutions[0].components == ((1, 1),) * 5000
+    assert rep.unique and rep.solutions[0] == ((1, 1),) * 5000
     # one 2 x 2 block among 1000 slots; a size that would leave a later slot
     # below its degree is never tried
     rep = solve(1004, [1] * 1001, [Component(1, 1)])
-    assert rep.unique and rep.solutions[0].components == ((1, 1),) * 1000 + ((2, 1),)
+    assert rep.unique and rep.solutions[0] == ((1, 1),) * 1000 + ((2, 1),)
 
 
 def test_component_is_a_plain_pair():
     assert Component(3, 1) == (3, 1) and Component(3, 2).d == 2
-    blocks = solve(10, [1, 1], [Component(1, 1)]).solutions[0].components
+    blocks = solve(10, [1, 1], [Component(1, 1)]).solutions[0]
     assert blocks == ((1, 1), (3, 1)) and type(blocks[1]) is tuple
 
 
@@ -205,15 +199,6 @@ def test_solve_rejects_degrees_below_one():
 def test_solve_no_solution_reports_empty():
     rep = solve(7, [1, 1], [Component(1, 1)])  # 1 + n^2 = 7 has no solution
     assert rep.solutions == () and not rep.unique
-
-
-def test_decomposition_validation():
-    with pytest.raises(ValueError):
-        Decomposition((Component(2, 1),), 5)  # mass mismatch
-    with pytest.raises(ValueError):
-        Decomposition((Component(2, 1), Component(1, 2)), 6)  # no (1,1) block
-    dec = Decomposition(((2, 1), Component(1, 1)), 5)
-    assert dec.components == ((1, 1), (2, 1))
 
 
 def test_classify_type_values():
@@ -251,7 +236,7 @@ def test_report_partition_gives_the_type_on_every_action(sl32_s8, sl32_p2f2):
             for G in (sl32_s8, sl32_p2f2, psl27):
                 rep = analytic_decomposition(G, p, k, [G])
                 assert sl32_type(G, rep.partition) == classify_type(p, k), (p, k)
-                assert sorted(map(len, rep.partition)) == sorted(d for _, d in rep.solutions[0].components)
+                assert sorted(map(len, rep.partition)) == sorted(d for _, d in rep.solutions[0])
 
 
 def test_sl32_type_needs_two_order7_classes(s5):
@@ -260,23 +245,26 @@ def test_sl32_type_needs_two_order7_classes(s5):
 
 
 def test_splitting_field_check():
-    type1 = Decomposition(TYPE1_COMPONENTS, 168)
-    type2 = Decomposition(TYPE2_COMPONENTS, 168)
-    assert splitting_field_check(type1)
-    assert not splitting_field_check(type2)
+    # the Component reference rows and the plain pairs solve returns
+    assert splitting_field_check(TYPE1_COMPONENTS)
+    assert not splitting_field_check(TYPE2_COMPONENTS)
+    assert splitting_field_check(tuple(map(tuple, TYPE1_COMPONENTS)))
+    assert not splitting_field_check(tuple(map(tuple, TYPE2_COMPONENTS)))
     assert 1 + 36 + 49 + 64 + 9 + 9 == 168
-    trivial = Decomposition((Component(1, 1),), 1)
-    assert splitting_field_check(trivial)
+    assert splitting_field_check(((1, 1),))
+    assert splitting_field_check(solve(10, [1, 1], [Component(1, 1)]).solutions[0])
+    assert not splitting_field_check(solve(168, [1, 1, 1, 1, 2], [Component(1, 1), Component(6, 1),
+                                                                  Component(7, 1)]).solutions[0])
 
 
 def test_analytic_pipeline_sl32(sl32_s8, sl32_p2f2):
     actions = [sl32_s8, sl32_p2f2]
     rep = analytic_decomposition(sl32_s8, 11, 1, actions)
-    assert rep.unique and rep.solutions[0].components == TYPE1_COMPONENTS
+    assert rep.unique and rep.solutions[0] == TYPE1_COMPONENTS
     rep = analytic_decomposition(sl32_s8, 13, 1, actions)
-    assert rep.unique and rep.solutions[0].components == TYPE2_COMPONENTS
+    assert rep.unique and rep.solutions[0] == TYPE2_COMPONENTS
     for dec in rep.solutions:
-        assert sum(d * n * n for n, d in dec.components) == 168
+        assert sum(d * n * n for n, d in dec) == 168
 
 
 def test_analytic_pipeline_s5(s5):
@@ -285,7 +273,7 @@ def test_analytic_pipeline_s5(s5):
     rep = analytic_decomposition(s5, 11, 1, [s5])
     assert not rep.unique
     true_degrees = tuple(sorted([1, 1, 4, 4, 5, 5, 6], reverse=True))
-    got = {tuple(sorted((n for n, _ in d.components), reverse=True)) for d in rep.solutions}
+    got = {tuple(sorted((n for n, _ in dec), reverse=True)) for dec in rep.solutions}
     assert true_degrees in got
 
 
@@ -303,4 +291,4 @@ def test_grid_uniqueness_and_reference_match(sl32_s8, sl32_p2f2):
             rep = analytic_decomposition(sl32_s8, p, k, actions)
             assert rep.unique, (p, k)
             row = sl32_expected_row(p, k)
-            assert rep.solutions[0].components == row.components, (p, k)
+            assert rep.solutions[0] == row.components, (p, k)

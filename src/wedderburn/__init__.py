@@ -42,10 +42,8 @@ from .units import (
     unit_group,
 )
 from .wedder import (
-    Component,
     SolverReport,
     analytic_decomposition,
-    classify_type,
     forced_components,
     is_sl32_class_data,
     sl32_type,

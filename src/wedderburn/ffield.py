@@ -16,11 +16,11 @@ Vectors and matrices over F_q in hot paths are arrays of shape (..., k) over
 F_p, and FieldSpec.mul_arrays is their one entrywise product.  There is one
 elimination, _eliminate, on the F_p blow-up of an F_q matrix (each entry
 expanded by one einsum against the powers of the modulus's companion
-matrix): MatrixFq.rank reads the rank off it, and minpoly reads the minimal
-polynomial off the echelon form that _rank_mod_p leaves of its Krylov
-matrix.  A matrix whose entries all lie in F_p skips the blow-up:
-MatrixFq.rank eliminates its constant coefficients, since rank does not
-change under field extension.
+matrix), run in place on a fresh working copy (_working_copy): MatrixFq.rank
+reads the rank off it, and minpoly reads the minimal polynomial off the
+echelon form it leaves of its Krylov matrix.  A matrix whose entries all
+lie in F_p skips the blow-up: MatrixFq.rank eliminates its constant
+coefficients, since rank does not change under field extension.
 The elimination delays its reductions: each pivot subtracts unreduced
 products of at most (p - 1)**2, and the trailing block is reduced only
 before t updates could break p + t (p - 1)**2 <= the working dtype's
@@ -31,9 +31,8 @@ products are reduced modulo p before they can pass 2**63 - 1; otherwise
 arrays hold Python ints (dtype object), on which the same numpy code is
 exact.  Every field make_field builds has p**k < 2**63 and so meets the
 bound whenever p < 2**31.  The elimination alone narrows: on a matrix of
-at least _NARROW_MIN_ENTRIES entries it works on an int16 copy when p <= 31
-and an int32 copy when 37 <= p <= 8191 (_working_dtype), and writes the
-echelon form back into the caller's array.
+at least _NARROW_MIN_ENTRIES entries its working copy is int16 when p <= 31
+and int32 when 37 <= p <= 8191 (_working_dtype).
 """
 
 from __future__ import annotations
@@ -818,12 +817,14 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray) -> Polynomial:
     ``v`` is a (dim, k) array of dtype spec.dtype reduced mod p, dim =
     len(v), and ``apply`` maps such arrays to such arrays.  The Krylov
     vectors v, Av, ..., A^dim v are the columns of a matrix over F_q, and
-    _rank_mod_p reduces its blow-up over F_p.  With t = deg m, the column blocks 0..t-1 are
-    independent over F_q and every later block depends on them, so the
-    pivots are exactly the first kt = k*t columns.  Column kt is A^t v
-    itself; back-substitution in the unit upper triangle U = a[:kt, :kt]
-    solves U y = -a[:kt, kt], and the coefficient of X^j in m is
-    y[jk:(j+1)k].  A zero start vector gives t = 0 and m = 1.
+    _eliminate reduces a working copy of its blow-up over F_p.  With
+    t = deg m, the column blocks 0..t-1 are independent over F_q and every
+    later block depends on them, so the pivots are exactly the first
+    kt = k*t columns.  Only e = w[:kt, :kt + 1] mod p, the pivot rows up to
+    column kt, is read: column kt is A^t v itself; back-substitution in the
+    unit upper triangle U = e[:, :kt] solves U y = -e[:, kt], and the
+    coefficient of X^j in m is y[jk:(j+1)k].  A zero start vector gives
+    t = 0 and m = 1.
     """
     shape = (len(v), spec.k)
     if np.shape(v) != shape:
@@ -834,13 +835,16 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray) -> Polynomial:
         if np.shape(krylov[-1]) != shape:
             raise ValueError("operator changed the dimension")
     p, k = spec.p, spec.k
-    a = _blow_up(spec, np.stack(krylov, axis=1))
-    kt = _rank_mod_p(a, p)
-    if kt % k or not (np.diagonal(a)[:kt] == 1).all():
+    w = _working_copy(_blow_up(spec, np.stack(krylov, axis=1)), p)
+    kt = _eliminate(w, p)
+    # in spec.dtype: the products below with a narrowed w's int16 or int32
+    # rows cost more than this one cast
+    e = np.remainder(w[:kt, : kt + 1], p, dtype=spec.dtype)
+    if kt % k or not (np.diagonal(e) == 1).all():
         raise AssertionError("Krylov pivots are not the leading columns (bug)")
     y = np.zeros(kt, dtype=spec.dtype)
     for r in range(kt - 1, -1, -1):
-        y[r] = (-a[r, kt] - (a[r, r + 1 : kt] * y[r + 1 :] % p).sum()) % p
+        y[r] = (-e[r, kt] - (e[r, r + 1 : kt] * y[r + 1 :] % p).sum()) % p
     return Polynomial._of(spec, [spec.pack(c) for c in y.reshape(-1, k).tolist()] + [1])
 
 
@@ -868,10 +872,7 @@ class MatrixFq:
             a = _blow_up(self.spec, self.arr)
         else:
             a, k = self.arr[..., 0], 1
-        # the call's one copy, reduced as it is made in the dtype the
-        # elimination works in, which then runs in place on it: one
-        # full-array reduction, no cast and no write-back
-        rk = _eliminate(_reduce(a, p, np.empty(a.shape, _working_dtype(a, p))), p)
+        rk = _eliminate(_working_copy(a, p), p)
         if rk % k:
             raise AssertionError("blown-up rank not divisible by extension degree (bug)")
         return rk // k
@@ -932,43 +933,29 @@ def _working_dtype(a: np.ndarray, p: int):
     return a.dtype
 
 
-def _rank_mod_p(a: np.ndarray, p: int) -> int:
-    """Rank r modulo p of an integer matrix (int64 below p = 2**31, Python
-    ints from there up) by Gaussian elimination.  On return a, in its own
-    dtype, is reduced mod p and in row echelon form: rows 0..r-1 are the
-    pivot rows, each zero left of its pivot and with the pivot scaled to 1,
-    every entry below a pivot is zero, and rows r and up are zero.
-
-    The elimination (_eliminate) runs on a working array of dtype
-    _working_dtype(a, p): a itself, or from _NARROW_MIN_ENTRIES = 1024
-    entries up (32 x 32) a narrower copy, int16 for p <= 31 and int32 for
-    37 <= p <= 8191, that is written back into a at the end.  The whole
-    array is reduced mod p twice: into the working array before the
-    elimination, and in place after it."""
-    dtype = _working_dtype(a, p)
-    w = a if dtype == a.dtype else np.empty(a.shape, dtype)
-    r = _eliminate(_reduce(a, p, w), p)
-    _reduce(w, p, w)
-    if w is not a:
-        a[...] = w
-    return r
+def _working_copy(a: np.ndarray, p: int) -> np.ndarray:
+    """A fresh copy of a in _working_dtype(a, p), reduced mod p as it is
+    made: one full-array reduction, and a is left as it was."""
+    return _reduce(a, p, np.empty(a.shape, _working_dtype(a, p)))
 
 
 def _eliminate(w: np.ndarray, p: int) -> int:
-    """Rank modulo p of w, an array already reduced mod p in its working
-    dtype (_working_dtype), by Gaussian elimination in place.  On return w
-    is congruent mod p to the row echelon form _rank_mod_p describes; its
-    entries are not reduced.
+    """Rank r modulo p of w, an array already reduced mod p in its working
+    dtype (_working_copy), by Gaussian elimination in place.  On return w is
+    congruent mod p, entry by entry but not reduced, to the row echelon
+    form: rows 0..r-1 are the pivot rows, each zero left of its pivot and
+    with the pivot scaled to 1, every entry below a pivot is zero, and rows
+    r and up are zero.
 
     The updates are memory-bound, so a narrow working copy pays only on
     larger matrices: measured on square matrices of full rank, of rank
-    about half and of rank 1 at p = 11, 37 and 5051, the cast and
-    write-back make a rank 3-15% slower at 12 columns, cost about what they
-    save at 24 to 32, and make it 5-20% faster at 40 to 48 and 15-45%
-    faster at 64 to 96.  Reduction is delayed (Dumas, Giorgi and Pernet,
-    ACM TOMS 35(3), 2008): each pivot reduces only its column and its row, and
-    subtracts the unreduced products col * row, each at most (p - 1)**2,
-    from the rows below.  After t such updates an entry lies in
+    about half and of rank 1 at p = 11, 37 and 5051 (with a write-back of
+    the echelon form since removed), the narrow copy made a rank 3-15%
+    slower at 12 columns, cost about what it saved at 24 to 32, and made it
+    5-20% faster at 40 to 48 and 15-45% faster at 64 to 96.  Reduction is
+    delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): each pivot
+    reduces only its column and its row, and subtracts the unreduced
+    products col * row, each at most (p - 1)**2, from the rows below.  After t such updates an entry lies in
     (-t (p - 1)**2, p), so the trailing block is reduced (_reduce) once
     every ``period`` updates, the most t with p + t (p - 1)**2 within the working
     dtype: at least 32 in int16 and int32, about 9.2e18 / (p - 1)**2 in

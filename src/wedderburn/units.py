@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .wedder import Component
+from .errors import ModularCaseError
 
 __all__ = [
     "ReferenceRow",
@@ -46,36 +46,25 @@ def unit_group(blocks, p: int, k: int) -> int:
 
 # SL(3,2) reference classification -------------------------------------------
 
-TYPE1_COMPONENTS = (
-    Component(1, 1),
-    Component(3, 1),
-    Component(3, 1),
-    Component(6, 1),
-    Component(7, 1),
-    Component(8, 1),
-)
-TYPE2_COMPONENTS = (
-    Component(1, 1),
-    Component(6, 1),
-    Component(7, 1),
-    Component(8, 1),
-    Component(3, 2),
-)
+TYPE1_COMPONENTS = ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1))
+TYPE2_COMPONENTS = ((1, 1), (6, 1), (7, 1), (8, 1), (3, 2))
 
 
 class ReferenceRow(NamedTuple):
-    """The SL(3,2) reference answer over one field: its type and blocks."""
+    """The SL(3,2) reference answer over one field: its type and its blocks,
+    (n, d) pairs in (d, n) order."""
 
     family_type: int
-    components: tuple[Component, ...]
+    components: tuple[tuple[int, int], ...]
 
 
 def sl32_expected_row(p: int, k: int) -> ReferenceRow:
     """The paper's answer for F_{p^k} SL(3,2), read off q = p^k alone: type 1
     when q = 1, 2 or 4 (mod 7), the squares mod 7, and type 2 otherwise.
-    Raises ValueError when 7 divides p, the modular case."""
-    if p % 7 == 0:
-        raise ValueError("p = 7 is the modular case and has no reference row")
+    Raises ModularCaseError, a ValueError, when p shares a factor with
+    |SL(3,2)| = 168 = 2^3 3 7: for a prime p, the modular case."""
+    if math.gcd(p, 168) != 1:
+        raise ModularCaseError(p, 168)
     if pow(p, k, 7) in (1, 2, 4):
         return ReferenceRow(1, TYPE1_COMPONENTS)
     return ReferenceRow(2, TYPE2_COMPONENTS)

@@ -14,20 +14,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .charkit import deleted_module_check
 from .cyclo import cyclotomic_partition
 from .errors import ModularCaseError
-from .perm import FiniteGroup, builtin_sl32_s8
+from .perm import FiniteGroup
 
 __all__ = [
-    "Component",
     "SolverReport",
     "analytic_decomposition",
     "forced_components",
     "solve",
-    "classify_type",
     "sl32_type",
     "splitting_field_check",
     "is_sl32_class_data",
@@ -36,14 +33,6 @@ __all__ = [
 
 SL32_CLASS_SIZES = (1, 21, 56, 42, 24, 24)
 SL32_CLASS_ORDERS = (1, 2, 3, 4, 7, 7)
-
-
-class Component(NamedTuple):
-    """One simple block M_n(F_{q^d}): an n x n matrix ring over the degree-d
-    extension of the coefficient field, as the plain pair (n, d)."""
-
-    n: int
-    d: int
 
 
 @dataclass(frozen=True)
@@ -61,16 +50,16 @@ class SolverReport:
         return len(self.solutions) == 1
 
 
-def forced_components(G: FiniteGroup, p: int, actions) -> list[Component]:
-    """Blocks forced a priori: the trivial block (1, 1), plus one block of
-    size (points - 1) over the base field for every action whose deleted
-    module certifies irreducible in characteristic p."""
+def forced_components(G: FiniteGroup, p: int, actions) -> list[tuple[int, int]]:
+    """Blocks forced a priori, as (n, d) pairs: the trivial block (1, 1),
+    plus one block (points - 1, 1) over the base field for every action
+    whose deleted module certifies irreducible in characteristic p."""
     if G.order % p == 0:
         raise ModularCaseError(p, G.order)
-    comps = [Component(1, 1)]
+    comps = [(1, 1)]
     for action in actions:
         if deleted_module_check(action, p):
-            comps.append(Component(action.degree - 1, 1))
+            comps.append((action.degree - 1, 1))
     return comps
 
 
@@ -182,20 +171,6 @@ def sl32_type(G: FiniteGroup, partition) -> int:
         raise AssertionError("SL(3,2) must have exactly two classes of order-7 elements")
     a, b = idx
     return 2 if any(a in cycle and b in cycle for cycle in partition) else 1
-
-
-def classify_type(p: int, k: int) -> int:
-    """SL(3,2)-specific classification of (p, k): type 1 when every class is
-    alone in its q-power orbit (six blocks over F_q), type 2 when the two
-    order-7 classes fuse (five blocks, one of them over F_{q^2}).
-
-    Computed from the group itself, never from a lookup table: sl32_type on
-    the q-power cycles of the builtin SL(3,2).
-    """
-    if p in (2, 3, 7):
-        raise ModularCaseError(p, 168)
-    G = builtin_sl32_s8()
-    return sl32_type(G, cyclotomic_partition(G, p, k))
 
 
 def splitting_field_check(blocks) -> bool:

@@ -10,12 +10,10 @@ import time
 
 from wedderburn import (
     AlgebraElement,
-    Component,
     Polynomial,
     analytic_decomposition,
     builtin_sl32_on_p2f2,
     builtin_sl32_s8,
-    classify_type,
     cli,
     factor,
     deleted_module_check,
@@ -28,6 +26,7 @@ from wedderburn import (
     perm_character,
     power_class,
     sl32_expected_row,
+    sl32_type,
     solve,
     split_center,
     splitting_field_check,
@@ -107,12 +106,12 @@ def test_criterion_4_reference_grid():
             cell_ok = (
                 rep.unique
                 and dec == row.components
-                and classify_type(p, k) == row.family_type
+                and sl32_type(s8, rep.partition) == row.family_type
             )
             if cell_ok:
                 want = 1
-                for c in row.components:
-                    want *= gl_order(c.n, p ** (k * c.d))
+                for n, d in row.components:
+                    want *= gl_order(n, p ** (k * d))
                 cell_ok = unit_group(dec, p, k) == want
             if not cell_ok:
                 print(f"  grid cell p={p} k={k} mismatched")
@@ -160,10 +159,8 @@ def test_criterion_6_splitting_field():
 
 
 def test_criterion_7_uniqueness_negative_control():
-    rep_weak = solve(168, [1] * 6, [Component(1, 1)])
-    rep_full = solve(
-        168, [1] * 6, [Component(1, 1), Component(6, 1), Component(7, 1)]
-    )
+    rep_weak = solve(168, [1] * 6, [(1, 1)])
+    rep_full = solve(168, [1] * 6, [(1, 1), (6, 1), (7, 1)])
     ok = (
         not rep_weak.unique
         and len(rep_weak.solutions) > 1

@@ -486,7 +486,8 @@ def test_check_detects_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(cli, "sl32_expected_row", wrong_row)
     code, out, _ = run(capsys, ["check", "--p", "11", "--k", "1"])
     assert code == 1
-    assert "MISMATCH" in out
+    assert out.startswith("MISMATCH p=11 k=1: got ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1)), "
+                          "reference says ((1, 1), (6, 1), (7, 1), (8, 1), (3, 2))\n")
 
 
 @pytest.mark.parametrize(

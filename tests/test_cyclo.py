@@ -7,12 +7,12 @@ from wedderburn import (
     BUILTIN_GROUPS,
     ModularCaseError,
     Permutation,
-    classify_type,
     cyclotomic_partition,
     generate,
     is_prime,
     load_group,
     power_class,
+    sl32_expected_row,
 )
 from wedderburn import cyclo
 
@@ -74,9 +74,9 @@ def test_input_checks_run_in_order(sl32_s8):
         cyclotomic_partition(sl32_s8, 6, 0)
     with pytest.raises(ValueError, match="k must be positive"):
         cyclotomic_partition(sl32_s8, 7, 0)
-    # classify_type rejects the modular primes before it looks at k
+    # the reference row rejects the modular primes before it looks at k
     with pytest.raises(ModularCaseError):
-        classify_type(7, 0)
+        sl32_expected_row(7, 0)
 
 
 def test_trivial_group_partition():

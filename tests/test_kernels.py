@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
 from wedderburn import ffield
-from wedderburn.ffield import _NARROW_MIN_ENTRIES, _blow_up, _rank_mod_p, _working_dtype
+from wedderburn.ffield import _NARROW_MIN_ENTRIES, _blow_up, _eliminate, _working_copy, _working_dtype
 from wedderburn.oracle import _CenterAlgebra, _convolve, _right_ideal_dimension
 
 FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0),
@@ -288,8 +288,9 @@ def test_from_array_rows_are_what_rank_sees():
 
 
 def reference_echelon(rows, p):
-    """The row echelon form _rank_mod_p promises, on lists of Python ints
-    reduced at every step: first nonzero pivot, swapped up, scaled to 1."""
+    """The row echelon form _eliminate leaves, up to congruence mod p, on
+    lists of Python ints reduced at every step: first nonzero pivot, swapped
+    up, scaled to 1."""
     out = [[x % p for x in row] for row in rows]
     r = 0
     for c in range(len(out[0])):
@@ -390,9 +391,11 @@ def test_delayed_reduction_leaves_the_reference_echelon_form(p, monkeypatch):
             if rank is None:
                 rank = sum(map(any, expected))
             a = np.array(rows, dtype=dtype)
-            assert _rank_mod_p(a, p) == rank
-            assert a.dtype == dtype
-            assert a.tolist() == expected
+            w = _working_copy(a, p)
+            assert w.dtype == (WORKING_DTYPES[p] if a.size >= narrow_from else dtype)
+            assert _eliminate(w, p) == rank
+            assert (w % p).tolist() == expected
+            assert a.dtype == dtype and a.tolist() == rows  # the copy leaves a as it was
 
 
 @pytest.mark.parametrize("p", [31, 37])
@@ -460,15 +463,26 @@ def test_rank_reduces_the_whole_array_once(field, size, outside_fp, monkeypatch)
     assert counts == (1, 0, 0)
 
 
-@pytest.mark.parametrize("p, size, dtype", [(11, 5, np.int64), (11, 48, np.int64), (2**31 + 11, 6, object)])
-def test_rank_mod_p_reduces_the_whole_array_before_and_after(p, size, dtype, monkeypatch):
-    # once into the working array, once more for the echelon form it writes back
-    rng = random.Random(size)
-    rows = [[rng.randrange(-p * p, p * p) for _ in range(size)] for _ in range(size)]
-    a = np.array(rows, dtype=dtype)
-    rank, counts = full_reductions(monkeypatch, lambda: _rank_mod_p(a, p))
-    assert counts == (1, 0, 1)
-    assert a.tolist() == reference_echelon(rows, p) and rank == sum(map(any, a.tolist()))
+@pytest.mark.parametrize("field, dim, dtype", [
+    ((11, 1), 6, np.int64),  # a 6 x 7 Krylov matrix
+    ((11, 1), 40, np.int16),  # 40 x 41, narrowed
+    ((2**31 + 11, 2), 4, object),  # blown up to 8 x 10, Python ints
+], ids=["11-6-int64", "11-40-int16", "2147483659^2-4-object"])
+def test_minpoly_reduces_the_whole_array_once(field, dim, dtype, monkeypatch):
+    # minpoly eliminates a working copy of its Krylov matrix, reduced as it
+    # is made, and then reads only the pivot rows up to column kt
+    spec = FIELDS[field]
+    krylov_shape = (spec.k * dim, spec.k * (dim + 1))
+    assert _working_dtype(np.zeros(krylov_shape, dtype=spec.dtype), spec.p) == dtype
+
+    def cyclic_shift(w):
+        return np.roll(w, 1, axis=0)
+
+    v = np.zeros((dim, spec.k), dtype=spec.dtype)
+    v[0, 0] = 1
+    m, counts = full_reductions(monkeypatch, lambda: minpoly(spec, cyclic_shift, v))
+    assert m == Polynomial.x(spec) ** dim - Polynomial.one(spec)
+    assert counts == (1, 0, 0)
 
 
 def test_rank_blows_up_entries_outside_fp():
@@ -478,7 +492,7 @@ def test_rank_blows_up_entries_outside_fp():
     x = spec.element([0, 1, 0])
     m = as_matrix(spec, [[x, spec.zero], [spec.zero, spec.one]])
     assert m.rank() == 2
-    assert _rank_mod_p(m.arr[..., 0].copy(), spec.p) == 1
+    assert _eliminate(_working_copy(m.arr[..., 0], spec.p), spec.p) == 1
 
 
 def test_rank_of_fp_entries_skips_the_blow_up(monkeypatch):
@@ -487,7 +501,7 @@ def test_rank_of_fp_entries_skips_the_blow_up(monkeypatch):
     rows = [[spec.element(rng.randrange(spec.p)) for _ in range(7)] for _ in range(3)]
     rows += [[a + b for a, b in zip(rows[0], rows[1])], rows[2]]
     m = as_matrix(spec, rows)
-    expected = _rank_mod_p(_blow_up(spec, m.arr), spec.p) // spec.k
+    expected = _eliminate(_working_copy(_blow_up(spec, m.arr), spec.p), spec.p) // spec.k
     assert expected == reference_rank(rows) == 3
 
     def no_blow_up(*args):

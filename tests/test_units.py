@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from wedderburn import Component, gl_order, sl32_expected_row, solve, unit_group
+from wedderburn import ModularCaseError, gl_order, sl32_expected_row, solve, unit_group
 from wedderburn.cli import _format_units
 from wedderburn.units import TYPE1_COMPONENTS, TYPE2_COMPONENTS
 
@@ -38,14 +38,14 @@ def test_gl_order_rejects():
         gl_order(2, 1)
 
 
-SL32_FORCED = [Component(1, 1), Component(6, 1), Component(7, 1)]
+SL32_FORCED = [(1, 1), (6, 1), (7, 1)]
 
 
 def test_unit_group_type1():
-    # the Component reference row, its plain pairs and solve's candidate
+    # the reference row and solve's candidate
     candidate = solve(168, [1] * 6, SL32_FORCED).solutions[0]
     expected = 10 * gl_order(3, 11) ** 2 * gl_order(6, 11) * gl_order(7, 11) * gl_order(8, 11)
-    for blocks in (TYPE1_COMPONENTS, tuple(map(tuple, TYPE1_COMPONENTS)), candidate):
+    for blocks in (TYPE1_COMPONENTS, candidate):
         assert _format_units(11, 1, blocks) == "F_11^× × GL(3, 11) × GL(3, 11) × GL(6, 11) × GL(7, 11) × GL(8, 11)"
         assert unit_group(blocks, 11, 1) == expected
 
@@ -53,24 +53,23 @@ def test_unit_group_type1():
 def test_unit_group_type2():
     candidate = solve(168, [1, 1, 1, 1, 2], SL32_FORCED).solutions[0]
     expected = 12 * gl_order(6, 13) * gl_order(7, 13) * gl_order(8, 13) * gl_order(3, 169)
-    for blocks in (TYPE2_COMPONENTS, tuple(map(tuple, TYPE2_COMPONENTS)), candidate):
+    for blocks in (TYPE2_COMPONENTS, candidate):
         assert _format_units(13, 1, blocks) == "F_13^× × GL(6, 13) × GL(7, 13) × GL(8, 13) × GL(3, 13^2)"
         assert unit_group(blocks, 13, 1) == expected
 
 
 def test_unit_group_trivial():
-    for blocks in ((Component(1, 1),), ((1, 1),)):
-        assert _format_units(11, 1, blocks) == "F_11^×"
-        assert unit_group(blocks, 11, 1) == 10
+    blocks = ((1, 1),)
+    assert _format_units(11, 1, blocks) == "F_11^×"
+    assert unit_group(blocks, 11, 1) == 10
 
 
 def test_unit_group_over_an_extension_field():
     # over F_{13^2} the d = 2 block sits over F_{13^4}
-    for blocks in (TYPE2_COMPONENTS, tuple(map(tuple, TYPE2_COMPONENTS))):
-        assert _format_units(13, 2, blocks) == (
-            "F_13^2^× × GL(6, 13^2) × GL(7, 13^2) × GL(8, 13^2) × GL(3, 13^4)")
-        assert unit_group(blocks, 13, 2) == (
-            168 * gl_order(6, 169) * gl_order(7, 169) * gl_order(8, 169) * gl_order(3, 13**4))
+    assert _format_units(13, 2, TYPE2_COMPONENTS) == (
+        "F_13^2^× × GL(6, 13^2) × GL(7, 13^2) × GL(8, 13^2) × GL(3, 13^4)")
+    assert unit_group(TYPE2_COMPONENTS, 13, 2) == (
+        168 * gl_order(6, 169) * gl_order(7, 169) * gl_order(8, 169) * gl_order(3, 13**4))
 
 
 def test_reference_rule_by_residue():
@@ -98,9 +97,16 @@ def test_reference_rows():
         sl32_expected_row(7, 1)
 
 
+def test_reference_row_rejects_the_modular_primes():
+    # |SL(3,2)| = 168 = 2^3 3 7: every prime divisor is the modular case
+    for p in (2, 3, 7):
+        with pytest.raises(ModularCaseError):
+            sl32_expected_row(p, 1)
+
+
 def test_unit_group_matches_reference_for_sample_grid():
     for p in (5, 11, 13, 29, 199):
         for k in (1, 2, 3, 6, 12):
             row = sl32_expected_row(p, k)
-            want = math.prod(gl_order(c.n, p ** (k * c.d)) for c in row.components)
+            want = math.prod(gl_order(n, p ** (k * d)) for n, d in row.components)
             assert unit_group(row.components, p, k) == want

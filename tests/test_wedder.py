@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedderburn import (
-    Component,
     ModularCaseError,
     analytic_decomposition,
-    classify_type,
+    builtin_sl32_s8,
+    cyclotomic_partition,
     forced_components,
     generate,
     is_prime,
@@ -45,17 +45,17 @@ def brute_force_square_sums(total, slots):
 
 def test_forced_components_sl32(sl32_s8, sl32_p2f2):
     comps = forced_components(sl32_s8, 11, [sl32_s8, sl32_p2f2])
-    assert sorted((c.n, c.d) for c in comps) == [(1, 1), (6, 1), (7, 1)]
+    assert sorted(comps) == [(1, 1), (6, 1), (7, 1)]
 
 
 def test_forced_components_trivial():
     G = generate([Permutation.identity(1)])
-    assert forced_components(G, 11, [G]) == [Component(1, 1)]
+    assert forced_components(G, 11, [G]) == [(1, 1)]
 
 
 def test_forced_components_s5(s5):
     comps = forced_components(s5, 11, [s5])
-    assert sorted((c.n, c.d) for c in comps) == [(1, 1), (4, 1)]
+    assert sorted(comps) == [(1, 1), (4, 1)]
 
 
 def test_forced_components_rejects_modular(sl32_s8):
@@ -64,14 +64,14 @@ def test_forced_components_rejects_modular(sl32_s8):
 
 
 def test_solve_type1_unique():
-    forced = [Component(1, 1), Component(6, 1), Component(7, 1)]
+    forced = [(1, 1), (6, 1), (7, 1)]
     rep = solve(168, [1] * 6, forced)
     assert rep.unique
     assert rep.solutions[0] == ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1))
 
 
 def test_solve_type2_unique():
-    forced = [Component(1, 1), Component(6, 1), Component(7, 1)]
+    forced = [(1, 1), (6, 1), (7, 1)]
     rep = solve(168, [1, 1, 1, 1, 2], forced)
     assert rep.unique
     assert rep.solutions[0] == ((1, 1), (6, 1), (7, 1), (8, 1), (3, 2))
@@ -80,7 +80,7 @@ def test_solve_type2_unique():
 
 
 def test_solve_negative_control_matches_brute_force():
-    rep = solve(168, [1] * 6, [Component(1, 1)])
+    rep = solve(168, [1] * 6, [(1, 1)])
     oracle = brute_force_square_sums(167, 5)
     assert len(oracle) == 11
     assert not rep.unique
@@ -93,7 +93,6 @@ def brute_force_solve(group_order, degrees, forced):
     """The ordered (n, d) pair lists `solve` should return, or None where it
     should raise ValueError: itertools over the sizes of each slot, one sorted
     multiset per choice, filtered by mass and sorted by the (d, n) keys."""
-    forced = [(c.n, c.d) for c in forced]
     ones = list(degrees).count(1)
     mass = sum(d * n * n for n, d in forced)
     if any(d != 1 for _, d in forced) or len(forced) > ones or mass > group_order:
@@ -124,7 +123,7 @@ def brute_force_solve(group_order, degrees, forced):
 # ten candidates: free degree-1 sizes merge with the forced 1 and 2, and a degree's sizes are listed increasing
 @example(group_order=73, degrees=[1, 1, 1, 2, 2, 3], forced=[(2, 1)], trivial=True)
 def test_solve_matches_brute_force(group_order, degrees, forced, trivial):
-    forced = [Component(n, d) for n, d in ([(1, 1)] if trivial else []) + forced]
+    forced = ([(1, 1)] if trivial else []) + forced
     expected = brute_force_solve(group_order, degrees, forced)
     if expected is None:
         with pytest.raises(ValueError):
@@ -132,7 +131,7 @@ def test_solve_matches_brute_force(group_order, degrees, forced, trivial):
         return
     rep = solve(group_order, degrees, forced)
     assert list(rep.solutions) == expected
-    # plain tuples of exact int pairs, whatever type the forced blocks had
+    # plain tuples of exact int pairs
     assert all(type(dec) is tuple and all(type(c) is tuple and type(c[0]) is int and type(c[1]) is int
                                           for c in dec) for dec in rep.solutions)
     assert rep.unique == (len(expected) == 1)
@@ -158,32 +157,34 @@ def test_solve_rejects_candidates_without_the_trivial_block():
 
 def test_solve_fills_thousands_of_slots_without_deep_recursion():
     # 5000 degree-1 slots, all 1 x 1: the least remaining mass ends the search at once
-    rep = solve(5000, [1] * 5000, [Component(1, 1)])
+    rep = solve(5000, [1] * 5000, [(1, 1)])
     assert rep.unique and rep.solutions[0] == ((1, 1),) * 5000
     # one 2 x 2 block among 1000 slots; a size that would leave a later slot
     # below its degree is never tried
-    rep = solve(1004, [1] * 1001, [Component(1, 1)])
+    rep = solve(1004, [1] * 1001, [(1, 1)])
     assert rep.unique and rep.solutions[0] == ((1, 1),) * 1000 + ((2, 1),)
 
 
-def test_component_is_a_plain_pair():
-    assert Component(3, 1) == (3, 1) and Component(3, 2).d == 2
-    blocks = solve(10, [1, 1], [Component(1, 1)]).solutions[0]
+def test_component_is_a_plain_pair(sl32_s8):
+    forced = forced_components(sl32_s8, 11, [sl32_s8])
+    assert forced == [(1, 1), (7, 1)]
+    assert all(type(c) is tuple for c in forced + list(TYPE1_COMPONENTS + TYPE2_COMPONENTS))
+    blocks = solve(10, [1, 1], [(1, 1)]).solutions[0]
     assert blocks == ((1, 1), (3, 1)) and type(blocks[1]) is tuple
 
 
 def test_solve_restoring_forced_restores_uniqueness():
-    rep = solve(168, [1] * 6, [Component(1, 1), Component(6, 1), Component(7, 1)])
+    rep = solve(168, [1] * 6, [(1, 1), (6, 1), (7, 1)])
     assert rep.unique and len(rep.solutions) == 1
 
 
 def test_solve_errors():
     with pytest.raises(ValueError):
-        solve(168, [1, 1, 2], [Component(1, 1)] * 3)  # only two degree-1 slots
+        solve(168, [1, 1, 2], [(1, 1)] * 3)  # only two degree-1 slots
     with pytest.raises(ValueError):
-        solve(10, [1], [Component(9, 1)])  # forced mass 81 > 10
+        solve(10, [1], [(9, 1)])  # forced mass 81 > 10
     with pytest.raises(ValueError):
-        solve(168, [1] * 6, [Component(3, 2)])  # forced blocks must have d = 1
+        solve(168, [1] * 6, [(3, 2)])  # forced blocks must have d = 1
 
 
 def test_solve_rejects_degrees_below_one():
@@ -193,29 +194,30 @@ def test_solve_rejects_degrees_below_one():
     with pytest.raises(ValueError, match="center degree -1 must be at least 1"):
         solve(10, [-1, 1], [])
     with pytest.raises(ValueError, match="center degree -2 must be at least 1"):
-        solve(10, [1, -2, 0], [Component(1, 1)])
+        solve(10, [1, -2, 0], [(1, 1)])
 
 
 def test_solve_no_solution_reports_empty():
-    rep = solve(7, [1, 1], [Component(1, 1)])  # 1 + n^2 = 7 has no solution
+    rep = solve(7, [1, 1], [(1, 1)])  # 1 + n^2 = 7 has no solution
     assert rep.solutions == () and not rep.unique
 
 
-def test_classify_type_values():
-    assert classify_type(11, 1) == 1
-    assert classify_type(13, 3) == 2
-    assert classify_type(5, 1) == 2
-    assert classify_type(13, 2) == 1
-    assert classify_type(29, 5) == 1  # 29 = 1 mod 7
+def builtin_type(p, k):
+    """The SL(3,2) type of (p, k), read as the CLI reads it: sl32_type on
+    the q-power cycles of the builtin SL(3,2)."""
+    G = builtin_sl32_s8()
+    return sl32_type(G, cyclotomic_partition(G, p, k))
 
 
-def test_classify_type_rejects():
-    for p in (2, 3, 7):
-        with pytest.raises(ModularCaseError):
-            classify_type(p, 1)
+def test_sl32_type_values():
+    assert builtin_type(11, 1) == 1
+    assert builtin_type(13, 3) == 2
+    assert builtin_type(5, 1) == 2
+    assert builtin_type(13, 2) == 1
+    assert builtin_type(29, 5) == 1  # 29 = 1 mod 7
 
 
-def test_classify_type_matches_reference_rows():
+def test_sl32_type_matches_reference_rows():
     # one prime per nonzero residue class mod 7, instantiated for l in {0, 1}
     residue_primes = {1: 29, 2: 23, 3: 31, 4: 11, 5: 5, 6: 13}
     for residue, p in residue_primes.items():
@@ -225,17 +227,17 @@ def test_classify_type_matches_reference_rows():
                 if k == 0:
                     continue
                 row = sl32_expected_row(p, k)
-                assert classify_type(p, k) == row.family_type, (p, k)
+                assert builtin_type(p, k) == row.family_type, (p, k)
 
 
 def test_report_partition_gives_the_type_on_every_action(sl32_s8, sl32_p2f2):
-    # the type read off each action's own q-power cycles is the one classify_type gives
+    # the type read off each action's own q-power cycles is the one the builtin SL(3,2) gives
     psl27 = load_group(Path(__file__).resolve().parents[1] / "bench" / "groups" / "psl27.txt")
     for p in (5, 11, 13, 23, 29, 31, 199):
         for k in (1, 2, 3, 6):
             for G in (sl32_s8, sl32_p2f2, psl27):
                 rep = analytic_decomposition(G, p, k, [G])
-                assert sl32_type(G, rep.partition) == classify_type(p, k), (p, k)
+                assert sl32_type(G, rep.partition) == builtin_type(p, k), (p, k)
                 assert sorted(map(len, rep.partition)) == sorted(d for _, d in rep.solutions[0])
 
 
@@ -245,16 +247,13 @@ def test_sl32_type_needs_two_order7_classes(s5):
 
 
 def test_splitting_field_check():
-    # the Component reference rows and the plain pairs solve returns
+    # the reference rows and the plain pairs solve returns
     assert splitting_field_check(TYPE1_COMPONENTS)
     assert not splitting_field_check(TYPE2_COMPONENTS)
-    assert splitting_field_check(tuple(map(tuple, TYPE1_COMPONENTS)))
-    assert not splitting_field_check(tuple(map(tuple, TYPE2_COMPONENTS)))
     assert 1 + 36 + 49 + 64 + 9 + 9 == 168
     assert splitting_field_check(((1, 1),))
-    assert splitting_field_check(solve(10, [1, 1], [Component(1, 1)]).solutions[0])
-    assert not splitting_field_check(solve(168, [1, 1, 1, 1, 2], [Component(1, 1), Component(6, 1),
-                                                                  Component(7, 1)]).solutions[0])
+    assert splitting_field_check(solve(10, [1, 1], [(1, 1)]).solutions[0])
+    assert not splitting_field_check(solve(168, [1, 1, 1, 1, 2], [(1, 1), (6, 1), (7, 1)]).solutions[0])
 
 
 def test_analytic_pipeline_sl32(sl32_s8, sl32_p2f2):

@@ -129,7 +129,9 @@ def _jacobi(a: int, n: int) -> int:
 def _is_strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test with Selfridge's parameters (Baillie-Wagstaff 1980)
     for odd n with no prime factor below 41: D is the first of 5, -7, 9,
-    -11, ... with (D/n) = -1, P = 1 and Q = (1 - D) / 4."""
+    -11, ... with (D/n) = -1, P = 1 and Q = (1 - D) / 4.  No benchmark
+    input reaches it (every p there is below psi_12); it stays because
+    is_prime has no proof above psi_12 without it."""
     if math.isqrt(n) ** 2 == n:
         return False  # no D with (D/n) = -1 exists for a square
     D = 5
@@ -311,7 +313,9 @@ class FieldSpec:
 class FieldElement:
     """An element of F_{p^k}, held as its base-p value ``value`` (see
     FieldSpec); its arithmetic runs the spec's scalar kernels on those ints.
-    ``coeffs``, the length-k coefficient vector over F_p, is read-only."""
+    ``coeffs``, the length-k coefficient vector over F_p, is read-only.  It
+    is the boundary type: callers build and read scalars through it, while
+    the package's own paths run on the base-p ints."""
 
     __slots__ = ("spec", "value")
 
@@ -464,9 +468,9 @@ class Polynomial:
     x^i, so over F_p the residue itself, and trailing zeros are trimmed (the
     zero polynomial has no coefficients).  The constructor takes such ints,
     FieldElements of ``spec`` (one of another field raises ValueError) and
-    length-k coefficient tuples, and leading() and evaluate() return
-    FieldElements; every other method runs on int lists through the scalar
-    kernels spec.add, spec.sub, spec.mul and spec.inv."""
+    length-k coefficient tuples; every method runs on int lists through the
+    scalar kernels spec.add, spec.sub, spec.mul and spec.inv, and powers are
+    taken only modulo a polynomial, by pow_mod."""
 
     __slots__ = ("spec", "coeffs")
 
@@ -508,11 +512,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> "FieldElement":
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return FieldElement(self.spec, self.coeffs[-1])
-
     def _scaled(self, c: int) -> "Polynomial":
         mul = self.spec.mul
         return Polynomial._of(self.spec, [mul(a, c) for a in self.coeffs])
@@ -551,17 +550,6 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __pow__(self, e: int) -> "Polynomial":
-        spec = self.spec
-        result = [1]
-        base = self.coeffs
-        while e:
-            if e & 1:
-                result = _poly_mul(spec, result, base)
-            base = _poly_mul(spec, base, base)
-            e >>= 1
-        return Polynomial._of(spec, result)
-
     def pow_mod(self, e: int, m: "Polynomial") -> "Polynomial":
         spec = self.spec
         mc = m.coeffs
@@ -580,15 +568,6 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         mul, p = self.spec.mul, self.spec.p
         return Polynomial._of(self.spec, [mul(i % p, c) for i, c in enumerate(self.coeffs[1:], 1)])
-
-    def evaluate(self, x) -> "FieldElement":
-        spec = self.spec
-        add, mul = spec.add, spec.mul
-        xv = spec.element(x).value
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, xv), c)
-        return FieldElement(spec, acc)
 
     def pth_root(self) -> "Polynomial":
         """For f with zero derivative, the unique g with g**p = f."""

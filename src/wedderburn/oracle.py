@@ -61,7 +61,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ModularCaseError
-from .ffield import FieldElement, FieldSpec, MatrixFq, Polynomial, factor, minpoly
+from .ffield import FieldSpec, MatrixFq, Polynomial, factor, minpoly
 from .perm import FiniteGroup
 
 __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
@@ -71,73 +71,46 @@ CERTIFICATE_OVERSAMPLE = 32  # rows and columns past D in verify_split's sampled
 
 
 class AlgebraElement:
-    """An element of F_q[G]: one coefficient per group element, indexed by the
-    group's enumeration order, each a FieldElement of ``spec`` (one of
-    another field raises ValueError).  ``arr`` has shape (|G|, k) and dtype
-    ``spec.dtype``: row g holds the coefficient of g as k residues mod p."""
+    """An element of F_q[G] as its coefficient array ``arr``, of shape
+    (|G|, k) and dtype ``spec.dtype``: row g holds the coefficient of the
+    group's g-th element as k residues mod p.  The constructor keeps the
+    array it is given, after checking its shape and dtype; its entries must
+    already lie in [0, p), as __eq__ and verify_split compare them as they
+    stand.  __eq__ stays because the frozen CentralSplit compares its
+    idempotents through it."""
 
     __slots__ = ("group", "spec", "arr")
 
-    def __init__(self, group: FiniteGroup, spec: FieldSpec, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != group.order:
-            raise ValueError(f"need {group.order} coefficients, got {len(coeffs)}")
-        self.group = group
-        self.spec = spec
-        self.arr = np.array([spec.element(c).coeffs for c in coeffs], dtype=spec.dtype)
-
-    @classmethod
-    def _from_array(cls, group, spec, arr) -> "AlgebraElement":
-        out = cls.__new__(cls)
-        out.group, out.spec, out.arr = group, spec, arr
-        return out
+    def __init__(self, group: FiniteGroup, spec: FieldSpec, arr: np.ndarray):
+        if arr.shape != (group.order, spec.k):
+            raise ValueError(f"need a ({group.order}, {spec.k}) coefficient array, got {arr.shape}")
+        if arr.dtype != spec.dtype:
+            raise ValueError(f"need a coefficient array of dtype {np.dtype(spec.dtype)}, got {arr.dtype}")
+        self.group, self.spec, self.arr = group, spec, arr
 
     @classmethod
     def zero(cls, group, spec) -> "AlgebraElement":
-        return cls._from_array(group, spec, np.zeros((group.order, spec.k), dtype=spec.dtype))
+        return cls(group, spec, np.zeros((group.order, spec.k), dtype=spec.dtype))
 
     @classmethod
     def unit(cls, group, spec) -> "AlgebraElement":
-        return cls.from_group_index(group, spec, 0)
-
-    @classmethod
-    def from_group_index(cls, group, spec, i: int) -> "AlgebraElement":
         out = cls.zero(group, spec)
-        out.arr[i, 0] = 1
+        out.arr[0, 0] = 1  # g_0 is the identity
         return out
 
-    @property
-    def coeffs(self) -> tuple[FieldElement, ...]:
-        spec = self.spec
-        return tuple(FieldElement(spec, spec.pack(row)) for row in self.arr.tolist())
-
-    def _check_compatible(self, other: "AlgebraElement"):
+    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        """The product in F_q[G]: one _convolve call on the full |G| x |G|
+        table, which it builds afresh on every call (|G|^2 int32 entries,
+        100 MB for S7).  No package path calls it; the oracle runs
+        _convolve on only the columns it needs.  It stays for the tests and
+        for the bench's oracle.algebra_mul_* trace, which wraps it, until
+        that trace points at _convolve."""
         if self.group is not other.group:
             raise ValueError("elements belong to different groups")
         if self.spec != other.spec:
             raise ValueError("elements belong to different fields")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_compatible(other)
-        return AlgebraElement._from_array(self.group, self.spec, (self.arr + other.arr) % self.spec.p)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_compatible(other)
-        return AlgebraElement._from_array(self.group, self.spec, (self.arr - other.arr) % self.spec.p)
-
-    def __mul__(self, other) -> "AlgebraElement":
-        spec = self.spec
-        if isinstance(other, FieldElement):
-            if other.spec != spec:
-                raise ValueError("mixing elements of different fields")
-            arr = spec.mul_arrays(self.arr, np.array(other.coeffs, dtype=spec.dtype))
-        else:
-            self._check_compatible(other)
-            arr = _convolve(self.group, spec, [self.arr, other.arr], self.group.mul_table())[0]
-        return AlgebraElement._from_array(self.group, spec, arr)
-
-    def is_zero(self) -> bool:
-        return not self.arr.any()
+        arr = _convolve(self.group, self.spec, [self.arr, other.arr], self.group.mul_table())[0]
+        return AlgebraElement(self.group, self.spec, arr)
 
     def __eq__(self, other) -> bool:
         return (
@@ -230,7 +203,7 @@ class _CenterAlgebra:
         return MatrixFq(self.spec, self._mul_classes(e)).rank()
 
     def to_algebra(self, v: np.ndarray) -> AlgebraElement:
-        return AlgebraElement._from_array(self.G, self.spec, v[list(self.G.class_index_of)])
+        return AlgebraElement(self.G, self.spec, v[list(self.G.class_index_of)])
 
 
 def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
@@ -376,7 +349,9 @@ def _right_ideal_dimension(E: AlgebraElement, table: np.ndarray) -> int:
     """dim over F_q of E * F_q[G]: rank of the matrix whose columns are the
     right translates E * g, entry (h, g) = E(h g^-1).  The matrix with entry
     (h, g) = E(h g), E gathered through the full table, is the same one with
-    its columns relabelled by inversion, so it has the same rank."""
+    its columns relabelled by inversion, so it has the same rank.  No
+    benchmark input reaches it; it stays as verify_split's fallback after
+    two sampled ranks fall short of D."""
     return MatrixFq(E.spec, E.arr[table]).rank()
 
 

@@ -6,9 +6,12 @@ generators' right action on it as integer index maps, the inverse indices
 and the conjugacy classes ordered by (element order, class size, first-seen
 index); the class constants are lazy, and mul_table is built on each call.
 Permutation is the boundary type callers build and read: the group makes
-one per element and multiplies none.  Its powers, cycles and order share
-one cycle walk.  A ConjClass keeps its representative's index; which class
-each element is in is recorded once, in FiniteGroup.class_index_of.
+one per element and multiplies none.  Permutation.__mul__ and inverse stay
+as the tests' independent reference for mul_table and inverse_indices,
+which the group builds from image tuples and index maps.  Its powers,
+cycles and order share one cycle walk.  A ConjClass keeps its
+representative's index; which class each element is in is recorded once,
+in FiniteGroup.class_index_of.
 Points are 1-indexed in all input and output (cycle notation, group files)
 and 0-indexed internally.
 """
@@ -240,9 +243,6 @@ class FiniteGroup:
         except KeyError:
             raise ValueError(f"{g!r} is not an element of this group") from None
 
-    def __contains__(self, g) -> bool:
-        return isinstance(g, Permutation) and g.images in self._index
-
     def mul_table(self, stop: int | None = None) -> np.ndarray:
         """int32 array with T[a, j] = index of g_a * g_j for the first
         ``stop`` columns j (1 <= stop <= |G|), all |G| by default, built
@@ -260,10 +260,6 @@ class FiniteGroup:
             j, s = self._parents[c]
             table[:, c] = self._right[s].take(table[:, j])
         return table
-
-    def point_orbits(self) -> list[list[int]]:
-        """Orbits of the group on its 0-indexed points, each sorted."""
-        return [sorted(o) for o in _orbits(self.degree, [g.images for g in self.generators])[0]]
 
     def class_product_coefficients(self) -> np.ndarray:
         """Integer structure constants of the class sums as an int64 array
@@ -337,7 +333,9 @@ def _conjugacy_partition(elements, conjugations):
 
 def generate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
     """The group generated by a nonempty generator list of common degree:
-    FiniteGroup(gens, cap), its breadth-first closure."""
+    FiniteGroup(gens, cap), its breadth-first closure.  It stays a function
+    of its own because the benchmark's perm.generate_ms trace wraps it, and
+    the builtins and group files build their groups through it."""
     return FiniteGroup(gens, cap)
 
 

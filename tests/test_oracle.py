@@ -2,6 +2,7 @@ import dataclasses
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wedderburn import (
@@ -21,16 +22,31 @@ from wedderburn import cli, oracle
 from wedderburn.cli import resolve_group
 from wedderburn.oracle import _CenterAlgebra
 
+from test_kernels import as_rows
+
 
 @pytest.fixture(scope="module")
 def split11(sl32_s8, f11):
     return split_center(sl32_s8, f11, seed=0)
 
 
+def delta(G, spec, i):
+    """The group element g_i as an element of F_q[G]."""
+    out = AlgebraElement.zero(G, spec)
+    out.arr[i, 0] = 1
+    return out
+
+
+def plus(a, b, sign=1):
+    """a + sign * b in F_q[G], coefficient array by coefficient array."""
+    return AlgebraElement(a.group, a.spec, (a.arr + sign * b.arr) % a.spec.p)
+
+
 def test_multiply_unit_law(sl32_s8, f11):
     rng = random.Random(0)
     one = AlgebraElement.unit(sl32_s8, f11)
-    x = AlgebraElement(sl32_s8, f11, [f11.random_element(rng) for _ in range(168)])
+    assert one == delta(sl32_s8, f11, 0)
+    x = AlgebraElement(sl32_s8, f11, as_rows([f11.random_element(rng) for _ in range(168)]))
     assert one * x == x
     assert x * one == x
 
@@ -41,9 +57,9 @@ def test_multiply_group_elements_follow_table(sl32_s8, f11):
     table = sl32_s8.mul_table()
     for _ in range(20):
         i, j = rng.randrange(168), rng.randrange(168)
-        a = AlgebraElement.from_group_index(sl32_s8, f11, i)
-        b = AlgebraElement.from_group_index(sl32_s8, f11, j)
-        assert a * b == AlgebraElement.from_group_index(sl32_s8, f11, table[i][j])
+        a = delta(sl32_s8, f11, i)
+        b = delta(sl32_s8, f11, j)
+        assert a * b == delta(sl32_s8, f11, table[i][j])
 
 
 def test_multiply_rejects_mismatch(sl32_s8, s5, f11, f13):
@@ -67,7 +83,7 @@ def class_sums(G, spec):
 def test_class_sums_are_central(sl32_s8, f11):
     sums = class_sums(sl32_s8, f11)
     assert len(sums) == 6
-    deltas = [AlgebraElement.from_group_index(sl32_s8, f11, sl32_s8.index(g)) for g in sl32_s8.generators]
+    deltas = [delta(sl32_s8, f11, sl32_s8.index(g)) for g in sl32_s8.generators]
     for s in sums:
         for d in deltas:
             assert s * d == d * s
@@ -78,10 +94,10 @@ def test_class_sums_are_central(sl32_s8, f11):
 
 def test_all_ones_squared(sl32_s8, f11):
     # the sum of all group elements z satisfies z^2 = |G| * z
-    z = AlgebraElement(sl32_s8, f11, [f11.one] * 168)
-    scaled = z * f11.scalar(168)
+    z = AlgebraElement(sl32_s8, f11, np.ones((168, 1), dtype=f11.dtype))
+    scaled = AlgebraElement(sl32_s8, f11, f11.mul_arrays(z.arr, np.array(f11.scalar(168).coeffs)))
     assert z * z == scaled
-    assert scaled.coeffs[0] == f11.scalar(3)  # 168 = 3 mod 11
+    assert scaled.arr[0].tolist() == [3]  # 168 = 3 mod 11
 
 
 def test_split_f11(split11):
@@ -111,8 +127,8 @@ def test_split_rejects_modular_case(sl32_s8):
 
 def test_verify_rejects_corruption(sl32_s8, f11, split11):
     es = list(split11.idempotents)
-    bad = list(es[2].coeffs)
-    bad[5] = bad[5] + f11.one
+    bad = es[2].arr.copy()
+    bad[5, 0] = (bad[5, 0] + 1) % 11
     es[2] = AlgebraElement(sl32_s8, f11, bad)
     corrupted = type(split11)(idempotents=tuple(es), blocks=split11.blocks)
     assert not verify_split(corrupted)
@@ -238,7 +254,7 @@ def test_verify_rejects_class_functions_that_are_not_orthogonal(split11, monkeyp
     # (2 e0, e1 - e0) are central and still sum to 1, but their product is
     # -2 e0 and neither is idempotent: the first product rejects them
     e0, e1 = split11.idempotents[:2]
-    es = (e0 + e0, e1 - e0) + split11.idempotents[2:]
+    es = (plus(e0, e0), plus(e1, e0, -1)) + split11.idempotents[2:]
     calls = counting_products(monkeypatch)
     assert not verify_split(dataclasses.replace(split11, idempotents=es))
     assert len(calls) == 1
@@ -250,9 +266,9 @@ def test_verify_rejects_a_sum_preserving_non_central_change(sl32_s8, f11, split1
     # before any product
     assert sl32_s8.classes[1].size > 1
     last = max(i for i, ci in enumerate(sl32_s8.class_index_of) if ci == 1)
-    delta = AlgebraElement.from_group_index(sl32_s8, f11, last)
+    moved = delta(sl32_s8, f11, last)
     es = list(split11.idempotents)
-    es[2], es[3] = es[2] + delta, es[3] - delta
+    es[2], es[3] = plus(es[2], moved), plus(es[3], moved, -1)
     calls = counting_products(monkeypatch)
     assert not verify_split(dataclasses.replace(split11, idempotents=tuple(es)))
     assert not calls
@@ -450,7 +466,7 @@ def test_split_modulus_independence(sl32_s8):
 def test_split_deterministic_for_fixed_seed(sl32_s8, f13):
     a = split_center(sl32_s8, f13, seed=3)
     b = split_center(sl32_s8, f13, seed=3)
-    assert [e.coeffs for e in a.idempotents] == [e.coeffs for e in b.idempotents]
+    assert [e.arr.tolist() for e in a.idempotents] == [e.arr.tolist() for e in b.idempotents]
 
 
 def test_split_s5(s5, f11):
@@ -540,11 +556,16 @@ def test_verify_reads_the_full_table_once(sl32_s8, p, k, monkeypatch):
     assert stops == [None]
 
 
-def test_algebra_element_rejects_coefficients_of_another_field(sl32_s8, f11, f13):
-    f121 = make_field(11, 2, seed=0)
-    with pytest.raises(ValueError):
-        AlgebraElement(sl32_s8, f13, [f11.scalar(5)] * sl32_s8.order)
-    with pytest.raises(ValueError):
-        AlgebraElement(sl32_s8, f11, [f121.element([1, 1])] * sl32_s8.order)
-    a = AlgebraElement(sl32_s8, f11, [f11.scalar(5)] * sl32_s8.order)
+def test_algebra_element_keeps_its_array(sl32_s8, f11):
+    # the constructor keeps an array of shape (|G|, k) as it is; a coefficient of
+    # another field is rejected where a FieldElement is read into a field, by
+    # spec.element (test_ffield.py::test_element_rejects_an_element_of_another_field)
+    arr = as_rows([f11.scalar(5)] * sl32_s8.order)
+    a = AlgebraElement(sl32_s8, f11, arr)
+    assert a.arr is arr and a.group is sl32_s8 and a.spec is f11
     assert a.arr.shape == (sl32_s8.order, 1) and (a.arr == 5).all()
+    for shape in ((sl32_s8.order - 1, 1), (sl32_s8.order, 2), (sl32_s8.order,)):
+        with pytest.raises(ValueError):
+            AlgebraElement(sl32_s8, f11, np.zeros(shape, dtype=f11.dtype))
+    with pytest.raises(ValueError):
+        AlgebraElement(sl32_s8, f11, arr.astype(object))

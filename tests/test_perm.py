@@ -14,6 +14,7 @@ from wedderburn import (
     parse_group_text,
     power_class,
 )
+from wedderburn.perm import _orbits
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
 
@@ -447,6 +448,12 @@ def test_group_is_what_its_generators_generate():
         assert T[i].tolist() == [G.index(a * b) for b in G.elements]
 
 
+def point_orbits(G):
+    """The orbits of G on its 0-indexed points, each sorted: perm._orbits on
+    the generators' image tuples."""
+    return [sorted(o) for o in _orbits(G.degree, [g.images for g in G.generators])[0]]
+
+
 def brute_force_point_orbits(G):
     """Each point's closure under the generators, one per orbit, sorted."""
     orbits = set()
@@ -463,10 +470,10 @@ def brute_force_point_orbits(G):
 
 def test_point_orbits_match_brute_force(table_group):
     G = table_group
-    assert G.point_orbits() == brute_force_point_orbits(G)
+    assert point_orbits(G) == brute_force_point_orbits(G)
 
 
 def test_point_orbits_of_an_intransitive_group():
     # S3 on {1,2,3} inside 5 points fixes 4 and 5
     H = FiniteGroup([parse_cycles("(1,2,3)", 5), parse_cycles("(1,2)", 5)])
-    assert H.point_orbits() == brute_force_point_orbits(H) == [[0, 1, 2], [3], [4]]
+    assert point_orbits(H) == brute_force_point_orbits(H) == [[0, 1, 2], [3], [4]]

@@ -187,8 +187,7 @@ class FieldSpec:
     fold and mul_arrays only add and multiply, so they are exact there too,
     while inversion, and whatever relies on it, needs a field."""
 
-    __slots__ = ("p", "k", "q", "modulus", "dtype", "x_powers", "add", "sub", "mul",
-                 "_place", "_zero", "_one")
+    __slots__ = ("p", "k", "q", "modulus", "dtype", "x_powers", "add", "sub", "mul", "_place")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         modulus = tuple(c % p for c in modulus)
@@ -213,8 +212,6 @@ class FieldSpec:
         self.x_powers = np.array(np.eye(k, dtype=int).tolist() + reds, dtype=self.dtype)
         self._place = [p**t for t in range(k)]
         self.add, self.sub, self.mul = _scalar_kernels(p, k, self._place, reds)
-        self._zero = FieldElement(self, 0)
-        self._one = FieldElement(self, 1)
 
     # scalar arithmetic on base-p values ---------------------------------------
 
@@ -268,11 +265,11 @@ class FieldSpec:
 
     @property
     def zero(self) -> "FieldElement":
-        return self._zero
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return self._one
+        return FieldElement(self, 1)
 
     def scalar(self, n: int) -> "FieldElement":
         """Image of the integer n under the canonical map Z -> F_q."""
@@ -291,6 +288,9 @@ class FieldSpec:
         return FieldElement(self, self.pack(coeffs))
 
     def random_element(self, rng: random.Random) -> "FieldElement":
+        """A FieldElement from k draws rng.randrange(p), its coefficients.
+        The split draws the same digits as ints, so only callers of the
+        boundary type (the tests among them) build scalars through it."""
         return FieldElement(self, self.pack([rng.randrange(self.p) for _ in range(self.k)]))
 
     def __eq__(self, other) -> bool:
@@ -773,7 +773,8 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
     n = f.degree()
     half = (spec.q**d - 1) // 2
     while True:
-        a = Polynomial._of(spec, [spec.random_element(rng).value for _ in range(n)])
+        a = Polynomial._of(spec, [spec.pack([rng.randrange(spec.p) for _ in range(spec.k)])
+                                  for _ in range(n)])
         if a.degree() < 1:
             continue
         g = a.gcd(f)
@@ -800,10 +801,10 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray) -> Polynomial:
     t = deg m, the column blocks 0..t-1 are independent over F_q and every
     later block depends on them, so the pivots are exactly the first
     kt = k*t columns.  Only e = w[:kt, :kt + 1] mod p, the pivot rows up to
-    column kt, is read: column kt is A^t v itself; back-substitution in the
-    unit upper triangle U = e[:, :kt] solves U y = -e[:, kt], and the
-    coefficient of X^j in m is y[jk:(j+1)k].  A zero start vector gives
-    t = 0 and m = 1.
+    column kt, is read, as int lists: column kt is A^t v itself;
+    back-substitution over the rows of the unit upper triangle
+    U = e[:, :kt] solves U y = -e[:, kt], and the coefficient of X^j in m
+    is y[jk:(j+1)k].  A zero start vector gives t = 0 and m = 1.
     """
     shape = (len(v), spec.k)
     if np.shape(v) != shape:
@@ -816,15 +817,13 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray) -> Polynomial:
     p, k = spec.p, spec.k
     w = _working_copy(_blow_up(spec, np.stack(krylov, axis=1)), p)
     kt = _eliminate(w, p)
-    # in spec.dtype: the products below with a narrowed w's int16 or int32
-    # rows cost more than this one cast
-    e = np.remainder(w[:kt, : kt + 1], p, dtype=spec.dtype)
-    if kt % k or not (np.diagonal(e) == 1).all():
+    e = (w[:kt, : kt + 1] % p).tolist()
+    if kt % k or any(e[r][r] != 1 for r in range(kt)):
         raise AssertionError("Krylov pivots are not the leading columns (bug)")
-    y = np.zeros(kt, dtype=spec.dtype)
+    y = [0] * kt
     for r in range(kt - 1, -1, -1):
-        y[r] = (-e[r, kt] - (e[r, r + 1 : kt] * y[r + 1 :] % p).sum()) % p
-    return Polynomial._of(spec, [spec.pack(c) for c in y.reshape(-1, k).tolist()] + [1])
+        y[r] = -(e[r][kt] + sum(map(operator.mul, e[r][r + 1 : kt], y[r + 1 :]))) % p
+    return Polynomial._of(spec, [spec.pack(y[j : j + k]) for j in range(0, kt, k)] + [1])
 
 
 # exact linear algebra ---------------------------------------------------------
@@ -927,18 +926,18 @@ def _eliminate(w: np.ndarray, p: int) -> int:
     r and up are zero.
 
     The updates are memory-bound, so a narrow working copy pays only on
-    larger matrices: measured on square matrices of full rank, of rank
-    about half and of rank 1 at p = 11, 37 and 5051 (with a write-back of
-    the echelon form since removed), the narrow copy made a rank 3-15%
-    slower at 12 columns, cost about what it saved at 24 to 32, and made it
-    5-20% faster at 40 to 48 and 15-45% faster at 64 to 96.  Reduction is
-    delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): each pivot
-    reduces only its column and its row, and subtracts the unreduced
-    products col * row, each at most (p - 1)**2, from the rows below.  After t such updates an entry lies in
-    (-t (p - 1)**2, p), so the trailing block is reduced (_reduce) once
-    every ``period`` updates, the most t with p + t (p - 1)**2 within the working
-    dtype: at least 32 in int16 and int32, about 9.2e18 / (p - 1)**2 in
-    int64; Python ints reduce on every update.
+    larger matrices: measured on square matrices of full rank, of rank about
+    half and of rank 1 at p = 11, 37 and 5051, the narrow copy made a rank
+    3-15% slower at 12 columns, cost about what it saved at 24 to 32, and
+    made it 5-20% faster at 40 to 48 and 15-45% faster at 64 to 96.
+    Reduction is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
+    each pivot reduces only its column and its row, and subtracts the
+    unreduced products col * row, each at most (p - 1)**2, from the rows
+    below.  After t such updates an entry lies in (-t (p - 1)**2, p), so the
+    trailing block is reduced (_reduce) once every ``period`` updates, the
+    most t with p + t (p - 1)**2 within the working dtype: at least 32 in
+    int16 and int32, about 9.2e18 / (p - 1)**2 in int64; Python ints reduce
+    on every update.
 
     A pivot step works on slices from the pivot column c on: the pivot row
     is reduced mod p before it is scaled by its inverse (so the product

@@ -46,7 +46,9 @@ columns at the class representatives of the one full table it builds per
 call.  split_center reads only the short prefix of columns the class
 constants need.  The center works in the class-sum basis on (m, k) arrays:
 products by class sums are integer matmuls against the class-product
-coefficients, and other products use FieldSpec.mul_arrays.
+coefficients, and other products use FieldSpec.mul_arrays.  A class vector
+becomes a (|G|, k) array in one place, the CentralSplit split_center
+returns, gathered through the group's class_index_of.
 """
 
 from __future__ import annotations
@@ -142,14 +144,6 @@ def _convolve(G: FiniteGroup, spec: FieldSpec, arrs, table: np.ndarray) -> np.nd
     return spec.fold((y % p).reshape(m, k, c, k).transpose(0, 2, 1, 3))
 
 
-def _embed(spec: FieldSpec, v: np.ndarray) -> np.ndarray:
-    """The array (..., 1) over F_p as the array (..., k) over F_q = spec
-    with the same entries: zeros in coefficients 1 .. k-1."""
-    out = np.zeros(v.shape[:-1] + (spec.k,), dtype=spec.dtype)
-    out[..., :1] = v
-    return out
-
-
 @dataclass(frozen=True)
 class CentralSplit:
     """The primitive central idempotents together with, per block, its
@@ -176,15 +170,9 @@ class _CenterAlgebra:
     the center of the group ring over the Galois ring."""
 
     def __init__(self, G: FiniteGroup, spec: FieldSpec):
-        self.G = G
         self.spec = spec
         self.m = len(G.classes)
         self.c = G.class_product_coefficients()
-
-    def one(self) -> np.ndarray:
-        vec = np.zeros((self.m, self.spec.k), dtype=self.spec.dtype)
-        vec[0, 0] = 1  # the identity element is its own (size-1) class
-        return vec
 
     def mul_class(self, i: int, v: np.ndarray) -> np.ndarray:
         """Product (class sum i) * v."""
@@ -201,9 +189,6 @@ class _CenterAlgebra:
     def block_dimension(self, e: np.ndarray) -> int:
         """Dimension over F_q of e*Z, the span of the projected class sums."""
         return MatrixFq(self.spec, self._mul_classes(e)).rank()
-
-    def to_algebra(self, v: np.ndarray) -> AlgebraElement:
-        return AlgebraElement(self.G, self.spec, v[list(self.G.class_index_of)])
 
 
 def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
@@ -248,7 +233,7 @@ def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
     if dim == 1:
         return None, dim
     spec = Z.spec
-    draws = (np.array([spec.random_element(rng).coeffs for _ in range(Z.m)], dtype=spec.dtype)
+    draws = (np.array([[rng.randrange(spec.p) for _ in range(spec.k)] for _ in range(Z.m)], dtype=spec.dtype)
              for _ in range(MAX_RANDOM_DRAWS))
     candidates = itertools.chain((partial(Z.mul_class, i) for i in range(1, Z.m) if Z.mul_class(i, e).any()),
                                  (partial(Z.mul, z) for z in draws))
@@ -301,10 +286,15 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
         raise ModularCaseError(spec.p, G.order)
     Z = _CenterAlgebra(G, spec)
     Zp = Z if spec.k == 1 else _CenterAlgebra(G, FieldSpec(spec.p, 1, (0, 1)))
+    one = np.zeros((Z.m, 1), dtype=Zp.spec.dtype)
+    one[0, 0] = 1  # the identity element is its own (size-1) class
     rng = random.Random(f"split:{seed}:{spec.p}:1:{G.order}")
-    final = _refine(Zp, [Zp.one()], rng, seed)
+    final = _refine(Zp, [one], rng, seed)
     if spec.k > 1:
-        final = [(_embed(spec, e), d) for e, d in final]
+        # each idempotent over F_p, as an (m, k) array over F_q: zeros in coefficients 1 .. k-1
+        es = np.zeros((len(final), Z.m, spec.k), dtype=spec.dtype)
+        es[..., :1] = np.stack([e for e, _ in final])
+        final = [(e, d) for e, (_, d) in zip(es, final)]
         work = [e for e, d in final if math.gcd(d, spec.k) > 1]
         final = [(e, d) for e, d in final if math.gcd(d, spec.k) == 1] + _refine(Z, work, rng, seed)
     block_dims = _lifted_block_dims(G, spec, [e for e, _ in final])
@@ -318,7 +308,7 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     order = sorted(range(len(final)),
                    key=lambda i: (blocks[i][1], blocks[i][0], final[i][0][:, ::-1].tolist()))
     return CentralSplit(
-        idempotents=tuple(Z.to_algebra(final[i][0]) for i in order),
+        idempotents=tuple(AlgebraElement(G, spec, final[i][0][G.class_index_of]) for i in order),
         blocks=tuple(blocks[i] for i in order),
     )
 
@@ -405,8 +395,7 @@ def verify_split(split: CentralSplit) -> bool:
     if any(e.group is not G or e.spec != spec for e in es):
         return False
     reps = [c.index for c in G.classes]  # each class's least index
-    class_first = [reps[ci] for ci in G.class_index_of]
-    if any(not np.array_equal(e.arr, e.arr[class_first]) for e in es):
+    if any(not np.array_equal(e.arr, e.arr[reps][G.class_index_of]) for e in es):
         return False
     if not np.array_equal(sum(e.arr for e in es) % spec.p, AlgebraElement.unit(G, spec).arr):
         return False

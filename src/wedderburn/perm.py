@@ -9,9 +9,11 @@ Permutation is the boundary type callers build and read: the group makes
 one per element and multiplies none.  Permutation.__mul__ and inverse stay
 as the tests' independent reference for mul_table and inverse_indices,
 which the group builds from image tuples and index maps.  Its powers,
-cycles and order share one cycle walk.  A ConjClass keeps its
-representative's index; which class each element is in is recorded once,
-in FiniteGroup.class_index_of.
+cycles and order share one cycle walk.  One orbit walk on int lists,
+_orbits, finds the classes here and cyclo's q-power cycles.  A ConjClass
+keeps its representative's index; which class each element is in is
+recorded once, in FiniteGroup.class_index_of, a read-only int32 array
+beside inverse_indices.
 Points are 1-indexed in all input and output (cycle notation, group files)
 and 0-indexed internally.
 """
@@ -174,7 +176,8 @@ class ConjClass:
     """One conjugacy class: representative, size, common element order, and
     index, the representative's position in the parent group's element
     list, the least position in the class.  The members are not stored:
-    they are the positions i with class_index_of[i] the class's position."""
+    they are the positions i with class_index_of[i] the class's position,
+    read off the group's int32 class_index_of array."""
 
     representative: Permutation
     size: int
@@ -270,7 +273,7 @@ class FiniteGroup:
         a short prefix as each representative is first-seen in its class."""
         if self._class_coeffs is None:
             m = len(self.classes)
-            cls = np.array(self.class_index_of)
+            cls = self.class_index_of
             reps = [c.index for c in self.classes]
             table = self.mul_table(max(reps) + 1)
             coeffs = np.empty((m, m, m), dtype=np.int64)
@@ -317,18 +320,19 @@ def _conjugacy_partition(elements, conjugations):
     per generator g, entry x the index of g^-1 g_x g), ordered by (element
     order, size, first-seen index), each represented by its first-seen
     member, its least.  Returns (classes, class_index_of), the one record
-    of which class each element is in."""
+    of which class each element is in, a read-only int32 array."""
     orbits, label = _orbits(len(elements), conjugations)
     raw = [(elements[o[0]].order(), len(o), o[0]) for o in orbits]
     ranked = sorted(range(len(raw)), key=raw.__getitem__)
-    rank = [0] * len(raw)
-    for ci, r in enumerate(ranked):
-        rank[r] = ci
+    rank = np.empty(len(raw), dtype=np.int32)
+    rank[ranked] = range(len(raw))
     classes = tuple(
         ConjClass(representative=elements[first], size=size, element_order=order, index=first)
         for order, size, first in (raw[r] for r in ranked)
     )
-    return classes, tuple(rank[lab] for lab in label)
+    class_index_of = rank[label]
+    class_index_of.setflags(write=False)
+    return classes, class_index_of
 
 
 def generate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
@@ -342,7 +346,7 @@ def generate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
 def power_class(G: FiniteGroup, class_index: int, m: int) -> int:
     """Index of the class containing (representative of class_index) ** m."""
     rep = G.classes[class_index].representative
-    return G.class_index_of[G.index(rep**m)]
+    return int(G.class_index_of[G.index(rep**m)])
 
 
 @lru_cache(maxsize=None)

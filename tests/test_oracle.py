@@ -7,6 +7,7 @@ import pytest
 
 from wedderburn import (
     AlgebraElement,
+    FieldElement,
     FiniteGroup,
     MatrixFq,
     ModularCaseError,
@@ -18,7 +19,7 @@ from wedderburn import (
     split_center,
     verify_split,
 )
-from wedderburn import cli, oracle
+from wedderburn import cli, ffield, oracle
 from wedderburn.cli import resolve_group
 from wedderburn.oracle import _CenterAlgebra
 
@@ -569,3 +570,51 @@ def test_algebra_element_keeps_its_array(sl32_s8, f11):
             AlgebraElement(sl32_s8, f11, np.zeros(shape, dtype=f11.dtype))
     with pytest.raises(ValueError):
         AlgebraElement(sl32_s8, f11, arr.astype(object))
+
+
+NO_FIELD_ELEMENT = [("builtin:sl32-s8", 11, 1), ("builtin:sl32-s8", 13, 2), ("builtin:sl32-s8", 13, 3),
+                    ("builtin:sl32-s8", 2**31 + 11, 1), (f"file:{GROUP_DIR / 's6.txt'}", 7, 1)]
+
+
+@pytest.mark.parametrize("group,p,k", NO_FIELD_ELEMENT,
+                         ids=["sl32-F11", "sl32-F13^2", "sl32-F13^3", "sl32-F2^31+11", "s6-F7"])
+def test_split_and_verify_build_no_field_element(group, p, k, monkeypatch):
+    # FieldElement is the boundary type: once the field is built, the split
+    # and its check run on base-p ints and arrays.  Over F_{13^2} the d = 2
+    # block is refined over F_q, so Cantor-Zassenhaus draws at k = 2.
+    G = resolve_group(group)
+    spec = make_field(p, k, seed=0)
+    drawn = []  # extension degree of each equal-degree split that draws
+    real_split = ffield._equal_degree_split
+
+    def recording_split(f, d, rng):
+        if f.degree() > d:
+            drawn.append(f.spec.k)
+        return real_split(f, d, rng)
+
+    def refuse(self, spec, value):
+        raise AssertionError("built a FieldElement")
+
+    monkeypatch.setattr(ffield, "_equal_degree_split", recording_split)
+    monkeypatch.setattr(FieldElement, "__init__", refuse)
+    assert verify_split(split_center(G, spec, seed=0))
+    if (p, k) == (13, 2):
+        assert 2 in drawn
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (13, 2)])
+def test_random_central_elements_build_no_field_element(sl32_s8, p, k, monkeypatch):
+    # with every class sum acting as zero, only the seeded random central
+    # elements are candidates; they draw their rows from the stream as ints
+    # and reach the same (unique) primitive idempotents
+    spec = make_field(p, k, seed=0)
+    expected = split_center(sl32_s8, spec, seed=0)
+
+    def refuse(self, spec, value):
+        raise AssertionError("built a FieldElement")
+
+    monkeypatch.setattr(_CenterAlgebra, "mul_class", lambda self, i, v: np.zeros_like(v))
+    monkeypatch.setattr(FieldElement, "__init__", refuse)
+    split = split_center(sl32_s8, spec, seed=0)
+    assert split == expected
+    assert verify_split(split)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from pathlib import Path
 
@@ -366,6 +367,24 @@ def test_class_index_is_the_least_member_and_the_representative(table_group):
         assert G.elements[c.index] == c.representative
         assert G.class_index_of[c.index] == ci
         assert c.index == idx[0]
+
+
+def test_class_labels_are_a_read_only_int32_array():
+    # the digest pins the labels, as tuples of ints, of the three builtins
+    # and then the bench group files
+    groups = [BUILTIN_GROUPS[name]() for name in sorted(BUILTIN_GROUPS)]
+    groups += [load_group(path) for path in sorted(GROUP_DIR.glob("*.txt"))]
+    assert len(groups) == 14
+    for G in groups:
+        labels = G.class_index_of
+        assert isinstance(labels, np.ndarray) and labels.dtype == np.int32 and labels.shape == (G.order,)
+        assert not labels.flags.writeable
+        with pytest.raises(ValueError):
+            labels[0] = 1
+    digest = hashlib.sha256(repr([tuple(G.class_index_of.tolist()) for G in groups]).encode()).hexdigest()
+    assert digest == "7dbe5be69bbb00166cab2c9c25a4d5fca0beaeaa1965943ed61a9ebdfc42465e"
+    G = groups[-1]
+    assert all(type(power_class(G, ci, m)) is int for ci in range(len(G.classes)) for m in (0, 1, 5))
 
 
 def test_building_a_group_multiplies_no_permutations(monkeypatch):

@@ -1,18 +1,23 @@
 """Brute-force decomposition of the regular group algebra F_q[G].
 
-Everything here is independent of character theory.  The center of F_q[G]
-is spanned by the class sums; the primitive central idempotents are found by
-repeatedly picking a central element, computing the minimal polynomial of
-multiplication by it on each current block, factoring that polynomial, and
-combining the coprime factors into finer idempotents.  A block is accepted
-once some element of it has an irreducible minimal polynomial whose degree
-equals the block dimension, which certifies the block center is a field; the
-search on that block stops there, since no element can split a field and
-primitive central idempotents are unique.  Over F_q, q = p^k, the
+Everything here is independent of character theory.  The center Z of
+F_q[G] is spanned by the class sums, so dim Z = m, the class count.  The
+primitive central idempotents are found by drawing seeded random central
+elements w on each current block, computing the minimal polynomial mu of
+multiplication by w there, factoring it, and combining the coprime factors
+f_j into finer idempotents e_j (Eberly and Giesbrecht, Efficient
+decomposition of associative algebras over finite fields, J. Symb. Comput.
+29, 2000).  When deg mu is the block's dim e*Z, w generates the block
+center, which is then F_q[X]/(mu), so every e_j is final with center
+degree deg f_j and no rank is taken; otherwise a new block is final once
+its rank dim e_j*Z equals deg f_j, which makes its center the field
+F_q[w*e_j].  No element splits a field, and primitive central idempotents
+are unique, so the search on a final block stops.  Over F_q, q = p^k, the
 refinement runs over F_p first: a block whose center has degree d over F_p
 splits over F_q into gcd(d, k) blocks (Lidl and Niederreiter, Finite
 Fields, Thm 3.46), so only the blocks with gcd(d, k) > 1 are refined again
-in F_q arithmetic, and every other one is final as it stands.
+in F_q arithmetic, from their dim e*Z = d, and every other one is final as
+it stands.
 For each primitive idempotent e the center degree d = dim e*Z is read off
 the splitting, and the block dimension D = dim e*F_q[G] off a trace, with
 no rank of a |G| x |G| matrix.  Left multiplication by e is a projection
@@ -44,20 +49,24 @@ against a single gather: a single product is its one-left call on the full
 table, and verify_split's orthogonality check gathers through only the m
 columns at the class representatives of the one full table it builds per
 call.  split_center reads only the short prefix of columns the class
-constants need.  The center works in the class-sum basis on (m, k) arrays:
-products by class sums are integer matmuls against the class-product
-coefficients, and other products use FieldSpec.mul_arrays.  A class vector
-becomes a (|G|, k) array in one place, the CentralSplit split_center
-returns, gathered through the group's class_index_of.
+constants need.  The center works in the class-sum basis on (m, k) arrays.
+A product u * v is the class products of v, an O(m^3 k) integer matmul
+against the class-product coefficients, then their combination with the
+coefficients of u, O(m^2 k^2), summed before one FieldSpec.fold.  The
+class products of a random central element are made once for all of
+minpoly's Krylov steps, a split's idempotents are combinations of those
+Krylov vectors, with no product made again, and a product is broadcast over
+stacks: each Newton step lifts every idempotent at once, and each new
+idempotent is checked orthogonal to all those before it at once.  A class
+vector becomes a (|G|, k) array in one place, the CentralSplit
+split_center returns, gathered through the group's class_index_of.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 
 import numpy as np
@@ -68,7 +77,11 @@ from .perm import FiniteGroup
 
 __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
 
-MAX_RANDOM_DRAWS = 40  # random central elements tried per block after the class sums
+# random central elements drawn per block: each fails to split a block that is
+# not a field, or to generate one that is, with probability at most 1/q, so a
+# block exhausts its draws with probability at most q^-40 (about 1.1e-28 at q = 5)
+MAX_RANDOM_DRAWS = 40
+CENTER_BATCH_ENTRIES = 1 << 20  # most entries of the (B, n, m, k, k) intermediate of one slice of a stacked center product
 CERTIFICATE_OVERSAMPLE = 32  # rows and columns past D in verify_split's sampled submatrices
 
 
@@ -165,26 +178,43 @@ class _CenterAlgebra:
     """The center of F_q[G] in the class-sum basis.  Vectors are (m, k)
     coefficient arrays of dtype spec.dtype; products run against the integer
     class-product coefficients c, and every entry of c[i].T @ v is below
-    |G| * p (column k of c[i] sums to |K_i|).  The products only add and
-    multiply, so over spec = FieldSpec(p^s, k, modulus) they are those of
-    the center of the group ring over the Galois ring."""
+    |G| * p (column k of c[i] sums to |K_i|); a combination reduces each
+    entry product, below p^2, before it sums at most m of them.  The
+    products only add and multiply, so over spec = FieldSpec(p^s, k,
+    modulus) they are those of the center of the group ring over the Galois
+    ring."""
 
     def __init__(self, G: FiniteGroup, spec: FieldSpec):
         self.spec = spec
         self.m = len(G.classes)
         self.c = G.class_product_coefficients()
 
-    def mul_class(self, i: int, v: np.ndarray) -> np.ndarray:
-        """Product (class sum i) * v."""
-        return self.c[i].T @ v % self.spec.p
-
     def _mul_classes(self, v: np.ndarray) -> np.ndarray:
-        """The (m, m, k) array whose row i is mul_class(i, v)."""
-        return self.c.transpose(0, 2, 1) @ v % self.spec.p
+        """The (..., m, m, k) array whose row i is (class sum i) * v, for v of
+        shape (..., m, k): the O(m^3 k) part of a product by v."""
+        return self.c.transpose(0, 2, 1) @ v[..., None, :, :] % self.spec.p
+
+    def _combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """sum over i of coeffs_i * rows[i] in F_q, for coeffs of shape
+        (..., n, k) and rows of shape (..., n, m, k), broadcast over leading
+        axes: O(n m k^2), each entry product reduced and the sum over i
+        reduced again before the one fold.  A (B, n, k) stack of coeffs runs
+        in slices of at most CENTER_BATCH_ENTRIES // (m * k)^2, with rows
+        sliced alongside when it is a stack too, which bounds the
+        (B, n, m, k, k) intermediate for n <= m."""
+        step = max(1, CENTER_BATCH_ENTRIES // (self.m * self.spec.k) ** 2)
+        if coeffs.ndim == 3 and len(coeffs) > step:
+            return np.concatenate([self._combine(coeffs[i : i + step], rows[i : i + step] if rows.ndim == 4 else rows)
+                                   for i in range(0, len(coeffs), step)])
+        p = self.spec.p
+        y = coeffs[..., :, None, :, None] * rows[..., None, :] % p  # [..., i, l, t, s]
+        return self.spec.fold(y.sum(-4) % p)
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Product u * v = sum over i of u_i * (class sum i) * v."""
-        return self.spec.mul_arrays(u[:, None], self._mul_classes(v)).sum(0) % self.spec.p
+        """Product u * v = sum over i of u_i * (class sum i) * v, for (m, k)
+        arrays, broadcast over leading axes: a (B, m, k) stack of u by one v,
+        or B products of two stacks."""
+        return self._combine(u, self._mul_classes(v))
 
     def block_dimension(self, e: np.ndarray) -> int:
         """Dimension over F_q of e*Z, the span of the projected class sums."""
@@ -194,7 +224,11 @@ class _CenterAlgebra:
 def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
     """Refine the idempotent e along the coprime factorization mu = prod f_j:
     the new idempotents are h_j(w) where h_j = 1 mod f_j and 0 mod the rest,
-    evaluated at the stacked powers e, w, ..., w^(deg mu - 1)."""
+    evaluated at the stacked powers e, w, ..., w^(deg mu - 1) in one
+    combination.  Each e_b is checked orthogonal to the stacked
+    e_0, ..., e_(b-1) in one product, which makes the class products of e_b
+    alone: O(r m^3 k) for r idempotents, not the O(r^2 m^3 k) of one
+    product per pair."""
     spec = Z.spec
     coeffs = np.zeros((len(factors), len(powers), spec.k), dtype=spec.dtype)
     for j, (f_j, _) in enumerate(factors):
@@ -204,66 +238,70 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
             raise AssertionError("minimal polynomial factors are not coprime (bug)")
         h_j = (s_j * g_j) % mu
         coeffs[j, : len(h_j.coeffs)] = [spec.unpack(c) for c in h_j.coeffs]
-    outs = spec.mul_arrays(coeffs[:, :, None], powers).sum(1) % spec.p
+    outs = Z._combine(coeffs, powers)
     if not np.array_equal(outs.sum(0) % spec.p, e):
         raise AssertionError("refined idempotents do not sum to the block unit (bug)")
-    for a in range(len(outs)):
-        for b in range(a + 1, len(outs)):
-            if Z.mul(outs[a], outs[b]).any():
-                raise AssertionError("refined idempotents are not orthogonal (bug)")
+    if any(Z.mul(outs[:b], outs[b]).any() for b in range(1, len(outs))):
+        raise AssertionError("refined idempotents are not orthogonal (bug)")
     return list(outs)
 
 
-def _try_refine(Z: _CenterAlgebra, e, rng: random.Random, seed: int):
-    """(split, d) with d = dim e*Z: split is a list of at least two finer
-    idempotents of the block of e, or None once the block is certified to be
-    a field, of degree d over F_q.
+def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
+    """(final, todo): the blocks below the idempotent e of Z, dim = dim e*Z,
+    that one seeded random central element w separates, as lists of
+    (e_j, d_j) pairs with d_j = dim e_j*Z.  A block in final is certified a
+    field, of degree d_j over F_q; one in todo is to be split further.
 
-    Candidates are the class sums other than the identity's that act
-    nontrivially on the block, in class order, then up to MAX_RANDOM_DRAWS
-    seeded random central elements, each drawn only when reached.  (The
-    identity's minimal polynomial X - 1 neither splits nor certifies a block
-    with dim e*Z > 1.)  The search stops at the first candidate whose
-    minimal polynomial mu on the block has two or more irreducible factors
-    (a split), or is irreducible of degree dim e*Z (the block center is
-    then F_q[w], a field, and no element splits it).  A repeated factor of
-    mu contradicts semisimplicity.
+    Each draw takes its m rows from rng, and the search stops at the first w
+    whose minimal polynomial mu on the block has two or more irreducible
+    factors f_j (a split), or has degree dim (w generates the block center).
+    A repeated factor of mu contradicts semisimplicity.  When deg mu = dim,
+    e*Z = F_q[w] = F_q[X]/(mu), the product of the fields F_q[X]/(f_j), so
+    every new idempotent e_j is final with d_j = deg f_j, and no rank is
+    taken; with one factor, e itself is final.  Otherwise each e_j is
+    ranked, and is final when its rank is deg f_j: w*e_j has the irreducible
+    minimal polynomial f_j, so F_q[w*e_j] is a field of that degree inside
+    e_j*Z, and then all of it.  On a block that is not a field a draw fails
+    to split it, and on a field block fails to generate it, with
+    probability at most 1/q.
     """
-    dim = Z.block_dimension(e)
-    if dim == 1:
-        return None, dim
     spec = Z.spec
-    draws = (np.array([[rng.randrange(spec.p) for _ in range(spec.k)] for _ in range(Z.m)], dtype=spec.dtype)
-             for _ in range(MAX_RANDOM_DRAWS))
-    candidates = itertools.chain((partial(Z.mul_class, i) for i in range(1, Z.m) if Z.mul_class(i, e).any()),
-                                 (partial(Z.mul, z) for z in draws))
-    for mul_by in candidates:
-        mu = minpoly(spec, mul_by, e)
+    for _ in range(MAX_RANDOM_DRAWS):
+        w = np.array([[rng.randrange(spec.p) for _ in range(spec.k)] for _ in range(Z.m)], dtype=spec.dtype)
+        w_classes = Z._mul_classes(w)  # made once for all the Krylov steps v -> v * w
+        powers = [e]  # minpoly's Krylov vectors w^i * e, in the order it makes them
+
+        def times_w(v):
+            powers.append(Z._combine(v, w_classes))
+            return powers[-1]
+
+        mu = minpoly(spec, times_w, e)
         facs = factor(mu, seed=seed)
         if any(mult > 1 for _, mult in facs):
             raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")
-        if len(facs) > 1:
-            powers = [e]
-            for _ in range(1, mu.degree()):
-                powers.append(mul_by(powers[-1]))
-            return _crt_idempotents(Z, e, np.stack(powers), mu, facs), dim
-        if mu.degree() == dim:
-            return None, dim
+        generates = mu.degree() == dim
+        if len(facs) == 1:
+            if generates:
+                return [(e, dim)], []
+            continue
+        split = zip(_crt_idempotents(Z, e, np.stack(powers[: mu.degree()]), mu, facs), [f.degree() for f, _ in facs])
+        if generates:
+            return list(split), []
+        ranked = [(e_j, Z.block_dimension(e_j), deg) for e_j, deg in split]
+        return ([(e_j, d) for e_j, d, deg in ranked if d == deg],
+                [(e_j, d) for e_j, d, deg in ranked if d != deg])
     raise RuntimeError("failed to split or certify a center block (bug)")
 
 
 def _refine(Z: _CenterAlgebra, work: list, rng: random.Random, seed: int) -> list:
-    """(e, d) for every primitive idempotent e of Z below the idempotents in
-    work, d = dim e*Z: each block is refined by _try_refine until it is
-    certified a field."""
+    """(e, d) for every primitive idempotent e of Z below the (idempotent,
+    dim e*Z) pairs in work, d = dim e*Z: _try_refine splits each block until
+    every one is certified a field."""
     final = []
     while work:
-        e = work.pop()
-        split, d = _try_refine(Z, e, rng, seed)
-        if split is None:
-            final.append((e, d))
-        else:
-            work.extend(split)
+        done, todo = _try_refine(Z, *work.pop(), rng, seed)
+        final += done
+        work += todo
     return final
 
 
@@ -289,13 +327,14 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     one = np.zeros((Z.m, 1), dtype=Zp.spec.dtype)
     one[0, 0] = 1  # the identity element is its own (size-1) class
     rng = random.Random(f"split:{seed}:{spec.p}:1:{G.order}")
-    final = _refine(Zp, [one], rng, seed)
+    final = _refine(Zp, [(one, Zp.m)], rng, seed)  # the class sums are a basis of Z
     if spec.k > 1:
         # each idempotent over F_p, as an (m, k) array over F_q: zeros in coefficients 1 .. k-1
         es = np.zeros((len(final), Z.m, spec.k), dtype=spec.dtype)
         es[..., :1] = np.stack([e for e, _ in final])
         final = [(e, d) for e, (_, d) in zip(es, final)]
-        work = [e for e, d in final if math.gcd(d, spec.k) > 1]
+        # dim e*Z over F_q is d: the center over F_q is the one over F_p with its scalars extended
+        work = [(e, d) for e, d in final if math.gcd(d, spec.k) > 1]
         final = [(e, d) for e, d in final if math.gcd(d, spec.k) == 1] + _refine(Z, work, rng, seed)
     block_dims = _lifted_block_dims(G, spec, [e for e, _ in final])
     blocks = [(math.isqrt(D // d), d) for D, (_, d) in zip(block_dims, final)]
@@ -318,21 +357,19 @@ def _lifted_block_dims(G: FiniteGroup, spec: FieldSpec, idempotents) -> list[int
     trace |G| * e(1) of e lifted to the Galois ring FieldSpec(p^s, k,
     modulus), s the least exponent with p^s > |G|.  Each Newton step
     e <- 3e^2 - 2e^3 doubles the power of p modulo which e^2 = e holds, so
-    ceil(log2 s) steps lift e mod p^s; when p > |G|, s = 1 and no step runs."""
+    ceil(log2 s) steps lift e mod p^s; when p > |G|, s = 1 and no step runs.
+    Every idempotent is lifted at once, as one (B, m, k) stack."""
     P, s = spec.p, 1
     while P <= G.order:
         P, s = P * spec.p, s + 1
     Z = _CenterAlgebra(G, FieldSpec(P, spec.k, spec.modulus))
-    dims = []
-    for e in idempotents:
-        e = e.astype(Z.spec.dtype)
-        for _ in range((s - 1).bit_length()):
-            e2 = Z.mul(e, e)
-            e = (3 * e2 - 2 * Z.mul(e2, e)) % P
-        if e[0, 1:].any():
-            raise AssertionError("identity coefficient of a lifted idempotent is not in Z/p^s (bug)")
-        dims.append(G.order * int(e[0, 0]) % P)
-    return dims
+    e = np.stack(idempotents).astype(Z.spec.dtype)
+    for _ in range((s - 1).bit_length()):
+        e2 = Z.mul(e, e)
+        e = (3 * e2 - 2 * Z.mul(e2, e)) % P
+    if e[:, 0, 1:].any():
+        raise AssertionError("identity coefficient of a lifted idempotent is not in Z/p^s (bug)")
+    return [G.order * int(c) % P for c in e[:, 0, 0]]
 
 
 def _right_ideal_dimension(E: AlgebraElement, table: np.ndarray) -> int:

@@ -340,17 +340,47 @@ def test_split_ranks_each_center_block_once(sl32_s8, f11, monkeypatch):
     assert len(seen) == calls + len(split.idempotents)
 
 
+def test_split_makes_the_class_products_of_each_factor_once(sl32_s8, f11, monkeypatch):
+    # SL(3,2) over F_11 at seed 0: the first draw generates the 6-dimensional
+    # center.  The draw's class products serve all six of minpoly's Krylov
+    # steps, whose vectors the six idempotents are combined from; e_1 .. e_5
+    # are each checked orthogonal to the stacked idempotents before them;
+    # and the six are lifted mod 11^3 > 168 together, in two Newton steps of
+    # two stacked products
+    factors = []  # the shape of each right factor whose class products are made
+    combined = []  # the shape of each combination's coefficients
+    mul_classes, combine = _CenterAlgebra._mul_classes, _CenterAlgebra._combine
+
+    def recording_classes(self, v):
+        factors.append(v.shape)
+        return mul_classes(self, v)
+
+    def recording_combine(self, coeffs, rows):
+        combined.append(coeffs.shape)
+        return combine(self, coeffs, rows)
+
+    monkeypatch.setattr(_CenterAlgebra, "_mul_classes", recording_classes)
+    monkeypatch.setattr(_CenterAlgebra, "_combine", recording_combine)
+    split_center(sl32_s8, f11, seed=0)
+    assert factors == [(6, 1)] * 6 + [(6, 6, 1)] * 4
+    assert combined == [(6, 1)] * 6 + [(6, 6, 1)] + [(b, 6, 1) for b in range(1, 6)] + [(6, 6, 1)] * 4
+
+
 GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
 C15 = f"file:{GROUP_DIR / 'c15.txt'}"
 
 
-@pytest.mark.parametrize("group,p,k", [("builtin:sl32-s8", 11, 1), ("builtin:sl32-s8", 13, 3),
-                                       (f"file:{GROUP_DIR / 's6.txt'}", 7, 1)],
+@pytest.mark.parametrize("group,p,k,ranks", [("builtin:sl32-s8", 11, 1, False), ("builtin:sl32-s8", 13, 3, False),
+                                             (f"file:{GROUP_DIR / 's6.txt'}", 7, 1, True)],
                          ids=["sl32-F11", "sl32-F13^3", "s6-F7"])
-def test_split_ranks_only_center_matrices(group, p, k, monkeypatch):
+def test_split_ranks_only_center_matrices(group, p, k, ranks, monkeypatch):
     # every rank split_center takes is of an m x m center matrix; block
     # dimensions come from the lifted trace, not from ranks of |G| x |G|
-    # matrices or their submatrices
+    # matrices or their submatrices.  Over F_11 and F_13 the first draw
+    # generates the center of SL(3,2), so every block's degree is read off
+    # its factor and no rank is taken (over F_{13^3} no block is refined
+    # again); over F_7 S6 still ranks the blocks of splits by draws that do
+    # not generate
     G = resolve_group(group)
     rows = []
     rank = MatrixFq.rank
@@ -361,7 +391,8 @@ def test_split_ranks_only_center_matrices(group, p, k, monkeypatch):
 
     monkeypatch.setattr(MatrixFq, "rank", recording)
     split_center(G, make_field(p, k, seed=0), seed=0)
-    assert rows and max(rows) <= len(G.classes)
+    assert max(rows, default=0) <= len(G.classes)
+    assert bool(rows) == ranks
 
 
 def test_lifted_dims_that_miss_the_order_are_an_internal_error(sl32_s8, f11, monkeypatch, capsys):
@@ -381,9 +412,10 @@ def test_lifted_dims_that_miss_the_order_are_an_internal_error(sl32_s8, f11, mon
 
 
 def test_refinement_stops_at_a_certified_block(f11, monkeypatch):
-    # C15 over F_11 has ten blocks: 12 factorizations decide every split
-    # and certificate; searching on after a certificate took 85, and trying
-    # the identity class sum (minimal polynomial X - 1) as well took 20
+    # C15 over F_11 has ten blocks: one factorization decides every split
+    # and certificate, as the first draw generates the 15-dimensional center
+    # and each block's degree is read off its factor.  Trying the class sums
+    # before the draws took 12, searching on after a certificate 85
     calls = []
     real = oracle.factor
 
@@ -394,7 +426,7 @@ def test_refinement_stops_at_a_certified_block(f11, monkeypatch):
     monkeypatch.setattr(oracle, "factor", counting)
     split = split_center(resolve_group(C15), f11, seed=0)
     assert len(split.idempotents) == 10
-    assert len(calls) == 12
+    assert calls == [15]
 
 
 @pytest.mark.parametrize("p,k,refined", [(11, 2, []), (13, 3, []), (13, 2, [2, 1, 1])])
@@ -402,24 +434,58 @@ def test_extension_refines_only_blocks_whose_degree_shares_a_factor_with_k(sl32_
     # SL(3,2) over F_p has center degrees 1, and a 2 for p = 13: over F_q
     # only the d = 2 block at even k is refined again, into two of degree 1
     factored = []  # extension degree of each factored polynomial's field
-    blocks = []  # center dimension of each block refined over F_q
+    blocks = []  # center dimension of each block refined over F_q, then of the blocks it yields
     real_factor, real_refine = oracle.factor, oracle._try_refine
 
     def counting_factor(mu, seed=0):
         factored.append(mu.spec.k)
         return real_factor(mu, seed=seed)
 
-    def recording_refine(Z, e, rng, seed):
-        split, d = real_refine(Z, e, rng, seed)
+    def recording_refine(Z, e, dim, rng, seed):
+        done, todo = real_refine(Z, e, dim, rng, seed)
         if Z.spec.k > 1:
-            blocks.append(d)
-        return split, d
+            blocks.extend([dim] + [d for _, d in done + todo])
+        return done, todo
 
     monkeypatch.setattr(oracle, "factor", counting_factor)
     monkeypatch.setattr(oracle, "_try_refine", recording_refine)
     split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
     assert blocks == refined
     assert set(factored) == ({1, k} if refined else {1})
+
+
+def test_exhausted_draws_are_an_internal_error(sl32_s8, f11, monkeypatch, capsys):
+    # a block that no draw splits or certifies is a bug, not an input error
+    monkeypatch.setattr(oracle, "MAX_RANDOM_DRAWS", 0)
+    with pytest.raises(RuntimeError, match=r"^failed to split or certify a center block \(bug\)$"):
+        split_center(sl32_s8, f11, seed=0)
+    code = cli.main(["oracle", "--p", "11"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal check failed: failed to split or certify a center block (bug)\n"
+
+
+# the zoo benchmark's groups, each with a prime below and a prime above its order
+ZOO_PRIMES = (("c15", 11, 17), ("q8", 5, 11), ("d10", 7, 31), ("a4", 5, 13), ("s4", 7, 29), ("c7c3", 11, 43),
+              ("a5", 7, 61), ("s5", 13, 127), ("psl27", 13, 179), ("a6", 11, 367), ("s6", 11, 727))
+READ_OFF_CASES = ([(f"file:{GROUP_DIR / name}.txt", p, 1) for name, *primes in ZOO_PRIMES for p in primes]
+                  + [("builtin:sl32-s8", p, k) for p, k in SL32_FIELDS[:7] + ((13, 2), (5, 8))])
+
+
+@pytest.mark.parametrize("group,p,k", READ_OFF_CASES,
+                         ids=[f"{Path(g).stem if g.startswith('file:') else 'sl32'}-F{p}^{k}" for g, p, k in READ_OFF_CASES])
+def test_block_degrees_are_the_ranks_of_their_centers(group, p, k):
+    # a block's d is read off a factor of a minimal polynomial without a rank
+    # only when that polynomial's degree is the dimension of the center it
+    # split; every d must still be the rank of its e*Z, on every seed's path
+    G = resolve_group(group)
+    reps = [c.index for c in G.classes]
+    for seed in range(4):
+        spec = make_field(p, k, seed=seed)
+        split = split_center(G, spec, seed=seed)
+        Z = _CenterAlgebra(G, spec)
+        assert [d for _, d in split.blocks] == [Z.block_dimension(e.arr[reps]) for e in split.idempotents], seed
 
 
 def test_repeated_factor_of_a_minimal_polynomial_is_an_internal_error(sl32_s8, f11, monkeypatch, capsys):
@@ -604,16 +670,15 @@ def test_split_and_verify_build_no_field_element(group, p, k, monkeypatch):
 
 @pytest.mark.parametrize("p,k", [(11, 1), (13, 2)])
 def test_random_central_elements_build_no_field_element(sl32_s8, p, k, monkeypatch):
-    # with every class sum acting as zero, only the seeded random central
-    # elements are candidates; they draw their rows from the stream as ints
-    # and reach the same (unique) primitive idempotents
+    # the seeded random central elements, the only candidates, draw their
+    # rows from the stream as ints and reach the same (unique) primitive
+    # idempotents
     spec = make_field(p, k, seed=0)
     expected = split_center(sl32_s8, spec, seed=0)
 
     def refuse(self, spec, value):
         raise AssertionError("built a FieldElement")
 
-    monkeypatch.setattr(_CenterAlgebra, "mul_class", lambda self, i, v: np.zeros_like(v))
     monkeypatch.setattr(FieldElement, "__init__", refuse)
     split = split_center(sl32_s8, spec, seed=0)
     assert split == expected

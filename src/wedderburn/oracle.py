@@ -81,7 +81,6 @@ __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
 # not a field, or to generate one that is, with probability at most 1/q, so a
 # block exhausts its draws with probability at most q^-40 (about 1.1e-28 at q = 5)
 MAX_RANDOM_DRAWS = 40
-CENTER_BATCH_ENTRIES = 1 << 20  # most entries of the (B, n, m, k, k) intermediate of one slice of a stacked center product
 CERTIFICATE_OVERSAMPLE = 32  # rows and columns past D in verify_split's sampled submatrices
 
 
@@ -198,16 +197,10 @@ class _CenterAlgebra:
         """sum over i of coeffs_i * rows[i] in F_q, for coeffs of shape
         (..., n, k) and rows of shape (..., n, m, k), broadcast over leading
         axes: O(n m k^2), each entry product reduced and the sum over i
-        reduced again before the one fold.  A (B, n, k) stack of coeffs runs
-        in slices of at most CENTER_BATCH_ENTRIES // (m * k)^2, with rows
-        sliced alongside when it is a stack too, which bounds the
-        (B, n, m, k, k) intermediate for n <= m."""
-        step = max(1, CENTER_BATCH_ENTRIES // (self.m * self.spec.k) ** 2)
-        if coeffs.ndim == 3 and len(coeffs) > step:
-            return np.concatenate([self._combine(coeffs[i : i + step], rows[i : i + step] if rows.ndim == 4 else rows)
-                                   for i in range(0, len(coeffs), step)])
+        reduced again before the one fold."""
         p = self.spec.p
-        y = coeffs[..., :, None, :, None] * rows[..., None, :] % p  # [..., i, l, t, s]
+        y = coeffs[..., :, None, :, None] * rows[..., None, :]  # [..., i, l, t, s]
+        y %= p
         return self.spec.fold(y.sum(-4) % p)
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, FieldElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
-from wedderburn import ffield, oracle
+from wedderburn import ffield
 from wedderburn.ffield import _NARROW_MIN_ENTRIES, _blow_up, _eliminate, _working_copy, _working_dtype
 from wedderburn.oracle import _CenterAlgebra, _convolve, _right_ideal_dimension
 
@@ -190,20 +190,15 @@ def test_center_products_match_group_algebra(request, group, field):
 
 
 @pytest.mark.parametrize("field", CENTER_FIELDS, ids=lambda f: f"{f[0]}^{f[1]}")
-def test_stacked_center_products_match_one_at_a_time(c7c3, field, monkeypatch):
+def test_stacked_center_products_match_one_at_a_time(c7c3, field):
     # a (B, m, k) stack of products, of two stacks or of a stack by one
-    # factor, is one broadcast call, or slices of at most
-    # CENTER_BATCH_ENTRIES // (m * k)^2 products, here of two each
+    # factor, is one broadcast call
     spec = make_field(*field, seed=0)
     Z = _CenterAlgebra(c7c3, spec)
     rng = random.Random(f"stack:{field}")
     u, v = random_array(spec, rng, (5, Z.m)), random_array(spec, rng, (5, Z.m))
-    pairs = [Z.mul(a, b).tolist() for a, b in zip(u, v)]
-    by_one = [Z.mul(a, v[0]).tolist() for a in u]
-    for entries in (oracle.CENTER_BATCH_ENTRIES, 2 * (Z.m * spec.k) ** 2 + 1):
-        monkeypatch.setattr(oracle, "CENTER_BATCH_ENTRIES", entries)
-        assert Z.mul(u, v).tolist() == pairs
-        assert Z.mul(u, v[0]).tolist() == by_one
+    assert Z.mul(u, v).tolist() == [Z.mul(a, b).tolist() for a, b in zip(u, v)]
+    assert Z.mul(u, v[0]).tolist() == [Z.mul(a, v[0]).tolist() for a in u]
 
 
 @settings(max_examples=30, deadline=None)

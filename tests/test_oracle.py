@@ -322,9 +322,12 @@ def test_verify_multiplies_only_at_class_representatives(sl32_s8, p, k, monkeypa
     assert seen == [reps] * (len(split.idempotents) - 1)
 
 
-def test_split_ranks_each_center_block_once(sl32_s8, f11, monkeypatch):
-    # the final blocks reuse the center degree their last refinement ranked;
-    # verify_split ranks every block again, on its own
+def test_split_ranks_each_center_block_once(sl32_s8, f11, q8, monkeypatch):
+    # a block is ranked once, when a draw that does not generate its parent
+    # splits it off, and a final block reuses that rank; verify_split ranks
+    # every block again, on its own.  At seed 0 SL(3,2) over F_11 ranks
+    # nothing (its first draw generates the center); S6 over F_7 and Q8
+    # over F_5 rank the blocks of draws that do not generate
     seen = []
     rank = _CenterAlgebra.block_dimension
 
@@ -333,11 +336,15 @@ def test_split_ranks_each_center_block_once(sl32_s8, f11, monkeypatch):
         return rank(self, e)
 
     monkeypatch.setattr(_CenterAlgebra, "block_dimension", counting)
-    split = split_center(sl32_s8, f11, seed=0)
-    assert len(seen) == len(set(seen))
-    calls = len(seen)
-    assert verify_split(split)
-    assert len(seen) == calls + len(split.idempotents)
+    s6 = resolve_group(f"file:{GROUP_DIR / 's6.txt'}")
+    for G, spec, ranks in [(sl32_s8, f11, False), (s6, make_field(7), True), (q8, make_field(5), True)]:
+        seen.clear()
+        split = split_center(G, spec, seed=0)
+        assert bool(seen) == ranks
+        assert len(seen) == len(set(seen))
+        calls = len(seen)
+        assert verify_split(split)
+        assert len(seen) == calls + len(split.idempotents)
 
 
 def test_split_makes_the_class_products_of_each_factor_once(sl32_s8, f11, monkeypatch):

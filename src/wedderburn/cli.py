@@ -45,10 +45,6 @@ EXIT_NONUNIQUE = 4
 
 DEFAULT_QMAX = 10**6
 
-# below 640, the least int-to-str digit limit sys.set_int_max_str_digits allows
-_PIECE_DIGITS = 600
-_PIECE = 10**_PIECE_DIGITS
-
 
 def _add_common(sub: argparse.ArgumentParser, with_pk: bool = True):
     sub.add_argument("--group", default="builtin:sl32-s8",
@@ -189,17 +185,6 @@ def _exceeds_qmax(p: int, k: int, qmax: int) -> bool:
     return k > qmax.bit_length() or p**k > qmax
 
 
-def _decimal_string(n: int) -> str:
-    """Decimal digits of n >= 0, converted in pieces short enough for any
-    int-to-str digit limit; the interpreter's setting is left alone."""
-    pieces = []
-    while n >= _PIECE:
-        n, r = divmod(n, _PIECE)
-        pieces.append(f"{r:0{_PIECE_DIGITS}d}")
-    pieces.append(str(n))
-    return "".join(reversed(pieces))
-
-
 def cmd_classes(args) -> int:
     G = resolve_group(args.group)
     reps = [c.representative.cycle_string() for c in G.classes]
@@ -313,7 +298,7 @@ def cmd_units(args) -> int:
     if solved is None:
         return EXIT_NONUNIQUE
     G, dec, t = solved
-    order = _decimal_string(unit_group(dec, args.p, args.k))
+    order = str(unit_group(dec, args.p, args.k))  # a Decimal: printed in time linear in its digits
     units = [f'{{\n      "field": "{args.p}^{args.k * d}",\n      "n": {n}\n    }}' for n, d in dec]
     json_text = (f'{{\n  "components": {_components_json(dec)},\n  "order": "{order}",\n'
                  f'  "q": {_q_json(args.p, args.k)},\n  "type": {"null" if t is None else t},\n'

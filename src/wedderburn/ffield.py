@@ -790,13 +790,16 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
 # Krylov minimal polynomials ---------------------------------------------------
 
 
-def minpoly(spec: FieldSpec, apply, v: np.ndarray) -> Polynomial:
+def minpoly(spec: FieldSpec, apply, v: np.ndarray, bound: int | None = None) -> Polynomial:
     """Monic minimal polynomial m of a linear operator relative to the start
     vector v: the least-degree monic m with m(operator) applied to v = 0.
 
     ``v`` is a (dim, k) array of dtype spec.dtype reduced mod p, dim =
-    len(v), and ``apply`` maps such arrays to such arrays.  The Krylov
-    vectors v, Av, ..., A^dim v are the columns of a matrix over F_q, and
+    len(v), and ``apply`` maps such arrays to such arrays.  ``bound`` is an
+    upper bound on deg m, dim by default; a caller that knows v to lie in
+    an invariant subspace of smaller dimension passes that, and minpoly
+    raises ValueError if deg m exceeds it.  The Krylov vectors v, Av, ...,
+    A^bound v are the columns of a matrix over F_q, and
     _eliminate reduces a working copy of its blow-up over F_p.  With
     t = deg m, the column blocks 0..t-1 are independent over F_q and every
     later block depends on them, so the pivots are exactly the first
@@ -810,13 +813,15 @@ def minpoly(spec: FieldSpec, apply, v: np.ndarray) -> Polynomial:
     if np.shape(v) != shape:
         raise ValueError(f"start vector must have shape (dim, {spec.k})")
     krylov = [v]
-    for _ in range(shape[0]):
+    for _ in range(shape[0] if bound is None else bound):
         krylov.append(apply(krylov[-1]))
         if np.shape(krylov[-1]) != shape:
             raise ValueError("operator changed the dimension")
     p, k = spec.p, spec.k
     w = _working_copy(_blow_up(spec, np.stack(krylov, axis=1)), p)
     kt = _eliminate(w, p)
+    if kt == w.shape[1]:
+        raise ValueError(f"minimal polynomial degree exceeds the bound {len(krylov) - 1}")
     e = (w[:kt, : kt + 1] % p).tolist()
     if kt % k or any(e[r][r] != 1 for r in range(kt)):
         raise AssertionError("Krylov pivots are not the leading columns (bug)")

@@ -268,7 +268,7 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
             powers.append(Z._combine(v, w_classes))
             return powers[-1]
 
-        mu = minpoly(spec, times_w, e)
+        mu = minpoly(spec, times_w, e, dim)  # w^i * e lies in e*Z, of dimension dim
         facs = factor(mu, seed=seed)
         if any(mult > 1 for _, mult in facs):
             raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")

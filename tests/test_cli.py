@@ -407,6 +407,17 @@ def test_units_order_beyond_int_str_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_units_order_at_a_large_k(capsys):
+    # q = 199^300 = 1 (mod 7), type 1: an order of about 116,000 digits
+    code, out, _ = run(capsys, ["units", "--p", "199", "--k", "300", "--format", "json"])
+    assert code == 0
+    q = 199**300
+    expected = 1
+    for n in (1, 3, 3, 6, 7, 8):
+        expected *= _gl_order(n, q)
+    assert _parse_decimal(json.loads(out)["order"]) == expected
+
+
 def test_check_small_grid(capsys):
     code, out, _ = run(capsys, ["check", "--p", "11,13", "--k", "1..3"])
     assert code == 0

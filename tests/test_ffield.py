@@ -528,6 +528,24 @@ def test_minpoly_shift_is_nilpotent(f11):
     assert minpoly(f11, shift, v) == Polynomial(f11, [0] * dim + [1])  # X^dim
 
 
+def test_minpoly_degree_bound(f11):
+    # the shift on 5 coordinates started at e_3 has minimal polynomial X^2:
+    # a bound of 2 takes 2 steps and gives it, a bound of 1 is too small
+    steps = []
+
+    def shift(w):
+        steps.append(1)
+        return np.concatenate([np.zeros_like(w[:1]), w[:-1]])
+
+    v = as_rows([f11.zero] * 3 + [f11.one, f11.zero])
+    assert minpoly(f11, shift, v, 2) == Polynomial(f11, [0, 0, 1])
+    assert len(steps) == 2
+    assert minpoly(f11, shift, v) == Polynomial(f11, [0, 0, 1])  # the default bound, len(v) = 5
+    assert len(steps) == 2 + 5
+    with pytest.raises(ValueError, match="exceeds the bound 1"):
+        minpoly(f11, shift, v, 1)
+
+
 def test_minpoly_companion_matrix():
     # multiplication by x modulo f has minimal polynomial exactly f.  At
     # degree 48 the Krylov matrix, 48 x 49, is eliminated in int16 (p = 11,

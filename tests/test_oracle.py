@@ -461,6 +461,34 @@ def test_extension_refines_only_blocks_whose_degree_shares_a_factor_with_k(sl32_
     assert set(factored) == ({1, k} if refined else {1})
 
 
+def test_minpoly_steps_are_bounded_by_the_block_dimension(sl32_s8, f169, monkeypatch):
+    # over F_169 the F_q stage refines SL(3,2)'s d = 2 block, whose center
+    # has dimension 2: minpoly takes 2 Krylov steps there, not m = 6, and the
+    # split's idempotents are those of the unbounded run
+    steps = []  # (k, Krylov steps) per minpoly call
+    real = oracle.minpoly
+
+    def counting(spec, apply, v, bound=None):
+        steps.append([spec.k, 0])
+
+        def counted(w):
+            steps[-1][1] += 1
+            return apply(w)
+
+        return real(spec, counted, v, bound)
+
+    monkeypatch.setattr(oracle, "minpoly", counting)
+    bounded = split_center(sl32_s8, f169, seed=0)
+    assert [n for k, n in steps if k == 2] == [2]
+    steps.clear()
+    monkeypatch.setattr(oracle, "minpoly", lambda spec, apply, v, bound=None: counting(spec, apply, v))
+    unbounded = split_center(sl32_s8, f169, seed=0)
+    assert [n for k, n in steps if k == 2] == [6]
+    assert bounded.pairs() == unbounded.pairs()
+    for a, b in zip(bounded.idempotents, unbounded.idempotents):
+        assert np.array_equal(a.arr, b.arr)
+
+
 def test_exhausted_draws_are_an_internal_error(sl32_s8, f11, monkeypatch, capsys):
     # a block that no draw splits or certifies is a bug, not an input error
     monkeypatch.setattr(oracle, "MAX_RANDOM_DRAWS", 0)

@@ -1,4 +1,6 @@
+import decimal
 import math
+import re
 
 import pytest
 
@@ -70,6 +72,31 @@ def test_unit_group_over_an_extension_field():
         "F_13^2^× × GL(6, 13^2) × GL(7, 13^2) × GL(8, 13^2) × GL(3, 13^4)")
     assert unit_group(TYPE2_COMPONENTS, 13, 2) == (
         168 * gl_order(6, 169) * gl_order(7, 169) * gl_order(8, 169) * gl_order(3, 13**4))
+
+
+@pytest.mark.parametrize("blocks,p,k", [
+    *((components, p, k) for components in (TYPE1_COMPONENTS, TYPE2_COMPONENTS)
+      for p, k in ((11, 1), (13, 2), (199, 12))),
+    (((1, 1), (2, 3), (5, 2), (4, 4)), 13, 3),
+])
+def test_unit_group_is_the_exact_gl_order_product(blocks, p, k):
+    # an exact Decimal: equal to the int product of gl_order, hashed like it,
+    # an int again under int(), and printed as plain digits; at p = 199,
+    # k = 12 beyond the default int-to-str digit limit of 4300
+    want = math.prod(gl_order(n, p ** (k * d)) for n, d in blocks)
+    order = unit_group(blocks, p, k)
+    assert isinstance(order, decimal.Decimal)
+    assert order == want and hash(order) == hash(want)
+    assert int(order) == want
+    digits = str(order)
+    assert re.fullmatch(r"[1-9][0-9]*", digits)
+    assert digits == str(decimal.Decimal(want))
+
+
+@pytest.mark.parametrize("blocks,k", [(((0, 1),), 1), (((1, 1), (3, 0)), 1), (((1, 1),), 0)])
+def test_unit_group_rejects_n_d_or_k_below_one(blocks, k):
+    with pytest.raises(ValueError):
+        unit_group(blocks, 11, k)
 
 
 def test_reference_rule_by_residue():

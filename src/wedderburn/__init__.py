@@ -11,7 +11,6 @@ from .charkit import deleted_module_check, inner_product, perm_character
 from .cyclo import cyclotomic_partition
 from .errors import ModularCaseError
 from .ffield import (
-    FieldElement,
     FieldSpec,
     MatrixFq,
     Polynomial,

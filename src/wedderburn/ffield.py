@@ -6,12 +6,12 @@ found by seeded search; there are no Conway-polynomial tables and no
 discrete-log tables.  Polynomial factorization runs the classical pipeline:
 squarefree split via gcd with the derivative (with p-th root extraction in
 characteristic p), distinct-degree split via iterated Frobenius, and seeded
-Cantor-Zassenhaus equal-degree splitting.  A scalar is a base-p value, the
-int sum of c_t p**t over its coefficient vector (the residue itself over
-F_p); Polynomial and FieldElement, the boundary type that callers build
-and read, hold such ints and run the scalar kernels that FieldSpec builds
-once per field.  pack and unpack run only where a scalar meets a row of an
-(..., k) array.
+Cantor-Zassenhaus equal-degree splitting.  A scalar is a plain int, its
+base-p value: the sum of c_t p**t over its coefficient vector (the residue
+itself over F_p).  It is the package's only scalar type: Polynomial holds
+such ints, and every scalar operation is a kernel that FieldSpec builds
+once per field (add, sub, mul; inv and power on mul).  pack and unpack
+convert a scalar to and from a row of an (..., k) array.
 Vectors and matrices over F_q in hot paths are arrays of shape (..., k) over
 F_p, and FieldSpec.mul_arrays is their one entrywise product.  There is one
 elimination, _eliminate, on the F_p blow-up of an F_q matrix (each entry
@@ -47,7 +47,6 @@ import numpy as np
 __all__ = [
     "is_prime",
     "FieldSpec",
-    "FieldElement",
     "Polynomial",
     "MatrixFq",
     "make_field",
@@ -175,12 +174,11 @@ class FieldSpec:
     int64 when p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the bound fold
     needs, and object (Python ints) otherwise.
 
-    Scalars are base-p values: the int sum of c_t * p**t over a coefficient
-    vector (c_0, ..., c_(k-1)), so over F_p the residue itself; pack and
-    unpack convert between a value and a row of an (..., k) array.  The
-    scalar kernels add, sub and mul are built once per field (see
-    _scalar_kernels); inv and power build on mul.  Polynomial and
-    FieldElement both hold base-p values and run on them.
+    Scalars are plain ints, base-p values: the sum of c_t * p**t over a
+    coefficient vector (c_0, ..., c_(k-1)), so over F_p the residue itself;
+    pack and unpack convert between a value and a row of an (..., k) array.
+    The scalar kernels add, sub and mul are built once per field (see
+    _scalar_kernels); inv and power build on mul.  Polynomial runs on them.
 
     With a prime power P = p**s in place of p, the same object is the Galois
     ring (Z/P)[x]/(modulus) for a modulus irreducible mod p: add, sub, mul,
@@ -261,38 +259,6 @@ class FieldSpec:
         with entries reduced mod p."""
         return self.fold(a[..., :, None] * b[..., None, :] % self.p)
 
-    # element constructors ---------------------------------------------------
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def scalar(self, n: int) -> "FieldElement":
-        """Image of the integer n under the canonical map Z -> F_q."""
-        return FieldElement(self, n % self.p)
-
-    def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement):
-            if value.spec is not self and value.spec != self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return self.scalar(value)
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) != self.k:
-            raise ValueError(f"coefficient vector must have length {self.k}")
-        return FieldElement(self, self.pack(coeffs))
-
-    def random_element(self, rng: random.Random) -> "FieldElement":
-        """A FieldElement from k draws rng.randrange(p), its coefficients.
-        The split draws the same digits as ints, so only callers of the
-        boundary type (the tests among them) build scalars through it."""
-        return FieldElement(self, self.pack([rng.randrange(self.p) for _ in range(self.k)]))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldSpec)
@@ -308,97 +274,6 @@ class FieldSpec:
         if self.k == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k}; mod {self.modulus})"
-
-
-class FieldElement:
-    """An element of F_{p^k}, held as its base-p value ``value`` (see
-    FieldSpec); its arithmetic runs the spec's scalar kernels on those ints.
-    ``coeffs``, the length-k coefficient vector over F_p, is read-only.  It
-    is the boundary type: callers build and read scalars through it, while
-    the package's own paths run on the base-p ints."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: int):
-        self.spec = spec
-        self.value = value
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.unpack(self.value)
-
-    def _apply(self, kernel, other, reflected=False):
-        """kernel(self, other), or kernel(other, self) when reflected, on
-        base-p values; an int other stands for its image in the field."""
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise ValueError("mixing elements of different fields")
-            b = other.value
-        elif isinstance(other, int):
-            b = other % self.spec.p
-        else:
-            return NotImplemented
-        return FieldElement(self.spec, kernel(b, self.value) if reflected else kernel(self.value, b))
-
-    def __add__(self, other):
-        return self._apply(self.spec.add, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._apply(self.spec.sub, other)
-
-    def __rsub__(self, other):
-        return self._apply(self.spec.sub, other, reflected=True)
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.sub(0, self.value))
-
-    def __mul__(self, other):
-        return self._apply(self.spec.mul, other)
-
-    __rmul__ = __mul__
-
-    def _div(self, a: int, b: int) -> int:
-        return self.spec.mul(a, self.spec.inv(b))
-
-    def __truediv__(self, other):
-        return self._apply(self._div, other)
-
-    def __rtruediv__(self, other):
-        return self._apply(self._div, other, reflected=True)
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.power(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.value == other % self.spec.p
-        return (
-            isinstance(other, FieldElement)
-            and self.spec == other.spec
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        """An element of F_p (value below p, at any k) hashes as its int, so
-        that sets and dicts find it by the int it equals.  An unreduced int
-        such as 14 over F_11 compares equal but hashes apart: no hash is
-        constant on a residue class and equal to hash(n) for each n in it."""
-        if self.value < self.spec.p:
-            return hash(self.value)
-        return hash((self.value, self.spec.p, self.spec.k))
-
-    def __repr__(self) -> str:
-        if self.spec.k == 1:
-            return str(self.value)
-        return str(list(self.coeffs))
 
 
 def _scalar_kernels(p: int, k: int, place: list[int], reds: list[tuple[int, ...]]):
@@ -466,23 +341,20 @@ class Polynomial:
     """Dense polynomial over F_q on base-p values: coeffs[i] is the int
     sum of c_t * p**t over the coefficient vector (c_0, ..., c_(k-1)) of
     x^i, so over F_p the residue itself, and trailing zeros are trimmed (the
-    zero polynomial has no coefficients).  The constructor takes such ints,
-    FieldElements of ``spec`` (one of another field raises ValueError) and
-    length-k coefficient tuples; every method runs on int lists through the
-    scalar kernels spec.add, spec.sub, spec.mul and spec.inv, and powers are
-    taken only modulo a polynomial, by pow_mod."""
+    zero polynomial has no coefficients).  The constructor takes such ints
+    alone: any other coefficient, or an int outside [0, q), raises
+    ValueError (spec.pack turns a coefficient vector into one).  Every
+    method runs on int lists through the scalar kernels spec.add, spec.sub,
+    spec.mul and spec.inv, and powers are taken only modulo a polynomial,
+    by pow_mod."""
 
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, int):
-                if not 0 <= c < spec.q:
-                    raise ValueError(f"coefficient {c} is not a base-p value below q = {spec.q}")
-            else:
-                c = spec.element(c).value
-            cs.append(c)
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, int) or not 0 <= c < spec.q:
+                raise ValueError(f"coefficient {c!r} is not a base-p value below q = {spec.q}")
         self.spec = spec
         self.coeffs = _trimmed(cs)
 

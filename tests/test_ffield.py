@@ -17,7 +17,7 @@ from wedderburn import (
 )
 from wedderburn import ffield
 
-from test_kernels import as_matrix, as_rows, reference_rank
+from test_kernels import as_matrix, as_rows, dot, random_scalar, reference_rank
 
 
 def test_is_prime_small():
@@ -68,68 +68,18 @@ def test_is_prime_rejects_every_strong_pseudoprime_bound(n):
 def test_make_field_prime():
     f11 = make_field(11)
     assert (f11.p, f11.k, f11.q) == (11, 1, 11)
-    assert f11.scalar(15) == f11.scalar(4)
-    assert f11.one / f11.scalar(3) == f11.scalar(4)  # 3 * 4 = 12 = 1
+    assert f11.add(7, 8) == 4  # 15 = 4
+    assert f11.inv(3) == 4  # 3 * 4 = 12 = 1
 
 
 def test_make_field_extension_element_orders(f169):
     assert f169.q == 169
     rng = random.Random(1)
     for _ in range(25):
-        a = f169.random_element(rng)
+        a = random_scalar(f169, rng)
         if a:
-            assert a**168 == f169.one
-            assert a ** (169) == a  # Frobenius fixed field check via q-power
-
-
-ELEMENT_FIELDS = {"11": make_field(11), "13^2": make_field(13, 2, seed=0), "13^3": make_field(13, 3, seed=0),
-                  "(2^31+11)^2": make_field(2**31 + 11, 2, seed=0)}
-
-
-@settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(sorted(ELEMENT_FIELDS)), data=st.data())
-def test_field_element_is_its_base_p_value(name, data):
-    # a FieldElement holds one int, its base-p value, and every operator is
-    # the spec's scalar kernel on those ints
-    spec = ELEMENT_FIELDS[name]
-    p = spec.p
-    vectors = st.lists(st.integers(0, p - 1), min_size=spec.k, max_size=spec.k)
-    a, b = spec.element(data.draw(vectors)), spec.element(data.draw(vectors))
-    n = data.draw(st.integers(-3 * p, 3 * p))
-    e = data.draw(st.integers(-5, 40))
-    assert spec.element(a.coeffs) == a and a.value == spec.pack(a.coeffs)
-    assert (a == n) == (a.value == n % p)
-    assert spec.scalar(n) == n and spec.scalar(n).value == n % p
-    twin = spec.element(list(a.coeffs))
-    assert twin == a and hash(twin) == hash(a)
-    assert (a + b).value == (b + a).value == spec.add(a.value, b.value)
-    assert (a + n).value == (n + a).value == spec.add(a.value, n % p)
-    assert (a - b).value == spec.sub(a.value, b.value)
-    assert (n - a).value == spec.sub(n % p, a.value)
-    assert (-a).value == spec.sub(0, a.value)
-    assert (a * b).value == spec.mul(a.value, b.value)
-    assert (n * a).value == (a * n).value == spec.mul(n % p, a.value)
-    assert bool(a) == (a.value != 0)
-    if b:
-        assert (a / b).value == spec.mul(a.value, spec.inv(b.value))
-        assert (n / b).value == spec.mul(n % p, spec.inv(b.value))
-        assert b.inverse().value == spec.inv(b.value)
-    if a or e >= 0:
-        assert (a**e).value == spec.power(a.value, e)
-
-
-def test_field_element_of_f_p_hashes_as_its_int():
-    f = make_field(11)
-    assert f.scalar(3) == 3
-    assert 3 in {f.scalar(3)}
-    assert f.scalar(3) in {3}
-    assert {3: "x"}.get(f.scalar(3)) == "x"
-    # an unreduced int compares equal but hashes apart
-    assert f.scalar(3) == 14 and 14 not in {f.scalar(3)}
-    # an element of F_13 inside F_{13^2}, at k = 2
-    f169 = make_field(13, 2)
-    assert f169.scalar(5) == 5 and 5 in {f169.scalar(5)}
-    assert {5: "y"}.get(f169.scalar(5)) == "y"
+            assert f169.power(a, 168) == 1
+            assert f169.power(a, 169) == a  # Frobenius fixed field check via q-power
 
 
 def test_make_field_rejects():
@@ -171,25 +121,26 @@ def test_field_axioms_seeded(f11, f169):
     rng = random.Random(42)
     for spec in (f11, f169):
         for _ in range(1000):
-            a = spec.random_element(rng)
-            b = spec.random_element(rng)
-            c = spec.random_element(rng)
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a + b == b + a and a * b == b * a
+            a = random_scalar(spec, rng)
+            b = random_scalar(spec, rng)
+            c = random_scalar(spec, rng)
+            add, mul = spec.add, spec.mul
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
             if a:
-                assert a * a.inverse() == spec.one
-        assert spec.zero + spec.one == spec.one
+                assert mul(a, spec.inv(a)) == 1
+        assert spec.add(0, 1) == 1
 
 
 def test_frobenius_is_additive(f169):
     rng = random.Random(3)
     p = f169.p
     for _ in range(200):
-        a = f169.random_element(rng)
-        b = f169.random_element(rng)
-        assert (a + b) ** p == a**p + b**p
+        a = random_scalar(f169, rng)
+        b = random_scalar(f169, rng)
+        assert f169.power(f169.add(a, b), p) == f169.add(f169.power(a, p), f169.power(b, p))
 
 
 def test_factor_x2_minus_1(f11):
@@ -232,8 +183,8 @@ def _horner(f, x):
 
 
 def _random_poly(spec, rng, degree):
-    coeffs = [spec.random_element(rng) for _ in range(degree)]
-    coeffs.append(spec.scalar(1 + rng.randrange(spec.p - 1)))
+    coeffs = [random_scalar(spec, rng) for _ in range(degree)]
+    coeffs.append(1 + rng.randrange(spec.p - 1))
     return Polynomial(spec, coeffs)
 
 
@@ -300,10 +251,10 @@ def test_factor_with_forced_multiplicities(f11):
     rng = random.Random(5)
     x = Polynomial.x(f11)
     for _ in range(40):
-        a = f11.random_element(rng)
-        b = f11.random_element(rng)
+        a = random_scalar(f11, rng)
+        b = random_scalar(f11, rng)
         while b == a:
-            b = f11.random_element(rng)
+            b = random_scalar(f11, rng)
         g1 = x - Polynomial(f11, [a])
         g2 = x - Polynomial(f11, [b])
         f = g1 * g1 * g1 * g2
@@ -315,7 +266,7 @@ def test_factor_with_forced_multiplicities(f11):
 def test_factor_pth_power(f11):
     # derivative-zero path: (x + 3)^11 has zero derivative over F_11
     x = Polynomial.x(f11)
-    f = math.prod([x + Polynomial(f11, [f11.scalar(3)])] * 11, start=Polynomial.one(f11))
+    f = math.prod([x + Polynomial(f11, [3])] * 11, start=Polynomial.one(f11))
     assert f.derivative().is_zero()
     facs = factor(f)
     assert len(facs) == 1
@@ -334,10 +285,10 @@ TUPLE_FIELDS = [make_field(11), make_field(13, 2), make_field(13, 3)]
 @st.composite
 def _field_and_polys(draw, count):
     """A field from TUPLE_FIELDS and `count` polynomials over it of degree
-    below 8, built from coefficient tuples (the zero polynomial included)."""
+    below 8, packed from coefficient tuples (the zero polynomial included)."""
     spec = draw(st.sampled_from(TUPLE_FIELDS))
     coeff = st.tuples(*[st.integers(0, spec.p - 1)] * spec.k)
-    return spec, [Polynomial(spec, draw(st.lists(coeff, max_size=8))) for _ in range(count)]
+    return spec, [Polynomial(spec, map(spec.pack, draw(st.lists(coeff, max_size=8)))) for _ in range(count)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -367,21 +318,12 @@ def test_xgcd_on_tuples(case):
     assert g == a.gcd(b)
 
 
-@settings(max_examples=100, deadline=None)
-@given(_field_and_polys(1))
-def test_polynomial_from_field_elements_equals_from_tuples(case):
-    spec, (f,) = case
-    g = Polynomial(spec, [spec.element(spec.unpack(c)) for c in f.coeffs])
-    assert g == f and hash(g) == hash(f)
-    assert all(type(c) is int and 0 <= c < spec.q for c in g.coeffs)
-
-
 def test_factor_orders_coefficients_by_base_p_value(f169):
     # the constant terms are -(1, 2) = (12, 11), base-p value 12 + 11 * 13 =
     # 155, and -(2, 1) = (11, 12), value 167; compared as coefficient tuples
     # the second would come first
     x = Polynomial.x(f169)
-    f = (x - Polynomial(f169, [(1, 2)])) * (x - Polynomial(f169, [(2, 1)]))
+    f = (x - Polynomial(f169, [f169.pack((1, 2))])) * (x - Polynomial(f169, [f169.pack((2, 1))]))
     facs = factor(f)
     assert [g.coeffs for g, _ in facs] == [(155, 1), (167, 1)]
 
@@ -389,9 +331,10 @@ def test_factor_orders_coefficients_by_base_p_value(f169):
 def test_polynomial_takes_base_p_values(f169):
     # x + (2 + 3x) over F_169 from its base-p values, 2 + 3 * 13 = 41 and 1
     f = Polynomial(f169, [41, 1, 0])
-    assert f == Polynomial(f169, [(2, 3), (1, 0)]) == Polynomial(f169, [f169.element([2, 3]), f169.one])
+    assert f == Polynomial(f169, [f169.pack((2, 3)), f169.pack((1, 0))])
     assert f.coeffs == (41, 1)
-    for bad in (-1, 169):
+    # one input form: a coefficient tuple, a str or a float is no base-p value
+    for bad in (-1, 169, (2, 3), "1", 1.0):
         with pytest.raises(ValueError):
             Polynomial(f169, [bad])
 
@@ -399,7 +342,7 @@ def test_polynomial_takes_base_p_values(f169):
 # Polynomial's int kernels against arithmetic on coefficient tuples written
 # here: products reduced by x^k = -(m_0 + ... + m_(k-1) x^(k-1)) from the top
 # degree down, independent of FieldSpec's reduction rows and its base-p code.
-KERNEL_FIELDS = TUPLE_FIELDS + [make_field(2**31 + 11)]
+KERNEL_FIELDS = TUPLE_FIELDS + [make_field(2**31 + 11), make_field(2**31 + 11, 2)]
 
 
 def _ref_add(spec, a, b):
@@ -455,7 +398,7 @@ def _kernel_case(draw):
     spec = draw(st.sampled_from(KERNEL_FIELDS))
     coeff = st.tuples(*[st.integers(0, spec.p - 1)] * spec.k)
     a, b = (draw(st.lists(coeff, max_size=7)) for _ in range(2))
-    return spec, Polynomial(spec, a), Polynomial(spec, b), draw(coeff)
+    return spec, Polynomial(spec, map(spec.pack, a)), Polynomial(spec, map(spec.pack, b)), draw(coeff)
 
 
 @settings(max_examples=120, deadline=None)
@@ -472,6 +415,17 @@ def test_int_kernels_match_tuple_arithmetic(case):
         assert spec.unpack(spec.mul(s, t)) == _ref_mul(spec, u, v)
         if s:
             assert spec.unpack(spec.inv(s)) == _ref_inv(spec, u)
+        # powers s**e for e in -5..40 by repeated products, through the inverse when e < 0
+        one = (1,) + (0,) * (spec.k - 1)
+        acc = one
+        for e in range(41):
+            assert spec.unpack(spec.power(s, e)) == acc
+            acc = _ref_mul(spec, acc, u)
+        if s:
+            inv, acc = _ref_inv(spec, u), one
+            for e in range(-1, -6, -1):
+                acc = _ref_mul(spec, acc, inv)
+                assert spec.unpack(spec.power(s, e)) == acc
     # Horner's rule on the int kernels agrees with it in tuple arithmetic
     acc = (0,) * spec.k
     for c in reversed(ta):
@@ -500,7 +454,7 @@ def test_int_kernels_match_tuple_arithmetic(case):
 
 
 def test_minpoly_identity_and_zero(f11):
-    v = as_rows([f11.one, f11.zero, f11.scalar(3), f11.zero])
+    v = as_rows(f11, [1, 0, 3, 0])
     m_id = minpoly(f11, lambda w: w, v)
     x = Polynomial.x(f11)
     assert m_id == x - Polynomial.one(f11)
@@ -511,11 +465,11 @@ def test_minpoly_identity_and_zero(f11):
 def test_minpoly_rejects_a_start_vector_of_the_wrong_k(f11, f169):
     # dim is len(v); the coefficient axis must still be the field's k
     with pytest.raises(ValueError):
-        minpoly(f169, lambda w: w, as_rows([f11.one, f11.zero]))
+        minpoly(f169, lambda w: w, as_rows(f11, [1, 0]))
     with pytest.raises(ValueError):
-        minpoly(f11, lambda w: w, as_rows([f169.one, f169.zero]))
+        minpoly(f11, lambda w: w, as_rows(f169, [1, 0]))
     with pytest.raises(ValueError):
-        minpoly(f11, lambda w: w[:-1], as_rows([f11.one, f11.zero]))
+        minpoly(f11, lambda w: w[:-1], as_rows(f11, [1, 0]))
 
 
 def test_minpoly_shift_is_nilpotent(f11):
@@ -524,7 +478,7 @@ def test_minpoly_shift_is_nilpotent(f11):
     def shift(w):
         return np.concatenate([np.zeros_like(w[:1]), w[:-1]])
 
-    v = as_rows([f11.one] + [f11.zero] * (dim - 1))
+    v = as_rows(f11, [1] + [0] * (dim - 1))
     assert minpoly(f11, shift, v) == Polynomial(f11, [0] * dim + [1])  # X^dim
 
 
@@ -537,7 +491,7 @@ def test_minpoly_degree_bound(f11):
         steps.append(1)
         return np.concatenate([np.zeros_like(w[:1]), w[:-1]])
 
-    v = as_rows([f11.zero] * 3 + [f11.one, f11.zero])
+    v = as_rows(f11, [0] * 3 + [1, 0])
     assert minpoly(f11, shift, v, 2) == Polynomial(f11, [0, 0, 1])
     assert len(steps) == 2
     assert minpoly(f11, shift, v) == Polynomial(f11, [0, 0, 1])  # the default bound, len(v) = 5
@@ -557,20 +511,19 @@ def test_minpoly_companion_matrix():
         spec = make_field(p)
         x = Polynomial.x(spec)
         rng = random.Random(p)
-        random_f = Polynomial(spec, [spec.random_element(rng) for _ in range(48)] + [spec.one])
-        for f in (x * x * x + x + Polynomial(spec, [spec.scalar(4)]), random_f):
+        random_f = Polynomial(spec, [random_scalar(spec, rng) for _ in range(48)] + [1])
+        for f in (x * x * x + x + Polynomial(spec, [4]), random_f):
             degree = f.degree()
 
             def as_vector(g):
-                cs = [spec.element(c) for c in g.coeffs]
-                return as_rows(cs + [spec.zero] * (degree - len(cs)))
+                return as_rows(spec, list(g.coeffs) + [0] * (degree - len(g.coeffs)))
 
             def apply(w):
-                return as_vector((Polynomial(spec, [spec.element(c) for c in w.tolist()]) * x) % f)
+                return as_vector((Polynomial(spec, map(spec.pack, w.tolist())) * x) % f)
 
             # 1 is a cyclic vector: 1, x, ..., x^(degree-1) span F_p[x]/(f)
             assert minpoly(spec, apply, as_vector(Polynomial.one(spec))) == f.monic()
-            g = Polynomial(spec, [spec.random_element(rng) for _ in range(degree)])
+            g = Polynomial(spec, [random_scalar(spec, rng) for _ in range(degree)])
             assert minpoly(spec, apply, as_vector(g)) == (f // f.gcd(g)).monic()
 
 
@@ -579,7 +532,7 @@ def _charpoly_3x3(spec, rows):
     x = Polynomial.x(spec)
 
     def entry(i, j):
-        base = Polynomial(spec, [-rows[i][j]])
+        base = Polynomial(spec, [spec.sub(0, rows[i][j])])
         return base + x if i == j else base
 
     def det3(m):
@@ -597,13 +550,13 @@ def _charpoly_3x3(spec, rows):
 def test_minpoly_divides_charpoly(f11):
     rng = random.Random(9)
     for _ in range(30):
-        rows = [[f11.random_element(rng) for _ in range(3)] for _ in range(3)]
+        rows = [[random_scalar(f11, rng) for _ in range(3)] for _ in range(3)]
 
         def apply(w):
-            w = [f11.element(c) for c in w.tolist()]
-            return as_rows([sum((rows[i][j] * w[j] for j in range(3)), f11.zero) for i in range(3)])
+            w = [f11.pack(c) for c in w.tolist()]
+            return as_rows(f11, [dot(f11, row, w) for row in rows])
 
-        mp = minpoly(f11, apply, as_rows([f11.random_element(rng) for _ in range(3)]))
+        mp = minpoly(f11, apply, as_rows(f11, [random_scalar(f11, rng) for _ in range(3)]))
         cp = _charpoly_3x3(f11, rows)
         assert (cp % mp).is_zero()
 
@@ -613,25 +566,25 @@ def test_row_reduce_identity_and_zero(f11):
     assert MatrixFq(f11, np.zeros((4, 4, 1), dtype=np.int64)).rank() == 0
 
 
-def _identity_rows(spec, n):
-    return [[spec.one if i == j else spec.zero for j in range(n)] for i in range(n)]
+def _identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_rank_168_product_of_elementary_matrices(f11):
     rng = random.Random(11)
     n = 168
-    rows = _identity_rows(f11, n)
+    rows = _identity_rows(n)
     for _ in range(400):
         op = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if op == 0 and i != j:
             rows[i], rows[j] = rows[j], rows[i]
         elif op == 1:
-            c = f11.scalar(1 + rng.randrange(10))
-            rows[i] = [c * x for x in rows[i]]
+            c = 1 + rng.randrange(10)
+            rows[i] = [f11.mul(c, x) for x in rows[i]]
         elif i != j:
-            c = f11.random_element(rng)
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            c = random_scalar(f11, rng)
+            rows[i] = [f11.add(a, f11.mul(c, b)) for a, b in zip(rows[i], rows[j])]
     assert as_matrix(f11, rows).rank() == n
 
 
@@ -641,22 +594,22 @@ def test_rank_matches_row_reduce_and_kernel(f11, f169):
         for _ in range(25):
             nrows = 1 + rng.randrange(7)
             ncols = 1 + rng.randrange(7)
-            rows = [[spec.random_element(rng) for _ in range(ncols)] for _ in range(nrows)]
-            assert as_matrix(spec, rows).rank() == reference_rank(rows)
+            rows = [[random_scalar(spec, rng) for _ in range(ncols)] for _ in range(nrows)]
+            assert as_matrix(spec, rows).rank() == reference_rank(spec, rows)
 
 
 def test_rank_blowup_extension_field(f169):
     rng = random.Random(17)
     n = 40
-    rows = _identity_rows(f169, n)
+    rows = _identity_rows(n)
     for _ in range(150):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
-            c = f169.random_element(rng)
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+            c = random_scalar(f169, rng)
+            rows[i] = [f169.add(a, f169.mul(c, b)) for a, b in zip(rows[i], rows[j])]
     assert as_matrix(f169, rows).rank() == n
     # knock out one row
-    rows[0] = [f169.zero] * n
+    rows[0] = [0] * n
     assert as_matrix(f169, rows).rank() == n - 1
 
 
@@ -667,37 +620,14 @@ def test_modulus_choice_is_seeded():
     for spec in (f_a, f_b):
         x = Polynomial.x(spec)
         rng = random.Random(0)
-        a = spec.random_element(rng)
+        a = random_scalar(spec, rng)
         while not a:
-            a = spec.random_element(rng)
-        assert a**168 == spec.one
+            a = random_scalar(spec, rng)
+        assert spec.power(a, 168) == 1
 
 
 def test_pow_and_truediv(f13):
-    a = f13.scalar(2)
-    assert a**-1 == f13.scalar(7)  # 2 * 7 = 14 = 1 mod 13
-    assert (f13.one / a) == f13.scalar(7)
+    assert f13.power(2, -1) == 7  # 2 * 7 = 14 = 1 mod 13
+    assert f13.mul(1, f13.inv(2)) == 7
     with pytest.raises(ZeroDivisionError):
-        f13.zero.inverse()
-
-
-def test_element_rejects_an_element_of_another_field(f11, f13):
-    f121 = make_field(11, 2, seed=0)
-    with pytest.raises(ValueError):
-        f13.element(f11.scalar(5))
-    with pytest.raises(ValueError):
-        f11.element(f121.element([1, 1]))
-    # an element of an equal field built apart is accepted
-    twin = FieldSpec(11, 1, f11.modulus)
-    assert f11.element(twin.scalar(5)) == f11.scalar(5)
-
-
-def test_polynomial_rejects_coefficients_of_another_field(f11, f13, f169):
-    with pytest.raises(ValueError):
-        Polynomial(f11, [f13.scalar(12), f13.one])
-    with pytest.raises(ValueError):
-        Polynomial(f11, [f169.element([1, 1])])
-    # an equal field built apart, and coefficient tuples, are accepted as before
-    twin = FieldSpec(11, 1, f11.modulus)
-    assert twin is not f11
-    assert Polynomial(f11, [twin.one, twin.one]) == Polynomial(f11, [(1,), (1,)])
+        f13.inv(0)

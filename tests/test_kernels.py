@@ -1,9 +1,12 @@
 """Differential tests of the array kernels: the F_q product of arrays and the
-group-algebra product against plain FieldElement arithmetic, the center's
-products against the group algebra's, minimal polynomials against their
-definition, the companion-matrix rank expansion against a plain
-FieldElement row reduction, and the echelon form that the delayed-reduction
-elimination leaves against a plain-Python one."""
+group-algebra product against the scalar kernels FieldSpec.add and mul run
+one base-p int at a time, the center's products against the group
+algebra's, minimal polynomials against their definition, the
+companion-matrix rank expansion against a row reduction on the scalar
+kernels, and the echelon form that the delayed-reduction elimination
+leaves against a plain-Python one."""
+
+import functools
 
 import random
 
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wedderburn import AlgebraElement, FieldElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
+from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
 from wedderburn import ffield
 from wedderburn.ffield import _NARROW_MIN_ENTRIES, _blow_up, _eliminate, _working_copy, _working_dtype
 from wedderburn.oracle import _CenterAlgebra, _convolve, _right_ideal_dimension
@@ -23,27 +26,27 @@ CENTER_FIELDS = [(11, 1), (13, 2), (13, 3), (2**31 + 11, 2)]
 
 
 def coefficients(x):
-    """The coefficients of the AlgebraElement x as FieldElements, each packed
+    """The coefficients of the AlgebraElement x as base-p ints, each packed
     from its row as it stands: a row with an entry outside [0, p) packs to a
     different value, so a product left unreduced fails the comparison."""
-    return tuple(FieldElement(x.spec, x.spec.pack(row)) for row in x.arr.tolist())
+    return tuple(x.spec.pack(row) for row in x.arr.tolist())
 
 
 def reference_product(a, b):
-    """sum over i, j of a(g_i) b(g_j) g_i g_j, one FieldElement at a time."""
-    table = a.group.mul_table()
-    out = [a.spec.zero] * a.group.order
+    """sum over i, j of a(g_i) b(g_j) g_i g_j, one scalar kernel call at a time."""
+    spec, table = a.spec, a.group.mul_table()
+    out = [0] * a.group.order
     for i, x in enumerate(coefficients(a)):
         if x:
             for j, y in enumerate(coefficients(b)):
                 if y:
-                    out[table[i][j]] = out[table[i][j]] + x * y
+                    out[table[i][j]] = spec.add(out[table[i][j]], spec.mul(x, y))
     return tuple(out)
 
 
-def reference_rank(rows):
-    """Rank of a list of rows of FieldElements by Gaussian elimination, one
-    FieldElement at a time."""
+def reference_rank(spec, rows):
+    """Rank of a list of rows of base-p ints by Gaussian elimination, one
+    scalar kernel call at a time."""
     out = [list(r) for r in rows]
     rank = 0
     for c in range(len(out[0]) if out else 0):
@@ -51,28 +54,38 @@ def reference_rank(rows):
         if pr is None:
             continue
         out[rank], out[pr] = out[pr], out[rank]
-        inv = out[rank][c].inverse()
+        inv = spec.inv(out[rank][c])
         for i in range(rank + 1, len(out)):
             if out[i][c]:
-                f = out[i][c] * inv
-                out[i] = [a - f * b for a, b in zip(out[i], out[rank])]
+                f = spec.mul(out[i][c], inv)
+                out[i] = [spec.sub(a, spec.mul(f, b)) for a, b in zip(out[i], out[rank])]
         rank += 1
     return rank
 
 
-def as_rows(elements):
-    """The (len(elements), k) array of a nonempty list of FieldElements of one field."""
-    return np.array([e.coeffs for e in elements], dtype=elements[0].spec.dtype)
+def random_scalar(spec, rng):
+    """The base-p int of k draws rng.randrange(p), its coefficients."""
+    return spec.pack([rng.randrange(spec.p) for _ in range(spec.k)])
+
+
+def dot(spec, xs, ys):
+    """sum of x * y over the pairs of base-p ints, on the scalar kernels."""
+    return functools.reduce(spec.add, map(spec.mul, xs, ys), 0)
+
+
+def as_rows(spec, values):
+    """The (len(values), k) array of a list of base-p ints."""
+    return np.array([spec.unpack(v) for v in values], dtype=spec.dtype)
 
 
 def as_matrix(spec, rows):
-    """The MatrixFq whose entries are the FieldElements of rows."""
-    return MatrixFq(spec, np.array([[e.coeffs for e in row] for row in rows], dtype=spec.dtype))
+    """The MatrixFq whose entries are the base-p ints of rows."""
+    return MatrixFq(spec, np.array([[spec.unpack(v) for v in row] for row in rows], dtype=spec.dtype))
 
 
-def random_element(G, spec, rng, density=1.0):
-    coeffs = [spec.random_element(rng) if rng.random() < density else spec.zero for _ in range(G.order)]
-    return AlgebraElement(G, spec, as_rows(coeffs))
+def random_algebra_element(G, spec, rng, density=1.0):
+    coeffs = [random_scalar(spec, rng) if rng.random() < density else 0 for _ in range(G.order)]
+    return AlgebraElement(G, spec, as_rows(spec, coeffs))
 
 
 def to_algebra(G, spec, v):
@@ -92,17 +105,17 @@ def extreme_element(G, spec):
 def test_product_matches_convolution_sl32(sl32_s8, field, seed, density):
     spec = FIELDS[field]
     rng = random.Random(seed)
-    a = random_element(sl32_s8, spec, rng, density)
-    b = random_element(sl32_s8, spec, rng, density)
+    a = random_algebra_element(sl32_s8, spec, rng, density)
+    b = random_algebra_element(sl32_s8, spec, rng, density)
     assert coefficients(a * b) == reference_product(a, b)
     # scaling, adding and subtracting the coefficient arrays, as the oracle
-    # does, against the same operations one FieldElement at a time
-    c = spec.random_element(rng)
+    # does, against the same operations one scalar at a time
+    c = random_scalar(spec, rng)
     pairs = list(zip(coefficients(a), coefficients(b)))
-    scaled = spec.mul_arrays(a.arr, np.array(c.coeffs, dtype=spec.dtype))
-    assert np.array_equal(scaled, as_rows([x * c for x, _ in pairs]))
-    assert np.array_equal((a.arr + b.arr) % spec.p, as_rows([x + y for x, y in pairs]))
-    assert np.array_equal((a.arr - b.arr) % spec.p, as_rows([x - y for x, y in pairs]))
+    scaled = spec.mul_arrays(a.arr, np.array(spec.unpack(c), dtype=spec.dtype))
+    assert np.array_equal(scaled, as_rows(spec, [spec.mul(x, c) for x, _ in pairs]))
+    assert np.array_equal((a.arr + b.arr) % spec.p, as_rows(spec, [spec.add(x, y) for x, y in pairs]))
+    assert np.array_equal((a.arr - b.arr) % spec.p, as_rows(spec, [spec.sub(x, y) for x, y in pairs]))
 
 
 def random_array(spec, rng, shape):
@@ -123,8 +136,8 @@ def test_mul_arrays_matches_field_elements(field, seed, shapes):
     assert out.shape == shape + (spec.k,)
     a_b, b_b = np.broadcast_to(a, shape + (spec.k,)), np.broadcast_to(b, shape + (spec.k,))
     for idx in np.ndindex(shape):
-        expected = spec.element(a_b[idx].tolist()) * spec.element(b_b[idx].tolist())
-        assert tuple(out[idx].tolist()) == expected.coeffs
+        expected = spec.mul(spec.pack(a_b[idx].tolist()), spec.pack(b_b[idx].tolist()))
+        assert tuple(out[idx].tolist()) == spec.unpack(expected)
 
 
 def reference_products(lefts, b):
@@ -158,7 +171,7 @@ def test_batched_products_match_pairwise(sl32_s8, field, seed, count, density, r
     # at the class representatives
     spec = FIELDS[field]
     rng = random.Random(seed)
-    factors = [random_element(sl32_s8, spec, rng, density) for _ in range(count + 1)]
+    factors = [random_algebra_element(sl32_s8, spec, rng, density) for _ in range(count + 1)]
     for x, in_prime_field in zip(factors, rational):
         if in_prime_field:
             x.arr[:, 1:] = 0
@@ -239,8 +252,8 @@ def test_minpoly_jordan_block_over_large_extension():
     # v = (0, 1, 1) has minimal polynomial (X - a)^2 (X - b)
     spec = FIELDS[(2**31 + 11, 2)]
     assert spec.dtype is object
-    a, b = spec.element([3, 2**31]), spec.element([7, 5])
-    arr_a, arr_b = (np.array(c.coeffs, dtype=object) for c in (a, b))
+    a, b = spec.pack([3, 2**31]), spec.pack([7, 5])
+    arr_a, arr_b = (np.array(spec.unpack(c), dtype=object) for c in (a, b))
 
     def apply(w):
         return np.stack([(spec.mul_arrays(arr_a, w[0]) + w[1]) % spec.p,
@@ -262,7 +275,7 @@ def test_product_exact_near_int64_limits(q8, c7c3, p, k):
     for G in (q8, c7c3):
         top = extreme_element(G, spec)
         assert coefficients(top * top) == reference_product(top, top)
-        a, b = random_element(G, spec, rng), random_element(G, spec, rng)
+        a, b = random_algebra_element(G, spec, rng), random_algebra_element(G, spec, rng)
         assert coefficients(a * b) == reference_product(a, b)
         assert coefficients(a * top) == reference_product(a, top)
 
@@ -283,18 +296,17 @@ def test_right_ideal_dimension_matches_right_translates(c7c3):
         for E in split_center(c7c3, spec, seed=0).idempotents:
             coeffs = coefficients(E)
             rows = [[coeffs[table[h][inv[g]]] for g in range(c7c3.order)] for h in range(c7c3.order)]
-            assert _right_ideal_dimension(E, table) == reference_rank(rows)
+            assert _right_ideal_dimension(E, table) == reference_rank(spec, rows)
 
 
 def _random_matrix(spec, rng, nrows, ncols, rank_cap):
-    """The rows, as lists of FieldElements, of an nrows x ncols matrix of rank
+    """The rows, as lists of base-p ints, of an nrows x ncols matrix of rank
     at most rank_cap: a product of random nrows x r and r x ncols factors,
     sometimes with one row copied over another."""
     r = rng.randint(0, rank_cap)
-    left = [[spec.random_element(rng) for _ in range(r)] for _ in range(nrows)]
-    right = [[spec.random_element(rng) for _ in range(ncols)] for _ in range(r)]
-    rows = [[sum((left[i][t] * right[t][j] for t in range(r)), spec.zero) for j in range(ncols)]
-            for i in range(nrows)]
+    left = [[random_scalar(spec, rng) for _ in range(r)] for _ in range(nrows)]
+    right = [[random_scalar(spec, rng) for _ in range(ncols)] for _ in range(r)]
+    rows = [[dot(spec, left[i], [right[t][j] for t in range(r)]) for j in range(ncols)] for i in range(nrows)]
     if nrows > 1 and rng.random() < 0.3:
         rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
     return rows
@@ -307,7 +319,7 @@ def test_rank_expansion_matches_row_reduce(field, seed):
     rng = random.Random(seed)
     nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
     rows = _random_matrix(spec, rng, nrows, ncols, min(nrows, ncols))
-    assert as_matrix(spec, rows).rank() == reference_rank(rows)
+    assert as_matrix(spec, rows).rank() == reference_rank(spec, rows)
 
 
 def test_matrix_rows_are_what_rank_sees():
@@ -438,14 +450,13 @@ def test_blown_up_rank_in_each_working_dtype(p):
     # 48 x 48, which is eliminated in int16 at p = 31 and int32 at p = 37
     spec = make_field(p, 2, seed=0)
     rng = random.Random(p)
-    left = [[spec.random_element(rng) for _ in range(17)] for _ in range(24)]
-    right = [[spec.random_element(rng) for _ in range(24)] for _ in range(17)]
-    rows = [[sum((left[i][t] * right[t][j] for t in range(17)), spec.zero) for j in range(24)]
-            for i in range(24)]
+    left = [[random_scalar(spec, rng) for _ in range(17)] for _ in range(24)]
+    right = [[random_scalar(spec, rng) for _ in range(24)] for _ in range(17)]
+    rows = [[dot(spec, left[i], [right[t][j] for t in range(17)]) for j in range(24)] for i in range(24)]
     m = as_matrix(spec, rows)
     assert m.arr[..., 1:].any()
     assert _working_dtype(_blow_up(spec, m.arr), p) == WORKING_DTYPES[p]
-    assert m.rank() == reference_rank(rows) == 17
+    assert m.rank() == reference_rank(spec, rows) == 17
 
 
 def full_reductions(monkeypatch, call):
@@ -487,13 +498,13 @@ def test_rank_reduces_the_whole_array_once(field, size, outside_fp, monkeypatch)
     spec = FIELDS[field]
     rng = random.Random(size)
     if outside_fp:
-        rows = [[spec.random_element(rng) for _ in range(size)] for _ in range(size)]
+        rows = [[random_scalar(spec, rng) for _ in range(size)] for _ in range(size)]
     else:
-        rows = [[spec.element(rng.randrange(spec.p)) for _ in range(size)] for _ in range(size)]
+        rows = [[rng.randrange(spec.p) for _ in range(size)] for _ in range(size)]
     m = as_matrix(spec, rows)
     assert bool(m.arr[..., 1:].any()) == outside_fp
     rank, counts = full_reductions(monkeypatch, m.rank)
-    assert rank == reference_rank(rows)
+    assert rank == reference_rank(spec, rows)
     assert counts == (1, 0, 0)
 
 
@@ -523,8 +534,8 @@ def test_rank_blows_up_entries_outside_fp():
     # diag(x, 1) over F_{13^3}: rank 2, though its constant coefficients
     # diag(0, 1) have rank 1
     spec = FIELDS[(13, 3)]
-    x = spec.element([0, 1, 0])
-    m = as_matrix(spec, [[x, spec.zero], [spec.zero, spec.one]])
+    x = spec.pack([0, 1, 0])
+    m = as_matrix(spec, [[x, 0], [0, 1]])
     assert m.rank() == 2
     assert _eliminate(_working_copy(m.arr[..., 0], spec.p), spec.p) == 1
 
@@ -532,11 +543,11 @@ def test_rank_blows_up_entries_outside_fp():
 def test_rank_of_fp_entries_skips_the_blow_up(monkeypatch):
     spec = FIELDS[(13, 3)]
     rng = random.Random(13)
-    rows = [[spec.element(rng.randrange(spec.p)) for _ in range(7)] for _ in range(3)]
-    rows += [[a + b for a, b in zip(rows[0], rows[1])], rows[2]]
+    rows = [[rng.randrange(spec.p) for _ in range(7)] for _ in range(3)]
+    rows += [[spec.add(a, b) for a, b in zip(rows[0], rows[1])], rows[2]]
     m = as_matrix(spec, rows)
     expected = _eliminate(_working_copy(_blow_up(spec, m.arr), spec.p), spec.p) // spec.k
-    assert expected == reference_rank(rows) == 3
+    assert expected == reference_rank(spec, rows) == 3
 
     def no_blow_up(*args):
         raise AssertionError("an F_p-valued matrix was blown up")

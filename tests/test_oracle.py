@@ -7,7 +7,6 @@ import pytest
 
 from wedderburn import (
     AlgebraElement,
-    FieldElement,
     FiniteGroup,
     MatrixFq,
     ModularCaseError,
@@ -23,7 +22,7 @@ from wedderburn import cli, ffield, oracle
 from wedderburn.cli import resolve_group
 from wedderburn.oracle import _CenterAlgebra
 
-from test_kernels import as_rows
+from test_kernels import as_rows, random_scalar
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +46,7 @@ def test_multiply_unit_law(sl32_s8, f11):
     rng = random.Random(0)
     one = AlgebraElement.unit(sl32_s8, f11)
     assert one == delta(sl32_s8, f11, 0)
-    x = AlgebraElement(sl32_s8, f11, as_rows([f11.random_element(rng) for _ in range(168)]))
+    x = AlgebraElement(sl32_s8, f11, as_rows(f11, [random_scalar(f11, rng) for _ in range(168)]))
     assert one * x == x
     assert x * one == x
 
@@ -96,7 +95,7 @@ def test_class_sums_are_central(sl32_s8, f11):
 def test_all_ones_squared(sl32_s8, f11):
     # the sum of all group elements z satisfies z^2 = |G| * z
     z = AlgebraElement(sl32_s8, f11, np.ones((168, 1), dtype=f11.dtype))
-    scaled = AlgebraElement(sl32_s8, f11, f11.mul_arrays(z.arr, np.array(f11.scalar(168).coeffs)))
+    scaled = AlgebraElement(sl32_s8, f11, f11.mul_arrays(z.arr, np.array(f11.unpack(168 % f11.p))))
     assert z * z == scaled
     assert scaled.arr[0].tolist() == [3]  # 168 = 3 mod 11
 
@@ -659,10 +658,8 @@ def test_verify_reads_the_full_table_once(sl32_s8, p, k, monkeypatch):
 
 
 def test_algebra_element_keeps_its_array(sl32_s8, f11):
-    # the constructor keeps an array of shape (|G|, k) as it is; a coefficient of
-    # another field is rejected where a FieldElement is read into a field, by
-    # spec.element (test_ffield.py::test_element_rejects_an_element_of_another_field)
-    arr = as_rows([f11.scalar(5)] * sl32_s8.order)
+    # the constructor keeps an array of shape (|G|, k) as it is
+    arr = as_rows(f11, [5] * sl32_s8.order)
     a = AlgebraElement(sl32_s8, f11, arr)
     assert a.arr is arr and a.group is sl32_s8 and a.spec is f11
     assert a.arr.shape == (sl32_s8.order, 1) and (a.arr == 5).all()
@@ -673,16 +670,15 @@ def test_algebra_element_keeps_its_array(sl32_s8, f11):
         AlgebraElement(sl32_s8, f11, arr.astype(object))
 
 
-NO_FIELD_ELEMENT = [("builtin:sl32-s8", 11, 1), ("builtin:sl32-s8", 13, 2), ("builtin:sl32-s8", 13, 3),
-                    ("builtin:sl32-s8", 2**31 + 11, 1), (f"file:{GROUP_DIR / 's6.txt'}", 7, 1)]
+SPLIT_FIELDS = [("builtin:sl32-s8", 11, 1), ("builtin:sl32-s8", 13, 2), ("builtin:sl32-s8", 13, 3),
+                ("builtin:sl32-s8", 2**31 + 11, 1), (f"file:{GROUP_DIR / 's6.txt'}", 7, 1)]
 
 
-@pytest.mark.parametrize("group,p,k", NO_FIELD_ELEMENT,
+@pytest.mark.parametrize("group,p,k", SPLIT_FIELDS,
                          ids=["sl32-F11", "sl32-F13^2", "sl32-F13^3", "sl32-F2^31+11", "s6-F7"])
-def test_split_and_verify_build_no_field_element(group, p, k, monkeypatch):
-    # FieldElement is the boundary type: once the field is built, the split
-    # and its check run on base-p ints and arrays.  Over F_{13^2} the d = 2
-    # block is refined over F_q, so Cantor-Zassenhaus draws at k = 2.
+def test_split_and_verify_across_fields(group, p, k, monkeypatch):
+    # the split and its check run on base-p ints and arrays.  Over F_{13^2}
+    # the d = 2 block is refined over F_q, so Cantor-Zassenhaus draws at k = 2.
     G = resolve_group(group)
     spec = make_field(p, k, seed=0)
     drawn = []  # extension degree of each equal-degree split that draws
@@ -693,28 +689,7 @@ def test_split_and_verify_build_no_field_element(group, p, k, monkeypatch):
             drawn.append(f.spec.k)
         return real_split(f, d, rng)
 
-    def refuse(self, spec, value):
-        raise AssertionError("built a FieldElement")
-
     monkeypatch.setattr(ffield, "_equal_degree_split", recording_split)
-    monkeypatch.setattr(FieldElement, "__init__", refuse)
     assert verify_split(split_center(G, spec, seed=0))
     if (p, k) == (13, 2):
         assert 2 in drawn
-
-
-@pytest.mark.parametrize("p,k", [(11, 1), (13, 2)])
-def test_random_central_elements_build_no_field_element(sl32_s8, p, k, monkeypatch):
-    # the seeded random central elements, the only candidates, draw their
-    # rows from the stream as ints and reach the same (unique) primitive
-    # idempotents
-    spec = make_field(p, k, seed=0)
-    expected = split_center(sl32_s8, spec, seed=0)
-
-    def refuse(self, spec, value):
-        raise AssertionError("built a FieldElement")
-
-    monkeypatch.setattr(FieldElement, "__init__", refuse)
-    split = split_center(sl32_s8, spec, seed=0)
-    assert split == expected
-    assert verify_split(split)

@@ -1,26 +1,27 @@
-"""Exact arithmetic over F_p and F_{p^k}, dense polynomials, factorization,
-and linear algebra.
+"""Exact arithmetic over F_p and F_{p^k}, dense polynomials over F_p,
+factorization, and linear algebra.
 
-Field elements are coefficient vectors modulo a monic irreducible modulus
-found by seeded search; there are no Conway-polynomial tables and no
-discrete-log tables.  Polynomial factorization runs the classical pipeline:
-squarefree split via gcd with the derivative (with p-th root extraction in
-characteristic p), distinct-degree split via iterated Frobenius, and seeded
-Cantor-Zassenhaus equal-degree splitting.  A scalar is a plain int, its
-base-p value: the sum of c_t p**t over its coefficient vector (the residue
-itself over F_p).  It is the package's only scalar type: Polynomial holds
-such ints, and every scalar operation is a kernel that FieldSpec builds
-once per field (add, sub, mul; inv and power on mul).  pack and unpack
-convert a scalar to and from a row of an (..., k) array.
-Vectors and matrices over F_q in hot paths are arrays of shape (..., k) over
-F_p, and FieldSpec.mul_arrays is their one entrywise product.  There is one
-elimination, _eliminate, on the F_p blow-up of an F_q matrix (each entry
-expanded by one einsum against the powers of the modulus's companion
-matrix), run in place on a fresh working copy (_working_copy): MatrixFq.rank
-reads the rank off it, and minpoly reads the minimal polynomial off the
-echelon form it leaves of its Krylov matrix.  A matrix whose entries all
-lie in F_p skips the blow-up: MatrixFq.rank eliminates its constant
-coefficients, since rank does not change under field extension.
+F_q, q = p**k, is F_p[x] modulo a monic irreducible modulus found by seeded
+search; there are no Conway-polynomial tables and no discrete-log tables.
+An element of F_q exists only as a row of an (..., k) array over F_p, its
+coefficient vector, and FieldSpec.fold is the one product of such rows.
+Polynomials are over F_p alone: Polynomial holds one residue per
+coefficient and computes with % p and pow(c, -1, p) inline, and Polynomial
+and minpoly reject a spec with k > 1.  An F_q-linear map is F_p-linear on k
+times as many coordinates, so a caller with an operator over F_q takes its
+minimal polynomial over F_p (the oracle does, on the center over F_q).
+Factorization runs the classical pipeline: squarefree split via gcd with
+the derivative (a polynomial with zero derivative is a p-th power, whose
+root takes every p-th coefficient, as a**p = a in F_p), distinct-degree
+split via iterated Frobenius, and seeded Cantor-Zassenhaus equal-degree
+splitting.  There is one elimination, _eliminate, run in place on a fresh
+working copy (_working_copy): MatrixFq.rank reads the rank of the F_p
+blow-up of an F_q matrix off it (each entry expanded by one einsum against
+the powers of the modulus's companion matrix), and minpoly reads the
+minimal polynomial off the echelon form it leaves of its Krylov matrix.  A
+matrix whose entries all lie in F_p skips the blow-up: MatrixFq.rank
+eliminates its constant coefficients, since rank does not change under
+field extension.
 The elimination delays its reductions: each pivot subtracts unreduced
 products of at most (p - 1)**2, and the trailing block is reduced only
 before t updates could break p + t (p - 1)**2 <= the working dtype's
@@ -34,7 +35,6 @@ bound whenever p < 2**31.  The elimination alone narrows: on a matrix of
 at least _NARROW_MIN_ENTRIES entries its working copy is int16 when p <= 31
 and int32 when 37 <= p <= 8191 (_working_dtype).
 """
-
 from __future__ import annotations
 
 import bisect
@@ -172,20 +172,15 @@ class FieldSpec:
     and k and finds an irreducible modulus.  ``x_powers`` holds x^0 ..
     x^(2k-2) mod the modulus as rows of dtype ``dtype``, the array dtype:
     int64 when p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the bound fold
-    needs, and object (Python ints) otherwise.
-
-    Scalars are plain ints, base-p values: the sum of c_t * p**t over a
-    coefficient vector (c_0, ..., c_(k-1)), so over F_p the residue itself;
-    pack and unpack convert between a value and a row of an (..., k) array.
-    The scalar kernels add, sub and mul are built once per field (see
-    _scalar_kernels); inv and power build on mul.  Polynomial runs on them.
+    needs, and object (Python ints) otherwise.  An element of F_q is a row
+    of k residues mod p, its coefficient vector, and fold is the one
+    product of such rows.
 
     With a prime power P = p**s in place of p, the same object is the Galois
-    ring (Z/P)[x]/(modulus) for a modulus irreducible mod p: add, sub, mul,
-    fold and mul_arrays only add and multiply, so they are exact there too,
-    while inversion, and whatever relies on it, needs a field."""
+    ring (Z/P)[x]/(modulus) for a modulus irreducible mod p: fold only adds
+    and multiplies, so it is exact there too."""
 
-    __slots__ = ("p", "k", "q", "modulus", "dtype", "x_powers", "add", "sub", "mul", "_place")
+    __slots__ = ("p", "k", "q", "modulus", "dtype", "x_powers")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         modulus = tuple(c % p for c in modulus)
@@ -208,39 +203,6 @@ class FieldSpec:
             cur = tuple(shifted)
         self.dtype = np.int64 if p < ARRAY_P_LIMIT and p + (k - 1) * (p - 1) ** 2 < 2**63 else object
         self.x_powers = np.array(np.eye(k, dtype=int).tolist() + reds, dtype=self.dtype)
-        self._place = [p**t for t in range(k)]
-        self.add, self.sub, self.mul = _scalar_kernels(p, k, self._place, reds)
-
-    # scalar arithmetic on base-p values ---------------------------------------
-
-    def pack(self, a) -> int:
-        """The base-p value of a coefficient vector a reduced mod p."""
-        return sum(map(operator.mul, a, self._place))
-
-    def unpack(self, v: int) -> tuple[int, ...]:
-        """The coefficient vector of the base-p value v, 0 <= v < q."""
-        p = self.p
-        return tuple([v // pt % p for pt in self._place])
-
-    def power(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.power(self.inv(a), -e)
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if not a:
-            raise ZeroDivisionError("inverse of zero field element")
-        if self.k == 1:
-            return pow(a, -1, self.p)
-        return self.power(a, self.q - 2)
-
-    # array-level arithmetic -------------------------------------------------
 
     def fold(self, y: np.ndarray) -> np.ndarray:
         """Reduce an array of shape (..., k, k) whose entry [..., t, s], below
@@ -253,11 +215,6 @@ class FieldSpec:
         for t in range(k):
             conv[..., t : t + k] += y[..., t, :]
         return (conv % self.p) @ self.x_powers % self.p
-
-    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Entrywise product in F_q of broadcastable arrays of shape (..., k)
-        with entries reduced mod p."""
-        return self.fold(a[..., :, None] * b[..., None, :] % self.p)
 
     def __eq__(self, other) -> bool:
         return (
@@ -274,34 +231,6 @@ class FieldSpec:
         if self.k == 1:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.k}; mod {self.modulus})"
-
-
-def _scalar_kernels(p: int, k: int, place: list[int], reds: list[tuple[int, ...]]):
-    """add, sub and mul on base-p values below p**k; place holds p**t for
-    t < k and reds the coefficient vectors of x^k .. x^(2k-2) mod the
-    modulus.  For k = 1 each is one int operation.  For k > 1 they read
-    digit t of a as a // p**t % p: a // p**t is that digit plus a multiple
-    of p, so (a // p**t + b // p**t) % p is the digit of the sum, and a
-    product folds its convolution's degrees k .. 2k-2 through reds."""
-    if k == 1:
-        return (lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p), (lambda a, b: a * b % p)
-    # per coefficient t: p**t and column t of reds
-    terms = [(t, pt, [red[t] for red in reds]) for t, pt in enumerate(place)]
-
-    def mul(a, b):
-        conv = [0] * (2 * k - 1)
-        digits = [b // pt % p for pt in place]
-        for i, pt in enumerate(place):
-            x = a // pt % p
-            if x:
-                for j, y in enumerate(digits):
-                    conv[i + j] += x * y
-        high = conv[k:]
-        return sum([(conv[t] + sum(map(operator.mul, high, col))) % p * pt for t, pt, col in terms])
-
-    return ((lambda a, b: sum([(a // pt + b // pt) % p * pt for pt in place])),
-            (lambda a, b: sum([(a // pt - b // pt) % p * pt for pt in place])),
-            mul)
 
 
 def check_p_min(p: int):
@@ -338,29 +267,27 @@ def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
 
 
 class Polynomial:
-    """Dense polynomial over F_q on base-p values: coeffs[i] is the int
-    sum of c_t * p**t over the coefficient vector (c_0, ..., c_(k-1)) of
-    x^i, so over F_p the residue itself, and trailing zeros are trimmed (the
-    zero polynomial has no coefficients).  The constructor takes such ints
-    alone: any other coefficient, or an int outside [0, q), raises
-    ValueError (spec.pack turns a coefficient vector into one).  Every
-    method runs on int lists through the scalar kernels spec.add, spec.sub,
-    spec.mul and spec.inv, and powers are taken only modulo a polynomial,
-    by pow_mod."""
+    """Dense polynomial over F_p: coeffs[i] is the residue in [0, p) of the
+    coefficient of x^i, and trailing zeros are trimmed (the zero polynomial
+    has no coefficients).  The constructor takes such ints alone, over a
+    spec with k = 1: any other coefficient, or a k > 1 spec, raises
+    ValueError.  Every method runs on int lists with % p and pow(c, -1, p)
+    inline, and powers are taken only modulo a polynomial, by pow_mod."""
 
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
+        _require_prime_field(spec)
         cs = list(coeffs)
         for c in cs:
-            if not isinstance(c, int) or not 0 <= c < spec.q:
-                raise ValueError(f"coefficient {c!r} is not a base-p value below q = {spec.q}")
+            if not isinstance(c, int) or not 0 <= c < spec.p:
+                raise ValueError(f"coefficient {c!r} is not a residue mod p = {spec.p}")
         self.spec = spec
         self.coeffs = _trimmed(cs)
 
     @classmethod
     def _of(cls, spec: FieldSpec, cs: list[int]) -> "Polynomial":
-        """The polynomial of an int list of reduced base-p values."""
+        """The polynomial of an int list of residues mod p."""
         f = cls.__new__(cls)
         f.spec = spec
         f.coeffs = _trimmed(cs)
@@ -385,27 +312,27 @@ class Polynomial:
         return not self.coeffs
 
     def _scaled(self, c: int) -> "Polynomial":
-        mul = self.spec.mul
-        return Polynomial._of(self.spec, [mul(a, c) for a in self.coeffs])
+        p = self.spec.p
+        return Polynomial._of(self.spec, [a * c % p for a in self.coeffs])
 
     def monic(self) -> "Polynomial":
         if self.is_zero() or self.coeffs[-1] == 1:
             return self
-        return self._scaled(self.spec.inv(self.coeffs[-1]))
+        return self._scaled(pow(self.coeffs[-1], -1, self.spec.p))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        add = self.spec.add
-        return Polynomial._of(self.spec, [add(x, y) for x, y in zip(a, b)] + list(a[len(b):]))
+        p = self.spec.p
+        return Polynomial._of(self.spec, [(x + y) % p for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + -other
 
     def __neg__(self) -> "Polynomial":
-        sub = self.spec.sub
-        return Polynomial._of(self.spec, [sub(0, c) for c in self.coeffs])
+        p = self.spec.p
+        return Polynomial._of(self.spec, [-c % p for c in self.coeffs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         return Polynomial._of(self.spec, _poly_mul(self.spec, self.coeffs, other.coeffs))
@@ -427,7 +354,7 @@ class Polynomial:
         mc = m.coeffs
         if not mc:
             raise ZeroDivisionError("polynomial modulus is zero")
-        inv_lc = spec.inv(mc[-1])
+        inv_lc = pow(mc[-1], -1, spec.p)
         result = _poly_divmod(spec, [1], mc, inv_lc)[1]
         base = _poly_divmod(spec, self.coeffs, mc, inv_lc)[1]
         while e:
@@ -438,21 +365,16 @@ class Polynomial:
         return Polynomial._of(spec, result)
 
     def derivative(self) -> "Polynomial":
-        mul, p = self.spec.mul, self.spec.p
-        return Polynomial._of(self.spec, [mul(i % p, c) for i, c in enumerate(self.coeffs[1:], 1)])
+        p = self.spec.p
+        return Polynomial._of(self.spec, [i * c % p for i, c in enumerate(self.coeffs[1:], 1)])
 
     def pth_root(self) -> "Polynomial":
-        """For f with zero derivative, the unique g with g**p = f."""
-        spec = self.spec
-        p = spec.p
-        root_exp = spec.q // p  # a -> a**(q/p) inverts the Frobenius a -> a**p
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if i % p == 0:
-                out.append(spec.power(c, root_exp))
-            elif c:
-                raise ValueError("polynomial is not a p-th power")
-        return Polynomial._of(spec, out)
+        """For f with zero derivative, the unique g with g**p = f: a**p = a
+        in F_p, so g takes every p-th coefficient of f."""
+        p = self.spec.p
+        if any(c for i, c in enumerate(self.coeffs) if i % p):
+            raise ValueError("polynomial is not a p-th power")
+        return Polynomial._of(self.spec, list(self.coeffs[::p]))
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         a, b = self, other
@@ -473,7 +395,7 @@ class Polynomial:
             t0, t1 = t1, t0 - q * t1
         if r0.is_zero():
             return r0, s0, t0
-        inv = spec.inv(r0.coeffs[-1])
+        inv = pow(r0.coeffs[-1], -1, spec.p)
         return r0._scaled(inv), s0._scaled(inv), t0._scaled(inv)
 
     def is_irreducible(self) -> bool:
@@ -495,7 +417,7 @@ class Polynomial:
         return hash(self.coeffs)
 
     def sort_key(self):
-        """(degree, coefficients): each coefficient ordered by its base-p value."""
+        """(degree, coefficients from the constant term up)."""
         return (self.degree(), self.coeffs)
 
     def __repr__(self) -> str:
@@ -506,7 +428,7 @@ class Polynomial:
             c = self.coeffs[i]
             if not c:
                 continue
-            cs = str(c) if self.spec.k == 1 else str(list(self.spec.unpack(c)))
+            cs = str(c)
             if i == 0:
                 terms.append(cs)
             elif i == 1:
@@ -522,18 +444,23 @@ def _trimmed(cs: list[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
+def _require_prime_field(spec: FieldSpec):
+    """Raise ValueError unless spec is F_p: polynomials are over F_p alone."""
+    if spec.k != 1:
+        raise ValueError(f"polynomials are over F_p only, not over {spec!r}")
+
+
 def _poly_mul(spec: FieldSpec, a, b) -> list[int]:
     """Product of two int coefficient lists; trimmed when both are."""
     if not a or not b:
         return []
-    mul, add = spec.mul, spec.add
+    p = spec.p
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return out
+                out[i + j] += ai * bj
+    return [c % p for c in out]
 
 
 def _poly_divmod(spec: FieldSpec, num, den, inv_lc=None):
@@ -543,17 +470,17 @@ def _poly_divmod(spec: FieldSpec, num, den, inv_lc=None):
     rem = list(num)
     if len(rem) - 1 < dd:
         return [], rem
-    mul, sub = spec.mul, spec.sub
+    p = spec.p
     if inv_lc is None:
-        inv_lc = spec.inv(den[-1])
+        inv_lc = pow(den[-1], -1, p)
     quo = [0] * (len(rem) - dd)
     for i in range(len(rem) - 1 - dd, -1, -1):
-        c = mul(rem[i + dd], inv_lc)
+        c = rem[i + dd] * inv_lc % p
         if c:
             quo[i] = c
             for j, b in enumerate(den):
                 if b:
-                    rem[i + j] = sub(rem[i + j], mul(c, b))
+                    rem[i + j] = (rem[i + j] - c * b) % p
     del rem[dd:]
     while rem and not rem[-1]:
         rem.pop()
@@ -565,8 +492,8 @@ def _poly_divmod(spec: FieldSpec, num, den, inv_lc=None):
 
 def factor(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
     """Full factorization of a nonzero polynomial into monic irreducibles with
-    multiplicities, sorted by Polynomial.sort_key: degree, then the base-p
-    values of the coefficients from the constant term up.  The product of
+    multiplicities, sorted by Polynomial.sort_key: degree, then the
+    coefficients from the constant term up.  The product of
     the factors with multiplicities equals f up to its leading coefficient."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -615,12 +542,12 @@ def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
 
 def _distinct_degree(f: Polynomial):
     """Distinct-degree walk of a monic polynomial f: for d = 1, 2, ... yield
-    (g, d) with g = gcd(x^(q^d) - x, rest) when it is not 1, where rest is f
+    (g, d) with g = gcd(x^(p^d) - x, rest) when it is not 1, where rest is f
     with the earlier parts divided out, so g is the product of the distinct
     degree-d irreducible factors of rest.  Once 0 < deg rest < 2d the last
     item is (rest, deg rest): rest has no factor of degree below d, so for
     squarefree f it is irreducible, and the parts multiply to f."""
-    q = f.spec.q
+    p = f.spec.p
     xpoly = Polynomial.x(f.spec)
     rest, frob, d = f, xpoly, 0
     while rest.degree() > 0:
@@ -628,7 +555,7 @@ def _distinct_degree(f: Polynomial):
         if 2 * d > rest.degree():
             yield rest, rest.degree()
             return
-        frob = frob.pow_mod(q, rest)
+        frob = frob.pow_mod(p, rest)
         g = (frob - xpoly).gcd(rest)
         if g.degree() > 0:
             yield g, d
@@ -638,15 +565,14 @@ def _distinct_degree(f: Polynomial):
 
 def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
     """Cantor-Zassenhaus: split a monic squarefree product of degree-d
-    irreducibles (q odd)."""
+    irreducibles (p odd)."""
     if f.degree() == d:
         return [f]
     spec = f.spec
     n = f.degree()
-    half = (spec.q**d - 1) // 2
+    half = (spec.p**d - 1) // 2
     while True:
-        a = Polynomial._of(spec, [spec.pack([rng.randrange(spec.p) for _ in range(spec.k)])
-                                  for _ in range(n)])
+        a = Polynomial._of(spec, [rng.randrange(spec.p) for _ in range(n)])
         if a.degree() < 1:
             continue
         g = a.gcd(f)
@@ -662,45 +588,46 @@ def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polyn
 # Krylov minimal polynomials ---------------------------------------------------
 
 
-def minpoly(spec: FieldSpec, apply, v: np.ndarray, bound: int | None = None) -> Polynomial:
-    """Monic minimal polynomial m of a linear operator relative to the start
-    vector v: the least-degree monic m with m(operator) applied to v = 0.
+def minpoly(spec: FieldSpec, apply, v: np.ndarray, bound: int) -> Polynomial:
+    """Monic minimal polynomial m over F_p of a linear operator relative to
+    the start vector v: the least-degree monic m with m(operator) applied to
+    v = 0.  spec must be F_p (k = 1), or minpoly raises ValueError; an
+    operator over F_q is one over F_p on k times as many coordinates.
 
-    ``v`` is a (dim, k) array of dtype spec.dtype reduced mod p, dim =
-    len(v), and ``apply`` maps such arrays to such arrays.  ``bound`` is an
-    upper bound on deg m, dim by default; a caller that knows v to lie in
-    an invariant subspace of smaller dimension passes that, and minpoly
-    raises ValueError if deg m exceeds it.  The Krylov vectors v, Av, ...,
-    A^bound v are the columns of a matrix over F_q, and
-    _eliminate reduces a working copy of its blow-up over F_p.  With
-    t = deg m, the column blocks 0..t-1 are independent over F_q and every
-    later block depends on them, so the pivots are exactly the first
-    kt = k*t columns.  Only e = w[:kt, :kt + 1] mod p, the pivot rows up to
-    column kt, is read, as int lists: column kt is A^t v itself;
-    back-substitution over the rows of the unit upper triangle
-    U = e[:, :kt] solves U y = -e[:, kt], and the coefficient of X^j in m
-    is y[jk:(j+1)k].  A zero start vector gives t = 0 and m = 1.
+    ``v`` is a (dim, 1) array of dtype spec.dtype reduced mod p, and
+    ``apply`` maps such arrays to such arrays.  ``bound`` is an upper bound
+    on deg m, such as dim, or the dimension of an invariant subspace known to
+    hold v; minpoly raises ValueError if deg m exceeds it.  The Krylov
+    vectors v, Av, ..., A^bound v are the columns of a matrix, and
+    _eliminate reduces a working copy of it.  With t = deg m, the columns
+    0..t-1 are independent and every later one depends on them, so the
+    pivots are exactly the first t columns.  Only e = w[:t, :t + 1] mod p,
+    the pivot rows up to column t, is read, as int lists: column t is A^t v
+    itself; back-substitution over the rows of the unit upper triangle
+    U = e[:, :t] solves U y = -e[:, t], and the coefficient of X^j in m is
+    y[j].  A zero start vector gives t = 0 and m = 1.
     """
-    shape = (len(v), spec.k)
+    _require_prime_field(spec)
+    shape = (len(v), 1)
     if np.shape(v) != shape:
-        raise ValueError(f"start vector must have shape (dim, {spec.k})")
+        raise ValueError("start vector must have shape (dim, 1)")
     krylov = [v]
-    for _ in range(shape[0] if bound is None else bound):
+    for _ in range(bound):
         krylov.append(apply(krylov[-1]))
         if np.shape(krylov[-1]) != shape:
             raise ValueError("operator changed the dimension")
-    p, k = spec.p, spec.k
-    w = _working_copy(_blow_up(spec, np.stack(krylov, axis=1)), p)
-    kt = _eliminate(w, p)
-    if kt == w.shape[1]:
-        raise ValueError(f"minimal polynomial degree exceeds the bound {len(krylov) - 1}")
-    e = (w[:kt, : kt + 1] % p).tolist()
-    if kt % k or any(e[r][r] != 1 for r in range(kt)):
+    p = spec.p
+    w = _working_copy(np.concatenate(krylov, axis=1), p)
+    t = _eliminate(w, p)
+    if t == w.shape[1]:
+        raise ValueError(f"minimal polynomial degree exceeds the bound {bound}")
+    e = (w[:t, : t + 1] % p).tolist()
+    if any(e[r][r] != 1 for r in range(t)):
         raise AssertionError("Krylov pivots are not the leading columns (bug)")
-    y = [0] * kt
-    for r in range(kt - 1, -1, -1):
-        y[r] = -(e[r][kt] + sum(map(operator.mul, e[r][r + 1 : kt], y[r + 1 :]))) % p
-    return Polynomial._of(spec, [spec.pack(y[j : j + k]) for j in range(0, kt, k)] + [1])
+    y = [0] * t
+    for r in range(t - 1, -1, -1):
+        y[r] = -(e[r][t] + sum(map(operator.mul, e[r][r + 1 : t], y[r + 1 :]))) % p
+    return Polynomial._of(spec, y + [1])
 
 
 # exact linear algebra ---------------------------------------------------------

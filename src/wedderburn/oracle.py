@@ -7,17 +7,21 @@ elements w on each current block, computing the minimal polynomial mu of
 multiplication by w there, factoring it, and combining the coprime factors
 f_j into finer idempotents e_j (Eberly and Giesbrecht, Efficient
 decomposition of associative algebras over finite fields, J. Symb. Comput.
-29, 2000).  When deg mu is the block's dim e*Z, w generates the block
-center, which is then F_q[X]/(mu), so every e_j is final with center
-degree deg f_j and no rank is taken; otherwise a new block is final once
-its rank dim e_j*Z equals deg f_j, which makes its center the field
-F_q[w*e_j].  No element splits a field, and primitive central idempotents
-are unique, so the search on a final block stops.  Over F_q, q = p^k, the
-refinement runs over F_p first: a block whose center has degree d over F_p
-splits over F_q into gcd(d, k) blocks (Lidl and Niederreiter, Finite
-Fields, Thm 3.46), so only the blocks with gcd(d, k) > 1 are refined again
-in F_q arithmetic, from their dim e*Z = d, and every other one is final as
-it stands.
+29, 2000).  Every minimal polynomial, factor and idempotent is over F_p:
+the refinement counts dimensions over F_p, and over F_q it runs on the
+center as an F_p-algebra, of dimension k*m.  When deg mu is the block's
+dim e*Z over F_p, w generates the block center, which is then
+F_p[X]/(mu), so every e_j is final with deg f_j its dimension over F_p and
+no rank is taken; otherwise a new block is final once k times its rank
+over F_q equals deg f_j, which makes its center the field F_p[w*e_j].  No
+element splits a field, and primitive central idempotents are unique, so
+the search on a final block stops.  Over F_q, q = p^k, the refinement runs
+over F_p first: a block whose center has degree d over F_p splits over
+F_q into gcd(d, k) blocks (Lidl and Niederreiter, Finite Fields, Thm
+3.46), so only the blocks with gcd(d, k) > 1 are refined again, on the
+center over F_q from dim e*Z = k*d over F_p, and every other one is final
+as it stands.  Each block over F_q contains F_q, so its dimension over F_p
+is k times its center degree d.
 For each primitive idempotent e the center degree d = dim e*Z is read off
 the splitting, and the block dimension D = dim e*F_q[G] off a trace, with
 no rank of a |G| x |G| matrix.  Left multiplication by e is a projection
@@ -78,8 +82,9 @@ from .perm import FiniteGroup
 __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
 
 # random central elements drawn per block: each fails to split a block that is
-# not a field, or to generate one that is, with probability at most 1/q, so a
-# block exhausts its draws with probability at most q^-40 (about 1.1e-28 at q = 5)
+# not a field, or to generate one that is, with probability at most 1/p in
+# either stage, so a block exhausts its draws with probability at most p^-40
+# (about 1.1e-28 at p = 5)
 MAX_RANDOM_DRAWS = 40
 CERTIFICATE_OVERSAMPLE = 32  # rows and columns past D in verify_split's sampled submatrices
 
@@ -215,10 +220,11 @@ class _CenterAlgebra:
 
 
 def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
-    """Refine the idempotent e along the coprime factorization mu = prod f_j:
-    the new idempotents are h_j(w) where h_j = 1 mod f_j and 0 mod the rest,
-    evaluated at the stacked powers e, w, ..., w^(deg mu - 1) in one
-    combination.  Each e_b is checked orthogonal to the stacked
+    """Refine the idempotent e along the coprime factorization mu = prod f_j
+    over F_p: the new idempotents are h_j(w) where h_j = 1 mod f_j and 0 mod
+    the rest, evaluated at the stacked powers e, w, ..., w^(deg mu - 1) in
+    one combination, whose coefficient rows hold the F_p coefficients of h_j
+    in column 0.  Each e_b is checked orthogonal to the stacked
     e_0, ..., e_(b-1) in one product, which makes the class products of e_b
     alone: O(r m^3 k) for r idempotents, not the O(r^2 m^3 k) of one
     product per pair."""
@@ -230,7 +236,7 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
         if gcd.degree() != 0:
             raise AssertionError("minimal polynomial factors are not coprime (bug)")
         h_j = (s_j * g_j) % mu
-        coeffs[j, : len(h_j.coeffs)] = [spec.unpack(c) for c in h_j.coeffs]
+        coeffs[j, : len(h_j.coeffs), 0] = h_j.coeffs
     outs = Z._combine(coeffs, powers)
     if not np.array_equal(outs.sum(0) % spec.p, e):
         raise AssertionError("refined idempotents do not sum to the block unit (bug)")
@@ -240,35 +246,43 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
 
 
 def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
-    """(final, todo): the blocks below the idempotent e of Z, dim = dim e*Z,
-    that one seeded random central element w separates, as lists of
-    (e_j, d_j) pairs with d_j = dim e_j*Z.  A block in final is certified a
-    field, of degree d_j over F_q; one in todo is to be split further.
+    """(final, todo): the blocks below the idempotent e of Z, dim = dim e*Z
+    over F_p, that one seeded random central element w separates, as lists
+    of (e_j, d_j) pairs with d_j = dim e_j*Z over F_p.  A block in final is
+    certified a field, of degree d_j over F_p; one in todo is to be split
+    further.  Over F_q, q = p^k, e*Z is an F_p-algebra on the (m * k, 1)
+    columns of its (m, k) class vectors.
 
-    Each draw takes its m rows from rng, and the search stops at the first w
-    whose minimal polynomial mu on the block has two or more irreducible
-    factors f_j (a split), or has degree dim (w generates the block center).
-    A repeated factor of mu contradicts semisimplicity.  When deg mu = dim,
-    e*Z = F_q[w] = F_q[X]/(mu), the product of the fields F_q[X]/(f_j), so
-    every new idempotent e_j is final with d_j = deg f_j, and no rank is
-    taken; with one factor, e itself is final.  Otherwise each e_j is
-    ranked, and is final when its rank is deg f_j: w*e_j has the irreducible
-    minimal polynomial f_j, so F_q[w*e_j] is a field of that degree inside
-    e_j*Z, and then all of it.  On a block that is not a field a draw fails
-    to split it, and on a field block fails to generate it, with
-    probability at most 1/q.
+    Each draw takes its m * k coefficients from rng, and the search stops at
+    the first w whose minimal polynomial mu over F_p on the block has two or
+    more irreducible factors f_j (a split), or has degree dim (w generates
+    the block center).  A repeated factor of mu contradicts semisimplicity.
+    When deg mu = dim, e*Z = F_p[w] = F_p[X]/(mu), the product of the fields
+    F_p[X]/(f_j), so every new idempotent e_j is final with d_j = deg f_j,
+    and no rank is taken; with one factor, e itself is final.  Otherwise each
+    e_j is ranked over F_q, and is final when k times its rank is deg f_j:
+    w*e_j has the irreducible minimal polynomial f_j, so F_p[w*e_j] is a
+    field of that degree inside e_j*Z, and then all of it.  A draw fails
+    with probability at most 1/p.  On a block that is the product of L >= 2
+    fields it fails to split it only when its L components have one minimal
+    polynomial over F_p: given the first, each other component, in a field
+    of degree a over F_p, is one of at most a roots, a chance of a/p^a <=
+    1/p, so at most p^(1 - L) in all.  On a field block it fails to generate
+    it only inside a proper subfield, at most 1/p of the elements.
     """
     spec = Z.spec
+    m, k = Z.m, spec.k
+    fp = spec if k == 1 else FieldSpec(spec.p, 1, (0, 1))
     for _ in range(MAX_RANDOM_DRAWS):
-        w = np.array([[rng.randrange(spec.p) for _ in range(spec.k)] for _ in range(Z.m)], dtype=spec.dtype)
+        w = np.array([[rng.randrange(spec.p) for _ in range(k)] for _ in range(m)], dtype=spec.dtype)
         w_classes = Z._mul_classes(w)  # made once for all the Krylov steps v -> v * w
         powers = [e]  # minpoly's Krylov vectors w^i * e, in the order it makes them
 
         def times_w(v):
-            powers.append(Z._combine(v, w_classes))
-            return powers[-1]
+            powers.append(Z._combine(v.reshape(m, k), w_classes))
+            return powers[-1].reshape(m * k, 1)
 
-        mu = minpoly(spec, times_w, e, dim)  # w^i * e lies in e*Z, of dimension dim
+        mu = minpoly(fp, times_w, e.reshape(m * k, 1), dim)  # w^i * e lies in e*Z, of dimension dim
         facs = factor(mu, seed=seed)
         if any(mult > 1 for _, mult in facs):
             raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")
@@ -280,7 +294,7 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
         split = zip(_crt_idempotents(Z, e, np.stack(powers[: mu.degree()]), mu, facs), [f.degree() for f, _ in facs])
         if generates:
             return list(split), []
-        ranked = [(e_j, Z.block_dimension(e_j), deg) for e_j, deg in split]
+        ranked = [(e_j, k * Z.block_dimension(e_j), deg) for e_j, deg in split]
         return ([(e_j, d) for e_j, d, deg in ranked if d == deg],
                 [(e_j, d) for e_j, d, deg in ranked if d != deg])
     raise RuntimeError("failed to split or certify a center block (bug)")
@@ -288,8 +302,8 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
 
 def _refine(Z: _CenterAlgebra, work: list, rng: random.Random, seed: int) -> list:
     """(e, d) for every primitive idempotent e of Z below the (idempotent,
-    dim e*Z) pairs in work, d = dim e*Z: _try_refine splits each block until
-    every one is certified a field."""
+    dim e*Z) pairs in work, d = dim e*Z over F_p: _try_refine splits each
+    block until every one is certified a field."""
     final = []
     while work:
         done, todo = _try_refine(Z, *work.pop(), rng, seed)
@@ -309,10 +323,13 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     gcd(d, k) blocks of center degree d / gcd(d, k) (an irreducible
     polynomial of degree d over F_p factors so over F_{p^k}; Lidl and
     Niederreiter, Finite Fields, Thm 3.46).  So a block with gcd(d, k) = 1
-    is final, and only the others are refined again over F_q, by the same
-    loop.  Each block dimension D is the trace of the idempotent lifted mod
-    p^s, as in the module docstring; split_center checks that every D is
-    d * n^2 for an integer n >= 1 and that the D sum to |G|."""
+    is final, and only the others are refined again, by the same loop on
+    the center over F_q, which counts their dimensions over F_p: a block
+    starts at k * d, and each block it yields has center degree its
+    dimension over F_p divided by k.  Each block dimension D is the trace of
+    the idempotent lifted mod p^s, as in the module docstring; split_center
+    checks that every D is d * n^2 for an integer n >= 1 and that the D sum
+    to |G|."""
     if G.order % spec.p == 0:
         raise ModularCaseError(spec.p, G.order)
     Z = _CenterAlgebra(G, spec)
@@ -322,13 +339,15 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     rng = random.Random(f"split:{seed}:{spec.p}:1:{G.order}")
     final = _refine(Zp, [(one, Zp.m)], rng, seed)  # the class sums are a basis of Z
     if spec.k > 1:
+        k = spec.k
         # each idempotent over F_p, as an (m, k) array over F_q: zeros in coefficients 1 .. k-1
-        es = np.zeros((len(final), Z.m, spec.k), dtype=spec.dtype)
+        es = np.zeros((len(final), Z.m, k), dtype=spec.dtype)
         es[..., :1] = np.stack([e for e, _ in final])
         final = [(e, d) for e, (_, d) in zip(es, final)]
-        # dim e*Z over F_q is d: the center over F_q is the one over F_p with its scalars extended
-        work = [(e, d) for e, d in final if math.gcd(d, spec.k) > 1]
-        final = [(e, d) for e, d in final if math.gcd(d, spec.k) == 1] + _refine(Z, work, rng, seed)
+        # dim e*Z over F_q is d, so k * d over F_p: the center over F_q is the one over F_p with its scalars extended
+        work = [(e, k * d) for e, d in final if math.gcd(d, k) > 1]
+        final = ([(e, d) for e, d in final if math.gcd(d, k) == 1]
+                 + [(e, d // k) for e, d in _refine(Z, work, rng, seed)])
     block_dims = _lifted_block_dims(G, spec, [e for e, _ in final])
     blocks = [(math.isqrt(D // d), d) for D, (_, d) in zip(block_dims, final)]
     if any(n < 1 or d * n * n != D for D, (n, d) in zip(block_dims, blocks)):
@@ -336,7 +355,7 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     if sum(block_dims) != G.order:
         raise AssertionError("block dimensions do not sum to |G| (bug)")
     # deterministic block order regardless of the splitting path: by (d, n), then
-    # by the idempotent's rows compared as reversed coefficient vectors (base-p values)
+    # by the idempotent's rows compared as reversed coefficient vectors
     order = sorted(range(len(final)),
                    key=lambda i: (blocks[i][1], blocks[i][0], final[i][0][:, ::-1].tolist()))
     return CentralSplit(

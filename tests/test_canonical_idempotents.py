@@ -5,10 +5,12 @@ idempotent's coefficient array (of str(arr.tolist()), so independent of the
 array dtype)."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
-from wedderburn import make_field, split_center
+from wedderburn import make_field, oracle, split_center
+from wedderburn.cli import resolve_group
 
 PINNED = [
     ("sl32_s8", 11, 1, ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1)), (1, 9, 9, 36, 49, 64), (
@@ -95,3 +97,47 @@ def test_canonical_idempotents(request, group, p, k, pairs, block_dims, digests)
     assert split.pairs() == pairs
     assert split.block_dims == block_dims
     assert tuple(hashlib.sha256(str(e.arr.tolist()).encode()).hexdigest() for e in split.idempotents) == digests
+
+
+GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
+
+# fields where a block of F_p[G] with gcd(d, k) > 1 is refined again on the
+# center over F_q, and the sha256 of str((blocks, idempotent arrays)) at
+# seeds 0 and 1, computed when that stage still took its minimal polynomials
+# over F_q: its route over F_p must pick the same idempotents
+FQ_STAGE_PINNED = [
+    ("builtin:sl32-s8", 13, 2, ("8f0bb9ae9470e797b77994b8a6948b0fb74265c1224a8d12ef05ae5453da9129",
+                                "e94cdb5d2bea185f7c130f87387368a4caa95594d7c2a44a21092d985ef3f11f")),
+    ("builtin:sl32-s8", 5, 8, ("9fb8538ded6c1b06a62fcb18f0252f8a021aa865add8f327010fde96cf50d2b4",
+                               "fc115bc452f7125b50cb90c01f5f519867b8fad293c6a83188f99a8b9902933a")),
+    ("builtin:sl32-s8", 13, 4, ("7bc50373dba1f9805d11a3687c8dbe94d9b2d899623b331f12f24038012d2727",
+                                "1e57826b98dc98fa67b6bc005ca3d0d9f560ac610bc4cda9d7baa6561a75ca58")),
+    ("builtin:sl32-s8", 2**31 + 11, 2, ("3dc05766f5a51890ab90782ad8b0e3d37743fa8f54d1b1031de89cc4dde54a94",
+                                        "56196b1be35bf67ee32a2ff5a1c9a7cb737e959ae2cf2afd89dcea1b5eaba2f9")),
+    ("c15", 11, 2, ("dbb93bd2bcaae60eafc6eeda1b28add0b9f47f474e8192f467b7cfb4a95d6074",
+                    "e7d3ab433e80d35a7d542cceac40d6d92dd5d6dfecc9e445c0e35567ddb539ec")),
+    ("a5", 7, 2, ("35fc3ae469163fc207dd23056bb466f7275a395a6ed86bc40de30488f7b21a6a",
+                  "4174310ba46246ef25935759decc8756849b6cc088223c357c903f84ff58c901")),
+    ("c7c3", 5, 6, ("b73c0ab4cbd107ebec9814b83d8e9644e74d37dfdbcbacbdd2687e16d83709f0",
+                    "2d0bb4afb354bb65895d0a59bd40bf8c697dfe7078cbee65c0ce5fe47064fed0")),
+]
+
+
+@pytest.mark.parametrize("group, p, k, digests", FQ_STAGE_PINNED,
+                         ids=[f"{g.removeprefix('builtin:')}-{p}^{k}" for g, p, k, _ in FQ_STAGE_PINNED])
+def test_fq_stage_idempotents_are_pinned(group, p, k, digests, monkeypatch):
+    G = resolve_group(group if group.startswith("builtin:") else f"file:{GROUP_DIR / group}.txt")
+    refined_over_fq = []
+    real = oracle._try_refine
+
+    def recording(Z, *args):
+        refined_over_fq.append(Z.spec.k > 1)
+        return real(Z, *args)
+
+    monkeypatch.setattr(oracle, "_try_refine", recording)
+    for seed, digest in enumerate(digests):
+        refined_over_fq.clear()
+        split = split_center(G, make_field(p, k, seed=seed), seed=seed)
+        assert any(refined_over_fq), seed
+        blob = str((split.blocks, [e.arr.tolist() for e in split.idempotents]))
+        assert hashlib.sha256(blob.encode()).hexdigest() == digest, seed

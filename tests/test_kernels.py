@@ -1,12 +1,10 @@
-"""Differential tests of the array kernels: the F_q product of arrays and the
-group-algebra product against the scalar kernels FieldSpec.add and mul run
-one base-p int at a time, the center's products against the group
-algebra's, minimal polynomials against their definition, the
-companion-matrix rank expansion against a row reduction on the scalar
-kernels, and the echelon form that the delayed-reduction elimination
-leaves against a plain-Python one."""
-
-import functools
+"""Differential tests of the array kernels: FieldSpec.fold's product of
+coefficient rows and the group-algebra product against tuple arithmetic
+written here, one coefficient vector at a time, the center's products
+against the group algebra's, minimal polynomials against their
+definition, the companion-matrix rank expansion against a row reduction in
+tuple arithmetic, and the echelon form that the delayed-reduction
+elimination leaves against a plain-Python one."""
 
 import random
 
@@ -25,66 +23,108 @@ FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): 
 CENTER_FIELDS = [(11, 1), (13, 2), (13, 3), (2**31 + 11, 2)]
 
 
+# Arithmetic on coefficient tuples (c_0, ..., c_(k-1)) of F_q, the reference
+# for the package's arrays: products reduced by x^k = -(m_0 + ... +
+# m_(k-1) x^(k-1)) from the top degree down, independent of FieldSpec.fold
+# and its reduction rows.
+def _ref_add(spec, a, b):
+    return tuple((x + y) % spec.p for x, y in zip(a, b))
+
+
+def _ref_mul(spec, a, b):
+    p, k = spec.p, spec.k
+    conv = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for d in range(2 * k - 2, k - 1, -1):
+        top, conv[d] = conv[d], 0
+        for i in range(k):
+            conv[d - k + i] -= top * spec.modulus[i]
+    return tuple(c % p for c in conv[:k])
+
+
+def _ref_inv(spec, a):
+    out, e = (1,) + (0,) * (spec.k - 1), spec.q - 2
+    while e:
+        if e & 1:
+            out = _ref_mul(spec, out, a)
+        a, e = _ref_mul(spec, a, a), e >> 1
+    return out
+
+
 def coefficients(x):
-    """The coefficients of the AlgebraElement x as base-p ints, each packed
-    from its row as it stands: a row with an entry outside [0, p) packs to a
-    different value, so a product left unreduced fails the comparison."""
-    return tuple(x.spec.pack(row) for row in x.arr.tolist())
+    """The coefficients of the AlgebraElement x as coefficient tuples, each
+    its row as it stands: a row with an entry outside [0, p) differs from
+    the reduced tuple, so a product left unreduced fails the comparison."""
+    return tuple(map(tuple, x.arr.tolist()))
 
 
 def reference_product(a, b):
-    """sum over i, j of a(g_i) b(g_j) g_i g_j, one scalar kernel call at a time."""
+    """sum over i, j of a(g_i) b(g_j) g_i g_j, one tuple product at a time."""
     spec, table = a.spec, a.group.mul_table()
-    out = [0] * a.group.order
+    out = [(0,) * spec.k] * a.group.order
     for i, x in enumerate(coefficients(a)):
-        if x:
+        if any(x):
             for j, y in enumerate(coefficients(b)):
-                if y:
-                    out[table[i][j]] = spec.add(out[table[i][j]], spec.mul(x, y))
+                if any(y):
+                    out[table[i][j]] = _ref_add(spec, out[table[i][j]], _ref_mul(spec, x, y))
     return tuple(out)
 
 
 def reference_rank(spec, rows):
-    """Rank of a list of rows of base-p ints by Gaussian elimination, one
-    scalar kernel call at a time."""
+    """Rank of a list of rows of coefficient tuples by Gaussian elimination
+    in tuple arithmetic."""
     out = [list(r) for r in rows]
     rank = 0
     for c in range(len(out[0]) if out else 0):
-        pr = next((i for i in range(rank, len(out)) if out[i][c]), None)
+        pr = next((i for i in range(rank, len(out)) if any(out[i][c])), None)
         if pr is None:
             continue
         out[rank], out[pr] = out[pr], out[rank]
-        inv = spec.inv(out[rank][c])
+        inv = _ref_inv(spec, out[rank][c])
         for i in range(rank + 1, len(out)):
-            if out[i][c]:
-                f = spec.mul(out[i][c], inv)
-                out[i] = [spec.sub(a, spec.mul(f, b)) for a, b in zip(out[i], out[rank])]
+            if any(out[i][c]):
+                f = tuple(-x % spec.p for x in _ref_mul(spec, out[i][c], inv))
+                out[i] = [_ref_add(spec, a, _ref_mul(spec, f, b)) for a, b in zip(out[i], out[rank])]
         rank += 1
     return rank
 
 
 def random_scalar(spec, rng):
-    """The base-p int of k draws rng.randrange(p), its coefficients."""
-    return spec.pack([rng.randrange(spec.p) for _ in range(spec.k)])
+    """The coefficient tuple of k draws rng.randrange(p)."""
+    return tuple(rng.randrange(spec.p) for _ in range(spec.k))
 
 
 def dot(spec, xs, ys):
-    """sum of x * y over the pairs of base-p ints, on the scalar kernels."""
-    return functools.reduce(spec.add, map(spec.mul, xs, ys), 0)
+    """sum of x * y over the pairs of coefficient tuples, in tuple arithmetic."""
+    out = (0,) * spec.k
+    for x, y in zip(xs, ys):
+        out = _ref_add(spec, out, _ref_mul(spec, x, y))
+    return out
 
 
 def as_rows(spec, values):
-    """The (len(values), k) array of a list of base-p ints."""
-    return np.array([spec.unpack(v) for v in values], dtype=spec.dtype)
+    """The (len(values), k) array of a list of coefficient tuples, or of
+    residues when k = 1."""
+    return np.array(values, dtype=spec.dtype).reshape(len(values), spec.k)
 
 
 def as_matrix(spec, rows):
-    """The MatrixFq whose entries are the base-p ints of rows."""
-    return MatrixFq(spec, np.array([[spec.unpack(v) for v in row] for row in rows], dtype=spec.dtype))
+    """The MatrixFq whose entries are rows' coefficient tuples, or residues
+    when k = 1."""
+    arr = np.array(rows, dtype=spec.dtype)
+    return MatrixFq(spec, arr.reshape(arr.shape[:2] + (spec.k,)))
+
+
+def fold_product(spec, a, b):
+    """The entrywise F_q product of broadcastable (..., k) arrays with
+    entries reduced mod p, by FieldSpec.fold on their outer products."""
+    return spec.fold(a[..., :, None] * b[..., None, :] % spec.p)
 
 
 def random_algebra_element(G, spec, rng, density=1.0):
-    coeffs = [random_scalar(spec, rng) if rng.random() < density else 0 for _ in range(G.order)]
+    coeffs = [random_scalar(spec, rng) if rng.random() < density else (0,) * spec.k for _ in range(G.order)]
     return AlgebraElement(G, spec, as_rows(spec, coeffs))
 
 
@@ -112,10 +152,11 @@ def test_product_matches_convolution_sl32(sl32_s8, field, seed, density):
     # does, against the same operations one scalar at a time
     c = random_scalar(spec, rng)
     pairs = list(zip(coefficients(a), coefficients(b)))
-    scaled = spec.mul_arrays(a.arr, np.array(spec.unpack(c), dtype=spec.dtype))
-    assert np.array_equal(scaled, as_rows(spec, [spec.mul(x, c) for x, _ in pairs]))
-    assert np.array_equal((a.arr + b.arr) % spec.p, as_rows(spec, [spec.add(x, y) for x, y in pairs]))
-    assert np.array_equal((a.arr - b.arr) % spec.p, as_rows(spec, [spec.sub(x, y) for x, y in pairs]))
+    scaled = fold_product(spec, a.arr, np.array(c, dtype=spec.dtype))
+    assert np.array_equal(scaled, as_rows(spec, [_ref_mul(spec, x, c) for x, _ in pairs]))
+    assert np.array_equal((a.arr + b.arr) % spec.p, as_rows(spec, [_ref_add(spec, x, y) for x, y in pairs]))
+    minus = [tuple(-t % spec.p for t in y) for _, y in pairs]
+    assert np.array_equal((a.arr - b.arr) % spec.p, as_rows(spec, [_ref_add(spec, x, y) for (x, _), y in zip(pairs, minus)]))
 
 
 def random_array(spec, rng, shape):
@@ -127,35 +168,36 @@ def random_array(spec, rng, shape):
 @settings(max_examples=20, deadline=None)
 @given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32),
        shapes=st.sampled_from([((), ()), ((3,), ()), ((), (4,)), ((2, 1), (1, 3)), ((5,), (5,))]))
-def test_mul_arrays_matches_field_elements(field, seed, shapes):
+def test_fold_matches_tuple_products(field, seed, shapes):
+    # FieldSpec.fold on the outer products of broadcast rows, entry by entry
+    # against the tuple product
     spec = FIELDS[field]
     rng = random.Random(seed)
     a, b = random_array(spec, rng, shapes[0]), random_array(spec, rng, shapes[1])
-    out = spec.mul_arrays(a, b)
+    out = fold_product(spec, a, b)
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     assert out.shape == shape + (spec.k,)
     a_b, b_b = np.broadcast_to(a, shape + (spec.k,)), np.broadcast_to(b, shape + (spec.k,))
     for idx in np.ndindex(shape):
-        expected = spec.mul(spec.pack(a_b[idx].tolist()), spec.pack(b_b[idx].tolist()))
-        assert tuple(out[idx].tolist()) == spec.unpack(expected)
+        assert tuple(out[idx].tolist()) == _ref_mul(spec, tuple(a_b[idx].tolist()), tuple(b_b[idx].tolist()))
 
 
 def reference_products(lefts, b):
     """sum over h of a(h^-1) * b(h g) for each a in lefts, with h^-1 and h g
-    looked up through G.index and each term a FieldSpec.mul of base-p
-    values: no multiplication table, inversion array or array kernel."""
+    looked up through G.index and each term a tuple product: no
+    multiplication table, inversion array or array kernel."""
     G, spec = b.group, b.spec
     inverse = [G.index(h.inverse()) for h in G.elements]
     hg = [[G.index(h * g) for g in G.elements] for h in G.elements]
-    bs = [spec.pack(c) for c in b.arr.tolist()]
+    bs = coefficients(b)
     out = []
     for a in lefts:
-        terms = [(spec.pack(x), hg[i]) for i, x in enumerate(a.arr[inverse].tolist()) if any(x)]
-        row = [0] * G.order
+        terms = [(tuple(x), hg[i]) for i, x in enumerate(a.arr[inverse].tolist()) if any(x)]
+        row = [(0,) * spec.k] * G.order
         for j in range(G.order):
             for x, hg_i in terms:
-                row[j] = spec.add(row[j], spec.mul(x, bs[hg_i[j]]))
-        out.append([spec.unpack(v) for v in row])
+                row[j] = _ref_add(spec, row[j], _ref_mul(spec, x, bs[hg_i[j]]))
+        out.append(row)
     return out
 
 
@@ -214,56 +256,55 @@ def test_stacked_center_products_match_one_at_a_time(c7c3, field):
     assert Z.mul(u, v[0]).tolist() == [Z.mul(a, v[0]).tolist() for a in u]
 
 
+PRIME_FIELDS = {p: make_field(p) for p in (11, 2**31 + 11)}  # int64 and object arrays
+
+
 @settings(max_examples=30, deadline=None)
-@given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32))
-def test_minpoly_annihilates_and_has_krylov_rank(field, seed):
+@given(p=st.sampled_from(sorted(PRIME_FIELDS)), seed=st.integers(0, 2**32))
+def test_minpoly_annihilates_and_has_krylov_rank(p, seed):
     # A = c*I + (dim x r)(r x dim): minimal polynomials of degree up to r + 1
-    spec = FIELDS[field]
-    p = spec.p
+    spec = PRIME_FIELDS[p]
     rng = random.Random(seed)
     dim, r = rng.randint(1, 7), rng.randint(0, 3)
-    low = spec.mul_arrays(random_array(spec, rng, (dim, 1, r)), random_array(spec, rng, (1, dim, r))).sum(2) % p
-    A = (low + np.eye(dim, dtype=spec.dtype)[:, :, None] * random_array(spec, rng, ())) % p
+    low = (random_array(spec, rng, (dim, 1, r))[..., 0] * random_array(spec, rng, (1, dim, r))[..., 0] % p).sum(2)
+    A = (low + np.eye(dim, dtype=spec.dtype) * rng.randrange(p)) % p
 
     def apply(w):
-        return spec.mul_arrays(A, w[None]).sum(1) % p
+        return (A * w[:, 0] % p).sum(1, keepdims=True) % p
 
     v = random_array(spec, rng, (dim,))
-    m = minpoly(spec, apply, v)
+    m = minpoly(spec, apply, v, dim)
     assert m.coeffs[-1] == 1  # monic
     krylov = [v]
     for _ in range(dim):
         krylov.append(apply(krylov[-1]))
-    coeffs = np.array([spec.unpack(c) for c in m.coeffs], dtype=spec.dtype)
-    assert coeffs.shape == (m.degree() + 1, spec.k)
-    assert not (spec.mul_arrays(coeffs[:, None], np.stack(krylov[: m.degree() + 1])).sum(0) % p).any()
+    assert not (sum(c * u % p for c, u in zip(m.coeffs, krylov)) % p).any()
     assert m.degree() == MatrixFq(spec, np.stack(krylov, axis=1)).rank()
 
 
-@pytest.mark.parametrize("field", [(11, 1), (2**31 + 11, 2)], ids=lambda f: f"{f[0]}^{f[1]}")
+@pytest.mark.parametrize("field", [(11, 1), (2**31 + 11, 1)], ids=lambda f: f"{f[0]}^{f[1]}")
 def test_minpoly_of_zero_vector_is_one(field):
-    spec = FIELDS[field]
-    zero = np.zeros((4, spec.k), dtype=spec.dtype)
-    assert minpoly(spec, lambda w: w, zero) == Polynomial.one(spec)
+    spec = make_field(*field)
+    zero = np.zeros((4, 1), dtype=spec.dtype)
+    assert minpoly(spec, lambda w: w, zero, 4) == Polynomial.one(spec)
 
 
-def test_minpoly_jordan_block_over_large_extension():
-    # A = J_2(a) + (b) on F_q^3 with a, b outside F_p and dtype object:
-    # v = (0, 1, 1) has minimal polynomial (X - a)^2 (X - b)
-    spec = FIELDS[(2**31 + 11, 2)]
+def test_minpoly_jordan_block_over_a_large_prime():
+    # A = J_2(a) + (b) on F_p^3 with p > 2**31 and dtype object: v = (0, 1, 1)
+    # has minimal polynomial (X - a)^2 (X - b)
+    spec = PRIME_FIELDS[2**31 + 11]
     assert spec.dtype is object
-    a, b = spec.pack([3, 2**31]), spec.pack([7, 5])
-    arr_a, arr_b = (np.array(spec.unpack(c), dtype=object) for c in (a, b))
+    a, b = 2**31, 7
 
     def apply(w):
-        return np.stack([(spec.mul_arrays(arr_a, w[0]) + w[1]) % spec.p,
-                         spec.mul_arrays(arr_a, w[1]), spec.mul_arrays(arr_b, w[2])])
+        return np.array([[(a * w[0, 0] + w[1, 0]) % spec.p], [a * w[1, 0] % spec.p], [b * w[2, 0] % spec.p]],
+                        dtype=object)
 
-    v = np.array([[0, 0], [1, 0], [1, 0]], dtype=object)
+    v = np.array([[0], [1], [1]], dtype=object)
     x = Polynomial.x(spec)
     root_a = x - Polynomial(spec, [a])
     expected = root_a * root_a * (x - Polynomial(spec, [b]))
-    assert minpoly(spec, apply, v) == expected
+    assert minpoly(spec, apply, v, 3) == expected
 
 
 @pytest.mark.parametrize("p, k", [(2**31 - 1, 1), (2**31 - 1, 2), (2**31 + 11, 1), (2**31 + 11, 2), (2**61 - 1, 1)])
@@ -300,9 +341,9 @@ def test_right_ideal_dimension_matches_right_translates(c7c3):
 
 
 def _random_matrix(spec, rng, nrows, ncols, rank_cap):
-    """The rows, as lists of base-p ints, of an nrows x ncols matrix of rank
-    at most rank_cap: a product of random nrows x r and r x ncols factors,
-    sometimes with one row copied over another."""
+    """The rows, as lists of coefficient tuples, of an nrows x ncols matrix
+    of rank at most rank_cap: a product of random nrows x r and r x ncols
+    factors, sometimes with one row copied over another."""
     r = rng.randint(0, rank_cap)
     left = [[random_scalar(spec, rng) for _ in range(r)] for _ in range(nrows)]
     right = [[random_scalar(spec, rng) for _ in range(ncols)] for _ in range(r)]
@@ -500,7 +541,7 @@ def test_rank_reduces_the_whole_array_once(field, size, outside_fp, monkeypatch)
     if outside_fp:
         rows = [[random_scalar(spec, rng) for _ in range(size)] for _ in range(size)]
     else:
-        rows = [[rng.randrange(spec.p) for _ in range(size)] for _ in range(size)]
+        rows = [[(rng.randrange(spec.p),) + (0,) * (spec.k - 1) for _ in range(size)] for _ in range(size)]
     m = as_matrix(spec, rows)
     assert bool(m.arr[..., 1:].any()) == outside_fp
     rank, counts = full_reductions(monkeypatch, m.rank)
@@ -508,24 +549,23 @@ def test_rank_reduces_the_whole_array_once(field, size, outside_fp, monkeypatch)
     assert counts == (1, 0, 0)
 
 
-@pytest.mark.parametrize("field, dim, dtype", [
-    ((11, 1), 6, np.int64),  # a 6 x 7 Krylov matrix
-    ((11, 1), 40, np.int16),  # 40 x 41, narrowed
-    ((2**31 + 11, 2), 4, object),  # blown up to 8 x 10, Python ints
-], ids=["11-6-int64", "11-40-int16", "2147483659^2-4-object"])
-def test_minpoly_reduces_the_whole_array_once(field, dim, dtype, monkeypatch):
+@pytest.mark.parametrize("p, dim, dtype", [
+    (11, 6, np.int64),  # a 6 x 7 Krylov matrix
+    (11, 40, np.int16),  # 40 x 41, narrowed
+    (2**31 + 11, 4, object),  # 4 x 5, Python ints
+], ids=["11-6-int64", "11-40-int16", "2147483659-4-object"])
+def test_minpoly_reduces_the_whole_array_once(p, dim, dtype, monkeypatch):
     # minpoly eliminates a working copy of its Krylov matrix, reduced as it
-    # is made, and then reads only the pivot rows up to column kt
-    spec = FIELDS[field]
-    krylov_shape = (spec.k * dim, spec.k * (dim + 1))
-    assert _working_dtype(np.zeros(krylov_shape, dtype=spec.dtype), spec.p) == dtype
+    # is made, and then reads only the pivot rows up to column t
+    spec = PRIME_FIELDS[p]
+    assert _working_dtype(np.zeros((dim, dim + 1), dtype=spec.dtype), p) == dtype
 
     def cyclic_shift(w):
         return np.roll(w, 1, axis=0)
 
-    v = np.zeros((dim, spec.k), dtype=spec.dtype)
+    v = np.zeros((dim, 1), dtype=spec.dtype)
     v[0, 0] = 1
-    m, counts = full_reductions(monkeypatch, lambda: minpoly(spec, cyclic_shift, v))
+    m, counts = full_reductions(monkeypatch, lambda: minpoly(spec, cyclic_shift, v, dim))
     assert m == Polynomial(spec, [spec.p - 1] + [0] * (dim - 1) + [1])  # X^dim - 1
     assert counts == (1, 0, 0)
 
@@ -534,8 +574,8 @@ def test_rank_blows_up_entries_outside_fp():
     # diag(x, 1) over F_{13^3}: rank 2, though its constant coefficients
     # diag(0, 1) have rank 1
     spec = FIELDS[(13, 3)]
-    x = spec.pack([0, 1, 0])
-    m = as_matrix(spec, [[x, 0], [0, 1]])
+    x, zero, one = (0, 1, 0), (0, 0, 0), (1, 0, 0)
+    m = as_matrix(spec, [[x, zero], [zero, one]])
     assert m.rank() == 2
     assert _eliminate(_working_copy(m.arr[..., 0], spec.p), spec.p) == 1
 
@@ -543,8 +583,8 @@ def test_rank_blows_up_entries_outside_fp():
 def test_rank_of_fp_entries_skips_the_blow_up(monkeypatch):
     spec = FIELDS[(13, 3)]
     rng = random.Random(13)
-    rows = [[rng.randrange(spec.p) for _ in range(7)] for _ in range(3)]
-    rows += [[spec.add(a, b) for a, b in zip(rows[0], rows[1])], rows[2]]
+    rows = [[(rng.randrange(spec.p), 0, 0) for _ in range(7)] for _ in range(3)]
+    rows += [[_ref_add(spec, a, b) for a, b in zip(rows[0], rows[1])], rows[2]]
     m = as_matrix(spec, rows)
     expected = _eliminate(_working_copy(_blow_up(spec, m.arr), spec.p), spec.p) // spec.k
     assert expected == reference_rank(spec, rows) == 3

@@ -95,7 +95,7 @@ def test_class_sums_are_central(sl32_s8, f11):
 def test_all_ones_squared(sl32_s8, f11):
     # the sum of all group elements z satisfies z^2 = |G| * z
     z = AlgebraElement(sl32_s8, f11, np.ones((168, 1), dtype=f11.dtype))
-    scaled = AlgebraElement(sl32_s8, f11, f11.mul_arrays(z.arr, np.array(f11.unpack(168 % f11.p))))
+    scaled = AlgebraElement(sl32_s8, f11, z.arr * 168 % f11.p)
     assert z * z == scaled
     assert scaled.arr[0].tolist() == [3]  # 168 = 3 mod 11
 
@@ -435,12 +435,14 @@ def test_refinement_stops_at_a_certified_block(f11, monkeypatch):
     assert calls == [15]
 
 
-@pytest.mark.parametrize("p,k,refined", [(11, 2, []), (13, 3, []), (13, 2, [2, 1, 1])])
+@pytest.mark.parametrize("p,k,refined", [(11, 2, []), (13, 3, []), (13, 2, [4, 2, 2])])
 def test_extension_refines_only_blocks_whose_degree_shares_a_factor_with_k(sl32_s8, p, k, refined, monkeypatch):
     # SL(3,2) over F_p has center degrees 1, and a 2 for p = 13: over F_q
-    # only the d = 2 block at even k is refined again, into two of degree 1
+    # only the d = 2 block at even k is refined again, into two of degree 1.
+    # The F_q stage counts dimensions over F_p, k times those over F_q, and
+    # factors only over F_p
     factored = []  # extension degree of each factored polynomial's field
-    blocks = []  # center dimension of each block refined over F_q, then of the blocks it yields
+    blocks = []  # F_p-dimension of the center of each block refined over F_q, then of the blocks it yields
     real_factor, real_refine = oracle.factor, oracle._try_refine
 
     def counting_factor(mu, seed=0):
@@ -457,18 +459,19 @@ def test_extension_refines_only_blocks_whose_degree_shares_a_factor_with_k(sl32_
     monkeypatch.setattr(oracle, "_try_refine", recording_refine)
     split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
     assert blocks == refined
-    assert set(factored) == ({1, k} if refined else {1})
+    assert set(factored) == {1}
 
 
 def test_minpoly_steps_are_bounded_by_the_block_dimension(sl32_s8, f169, monkeypatch):
     # over F_169 the F_q stage refines SL(3,2)'s d = 2 block, whose center
-    # has dimension 2: minpoly takes 2 Krylov steps there, not m = 6, and the
-    # split's idempotents are those of the unbounded run
-    steps = []  # (k, Krylov steps) per minpoly call
+    # has dimension 2 over F_q and 4 over F_p: minpoly takes 4 Krylov steps
+    # there on the (m * k, 1) = (12, 1) columns, not 12, and the split's
+    # idempotents are those of the run bounded only by the column length
+    steps = []  # (start vector length, Krylov steps) per minpoly call
     real = oracle.minpoly
 
-    def counting(spec, apply, v, bound=None):
-        steps.append([spec.k, 0])
+    def counting(spec, apply, v, bound):
+        steps.append([len(v), 0])
 
         def counted(w):
             steps[-1][1] += 1
@@ -478,11 +481,11 @@ def test_minpoly_steps_are_bounded_by_the_block_dimension(sl32_s8, f169, monkeyp
 
     monkeypatch.setattr(oracle, "minpoly", counting)
     bounded = split_center(sl32_s8, f169, seed=0)
-    assert [n for k, n in steps if k == 2] == [2]
+    assert [n for dim, n in steps if dim == 12] == [4]
     steps.clear()
-    monkeypatch.setattr(oracle, "minpoly", lambda spec, apply, v, bound=None: counting(spec, apply, v))
+    monkeypatch.setattr(oracle, "minpoly", lambda spec, apply, v, bound: counting(spec, apply, v, len(v)))
     unbounded = split_center(sl32_s8, f169, seed=0)
-    assert [n for k, n in steps if k == 2] == [6]
+    assert [n for dim, n in steps if dim == 12] == [12]
     assert bounded.pairs() == unbounded.pairs()
     for a, b in zip(bounded.idempotents, unbounded.idempotents):
         assert np.array_equal(a.arr, b.arr)
@@ -677,19 +680,22 @@ SPLIT_FIELDS = [("builtin:sl32-s8", 11, 1), ("builtin:sl32-s8", 13, 2), ("builti
 @pytest.mark.parametrize("group,p,k", SPLIT_FIELDS,
                          ids=["sl32-F11", "sl32-F13^2", "sl32-F13^3", "sl32-F2^31+11", "s6-F7"])
 def test_split_and_verify_across_fields(group, p, k, monkeypatch):
-    # the split and its check run on base-p ints and arrays.  Over F_{13^2}
-    # the d = 2 block is refined over F_q, so Cantor-Zassenhaus draws at k = 2.
+    # the split and its check run on ints and arrays.  Over F_{13^2} the
+    # d = 2 block is refined again on the center over F_q, of dimension 4
+    # over F_13, whose minimal polynomial is the product of two irreducibles
+    # of degree 2: Cantor-Zassenhaus draws over F_13 at degree 2 there.
     G = resolve_group(group)
     spec = make_field(p, k, seed=0)
-    drawn = []  # extension degree of each equal-degree split that draws
+    drawn = []  # (extension degree, factor degree) of each equal-degree split that draws
     real_split = ffield._equal_degree_split
 
     def recording_split(f, d, rng):
         if f.degree() > d:
-            drawn.append(f.spec.k)
+            drawn.append((f.spec.k, d))
         return real_split(f, d, rng)
 
     monkeypatch.setattr(ffield, "_equal_degree_split", recording_split)
     assert verify_split(split_center(G, spec, seed=0))
+    assert all(k == 1 for k, _ in drawn)
     if (p, k) == (13, 2):
-        assert 2 in drawn
+        assert (1, 2) in drawn

@@ -18,7 +18,8 @@ __all__ = ["perm_character", "inner_product", "deleted_module_check"]
 
 def perm_character(G: FiniteGroup) -> tuple[int, ...]:
     """Fixed-point counts of the action, one value per conjugacy class; the
-    value at the identity class (class 0) is the number of points."""
+    value at the identity class (class 0) is the number of points.  Counted
+    afresh on each call; deleted_module_check calls it once per group."""
     points = range(G.degree)
     return tuple(sum(map(int.__eq__, c.representative.images, points)) for c in G.classes)
 
@@ -48,11 +49,14 @@ def deleted_module_check(G: FiniteGroup, p: int) -> bool:
     distinct points, and a doubly transitive action has norm 2.  Norm 2 also
     rules out w = 1 (norm 1), so orbit-stabilizer on the w(w - 1) distinct
     pairs gives |G_12| = |G| / (w(w - 1)).
+
+    w and <chi, chi> do not depend on p: they are computed on the first call
+    for G and kept on it, so a later call tests only p.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    chi = perm_character(G)
-    if inner_product(G, chi, chi) != 2:
-        return False
-    w = chi[0]
-    return w % p != 0 and G.order // (w * (w - 1)) % p != 0
+    if G._perm_norm is None:
+        chi = perm_character(G)
+        G._perm_norm = (chi[0], inner_product(G, chi, chi))
+    w, norm = G._perm_norm
+    return norm == 2 and w % p != 0 and G.order // (w * (w - 1)) % p != 0

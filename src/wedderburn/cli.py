@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", default="11..199", help="primes, e.g. '11,13' or '11..199'")
     sub.add_argument("--k", default="1..12", help="extension degrees, e.g. '1' or '1..12'")
     sub.add_argument("--with-oracle", action="store_true",
-                     help="also run the brute-force decomposition on every cell with q <= qmax")
+                     help="also run the brute-force decomposition, and verify_split on it, "
+                          "on every cell with q <= qmax")
     return parser
 
 
@@ -355,6 +356,8 @@ def cmd_check(args) -> int:
                 if split.pairs() != dec:
                     failures.append(f"{label}: brute-force blocks {split.pairs()} "
                                     f"differ from analytic {dec}")
+                elif not oracle_mod.verify_split(split):
+                    failures.append(f"{label}: brute-force split fails verify_split")
     for line in failures:
         print("MISMATCH " + line)
     for label in skipped:

@@ -23,7 +23,9 @@ def cyclotomic_partition(G: FiniteGroup, p: int, k: int) -> tuple[tuple[int, ...
     ascending class order and ordered by smallest member.  The class of g^q
     depends only on the class of g and on q mod exp(G), and powering by q^j
     is the j-th iterate of sigma_q, so sigma_q is read off with one
-    power_class call per class."""
+    power_class call per class.  power_class keeps its answers on G, so over
+    any number of fields each class's power by a given residue is computed
+    once; this function keeps nothing and checks p and k on every call."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if k < 1:

@@ -4,7 +4,8 @@ Groups are stored fully enumerated: FiniteGroup computes the breadth-first
 closure of its generators on image tuples, the dense element list, the
 generators' right action on it as integer index maps, the inverse indices
 and the conjugacy classes ordered by (element order, class size, first-seen
-index); the class constants are lazy, and mul_table is built on each call.
+index); the class constants and the power classes are computed once, on
+first use, and mul_table is built on each call.
 Permutation is the boundary type callers build and read: the group makes
 one per element and multiplies none.  Permutation.__mul__ and inverse stay
 as the tests' independent reference for mul_table and inverse_indices,
@@ -193,11 +194,15 @@ class FiniteGroup:
     identity: g_0 is the identity and each later g_c is first reached as
     g_j * gens[s] with j < c, so the same generator list always yields the
     same ordering.  Raises ValueError if the closure would exceed ``cap``
-    elements.  Immutable after construction; safe for concurrent reads.  The
-    closure, the inverse indices and the classes are computed on image
-    tuples and index maps, with no Permutation product or inverse; the
-    class-product coefficients are built lazily, cached and read-only.  No
-    |G| x |G| structure is kept: mul_table builds the columns asked for.
+    elements.  The closure, the inverse indices and the classes are computed
+    on image tuples and index maps, with no Permutation product or inverse.
+    Three q-independent items are computed at most once and then read: the
+    class-product coefficients (read-only), the power classes power_class
+    answers and the permutation character's (points, norm) pair that
+    charkit.deleted_module_check reads.  Nothing else changes after
+    construction, and each of these is a pure function of the group, so two
+    concurrent readers can only both write the same value.  No |G| x |G|
+    structure is kept: mul_table builds the columns asked for.
     """
 
     def __init__(self, generators, cap: int = DEFAULT_CAP):
@@ -239,6 +244,8 @@ class FiniteGroup:
         self.classes, self.class_index_of = _conjugacy_partition(self.elements, conjugations)
         self.exponent = math.lcm(*(c.element_order for c in self.classes))
         self._class_coeffs: np.ndarray | None = None
+        self._power_classes: dict[tuple[int, int], int] = {}  # (class, m mod its order) -> class
+        self._perm_norm: tuple[int, int] | None = None  # (points, <chi, chi>)
 
     def index(self, g: Permutation) -> int:
         try:
@@ -344,9 +351,16 @@ def generate(gens, cap: int = DEFAULT_CAP) -> FiniteGroup:
 
 
 def power_class(G: FiniteGroup, class_index: int, m: int) -> int:
-    """Index of the class containing (representative of class_index) ** m."""
-    rep = G.classes[class_index].representative
-    return int(G.class_index_of[G.index(rep**m)])
+    """Index of the class containing (representative of class_index) ** m.
+    rep**m depends only on m mod the order of rep, so the answer is kept on
+    G under (class_index, m mod that order): a class's power is computed
+    once per residue and read afterwards."""
+    c = G.classes[class_index]
+    key = (class_index, m % c.element_order)
+    found = G._power_classes.get(key)
+    if found is None:
+        found = G._power_classes[key] = int(G.class_index_of[G.index(c.representative**m)])
+    return found
 
 
 @lru_cache(maxsize=None)

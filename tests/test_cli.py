@@ -432,6 +432,21 @@ def test_check_with_oracle(capsys):
     assert "checked 18 cells (18 with brute-force cross-check): 18 ok, 0 mismatches" in out
 
 
+def test_check_with_oracle_runs_verify_split_on_every_split(capsys, monkeypatch):
+    verified = []
+    verify = cli.oracle_mod.verify_split
+    monkeypatch.setattr(cli.oracle_mod, "verify_split", lambda split: verified.append(split) or verify(split))
+    code, out, _ = run(capsys, ["check", "--with-oracle", "--p", "11,13", "--k", "1..2"])
+    assert code == 0 and len(verified) == 4
+    assert out == "checked 4 cells (4 with brute-force cross-check): 4 ok, 0 mismatches, 0 skipped\n"
+    # a split that fails verify_split is a mismatch, even when its blocks agree
+    monkeypatch.setattr(cli.oracle_mod, "verify_split", lambda split: False)
+    code, out, _ = run(capsys, ["check", "--with-oracle", "--p", "11,13", "--k", "1", "--qmax", "12"])
+    assert code == 1
+    assert out == ("MISMATCH p=11 k=1: brute-force split fails verify_split\n"
+                   "checked 2 cells (1 with brute-force cross-check): 1 ok, 1 mismatches, 0 skipped\n")
+
+
 def test_check_p5(capsys):
     code, out, _ = run(capsys, ["check", "--p", "5", "--k", "1..6"])
     assert code == 0

@@ -224,19 +224,30 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
     over F_p: the new idempotents are h_j(w) where h_j = 1 mod f_j and 0 mod
     the rest, evaluated at the stacked powers e, w, ..., w^(deg mu - 1) in
     one combination, whose coefficient rows hold the F_p coefficients of h_j
-    in column 0.  Each e_b is checked orthogonal to the stacked
+    in column 0.  With g_j = mu / f_j, h_j is s_j * g_j mod mu for the s_j
+    of the extended gcd s_j * g_j + t_j * f_j = 1.  For a linear f_j = x - r
+    it is Lagrange's g_j / g_j(r), a multiple of every other factor and of
+    degree below deg mu, with no extended gcd: g_j(r) != 0 exactly when g_j
+    and f_j are coprime.  Each e_b is checked orthogonal to the stacked
     e_0, ..., e_(b-1) in one product, which makes the class products of e_b
     alone: O(r m^3 k) for r idempotents, not the O(r^2 m^3 k) of one
     product per pair."""
-    spec = Z.spec
+    spec, p = Z.spec, mu.spec.p
     coeffs = np.zeros((len(factors), len(powers), spec.k), dtype=spec.dtype)
     for j, (f_j, _) in enumerate(factors):
         g_j = mu // f_j
-        gcd, s_j, _ = g_j.xgcd(f_j)
-        if gcd.degree() != 0:
-            raise AssertionError("minimal polynomial factors are not coprime (bug)")
-        h_j = (s_j * g_j) % mu
-        coeffs[j, : len(h_j.coeffs), 0] = h_j.coeffs
+        if f_j.degree() == 1:
+            value = g_j(-f_j.coeffs[0] % p)  # g_j(r) for f_j = x - r
+            if not value:
+                raise AssertionError("minimal polynomial factors are not coprime (bug)")
+            inv = pow(value, -1, p)
+            h_j = [c * inv % p for c in g_j.coeffs]
+        else:
+            gcd, s_j, _ = g_j.xgcd(f_j)
+            if gcd.degree() != 0:
+                raise AssertionError("minimal polynomial factors are not coprime (bug)")
+            h_j = ((s_j * g_j) % mu).coeffs
+        coeffs[j, : len(h_j), 0] = h_j
     outs = Z._combine(coeffs, powers)
     if not np.array_equal(outs.sum(0) % spec.p, e):
         raise AssertionError("refined idempotents do not sum to the block unit (bug)")

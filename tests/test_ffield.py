@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -229,6 +231,71 @@ def test_factor_roundtrip_seeded(f11):
             for g, _ in facs:
                 assert g.coeffs[-1] == 1  # monic
                 assert g.is_irreducible()
+
+
+def _pinned_factor_cases(p, count):
+    """Seeded monic products of one to three random monic factors of degree
+    1-6, a quarter of them raised to a forced multiplicity 2 or 3, and for
+    p < 1000 every fifth product taken to its p-th power, f(x^p) = f(x)^p."""
+    spec = make_field(p)
+    rng = random.Random(f"factor-pin:{p}")
+    for trial in range(count):
+        f = Polynomial.one(spec)
+        for _ in range(1 + rng.randrange(3)):
+            g = Polynomial(spec, [rng.randrange(p) for _ in range(1 + rng.randrange(6))] + [1])
+            f = math.prod([g] * (2 + rng.randrange(2) if rng.random() < 0.25 else 1), start=f)
+        if p < 1000 and trial % 5 == 4:
+            f = Polynomial(spec, [f.coeffs[i // p] if i % p == 0 else 0 for i in range(p * f.degree() + 1)])
+        yield f
+
+
+# sha256 of the factorizations of _pinned_factor_cases(p, 40), one line of
+# coefficients and multiplicity per factor, from the classical pipeline
+# (Cantor-Zassenhaus at every degree, pow_mod for every Frobenius step):
+# factor is unique and sorted, so each digest holds for any algorithm.
+# 16381 and 16411 are the primes on either side of ROOT_SCAN_P_MAX.
+PINNED_FACTOR_DIGESTS = {
+    5: "9134c79a9944b6a2da5063a8de233397a2407b7ad325529d420e1d642cf6bdab",
+    11: "ad36b4e87ed44fd6ae8784ed2747fe02c8cb4703e6c7b959737bdc822c9ccdb5",
+    727: "9956e6e0795292fb77db9bb28a8d7a235e7e5e65773d6924aaa897d0b6389695",
+    16381: "418f266605031e44ef12a46bd9cb3ff993c50e24bf63fa6e0fc19f475a65812d",
+    16411: "19de3ac1ffbf745b1423e60f4ab4533ea3b44ea6b092b1592f491d0923e2c99c",
+    2**31 + 11: "52ed64254972b65139d240cd2a3c6f640bbd34a247c9d24a07f2d30e40a9bb5b",
+}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_FACTOR_DIGESTS))
+def test_factor_output_is_pinned(p):
+    assert 16381 <= ffield.ROOT_SCAN_P_MAX < 16411
+    h = hashlib.sha256()
+    for trial, f in enumerate(_pinned_factor_cases(p, 40)):
+        for g, m in factor(f, seed=trial):
+            h.update(f"{g.coeffs} {m}\n".encode())
+    assert h.hexdigest() == PINNED_FACTOR_DIGESTS[p]
+
+
+@pytest.mark.parametrize("p, draws", [(727, False), (16411, True)])
+def test_linear_factors_below_the_root_scan_bound_make_no_draw(p, draws, monkeypatch):
+    # over F_727 the roots come from one evaluation at every point; over the
+    # least prime above ROOT_SCAN_P_MAX, Cantor-Zassenhaus draws at d = 1
+    assert (p <= ffield.ROOT_SCAN_P_MAX) != draws
+    spec = make_field(p)
+    drawn = []  # (extension degree, factor degree) of each equal-degree split that draws
+    real_split = ffield._equal_degree_split
+
+    def recording_split(f, d, rng):
+        if f.degree() > d:
+            drawn.append((f.spec.k, d))
+        return real_split(f, d, rng)
+
+    monkeypatch.setattr(ffield, "_equal_degree_split", recording_split)
+    roots = sorted(random.Random(p).sample(range(p), 8))
+    linear = [Polynomial(spec, [-r % p, 1]) for r in roots]
+    facs = factor(math.prod(linear, start=Polynomial.one(spec)))
+    assert facs == sorted([(g, 1) for g in linear], key=lambda t: t[0].sort_key())
+    assert bool(drawn) == draws
+    if draws:
+        assert drawn[0] == (1, 1)
 
 
 def _is_irreducible_by_factor(f):
@@ -600,6 +667,24 @@ def test_modulus_choice_is_seeded():
         while not any(a):
             a = random_scalar(spec, rng)
         assert _fold_pow(spec, a, 168) == (1, 0)
+
+
+def test_pow_mod_rejects_a_negative_exponent(f13):
+    # a negative exponent never shifts down to 0: pow_mod must refuse it at
+    # once, and the alarm fails the test if it loops instead
+    x = Polynomial.x(f13)
+
+    def hung(signum, frame):
+        raise TimeoutError("pow_mod with a negative exponent did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        with pytest.raises(ValueError):
+            x.pow_mod(-1, x * x + Polynomial.one(f13))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_pow_and_truediv(f13):

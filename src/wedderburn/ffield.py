@@ -10,21 +10,20 @@ coefficient and computes with % p and pow(c, -1, p) inline, and Polynomial
 and minpoly reject a spec with k > 1.  An F_q-linear map is F_p-linear on k
 times as many coordinates, so a caller with an operator over F_q takes its
 minimal polynomial over F_p (the oracle does, on the center over F_q).
-Factorization runs the classical pipeline: squarefree split via gcd with
-the derivative (a polynomial with zero derivative is a p-th power, whose
-root takes every p-th coefficient, as a**p = a in F_p); for p up to
-ROOT_SCAN_P_MAX, the linear factors by evaluation at every point of F_p;
-the distinct-degree walk, whose Frobenius steps after the first are each
-one product with Berlekamp's matrix, rows x^(ip) mod f (Berlekamp, Bell
-Syst. Tech. J. 46, 1967; von zur Gathen and Shoup, Comput. Complexity 2,
-1992); and seeded Cantor-Zassenhaus equal-degree splitting, which raises
-to (p^d - 1)/2 through the norm a^(1 + p + ... + p^(d-1)), its p-th
-powers taken through the same kind of matrix.  There is one elimination,
-_eliminate, run in place on a fresh working copy (_working_copy):
-MatrixFq.rank reads the rank of the F_p blow-up of an F_q matrix off it
-(each entry expanded by one einsum against the powers of the modulus's
-companion matrix), and minpoly reads the minimal polynomial off the
-echelon form it leaves of its Krylov matrix.  A matrix whose entries all
+Factorization is Berlekamp's algorithm (Bell Syst. Tech. J. 46, 1967;
+Knuth, TAOCP vol. 2, 4.6.2): squarefree split via gcd with the derivative
+(a polynomial with zero derivative is a p-th power, whose root takes every
+p-th coefficient, as a**p = a in F_p); for p up to ROOT_SCAN_P_MAX, the
+linear factors by evaluation at every point of F_p; then the fixed space
+{a : a^p = a mod f}, the left kernel of Q - I for Berlekamp's matrix Q,
+rows x^(ip) mod f, whose dimension is the number of irreducible factors,
+and seeded random splits on it.  is_irreducible reads the same dimension.
+There is one elimination, _eliminate, run in place on a fresh working copy
+(_working_copy): MatrixFq.rank reads the rank of the F_p blow-up of an F_q
+matrix off it (each entry expanded by one einsum against the powers of the
+modulus's companion matrix), minpoly reads the minimal polynomial off the
+echelon form it leaves of its Krylov matrix, and _berlekamp_basis reads
+the fixed space off that of [Q - I | I].  A matrix whose entries all
 lie in F_p skips the blow-up: MatrixFq.rank eliminates its constant
 coefficients, since rank does not change under field extension.
 The elimination delays its reductions: each pivot subtracts unreduced
@@ -43,7 +42,6 @@ and int32 when 37 <= p <= 8191 (_working_dtype).
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import operator
 import random
@@ -65,10 +63,12 @@ P_MIN = 5  # the least supported characteristic
 ARRAY_P_LIMIT = 2**31  # int64 arrays need p below this, Python-int arrays from it up
 # factor finds linear factors by evaluation at every point of F_p up to this
 # p, in int32 (p**2 + p < 2**31).  Per factor call at degrees 2, 6 and 15
-# (2 CPUs): on products of distinct linear factors the scan beat
-# Cantor-Zassenhaus 2.5-20x at every p from 727 to 32749; on random monic
-# polynomials, with a root or two, it was no slower up to p = 20161, within
-# a run-to-run spread of about 20%, and 12-45% slower at 32749
+# (2 CPUs, best of 5 over 20 polynomials): against Berlekamp's random
+# splits alone, the scan was 3-15x faster on products of distinct linear
+# factors at p = 4093, 16381 and 32749, and 1.05-5.5x faster on random
+# monic polynomials.  The int32 pass would allow p up to 46337; the bound
+# stays at 2**14, which no benchmark workload's p passes, and the tests
+# take 16381 and 16411 as the primes on either side of it
 ROOT_SCAN_P_MAX = 2**14
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -255,7 +255,7 @@ def check_p_min(p: int):
 def make_field(p: int, k: int = 1, seed: int = 0) -> FieldSpec:
     """Build F_{p^k} with a seeded search for a monic irreducible modulus:
     random monic polynomials of degree k, each tested by is_irreducible,
-    the distinct-degree walk of factor.
+    Berlekamp's test.
 
     Different seeds may select different moduli; all decomposition outputs
     are independent of that choice.
@@ -422,12 +422,12 @@ class Polynomial:
         return r0._scaled(inv), s0._scaled(inv), t0._scaled(inv)
 
     def is_irreducible(self) -> bool:
-        """Ben-Or's test: the distinct-degree walk of factor, stopped at its
-        first part.  f of degree n >= 1 is irreducible exactly when that part
-        is the remainder of degree n, since every reducible f, squarefree or
-        not, has an irreducible factor of degree at most n/2."""
-        n = self.degree()
-        return n >= 1 and next(_distinct_degree(self.monic()))[1] == n
+        """Berlekamp's test, the rule factor splits by: f of degree n >= 1
+        is irreducible exactly when it is squarefree and the polynomials a of
+        degree below n with a^p = a mod f are the constants alone
+        (_berlekamp_basis has one vector)."""
+        f = self.monic()
+        return f.degree() >= 1 and f.gcd(f.derivative()).degree() == 0 and len(_berlekamp_basis(f)) == 1
 
     def __eq__(self, other) -> bool:
         return (
@@ -519,11 +519,11 @@ def factor(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
     coefficients from the constant term up.  The product of
     the factors with multiplicities equals f up to its leading coefficient.
     The pipeline is the module docstring's: squarefree split, the linear
-    factors by evaluation for p up to ROOT_SCAN_P_MAX, the distinct-degree
-    walk through Berlekamp's matrix, and Cantor-Zassenhaus, whose draws come
-    from a stream of its own, seeded by seed, p, k and deg f.  A squarefree
-    f, such as every minimal polynomial of a semisimple block, skips the
-    division loop that counts multiplicities."""
+    factors by evaluation for p up to ROOT_SCAN_P_MAX, and Berlekamp's
+    random splits, whose draws come from a stream of its own, seeded by
+    seed, p, k and deg f.  A squarefree f, such as every minimal polynomial
+    of a semisimple block, skips the division loop that counts
+    multiplicities."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(f"factor:{seed}:{f.spec.p}:{f.spec.k}:{f.degree()}")
@@ -563,23 +563,36 @@ def _factor_monic(f: Polynomial, rng: random.Random) -> list[tuple[Polynomial, i
 
 
 def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:
-    """Irreducible factors of a monic squarefree polynomial.  For p up to
-    ROOT_SCAN_P_MAX its linear factors are x - r for the roots r that
-    _roots finds, and the distinct-degree walk starts at d = 2 on f divided
-    by them; otherwise the walk starts at d = 1.  Each part of the walk is
-    split by Cantor-Zassenhaus."""
+    """Irreducible factors of a monic squarefree polynomial, by Berlekamp's
+    algorithm.  For p up to ROOT_SCAN_P_MAX the linear factors are x - r
+    for the roots r that _roots finds, and a cofactor of degree at most 3,
+    which has no root, is irreducible.  What is left, f of degree n, has as
+    many irreducible factors as _berlekamp_basis has vectors, and each a
+    there is a constant mod each factor: a random combination a of the
+    basis splits a piece h into gcd((a mod h)^((p - 1)/2) - 1, h) and its
+    cofactor, until the pieces are as many as the vectors."""
+    spec, p = f.spec, f.spec.p
     factors: list[Polynomial] = []
-    first = 1
-    if f.spec.p <= ROOT_SCAN_P_MAX:
-        factors = [Polynomial._of(f.spec, [-r % f.spec.p, 1]) for r in _roots(f)]
+    if p <= ROOT_SCAN_P_MAX:
+        factors = [Polynomial._of(spec, [-r % p, 1]) for r in _roots(f)]
         if len(factors) == f.degree():
             return factors
         for g in factors:
             f = f // g  # synthetic division: g is monic of degree 1
-        first = 2
-    for g, d in _distinct_degree(f, first):
-        factors.extend(_equal_degree_split(g, d, rng))
-    return factors
+        if f.degree() <= 3:
+            return factors + [f]
+    basis = _berlekamp_basis(f)
+    one = Polynomial.one(spec)
+    pieces = [f]
+    while len(pieces) < len(basis):
+        cs = [rng.randrange(p) for _ in basis]
+        a = Polynomial._of(spec, [sum(map(operator.mul, cs, col)) % p for col in zip(*basis)])
+        split = []
+        for h in pieces:
+            g = (a.pow_mod((p - 1) // 2, h) - one).gcd(h) if h.degree() > 1 else one
+            split.extend((g, h // g) if 0 < g.degree() < h.degree() else (h,))
+        pieces = split
+    return factors + pieces
 
 
 def _roots(f: Polynomial) -> list[int]:
@@ -595,50 +608,33 @@ def _roots(f: Polynomial) -> list[int]:
     return np.flatnonzero(vals == 0).tolist()
 
 
-def _distinct_degree(f: Polynomial, first: int = 1):
-    """Distinct-degree walk of a monic polynomial f with no irreducible
-    factor of degree below ``first``: for d = first, first + 1, ... yield
-    (g, d) with g = gcd(x^(p^d) - x, rest) when it is not 1, where rest is f
-    with the earlier parts divided out, so g is the product of the distinct
-    degree-d irreducible factors of rest.  Once 0 < deg rest < 2d the last
-    item is (rest, deg rest): rest has no factor of degree below d, so for
-    squarefree f it is irreducible, and the parts multiply to f.
-
-    The first Frobenius step, x -> x^p, is a pow_mod.  Each later one,
-    x^(p^d) -> x^(p^(d+1)), is one product with Berlekamp's matrix of rest
-    (_frobenius_matrix), built at the second step, so Ben-Or's test, which
-    stops at a part found at d = 1, never builds it.  It stays the matrix of
-    that modulus when parts are divided out, since x^(p^d) mod a multiple of
-    rest is x^(p^d) mod rest."""
-    spec = f.spec
-    xpoly = Polynomial.x(spec)
-    rest, frob, q = f, None, None
-    for d in itertools.count(first):
-        if 2 * d > rest.degree():
-            if rest.degree() > 0:
-                yield rest, rest.degree()
-            return
-        if frob is None:
-            frob = xpoly.pow_mod(spec.p, rest)
-        if d > 1:
-            if q is None:
-                q = _frobenius_matrix(spec, frob.coeffs, rest.coeffs)  # frob is x^p mod rest
-            frob = _frobenius(spec, frob.coeffs, q)
-        g = (frob - xpoly).gcd(rest)
-        if g.degree() > 0:
-            yield g, d
-            rest = rest // g
-            frob = frob % rest
+def _berlekamp_basis(f: Polynomial) -> list[list[int]]:
+    """A basis, as coefficient lists of length n, of the polynomials a of
+    degree below n with a^p = a mod f, for f monic of degree n >= 1.  For
+    squarefree f their number is that of its irreducible factors: by the
+    Chinese remainder theorem they are the a that are constant mod each
+    factor.  As a^p is the sum of a_i x^(ip), they are the left kernel of
+    Q - I, Q Berlekamp's matrix (_frobenius_matrix), which one _eliminate
+    of [Q - I | I] reads off: the rows whose left half is zero mod p hold a
+    basis of it in their right half."""
+    p, n = f.spec.p, f.degree()
+    q = _frobenius_matrix(f)
+    q[range(n), range(n)] -= 1
+    w = _working_copy(np.concatenate([q, np.eye(n, dtype=q.dtype)], axis=1), p)
+    _eliminate(w, p)
+    w %= p
+    return w[~w[:, :n].any(axis=1), n:].tolist()
 
 
-def _frobenius_matrix(spec: FieldSpec, xp, mc) -> np.ndarray:
-    """Berlekamp's matrix of the monic modulus mc, of degree n >= 2, from xp
-    = x^p mod mc: the (n, n) array whose row i holds the coefficients of
-    x^(ip) mod mc.  Row i + 1 is row i times the matrix of multiplication by
-    xp, whose row j + 1, x^(j+1) xp mod mc, is x times row j less one
-    multiple of mc.  The dtype is int64 while n (p - 1)**2 < 2**63, so that
-    products with a vector of residues are exact, and object otherwise."""
-    p, n = spec.p, len(mc) - 1
+def _frobenius_matrix(f: Polynomial) -> np.ndarray:
+    """Berlekamp's matrix of f, monic of degree n >= 1: the (n, n) array
+    whose row i holds the coefficients of x^(ip) mod f.  Row i + 1 is row i
+    times the matrix of multiplication by xp = x^p mod f, whose row j + 1,
+    x^(j+1) xp mod f, is x times row j less one multiple of f.  The dtype is
+    int64 while n (p - 1)**2 < 2**63, so that those row products are exact,
+    and object otherwise."""
+    p, n, mc = f.spec.p, f.degree(), f.coeffs
+    xp = Polynomial.x(f.spec).pow_mod(p, f).coeffs
     dtype = np.int64 if n * (p - 1) ** 2 < 2**63 else object
     row = list(xp) + [0] * (n - len(xp))
     by_xp = [row]
@@ -652,67 +648,6 @@ def _frobenius_matrix(spec: FieldSpec, xp, mc) -> np.ndarray:
     for i in range(1, n):
         q[i] = q[i - 1] @ by_xp % p
     return q
-
-
-def _frobenius(spec: FieldSpec, a, q: np.ndarray) -> Polynomial:
-    """a^p mod the modulus of Berlekamp's matrix q, for a reduced mod it: the
-    sum of a_i x^(ip), as c^p = c in F_p."""
-    return Polynomial._of(spec, (np.array(a, dtype=q.dtype) @ q[: len(a)] % spec.p).tolist())
-
-
-def _equal_degree_split(f: Polynomial, d: int, rng: random.Random) -> list[Polynomial]:
-    """Cantor-Zassenhaus: split a monic squarefree product of degree-d
-    irreducibles (p odd).  A draw a modulo a piece g of f is raised to
-    (p^d - 1)/2 as (a^(1 + p + ... + p^(d-1)))^((p - 1)/2) (_norm), its
-    p-th powers taken through Berlekamp's matrix of g, one per modulus,
-    built from x^p mod g: a pow_mod for f, and for a piece of a split its
-    parent's x^p reduced modulo the piece.  The pieces are split depth
-    first, the first factor of a split before its cofactor."""
-    if f.degree() == d:
-        return [f]
-    spec = f.spec
-    p = spec.p
-    one = Polynomial.one(spec)
-    xp = None if d == 1 else Polynomial.x(spec).pow_mod(p, f).coeffs  # x^p mod f
-    work, factors = [(f, xp)], []
-    while work:
-        f, xp = work.pop()
-        n = f.degree()
-        if n == d:
-            factors.append(f)
-            continue
-        q = None if xp is None else _frobenius_matrix(spec, xp, f.coeffs)
-        while True:
-            a = Polynomial._of(spec, [rng.randrange(p) for _ in range(n)])
-            if a.degree() < 1:
-                continue
-            g = a.gcd(f)
-            if 0 < g.degree() < n:
-                break
-            b = _norm(a, d, f, q).pow_mod((p - 1) // 2, f) - one
-            g = b.gcd(f)
-            if 0 < g.degree() < n:
-                break
-        for h in (f // g, g):
-            work.append((h, None if xp is None else _poly_divmod(spec, xp, h.coeffs, 1)[1]))
-    return factors
-
-
-def _norm(a: Polynomial, d: int, f: Polynomial, q) -> Polynomial:
-    """a^(1 + p + ... + p^(d-1)) mod f, from the bits of d: with N_j that
-    power for j terms, N_1 = a, N_2j = N_j * N_j^(p^j) and N_(j+1) = a *
-    N_j^p, the p-th powers taken through Berlekamp's matrix q of f.  That
-    is about d products with q and 2 log2(d) products mod f, where the
-    terms one by one would take d - 1 products mod f."""
-    norm, j = a, 1
-    for bit in bin(d)[3:]:
-        power = norm
-        for _ in range(j):
-            power = _frobenius(f.spec, power.coeffs, q)
-        norm, j = norm * power % f, 2 * j
-        if bit == "1":
-            norm, j = a * _frobenius(f.spec, norm.coeffs, q) % f, j + 1
-    return norm
 
 
 # Krylov minimal polynomials ---------------------------------------------------

@@ -277,25 +277,24 @@ def test_factor_output_is_pinned(p):
 @pytest.mark.parametrize("p, draws", [(727, False), (16411, True)])
 def test_linear_factors_below_the_root_scan_bound_make_no_draw(p, draws, monkeypatch):
     # over F_727 the roots come from one evaluation at every point; over the
-    # least prime above ROOT_SCAN_P_MAX, Cantor-Zassenhaus draws at d = 1
+    # least prime above ROOT_SCAN_P_MAX, Berlekamp's basis of the product
+    # has one vector per linear factor, and random combinations split it
     assert (p <= ffield.ROOT_SCAN_P_MAX) != draws
     spec = make_field(p)
-    drawn = []  # (extension degree, factor degree) of each equal-degree split that draws
-    real_split = ffield._equal_degree_split
+    calls = []  # (p, deg f, basis size) of each _berlekamp_basis call
+    real_basis = ffield._berlekamp_basis
 
-    def recording_split(f, d, rng):
-        if f.degree() > d:
-            drawn.append((f.spec.k, d))
-        return real_split(f, d, rng)
+    def recording_basis(f):
+        basis = real_basis(f)
+        calls.append((f.spec.p, f.degree(), len(basis)))
+        return basis
 
-    monkeypatch.setattr(ffield, "_equal_degree_split", recording_split)
+    monkeypatch.setattr(ffield, "_berlekamp_basis", recording_basis)
     roots = sorted(random.Random(p).sample(range(p), 8))
     linear = [Polynomial(spec, [-r % p, 1]) for r in roots]
     facs = factor(math.prod(linear, start=Polynomial.one(spec)))
     assert facs == sorted([(g, 1) for g in linear], key=lambda t: t[0].sort_key())
-    assert bool(drawn) == draws
-    if draws:
-        assert drawn[0] == (1, 1)
+    assert calls == ([(p, 8, 8)] if draws else [])
 
 
 def _is_irreducible_by_factor(f):
@@ -314,8 +313,44 @@ def test_is_irreducible_agrees_with_factor_on_every_small_monic_poly():
     assert count == 780
 
 
+def test_is_irreducible_agrees_with_trial_division_on_every_small_monic_poly():
+    # every monic polynomial of degree 1..4 over F_5 is irreducible exactly
+    # when no monic polynomial of degree 1..n/2 divides it
+    f5 = make_field(5)
+    divisors = {d: [Polynomial(f5, [v // 5**i % 5 for i in range(d)] + [1]) for v in range(5**d)] for d in (1, 2)}
+    count = 0
+    for n in range(1, 5):
+        for value in range(5**n):
+            f = Polynomial(f5, [value // 5**i % 5 for i in range(n)] + [1])
+            by_division = all((f % g).coeffs for d in range(1, n // 2 + 1) for g in divisors[d])
+            assert f.is_irreducible() == by_division, f
+            count += 1
+    assert count == 780
+
+
+@pytest.mark.parametrize("p", [5, 727, 16411, 2**31 + 11])
+def test_berlekamp_basis_counts_the_factors_of_a_product(p):
+    # distinct x - r and x^2 - c, c a non-residue by Euler's criterion:
+    # the basis has one vector per factor, each a with a^p = a mod f
+    spec = make_field(p)
+    rng = random.Random(f"berlekamp:{p}")
+    non_residues = [c for c in range(2, min(p, 60)) if pow(c, (p - 1) // 2, p) == p - 1]
+    for trial in range(6):
+        roots = rng.sample(range(p), rng.randrange(1, 5))
+        cs = rng.sample(non_residues, min(len(non_residues), rng.randrange(0, 3)))
+        parts = [Polynomial(spec, [-r % p, 1]) for r in roots] + [Polynomial(spec, [-c % p, 0, 1]) for c in cs]
+        f = math.prod(parts, start=Polynomial.one(spec))
+        basis = ffield._berlekamp_basis(f)
+        assert len(basis) == len(parts)
+        for b in basis:
+            assert len(b) == f.degree()
+            a = Polynomial(spec, b)
+            assert a.pow_mod(p, f) == a % f
+        assert reference_rank(spec, [[(c,) for c in b] for b in basis]) == len(basis)
+
+
 def test_is_irreducible_agrees_with_factor_seeded(f13):
-    # random polynomials, and squares g^2 h that the walk meets unsplit
+    # random polynomials, and squares g^2 h, which no irreducible is
     rng = random.Random(27)
     for spec in (f13, make_field(7)):
         for trial in range(60):

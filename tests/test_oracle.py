@@ -683,19 +683,21 @@ def test_split_and_verify_across_fields(group, p, k, monkeypatch):
     # the split and its check run on ints and arrays.  Over F_{13^2} the
     # d = 2 block is refined again on the center over F_q, of dimension 4
     # over F_13, whose minimal polynomial is the product of two irreducibles
-    # of degree 2: Cantor-Zassenhaus draws over F_13 at degree 2 there.
+    # of degree 2: Berlekamp's basis over F_13 has two vectors there.
     G = resolve_group(group)
     spec = make_field(p, k, seed=0)
-    drawn = []  # (extension degree, factor degree) of each equal-degree split that draws
-    real_split = ffield._equal_degree_split
+    calls = []  # (p, deg f, basis size) of each _berlekamp_basis call
+    degrees = set()  # the extension degree of each call's field
+    real_basis = ffield._berlekamp_basis
 
-    def recording_split(f, d, rng):
-        if f.degree() > d:
-            drawn.append((f.spec.k, d))
-        return real_split(f, d, rng)
+    def recording_basis(f):
+        basis = real_basis(f)
+        calls.append((f.spec.p, f.degree(), len(basis)))
+        degrees.add(f.spec.k)
+        return basis
 
-    monkeypatch.setattr(ffield, "_equal_degree_split", recording_split)
+    monkeypatch.setattr(ffield, "_berlekamp_basis", recording_basis)
     assert verify_split(split_center(G, spec, seed=0))
-    assert all(k == 1 for k, _ in drawn)
+    assert degrees <= {1}
     if (p, k) == (13, 2):
-        assert (1, 2) in drawn
+        assert (13, 4, 2) in calls

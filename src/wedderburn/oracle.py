@@ -86,7 +86,13 @@ __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
 # either stage, so a block exhausts its draws with probability at most p^-40
 # (about 1.1e-28 at p = 5)
 MAX_RANDOM_DRAWS = 40
-CERTIFICATE_OVERSAMPLE = 32  # rows and columns past D in verify_split's sampled submatrices
+# the least number of rows and columns past D in verify_split's sampled submatrices, which take
+# w = D + max(CERTIFICATE_OVERSAMPLE, ceil(D/8)): D + 32 up to D = 256.  On S7's blocks above
+# that, over 20 seeded draws each: the n = 20 block (D = 400) fell short of D in 1/20 draws over
+# F_11 and 2/20 over F_5051 at D + 32, and in 1/20 and 0/20 at D + 50; the n = 21 and n = 35
+# blocks in 0/20 at either width, over both fields.  Over 100 draws the n = 20 block fell short
+# in 18 and 25 at D + 32, in 0 and 3 at D + 50, and in 0 and 0 at D + 64 (F_11, F_5051).
+CERTIFICATE_OVERSAMPLE = 32
 
 
 class AlgebraElement:
@@ -437,9 +443,10 @@ def verify_split(split: CentralSplit) -> bool:
        of e*Z, and D = dim e*F_q[G] by a rank certificate.
 
     The certificate ranks a w x w submatrix of the block's |G| x |G| matrix
-    E(h g), w = min(|G|, D + CERTIFICATE_OVERSAMPLE), its rows and columns
-    drawn from verify's own seeded stream; a rank short of D gets one fresh
-    draw, and a second short rank falls back to the full rank.  Why it is a
+    E(h g), w = min(|G|, D + max(CERTIFICATE_OVERSAMPLE, ceil(D/8))), its
+    rows and columns drawn from verify's own seeded stream; a rank short of
+    D gets one fresh draw, and a second short rank falls back to the full
+    rank.  Why it is a
     proof: by 2-4, F_q[G] is the direct sum of the right ideals e_i*F_q[G],
     so their true dimensions D_i' sum to |G|.  A submatrix rank L_i is at
     most D_i', so L_i > D_i rejects; a block that fell back has L_i = D_i'.
@@ -474,7 +481,7 @@ def verify_split(split: CentralSplit) -> bool:
             return False
         if Z.block_dimension(e.arr[reps]) != d:
             return False
-        w = min(G.order, D + CERTIFICATE_OVERSAMPLE)
+        w = min(G.order, D + max(CERTIFICATE_OVERSAMPLE, -(-D // 8)))
         rank = _sampled_rank(e, table, w, rng)
         if rank < D:
             rank = _sampled_rank(e, table, w, rng)

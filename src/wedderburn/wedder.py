@@ -3,15 +3,17 @@
 Combines three exact ingredients: the block count and center degrees from
 the q-power orbits, matrix blocks forced by doubly transitive permutation
 actions, and the mass constraint sum(d * n^2) = |G|.  The solver enumerates
-every assignment of matrix sizes to the remaining center-degree slots, one
-memoized recursion in which each multiset appears once, lists each candidate
-as a tuple of plain (n, d) pairs in (d, n) order and reports whether the
-constraints pin the decomposition uniquely.
+every assignment of matrix sizes to the remaining center-degree slots: a
+table of exact reachability on the mass above the all-1 x 1 filling marks
+which partial fillings can still be completed, and one walk over only those
+lists each candidate once, already in final order, as a tuple of plain
+(n, d) pairs in (d, n) order.  It reports whether the constraints pin the
+decomposition uniquely.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -65,23 +67,34 @@ def forced_components(G: FiniteGroup, p: int, actions) -> list[tuple[int, int]]:
 
 def solve(group_order: int, degrees, forced) -> SolverReport:
     """Enumerate all decompositions consistent with the given center degrees
-    and forced (n, d) blocks, each candidate a tuple of (n, d) int pairs in
-    (d, n) order.
+    and forced (n, d) blocks: each candidate a tuple of (n, d) int pairs in
+    (d, n) order, the candidates in the order of those tuples.
 
     Every forced block consumes one degree-1 slot.  The remaining slots are
     filled with all matrix sizes n >= 1 such that the total mass equals the
-    group order.  Sizes never increase within a degree, so each multiset
-    appears once.  A slot leaves every later slot at least its degree, the
-    mass of a 1 x 1 block, and once the remaining mass is exactly that
-    least mass, the all-1 x 1 filling is the only one.  Once the last slots
-    share one degree, sizes too small to hold the remaining mass are
-    skipped.  The enumeration is memoized on (slot, remaining mass, largest
-    n) and holds tuples of int sizes.  Every candidate has the same degree
-    multiset, so its (d, n) order is the order of its sizes once the
-    degree-1 sizes are merged with the forced ones and every other degree's
-    sizes are reversed; the candidates are sorted once on those int tuples,
-    and each is built once from shared plain (n, d) pairs.  Raises ValueError for a center degree below 1 and
-    when a candidate lacks the trivial (1, 1) block.
+    group order.  The search runs on the excess, the mass above the filling
+    by 1 x 1 blocks alone, to which a block of size n over degree d adds
+    d * (n^2 - 1): no candidate when it is negative, the all-1 x 1 one when
+    it is 0.  The slots of one degree form a run.  A table of exact
+    reachability keeps, for each run, count j of its slots above 1 x 1 and
+    least size b, one int bitset of the excesses those j slots and the
+    later runs can take: per run and j, at most sqrt(excess) + 2 bitsets
+    of excess + 1 bits, whatever |G| is.  One walk over an explicit stack
+    then enters only states that end in a candidate.
+
+    Why the walk emits in final order: every candidate has the same
+    degrees, so the (d, n) order compares the sizes run by run, each run's
+    sizes rising, and the first size where two candidates differ decides.
+    Merging the forced sizes into the degree-1 sizes keeps that decision
+    (the smaller free size stays the smaller merged one).  So a depth-first
+    walk that fills each run's slots in rising order and tries the smaller
+    size first meets the candidates in final order: it takes a run's 1 x 1
+    blocks in one step, the most of them first, then the other sizes
+    rising, and places the forced sizes as it passes them.  The last slot
+    of the last run closes as a square and its last two as a sum of two
+    squares.  Each candidate is built once as a tuple of shared (n, d)
+    pairs.  Raises ValueError for a center degree below 1 and when a
+    candidate lacks the trivial (1, 1) block.
     """
     degrees = sorted(degrees)
     for d in degrees:
@@ -99,56 +112,86 @@ def solve(group_order: int, degrees, forced) -> SolverReport:
     if forced_mass > group_order:
         raise ValueError(f"forced mass {forced_mass} exceeds group order {group_order}")
     slots = degrees[len(forced):]
-    target = group_order - forced_mass
-    # least[i]: the least mass slots i.. can take, all of them 1 x 1 blocks
-    least = list(itertools.accumulate(reversed(slots), initial=0))[::-1]
-    # tail[i]: the number of slots i.. when they all have slots[i]'s degree (slots are sorted), else 0
-    tail = [len(slots) - i if d == slots[-1] else 0 for i, d in enumerate(slots)]
-
-    memo = {}
-
-    def fill(i: int, rem: int, top: int) -> tuple[tuple[int, ...], ...]:
-        """Every filling of slots i.. as sizes n with masses summing to rem,
-        n <= top in slot i."""
-        if rem <= least[i]:
-            return ((1,) * (len(slots) - i),) if rem == least[i] else ()
-        if i == len(slots):
-            return ()
-        found = memo.get((i, rem, top))
-        if found is None:
-            d = slots[i]
-            same = i + 1 < len(slots) and slots[i + 1] == d
-            # slots i.. of one degree d and sizes <= n hold at most tail[i] * d * n^2: n >= lo
-            lo = math.isqrt((rem - 1) // (d * tail[i])) + 1 if tail[i] else 1
-            found = memo[i, rem, top] = tuple(
-                (n,) + rest
-                for n in range(min(top, math.isqrt((rem - least[i + 1]) // d)), lo - 1, -1)
-                for rest in fill(i + 1, rem - d * n * n, n if same else target)
-            )
-        return found
-
-    # the candidates' positions in (d, n) order: the forced and slot degree-1
-    # sizes first, then one segment per higher degree, each read reversed
-    free = ones - len(forced)
-    cuts = [free] + [i for i in range(free + 1, len(slots)) if slots[i] != slots[i - 1]] + [len(slots)]
-    head = tuple(n for n, _ in forced)
-    keys = []
-    for sol in fill(0, target, target):
-        key = sorted(head + sol[:free])
-        for a, b in zip(cuts, cuts[1:]):
-            key += sol[a:b][::-1]
-        keys.append(tuple(key))
-    memo.clear()  # fill is a reference cycle; free its entries now
-    keys.sort()
-    if keys and (not ones or keys[-1][0] != 1):
-        # keys[-1] has the largest first size: the least degree-1 size of some candidate exceeds 1
+    excess = group_order - forced_mass - sum(slots)
+    if excess < 0:
+        return SolverReport(solutions=())
+    head = sorted(n for n, _ in forced)
+    mask = (2 << excess) - 1
+    # runs[r] = (d, free slots, rows, pairs, forced pairs, cut) for the r-th least degree d:
+    # rows[j][b] holds the excesses that j slots of sizes >= b, then runs r + 1.., can take;
+    # pairs[n] is the shared (n, d); cut[n] counts the forced sizes <= n, placed before a free n
+    runs = []
+    reach = 1  # the excesses the runs after this one can take: 0 alone after the last
+    for d in sorted(set(degrees), reverse=True):
+        free = slots.count(d)
+        top = math.isqrt(excess // d + 1)  # the largest size whose block fits the excess
+        rows = [[reach] * (top + 2)]
+        for j in range(1, min(free, excess // (3 * d)) + 1):  # a slot above 1 x 1 adds at least 3d
+            below, row = rows[-1], [0] * (top + 2)
+            # j slots of sizes >= b take at least j * d * (b^2 - 1): above this b the row is empty
+            for b in range(math.isqrt(excess // (j * d) + 1), 1, -1):
+                row[b] = row[b + 1] | (below[b] << d * (b * b - 1)) & mask
+            rows.append(row)
+        reach = 0
+        for row in rows:
+            reach |= row[2]
+        fixed = [(n, 1) for n in head] if d == 1 else []
+        cut = [bisect.bisect_right(head, n) for n in range(top + 1)] if fixed else [0] * (top + 1)
+        runs.append((d, free, rows, [(n, d) for n in range(top + 1)], fixed, cut))
+    runs.reverse()
+    if not reach >> excess & 1:
+        return SolverReport(solutions=())
+    last = len(runs) - 1
+    squares = {}  # s -> the sizes 2 <= a <= c with a^2 + c^2 = s, a rising
+    found = []
+    out = []  # the pairs placed so far
+    # (run, slots above 1 x 1 left after this entry or -1 to open the run, the size it places
+    # or 1 for the run's 1 x 1 blocks, excess left, len(out) before it, forced sizes placed before it)
+    stack = [(0, -1, 0, excess, 0, 0)]
+    while stack:
+        r, j, b, e, mark, h = stack.pop()
+        del out[mark:]
+        if j < 0:
+            if r > last:
+                found.append(tuple(out))
+            else:  # one entry per count of slots above 1 x 1 the excess allows, the fewest popped first
+                rows = runs[r][2]
+                stack.extend([(r, k, 1, e, mark, 0) for k in range(len(rows) - 1, -1, -1)
+                              if rows[k][2] >> e & 1])
+            continue
+        d, free, rows, pairs, fixed, cut = runs[r]
+        if b == 1:
+            out.extend(fixed[:cut[1]])
+            out.extend([pairs[1]] * (free - j))
+        else:
+            out.extend(fixed[h:cut[b]])
+            out.append(pairs[b])
+        h = cut[b]
+        if not j:
+            out.extend(fixed[h:])
+            stack.append((r + 1, -1, 0, e, len(out), 0))
+        elif r == last and j == 1:  # the last slot: d * (n^2 - 1) = e
+            n = math.isqrt(e // d + 1)
+            found.append((*out, *fixed[h:cut[n]], pairs[n], *fixed[cut[n]:]))
+        elif r == last and j == 2:  # the last two: a^2 + c^2 = e / d + 2 with b <= a <= c
+            s = e // d + 2
+            if s not in squares:
+                squares[s] = [(a, c) for a in range(2, math.isqrt(s // 2) + 1)
+                              for c in [math.isqrt(s - a * a)] if a * a + c * c == s]
+            for a, c in squares[s]:
+                if a >= b:
+                    found.append((*out, *fixed[h:cut[a]], pairs[a], *fixed[cut[a]:cut[c]],
+                                  pairs[c], *fixed[cut[c]:]))
+        else:  # the next size n >= b leaves j - 1 slots of sizes >= n; the least pops first
+            below, mark = rows[j - 1], len(out)
+            for n in range(math.isqrt(e // (j * d) + 1), max(b, 2) - 1, -1):
+                w = d * (n * n - 1)
+                if below[n] >> e - w & 1:
+                    stack.append((r, j - 1, n, e - w, mark, h))
+    if found and found[-1][:1] != ((1, 1),):
+        # the last candidate has the largest least degree-1 size
         raise ValueError("decomposition is missing the trivial (1, 1) block")
-    # one shared (n, d) pair per size of each degree, one table per position
-    pairs = {d: {n: (n, d) for n in range(1, math.isqrt(target // d) + 1)} for d in set(degrees)}
-    if head:
-        pairs[1].update((n, (n, 1)) for n in head)
-    tables = [pairs[d] for d in degrees]
-    return SolverReport(solutions=tuple([tuple(map(dict.__getitem__, tables, key)) for key in keys]))
+    return SolverReport(solutions=tuple(found))
 
 
 def is_sl32_class_data(G: FiniteGroup) -> bool:

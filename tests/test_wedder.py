@@ -122,6 +122,15 @@ def brute_force_solve(group_order, degrees, forced):
 @example(group_order=168, degrees=[1] * 5, forced=[], trivial=True)
 # ten candidates: free degree-1 sizes merge with the forced 1 and 2, and a degree's sizes are listed increasing
 @example(group_order=73, degrees=[1, 1, 1, 2, 2, 3], forced=[(2, 1)], trivial=True)
+# a forced size equal to a free size: (1, 1), (3, 1), (3, 1)
+@example(group_order=19, degrees=[1, 1, 1], forced=[(3, 1)], trivial=True)
+# the last two slots, 50 = 1^2 + 7^2 = 5^2 + 5^2 and 85 = 2^2 + 9^2 = 6^2 + 7^2: both candidates of each, in order
+@example(group_order=51, degrees=[1, 1, 1], forced=[], trivial=True)
+@example(group_order=86, degrees=[1, 1, 1], forced=[], trivial=True)
+# a degree-2 run after the degree-1 run: 1 + 9 + 2 * (1 + 9) and 1 + 25 + 2 * (1 + 1)
+@example(group_order=30, degrees=[1, 1, 2, 2], forced=[], trivial=True)
+# forced blocks fill every degree-1 slot; only the degree-2 run is free
+@example(group_order=37, degrees=[1, 1, 2, 2], forced=[(4, 1)], trivial=True)
 def test_solve_matches_brute_force(group_order, degrees, forced, trivial):
     forced = ([(1, 1)] if trivial else []) + forced
     expected = brute_force_solve(group_order, degrees, forced)
@@ -163,6 +172,11 @@ def test_solve_fills_thousands_of_slots_without_deep_recursion():
     # below its degree is never tried
     rep = solve(1004, [1] * 1001, [(1, 1)])
     assert rep.unique and rep.solutions[0] == ((1, 1),) * 1000 + ((2, 1),)
+    # 1000 slots of each of two degrees and an excess of 9 = 3 + 6 = 3 + 3 + 3: one 2 x 2 block
+    # of each degree, or three of degree 1, every other block 1 x 1
+    rep = solve(3009, [1] * 1000 + [2] * 1000, [(1, 1)])
+    assert rep.solutions == (((1, 1),) * 999 + ((2, 1),) + ((1, 2),) * 999 + ((2, 2),),
+                             ((1, 1),) * 997 + ((2, 1),) * 3 + ((1, 2),) * 1000)
 
 
 def test_component_is_a_plain_pair(sl32_s8):

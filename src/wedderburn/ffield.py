@@ -203,19 +203,10 @@ class FieldSpec:
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        # x^d mod modulus for d = k .. 2k-2, used to fold products back below degree k
-        reds = []
-        cur = tuple((-modulus[i]) % p for i in range(k))
-        for _ in range(k - 1):
-            reds.append(cur)
-            top = cur[-1]
-            shifted = [0] + list(cur[:-1])
-            if top:
-                for i in range(k):
-                    shifted[i] = (shifted[i] + top * reds[0][i]) % p
-            cur = tuple(shifted)
         self.dtype = np.int64 if p < ARRAY_P_LIMIT and p + (k - 1) * (p - 1) ** 2 < 2**63 else object
-        self.x_powers = np.array(np.eye(k, dtype=int).tolist() + reds, dtype=self.dtype)
+        # x^d mod modulus for d = 0 .. 2k-2, used to fold products back below degree k
+        rows = [_poly_divmod(self, [0] * d + [1], modulus)[1] for d in range(2 * k - 1)]
+        self.x_powers = np.array([r + [0] * (k - len(r)) for r in rows], dtype=self.dtype)
 
     def fold(self, y: np.ndarray) -> np.ndarray:
         """Reduce an array of shape (..., k, k) whose entry [..., t, s], below

@@ -53,17 +53,21 @@ against a single gather: a single product is its one-left call on the full
 table, and verify_split's orthogonality check gathers through only the m
 columns at the class representatives of the one full table it builds per
 call.  split_center reads only the short prefix of columns the class
-constants need.  The center works in the class-sum basis on (m, k) arrays.
-A product u * v is the class products of v, an O(m^3 k) integer matmul
-against the class-product coefficients, then their combination with the
-coefficients of u, O(m^2 k^2), summed before one FieldSpec.fold.  The
-class products of a random central element are made once for all of
-minpoly's Krylov steps, a split's idempotents are combinations of those
-Krylov vectors, with no product made again, and a product is broadcast over
-stacks: each Newton step lifts every idempotent at once, and each new
-idempotent is checked orthogonal to all those before it at once.  A class
-vector becomes a (|G|, k) array in one place, the CentralSplit
-split_center returns, gathered through the group's class_index_of.
+constants need.  The refinement and the lift run on _CenterAlgebra, a
+commutative algebra given by its integer structure constants c alone, on
+(m, k) arrays: its unit must be b_0, and every entry of c[i].T @ v must
+stay within int64, at most |G| * p for the class constants, which
+split_center reads once for the center over F_q, over F_p and over the
+Galois ring.  A product u * v is the basis products of v, an O(m^3 k)
+integer matmul against c, then their combination with the coefficients
+of u, O(m^2 k^2), summed before one FieldSpec.fold.  The basis products
+of a random central element are made once for all of minpoly's Krylov
+steps, a split's idempotents are combinations of those Krylov vectors,
+with no product made again, and a product is broadcast over stacks: each
+Newton step lifts every idempotent at once, and each new idempotent is
+checked orthogonal to all those before it at once.  A class vector becomes
+a (|G|, k) array in one place, the CentralSplit split_center returns,
+gathered through the group's class_index_of.
 """
 
 from __future__ import annotations
@@ -185,23 +189,24 @@ class CentralSplit:
 
 
 class _CenterAlgebra:
-    """The center of F_q[G] in the class-sum basis.  Vectors are (m, k)
-    coefficient arrays of dtype spec.dtype; products run against the integer
-    class-product coefficients c, and every entry of c[i].T @ v is below
-    |G| * p (column k of c[i] sums to |K_i|); a combination reduces each
-    entry product, below p^2, before it sums at most m of them.  The
-    products only add and multiply, so over spec = FieldSpec(p^s, k,
-    modulus) they are those of the center of the group ring over the Galois
-    ring."""
+    """A commutative algebra over F_q = spec given by its integer structure
+    constants alone: b_i * b_j = sum over l of c[i, j, l] * b_l, m = len(c).
+    Its unit must be b_0 (c[0] is the identity matrix), and every entry of
+    c[i].T @ v must stay within int64 for v below p; a combination reduces
+    each entry product, below p^2, before it sums at most m of them.  The
+    class sums of F_q[G] meet both, with the bound |G| * p, as column l of
+    c[i] sums to |K_i|, and so does the monomial basis of F_p[X]/(f).
+    Vectors are (m, k) arrays of dtype spec.dtype.  The products only add
+    and multiply, so over spec = FieldSpec(p^s, k, modulus) they are those
+    over the Galois ring.  fp is F_p, the refinement's polynomial field."""
 
-    def __init__(self, G: FiniteGroup, spec: FieldSpec):
-        self.spec = spec
-        self.m = len(G.classes)
-        self.c = G.class_product_coefficients()
+    def __init__(self, c: np.ndarray, spec: FieldSpec):
+        self.c, self.spec, self.m = c, spec, len(c)
+        self.fp = spec if spec.k == 1 else FieldSpec(spec.p, 1, (0, 1))
 
     def _mul_classes(self, v: np.ndarray) -> np.ndarray:
-        """The (..., m, m, k) array whose row i is (class sum i) * v, for v of
-        shape (..., m, k): the O(m^3 k) part of a product by v."""
+        """The (..., m, m, k) array whose row i is b_i * v, for v of shape
+        (..., m, k): the O(m^3 k) part of a product by v."""
         return self.c.transpose(0, 2, 1) @ v[..., None, :, :] % self.spec.p
 
     def _combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -215,13 +220,13 @@ class _CenterAlgebra:
         return self.spec.fold(y.sum(-4) % p)
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Product u * v = sum over i of u_i * (class sum i) * v, for (m, k)
+        """Product u * v = sum over i of u_i * b_i * v, for (m, k)
         arrays, broadcast over leading axes: a (B, m, k) stack of u by one v,
         or B products of two stacks."""
         return self._combine(u, self._mul_classes(v))
 
     def block_dimension(self, e: np.ndarray) -> int:
-        """Dimension over F_q of e*Z, the span of the projected class sums."""
+        """Dimension over F_q of e*Z, the span of the projected basis."""
         return MatrixFq(self.spec, self._mul_classes(e)).rank()
 
 
@@ -268,7 +273,7 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
     of (e_j, d_j) pairs with d_j = dim e_j*Z over F_p.  A block in final is
     certified a field, of degree d_j over F_p; one in todo is to be split
     further.  Over F_q, q = p^k, e*Z is an F_p-algebra on the (m * k, 1)
-    columns of its (m, k) class vectors.
+    columns of its (m, k) vectors, and mu is over Z.fp.
 
     Each draw takes its m * k coefficients from rng, and the search stops at
     the first w whose minimal polynomial mu over F_p on the block has two or
@@ -289,7 +294,6 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
     """
     spec = Z.spec
     m, k = Z.m, spec.k
-    fp = spec if k == 1 else FieldSpec(spec.p, 1, (0, 1))
     for _ in range(MAX_RANDOM_DRAWS):
         w = np.array([[rng.randrange(spec.p) for _ in range(k)] for _ in range(m)], dtype=spec.dtype)
         w_classes = Z._mul_classes(w)  # made once for all the Krylov steps v -> v * w
@@ -299,7 +303,7 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
             powers.append(Z._combine(v.reshape(m, k), w_classes))
             return powers[-1].reshape(m * k, 1)
 
-        mu = minpoly(fp, times_w, e.reshape(m * k, 1), dim)  # w^i * e lies in e*Z, of dimension dim
+        mu = minpoly(Z.fp, times_w, e.reshape(m * k, 1), dim)  # w^i * e lies in e*Z, of dimension dim
         facs = factor(mu, seed=seed)
         if any(mult > 1 for _, mult in facs):
             raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")
@@ -349,10 +353,11 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     to |G|."""
     if G.order % spec.p == 0:
         raise ModularCaseError(spec.p, G.order)
-    Z = _CenterAlgebra(G, spec)
-    Zp = Z if spec.k == 1 else _CenterAlgebra(G, FieldSpec(spec.p, 1, (0, 1)))
+    c = G.class_product_coefficients()
+    Z = _CenterAlgebra(c, spec)
+    Zp = Z if spec.k == 1 else _CenterAlgebra(c, Z.fp)
     one = np.zeros((Z.m, 1), dtype=Zp.spec.dtype)
-    one[0, 0] = 1  # the identity element is its own (size-1) class
+    one[0, 0] = 1  # the identity element is its own (size-1) class, b_0
     rng = random.Random(f"split:{seed}:{spec.p}:1:{G.order}")
     final = _refine(Zp, [(one, Zp.m)], rng, seed)  # the class sums are a basis of Z
     if spec.k > 1:
@@ -365,7 +370,7 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
         work = [(e, k * d) for e, d in final if math.gcd(d, k) > 1]
         final = ([(e, d) for e, d in final if math.gcd(d, k) == 1]
                  + [(e, d // k) for e, d in _refine(Z, work, rng, seed)])
-    block_dims = _lifted_block_dims(G, spec, [e for e, _ in final])
+    block_dims = _lifted_block_dims(Z, G.order, [e for e, _ in final])
     blocks = [(math.isqrt(D // d), d) for D, (_, d) in zip(block_dims, final)]
     if any(n < 1 or d * n * n != D for D, (n, d) in zip(block_dims, blocks)):
         raise AssertionError("a block dimension is not d * n^2 (bug)")
@@ -381,24 +386,26 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     )
 
 
-def _lifted_block_dims(G: FiniteGroup, spec: FieldSpec, idempotents) -> list[int]:
-    """D = dim e*F_q[G] for each (m, k) class-sum idempotent e, read off the
-    trace |G| * e(1) of e lifted to the Galois ring FieldSpec(p^s, k,
-    modulus), s the least exponent with p^s > |G|.  Each Newton step
-    e <- 3e^2 - 2e^3 doubles the power of p modulo which e^2 = e holds, so
-    ceil(log2 s) steps lift e mod p^s; when p > |G|, s = 1 and no step runs.
-    Every idempotent is lifted at once, as one (B, m, k) stack."""
+def _lifted_block_dims(Z: _CenterAlgebra, order: int, idempotents) -> list[int]:
+    """D = dim e*F_q[G] for each (m, k) idempotent e of Z, the center of
+    F_q[G] of the given order in the class-sum basis, read off the trace
+    |G| * e(1) of e lifted to the Galois ring FieldSpec(p^s, k, modulus), s
+    the least exponent with p^s > |G|.  Each Newton step e <- 3e^2 - 2e^3
+    doubles the power of p modulo which e^2 = e holds, so ceil(log2 s)
+    steps lift e mod p^s; when p > |G|, s = 1 and no step runs.  Every
+    idempotent is lifted at once, as one (B, m, k) stack."""
+    spec = Z.spec
     P, s = spec.p, 1
-    while P <= G.order:
+    while P <= order:
         P, s = P * spec.p, s + 1
-    Z = _CenterAlgebra(G, FieldSpec(P, spec.k, spec.modulus))
-    e = np.stack(idempotents).astype(Z.spec.dtype)
+    R = _CenterAlgebra(Z.c, FieldSpec(P, spec.k, spec.modulus))
+    e = np.stack(idempotents).astype(R.spec.dtype)
     for _ in range((s - 1).bit_length()):
-        e2 = Z.mul(e, e)
-        e = (3 * e2 - 2 * Z.mul(e2, e)) % P
+        e2 = R.mul(e, e)
+        e = (3 * e2 - 2 * R.mul(e2, e)) % P
     if e[:, 0, 1:].any():
         raise AssertionError("identity coefficient of a lifted idempotent is not in Z/p^s (bug)")
-    return [G.order * int(c) % P for c in e[:, 0, 0]]
+    return [order * int(c) % P for c in e[:, 0, 0]]
 
 
 def _right_ideal_dimension(E: AlgebraElement, table: np.ndarray) -> int:
@@ -471,7 +478,7 @@ def verify_split(split: CentralSplit) -> bool:
         return False
     if sum(split.block_dims) != G.order:
         return False
-    Z = _CenterAlgebra(G, spec)
+    Z = _CenterAlgebra(G.class_product_coefficients(), spec)
     rng = random.Random(f"verify:{spec.p}:{spec.k}:{G.order}")
     for e, (n, d) in zip(es, split.blocks):
         if d < 1 or n < 1:

@@ -233,7 +233,7 @@ def test_batched_products_match_pairwise(sl32_s8, field, seed, count, density, r
 def test_center_products_match_group_algebra(request, group, field):
     G = request.getfixturevalue(group)
     spec = make_field(*field, seed=0)
-    Z = _CenterAlgebra(G, spec)
+    Z = _CenterAlgebra(G.class_product_coefficients(), spec)
     rng = random.Random(f"{group}:{field}")
     for _ in range(2):
         u, v = random_array(spec, rng, (Z.m,)), random_array(spec, rng, (Z.m,))
@@ -249,7 +249,7 @@ def test_stacked_center_products_match_one_at_a_time(c7c3, field):
     # a (B, m, k) stack of products, of two stacks or of a stack by one
     # factor, is one broadcast call
     spec = make_field(*field, seed=0)
-    Z = _CenterAlgebra(c7c3, spec)
+    Z = _CenterAlgebra(c7c3.class_product_coefficients(), spec)
     rng = random.Random(f"stack:{field}")
     u, v = random_array(spec, rng, (5, Z.m)), random_array(spec, rng, (5, Z.m))
     assert Z.mul(u, v).tolist() == [Z.mul(a, b).tolist() for a, b in zip(u, v)]

@@ -521,7 +521,7 @@ def test_block_degrees_are_the_ranks_of_their_centers(group, p, k):
     for seed in range(4):
         spec = make_field(p, k, seed=seed)
         split = split_center(G, spec, seed=seed)
-        Z = _CenterAlgebra(G, spec)
+        Z = _CenterAlgebra(G.class_product_coefficients(), spec)
         assert [d for _, d in split.blocks] == [Z.block_dimension(e.arr[reps]) for e in split.idempotents], seed
 
 

@@ -504,16 +504,27 @@ def test_decompose_rejects_strong_pseudoprime(capsys):
 
 
 def test_check_detects_mismatch(capsys, monkeypatch):
+    from wedderburn.oracle import CentralSplit
     from wedderburn.units import ReferenceRow, TYPE2_COMPONENTS
 
-    def wrong_row(p, k):
-        return ReferenceRow(2, TYPE2_COMPONENTS)
-
-    monkeypatch.setattr(cli, "sl32_expected_row", wrong_row)
-    code, out, _ = run(capsys, ["check", "--p", "11", "--k", "1"])
-    assert code == 1
-    assert out.startswith("MISMATCH p=11 k=1: got ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1)), "
-                          "reference says ((1, 1), (6, 1), (7, 1), (8, 1), (3, 2))\n")
+    type1 = ((1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1))
+    cases = [  # module, name, replacement, extra flags, the reason the MISMATCH line gives
+        (cli, "sl32_expected_row", lambda p, k: ReferenceRow(2, TYPE2_COMPONENTS), [],
+         f"got {type1}, reference says ((1, 1), (6, 1), (7, 1), (8, 1), (3, 2))"),
+        (cli, "analytic_decomposition", lambda *args: SolverReport(solutions=(type1, type1)), [],
+         "analytic solution not unique (2 candidates)"),
+        (cli, "sl32_type", lambda G, partition: 2, [], "type mismatch"),
+        (cli, "splitting_field_check", lambda dec: False, [], "splitting-field verdict mismatch"),
+        (cli.oracle_mod, "split_center", lambda G, spec, seed: CentralSplit((), ((1, 1),)), ["--with-oracle"],
+         f"brute-force blocks ((1, 1),) differ from analytic {type1}"),
+    ]
+    for module, name, replacement, flags, reason in cases:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, replacement)
+            code, out, _ = run(capsys, ["check", "--p", "11", "--k", "1", *flags])
+        checked = "checked 1 cells (1 with brute-force cross-check)" if flags else "checked 1 cells"
+        assert code == 1, name
+        assert out == f"MISMATCH p=11 k=1: {reason}\n{checked}: 0 ok, 1 mismatches, 0 skipped\n", name
 
 
 @pytest.mark.parametrize(

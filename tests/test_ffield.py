@@ -37,8 +37,25 @@ def test_is_prime_above_the_miller_rabin_bound():
     assert not is_prime(318665857834031151167461)
     assert not is_prime(3317044064679887385961981)
     assert is_prime(2**89 - 1)
+    assert is_prime(2**107 - 1)
     assert is_prime(2**127 - 1)
     assert not is_prime((2**89 - 1) * (2**61 - 1))
+    assert not is_prime((2**61 - 1) * (2**67 - 1))
+
+
+# OEIS A217255 below 10^5: the odd composites that pass the strong Lucas test
+# with Selfridge's parameters
+STRONG_LUCAS_PSEUDOPRIMES = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+
+
+def test_strong_lucas_test_below_10_5():
+    # every odd n < 10^5 that is_prime could hand it, those with no prime
+    # factor below 41: the primes and A217255 pass, and nothing else
+    candidates = [n for n in range(1, 10**5, 2) if all(n % d for d in range(3, 41, 2))]
+    passed = [n for n in candidates if ffield._is_strong_lucas_probable_prime(n)]
+    assert passed == sorted([n for n in candidates if is_prime(n)] + STRONG_LUCAS_PSEUDOPRIMES)
+    assert not ffield._is_strong_lucas_probable_prime(1009**2)  # a square: no D has (D/n) = -1
+    assert not ffield._is_strong_lucas_probable_prime(539191)  # 41 * 13151: (D/n) = 0 at D = 41
 
 
 def test_is_prime_agrees_with_a_sieve():
@@ -398,6 +415,10 @@ def test_factor_pth_power(f11):
     assert len(facs) == 1
     g, m = facs[0]
     assert m == 11 and g.degree() == 1
+    # over F_5, once x + 3 is divided out of (x + 4)^5 (x + 3)^2, a p-th power is left
+    f5 = make_field(5)
+    g, h = Polynomial.x(f5) + Polynomial(f5, [4]), Polynomial.x(f5) + Polynomial(f5, [3])
+    assert factor(math.prod([g] * 5 + [h] * 2, start=Polynomial.one(f5))) == [(h, 2), (g, 5)]
 
 
 def test_factor_rejects_zero(f11):

@@ -192,6 +192,27 @@ def test_verify_rejects_a_rank_only_swap(split11, monkeypatch):
     assert full == [9]
 
 
+def test_verify_rejects_a_wrong_centre_degree(split11):
+    # claim the 6x6 block as M_3 over F_{q^4}: D = 4 * 3^2 is still 36, so
+    # the sum, the trace congruence and the sampled rank all hold, and only
+    # the rank of e*Z, 1 and not 4, can tell
+    assert split11.blocks[3] == (6, 1)
+    claimed = dataclasses.replace(split11, blocks=split11.blocks[:3] + ((3, 4),) + split11.blocks[4:])
+    assert claimed.block_dims == split11.block_dims
+    assert not verify_split(claimed)
+
+
+def test_verify_rejects_a_dimension_sum_before_any_rank(split11, monkeypatch):
+    # claim the 6x6 block as 5x5: the D sum is 157, not |G| = 168
+    def sampled_rank(*args):
+        raise AssertionError("took a sampled rank")
+
+    monkeypatch.setattr(oracle, "_sampled_rank", sampled_rank)
+    claimed = dataclasses.replace(split11, blocks=split11.blocks[:3] + ((5, 1),) + split11.blocks[4:])
+    assert sum(claimed.block_dims) == 157
+    assert not verify_split(claimed)
+
+
 def no_full_rank(monkeypatch):
     def full_rank(E, table):
         raise AssertionError("verify_split fell back to a full rank")

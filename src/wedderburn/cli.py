@@ -141,24 +141,28 @@ def _q_json(p: int, k: int) -> str:
 
 def _parse_range_spec(text: str, primes: bool = False) -> list[int]:
     """The sorted distinct values of a spec such as '11,13' or '11..199'; a
-    range whose end is below its start is an input error.  With primes,
-    'a..b' tokens keep only the primes in the interval, while explicitly
-    listed values must themselves be prime."""
+    token that is not an int or 'a..b' of two ints, and a range whose end is
+    below its start, are input errors.  With primes, 'a..b' tokens keep only
+    the primes in the interval, while explicitly listed values must
+    themselves be prime."""
     out = set()
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if ".." in tok:
-            lo, hi = map(int, tok.split("..", 1))
+        lo, dots, hi = tok.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if dots else lo)
+        except ValueError:
+            raise ValueError(f"malformed range {tok!r}") from None
+        if dots:
             if hi < lo:
                 raise ValueError(f"range {tok!r} ends below its start")
             out.update(v for v in range(lo, hi + 1) if not primes or is_prime(v))
         else:
-            v = int(tok)
             if primes:
-                _validate_p(v)
-            out.add(v)
+                _validate_p(lo)
+            out.add(lo)
     if not out:
         raise ValueError(f"no primes in range specification {text!r}" if primes
                          else f"empty range specification {text!r}")

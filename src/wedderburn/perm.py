@@ -196,13 +196,15 @@ class FiniteGroup:
     same ordering.  Raises ValueError if the closure would exceed ``cap``
     elements.  The closure, the inverse indices and the classes are computed
     on image tuples and index maps, with no Permutation product or inverse.
-    Three q-independent items are computed at most once and then read: the
+    Four q-independent items are computed at most once and then read: the
     class-product coefficients (read-only), the power classes power_class
-    answers and the permutation character's (points, norm) pair that
-    charkit.deleted_module_check reads.  Nothing else changes after
-    construction, and each of these is a pure function of the group, so two
-    concurrent readers can only both write the same value.  No |G| x |G|
-    structure is kept: mul_table builds the columns asked for.
+    answers, the permutation character's (points, norm) pair that
+    charkit.deleted_module_check reads, and the solver candidates that
+    wedder.analytic_decomposition keeps per (sorted centre degrees, forced
+    blocks).  Nothing else changes after construction, and each of these is
+    a pure function of the group and its key, so two concurrent readers can
+    only both write the same value.  No |G| x |G| structure is kept:
+    mul_table builds the columns asked for.
     """
 
     def __init__(self, generators, cap: int = DEFAULT_CAP):
@@ -246,6 +248,7 @@ class FiniteGroup:
         self._class_coeffs: np.ndarray | None = None
         self._power_classes: dict[tuple[int, int], int] = {}  # (class, m mod its order) -> class
         self._perm_norm: tuple[int, int] | None = None  # (points, <chi, chi>)
+        self._solutions: dict[tuple, tuple] = {}  # (sorted centre degrees, forced blocks) -> candidates
 
     def index(self, g: Permutation) -> int:
         try:

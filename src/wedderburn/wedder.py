@@ -225,9 +225,15 @@ def splitting_field_check(blocks) -> bool:
 def analytic_decomposition(G: FiniteGroup, p: int, k: int, actions) -> SolverReport:
     """The full analytic pipeline: center degrees from the q-power orbits,
     forced blocks from the given actions, then exhaustive mass assignment.
-    The report carries the q-power cycles in its partition field, the one
-    cyclotomic_partition call of the pipeline; sl32_type reads the SL(3,2)
-    type off them."""
+    Both inputs are computed, and p and k validated, on every call; solve
+    reads only |G|, the sorted degrees and the forced blocks, so its
+    candidates are kept on G under those two and solve runs once per
+    distinct pair.  The report carries the q-power cycles in its partition
+    field, the one cyclotomic_partition call of the pipeline; sl32_type
+    reads the SL(3,2) type off them."""
     partition = cyclotomic_partition(G, p, k)
-    forced = forced_components(G, p, actions)
-    return SolverReport(solve(G.order, [len(o) for o in partition], forced).solutions, partition)
+    key = (tuple(sorted(map(len, partition))), tuple(forced_components(G, p, actions)))
+    found = G._solutions.get(key)
+    if found is None:
+        found = G._solutions[key] = solve(G.order, *key).solutions
+    return SolverReport(found, partition)

@@ -468,6 +468,14 @@ def test_check_rejects_reversed_ranges(capsys, p, k):
     assert "ends below its start" in err
 
 
+@pytest.mark.parametrize("p, k, token", [("11..", "1", "11.."), ("11", "1..2..3", "1..2..3"),
+                                         ("a..b", "1", "a..b"), ("11,13", "2,x", "x")])
+def test_check_names_a_malformed_range(capsys, p, k, token):
+    # the error names the bad token, not int()'s parse of one piece of it
+    code, out, err = run(capsys, ["check", "--p", p, "--k", k])
+    assert (code, out, err) == (cli.EXIT_INPUT, "", f"error: malformed range {token!r}\n")
+
+
 def test_check_prime_spec_rules(capsys):
     # a one-value range is that value; an explicit non-prime is an input error
     code, out, _ = run(capsys, ["check", "--p", "13..13", "--k", "2..2"])

@@ -112,12 +112,6 @@ def _sl32_actions() -> list[FiniteGroup]:
     return [builtin_sl32_s8(), builtin_sl32_on_p2f2()]
 
 
-def _emit(json_text: str, fmt: str, text_lines: list[str]):
-    """Print the payload's JSON or its text lines.  json_text is written by
-    hand, in the bytes of json.dumps(payload, indent=2, sort_keys=True)."""
-    print(json_text if fmt == "json" else "\n".join(text_lines))
-
-
 def _json_list(items: list[str], pad: str) -> str:
     """A JSON array of item texts as json.dumps(indent=2) lays it out on a
     line indented by pad; each item is laid out for pad plus two spaces."""
@@ -193,14 +187,15 @@ def _exceeds_qmax(p: int, k: int, qmax: int) -> bool:
 def cmd_classes(args) -> int:
     G = resolve_group(args.group)
     reps = [c.representative.cycle_string() for c in G.classes]
-    rows = [f'{{\n      "order": {c.element_order},\n      "representative": "{r}",\n'
-            f'      "size": {c.size}\n    }}' for c, r in zip(G.classes, reps)]
-    json_text = (f'{{\n  "classes": {_json_list(rows, "  ")},\n  "degree": {G.degree},\n'
-                 f'  "exponent": {G.exponent},\n  "order": {G.order}\n}}')
-    lines = [f"group of order {G.order} on {G.degree} points, exponent {G.exponent}"]
+    if args.format == "json":
+        rows = [f'{{\n      "order": {c.element_order},\n      "representative": "{r}",\n'
+                f'      "size": {c.size}\n    }}' for c, r in zip(G.classes, reps)]
+        print(f'{{\n  "classes": {_json_list(rows, "  ")},\n  "degree": {G.degree},\n'
+              f'  "exponent": {G.exponent},\n  "order": {G.order}\n}}')
+        return EXIT_OK
+    print(f"group of order {G.order} on {G.degree} points, exponent {G.exponent}")
     for i, (c, r) in enumerate(zip(G.classes, reps), start=1):
-        lines.append(f"  C{i}: rep {r}  order {c.element_order}  size {c.size}")
-    _emit(json_text, args.format, lines)
+        print(f"  C{i}: rep {r}  order {c.element_order}  size {c.size}")
     return EXIT_OK
 
 
@@ -259,17 +254,16 @@ def cmd_decompose(args) -> int:
         return EXIT_NONUNIQUE
     G, dec, t = solved
     split = splitting_field_check(dec)
-    json_text = (f'{{\n  "components": {_components_json(dec)},\n  "q": {_q_json(args.p, args.k)},\n'
-                 f'  "splitting_field": {"true" if split else "false"},\n'
-                 f'  "type": {"null" if t is None else t}\n}}')
-    lines = [
-        f"F_q[G] for q = {args.p}^{args.k}, |G| = {G.order}",
-        "components: " + _format_components(dec),
-    ]
+    if args.format == "json":
+        print(f'{{\n  "components": {_components_json(dec)},\n  "q": {_q_json(args.p, args.k)},\n'
+              f'  "splitting_field": {"true" if split else "false"},\n'
+              f'  "type": {"null" if t is None else t}\n}}')
+        return EXIT_OK
+    print(f"F_q[G] for q = {args.p}^{args.k}, |G| = {G.order}")
+    print("components: " + _format_components(dec))
     if t is not None:
-        lines.append(f"type: {t}")
-    lines.append(f"splitting field: {'yes' if split else 'no'}")
-    _emit(json_text, args.format, lines)
+        print(f"type: {t}")
+    print(f"splitting field: {'yes' if split else 'no'}")
     return EXIT_OK
 
 
@@ -286,15 +280,12 @@ def cmd_oracle(args) -> int:
         print("error: verify_split rejected the brute-force decomposition", file=sys.stderr)
         return EXIT_MISMATCH
     blocks = split.pairs()
-    json_text = (f'{{\n  "components": {_components_json(blocks)},\n'
-                 f'  "q": {_q_json(args.p, args.k)}\n}}')
-    lines = [
-        f"brute-force decomposition over F_{args.p}^{args.k} (|G| = {G.order})",
-        "components: " + _format_components(blocks),
-    ]
-    _emit(json_text, args.format, lines)
-    if args.format == "text":
-        print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)  # wall time; stdout stays deterministic
+    if args.format == "json":
+        print(f'{{\n  "components": {_components_json(blocks)},\n  "q": {_q_json(args.p, args.k)}\n}}')
+        return EXIT_OK
+    print(f"brute-force decomposition over F_{args.p}^{args.k} (|G| = {G.order})")
+    print("components: " + _format_components(blocks))
+    print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)  # wall time; stdout stays deterministic
     return EXIT_OK
 
 
@@ -304,16 +295,15 @@ def cmd_units(args) -> int:
         return EXIT_NONUNIQUE
     G, dec, t = solved
     order = str(unit_group(dec, args.p, args.k))  # a Decimal: printed in time linear in its digits
-    units = [f'{{\n      "field": "{args.p}^{args.k * d}",\n      "n": {n}\n    }}' for n, d in dec]
-    json_text = (f'{{\n  "components": {_components_json(dec)},\n  "order": "{order}",\n'
-                 f'  "q": {_q_json(args.p, args.k)},\n  "type": {"null" if t is None else t},\n'
-                 f'  "unit_group": {_json_list(units, "  ")}\n}}')
-    lines = [
-        f"unit group of F_q[G], q = {args.p}^{args.k}, |G| = {G.order}",
-        _format_units(args.p, args.k, dec),
-        f"order: {order}",
-    ]
-    _emit(json_text, args.format, lines)
+    if args.format == "json":
+        units = [f'{{\n      "field": "{args.p}^{args.k * d}",\n      "n": {n}\n    }}' for n, d in dec]
+        print(f'{{\n  "components": {_components_json(dec)},\n  "order": "{order}",\n'
+              f'  "q": {_q_json(args.p, args.k)},\n  "type": {"null" if t is None else t},\n'
+              f'  "unit_group": {_json_list(units, "  ")}\n}}')
+        return EXIT_OK
+    print(f"unit group of F_q[G], q = {args.p}^{args.k}, |G| = {G.order}")
+    print(_format_units(args.p, args.k, dec))
+    print(f"order: {order}")
     return EXIT_OK
 
 

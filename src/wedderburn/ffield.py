@@ -10,6 +10,8 @@ coefficient and computes with % p and pow(c, -1, p) inline, and Polynomial
 and minpoly reject a spec with k > 1.  An F_q-linear map is F_p-linear on k
 times as many coordinates, so a caller with an operator over F_q takes its
 minimal polynomial over F_p (the oracle does, on the center over F_q).
+minpoly reads it off a Krylov matrix its caller builds, the columns v, Av,
+..., A^b v; it calls no operator.
 Factorization is Berlekamp's algorithm (Bell Syst. Tech. J. 46, 1967;
 Knuth, TAOCP vol. 2, 4.6.2): squarefree split via gcd with the derivative
 (a polynomial with zero derivative is a p-th power, whose root takes every
@@ -22,7 +24,7 @@ There is one elimination, _eliminate, run in place on a fresh working copy
 (_working_copy): MatrixFq.rank reads the rank of the F_p blow-up of an F_q
 matrix off it (each entry expanded by one einsum against the powers of the
 modulus's companion matrix), minpoly reads the minimal polynomial off the
-echelon form it leaves of its Krylov matrix, and _berlekamp_basis reads
+echelon form it leaves of the Krylov matrix, and _berlekamp_basis reads
 the fixed space off that of [Q - I | I].  A matrix whose entries all
 lie in F_p skips the blow-up: MatrixFq.rank eliminates its constant
 coefficients, since rank does not change under field extension.
@@ -644,39 +646,33 @@ def _frobenius_matrix(f: Polynomial) -> np.ndarray:
 # Krylov minimal polynomials ---------------------------------------------------
 
 
-def minpoly(spec: FieldSpec, apply, v: np.ndarray, bound: int) -> Polynomial:
-    """Monic minimal polynomial m over F_p of a linear operator relative to
-    the start vector v: the least-degree monic m with m(operator) applied to
-    v = 0.  spec must be F_p (k = 1), or minpoly raises ValueError; an
-    operator over F_q is one over F_p on k times as many coordinates.
+def minpoly(spec: FieldSpec, krylov: np.ndarray) -> Polynomial:
+    """Monic minimal polynomial m over F_p of a linear operator A relative
+    to a start vector v, read off the 2-D Krylov matrix whose columns are
+    v, Av, ..., A^b v, an int64 or object array: the least-degree monic m
+    with m(A) v = 0.  spec must be F_p (k = 1), or minpoly raises
+    ValueError; an operator over F_q is one over F_p on k times as many
+    coordinates.
 
-    ``v`` is a (dim, 1) array of dtype spec.dtype reduced mod p, and
-    ``apply`` maps such arrays to such arrays.  ``bound`` is an upper bound
-    on deg m, such as dim, or the dimension of an invariant subspace known to
-    hold v; minpoly raises ValueError if deg m exceeds it.  The Krylov
-    vectors v, Av, ..., A^bound v are the columns of a matrix, and
-    _eliminate reduces a working copy of it.  With t = deg m, the columns
-    0..t-1 are independent and every later one depends on them, so the
-    pivots are exactly the first t columns.  Only e = w[:t, :t + 1] mod p,
-    the pivot rows up to column t, is read, as int lists: column t is A^t v
-    itself; back-substitution over the rows of the unit upper triangle
+    b bounds deg m, as the dimension of the space or of an invariant
+    subspace known to hold v does; minpoly raises ValueError if the b + 1
+    columns are independent.  _eliminate reduces a working copy of the
+    matrix, which is left as it was.  With t = deg m, the columns 0..t-1
+    are independent and every later one depends on them, so the pivots are
+    exactly the first t columns.  Only e = w[:t, :t + 1] mod p, the pivot
+    rows up to column t, is read, as int lists: column t is A^t v itself;
+    back-substitution over the rows of the unit upper triangle
     U = e[:, :t] solves U y = -e[:, t], and the coefficient of X^j in m is
     y[j].  A zero start vector gives t = 0 and m = 1.
     """
     _require_prime_field(spec)
-    shape = (len(v), 1)
-    if np.shape(v) != shape:
-        raise ValueError("start vector must have shape (dim, 1)")
-    krylov = [v]
-    for _ in range(bound):
-        krylov.append(apply(krylov[-1]))
-        if np.shape(krylov[-1]) != shape:
-            raise ValueError("operator changed the dimension")
+    if np.ndim(krylov) != 2:
+        raise ValueError("the Krylov matrix must be 2-D")
     p = spec.p
-    w = _working_copy(np.concatenate(krylov, axis=1), p)
+    w = _working_copy(krylov, p)
     t = _eliminate(w, p)
     if t == w.shape[1]:
-        raise ValueError(f"minimal polynomial degree exceeds the bound {bound}")
+        raise ValueError(f"minimal polynomial degree exceeds the bound {t - 1}")
     e = (w[:t, : t + 1] % p).tolist()
     if any(e[r][r] != 1 for r in range(t)):
         raise AssertionError("Krylov pivots are not the leading columns (bug)")

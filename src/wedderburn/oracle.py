@@ -61,13 +61,14 @@ split_center reads once for the center over F_q, over F_p and over the
 Galois ring.  A product u * v is the basis products of v, an O(m^3 k)
 integer matmul against c, then their combination with the coefficients
 of u, O(m^2 k^2), summed before one FieldSpec.fold.  The basis products
-of a random central element are made once for all of minpoly's Krylov
-steps, a split's idempotents are combinations of those Krylov vectors,
-with no product made again, and a product is broadcast over stacks: each
-Newton step lifts every idempotent at once, and each new idempotent is
-checked orthogonal to all those before it at once.  A class vector becomes
-a (|G|, k) array in one place, the CentralSplit split_center returns,
-gathered through the group's class_index_of.
+of a random central element w are made once for all the Krylov steps
+v -> v * w, which the refinement takes itself and stacks as the columns of
+the matrix minpoly reads; a split's idempotents are combinations of those
+Krylov vectors, with no product made again; and a product is broadcast
+over stacks: each Newton step lifts every idempotent at once, and each new
+idempotent is checked orthogonal to all those before it at once.  A class
+vector becomes a (|G|, k) array in one place, the CentralSplit
+split_center returns, gathered through the group's class_index_of.
 """
 
 from __future__ import annotations
@@ -272,8 +273,10 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
     over F_p, that one seeded random central element w separates, as lists
     of (e_j, d_j) pairs with d_j = dim e_j*Z over F_p.  A block in final is
     certified a field, of degree d_j over F_p; one in todo is to be split
-    further.  Over F_q, q = p^k, e*Z is an F_p-algebra on the (m * k, 1)
-    columns of its (m, k) vectors, and mu is over Z.fp.
+    further.  mu is read off the Krylov matrix e, w*e, ..., w^dim * e, made
+    from w's class products and stacked once; the new idempotents combine
+    its first deg mu columns.  Over F_q, q = p^k, e*Z is an F_p-algebra on
+    the (m * k, 1) columns of its (m, k) vectors, and mu is over Z.fp.
 
     Each draw takes its m * k coefficients from rng, and the search stops at
     the first w whose minimal polynomial mu over F_p on the block has two or
@@ -297,13 +300,11 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
     for _ in range(MAX_RANDOM_DRAWS):
         w = np.array([[rng.randrange(spec.p) for _ in range(k)] for _ in range(m)], dtype=spec.dtype)
         w_classes = Z._mul_classes(w)  # made once for all the Krylov steps v -> v * w
-        powers = [e]  # minpoly's Krylov vectors w^i * e, in the order it makes them
-
-        def times_w(v):
-            powers.append(Z._combine(v.reshape(m, k), w_classes))
-            return powers[-1].reshape(m * k, 1)
-
-        mu = minpoly(Z.fp, times_w, e.reshape(m * k, 1), dim)  # w^i * e lies in e*Z, of dimension dim
+        powers = [e]
+        for _ in range(dim):  # w^i * e lies in e*Z, of dimension dim, so deg mu <= dim
+            powers.append(Z._combine(powers[-1], w_classes))
+        powers = np.stack(powers)
+        mu = minpoly(Z.fp, powers.reshape(dim + 1, m * k).T)
         facs = factor(mu, seed=seed)
         if any(mult > 1 for _, mult in facs):
             raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")
@@ -312,7 +313,7 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
             if generates:
                 return [(e, dim)], []
             continue
-        split = zip(_crt_idempotents(Z, e, np.stack(powers[: mu.degree()]), mu, facs), [f.degree() for f, _ in facs])
+        split = zip(_crt_idempotents(Z, e, powers[: mu.degree()], mu, facs), [f.degree() for f, _ in facs])
         if generates:
             return list(split), []
         ranked = [(e_j, k * Z.block_dimension(e_j), deg) for e_j, deg in split]

@@ -19,7 +19,8 @@ from wedderburn import (
 )
 from wedderburn import ffield
 
-from test_kernels import _ref_add, _ref_inv, _ref_mul, as_matrix, as_rows, fold_product, random_scalar, reference_rank
+from test_kernels import (_ref_add, _ref_inv, _ref_mul, as_matrix, as_rows, fold_product, krylov_matrix, random_scalar,
+                          reference_rank)
 
 
 def test_is_prime_small():
@@ -481,7 +482,7 @@ def test_polynomial_and_minpoly_reject_extension_fields(f169):
         with pytest.raises(ValueError, match="over F_p only"):
             Polynomial(f169, coeffs)
     with pytest.raises(ValueError, match="over F_p only"):
-        minpoly(f169, lambda w: w, np.zeros((3, 2), dtype=f169.dtype), 3)
+        minpoly(f169, np.zeros((3, 4), dtype=f169.dtype))
 
 
 # Polynomial's int arithmetic against arithmetic on coefficient tuples
@@ -554,22 +555,21 @@ def test_int_kernels_match_tuple_arithmetic(case):
 
 def test_minpoly_identity_and_zero(f11):
     v = as_rows(f11, [1, 0, 3, 0])
-    m_id = minpoly(f11, lambda w: w, v, 4)
+    m_id = minpoly(f11, krylov_matrix(lambda w: w, v, 4))
     x = Polynomial.x(f11)
     assert m_id == x - Polynomial.one(f11)
-    m_zero = minpoly(f11, np.zeros_like, v, 4)
+    m_zero = minpoly(f11, krylov_matrix(np.zeros_like, v, 4))
     assert m_zero == x
 
 
 def test_minpoly_rejects_a_start_vector_of_the_wrong_k(f11, f169):
-    # dim is len(v); the coefficient axis must have length 1, and the field
-    # must be F_p
-    with pytest.raises(ValueError):
-        minpoly(f169, lambda w: w, as_rows(f11, [1, 0]), 2)
-    with pytest.raises(ValueError):
-        minpoly(f11, lambda w: w, as_rows(f169, [(1, 0), (0, 0)]), 2)
-    with pytest.raises(ValueError):
-        minpoly(f11, lambda w: w[:-1], as_rows(f11, [1, 0]), 2)
+    # the field must be F_p, and the Krylov matrix 2-D: columns of F_q
+    # coefficient rows, with their coefficient axis, are not one
+    with pytest.raises(ValueError, match="over F_p only"):
+        minpoly(f169, krylov_matrix(lambda w: w, as_rows(f11, [1, 0]), 2))
+    v = as_rows(f169, [(1, 0), (0, 0)])
+    with pytest.raises(ValueError, match="must be 2-D"):
+        minpoly(f11, np.stack([v, v, v], axis=1))
 
 
 def test_minpoly_shift_is_nilpotent(f11):
@@ -579,25 +579,20 @@ def test_minpoly_shift_is_nilpotent(f11):
         return np.concatenate([np.zeros_like(w[:1]), w[:-1]])
 
     v = as_rows(f11, [1] + [0] * (dim - 1))
-    assert minpoly(f11, shift, v, dim) == Polynomial(f11, [0] * dim + [1])  # X^dim
+    assert minpoly(f11, krylov_matrix(shift, v, dim)) == Polynomial(f11, [0] * dim + [1])  # X^dim
 
 
 def test_minpoly_degree_bound(f11):
     # the shift on 5 coordinates started at e_3 has minimal polynomial X^2:
-    # a bound of 2 takes 2 steps and gives it, a bound of 1 is too small
-    steps = []
-
+    # a bound of 2 or 5 gives it, a bound of 1 (2 columns) is too small
     def shift(w):
-        steps.append(1)
         return np.concatenate([np.zeros_like(w[:1]), w[:-1]])
 
     v = as_rows(f11, [0] * 3 + [1, 0])
-    assert minpoly(f11, shift, v, 2) == Polynomial(f11, [0, 0, 1])
-    assert len(steps) == 2
-    assert minpoly(f11, shift, v, 5) == Polynomial(f11, [0, 0, 1])  # the bound len(v) = 5
-    assert len(steps) == 2 + 5
+    assert minpoly(f11, krylov_matrix(shift, v, 2)) == Polynomial(f11, [0, 0, 1])
+    assert minpoly(f11, krylov_matrix(shift, v, 5)) == Polynomial(f11, [0, 0, 1])  # the bound len(v) = 5
     with pytest.raises(ValueError, match="exceeds the bound 1"):
-        minpoly(f11, shift, v, 1)
+        minpoly(f11, krylov_matrix(shift, v, 1))
 
 
 def test_minpoly_companion_matrix():
@@ -622,9 +617,9 @@ def test_minpoly_companion_matrix():
                 return as_vector((Polynomial(spec, w[:, 0].tolist()) * x) % f)
 
             # 1 is a cyclic vector: 1, x, ..., x^(degree-1) span F_p[x]/(f)
-            assert minpoly(spec, apply, as_vector(Polynomial.one(spec)), degree) == f.monic()
+            assert minpoly(spec, krylov_matrix(apply, as_vector(Polynomial.one(spec)), degree)) == f.monic()
             g = Polynomial(spec, [rng.randrange(p) for _ in range(degree)])
-            assert minpoly(spec, apply, as_vector(g), degree) == (f // f.gcd(g)).monic()
+            assert minpoly(spec, krylov_matrix(apply, as_vector(g), degree)) == (f // f.gcd(g)).monic()
 
 
 def _charpoly_3x3(spec, rows):
@@ -655,7 +650,7 @@ def test_minpoly_divides_charpoly(f11):
         def apply(w):
             return as_rows(f11, [sum(a * b for a, b in zip(row, w[:, 0].tolist())) % 11 for row in rows])
 
-        mp = minpoly(f11, apply, as_rows(f11, [rng.randrange(11) for _ in range(3)]), 3)
+        mp = minpoly(f11, krylov_matrix(apply, as_rows(f11, [rng.randrange(11) for _ in range(3)]), 3))
         cp = _charpoly_3x3(f11, rows)
         assert (cp % mp).is_zero()
 

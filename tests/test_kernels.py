@@ -110,6 +110,15 @@ def as_rows(spec, values):
     return np.array(values, dtype=spec.dtype).reshape(len(values), spec.k)
 
 
+def krylov_matrix(apply, v, bound):
+    """The Krylov matrix minpoly reads: the columns v, Av, ..., A^bound v of
+    the operator ``apply`` on (dim, 1) arrays, from the start vector v."""
+    columns = [v]
+    for _ in range(bound):
+        columns.append(apply(columns[-1]))
+    return np.concatenate(columns, axis=1)
+
+
 def as_matrix(spec, rows):
     """The MatrixFq whose entries are rows' coefficient tuples, or residues
     when k = 1."""
@@ -272,21 +281,18 @@ def test_minpoly_annihilates_and_has_krylov_rank(p, seed):
     def apply(w):
         return (A * w[:, 0] % p).sum(1, keepdims=True) % p
 
-    v = random_array(spec, rng, (dim,))
-    m = minpoly(spec, apply, v, dim)
+    krylov = krylov_matrix(apply, random_array(spec, rng, (dim,)), dim)
+    m = minpoly(spec, krylov)
     assert m.coeffs[-1] == 1  # monic
-    krylov = [v]
-    for _ in range(dim):
-        krylov.append(apply(krylov[-1]))
-    assert not (sum(c * u % p for c, u in zip(m.coeffs, krylov)) % p).any()
-    assert m.degree() == MatrixFq(spec, np.stack(krylov, axis=1)).rank()
+    assert not (sum(c * u % p for c, u in zip(m.coeffs, krylov.T)) % p).any()
+    assert m.degree() == MatrixFq(spec, krylov[..., None]).rank()
 
 
 @pytest.mark.parametrize("field", [(11, 1), (2**31 + 11, 1)], ids=lambda f: f"{f[0]}^{f[1]}")
 def test_minpoly_of_zero_vector_is_one(field):
     spec = make_field(*field)
     zero = np.zeros((4, 1), dtype=spec.dtype)
-    assert minpoly(spec, lambda w: w, zero, 4) == Polynomial.one(spec)
+    assert minpoly(spec, krylov_matrix(lambda w: w, zero, 4)) == Polynomial.one(spec)
 
 
 def test_minpoly_jordan_block_over_a_large_prime():
@@ -304,7 +310,7 @@ def test_minpoly_jordan_block_over_a_large_prime():
     x = Polynomial.x(spec)
     root_a = x - Polynomial(spec, [a])
     expected = root_a * root_a * (x - Polynomial(spec, [b]))
-    assert minpoly(spec, apply, v, 3) == expected
+    assert minpoly(spec, krylov_matrix(apply, v, 3)) == expected
 
 
 @pytest.mark.parametrize("p, k", [(2**31 - 1, 1), (2**31 - 1, 2), (2**31 + 11, 1), (2**31 + 11, 2), (2**61 - 1, 1)])
@@ -565,7 +571,8 @@ def test_minpoly_reduces_the_whole_array_once(p, dim, dtype, monkeypatch):
 
     v = np.zeros((dim, 1), dtype=spec.dtype)
     v[0, 0] = 1
-    m, counts = full_reductions(monkeypatch, lambda: minpoly(spec, cyclic_shift, v, dim))
+    krylov = krylov_matrix(cyclic_shift, v, dim)
+    m, counts = full_reductions(monkeypatch, lambda: minpoly(spec, krylov))
     assert m == Polynomial(spec, [spec.p - 1] + [0] * (dim - 1) + [1])  # X^dim - 1
     assert counts == (1, 0, 0)
 

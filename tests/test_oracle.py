@@ -369,8 +369,9 @@ def test_split_ranks_each_center_block_once(sl32_s8, f11, q8, monkeypatch):
 
 def test_split_makes_the_class_products_of_each_factor_once(sl32_s8, f11, monkeypatch):
     # SL(3,2) over F_11 at seed 0: the first draw generates the 6-dimensional
-    # center.  The draw's class products serve all six of minpoly's Krylov
-    # steps, whose vectors the six idempotents are combined from; e_1 .. e_5
+    # center.  The draw's class products serve all six Krylov steps of the
+    # matrix minpoly reads, whose vectors the six idempotents are combined
+    # from; e_1 .. e_5
     # are each checked orthogonal to the stacked idempotents before them;
     # and the six are lifted mod 11^3 > 168 together, in two Newton steps of
     # two stacked products
@@ -485,31 +486,18 @@ def test_extension_refines_only_blocks_whose_degree_shares_a_factor_with_k(sl32_
 
 def test_minpoly_steps_are_bounded_by_the_block_dimension(sl32_s8, f169, monkeypatch):
     # over F_169 the F_q stage refines SL(3,2)'s d = 2 block, whose center
-    # has dimension 2 over F_q and 4 over F_p: minpoly takes 4 Krylov steps
-    # there on the (m * k, 1) = (12, 1) columns, not 12, and the split's
-    # idempotents are those of the run bounded only by the column length
-    steps = []  # (start vector length, Krylov steps) per minpoly call
+    # has dimension 2 over F_q and 4 over F_p: its Krylov matrix holds 4
+    # steps on the (m * k, 1) = (12, 1) columns, 12 x 5, not 12 x 13
+    shapes = []  # the shape of each Krylov matrix minpoly reads
     real = oracle.minpoly
 
-    def counting(spec, apply, v, bound):
-        steps.append([len(v), 0])
+    def recording(spec, krylov):
+        shapes.append(krylov.shape)
+        return real(spec, krylov)
 
-        def counted(w):
-            steps[-1][1] += 1
-            return apply(w)
-
-        return real(spec, counted, v, bound)
-
-    monkeypatch.setattr(oracle, "minpoly", counting)
-    bounded = split_center(sl32_s8, f169, seed=0)
-    assert [n for dim, n in steps if dim == 12] == [4]
-    steps.clear()
-    monkeypatch.setattr(oracle, "minpoly", lambda spec, apply, v, bound: counting(spec, apply, v, len(v)))
-    unbounded = split_center(sl32_s8, f169, seed=0)
-    assert [n for dim, n in steps if dim == 12] == [12]
-    assert bounded.pairs() == unbounded.pairs()
-    for a, b in zip(bounded.idempotents, unbounded.idempotents):
-        assert np.array_equal(a.arr, b.arr)
+    monkeypatch.setattr(oracle, "minpoly", recording)
+    split_center(sl32_s8, f169, seed=0)
+    assert [shape for shape in shapes if shape[0] == 12] == [(12, 5)]
 
 
 def test_exhausted_draws_are_an_internal_error(sl32_s8, f11, monkeypatch, capsys):

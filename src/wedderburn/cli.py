@@ -8,6 +8,10 @@ a unique decomposition.  `check` reports a modular cell as skipped and goes
 on with the rest of the grid.  A reader that closes stdout early (as
 `| head` does) ends the command quietly with exit 0.
 
+A call parses its arguments once, with the command's own parser: main hands
+everything after the command name to that command's subparser, and turns to
+the top-level parser only to print its help or a usage error.
+
 With --format json every command prints the bytes that
 json.dumps(payload, indent=2, sort_keys=True) would print, written by hand
 for each fixed payload shape: with indent the json module drops to its
@@ -61,7 +65,9 @@ def _add_common(sub: argparse.ArgumentParser, with_pk: bool = True):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every call.
     It is read-only after it is built: parse_args and the help and usage
-    printers only read it.  build_parser.__wrapped__() builds a fresh one."""
+    printers only read it.  build_parser.__wrapped__() builds a fresh one.
+    Its command_parsers attribute maps each command name to the subparser
+    the parser dispatches that command to, which main calls directly."""
     parser = argparse.ArgumentParser(prog="wedderburn",
                                      description="Exact block decompositions of semisimple group "
                                                  "algebras F_q[G] and their unit groups.")
@@ -94,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--with-oracle", action="store_true",
                      help="also run the brute-force decomposition, and verify_split on it, "
                           "on every cell with q <= qmax")
+    parser.command_parsers = subs.choices
     return parser
 
 
@@ -375,9 +382,24 @@ _COMMANDS = {
 def main(argv=None) -> int:
     """Run one command and return its exit code.  main can be called any
     number of times in one process; each call reads the one cached parser,
-    which is read-only after it is built, and keeps no other state."""
+    which is read-only after it is built, and keeps no other state.
+
+    argv (sys.argv[1:] when None) is parsed once.  When its first token names
+    a command, the rest goes straight to that command's subparser, which is
+    what the top-level parser would do after classifying every token itself.
+    Tokens the subparser leaves over, and any argv that does not start with a
+    command (none, -h, an unknown command, an option first), go to the
+    top-level parser, which prints its usage and help or error and exits."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.command_parsers.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = sub.parse_known_args(argv[1:])
+        args.command = argv[0]
+        if extras:  # the top-level parser reports them, with its own usage line, and exits
+            args = parser.parse_args(argv)
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a reader that closed stdout early shows here at the latest

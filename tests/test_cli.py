@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from wedderburn import cli
 from wedderburn.perm import load_group
@@ -714,3 +718,93 @@ def test_reused_parser_leaks_no_state(capsys, monkeypatch):
     assert [code for code, _, _ in cached] == ["SystemExit 2", "SystemExit 0", "SystemExit 0",
                                                0, 0, 0, 0, 0]
     assert "required: --p" in cached[0][2] and "usage: wedderburn" in cached[1][1]
+
+
+def _parse_outcome(parse, argv):
+    """vars() of the namespace parse(argv) returns, or the SystemExit code
+    with what was printed to stdout and stderr before it."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def _main_parse(argv):
+    """The namespace cli.main parses argv into, with no command run."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, lambda args: seen.append(args) or 0))
+        assert cli.main(argv) == 0
+    return seen[0]
+
+
+def _fresh_parse(argv):
+    return cli.build_parser.__wrapped__().parse_args(argv)
+
+
+PARSE_CORPUS = [
+    ["units", "--p", "11"], ["units", "--p", "11", "--k", "2", "--format", "json"],
+    ["units", "--p=11"], ["units", "--p", "11", "--form", "json"], ["units", "--p", "11", "extra"],
+    ["units", "--p", "11", "--bogus"], ["units"], ["units", "--p", "x"],
+    ["units", "--p", "11", "--format", "xml"], ["unit", "--p", "11"], [], ["-h"], ["--help"],
+    ["units", "-h"], ["units", "--", "--p", "11"], ["units", "--p", "11", "--"],
+    ["--", "units", "--p", "11"], ["--p", "11", "units"], ["classes", "--seed", "1"], ["classes"],
+    ["decompose", "--p", "13", "--k", "3"], ["oracle", "--p", "11", "--verify"],
+    ["check", "--p", "11,13", "--k", "1..2"], ["check", "--with", "--p", "11", "--k", "1"],
+    ["oracle", "--p", "11", "--qmax", "5"], ["decompose", "--p", "11", "-x"],
+    ["units", "--p", "11", "--k"], ["decompose", "--p", "11", "--seed", "2", "--seed", "3"],
+    ["units", "--p", "-11"], ["check", "--help"], ["units", "--h"], ["-x"],
+    ["units", "--p", "11", "a", "b", "--zz=1"], ["units", "--p", "11", "-h", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "(empty)")
+def test_main_parses_like_the_top_level_parser(argv):
+    # a namespace equal to a fresh parser's, or the same exit with the same bytes
+    assert _parse_outcome(_main_parse, argv) == _parse_outcome(_fresh_parse, argv)
+
+
+COMMAND_NAMES = list(cli._COMMANDS)
+ARGV_TOKENS = COMMAND_NAMES + [
+    "unit", "help", "-h", "--help", "--h", "--p", "--k", "--seed", "--se", "--format", "--form",
+    "--f", "--group", "--gr", "--qmax", "--q", "--verify", "--ver", "--with-oracle", "--with",
+    "--w", "--p=11", "--k=2", "--format=json", "--fo=text", "--seed=x", "11", "13", "2", "0", "-1",
+    "1..2", "11,13", "json", "text", "xml", "builtin:s5", "x", "--", "-", "--bogus", "-x", "-p",
+]
+
+
+@seed(0)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=6),
+    st.builds(lambda name, rest: [name, *rest], st.sampled_from(COMMAND_NAMES),
+              st.lists(st.sampled_from(ARGV_TOKENS), max_size=7)),
+))
+def test_main_parses_like_the_top_level_parser_on_drawn_argv(argv):
+    assert _parse_outcome(_main_parse, argv) == _parse_outcome(_fresh_parse, argv)
+
+
+def test_a_command_call_parses_once(capsys, monkeypatch):
+    parses, builds = [], []
+    parse_known_args, build_parser = argparse.ArgumentParser.parse_known_args, cli.build_parser
+
+    def counted_parse(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted_parse)
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    for argv in SUBCOMMAND_CALLS:
+        parses.clear()
+        builds.clear()
+        assert cli.main(argv) == 0
+        assert parses == [f"wedderburn {argv[0]}"]
+        assert builds == [1]
+    capsys.readouterr()
+

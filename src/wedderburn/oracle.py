@@ -37,10 +37,15 @@ M_n(F_{q^d}) and the matrix size n satisfies D = d * n^2; the D sum to |G|.
 
 verify_split re-proves each D without the trace and without a |G| x |G|
 rank: once the idempotents are shown central, orthogonal and summing to 1,
-F_q[G] is the direct sum of the right ideals e*F_q[G], whose dimensions sum
-to |G|.  The rank of any submatrix of e's matrix of right translates is a
-lower bound on its D, so oversampled random submatrices whose ranks reach
-the claimed D, with the claimed D summing to |G|, prove every D exact.
+F_q[G] is the direct sum of the two-sided ideals e*F_q[G], whose true
+dimensions D' sum to |G|.  When p does not divide |G| (verify checks it),
+e*F_q[G] is semisimple, a product of blocks M_(n_j)(F_(q^(d_j))), and its
+center e*Z has dimension d = sum of the d_j, which verify also checks.  For
+any x in e*F_q[G], F_q[x] has dimension at most sum of n_j * d_j, at most
+sqrt(d * D') by Cauchy-Schwarz; so n*d independent Krylov vectors e, x,
+..., x^(n*d - 1) give D' >= d * n^2 = D, and the claimed D summing to |G|
+make every D exact.  A block with d >= 2 also gets e*Z proved a field, so
+that e*F_q[G] is one block M_n(F_(q^d)) and not a product of smaller ones.
 
 Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product
 writes the coefficient of g as sum over h of a(h^-1) * b(h g): it gathers
@@ -51,9 +56,11 @@ with the sum over the group cut into chunks of (2**63 - 1) // (p - 1)**2
 terms.  One kernel multiplies several left factors by one right factor
 against a single gather: a single product is its one-left call on the full
 table, and verify_split's orthogonality check gathers through only the m
-columns at the class representatives of the one full table it builds per
-call.  split_center reads only the short prefix of columns the class
-constants need.  The refinement and the lift run on _CenterAlgebra, a
+columns at the class representatives, which it builds alone along their
+elements' parent words (FiniteGroup.mul_columns), as it does the few
+columns its Krylov steps gather through.  split_center reads only the
+short prefix of columns the class constants need.  The refinement and the
+lift run on _CenterAlgebra, a
 commutative algebra given by its integer structure constants c alone, on
 (m, k) arrays: its unit must be b_0, and every entry of c[i].T @ v must
 stay within int64, at most |G| * p for the class constants, which
@@ -62,8 +69,9 @@ Galois ring.  A product u * v is the basis products of v, an O(m^3 k)
 integer matmul against c, then their combination with the coefficients
 of u, O(m^2 k^2), summed before one FieldSpec.fold.  The basis products
 of a random central element w are made once for all the Krylov steps
-v -> v * w, which the refinement takes itself and stacks as the columns of
-the matrix minpoly reads; a split's idempotents are combinations of those
+v -> v * w, which _CenterAlgebra.krylov takes and stacks as the columns
+of the matrix minpoly reads, for the refinement and for verify_split's
+field check alike; a split's idempotents are combinations of those
 Krylov vectors, with no product made again; and a product is broadcast
 over stacks: each Newton step lifts every idempotent at once, and each new
 idempotent is checked orthogonal to all those before it at once.  A class
@@ -91,13 +99,19 @@ __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
 # either stage, so a block exhausts its draws with probability at most p^-40
 # (about 1.1e-28 at p = 5)
 MAX_RANDOM_DRAWS = 40
-# the least number of rows and columns past D in verify_split's sampled submatrices, which take
-# w = D + max(CERTIFICATE_OVERSAMPLE, ceil(D/8)): D + 32 up to D = 256.  On S7's blocks above
-# that, over 20 seeded draws each: the n = 20 block (D = 400) fell short of D in 1/20 draws over
-# F_11 and 2/20 over F_5051 at D + 32, and in 1/20 and 0/20 at D + 50; the n = 21 and n = 35
-# blocks in 0/20 at either width, over both fields.  Over 100 draws the n = 20 block fell short
-# in 18 and 25 at D + 32, in 0 and 3 at D + 50, and in 0 and 0 at D + 64 (F_11, F_5051).
-CERTIFICATE_OVERSAMPLE = 32
+# the group elements g_t in each of verify_split's sparse elements a = c_0 + sum of c_t * g_t.
+# Blocks whose first draw fell short of rank n*d, over 20 seeded draws each (seeds 0-19) on 62
+# splits: both SL(3,2) actions over F_5, 11, 13, 17, 23, 29, 11^2, 13^2 and 13^3, and the 11
+# bench/groups files at their two benchmark primes and, below 10^6, their squares, 7680 blocks:
+# 1078 (14.0%) with 2 terms, 374 (4.9%) with 3, 145 (1.9%) with 4, 82 (1.1%) with 5, 47 (0.6%)
+# with 6 and 56 (0.7%) with 8.  The rest are small fields: with 6, SL(3,2) on P^2(F_2) over F_5
+# fell short in 8 of 100 blocks and A4 over F_5 in 4 of 60.  S7 over F_11 fell short in 11 of
+# 300 blocks, and S7 over F_5051, M11 over F_7933 and A8 over F_20161 in none.
+KRYLOV_TERMS = 6
+# the draws of a that a block short of rank n*d gets before its full rank is taken from the
+# |G| x |G| table.  With 6 terms, of the 1240 verifies above 1200 needed one draw, 32 two, 7 three
+# and 1 four, and none more; a block fell short in at most 8% of draws on any split measured.
+KRYLOV_DRAWS = 8
 
 
 class AlgebraElement:
@@ -230,6 +244,40 @@ class _CenterAlgebra:
         """Dimension over F_q of e*Z, the span of the projected basis."""
         return MatrixFq(self.spec, self._mul_classes(e)).rank()
 
+    def krylov(self, e: np.ndarray, dim: int, rng: random.Random):
+        """(powers, mu) for one central element w whose m * k coefficients
+        are drawn from rng: powers is the (dim + 1, m, k) stack e, w*e, ...,
+        w^dim * e, made from w's class products, computed once for all the
+        steps, and mu the minimal polynomial over F_p of w on e*Z read off
+        it, dim = dim e*Z over F_p bounding its degree.  e*Z is an
+        F_p-algebra on the (m * k, 1) columns of its (m, k) vectors."""
+        spec = self.spec
+        m, k = self.m, spec.k
+        w = np.array([[rng.randrange(spec.p) for _ in range(k)] for _ in range(m)], dtype=spec.dtype)
+        w_classes = self._mul_classes(w)
+        powers = [e]
+        for _ in range(dim):  # w^i * e lies in e*Z, of dimension dim, so deg mu <= dim
+            powers.append(self._combine(powers[-1], w_classes))
+        powers = np.stack(powers)
+        return powers, minpoly(self.fp, powers.reshape(dim + 1, m * k).T)
+
+    def is_field(self, e: np.ndarray, dim: int, rng: random.Random) -> bool:
+        """Whether e*Z, of dimension dim over F_p, is a field, from at most
+        MAX_RANDOM_DRAWS Krylov draws: True at the first w whose minimal
+        polynomial mu over F_p is irreducible of degree dim, as F_p[w*e] is
+        then a field of dimension dim inside e*Z, so all of it; False at the
+        first reducible mu, as every element of a field has an irreducible
+        minimal polynomial.  On a field each draw lands in a proper subfield
+        with probability at most 1/p, so a field is refused, after every
+        draw fell short, with probability at most p^-40."""
+        for _ in range(MAX_RANDOM_DRAWS):
+            mu = self.krylov(e, dim, rng)[1]
+            if not mu.is_irreducible():
+                return False
+            if mu.degree() == dim:
+                return True
+        return False
+
 
 def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
     """Refine the idempotent e along the coprime factorization mu = prod f_j
@@ -273,12 +321,11 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
     over F_p, that one seeded random central element w separates, as lists
     of (e_j, d_j) pairs with d_j = dim e_j*Z over F_p.  A block in final is
     certified a field, of degree d_j over F_p; one in todo is to be split
-    further.  mu is read off the Krylov matrix e, w*e, ..., w^dim * e, made
-    from w's class products and stacked once; the new idempotents combine
-    its first deg mu columns.  Over F_q, q = p^k, e*Z is an F_p-algebra on
-    the (m * k, 1) columns of its (m, k) vectors, and mu is over Z.fp.
+    further.  Each draw is one Z.krylov call, which gives the Krylov
+    vectors e, w*e, ..., w^dim * e and mu read off them; the new
+    idempotents combine the first deg mu of those vectors.
 
-    Each draw takes its m * k coefficients from rng, and the search stops at
+    The search stops at
     the first w whose minimal polynomial mu over F_p on the block has two or
     more irreducible factors f_j (a split), or has degree dim (w generates
     the block center).  A repeated factor of mu contradicts semisimplicity.
@@ -295,16 +342,9 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
     1/p, so at most p^(1 - L) in all.  On a field block it fails to generate
     it only inside a proper subfield, at most 1/p of the elements.
     """
-    spec = Z.spec
-    m, k = Z.m, spec.k
+    k = Z.spec.k
     for _ in range(MAX_RANDOM_DRAWS):
-        w = np.array([[rng.randrange(spec.p) for _ in range(k)] for _ in range(m)], dtype=spec.dtype)
-        w_classes = Z._mul_classes(w)  # made once for all the Krylov steps v -> v * w
-        powers = [e]
-        for _ in range(dim):  # w^i * e lies in e*Z, of dimension dim, so deg mu <= dim
-            powers.append(Z._combine(powers[-1], w_classes))
-        powers = np.stack(powers)
-        mu = minpoly(Z.fp, powers.reshape(dim + 1, m * k).T)
+        powers, mu = Z.krylov(e, dim, rng)
         facs = factor(mu, seed=seed)
         if any(mult > 1 for _, mult in facs):
             raise AssertionError("non-squarefree minimal polynomial on a semisimple block (bug)")
@@ -414,17 +454,40 @@ def _right_ideal_dimension(E: AlgebraElement, table: np.ndarray) -> int:
     right translates E * g, entry (h, g) = E(h g^-1).  The matrix with entry
     (h, g) = E(h g), E gathered through the full table, is the same one with
     its columns relabelled by inversion, so it has the same rank.  No
-    benchmark input reaches it; it stays as verify_split's fallback after
-    two sampled ranks fall short of D."""
+    benchmark input reaches it; it stays as verify_split's last resort for
+    a block whose Krylov rank fell short of n*d in all KRYLOV_DRAWS draws."""
     return MatrixFq(E.spec, E.arr[table]).rank()
 
 
-def _sampled_rank(E: AlgebraElement, table: np.ndarray, w: int, rng: random.Random) -> int:
-    """Rank of the w x w submatrix of E(h g) on w random rows h and w random
-    columns g, drawn from rng: a lower bound on _right_ideal_dimension(E,
-    table).  Only its w^2 entries are gathered through the full table."""
-    rows, cols = (rng.sample(range(len(table)), w) for _ in range(2))
-    return MatrixFq(E.spec, E.arr[table[np.ix_(rows, cols)]]).rank()
+def _krylov_ranks(G: FiniteGroup, spec: FieldSpec, arrs, lengths, rng: random.Random) -> list[int]:
+    """For one sparse element a = sum over t of c_t * g_t drawn from rng,
+    g_0 = 1 and KRYLOV_TERMS random group elements g_1, g_2, ... (repeats
+    allowed) with every c_t in F_p, the rank over F_q of e, e*a, ...,
+    e*a^(r - 1) for each (|G|, k) array e in arrs and its length r in
+    lengths.  The vectors of every block step together, x -> x * a:
+    (x * g)(h) = x(h g^-1) is x gathered through the table column at g^-1,
+    so a step is one gather through the KRYLOV_TERMS + 1 columns and one
+    product with the c_t, with no fold as the c_t lie in F_p; its sum is
+    cut into chunks of (2**63 - 1) // (p - 1)**2 terms, as _convolve's.
+    The columns are built along their elements' parent words, with no
+    table, and a block whose r vectors are done drops out of the stack."""
+    p = spec.p
+    coeffs = np.array([rng.randrange(p) for _ in range(KRYLOV_TERMS + 1)], dtype=spec.dtype)
+    elements = [0] + [rng.randrange(G.order) for _ in range(KRYLOV_TERMS)]
+    columns = G.mul_columns(G.inverse_indices[elements])
+    chunk = len(coeffs) if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
+    order = sorted(range(len(arrs)), key=lambda i: -lengths[i])  # the live blocks are a prefix
+    x = np.stack([arrs[i] for i in order])
+    steps = [x]
+    for j in range(1, lengths[order[0]]):
+        gathered = x[: sum(lengths[i] > j for i in order), columns]  # [block, h, t, coefficient]
+        x = sum(np.einsum("bhts,t->bhs", gathered[:, :, t : t + chunk], coeffs[t : t + chunk]) % p
+                for t in range(0, len(coeffs), chunk)) % p
+        steps.append(x)
+    ranks = [0] * len(arrs)
+    for b, i in enumerate(order):
+        ranks[i] = MatrixFq(spec, np.stack([x[b] for x in steps[: lengths[i]]])).rank()
+    return ranks
 
 
 def verify_split(split: CentralSplit) -> bool:
@@ -432,8 +495,9 @@ def verify_split(split: CentralSplit) -> bool:
     multiplication and rank computation; returns False on the first failure.
 
     The checks run in this order, each invariant once:
-    1. there is a block, one (n, d) per idempotent, and every e_i lies in
-       the same group algebra (one group and one field);
+    1. there is a block, one (n, d) per idempotent, every e_i lies in the
+       same group algebra (one group and one field), and p does not divide
+       |G|, so that F_q[G] is semisimple (Maschke);
     2. every e_i is constant on conjugacy classes, so central (the class sums
        span the center of F_q[G]);
     3. the e_i sum to 1;
@@ -448,34 +512,41 @@ def verify_split(split: CentralSplit) -> bool:
        are idempotent;
     5. the D = d * n^2 sum to |G|, and per block, d >= 1, n >= 1, the trace
        congruence D = |G| * e(1) mod p holds with e(1) in F_p, d is the rank
-       of e*Z, and D = dim e*F_q[G] by a rank certificate.
+       of e*Z, e*Z is a field when d >= 2 (_CenterAlgebra.is_field, on
+       verify's own draws; with d = 1 it is F_q * e), and D = dim
+       e*F_q[G] by a Krylov certificate.
 
-    The certificate ranks a w x w submatrix of the block's |G| x |G| matrix
-    E(h g), w = min(|G|, D + max(CERTIFICATE_OVERSAMPLE, ceil(D/8))), its
-    rows and columns drawn from verify's own seeded stream; a rank short of
-    D gets one fresh draw, and a second short rank falls back to the full
-    rank.  Why it is a
-    proof: by 2-4, F_q[G] is the direct sum of the right ideals e_i*F_q[G],
-    so their true dimensions D_i' sum to |G|.  A submatrix rank L_i is at
-    most D_i', so L_i > D_i rejects; a block that fell back has L_i = D_i'.
-    If L_i = D_i for every block, then D_i <= D_i' for all i and both sum to
-    |G|, so every D_i is exact.  The route shares no step with the lifted
-    trace split_center uses, and D >= 1 makes it prove e != 0.  The products
-    and all ranks read one full table, built once the sum check passes."""
+    The certificate: by 2-4, F_q[G] is the direct sum of the ideals
+    e_i*F_q[G], so their true dimensions D_i' sum to |G|.  By 1 each is
+    semisimple, a product of blocks M_(n_j)(F_(q^(d_j))), and by 5 its
+    center has dimension d = sum of the d_j.  For x in it, F_q[x] lies in
+    the product of the F_(q^(d_j))[x_j], so its dimension is at most the sum
+    of n_j * d_j, which Cauchy-Schwarz bounds by sqrt(d * D').  Each draw
+    takes one sparse element a (_krylov_ranks) and x = e*a, so x^j = e*a^j:
+    if the n*d vectors e, e*a, ..., e*a^(n*d - 1) have rank n*d over F_q,
+    then n*d <= sqrt(d * D'), and D' >= d * n^2 = D.  A block short of n*d
+    gets a fresh draw, up to KRYLOV_DRAWS, and then the full rank of its
+    |G| x |G| matrix of right translates, which is D' itself, from the one
+    table built only then.  With every D_i <= D_i' and both summing to |G|,
+    every D_i is exact.  So e*F_q[G] has dimension d * n^2 and, its center
+    a field of degree d over F_q, is one block M_n(F_(q^d)).  The route
+    shares no step with the lifted trace split_center uses, and D >= 1
+    makes it prove e != 0.  A good split builds no |G| x |G| table: the
+    products and the Krylov steps gather through columns built alone."""
     es = split.idempotents
     if not es or len(es) != len(split.blocks):
         return False
     G = es[0].group
     spec = es[0].spec
-    if any(e.group is not G or e.spec != spec for e in es):
+    if any(e.group is not G or e.spec != spec for e in es) or G.order % spec.p == 0:
         return False
     reps = [c.index for c in G.classes]  # each class's least index
     if any(not np.array_equal(e.arr, e.arr[reps][G.class_index_of]) for e in es):
         return False
     if not np.array_equal(sum(e.arr for e in es) % spec.p, AlgebraElement.unit(G, spec).arr):
         return False
-    table = G.mul_table()
-    if any(_convolve(G, spec, [e.arr for e in es[: j + 1]], table[:, reps]).any() for j in range(1, len(es))):
+    at_reps = G.mul_columns(reps)
+    if any(_convolve(G, spec, [e.arr for e in es[: j + 1]], at_reps).any() for j in range(1, len(es))):
         return False
     if sum(split.block_dims) != G.order:
         return False
@@ -484,17 +555,19 @@ def verify_split(split: CentralSplit) -> bool:
     for e, (n, d) in zip(es, split.blocks):
         if d < 1 or n < 1:
             return False
-        D = d * n * n
-        if e.arr[0, 1:].any() or (G.order * int(e.arr[0, 0]) - D) % spec.p:
+        if e.arr[0, 1:].any() or (G.order * int(e.arr[0, 0]) - d * n * n) % spec.p:
             return False
         if Z.block_dimension(e.arr[reps]) != d:
             return False
-        w = min(G.order, D + max(CERTIFICATE_OVERSAMPLE, -(-D // 8)))
-        rank = _sampled_rank(e, table, w, rng)
-        if rank < D:
-            rank = _sampled_rank(e, table, w, rng)
-        if rank < D:
-            rank = _right_ideal_dimension(e, table)
-        if rank != D:
+        if d > 1 and not Z.is_field(e.arr[reps], spec.k * d, rng):
             return False
+    short = list(range(len(es)))  # the blocks whose Krylov rank has not reached n*d
+    lengths = [n * d for n, d in split.blocks]
+    for _ in range(KRYLOV_DRAWS):
+        if short:
+            ranks = _krylov_ranks(G, spec, [es[i].arr for i in short], [lengths[i] for i in short], rng)
+            short = [i for i, rank in zip(short, ranks) if rank < lengths[i]]
+    if short:
+        table = G.mul_table()
+        return all(_right_ideal_dimension(es[i], table) == split.block_dims[i] for i in short)
     return True

@@ -204,7 +204,8 @@ class FiniteGroup:
     blocks).  Nothing else changes after construction, and each of these is
     a pure function of the group and its key, so two concurrent readers can
     only both write the same value.  No |G| x |G| structure is kept:
-    mul_table builds the columns asked for.
+    mul_table builds the prefix of columns asked for, and mul_columns any
+    other columns.
     """
 
     def __init__(self, generators, cap: int = DEFAULT_CAP):
@@ -273,6 +274,26 @@ class FiniteGroup:
             j, s = self._parents[c]
             table[:, c] = self._right[s].take(table[:, j])
         return table
+
+    def mul_columns(self, elements) -> np.ndarray:
+        """int32 array whose column i is the multiplication-table column
+        T[:, elements[i]] of mul_table, with no other column built.  Each
+        is made along its element's parent word: when g_c = gens[s_1] * ...
+        * gens[s_L] by the closure's parents, T[:, c] = R_(s_L)[...
+        R_(s_1)[0, 1, ..., |G| - 1]], L gathers of |G| entries, L at most
+        the depth of the breadth-first closure.  Column-major, as
+        mul_table's."""
+        out = np.empty((self.order, len(elements)), dtype=np.int32, order="F")
+        for i, c in enumerate(elements):
+            word = []
+            while c:
+                c, s = self._parents[c]
+                word.append(s)
+            column = np.arange(self.order, dtype=np.int32)
+            for s in reversed(word):
+                column = self._right[s].take(column)
+            out[:, i] = column
+        return out
 
     def class_product_coefficients(self) -> np.ndarray:
         """Integer structure constants of the class sums as an int64 array

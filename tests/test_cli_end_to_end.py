@@ -26,6 +26,8 @@ from test_cli import _gl_order
 ROOT = Path(__file__).resolve().parents[1]
 # groups with no file in bench/groups, written to the test's directory
 INLINE = {"s7.txt": "degree 7\n(1,2,3,4,5,6,7)\n(1,2)\n",
+          "m11.txt": "degree 11\n(1,2,3,4,5,6,7,8,9,10,11)\n(3,7,11,8)(4,10,5,6)\n",
+          "a8.txt": "degree 8\n(1,2,3)\n(2,3,4,5,6,7,8)\n",
           "m12.txt": "degree 12\n(1,2,3,4,5,6,7,8,9,10,11)\n(3,7,11,8)(4,10,5,6)\n(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)\n"}
 GB = 10**9
 
@@ -33,6 +35,8 @@ TYPE1 = [(1, 1), (3, 1), (3, 1), (6, 1), (7, 1), (8, 1)]
 TYPE2 = [(1, 1), (6, 1), (7, 1), (8, 1), (3, 2)]
 C15_SPLIT = [(1, 1)] * 15
 S7 = [(n, 1) for n in (1, 1, 6, 6, 14, 14, 14, 14, 15, 15, 20, 21, 21, 35, 35)]
+M11 = [(n, 1) for n in (1, 10, 11, 44, 45, 55)] + [(10, 2), (16, 2)]  # two Galois-conjugate pairs fuse over F_7933
+A8 = [(n, 1) for n in (1, 7, 14, 20, 21, 21, 21, 28, 35, 45, 45, 56, 64, 70)]
 M12 = [(n, 1) for n in (1, 11, 11, 16, 16, 45, 54, 55, 55, 55, 66, 99, 120, 144, 176)]
 
 
@@ -97,10 +101,15 @@ ROWS = [
     row("oracle --group file:a5.txt --p 7 --k 2 --verify --format json",
         blocks=[(1, 1), (3, 1), (3, 1), (4, 1), (5, 1)]),
     # the split builds only the table columns up to the last class representative, where a full
-    # int32 table is 33.6 GiB for M12; verify builds S7's 5040 x 5040 table and ranks up to 1257^2
+    # int32 table is 33.6 GiB for M12.  Verify builds no full table either: its products gather
+    # through the m columns at the class representatives and its Krylov steps through a few more,
+    # and its largest rank is of n * d <= 70 vectors of length |G| (S7, M11, A8; A8's full table
+    # alone would be 1.6 GB)
     row("oracle --group file:m12.txt --p 95063 --format json", limit=3 * GB, marks=pytest.mark.slow, blocks=M12),
     row("oracle --group file:s7.txt --p 11 --verify", limit=GB, marks=pytest.mark.slow, blocks=S7),
     row("oracle --group file:s7.txt --p 5051 --verify", limit=GB, marks=pytest.mark.slow, blocks=S7),
+    row("oracle --group file:m11.txt --p 7933 --verify", limit=GB, marks=pytest.mark.slow, blocks=M11),
+    row("oracle --group file:a8.txt --p 20161 --verify", limit=GB, marks=pytest.mark.slow, blocks=A8),
 ]
 
 

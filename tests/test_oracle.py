@@ -151,10 +151,11 @@ def test_verify_checks_the_trace_congruence(split11, monkeypatch):
 
 
 def ranks_agree_with(split, monkeypatch):
-    """Stub both rank routes of verify_split, the sampled certificate and its
-    full-rank fallback, to return each block's claimed dimension."""
+    """Stub both rank routes of verify_split to agree with each block's
+    claim: the Krylov certificate reaches every n*d it is asked for, and
+    the full-rank fallback returns the claimed dimension."""
     claimed = dict(zip(map(id, split.idempotents), split.block_dims))
-    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, table, w, rng: claimed[id(e)])
+    monkeypatch.setattr(oracle, "_krylov_ranks", lambda G, spec, arrs, lengths, rng: list(lengths))
     monkeypatch.setattr(oracle, "_right_ideal_dimension", lambda e, table: claimed[id(e)])
 
 
@@ -175,7 +176,8 @@ def test_verify_rejects_a_rank_only_swap(split11, monkeypatch):
     # swap a 3x3 block (D = 9) with the 8x8 one (D = 64): D = d*n^2, the sum
     # and the center degree still hold, and so does the trace congruence,
     # as 9 = 64 mod 11.  Only the rank certificate can tell: the block that
-    # claims 64 has sampled ranks of at most 9, and its full rank is 9
+    # claims n = 8 lies in M_3(F_11), where F_11[x] has dimension at most 3,
+    # so its Krylov rank never reaches 8 in any draw, and its full rank is 9
     assert split11.block_dims[1] == 9 and split11.block_dims[5] == 64
 
     def swap(t):
@@ -185,16 +187,18 @@ def test_verify_rejects_a_rank_only_swap(split11, monkeypatch):
     with monkeypatch.context() as m:
         ranks_agree_with(swapped, m)
         assert verify_split(swapped)
-    sampled = recording(monkeypatch, "_sampled_rank")
+    krylov = recording(monkeypatch, "_krylov_ranks")
     full = recording(monkeypatch, "_right_ideal_dimension")
     assert not verify_split(swapped)
-    assert sampled[0] == 1 and len(sampled) == 3 and max(sampled[1:]) <= 9
+    assert len(krylov) == oracle.KRYLOV_DRAWS
+    assert krylov[0][0] == 1 and krylov[0][1] <= 3 and krylov[0][2:] == [3, 6, 7, 3]
+    assert all(len(ranks) == 1 and ranks[0] <= 3 for ranks in krylov[1:])
     assert full == [9]
 
 
 def test_verify_rejects_a_wrong_centre_degree(split11):
     # claim the 6x6 block as M_3 over F_{q^4}: D = 4 * 3^2 is still 36, so
-    # the sum, the trace congruence and the sampled rank all hold, and only
+    # the sum, the trace congruence and the dimension all hold, and only
     # the rank of e*Z, 1 and not 4, can tell
     assert split11.blocks[3] == (6, 1)
     claimed = dataclasses.replace(split11, blocks=split11.blocks[:3] + ((3, 4),) + split11.blocks[4:])
@@ -203,11 +207,13 @@ def test_verify_rejects_a_wrong_centre_degree(split11):
 
 
 def test_verify_rejects_a_dimension_sum_before_any_rank(split11, monkeypatch):
-    # claim the 6x6 block as 5x5: the D sum is 157, not |G| = 168
-    def sampled_rank(*args):
-        raise AssertionError("took a sampled rank")
+    # claim the 6x6 block as 5x5: the D sum is 157, not |G| = 168.  The
+    # trace congruence holds (36 = 25 mod 11) and so does the center degree,
+    # so without the sum check verify would reach the Krylov certificate
+    def krylov_ranks(*args):
+        raise AssertionError("took a Krylov rank")
 
-    monkeypatch.setattr(oracle, "_sampled_rank", sampled_rank)
+    monkeypatch.setattr(oracle, "_krylov_ranks", krylov_ranks)
     claimed = dataclasses.replace(split11, blocks=split11.blocks[:3] + ((5, 1),) + split11.blocks[4:])
     assert sum(claimed.block_dims) == 157
     assert not verify_split(claimed)
@@ -226,21 +232,86 @@ SL32_FIELDS = ((11, 1), (13, 1), (17, 1), (23, 1), (29, 1), (11, 2), (13, 3), (5
 
 @pytest.mark.parametrize("group", ["builtin:sl32-s8", "builtin:sl32-p2f2"])
 def test_verify_takes_no_full_rank_on_good_splits(group, monkeypatch):
+    # nor builds a full table, over fields below |G| and F_179 above it
     G = resolve_group(group)
     no_full_rank(monkeypatch)
-    for p, k in SL32_FIELDS:
-        assert verify_split(split_center(G, make_field(p, k, seed=0), seed=0)), (p, k)
+    table_reads(monkeypatch, full_reads=False)
+    for p, k in SL32_FIELDS + ((179, 1),):
+        split = split_center(G, make_field(p, k, seed=0), seed=0)
+        assert verify_split(split), (p, k)
+        krylov_ranks_are_bounded_and_reached(split)
 
 
 @pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
 def test_short_draws_fall_back_to_one_full_rank_per_block(sl32_s8, p, k, monkeypatch):
+    # every draw's Krylov ranks stubbed to 0: each block takes all
+    # KRYLOV_DRAWS draws, asked for n*d vectors each time, then one full rank
     split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
     draws = []
-    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, table, w, rng: draws.append(w) or 0)
+    monkeypatch.setattr(oracle, "_krylov_ranks",
+                        lambda G, spec, arrs, lengths, rng: draws.append(list(lengths)) or [0] * len(lengths))
     full = recording(monkeypatch, "_right_ideal_dimension")
     assert verify_split(split)
     assert full == list(split.block_dims)
-    assert draws == [min(168, D + oracle.CERTIFICATE_OVERSAMPLE) for D in split.block_dims for _ in range(2)]
+    assert draws == [[n * d for n, d in split.blocks]] * oracle.KRYLOV_DRAWS
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_verify_rejects_two_blocks_claimed_as_one_over_a_wider_centre(sl32_s8, k, monkeypatch):
+    # the two 3x3 blocks over F_11 or F_121, merged into one idempotent and
+    # claimed as M_3(F_{q^2}): D = 18 = 9 + 9, the sum, the trace congruence
+    # and the center degree 2 all hold, and F_q[x] reaches dimension 3 + 3 =
+    # n*d on the product.  Only the field check can tell: e*Z is F_q x F_q,
+    # where every minimal polynomial of degree 2k over F_p is reducible
+    split = split_center(sl32_s8, make_field(11, k, seed=0), seed=0)
+    i, j = [b for b, block in enumerate(split.blocks) if block == (3, 1)]
+    merged = plus(split.idempotents[i], split.idempotents[j])
+    rest = [b for b in range(len(split.blocks)) if b not in (i, j)]
+    claimed = type(split)(tuple(split.idempotents[b] for b in rest) + (merged,),
+                          tuple(split.blocks[b] for b in rest) + ((3, 2),))
+    assert claimed.block_dims == (1, 36, 49, 64, 18) and sum(split.block_dims) == 168
+    assert not verify_split(claimed)
+    no_full_rank(monkeypatch)
+    monkeypatch.setattr(_CenterAlgebra, "is_field", lambda Z, e, dim, rng: True)
+    assert verify_split(claimed)
+
+
+def test_verify_rejects_a_modular_group_algebra(monkeypatch):
+    # F_5[C_5] is local: its one idempotent, claimed as the field F_{5^5},
+    # passes the sum, the trace congruence (5 * 1 = 5 = 0 mod 5) and the
+    # center degree; with both certificates stubbed to agree, only the check
+    # that p does not divide |G| refuses it
+    G = generate([Permutation([1, 2, 3, 4, 0])])
+    f5 = make_field(5)
+    claimed = oracle.CentralSplit((AlgebraElement.unit(G, f5),), ((1, 5),))
+    ranks_agree_with(claimed, monkeypatch)
+    monkeypatch.setattr(_CenterAlgebra, "is_field", lambda Z, e, dim, rng: True)
+    assert not verify_split(claimed)
+
+
+@pytest.mark.parametrize("field", [(2**31 - 1, 1), (2**61 - 1, 1), (2**31 + 11, 2)],
+                         ids=lambda f: str(f[0]) if f[1] == 1 else f"{f[0]}^{f[1]}")
+def test_krylov_steps_are_exact_near_int64_limits(c7c3, field):
+    # below 2**31 a step sums its terms in chunks of 2; from 2**31 up the
+    # arrays hold Python ints.  A wrapped sum would make the n*d + 1 vectors
+    # of a block independent, above the bound
+    krylov_ranks_are_bounded_and_reached(split_center(c7c3, make_field(*field, seed=0), seed=0))
+
+
+def krylov_ranks_are_bounded_and_reached(split):
+    """F_q[x] for x in M_n(F_{q^d}) has dimension at most n*d over F_q, the
+    bound the certificate's proof rests on: on each block of a good split,
+    n*d + 1 Krylov vectors never have rank above n*d, and every block
+    reaches n*d within KRYLOV_DRAWS draws."""
+    G, spec = split.idempotents[0].group, split.idempotents[0].spec
+    lengths = [n * d for n, d in split.blocks]
+    rng = random.Random(f"krylov-test:{spec.p}:{spec.k}:{G.order}")
+    reached = set()
+    for _ in range(oracle.KRYLOV_DRAWS):
+        ranks = oracle._krylov_ranks(G, spec, [e.arr for e in split.idempotents], [r + 1 for r in lengths], rng)
+        assert all(rank <= r for rank, r in zip(ranks, lengths)), (ranks, lengths)
+        reached |= {b for b, (rank, r) in enumerate(zip(ranks, lengths)) if rank == r}
+    assert reached == set(range(len(lengths)))
 
 
 def test_verify_rejects_a_zero_idempotent(sl32_s8, f11, split11):
@@ -598,11 +669,14 @@ ZOO_PRIMES = {"c15": (11, 17), "q8": (5, 11), "d10": (7, 31), "a4": (5, 13), "s4
 
 @pytest.mark.parametrize("name,p", [(name, p) for name, ps in ZOO_PRIMES.items() for p in ps])
 def test_verify_split_on_the_zoo(name, p, monkeypatch):
-    # every block dimension is proved by the sampled rank certificate
+    # every block dimension is proved by the Krylov certificate, and no
+    # full table is built, at a prime below |G| and one above it
     G = resolve_group(f"file:{GROUP_DIR / (name + '.txt')}")
     split = split_center(G, make_field(p), seed=0)
     no_full_rank(monkeypatch)
+    table_reads(monkeypatch, full_reads=False)
     assert verify_split(split)
+    krylov_ranks_are_bounded_and_reached(split)
 
 
 def plain_int_pairs(blocks) -> bool:
@@ -657,14 +731,14 @@ def test_split_reads_the_table_only_up_to_the_last_representative(group, p, monk
 
 @pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
 def test_verify_reads_the_full_table_once(sl32_s8, p, k, monkeypatch):
-    # the products, the sampled ranks and every full-rank fallback share
-    # one table per call
+    # a good split reads no table: the products and the Krylov steps build
+    # their own columns.  Blocks that fall back to the full rank share one
+    # table per call
     split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
     stops = table_reads(monkeypatch)
     assert verify_split(split)
-    assert stops == [None]
-    stops.clear()
-    monkeypatch.setattr(oracle, "_sampled_rank", lambda e, table, w, rng: 0)
+    assert stops == []
+    monkeypatch.setattr(oracle, "_krylov_ranks", lambda G, spec, arrs, lengths, rng: [0] * len(lengths))
     assert verify_split(split)
     assert stops == [None]
 

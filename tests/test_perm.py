@@ -434,6 +434,19 @@ def test_mul_table_prefix_is_its_leading_columns(name):
     assert not any(isinstance(v, np.ndarray) and v.shape == T.shape for v in vars(G).values())
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in GROUP_DIR.glob("*.txt")) + sorted(BUILTIN_GROUPS))
+def test_mul_columns_are_the_table_columns(name):
+    # any columns, each built alone along its element's parent word, in any
+    # order and with repeats, are those of the full table
+    G = BUILTIN_GROUPS[name]() if name in BUILTIN_GROUPS else load_group(GROUP_DIR / f"{name}.txt")
+    T = G.mul_table()
+    elements = [0, G.order - 1, 0] + [c.index for c in G.classes][::-1] + random.Random(0).choices(range(G.order), k=20)
+    columns = G.mul_columns(np.array(elements))
+    assert columns.dtype == np.int32 and columns.flags.f_contiguous
+    assert np.array_equal(columns, T[:, elements])
+    assert G.mul_columns([]).shape == (G.order, 0)
+
+
 def test_inverse_indices_match_inverse(table_group):
     G = table_group
     assert G.inverse_indices.tolist() == [G.index(g.inverse()) for g in G.elements]

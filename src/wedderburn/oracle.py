@@ -53,15 +53,17 @@ its right factor through the multiplication-table columns it is given,
 permutes the left one by inversion, does k^2 matrix-vector products mod p
 and folds the result with FieldSpec.fold; the overflow rule is ffield's,
 with the sum over the group cut into chunks of (2**63 - 1) // (p - 1)**2
-terms.  One kernel multiplies several left factors by one right factor
-against a single gather: a single product is its one-left call on the full
-table, and verify_split's orthogonality check gathers through only the m
-columns at the class representatives, which it builds alone along their
-elements' parent words (FiniteGroup.mul_columns), as it does the few
-columns its Krylov steps gather through.  split_center reads only the
-short prefix of columns the class constants need.  The refinement and the
-lift run on _CenterAlgebra, a
-commutative algebra given by its integer structure constants c alone, on
+terms (_int64_chunk, which the Krylov steps share).  One kernel multiplies
+several left factors by one right factor against a single gather: a single
+product is its one-left call on the full table, and verify_split's
+orthogonality check gathers through only the m columns at the class
+representatives.  Every column comes from FiniteGroup.mul_table, which
+builds the columns asked for and each column on their parent words once:
+the class constants split_center reads and verify_split's products take
+the m at the representatives, and each Krylov draw the few at its
+elements; only AlgebraElement.__mul__ and verify's full-rank fallback
+build the whole table.  The refinement and the lift run on _CenterAlgebra,
+a commutative algebra given by its integer structure constants c alone, on
 (m, k) arrays: its unit must be b_0, and every entry of c[i].T @ v must
 stay within int64, at most |G| * p for the class constants, which
 split_center reads once for the center over F_q, over F_p and over the
@@ -120,8 +122,9 @@ class AlgebraElement:
     group's g-th element as k residues mod p.  The constructor keeps the
     array it is given, after checking its shape and dtype; its entries must
     already lie in [0, p), as __eq__ and verify_split compare them as they
-    stand.  __eq__ stays because the frozen CentralSplit compares its
-    idempotents through it."""
+    stand.  No package path compares two elements; __eq__ stays for the
+    tests, which check products and sums of idempotents against expected
+    elements, such as the idempotents' sum against unit(G, spec)."""
 
     __slots__ = ("group", "spec", "arr")
 
@@ -169,6 +172,13 @@ class AlgebraElement:
         return f"AlgebraElement(support={support}/{self.group.order})"
 
 
+def _int64_chunk(spec: FieldSpec, terms: int) -> int:
+    """How many of ``terms`` products of residues mod p one int64 sum
+    holds: (2**63 - 1) // (p - 1)**2 of them, at least 1, or all ``terms``
+    on object arrays, whose Python ints do not overflow."""
+    return terms if spec.dtype is object else max(1, (2**63 - 1) // (spec.p - 1) ** 2)
+
+
 def _convolve(G: FiniteGroup, spec: FieldSpec, arrs, table: np.ndarray) -> np.ndarray:
     """The coefficients of a * b over F_q = spec at the group elements whose
     multiplication-table columns ``table`` holds, for every (|G|, k) array a
@@ -181,7 +191,7 @@ def _convolve(G: FiniteGroup, spec: FieldSpec, arrs, table: np.ndarray) -> np.nd
     # y[i, g, t, s] = sum over h of a_{i,t}(h^-1) * b_s(h g), g over the table's columns
     left = np.stack(arrs[:-1], axis=1)[G.inverse_indices].reshape(n, m * k)
     gathered = arrs[-1][table].reshape(n, c * k)
-    step = n if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
+    step = _int64_chunk(spec, n)
     y = sum(left[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
     return spec.fold((y % p).reshape(m, k, c, k).transpose(0, 2, 1, 3))
 
@@ -468,14 +478,15 @@ def _krylov_ranks(G: FiniteGroup, spec: FieldSpec, arrs, lengths, rng: random.Ra
     (x * g)(h) = x(h g^-1) is x gathered through the table column at g^-1,
     so a step is one gather through the KRYLOV_TERMS + 1 columns and one
     product with the c_t, with no fold as the c_t lie in F_p; its sum is
-    cut into chunks of (2**63 - 1) // (p - 1)**2 terms, as _convolve's.
-    The columns are built along their elements' parent words, with no
-    table, and a block whose r vectors are done drops out of the stack."""
+    cut into _int64_chunk's chunks, as _convolve's.  The columns come from
+    one mul_table call, which builds them and the columns on their parent
+    words alone, and a block whose r vectors are done drops out of the
+    stack."""
     p = spec.p
     coeffs = np.array([rng.randrange(p) for _ in range(KRYLOV_TERMS + 1)], dtype=spec.dtype)
     elements = [0] + [rng.randrange(G.order) for _ in range(KRYLOV_TERMS)]
-    columns = G.mul_columns(G.inverse_indices[elements])
-    chunk = len(coeffs) if spec.dtype is object else max(1, (2**63 - 1) // (p - 1) ** 2)
+    columns = G.mul_table(G.inverse_indices[elements])
+    chunk = _int64_chunk(spec, len(coeffs))
     order = sorted(range(len(arrs)), key=lambda i: -lengths[i])  # the live blocks are a prefix
     x = np.stack([arrs[i] for i in order])
     steps = [x]
@@ -532,7 +543,9 @@ def verify_split(split: CentralSplit) -> bool:
     a field of degree d over F_q, is one block M_n(F_(q^d)).  The route
     shares no step with the lifted trace split_center uses, and D >= 1
     makes it prove e != 0.  A good split builds no |G| x |G| table: the
-    products and the Krylov steps gather through columns built alone."""
+    products and the Krylov steps gather through mul_table's columns at the
+    elements they need, built with the columns on their parent words
+    alone."""
     es = split.idempotents
     if not es or len(es) != len(split.blocks):
         return False
@@ -545,7 +558,7 @@ def verify_split(split: CentralSplit) -> bool:
         return False
     if not np.array_equal(sum(e.arr for e in es) % spec.p, AlgebraElement.unit(G, spec).arr):
         return False
-    at_reps = G.mul_columns(reps)
+    at_reps = G.mul_table(reps)
     if any(_convolve(G, spec, [e.arr for e in es[: j + 1]], at_reps).any() for j in range(1, len(es))):
         return False
     if sum(split.block_dims) != G.order:

@@ -5,7 +5,9 @@ closure of its generators on image tuples, the dense element list, the
 generators' right action on it as integer index maps, the inverse indices
 and the conjugacy classes ordered by (element order, class size, first-seen
 index); the class constants and the power classes are computed once, on
-first use, and mul_table is built on each call.
+first use, and mul_table builds the columns of the multiplication table
+asked for, with the columns on their parent words and no others, on each
+call.
 Permutation is the boundary type callers build and read: the group makes
 one per element and multiplies none.  Permutation.__mul__ and inverse stay
 as the tests' independent reference for mul_table and inverse_indices,
@@ -204,8 +206,8 @@ class FiniteGroup:
     blocks).  Nothing else changes after construction, and each of these is
     a pure function of the group and its key, so two concurrent readers can
     only both write the same value.  No |G| x |G| structure is kept:
-    mul_table builds the prefix of columns asked for, and mul_columns any
-    other columns.
+    mul_table builds the columns asked for, each column on their parent
+    words once, and keeps none of them.
     """
 
     def __init__(self, generators, cap: int = DEFAULT_CAP):
@@ -257,59 +259,49 @@ class FiniteGroup:
         except KeyError:
             raise ValueError(f"{g!r} is not an element of this group") from None
 
-    def mul_table(self, stop: int | None = None) -> np.ndarray:
-        """int32 array with T[a, j] = index of g_a * g_j for the first
-        ``stop`` columns j (1 <= stop <= |G|), all |G| by default, built
-        afresh on each call.  Column 0 is the identity's; the others are
-        filled in element order from the generators' right action recorded
-        by the closure: when g_c = g_j * gens[s] (j < c), T[:, c] = R_s[T[:, j]]
-        with R_s[i] = index of g_i * gens[s].  Elements are numbered
-        breadth-first, so every prefix of columns holds its own parents.
-        The table is column-major (Fortran order), so each column it reads
-        and writes, and each the class constants gather, is contiguous."""
-        n = self.order
-        table = np.empty((n, n if stop is None else stop), dtype=np.int32, order="F")
-        table[:, 0] = np.arange(n)
-        for c in range(1, table.shape[1]):
-            j, s = self._parents[c]
-            table[:, c] = self._right[s].take(table[:, j])
-        return table
-
-    def mul_columns(self, elements) -> np.ndarray:
+    def mul_table(self, elements=None) -> np.ndarray:
         """int32 array whose column i is the multiplication-table column
-        T[:, elements[i]] of mul_table, with no other column built.  Each
-        is made along its element's parent word: when g_c = gens[s_1] * ...
-        * gens[s_L] by the closure's parents, T[:, c] = R_(s_L)[...
-        R_(s_1)[0, 1, ..., |G| - 1]], L gathers of |G| entries, L at most
-        the depth of the breadth-first closure.  Column-major, as
-        mul_table's."""
-        out = np.empty((self.order, len(elements)), dtype=np.int32, order="F")
-        for i, c in enumerate(elements):
-            word = []
-            while c:
-                c, s = self._parents[c]
-                word.append(s)
-            column = np.arange(self.order, dtype=np.int32)
-            for s in reversed(word):
-                column = self._right[s].take(column)
-            out[:, i] = column
-        return out
+        T[:, elements[i]], T[a, j] the index of g_a * g_j, for elements in
+        any order and with repeats; the full |G| x |G| table T when elements
+        is None.  Built afresh on each call from the generators' right action
+        recorded by the closure: each element's parent word is walked back
+        to the identity, and every column on those words is made once, in
+        element order, as T[:, c] = R_s[T[:, j]] when g_c = g_j * gens[s]
+        (j < c), R_s[i] the index of g_i * gens[s].  The columns are built
+        as the rows of a row-major array and returned transposed, so the
+        result is column-major (Fortran order) and each column its callers
+        gather is contiguous."""
+        n = self.order
+        wanted = range(n) if elements is None else [int(c) for c in elements]
+        built = {0}
+        for c in wanted:
+            while c not in built:
+                built.add(c)
+                c = self._parents[c][0]
+        built = sorted(built)
+        row = {c: i for i, c in enumerate(built)}
+        columns = np.empty((len(built), n), dtype=np.int32)
+        columns[0] = np.arange(n)
+        for i, c in enumerate(built[1:], 1):
+            j, s = self._parents[c]
+            # every index is in range, so "clip" only lets take write into the row unbuffered
+            self._right[s].take(columns[row[j]], out=columns[i], mode="clip")
+        return (columns if elements is None else columns[[row[c] for c in wanted]]).T
 
     def class_product_coefficients(self) -> np.ndarray:
         """Integer structure constants of the class sums as an int64 array
         c of shape (m, m, m): K_i * K_j = sum_k c[i, j, k] * K_k in the group
         ring over the integers, K_i the sum of class i.  For a fixed z in
         class k, c[i, j, k] counts the x in K_i with x^-1 z in K_j; so only
-        the table's columns up to the last class representative are built,
-        a short prefix as each representative is first-seen in its class."""
+        the m table columns at the class representatives are read, built
+        with the columns on their parent words alone."""
         if self._class_coeffs is None:
             m = len(self.classes)
             cls = self.class_index_of
-            reps = [c.index for c in self.classes]
-            table = self.mul_table(max(reps) + 1)
+            table = self.mul_table([c.index for c in self.classes])
             coeffs = np.empty((m, m, m), dtype=np.int64)
-            for k, r in enumerate(reps):
-                left_quotients = table[self.inverse_indices, r]
+            for k in range(m):
+                left_quotients = table[self.inverse_indices, k]
                 coeffs[:, :, k] = np.bincount(cls * m + cls[left_quotients], minlength=m * m).reshape(m, m)
             sizes = np.array([c.size for c in self.classes])
             if not np.array_equal(coeffs @ sizes, np.outer(sizes, sizes)):

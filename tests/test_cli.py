@@ -577,7 +577,7 @@ def test_out_of_memory_exits_2_without_traceback(capsys, monkeypatch):
 
 def test_oracle_a8_needs_no_full_table(tmp_path):
     # |A8| = 20160: a full int32 table is 1.6 GB, more than the 1 GB address
-    # space the run gets; the split reads 621 of its columns.  One BLAS
+    # space the run gets; the split builds 28 of its columns.  One BLAS
     # thread, as each further one reserves about 40 MB of address space
     group = tmp_path / "a8.txt"
     group.write_text("degree 8\n(1,2,3)\n(2,3,4,5,6,7,8)\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from wedderburn import (
     cyclotomic_partition,
     generate,
     make_field,
+    parse_cycles,
     split_center,
     verify_split,
 )
@@ -699,19 +701,20 @@ def test_split_blocks_are_an_analytic_candidate_on_the_zoo(name, p):
 
 
 def table_reads(monkeypatch, full_reads=True):
-    """Record the stop of each FiniteGroup.mul_table call from here on; with
-    full_reads False, a read of the whole table raises."""
-    stops = []
+    """Record the elements of each FiniteGroup.mul_table call from here on,
+    as a list, or None for the whole table; with full_reads False, a read
+    of the whole table raises."""
+    reads = []
     real = FiniteGroup.mul_table
 
-    def reading(self, stop=None):
-        stops.append(stop)
-        if stop is None and not full_reads:
+    def reading(self, elements=None):
+        reads.append(None if elements is None else [int(c) for c in elements])
+        if elements is None and not full_reads:
             raise AssertionError("read the whole multiplication table")
-        return real(self, stop)
+        return real(self, elements)
 
     monkeypatch.setattr(FiniteGroup, "mul_table", reading)
-    return stops
+    return reads
 
 
 SPLIT_READS = [(f"file:{GROUP_DIR / (name + '.txt')}", p) for name, ps in ZOO_PRIMES.items() for p in ps] + [
@@ -721,26 +724,71 @@ SPLIT_READS = [(f"file:{GROUP_DIR / (name + '.txt')}", p) for name, ps in ZOO_PR
 @pytest.mark.parametrize("group,p", SPLIT_READS, ids=[f"{Path(g).stem}-F{p}" for g, p in SPLIT_READS])
 def test_split_reads_the_table_only_up_to_the_last_representative(group, p, monkeypatch):
     # the class constants are the split's one use of the table, and they
-    # read its columns at the class representatives, each first-seen; a
-    # fresh copy of the group has no class constants cached
+    # read its columns at the class representatives alone; a fresh copy of
+    # the group has no class constants cached
     G = FiniteGroup(resolve_group(group).generators)
-    stops = table_reads(monkeypatch, full_reads=False)
+    reads = table_reads(monkeypatch, full_reads=False)
     split_center(G, make_field(p), seed=0)
-    assert stops == [max(G.index(c.representative) for c in G.classes) + 1]
+    assert reads == [[c.index for c in G.classes]]
+
+
+class CountedTakes(np.ndarray):
+    """An index map viewed so that its take calls, the gathers that build
+    the table's columns, are counted in CountedTakes.calls."""
+
+    calls = 0
+
+    def take(self, *args, **kwargs):
+        CountedTakes.calls += 1
+        return super().take(*args, **kwargs)
+
+
+def counted_group(generators):
+    """A fresh group on generators, its gathers counted in CountedTakes."""
+    G = FiniteGroup(generators)
+    G._right = [r.view(CountedTakes) for r in G._right]
+    return G
+
+
+def test_each_table_column_is_built_once(sl32_s8, f11):
+    # mul_table makes each column on its elements' parent words once, one
+    # gather from its parent's column, and no other: S6's class constants
+    # take 21 gathers, SL(3,2)'s 7 and one verify_split on SL(3,2) over F_11
+    # 26.  S7's class constants read 15 columns, 41 with their parent
+    # words, 0.8 MB of int32, and stay under 2 MB in all
+    for generators, gathers in ((resolve_group(f"file:{GROUP_DIR / 's6.txt'}").generators, 21),
+                                (sl32_s8.generators, 7)):
+        G = counted_group(generators)
+        CountedTakes.calls = 0
+        G.class_product_coefficients()
+        assert CountedTakes.calls == gathers
+    G = counted_group(sl32_s8.generators)
+    split = split_center(G, f11, seed=0)
+    CountedTakes.calls = 0
+    assert verify_split(split)
+    assert CountedTakes.calls == 26
+    s7 = generate([parse_cycles("(1,2,3,4,5,6,7)", 7), parse_cycles("(1,2)", 7)])
+    tracemalloc.start()
+    try:
+        s7.class_product_coefficients()
+        assert tracemalloc.get_traced_memory()[1] < 2 * 10**6
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
 def test_verify_reads_the_full_table_once(sl32_s8, p, k, monkeypatch):
-    # a good split reads no table: the products and the Krylov steps build
-    # their own columns.  Blocks that fall back to the full rank share one
-    # table per call
+    # a good split reads no whole table: the products and the Krylov steps
+    # read only the columns they gather through.  Blocks that fall back to
+    # the full rank share one table per call
     split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
-    stops = table_reads(monkeypatch)
+    reads = table_reads(monkeypatch)
     assert verify_split(split)
-    assert stops == []
+    assert reads and None not in reads
     monkeypatch.setattr(oracle, "_krylov_ranks", lambda G, spec, arrs, lengths, rng: [0] * len(lengths))
-    assert verify_split(split)
-    assert stops == [None]
+    for calls in (1, 2):
+        assert verify_split(split)
+        assert reads.count(None) == calls
 
 
 def test_algebra_element_keeps_its_array(sl32_s8, f11):

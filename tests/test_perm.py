@@ -422,29 +422,34 @@ def test_mul_table_matches_products(table_group):
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in GROUP_DIR.glob("*.txt")) + sorted(BUILTIN_GROUPS))
 def test_mul_table_prefix_is_its_leading_columns(name):
-    # elements are numbered breadth-first, so a prefix of columns is filled
-    # from its own columns; the table is built afresh and never kept
+    # elements are numbered breadth-first, so a prefix of elements holds its
+    # own parents and its columns are built from one another alone; the
+    # table is built afresh and never kept
     G = BUILTIN_GROUPS[name]() if name in BUILTIN_GROUPS else load_group(GROUP_DIR / f"{name}.txt")
     T = G.mul_table()
-    last_rep = max(G.index(c.representative) for c in G.classes)
+    assert T.shape == (G.order, G.order) and T.dtype == np.int32 and T.flags.f_contiguous
+    last_rep = max(c.index for c in G.classes)
     for stop in sorted({1, 2, G.order // 3, last_rep + 1, G.order - 1, G.order}):
-        assert np.array_equal(G.mul_table(stop), T[:, :stop]), stop
+        assert np.array_equal(G.mul_table(range(stop)), T[:, :stop]), stop
     G.class_product_coefficients()
     assert G.mul_table() is not T
-    assert not any(isinstance(v, np.ndarray) and v.shape == T.shape for v in vars(G).values())
+    assert not any(isinstance(v, np.ndarray) and v.ndim == 2 and len(v) == G.order for v in vars(G).values())
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in GROUP_DIR.glob("*.txt")) + sorted(BUILTIN_GROUPS))
 def test_mul_columns_are_the_table_columns(name):
-    # any columns, each built alone along its element's parent word, in any
-    # order and with repeats, are those of the full table
+    # any columns of the table, in any order and with repeats, each built
+    # once with the columns on its parent word, as an int32 column-major array
     G = BUILTIN_GROUPS[name]() if name in BUILTIN_GROUPS else load_group(GROUP_DIR / f"{name}.txt")
     T = G.mul_table()
-    elements = [0, G.order - 1, 0] + [c.index for c in G.classes][::-1] + random.Random(0).choices(range(G.order), k=20)
-    columns = G.mul_columns(np.array(elements))
-    assert columns.dtype == np.int32 and columns.flags.f_contiguous
-    assert np.array_equal(columns, T[:, elements])
-    assert G.mul_columns([]).shape == (G.order, 0)
+    reps = [c.index for c in G.classes]
+    rng = random.Random(0)
+    for elements in ([0, G.order - 1, 0] + reps[::-1] + rng.choices(range(G.order), k=20), reps[::-1],
+                     np.array(rng.choices(range(G.order), k=20)), [G.order - 1] * 3):
+        columns = G.mul_table(elements)
+        assert columns.dtype == np.int32 and columns.flags.f_contiguous
+        assert np.array_equal(columns, T[:, elements])
+    assert G.mul_table([]).shape == (G.order, 0)
 
 
 def test_inverse_indices_match_inverse(table_group):

@@ -54,7 +54,8 @@ def _add_common(sub: argparse.ArgumentParser, with_pk: bool = True):
     sub.add_argument("--group", default="builtin:sl32-s8",
                      help="group source: builtin:{sl32-s8,sl32-p2f2,s5} or file:PATH")
     if with_pk:
-        sub.add_argument("--seed", type=int, default=0, help="seed for all randomized steps")
+        sub.add_argument("--seed", type=int, default=0,
+                         help="seed for the oracle's field modulus and random draws; decompose and units draw nothing")
     sub.add_argument("--format", choices=("text", "json"), default="text")
     if with_pk:
         sub.add_argument("--p", type=int, required=True, help="field characteristic (prime)")

@@ -72,13 +72,16 @@ integer matmul against c, then their combination with the coefficients
 of u, O(m^2 k^2), summed before one FieldSpec.fold.  The basis products
 of a random central element w are made once for all the Krylov steps
 v -> v * w, which _CenterAlgebra.krylov takes and stacks as the columns
-of the matrix minpoly reads, for the refinement and for verify_split's
-field check alike; a split's idempotents are combinations of those
-Krylov vectors, with no product made again; and a product is broadcast
-over stacks: each Newton step lifts every idempotent at once, and each new
-idempotent is checked orthogonal to all those before it at once.  A class
-vector becomes a (|G|, k) array in one place, the CentralSplit
-split_center returns, gathered through the group's class_index_of.
+of the matrix minpoly reads; a split's idempotents are combinations of
+those Krylov vectors, with no product made again; and a product is
+broadcast over stacks: each Newton step lifts every idempotent at once,
+and each new idempotent is checked orthogonal to all those before it at
+once.  Class vectors become (|G|, k) rows in one place: split_center
+gathers its stacked idempotents once through the group's class_index_of
+into the one read-only (B, |G|, k) array of the CentralSplit it returns,
+plain data beside the group, the field and the blocks.  verify_split
+reads that array, and proves each block center a field with the
+refinement's own rule, _try_refine, on its own draws.
 """
 
 from __future__ import annotations
@@ -121,10 +124,11 @@ class AlgebraElement:
     (|G|, k) and dtype ``spec.dtype``: row g holds the coefficient of the
     group's g-th element as k residues mod p.  The constructor keeps the
     array it is given, after checking its shape and dtype; its entries must
-    already lie in [0, p), as __eq__ and verify_split compare them as they
-    stand.  No package path compares two elements; __eq__ stays for the
-    tests, which check products and sums of idempotents against expected
-    elements, such as the idempotents' sum against unit(G, spec)."""
+    already lie in [0, p), as __eq__ compares them as they stand.  No
+    package path builds one: a split's idempotents are the rows of one
+    array.  It stays for the tests, which wrap those rows to check their
+    products and sums against expected elements, and for the bench's
+    oracle.algebra_mul_* trace, which wraps __mul__ by name."""
 
     __slots__ = ("group", "spec", "arr")
 
@@ -149,9 +153,7 @@ class AlgebraElement:
         """The product in F_q[G]: one _convolve call on the full |G| x |G|
         table, which it builds afresh on every call (|G|^2 int32 entries,
         100 MB for S7).  No package path calls it; the oracle runs
-        _convolve on only the columns it needs.  It stays for the tests and
-        for the bench's oracle.algebra_mul_* trace, which wraps it, until
-        that trace points at _convolve."""
+        _convolve on only the columns it needs."""
         if self.group is not other.group:
             raise ValueError("elements belong to different groups")
         if self.spec != other.spec:
@@ -196,12 +198,17 @@ def _convolve(G: FiniteGroup, spec: FieldSpec, arrs, table: np.ndarray) -> np.nd
     return spec.fold((y % p).reshape(m, k, c, k).transpose(0, 2, 1, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralSplit:
-    """The primitive central idempotents together with, per block, its
-    (n, d): the block is M_n(F_{q^d}), of dimension D = d*n^2."""
+    """The primitive central idempotents of F_q[G], G = group and F_q =
+    spec, as plain data: idempotents is one read-only (B, |G|, k) array of
+    dtype spec.dtype whose row i holds the coefficients of e_i, and blocks
+    gives block i's (n, d): it is M_n(F_{q^d}), of dimension D = d*n^2.
+    Two splits compare by identity, never by their arrays."""
 
-    idempotents: tuple[AlgebraElement, ...]
+    group: FiniteGroup
+    spec: FieldSpec
+    idempotents: np.ndarray
     blocks: tuple[tuple[int, int], ...]
 
     @property
@@ -271,23 +278,6 @@ class _CenterAlgebra:
         powers = np.stack(powers)
         return powers, minpoly(self.fp, powers.reshape(dim + 1, m * k).T)
 
-    def is_field(self, e: np.ndarray, dim: int, rng: random.Random) -> bool:
-        """Whether e*Z, of dimension dim over F_p, is a field, from at most
-        MAX_RANDOM_DRAWS Krylov draws: True at the first w whose minimal
-        polynomial mu over F_p is irreducible of degree dim, as F_p[w*e] is
-        then a field of dimension dim inside e*Z, so all of it; False at the
-        first reducible mu, as every element of a field has an irreducible
-        minimal polynomial.  On a field each draw lands in a proper subfield
-        with probability at most 1/p, so a field is refused, after every
-        draw fell short, with probability at most p^-40."""
-        for _ in range(MAX_RANDOM_DRAWS):
-            mu = self.krylov(e, dim, rng)[1]
-            if not mu.is_irreducible():
-                return False
-            if mu.degree() == dim:
-                return True
-        return False
-
 
 def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
     """Refine the idempotent e along the coprime factorization mu = prod f_j
@@ -351,6 +341,8 @@ def _try_refine(Z: _CenterAlgebra, e, dim: int, rng: random.Random, seed: int):
     of degree a over F_p, is one of at most a roots, a chance of a/p^a <=
     1/p, so at most p^(1 - L) in all.  On a field block it fails to generate
     it only inside a proper subfield, at most 1/p of the elements.
+    verify_split's field check is this rule on one block: it accepts only
+    ([(e, dim)], []), e certified a field whole.
     """
     k = Z.spec.k
     for _ in range(MAX_RANDOM_DRAWS):
@@ -431,10 +423,9 @@ def split_center(G: FiniteGroup, spec: FieldSpec, seed: int = 0) -> CentralSplit
     # by the idempotent's rows compared as reversed coefficient vectors
     order = sorted(range(len(final)),
                    key=lambda i: (blocks[i][1], blocks[i][0], final[i][0][:, ::-1].tolist()))
-    return CentralSplit(
-        idempotents=tuple(AlgebraElement(G, spec, final[i][0][G.class_index_of]) for i in order),
-        blocks=tuple(blocks[i] for i in order),
-    )
+    idempotents = np.stack([final[i][0] for i in order])[:, G.class_index_of]
+    idempotents.setflags(write=False)
+    return CentralSplit(G, spec, idempotents, tuple(blocks[i] for i in order))
 
 
 def _lifted_block_dims(Z: _CenterAlgebra, order: int, idempotents) -> list[int]:
@@ -459,14 +450,15 @@ def _lifted_block_dims(Z: _CenterAlgebra, order: int, idempotents) -> list[int]:
     return [order * int(c) % P for c in e[:, 0, 0]]
 
 
-def _right_ideal_dimension(E: AlgebraElement, table: np.ndarray) -> int:
-    """dim over F_q of E * F_q[G]: rank of the matrix whose columns are the
-    right translates E * g, entry (h, g) = E(h g^-1).  The matrix with entry
-    (h, g) = E(h g), E gathered through the full table, is the same one with
-    its columns relabelled by inversion, so it has the same rank.  No
-    benchmark input reaches it; it stays as verify_split's last resort for
-    a block whose Krylov rank fell short of n*d in all KRYLOV_DRAWS draws."""
-    return MatrixFq(E.spec, E.arr[table]).rank()
+def _right_ideal_dimension(spec: FieldSpec, E: np.ndarray, table: np.ndarray) -> int:
+    """dim over F_q = spec of E * F_q[G], E a (|G|, k) array: rank of the
+    matrix whose columns are the right translates E * g, entry (h, g) =
+    E(h g^-1).  The matrix with entry (h, g) = E(h g), E gathered through
+    the full table, is the same one with its columns relabelled by
+    inversion, so it has the same rank.  No benchmark input reaches it; it
+    stays as verify_split's last resort for a block whose Krylov rank fell
+    short of n*d in all KRYLOV_DRAWS draws."""
+    return MatrixFq(spec, E[table]).rank()
 
 
 def _krylov_ranks(G: FiniteGroup, spec: FieldSpec, arrs, lengths, rng: random.Random) -> list[int]:
@@ -506,9 +498,9 @@ def verify_split(split: CentralSplit) -> bool:
     multiplication and rank computation; returns False on the first failure.
 
     The checks run in this order, each invariant once:
-    1. there is a block, one (n, d) per idempotent, every e_i lies in the
-       same group algebra (one group and one field), and p does not divide
-       |G|, so that F_q[G] is semisimple (Maschke);
+    1. there is a block, the idempotents are a (B, |G|, k) array of dtype
+       spec.dtype, one row per block (n, d), with entries in [0, p), and p
+       does not divide |G|, so that F_q[G] is semisimple (Maschke);
     2. every e_i is constant on conjugacy classes, so central (the class sums
        span the center of F_q[G]);
     3. the e_i sum to 1;
@@ -523,9 +515,11 @@ def verify_split(split: CentralSplit) -> bool:
        are idempotent;
     5. the D = d * n^2 sum to |G|, and per block, d >= 1, n >= 1, the trace
        congruence D = |G| * e(1) mod p holds with e(1) in F_p, d is the rank
-       of e*Z, e*Z is a field when d >= 2 (_CenterAlgebra.is_field, on
-       verify's own draws; with d = 1 it is F_q * e), and D = dim
-       e*F_q[G] by a Krylov certificate.
+       of e*Z, e*Z is a field when d >= 2, and D = dim e*F_q[G] by a
+       Krylov certificate.  The field check is the split's own rule:
+       _try_refine on e*Z, of dimension k*d over F_p, on verify's own
+       draws, must certify e*Z whole, as one field block, and neither split
+       it nor exhaust its draws; with d = 1, e*Z is F_q * e.
 
     The certificate: by 2-4, F_q[G] is the direct sum of the ideals
     e_i*F_q[G], so their true dimensions D_i' sum to |G|.  By 1 each is
@@ -546,41 +540,47 @@ def verify_split(split: CentralSplit) -> bool:
     products and the Krylov steps gather through mul_table's columns at the
     elements they need, built with the columns on their parent words
     alone."""
-    es = split.idempotents
-    if not es or len(es) != len(split.blocks):
-        return False
-    G = es[0].group
-    spec = es[0].spec
-    if any(e.group is not G or e.spec != spec for e in es) or G.order % spec.p == 0:
+    G, spec, es = split.group, split.spec, split.idempotents
+    p = spec.p
+    if (not split.blocks or es.shape != (len(split.blocks), G.order, spec.k) or es.dtype != spec.dtype
+            or (es < 0).any() or (es >= p).any() or G.order % p == 0):
         return False
     reps = [c.index for c in G.classes]  # each class's least index
-    if any(not np.array_equal(e.arr, e.arr[reps][G.class_index_of]) for e in es):
+    at_reps = es[:, reps]
+    if not np.array_equal(es, at_reps[:, G.class_index_of]):
         return False
-    if not np.array_equal(sum(e.arr for e in es) % spec.p, AlgebraElement.unit(G, spec).arr):
+    one = np.zeros_like(es[0])
+    one[0, 0] = 1  # g_0 is the identity
+    if not np.array_equal(es.sum(0) % p, one):
         return False
-    at_reps = G.mul_table(reps)
-    if any(_convolve(G, spec, [e.arr for e in es[: j + 1]], at_reps).any() for j in range(1, len(es))):
+    columns = G.mul_table(reps)
+    if any(_convolve(G, spec, es[: j + 1], columns).any() for j in range(1, len(es))):
         return False
     if sum(split.block_dims) != G.order:
         return False
     Z = _CenterAlgebra(G.class_product_coefficients(), spec)
-    rng = random.Random(f"verify:{spec.p}:{spec.k}:{G.order}")
-    for e, (n, d) in zip(es, split.blocks):
+    rng = random.Random(f"verify:{p}:{spec.k}:{G.order}")
+    for e, (n, d) in zip(at_reps, split.blocks):  # e at the class representatives, e[0] at 1
         if d < 1 or n < 1:
             return False
-        if e.arr[0, 1:].any() or (G.order * int(e.arr[0, 0]) - d * n * n) % spec.p:
+        if e[0, 1:].any() or (G.order * int(e[0, 0]) - d * n * n) % p:
             return False
-        if Z.block_dimension(e.arr[reps]) != d:
+        if Z.block_dimension(e) != d:
             return False
-        if d > 1 and not Z.is_field(e.arr[reps], spec.k * d, rng):
-            return False
+        if d > 1:
+            try:
+                final, todo = _try_refine(Z, e, spec.k * d, rng, 0)
+            except RuntimeError:  # every draw fell short of certifying a field
+                return False
+            if todo or len(final) != 1:
+                return False
     short = list(range(len(es)))  # the blocks whose Krylov rank has not reached n*d
     lengths = [n * d for n, d in split.blocks]
     for _ in range(KRYLOV_DRAWS):
         if short:
-            ranks = _krylov_ranks(G, spec, [es[i].arr for i in short], [lengths[i] for i in short], rng)
+            ranks = _krylov_ranks(G, spec, es[short], [lengths[i] for i in short], rng)
             short = [i for i, rank in zip(short, ranks) if rank < lengths[i]]
     if short:
         table = G.mul_table()
-        return all(_right_ideal_dimension(es[i], table) == split.block_dims[i] for i in short)
+        return all(_right_ideal_dimension(spec, es[i], table) == split.block_dims[i] for i in short)
     return True

@@ -11,12 +11,12 @@ call.
 Permutation is the boundary type callers build and read: the group makes
 one per element and multiplies none.  Permutation.__mul__ and inverse stay
 as the tests' independent reference for mul_table and inverse_indices,
-which the group builds from image tuples and index maps.  Its powers,
-cycles and order share one cycle walk.  One orbit walk on int lists,
-_orbits, finds the classes here and cyclo's q-power cycles.  A ConjClass
-keeps its representative's index; which class each element is in is
-recorded once, in FiniteGroup.class_index_of, a read-only int32 array
-beside inverse_indices.
+which the group builds from image tuples and index maps.  One orbit walk
+on int lists, _orbits, finds a permutation's cycles (which its powers,
+cycles and order share), the classes here and cyclo's q-power cycles.  A
+ConjClass keeps its representative's index; which class each element is
+in is recorded once, in FiniteGroup.class_index_of, a read-only int32
+array beside inverse_indices.
 Points are 1-indexed in all input and output (cycle notation, group files)
 and 0-indexed internally.
 """
@@ -88,21 +88,10 @@ class Permutation:
         return _bijection(tuple(inv))
 
     def _cycles(self) -> list[list[int]]:
-        """The one cycle walk: nontrivial cycles as 0-indexed lists, each
-        starting at its least point, in order of that point."""
-        imgs = self.images
-        seen = [False] * len(imgs)
-        out = []
-        for start, nxt in enumerate(imgs):
-            if seen[start] or nxt == start:
-                continue
-            cyc = [start]
-            while nxt != start:
-                seen[nxt] = True
-                cyc.append(nxt)
-                nxt = imgs[nxt]
-            out.append(cyc)
-        return out
+        """Nontrivial cycles as 0-indexed lists, each starting at its least
+        point, in order of that point: the orbits of this one map that
+        _orbits walks, each from its least point along the cycle."""
+        return [orbit for orbit in _orbits(len(self.images), [self.images])[0] if len(orbit) > 1]
 
     def __pow__(self, m: int) -> "Permutation":
         """g**m from the cycles of g: under g**m each point moves m steps
@@ -263,18 +252,21 @@ class FiniteGroup:
         """int32 array whose column i is the multiplication-table column
         T[:, elements[i]], T[a, j] the index of g_a * g_j, for elements in
         any order and with repeats; the full |G| x |G| table T when elements
-        is None.  Built afresh on each call from the generators' right action
-        recorded by the closure: each element's parent word is walked back
-        to the identity, and every column on those words is made once, in
-        element order, as T[:, c] = R_s[T[:, j]] when g_c = g_j * gens[s]
-        (j < c), R_s[i] the index of g_i * gens[s].  The columns are built
-        as the rows of a row-major array and returned transposed, so the
-        result is column-major (Fortran order) and each column its callers
-        gather is contiguous."""
+        is None.  An element outside 0..|G|-1 raises IndexError before any
+        column is built.  Built afresh on each call from the generators'
+        right action recorded by the closure: each element's parent word is
+        walked back to the identity, and every column on those words is made
+        once, in element order, as T[:, c] = R_s[T[:, j]] when g_c = g_j *
+        gens[s] (j < c), R_s[i] the index of g_i * gens[s].  The columns are
+        built as the rows of a row-major array and returned transposed, so
+        the result is column-major (Fortran order) and each column its
+        callers gather is contiguous."""
         n = self.order
         wanted = range(n) if elements is None else [int(c) for c in elements]
         built = {0}
         for c in wanted:
+            if not 0 <= c < n:
+                raise IndexError(f"element {c} is out of range 0..{n - 1}")
             while c not in built:
                 built.add(c)
                 c = self._parents[c][0]

@@ -243,8 +243,8 @@ def test_criterion_9_property_suites():
 
     # idempotent system: e_i^2 = e_i, e_i e_j = 0, sum e_i = 1
     split = _split_cache.get((11, 1)) or split_center(builtin_sl32_s8(), f11, seed=0)
-    es = split.idempotents
     G = builtin_sl32_s8()
+    es = [AlgebraElement(G, f11, e) for e in split.idempotents]
     for i, a in enumerate(es):
         for j, b in enumerate(es):
             prod = a * b

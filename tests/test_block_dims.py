@@ -35,8 +35,8 @@ def test_block_dims_match_full_rank(name, below, above):
     for p in (below, above):
         split = split_center(G, make_field(p), seed=0)
         for e, D in zip(split.idempotents, split.block_dims):
-            assert D == _right_ideal_dimension(e, table), (name, p)
-            trace = G.order * int(e.arr[0, 0]) % p
+            assert D == _right_ideal_dimension(split.spec, e, table), (name, p)
+            trace = G.order * int(e[0, 0]) % p
             assert (D - trace) % p == 0, (name, p)
             if p > G.order:
                 assert D == trace, (name, p)
@@ -51,6 +51,6 @@ def test_lifted_block_dims_match_full_rank(name, p, k):
     split = split_center(G, make_field(p, k, seed=0), seed=0)
     table = G.mul_table()
     for e, D in zip(split.idempotents, split.block_dims):
-        assert D == _right_ideal_dimension(e, table)
+        assert D == _right_ideal_dimension(split.spec, e, table)
     if k > 1:
-        assert any(e.arr[:, 1:].any() for e in split.idempotents)
+        assert split.idempotents[..., 1:].any()

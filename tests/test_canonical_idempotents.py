@@ -96,7 +96,7 @@ def test_canonical_idempotents(request, group, p, k, pairs, block_dims, digests)
     split = split_center(request.getfixturevalue(group), make_field(p, k, seed=0), seed=0)
     assert split.pairs() == pairs
     assert split.block_dims == block_dims
-    assert tuple(hashlib.sha256(str(e.arr.tolist()).encode()).hexdigest() for e in split.idempotents) == digests
+    assert tuple(hashlib.sha256(str(e.tolist()).encode()).hexdigest() for e in split.idempotents) == digests
 
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
@@ -139,5 +139,5 @@ def test_fq_stage_idempotents_are_pinned(group, p, k, digests, monkeypatch):
         refined_over_fq.clear()
         split = split_center(G, make_field(p, k, seed=seed), seed=seed)
         assert any(refined_over_fq), seed
-        blob = str((split.blocks, [e.arr.tolist() for e in split.idempotents]))
+        blob = str((split.blocks, [e.tolist() for e in split.idempotents]))
         assert hashlib.sha256(blob.encode()).hexdigest() == digest, seed

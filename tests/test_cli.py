@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -527,7 +528,9 @@ def test_check_detects_mismatch(capsys, monkeypatch):
          "analytic solution not unique (2 candidates)"),
         (cli, "sl32_type", lambda G, partition: 2, [], "type mismatch"),
         (cli, "splitting_field_check", lambda dec: False, [], "splitting-field verdict mismatch"),
-        (cli.oracle_mod, "split_center", lambda G, spec, seed: CentralSplit((), ((1, 1),)), ["--with-oracle"],
+        (cli.oracle_mod, "split_center",
+         lambda G, spec, seed: CentralSplit(G, spec, np.zeros((1, G.order, spec.k), dtype=spec.dtype), ((1, 1),)),
+         ["--with-oracle"],
          f"brute-force blocks ((1, 1),) differ from analytic {type1}"),
     ]
     for module, name, replacement, flags, reason in cases:

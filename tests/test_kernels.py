@@ -341,9 +341,9 @@ def test_right_ideal_dimension_matches_right_translates(c7c3):
     table, inv = c7c3.mul_table(), c7c3.inverse_indices
     for spec in (make_field(11), make_field(11, 2, seed=0)):
         for E in split_center(c7c3, spec, seed=0).idempotents:
-            coeffs = coefficients(E)
+            coeffs = coefficients(AlgebraElement(c7c3, spec, E))
             rows = [[coeffs[table[h][inv[g]]] for g in range(c7c3.order)] for h in range(c7c3.order)]
-            assert _right_ideal_dimension(E, table) == reference_rank(spec, rows)
+            assert _right_ideal_dimension(spec, E, table) == reference_rank(spec, rows)
 
 
 def _random_matrix(spec, rng, nrows, ncols, rank_cap):

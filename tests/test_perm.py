@@ -514,3 +514,10 @@ def test_point_orbits_of_an_intransitive_group():
     # S3 on {1,2,3} inside 5 points fixes 4 and 5
     H = FiniteGroup([parse_cycles("(1,2,3)", 5), parse_cycles("(1,2)", 5)])
     assert point_orbits(H) == brute_force_point_orbits(H) == [[0, 1, 2], [3], [4]]
+
+
+def test_mul_table_rejects_elements_out_of_range(sl32_s8):
+    # both ends of the range
+    for c in (-1, sl32_s8.order):
+        with pytest.raises(IndexError, match=rf"^element {c} is out of range 0\.\.167$"):
+            sl32_s8.mul_table([0, c])

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--qmax", type=int, default=DEFAULT_QMAX,
                      help="largest field size the brute-force path will touch")
     sub.add_argument("--verify", action="store_true",
-                     help="recheck the split by explicit algebra products and ranks before printing it")
+                     help="recheck the split by ranks in the center and the group algebra before printing it")
 
     sub = subs.add_parser("units", help="unit group of F_q[G]")
     _add_common(sub)
@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("check", help="reproduce the SL(3,2) reference grid")
     sub.add_argument("--group", default="builtin:sl32-s8",
                      help="group source (the reference grid applies to SL(3,2))")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed for --with-oracle's field modulus and random draws")
     sub.add_argument("--qmax", type=int, default=DEFAULT_QMAX,
                      help="largest field size --with-oracle will touch")
     sub.add_argument("--p", default="11..199", help="primes, e.g. '11,13' or '11..199'")

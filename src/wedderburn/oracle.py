@@ -36,7 +36,8 @@ mod p^s.  The block is simple with center the field e*Z, so it is
 M_n(F_{q^d}) and the matrix size n satisfies D = d * n^2; the D sum to |G|.
 
 verify_split re-proves each D without the trace and without a |G| x |G|
-rank: once the idempotents are shown central, orthogonal and summing to 1,
+rank: once the idempotents are shown central and summing to 1, and their
+center dimensions d summing to m, they are orthogonal idempotents, and
 F_q[G] is the direct sum of the two-sided ideals e*F_q[G], whose true
 dimensions D' sum to |G|.  When p does not divide |G| (verify checks it),
 e*F_q[G] is semisimple, a product of blocks M_(n_j)(F_(q^(d_j))), and its
@@ -47,21 +48,18 @@ sqrt(d * D') by Cauchy-Schwarz; so n*d independent Krylov vectors e, x,
 make every D exact.  A block with d >= 2 also gets e*Z proved a field, so
 that e*F_q[G] is one block M_n(F_(q^d)) and not a product of smaller ones.
 
-Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product
-writes the coefficient of g as sum over h of a(h^-1) * b(h g): it gathers
-its right factor through the multiplication-table columns it is given,
-permutes the left one by inversion, does k^2 matrix-vector products mod p
-and folds the result with FieldSpec.fold; the overflow rule is ffield's,
-with the sum over the group cut into chunks of (2**63 - 1) // (p - 1)**2
-terms (_int64_chunk, which the Krylov steps share).  One kernel multiplies
-several left factors by one right factor against a single gather: a single
-product is its one-left call on the full table, and verify_split's
-orthogonality check gathers through only the m columns at the class
-representatives.  Every column comes from FiniteGroup.mul_table, which
-builds the columns asked for and each column on their parent words once:
-the class constants split_center reads and verify_split's products take
-the m at the representatives, and each Krylov draw the few at its
-elements; only AlgebraElement.__mul__ and verify's full-rank fallback
+Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product,
+_convolve, writes the coefficient of g as sum over h of a(h^-1) * b(h g):
+it gathers its right factor through the full multiplication table, permutes
+the left one by inversion, does k^2 matrix-vector products mod p and folds
+the result with FieldSpec.fold; the overflow rule is ffield's, with the sum
+over the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms
+(_int64_chunk, which the Krylov steps share).  Only AlgebraElement.__mul__
+calls it: no package path multiplies two elements of F_q[G].  Every
+column comes from FiniteGroup.mul_table, which builds the columns asked for
+and each column on their parent words once: the class constants
+split_center reads take the m at the representatives, and each Krylov draw
+the few at its elements; only _convolve and verify's full-rank fallback
 build the whole table.  The refinement and the lift run on _CenterAlgebra,
 a commutative algebra given by its integer structure constants c alone, on
 (m, k) arrays: its unit must be b_0, and every entry of c[i].T @ v must
@@ -150,16 +148,14 @@ class AlgebraElement:
         return out
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        """The product in F_q[G]: one _convolve call on the full |G| x |G|
-        table, which it builds afresh on every call (|G|^2 int32 entries,
-        100 MB for S7).  No package path calls it; the oracle runs
-        _convolve on only the columns it needs."""
+        """The product in F_q[G]: one _convolve call, which builds the full
+        |G| x |G| table afresh (|G|^2 int32 entries, 100 MB for S7).  It is
+        _convolve's only caller, and no package path calls it."""
         if self.group is not other.group:
             raise ValueError("elements belong to different groups")
         if self.spec != other.spec:
             raise ValueError("elements belong to different fields")
-        arr = _convolve(self.group, self.spec, [self.arr, other.arr], self.group.mul_table())[0]
-        return AlgebraElement(self.group, self.spec, arr)
+        return AlgebraElement(self.group, self.spec, _convolve(self.group, self.spec, self.arr, other.arr))
 
     def __eq__(self, other) -> bool:
         return (
@@ -181,21 +177,18 @@ def _int64_chunk(spec: FieldSpec, terms: int) -> int:
     return terms if spec.dtype is object else max(1, (2**63 - 1) // (spec.p - 1) ** 2)
 
 
-def _convolve(G: FiniteGroup, spec: FieldSpec, arrs, table: np.ndarray) -> np.ndarray:
-    """The coefficients of a * b over F_q = spec at the group elements whose
-    multiplication-table columns ``table`` holds, for every (|G|, k) array a
-    in arrs[:-1] and b = arrs[-1], as one (len(arrs) - 1, c, k) array for c
-    columns.  b is gathered through table once, and the stacked left factors,
-    permuted by inversion, meet it in one matmul per chunk of the sum."""
+def _convolve(G: FiniteGroup, spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (|G|, k) coefficients of a * b over F_q = spec, for (|G|, k)
+    arrays a and b: b is gathered through the full multiplication table,
+    and a, permuted by inversion, meets it in one matmul per chunk of the
+    sum."""
     n, p, k = G.order, spec.p, spec.k
-    m = len(arrs) - 1
-    c = table.shape[1]
-    # y[i, g, t, s] = sum over h of a_{i,t}(h^-1) * b_s(h g), g over the table's columns
-    left = np.stack(arrs[:-1], axis=1)[G.inverse_indices].reshape(n, m * k)
-    gathered = arrs[-1][table].reshape(n, c * k)
+    # y[t, g, s] = sum over h of a_t(h^-1) * b_s(h g)
+    left = a[G.inverse_indices]
+    gathered = b[G.mul_table()].reshape(n, n * k)
     step = _int64_chunk(spec, n)
     y = sum(left[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
-    return spec.fold((y % p).reshape(m, k, c, k).transpose(0, 2, 1, 3))
+    return spec.fold((y % p).reshape(k, n, k).transpose(1, 0, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,8 +487,8 @@ def _krylov_ranks(G: FiniteGroup, spec: FieldSpec, arrs, lengths, rng: random.Ra
 
 
 def verify_split(split: CentralSplit) -> bool:
-    """Recheck every invariant of a central splitting by explicit algebra
-    multiplication and rank computation; returns False on the first failure.
+    """Recheck every invariant of a central splitting by rank computation in
+    the center and in the group algebra; returns False on the first failure.
 
     The checks run in this order, each invariant once:
     1. there is a block, the idempotents are a (B, |G|, k) array of dtype
@@ -504,25 +497,30 @@ def verify_split(split: CentralSplit) -> bool:
     2. every e_i is constant on conjugacy classes, so central (the class sums
        span the center of F_q[G]);
     3. the e_i sum to 1;
-    4. e_i * e_j = 0 for i < j.  By 2, e_i * e_j is central, so it is zero
-       exactly when it vanishes at one representative g_c per class, where
-       its value is sum over h of e_i(h^-1) * e_j(h g_c).  One kernel call
-       per e_j against the stacked e_0, ..., e_(j-1) gathers only through
-       the m table columns at the representatives, and none of the split's class
-       constants: O(B^2 * m * |G| * k^2) for B blocks, not the
-       O(B^2 * |G|^2 * k^2) of whole products.  Central elements commute,
-       so this covers i > j, and e_i = e_i * sum_j e_j = e_i^2: the e_i
-       are idempotent;
-    5. the D = d * n^2 sum to |G|, and per block, d >= 1, n >= 1, the trace
-       congruence D = |G| * e(1) mod p holds with e(1) in F_p, d is the rank
-       of e*Z, e*Z is a field when d >= 2, and D = dim e*F_q[G] by a
-       Krylov certificate.  The field check is the split's own rule:
-       _try_refine on e*Z, of dimension k*d over F_p, on verify's own
-       draws, must certify e*Z whole, as one field block, and neither split
-       it nor exhaust its draws; with d = 1, e*Z is F_q * e.
+    4. the D = d * n^2 sum to |G|, and the d sum to m = dim Z, the class
+       count;
+    5. per block, d >= 1, n >= 1, the trace congruence D = |G| * e(1) mod p
+       holds with e(1) in F_p, d is the rank of e*Z, e*Z is a field when
+       d >= 2, and D = dim e*F_q[G] by a Krylov certificate.  The field
+       check is the split's own rule: _try_refine on e*Z, of dimension k*d
+       over F_p, on verify's own draws, must certify e*Z whole, as one field
+       block, and neither split it nor exhaust its draws; with d = 1, e*Z is
+       F_q * e.
 
-    The certificate: by 2-4, F_q[G] is the direct sum of the ideals
-    e_i*F_q[G], so their true dimensions D_i' sum to |G|.  By 1 each is
+    Orthogonality is a count, with no product of two idempotents.  By 1, Z
+    is commutative and semisimple, so a product of fields K_c over F_q
+    (Curtis and Reiner, Methods of Representation Theory I, 1981, section
+    3), and m is the sum of the [K_c : F_q].  By 2, e_i lies in Z, a tuple
+    (a_ic) with a_ic in K_c, and by 5, d_i = dim e_i*Z is the sum of the
+    [K_c : F_q] over the c with a_ic != 0.  By 3 the a_ic sum to 1 over i,
+    so every c has some a_ic != 0; as the d_i sum to m (4), exactly one i
+    has, and that a_ic is 1.  So the e_i are 0 or 1 on disjoint supports:
+    idempotent and pairwise orthogonal, with no e_i^2 = e_i product
+    either.  The count trusts the class constants, which the rank and
+    field checks read too.
+
+    The certificate: F_q[G] is then the direct sum of the ideals
+    e_i*F_q[G], whose true dimensions D_i' sum to |G|.  By 1 each is
     semisimple, a product of blocks M_(n_j)(F_(q^(d_j))), and by 5 its
     center has dimension d = sum of the d_j.  For x in it, F_q[x] lies in
     the product of the F_(q^(d_j))[x_j], so its dimension is at most the sum
@@ -537,26 +535,21 @@ def verify_split(split: CentralSplit) -> bool:
     a field of degree d over F_q, is one block M_n(F_(q^d)).  The route
     shares no step with the lifted trace split_center uses, and D >= 1
     makes it prove e != 0.  A good split builds no |G| x |G| table: the
-    products and the Krylov steps gather through mul_table's columns at the
-    elements they need, built with the columns on their parent words
-    alone."""
+    Krylov steps gather through mul_table's columns at the elements they
+    need, built with the columns on their parent words alone."""
     G, spec, es = split.group, split.spec, split.idempotents
     p = spec.p
     if (not split.blocks or es.shape != (len(split.blocks), G.order, spec.k) or es.dtype != spec.dtype
             or (es < 0).any() or (es >= p).any() or G.order % p == 0):
         return False
-    reps = [c.index for c in G.classes]  # each class's least index
-    at_reps = es[:, reps]
+    at_reps = es[:, [c.index for c in G.classes]]  # each class's least index
     if not np.array_equal(es, at_reps[:, G.class_index_of]):
         return False
     one = np.zeros_like(es[0])
     one[0, 0] = 1  # g_0 is the identity
     if not np.array_equal(es.sum(0) % p, one):
         return False
-    columns = G.mul_table(reps)
-    if any(_convolve(G, spec, es[: j + 1], columns).any() for j in range(1, len(es))):
-        return False
-    if sum(split.block_dims) != G.order:
+    if sum(split.block_dims) != G.order or sum(d for _, d in split.blocks) != len(G.classes):
         return False
     Z = _CenterAlgebra(G.class_product_coefficients(), spec)
     rng = random.Random(f"verify:{p}:{spec.k}:{G.order}")

@@ -324,52 +324,80 @@ def test_verify_rejects_a_zero_idempotent(split11):
         assert not verify_split(dataclasses.replace(split11, idempotents=es, blocks=split11.blocks + (block,)))
 
 
-def counting_products(monkeypatch, seen_cols=None):
-    """Record the number of left factors of each call of the product kernel,
-    which AlgebraElement products and verify_split's batches share, from
-    here on; given a list seen_cols, append to it the group indices of each
-    call's table columns, the table's row 0, as g_0 is the identity."""
+def counting_ranks(monkeypatch):
+    """Record each call of verify_split's work after its sum checks from
+    here on, by name: a rank of a block center (block_dimension) and a draw
+    of Krylov ranks (_krylov_ranks).  A split made before the call is not
+    counted."""
     calls = []
-    convolve = oracle._convolve
+    rank, krylov = _CenterAlgebra.block_dimension, oracle._krylov_ranks
 
-    def counting(G, spec, arrs, table):
-        calls.append(len(arrs) - 1)
-        if seen_cols is not None:
-            seen_cols.append(table[0].tolist())
-        return convolve(G, spec, arrs, table)
+    def counting_rank(self, e):
+        calls.append("block_dimension")
+        return rank(self, e)
 
-    monkeypatch.setattr(oracle, "_convolve", counting)
+    def counting_krylov(*args):
+        calls.append("_krylov_ranks")
+        return krylov(*args)
+
+    monkeypatch.setattr(_CenterAlgebra, "block_dimension", counting_rank)
+    monkeypatch.setattr(oracle, "_krylov_ranks", counting_krylov)
     return calls
 
 
 def test_verify_rejects_class_functions_that_are_not_orthogonal(split11, monkeypatch):
     # (2 e0, e1 - e0) are central and still sum to 1, but their product is
-    # -2 e0 and neither is idempotent: the first product rejects them
+    # -2 e0 and neither is idempotent.  The blocks and their sums are
+    # unchanged, and the trace congruence of the trivial block, 168 * 2 e0(1)
+    # = 2 != 1 mod 11, rejects them before any rank
     es = split11.idempotents.copy()
     es[:2] = 2 * es[0] % 11, (es[1] - es[0]) % 11
-    calls = counting_products(monkeypatch)
+    assert split11.blocks[0] == (1, 1) and (168 * int(es[0, 0, 0]) - 1) % 11
+    calls = counting_ranks(monkeypatch)
     assert not verify_split(dataclasses.replace(split11, idempotents=es))
-    assert len(calls) == 1
+    assert not calls
+
+
+def test_verify_rejects_four_quarters_of_a_block(split11, monkeypatch):
+    # the (6, 1) block's e replaced by four copies of e/4, each claiming
+    # (3, 1): central and summing to 1, their D, 4 * 9 = 36, keep the sum
+    # 168, and each copy passes the trace congruence, 36/4 = 9, and has rank
+    # 1 on Z.  Only the count of center dimensions, d = 1 for the five other
+    # blocks and the four copies, 9 != 6 classes, rejects them, before any
+    # rank; each copy generates the 36-dimensional ideal, so its Krylov rank
+    # would reach 3
+    G = split11.group
+    assert split11.blocks[3] == (6, 1)
+    quarter = split11.idempotents[3] * pow(4, -1, 11) % 11
+    es = np.concatenate([np.delete(split11.idempotents, 3, axis=0), [quarter] * 4])
+    blocks = tuple(b for i, b in enumerate(split11.blocks) if i != 3) + ((3, 1),) * 4
+    Z = _CenterAlgebra(G.class_product_coefficients(), split11.spec)
+    assert Z.block_dimension(quarter[[c.index for c in G.classes]]) == 1
+    assert (168 * int(quarter[0, 0]) - 9) % 11 == 0
+    assert sum(d * n * n for n, d in blocks) == 168 and sum(d for _, d in blocks) == 9
+    calls = counting_ranks(monkeypatch)
+    assert not verify_split(dataclasses.replace(split11, idempotents=es, blocks=blocks))
+    assert not calls
 
 
 def test_verify_rejects_a_sum_preserving_non_central_change(sl32_s8, split11, monkeypatch):
     # move one coefficient of a nontrivial class from e3 to e2: the sum is
     # still 1, but neither is constant on that class, which verify checks
-    # before any product
+    # before any rank
     assert sl32_s8.classes[1].size > 1
     last = max(i for i, ci in enumerate(sl32_s8.class_index_of) if ci == 1)
     es = split11.idempotents.copy()
     es[2:4, last, 0] = (es[2:4, last, 0] + [1, -1]) % 11
-    calls = counting_products(monkeypatch)
+    calls = counting_ranks(monkeypatch)
     assert not verify_split(dataclasses.replace(split11, idempotents=es))
     assert not calls
 
 
 def test_verify_rejects_a_missing_block_before_any_product(split11, monkeypatch):
     # the other blocks are still central, orthogonal and idempotent, but
-    # their sum is not 1
+    # their sum is not 1: rejected before any rank or product
     dropped = dataclasses.replace(split11, idempotents=split11.idempotents[:-1], blocks=split11.blocks[:-1])
-    calls = counting_products(monkeypatch)
+    calls = counting_ranks(monkeypatch)
     assert not verify_split(dropped)
     assert not calls
 
@@ -378,13 +406,13 @@ def test_verify_rejects_a_missing_block_before_any_product(split11, monkeypatch)
 def test_verify_rejects_idempotents_of_another_field_or_group(sl32_s8, sl32_p2f2, f11, f13, split11, position,
                                                                monkeypatch):
     # one idempotent's row swapped in from the split over F_13, or from the
-    # split of the other SL(3,2) action over F_11: False, with no product and
+    # split of the other SL(3,2) action over F_11: False, with no rank and
     # no raise.  The one row that does not change the split is row 0 of the
     # other action: the trivial block's idempotent, 1/|G| times the sum of
     # the group, is the same array in every group algebra of order 168 over
     # F_11, so verify accepts it
     over_f13, other_action = split_center(sl32_s8, f13, seed=0), split_center(sl32_p2f2, f11, seed=0)
-    calls = counting_products(monkeypatch)
+    calls = counting_ranks(monkeypatch)
     for other in (over_f13, other_action):
         calls.clear()
         es = split11.idempotents.copy()
@@ -395,28 +423,20 @@ def test_verify_rejects_idempotents_of_another_field_or_group(sl32_s8, sl32_p2f2
         assert bool(calls) == unchanged
 
 
-@pytest.mark.parametrize("p,products", [(11, 15), (13, 10)])
-def test_verify_makes_one_product_per_pair_of_blocks(sl32_s8, p, products, monkeypatch):
-    # m(m-1)/2 products for m blocks, 6 blocks over F_11 and 5 over F_13, in
-    # m - 1 kernel calls: e_j against the stacked e_0, ..., e_(j-1)
-    split = split_center(sl32_s8, make_field(p), seed=0)
-    calls = counting_products(monkeypatch)
-    assert verify_split(split)
-    assert calls == list(range(1, len(split.idempotents)))
-    assert sum(calls) == products
-
-
 @pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
-def test_verify_multiplies_only_at_class_representatives(sl32_s8, p, k, monkeypatch):
-    # the e_i are class functions, so each e_i * e_j is central and verify
-    # reads it at one representative per class, never at all of G
+def test_verify_reads_the_table_only_at_krylov_draws(sl32_s8, p, k, monkeypatch):
+    # a good split makes no product in F_q[G]: its orthogonality is a count
+    # of center dimensions, and the one table verify reads is the
+    # KRYLOV_TERMS + 1 columns of each Krylov draw
     split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
-    reps = [sl32_s8.index(c.representative) for c in sl32_s8.classes]
-    seen = []
-    counting_products(monkeypatch, seen)
+    products = []
+    monkeypatch.setattr(oracle, "_convolve", lambda *args: products.append(args))
+    calls = counting_ranks(monkeypatch)
+    reads = table_reads(monkeypatch, full_reads=False)
     assert verify_split(split)
-    assert len(reps) == len(sl32_s8.classes)
-    assert seen == [reps] * (len(split.idempotents) - 1)
+    assert not products
+    assert len(reads) == calls.count("_krylov_ranks") >= 1
+    assert all(len(r) == oracle.KRYLOV_TERMS + 1 and r[0] == 0 for r in reads)  # g_0 = 1 and its terms
 
 
 def test_split_ranks_each_center_block_once(sl32_s8, f11, q8, monkeypatch):
@@ -828,7 +848,7 @@ def test_each_table_column_is_built_once(sl32_s8, f11):
     # mul_table makes each column on its elements' parent words once, one
     # gather from its parent's column, and no other: S6's class constants
     # take 21 gathers, SL(3,2)'s 7 and one verify_split on SL(3,2) over F_11
-    # 26.  S7's class constants read 15 columns, 41 with their parent
+    # 19.  S7's class constants read 15 columns, 41 with their parent
     # words, 0.8 MB of int32, and stay under 2 MB in all
     for generators, gathers in ((resolve_group(f"file:{GROUP_DIR / 's6.txt'}").generators, 21),
                                 (sl32_s8.generators, 7)):
@@ -840,7 +860,7 @@ def test_each_table_column_is_built_once(sl32_s8, f11):
     split = split_center(G, f11, seed=0)
     CountedTakes.calls = 0
     assert verify_split(split)
-    assert CountedTakes.calls == 26
+    assert CountedTakes.calls == 19
     s7 = generate([parse_cycles("(1,2,3,4,5,6,7)", 7), parse_cycles("(1,2)", 7)])
     tracemalloc.start()
     try:
@@ -852,8 +872,8 @@ def test_each_table_column_is_built_once(sl32_s8, f11):
 
 @pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
 def test_verify_reads_the_full_table_once(sl32_s8, p, k, monkeypatch):
-    # a good split reads no whole table: the products and the Krylov steps
-    # read only the columns they gather through.  Blocks that fall back to
+    # a good split reads no whole table: the Krylov steps read only the
+    # columns they gather through.  Blocks that fall back to
     # the full rank share one table per call
     split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
     reads = table_reads(monkeypatch)
@@ -926,9 +946,9 @@ def test_split_idempotents_are_one_read_only_array(group, p, k):
 
 
 def test_verify_rejects_a_malformed_idempotent_array(split11, monkeypatch):
-    # a wrong shape or dtype is False before any product
+    # a wrong shape or dtype is False before any rank
     es = split11.idempotents
-    calls = counting_products(monkeypatch)
+    calls = counting_ranks(monkeypatch)
     for bad in (es[:-1], es[:, 1:], es[..., 0], np.concatenate([es, es], axis=2), es[None],
                 es.astype(np.int32), es.astype(object)):
         assert not verify_split(dataclasses.replace(split11, idempotents=bad)), (bad.shape, bad.dtype)

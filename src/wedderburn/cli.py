@@ -230,8 +230,7 @@ def _print_nonunique(report: SolverReport, fmt: str):
     per distinct block, and the listing (1.6 MB for S6 over F_11) is printed
     as it is joined, with no copy into a larger string."""
     if fmt == "json":
-        distinct = {c for dec in report.solutions for c in dec}
-        block = {c: _block_json(*c, "      ") for c in distinct}
+        block = _ListedBlocks()
         sep = ",\n      "  # every candidate holds the (1, 1) block
         rows = [f"[\n      {sep.join(map(block.__getitem__, dec))}\n    ]"
                 for dec in report.solutions]
@@ -241,6 +240,15 @@ def _print_nonunique(report: SolverReport, fmt: str):
         print(f"analytic solver found {len(report.solutions)} candidate decompositions:")
         for dec in report.solutions:
             print("  " + _format_components(dec))
+
+
+class _ListedBlocks(dict):
+    """(n, d) -> the block's JSON text in a candidate listing, formatted the
+    first time the block is looked up."""
+
+    def __missing__(self, c):
+        text = self[c] = _block_json(*c, "      ")
+        return text
 
 
 def _format_components(blocks) -> str:

@@ -1,18 +1,23 @@
 """Permutations, finite permutation groups, and conjugacy-class data.
 
 Groups are stored fully enumerated: FiniteGroup computes the breadth-first
-closure of its generators on image tuples, the dense element list, the
-generators' right action on it as integer index maps, the inverse indices
-and the conjugacy classes ordered by (element order, class size, first-seen
-index); the class constants and the power classes are computed once, on
-first use, and mul_table builds the columns of the multiplication table
-asked for, with the columns on their parent words and no others, on each
-call.
+closure of its generators on bytes keys, each element's inverse images in
+the smallest unsigned dtype that holds every point, so that on up to 256
+points each step of the closure is one bytes.translate and one dict probe.
+The group keeps one read-only (|G|, degree) image array in that dtype,
+read off the keys with one argsort; the parent words and the generators'
+right action on the elements as int32 arrays; the inverse indices, read
+off the keys too; and the conjugacy classes ordered by (element order,
+class size, first-seen index).  The class constants and the power classes
+are computed once, on first use, and mul_table builds the columns of the
+multiplication table asked for, with the columns on their parent words and
+no others, on each call.
 Permutation is the boundary type callers build and read: the group makes
-one per element and multiplies none.  Permutation.__mul__ and inverse stay
-as the tests' independent reference for mul_table and inverse_indices,
-which the group builds from image tuples and index maps.  One orbit walk
-on int lists, _orbits, finds a permutation's cycles (which its powers,
+one per class representative, G.elements makes one per element on its
+first read, G.index(g) reads the key off g.images, and no group code
+multiplies or inverts one.  Permutation.__mul__ and inverse stay as the
+tests' independent reference for mul_table and inverse_indices.  One orbit
+walk on int lists, _orbits, finds a permutation's cycles (which its powers,
 cycles and order share), the classes here and cyclo's q-power cycles.  A
 ConjClass keeps its representative's index; which class each element is
 in is recorded once, in FiniteGroup.class_index_of, a read-only int32
@@ -25,8 +30,9 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -185,9 +191,16 @@ class FiniteGroup:
     identity: g_0 is the identity and each later g_c is first reached as
     g_j * gens[s] with j < c, so the same generator list always yields the
     same ordering.  Raises ValueError if the closure would exceed ``cap``
-    elements.  The closure, the inverse indices and the classes are computed
-    on image tuples and index maps, with no Permutation product or inverse.
-    Four q-independent items are computed at most once and then read: the
+    elements.  The closure walks each element's inverse images as a bytes
+    key: those of g_j * gens[s] are those of g_j mapped through gens[s]^-1,
+    so a step is bytes.translate on up to 256 points and a numpy gather on
+    two-byte (or four-byte) keys past them, and the key of g is the images
+    of g^-1.  So the image array, each row the images of one element, is the
+    argsort of the joined keys, and inverse_indices[c] is the index of g_c's
+    images as a key.  No Permutation is made per element, and none is
+    multiplied or inverted: the class representatives are the only ones
+    made up front.  Five q-independent items are computed at most once and
+    then read: ``elements``, the Permutations made on its first read, the
     class-product coefficients (read-only), the power classes power_class
     answers, the permutation character's (points, norm) pair that
     charkit.deleted_module_check reads, and the solver candidates that
@@ -206,47 +219,73 @@ class FiniteGroup:
         degree = gens[0].degree
         if any(g.degree != degree for g in gens):
             raise ValueError("generators must share a common degree")
-        images = [tuple(range(degree))]
-        index = {images[0]: 0}
-        parents = [None]  # parents[c] = (j, s) with g_c = g_j * gens[s]
-        right = [[] for _ in gens]  # right[s][j] = index of g_j * gens[s]
-        gen_images = [g.images for g in gens]
-        for j, x in enumerate(images):  # the list grows while it is walked
-            for s, g_images in enumerate(gen_images):
-                y = tuple([x[i] for i in g_images])
-                c = index.get(y)
-                if c is None:
-                    if len(images) >= cap:
+        dtype = np.min_scalar_type(degree - 1)
+        # the inverse images of g_j * gens[s] are those of g_j mapped through gens[s]^-1
+        gen_inverses = np.argsort([g.images for g in gens], axis=1).astype(dtype)
+        if degree <= 256:
+            step = bytes.translate
+            tables = [t.tobytes() + bytes(256 - degree) for t in gen_inverses]
+        else:
+            def step(x, t):
+                return t[np.frombuffer(x, dtype)].tobytes()
+            tables = list(gen_inverses)
+        keys = [_key(range(degree), degree)]  # keys[c] = the inverse images of g_c
+        index = {keys[0]: 0}
+        right = []  # right[j * len(gens) + s] = index of g_j * gens[s]
+        reached = []  # reached[c - 1] = the position in right at which g_c is first reached
+        n = 1
+        for x in keys:  # the list grows while it is walked
+            for t in tables:
+                y = step(x, t)
+                c = index.setdefault(y, n)
+                if c == n:
+                    if n >= cap:
                         raise ValueError(f"group closure exceeds cap of {cap} elements")
-                    c = index[y] = len(images)
-                    images.append(y)
-                    parents.append((j, s))
-                right[s].append(c)
+                    keys.append(y)
+                    reached.append(len(right))
+                    n += 1
+                right.append(c)
         self.generators = gens
-        self.elements = tuple(map(_bijection, images))
         self.degree = degree
-        self.order = len(images)
+        self.order = n
         self._index = index
-        self._parents = parents
-        self._right = [np.array(r, dtype=np.int32) for r in right]
-        # row i of argsort is the image tuple of g_i^-1
-        inv = np.array([index[tuple(row)] for row in np.argsort(images, axis=1).tolist()])
+        # g_c = g_j * gens[s] for j = _parent[c] and s = _parent_gen[c], c >= 1: int32
+        # arrays that mul_table's walk reads one entry at a time as Python ints
+        words = np.full((2, n), -1, dtype=np.int32)
+        words[:, 1:] = np.divmod(reached, len(gens))
+        self._parent, self._parent_gen = (array("i", w.tobytes()) for w in words)
+        self._right = list(np.array(right, dtype=np.int32).reshape(n, len(gens)).T.copy())
+        # row c of argsort is the images of g_c, whose inverse has them as its key
+        images = np.argsort(np.frombuffer(b"".join(keys), dtype).reshape(n, degree), axis=1).astype(dtype)
+        images.setflags(write=False)
+        self._images = images
+        rows = images.view(f"V{degree * images.itemsize}").ravel().tolist()  # each row as bytes
+        inv = np.fromiter(map(index.__getitem__, rows), np.int64, n)
         inv.setflags(write=False)
         self.inverse_indices = inv
         # conjugation by g as an index map: x -> xg -> g^-1 x^-1 -> g^-1 x^-1 g -> g^-1 x g
         conjugations = [inv[r[inv[r]]].tolist() for r in self._right]
-        self.classes, self.class_index_of = _conjugacy_partition(self.elements, conjugations)
+        self.classes, self.class_index_of = _conjugacy_partition(images, conjugations)
         self.exponent = math.lcm(*(c.element_order for c in self.classes))
         self._class_coeffs: np.ndarray | None = None
         self._power_classes: dict[tuple[int, int], int] = {}  # (class, m mod its order) -> class
         self._perm_norm: tuple[int, int] | None = None  # (points, <chi, chi>)
         self._solutions: dict[tuple, tuple] = {}  # (sorted centre degrees, forced blocks) -> candidates
 
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        """The elements as Permutations, in closure order, made on first read."""
+        return tuple(_bijection(tuple(row)) for row in self._images.tolist())
+
     def index(self, g: Permutation) -> int:
-        try:
-            return self._index[g.images]
-        except KeyError:
-            raise ValueError(f"{g!r} is not an element of this group") from None
+        """The position of g in the element list.  g's images are the key of
+        g^-1, so the key's index is read through inverse_indices."""
+        images = g.images
+        if len(images) == self.degree:
+            c = self._index.get(_key(images, self.degree))
+            if c is not None:
+                return self.inverse_indices.item(c)
+        raise ValueError(f"{g!r} is not an element of this group")
 
     def mul_table(self, elements=None) -> np.ndarray:
         """int32 array whose column i is the multiplication-table column
@@ -263,21 +302,21 @@ class FiniteGroup:
         callers gather is contiguous."""
         n = self.order
         wanted = range(n) if elements is None else [int(c) for c in elements]
+        parent, parent_gen = self._parent, self._parent_gen
         built = {0}
         for c in wanted:
             if not 0 <= c < n:
                 raise IndexError(f"element {c} is out of range 0..{n - 1}")
             while c not in built:
                 built.add(c)
-                c = self._parents[c][0]
+                c = parent[c]
         built = sorted(built)
         row = {c: i for i, c in enumerate(built)}
         columns = np.empty((len(built), n), dtype=np.int32)
         columns[0] = np.arange(n)
         for i, c in enumerate(built[1:], 1):
-            j, s = self._parents[c]
             # every index is in range, so "clip" only lets take write into the row unbuffered
-            self._right[s].take(columns[row[j]], out=columns[i], mode="clip")
+            self._right[parent_gen[c]].take(columns[row[parent[c]]], out=columns[i], mode="clip")
         return (columns if elements is None else columns[[row[c] for c in wanted]]).T
 
     def class_product_coefficients(self) -> np.ndarray:
@@ -306,6 +345,13 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, degree={self.degree}, classes={len(self.classes)})"
 
 
+def _key(images, degree: int) -> bytes:
+    """The closure's dict key of an image sequence of the given degree: one
+    byte a point up to 256 points, else the bytes of the smallest unsigned
+    dtype that holds every point."""
+    return bytes(images) if degree <= 256 else np.array(images, np.min_scalar_type(degree - 1)).tobytes()
+
+
 def _orbits(n, maps):
     """Orbits of range(n) under bijections of it, each given as an int list
     (entry x the image of x).  Returns (orbits, label): the orbits in order
@@ -330,20 +376,23 @@ def _orbits(n, maps):
     return orbits, label
 
 
-def _conjugacy_partition(elements, conjugations):
-    """The conjugacy classes: the orbits of ``conjugations`` (one index map
-    per generator g, entry x the index of g^-1 g_x g), ordered by (element
-    order, size, first-seen index), each represented by its first-seen
-    member, its least.  Returns (classes, class_index_of), the one record
-    of which class each element is in, a read-only int32 array."""
-    orbits, label = _orbits(len(elements), conjugations)
-    raw = [(elements[o[0]].order(), len(o), o[0]) for o in orbits]
+def _conjugacy_partition(images, conjugations):
+    """The conjugacy classes of the elements whose images are the rows of
+    ``images``: the orbits of ``conjugations`` (one index map per generator
+    g, entry x the index of g^-1 g_x g), ordered by (element order, size,
+    first-seen index), each represented by its first-seen member, its
+    least, the one Permutation made per class.  Returns (classes,
+    class_index_of), the one record of which class each element is in, a
+    read-only int32 array."""
+    orbits, label = _orbits(len(images), conjugations)
+    reps = [_bijection(tuple(images[o[0]].tolist())) for o in orbits]
+    raw = [(rep.order(), len(o), o[0]) for rep, o in zip(reps, orbits)]
     ranked = sorted(range(len(raw)), key=raw.__getitem__)
     rank = np.empty(len(raw), dtype=np.int32)
     rank[ranked] = range(len(raw))
     classes = tuple(
-        ConjClass(representative=elements[first], size=size, element_order=order, index=first)
-        for order, size, first in (raw[r] for r in ranked)
+        ConjClass(representative=reps[r], size=raw[r][1], element_order=raw[r][0], index=raw[r][2])
+        for r in ranked
     )
     class_index_of = rank[label]
     class_index_of.setflags(write=False)

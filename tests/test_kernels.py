@@ -8,6 +8,7 @@ elimination leaves against a plain-Python one."""
 
 import random
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,6 +211,7 @@ def reference_products(lefts, b):
     return out
 
 
+@hypothesis.seed(0)  # the same draws, and so about the same time, on every run
 @settings(max_examples=12, deadline=None)
 @given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32), count=st.integers(1, 4),
        density=st.sampled_from([0.05, 0.3, 1.0]), rational=st.lists(st.booleans(), min_size=5, max_size=5))

@@ -13,13 +13,13 @@ minimal polynomial over F_p (the oracle does, on the center over F_q).
 minpoly reads it off a Krylov matrix its caller builds, the columns v, Av,
 ..., A^b v; it calls no operator.
 Factorization is Berlekamp's algorithm (Bell Syst. Tech. J. 46, 1967;
-Knuth, TAOCP vol. 2, 4.6.2): squarefree split via gcd with the derivative
-(a polynomial with zero derivative is a p-th power, whose root takes every
-p-th coefficient, as a**p = a in F_p); for p up to ROOT_SCAN_P_MAX, the
-linear factors by evaluation at every point of F_p; then the fixed space
-{a : a^p = a mod f}, the left kernel of Q - I for Berlekamp's matrix Q,
-rows x^(ip) mod f, whose dimension is the number of irreducible factors,
-and seeded random splits on it.  is_irreducible reads the same dimension.
+Knuth, TAOCP vol. 2, 4.6.2) on squarefree input, gcd(f, f') = 1, which
+every caller has (factor rejects any other f, a p-th power included): for
+p up to ROOT_SCAN_P_MAX, the linear factors by evaluation at every point
+of F_p; then the fixed space {a : a^p = a mod f}, the left kernel of Q - I
+for Berlekamp's matrix Q, rows x^(ip) mod f, whose dimension is the number
+of irreducible factors, and random splits on it.  is_irreducible reads the
+same dimension.
 There is one elimination, _eliminate, run in place on a fresh working copy
 (_working_copy): MatrixFq.rank reads the rank of the F_p blow-up of an F_q
 matrix off it (each entry expanded by one einsum against the powers of the
@@ -384,14 +384,6 @@ class Polynomial:
         p = self.spec.p
         return Polynomial._of(self.spec, [i * c % p for i, c in enumerate(self.coeffs[1:], 1)])
 
-    def pth_root(self) -> "Polynomial":
-        """For f with zero derivative, the unique g with g**p = f: a**p = a
-        in F_p, so g takes every p-th coefficient of f."""
-        p = self.spec.p
-        if any(c for i, c in enumerate(self.coeffs) if i % p):
-            raise ValueError("polynomial is not a p-th power")
-        return Polynomial._of(self.spec, list(self.coeffs[::p]))
-
     def gcd(self, other: "Polynomial") -> "Polynomial":
         a, b = self, other
         while not b.is_zero():
@@ -506,53 +498,27 @@ def _poly_divmod(spec: FieldSpec, num, den, inv_lc=None):
 # factorization ---------------------------------------------------------------
 
 
-def factor(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
-    """Full factorization of a nonzero polynomial into monic irreducibles with
-    multiplicities, sorted by Polynomial.sort_key: degree, then the
-    coefficients from the constant term up.  The product of
-    the factors with multiplicities equals f up to its leading coefficient.
-    The pipeline is the module docstring's: squarefree split, the linear
-    factors by evaluation for p up to ROOT_SCAN_P_MAX, and Berlekamp's
-    random splits, whose draws come from a stream of its own, seeded by
-    seed, p, k and deg f.  A squarefree f, such as every minimal polynomial
-    of a semisimple block, skips the division loop that counts
-    multiplicities."""
+def factor(f: Polynomial) -> list[Polynomial]:
+    """The monic irreducible factors of a squarefree polynomial f, sorted by
+    Polynomial.sort_key: degree, then the coefficients from the constant
+    term up.  Their product is f up to its leading coefficient, and a
+    nonzero constant has none.  Raises ValueError for the zero polynomial
+    and for gcd(f, f') != 1, which a p-th power, f' = 0, has too: every
+    caller's f is squarefree, a minimal polynomial on a semisimple block or
+    make_field's candidate after is_irreducible.  The pipeline is the
+    module docstring's: the linear factors by evaluation for p up to
+    ROOT_SCAN_P_MAX, and Berlekamp's random splits, whose draws come from
+    a stream of their own, seeded by p and deg f.  A factorization is
+    unique, so the draws never change the output."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    rng = random.Random(f"factor:{seed}:{f.spec.p}:{f.spec.k}:{f.degree()}")
-    out = _factor_monic(f.monic(), rng)
-    out.sort(key=lambda t: t[0].sort_key())
-    return out
-
-
-def _factor_monic(f: Polynomial, rng: random.Random) -> list[tuple[Polynomial, int]]:
-    if f.degree() <= 0:
+    f = f.monic()
+    if f.gcd(f.derivative()).degree():
+        raise ValueError("factor takes a squarefree polynomial")
+    if f.degree() == 0:
         return []
-    der = f.derivative()
-    if der.is_zero():
-        root = f.pth_root()
-        return [(g, m * f.spec.p) for g, m in _factor_monic(root, rng)]
-    c = f.gcd(der)
-    if c.degree() == 0:
-        return [(g, 1) for g in _factor_squarefree(f, rng)]  # f is squarefree
-    w = f // c
-    # w is the product of the distinct irreducible factors whose multiplicity
-    # in f is not divisible by p
-    out = []
-    rest = f
-    for g in _factor_squarefree(w, rng):
-        m = 0
-        while True:
-            quo, rem = divmod(rest, g)
-            if not rem.is_zero():
-                break
-            rest = quo
-            m += 1
-        out.append((g, m))
-    if rest.degree() > 0:
-        # what is left is a p-th power (all multiplicities divisible by p)
-        out.extend(_factor_monic(rest, rng))
-    return out
+    rng = random.Random(f"factor:0:{f.spec.p}:1:{f.degree()}")
+    return sorted(_factor_squarefree(f, rng), key=Polynomial.sort_key)
 
 
 def _factor_squarefree(f: Polynomial, rng: random.Random) -> list[Polynomial]:

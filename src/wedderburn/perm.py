@@ -274,7 +274,9 @@ class FiniteGroup:
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        """The elements as Permutations, in closure order, made on first read."""
+        """The elements as Permutations, in closure order, made on first read.
+        No package path reads it: it stays as the tests' view of the element
+        order, which they index by position."""
         return tuple(_bijection(tuple(row)) for row in self._images.tolist())
 
     def index(self, g: Permutation) -> int:

@@ -1,7 +1,7 @@
 """Block dimensions of F_q[G]: split_center reads each D = dim e*F_q[G] off
 the trace |G| * e(1) of the idempotent e lifted to the Galois ring mod p^s,
-p^s > |G|; the full rank of e's |G| x |G| matrix of right translates is
-verify_split's fallback, and the reference here."""
+p^s > |G|; the full rank of e's |G| x |G| matrix of right translates,
+_right_ideal_dimension in test_kernels, is the reference here."""
 
 from pathlib import Path
 
@@ -9,7 +9,8 @@ import pytest
 
 from wedderburn import make_field, split_center
 from wedderburn.cli import resolve_group
-from wedderburn.oracle import _right_ideal_dimension
+
+from test_kernels import _right_ideal_dimension
 
 GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
 

@@ -95,7 +95,7 @@ def test_refinement_returns_the_crt_idempotents(p, seed):
     F, factors, f = squarefree_case(p, seed)
     n = f.degree()
     Z = _CenterAlgebra(monomial_constants(f), F)
-    blocks = _refine(Z, [(unit(n, F), n)], random.Random(seed), seed)
+    blocks = _refine(Z, [(unit(n, F), n)], random.Random(seed))
     matched = []
     for e, d in blocks:
         E = as_poly(F, e)
@@ -119,7 +119,7 @@ def test_irreducible_splits_over_the_extension_into_gcd_blocks(p, d, k):
     spec = make_field(p, k, seed=0)
     Z = _CenterAlgebra(monomial_constants(f), spec)
     one = unit(d, spec)
-    blocks = _refine(Z, [(one, k * d)], random.Random(k), 0)
+    blocks = _refine(Z, [(one, k * d)], random.Random(k))
     assert sorted(dim for _, dim in blocks) == [math.lcm(d, k)] * math.gcd(d, k)
     es = np.stack([e for e, _ in blocks])
     assert np.array_equal(es.sum(0) % p, one)

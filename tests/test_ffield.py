@@ -191,8 +191,8 @@ def test_factor_x2_minus_1(f11):
     x = Polynomial.x(f11)
     f = x * x - Polynomial.one(f11)
     facs = factor(f)
-    assert [(g.degree(), m) for g, m in facs] == [(1, 1), (1, 1)]
-    roots = sorted(g.coeffs[0] for g, _ in facs)
+    assert [g.degree() for g in facs] == [1, 1]
+    roots = sorted(g.coeffs[0] for g in facs)
     assert roots == [1, 10]  # x - 1 and x + 1 = x - 10
 
 
@@ -201,8 +201,7 @@ def test_factor_x2_plus_1_irreducible(f11):
     f = x * x + Polynomial.one(f11)
     # oracle: -1 is not a square mod 11, checked by exhausting all 11 candidates
     assert all((r * r) % 11 != 10 for r in range(11))
-    facs = factor(f)
-    assert len(facs) == 1 and facs[0] == (f, 1)
+    assert factor(f) == [f]
     assert f.is_irreducible()
 
 
@@ -214,7 +213,7 @@ def test_factor_x6_minus_1_splits(f13):
     assert len(roots) == 6
     facs = factor(f)
     assert len(facs) == 6
-    assert all(g.degree() == 1 and m == 1 for g, m in facs)
+    assert all(g.degree() == 1 for g in facs)
 
 
 def _horner(f, x):
@@ -232,21 +231,24 @@ def _random_poly(spec, rng, degree):
     return Polynomial(spec, coeffs)
 
 
-def _refactor_product(facs, spec):
-    out = Polynomial.one(spec)
-    for g, m in facs:
-        out = math.prod([g] * m, start=out)
-    return out
+def _is_squarefree(f):
+    return f.gcd(f.derivative()).degree() == 0
 
 
 def test_factor_roundtrip_seeded(f11):
+    # each squarefree polynomial is the product of its factors, and factor
+    # rejects every other one
     rng = random.Random(2024)
     for spec in (f11, make_field(2**31 + 11)):
-        for trial in range(200):
+        for _ in range(200):
             f = _random_poly(spec, rng, 1 + rng.randrange(12))
-            facs = factor(f, seed=trial)
-            assert _refactor_product(facs, spec) == f.monic()
-            for g, _ in facs:
+            if not _is_squarefree(f):
+                with pytest.raises(ValueError):
+                    factor(f)
+                continue
+            facs = factor(f)
+            assert math.prod(facs, start=Polynomial.one(spec)) == f.monic()
+            for g in facs:
                 assert g.coeffs[-1] == 1  # monic
                 assert g.is_irreducible()
 
@@ -267,29 +269,38 @@ def _pinned_factor_cases(p, count):
         yield f
 
 
-# sha256 of the factorizations of _pinned_factor_cases(p, 40), one line of
-# coefficients and multiplicity per factor, from the classical pipeline
+# sha256 of the factorizations of the squarefree cases of
+# _pinned_factor_cases(p, 40), one line of coefficients per factor, and the
+# number of those cases.  Recorded with the factor that also took repeated
+# factors and p-th powers, whose output had matched the classical pipeline
 # (Cantor-Zassenhaus at every degree, pow_mod for every Frobenius step):
 # factor is unique and sorted, so each digest holds for any algorithm.
 # 16381 and 16411 are the primes on either side of ROOT_SCAN_P_MAX.
 PINNED_FACTOR_DIGESTS = {
-    5: "9134c79a9944b6a2da5063a8de233397a2407b7ad325529d420e1d642cf6bdab",
-    11: "ad36b4e87ed44fd6ae8784ed2747fe02c8cb4703e6c7b959737bdc822c9ccdb5",
-    727: "9956e6e0795292fb77db9bb28a8d7a235e7e5e65773d6924aaa897d0b6389695",
-    16381: "418f266605031e44ef12a46bd9cb3ff993c50e24bf63fa6e0fc19f475a65812d",
-    16411: "19de3ac1ffbf745b1423e60f4ab4533ea3b44ea6b092b1592f491d0923e2c99c",
-    2**31 + 11: "52ed64254972b65139d240cd2a3c6f640bbd34a247c9d24a07f2d30e40a9bb5b",
+    5: (12, "2e6607ca71e7b25c56c4621cf338707f2e1bbda0ff29679d45ef477b66715eb8"),
+    11: (13, "e05204266d102cc955d2106a1da4fa43f70d139669b493d0acab018304ba3c7e"),
+    727: (21, "693c51b7447979cf4cb0f18471bee17990d69c25cfd88adced6071153c9e3fd8"),
+    16381: (23, "c5543815fac2f8c52de38e551898df99be554ea8b7101e96724874096cb39e28"),
+    16411: (24, "53e9c153e15eba43c734bff714f29d059a657575185a0e25713ed5f2aea187b1"),
+    2**31 + 11: (23, "94079393db03b71e8f40de5bd86720db76c9c543d721ff46597026ba48d4a3d4"),
 }
 
 
 @pytest.mark.parametrize("p", sorted(PINNED_FACTOR_DIGESTS))
 def test_factor_output_is_pinned(p):
+    # the cases with a repeated factor or a p-th power are rejected
     assert 16381 <= ffield.ROOT_SCAN_P_MAX < 16411
     h = hashlib.sha256()
-    for trial, f in enumerate(_pinned_factor_cases(p, 40)):
-        for g, m in factor(f, seed=trial):
-            h.update(f"{g.coeffs} {m}\n".encode())
-    assert h.hexdigest() == PINNED_FACTOR_DIGESTS[p]
+    squarefree = 0
+    for f in _pinned_factor_cases(p, 40):
+        if not _is_squarefree(f):
+            with pytest.raises(ValueError):
+                factor(f)
+            continue
+        squarefree += 1
+        for g in factor(f):
+            h.update(f"{g.coeffs}\n".encode())
+    assert (squarefree, h.hexdigest()) == PINNED_FACTOR_DIGESTS[p]
 
 
 @pytest.mark.parametrize("p, draws", [(727, False), (16411, True)])
@@ -311,12 +322,15 @@ def test_linear_factors_below_the_root_scan_bound_make_no_draw(p, draws, monkeyp
     roots = sorted(random.Random(p).sample(range(p), 8))
     linear = [Polynomial(spec, [-r % p, 1]) for r in roots]
     facs = factor(math.prod(linear, start=Polynomial.one(spec)))
-    assert facs == sorted([(g, 1) for g in linear], key=lambda t: t[0].sort_key())
+    assert facs == sorted(linear, key=Polynomial.sort_key)
     assert calls == ([(p, 8, 8)] if draws else [])
 
 
 def _is_irreducible_by_factor(f):
-    return factor(f) == [(f.monic(), 1)]
+    try:
+        return factor(f) == [f.monic()]
+    except ValueError:  # zero, or a repeated factor: reducible
+        return False
 
 
 def test_is_irreducible_agrees_with_factor_on_every_small_monic_poly():
@@ -392,6 +406,7 @@ def test_make_field_modulus_is_pinned(p, k, modulus):
 
 
 def test_factor_with_forced_multiplicities(f11):
+    # g1^3 g2 has a repeated factor, which factor rejects
     rng = random.Random(5)
     x = Polynomial.x(f11)
     for _ in range(40):
@@ -401,30 +416,38 @@ def test_factor_with_forced_multiplicities(f11):
             b = rng.randrange(11)
         g1 = x - Polynomial(f11, [a])
         g2 = x - Polynomial(f11, [b])
-        f = g1 * g1 * g1 * g2
-        facs = factor(f)
-        assert sorted(m for _, m in facs) == [1, 3]
-        assert _refactor_product(facs, f11) == f
+        with pytest.raises(ValueError):
+            factor(g1 * g1 * g1 * g2)
 
 
 def test_factor_pth_power(f11):
-    # derivative-zero path: (x + 3)^11 has zero derivative over F_11
+    # (x + 3)^11 has zero derivative over F_11, and (x + 4)^5 (x + 3)^2
+    # over F_5 a p-th power times a square: factor rejects both
     x = Polynomial.x(f11)
     f = math.prod([x + Polynomial(f11, [3])] * 11, start=Polynomial.one(f11))
     assert f.derivative().is_zero()
-    facs = factor(f)
-    assert len(facs) == 1
-    g, m = facs[0]
-    assert m == 11 and g.degree() == 1
-    # over F_5, once x + 3 is divided out of (x + 4)^5 (x + 3)^2, a p-th power is left
+    with pytest.raises(ValueError):
+        factor(f)
     f5 = make_field(5)
     g, h = Polynomial.x(f5) + Polynomial(f5, [4]), Polynomial.x(f5) + Polynomial(f5, [3])
-    assert factor(math.prod([g] * 5 + [h] * 2, start=Polynomial.one(f5))) == [(h, 2), (g, 5)]
+    with pytest.raises(ValueError):
+        factor(math.prod([g] * 5 + [h] * 2, start=Polynomial.one(f5)))
 
 
 def test_factor_rejects_zero(f11):
     with pytest.raises(ValueError):
         factor(Polynomial.zero(f11))
+
+
+def test_factor_takes_squarefree_input_alone(f11):
+    # zero, a square factor and a p-th power each raise ValueError; the
+    # squarefree cofactor of the square factor does not
+    x, one = Polynomial.x(f11), Polynomial.one(f11)
+    g, h = x + Polynomial(f11, [3]), x * x + one  # x^2 + 1 is irreducible over F_11
+    for f in (Polynomial.zero(f11), g * g * h, math.prod([g] * 11, start=one)):
+        with pytest.raises(ValueError):
+            factor(f)
+    assert factor(g * h) == [g, h]
 
 
 # polynomials are over F_p alone: every field here has k = 1
@@ -543,12 +566,16 @@ def test_int_kernels_match_tuple_arithmetic(case):
     assert g.coeffs[-1] == 1  # monic
     if a.is_zero():
         return
-    # the product of the factors is the monic input
+    # the product of the factors is the monic input, or a has a repeated
+    # factor and factor rejects it
+    if not _is_squarefree(a):
+        with pytest.raises(ValueError):
+            factor(a)
+        return
     product = [(1,) + (0,) * (spec.k - 1)]
-    for f, m in factor(a):
+    for f in factor(a):
         assert f.coeffs[-1] == 1  # monic
-        for _ in range(m):
-            product = _ref_poly_mul(spec, product, _tuples(f))
+        product = _ref_poly_mul(spec, product, _tuples(f))
     inv_lc = _ref_inv(spec, ta[-1])
     assert product == [_ref_mul(spec, c, inv_lc) for c in ta]
 

@@ -145,12 +145,9 @@ def test_verify_checks_the_trace_congruence(split11, monkeypatch):
 
 
 def ranks_agree_with(split, monkeypatch):
-    """Stub both rank routes of verify_split to agree with each block's
-    claim: the Krylov certificate reaches every n*d it is asked for, and
-    the full-rank fallback returns the claimed dimension."""
-    claimed = {e.tobytes(): D for e, D in zip(split.idempotents, split.block_dims)}
+    """Stub verify_split's rank route to agree with each block's claim: the
+    Krylov certificate reaches every n*d it is asked for."""
     monkeypatch.setattr(oracle, "_krylov_ranks", lambda G, spec, arrs, lengths, rng: list(lengths))
-    monkeypatch.setattr(oracle, "_right_ideal_dimension", lambda spec, e, table: claimed[e.tobytes()])
 
 
 def recording(monkeypatch, name):
@@ -171,7 +168,8 @@ def test_verify_rejects_a_rank_only_swap(split11, monkeypatch):
     # and the center degree still hold, and so does the trace congruence,
     # as 9 = 64 mod 11.  Only the rank certificate can tell: the block that
     # claims n = 8 lies in M_3(F_11), where F_11[x] has dimension at most 3,
-    # so its Krylov rank never reaches 8 in any draw, and its full rank is 9
+    # so its Krylov rank never reaches 8 in any draw, and verify rejects it
+    # after its draws without reading the whole table
     assert split11.block_dims[1] == 9 and split11.block_dims[5] == 64
 
     def swap(t):
@@ -182,12 +180,12 @@ def test_verify_rejects_a_rank_only_swap(split11, monkeypatch):
         ranks_agree_with(swapped, m)
         assert verify_split(swapped)
     krylov = recording(monkeypatch, "_krylov_ranks")
-    full = recording(monkeypatch, "_right_ideal_dimension")
+    reads = table_reads(monkeypatch)
     assert not verify_split(swapped)
     assert len(krylov) == oracle.KRYLOV_DRAWS
     assert krylov[0][0] == 1 and krylov[0][1] <= 3 and krylov[0][2:] == [3, 6, 7, 3]
     assert all(len(ranks) == 1 and ranks[0] <= 3 for ranks in krylov[1:])
-    assert full == [9]
+    assert len(reads) == oracle.KRYLOV_DRAWS and None not in reads
 
 
 def test_verify_rejects_a_wrong_centre_degree(split11):
@@ -213,40 +211,41 @@ def test_verify_rejects_a_dimension_sum_before_any_rank(split11, monkeypatch):
     assert not verify_split(claimed)
 
 
-def no_full_rank(monkeypatch):
-    def full_rank(spec, E, table):
-        raise AssertionError("verify_split fell back to a full rank")
-
-    monkeypatch.setattr(oracle, "_right_ideal_dimension", full_rank)
-
-
+GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
+# the zoo groups of bench/workloads.py, each at its two primes, one below and one above its order
+ZOO_PRIMES = {"c15": (11, 17), "q8": (5, 11), "d10": (7, 31), "a4": (5, 13), "s4": (7, 29),
+              "c7c3": (11, 43), "a5": (7, 61), "s5": (13, 127), "psl27": (13, 179),
+              "a6": (11, 367), "s6": (11, 727)}
 # the seven fields of the sl32_oracle benchmark, then F_5 and F_169
 SL32_FIELDS = ((11, 1), (13, 1), (17, 1), (23, 1), (29, 1), (11, 2), (13, 3), (5, 1), (13, 2))
+# both SL(3,2) actions over fields below |G| and F_179 above it, and the zoo at its primes
+GOOD_SPLITS = {"builtin:sl32-s8": SL32_FIELDS + ((179, 1),), "builtin:sl32-p2f2": SL32_FIELDS + ((179, 1),),
+               **{name: tuple((p, 1) for p in ps) for name, ps in ZOO_PRIMES.items()}}
 
 
-@pytest.mark.parametrize("group", ["builtin:sl32-s8", "builtin:sl32-p2f2"])
+@pytest.mark.parametrize("group", GOOD_SPLITS)
 def test_verify_takes_no_full_rank_on_good_splits(group, monkeypatch):
-    # nor builds a full table, over fields below |G| and F_179 above it
-    G = resolve_group(group)
-    no_full_rank(monkeypatch)
+    # nor builds a full table: a good split that ran out of draws would be
+    # rejected, so every block must reach n*d within KRYLOV_DRAWS draws
+    G = resolve_group(group if group.startswith("builtin:") else f"file:{GROUP_DIR / group}.txt")
     table_reads(monkeypatch, full_reads=False)
-    for p, k in SL32_FIELDS + ((179, 1),):
+    for p, k in GOOD_SPLITS[group]:
         split = split_center(G, make_field(p, k, seed=0), seed=0)
         assert verify_split(split), (p, k)
         krylov_ranks_are_bounded_and_reached(split)
 
 
 @pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
-def test_short_draws_fall_back_to_one_full_rank_per_block(sl32_s8, p, k, monkeypatch):
+def test_verify_rejects_a_block_short_after_its_draws(sl32_s8, p, k, monkeypatch):
     # every draw's Krylov ranks stubbed to 0: each block takes all
-    # KRYLOV_DRAWS draws, asked for n*d vectors each time, then one full rank
+    # KRYLOV_DRAWS draws, asked for n*d vectors each time, and verify then
+    # rejects the split without reading the whole table
     split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
     draws = []
     monkeypatch.setattr(oracle, "_krylov_ranks",
                         lambda G, spec, arrs, lengths, rng: draws.append(list(lengths)) or [0] * len(lengths))
-    full = recording(monkeypatch, "_right_ideal_dimension")
-    assert verify_split(split)
-    assert full == list(split.block_dims)
+    table_reads(monkeypatch, full_reads=False)
+    assert not verify_split(split)
     assert draws == [[n * d for n, d in split.blocks]] * oracle.KRYLOV_DRAWS
 
 
@@ -265,7 +264,7 @@ def test_verify_rejects_two_blocks_claimed_as_one_over_a_wider_centre(sl32_s8, k
                                   blocks=tuple(split.blocks[b] for b in rest) + ((3, 2),))
     assert claimed.block_dims == (1, 36, 49, 64, 18) and sum(split.block_dims) == 168
     assert not verify_split(claimed)
-    no_full_rank(monkeypatch)
+    table_reads(monkeypatch, full_reads=False)
     certifies_every_field(monkeypatch)
     assert verify_split(claimed)
 
@@ -273,7 +272,7 @@ def test_verify_rejects_two_blocks_claimed_as_one_over_a_wider_centre(sl32_s8, k
 def certifies_every_field(monkeypatch):
     """Stub the refinement step, which verify_split runs as its field check,
     to certify every block it is given as one field."""
-    monkeypatch.setattr(oracle, "_try_refine", lambda Z, e, dim, rng, seed: ([(e, dim)], []))
+    monkeypatch.setattr(oracle, "_try_refine", lambda Z, e, dim, rng: ([(e, dim)], []))
 
 
 def test_verify_rejects_a_modular_group_algebra(monkeypatch):
@@ -491,7 +490,6 @@ def test_split_makes_the_class_products_of_each_factor_once(sl32_s8, f11, monkey
     assert combined == [(6, 1)] * 6 + [(6, 6, 1)] + [(b, 6, 1) for b in range(1, 6)] + [(6, 6, 1)] * 4
 
 
-GROUP_DIR = Path(__file__).resolve().parents[1] / "bench" / "groups"
 C15 = f"file:{GROUP_DIR / 'c15.txt'}"
 
 
@@ -544,9 +542,9 @@ def test_refinement_stops_at_a_certified_block(f11, monkeypatch):
     calls = []
     real = oracle.factor
 
-    def counting(mu, seed=0):
+    def counting(mu):
         calls.append(mu.degree())
-        return real(mu, seed=seed)
+        return real(mu)
 
     monkeypatch.setattr(oracle, "factor", counting)
     split = split_center(resolve_group(C15), f11, seed=0)
@@ -564,12 +562,12 @@ def test_extension_refines_only_blocks_whose_degree_shares_a_factor_with_k(sl32_
     blocks = []  # F_p-dimension of the center of each block refined over F_q, then of the blocks it yields
     real_factor, real_refine = oracle.factor, oracle._try_refine
 
-    def counting_factor(mu, seed=0):
+    def counting_factor(mu):
         factored.append(mu.spec.k)
-        return real_factor(mu, seed=seed)
+        return real_factor(mu)
 
-    def recording_refine(Z, e, dim, rng, seed):
-        done, todo = real_refine(Z, e, dim, rng, seed)
+    def recording_refine(Z, e, dim, rng):
+        done, todo = real_refine(Z, e, dim, rng)
         if Z.spec.k > 1:
             blocks.extend([dim] + [d for _, d in done + todo])
         return done, todo
@@ -609,10 +607,7 @@ def test_exhausted_draws_are_an_internal_error(sl32_s8, f11, monkeypatch, capsys
     assert err == "error: internal check failed: failed to split or certify a center block (bug)\n"
 
 
-# the zoo benchmark's groups, each with a prime below and a prime above its order
-ZOO_PRIMES = (("c15", 11, 17), ("q8", 5, 11), ("d10", 7, 31), ("a4", 5, 13), ("s4", 7, 29), ("c7c3", 11, 43),
-              ("a5", 7, 61), ("s5", 13, 127), ("psl27", 13, 179), ("a6", 11, 367), ("s6", 11, 727))
-READ_OFF_CASES = ([(f"file:{GROUP_DIR / name}.txt", p, 1) for name, *primes in ZOO_PRIMES for p in primes]
+READ_OFF_CASES = ([(f"file:{GROUP_DIR / name}.txt", p, 1) for name, primes in ZOO_PRIMES.items() for p in primes]
                   + [("builtin:sl32-s8", p, k) for p, k in SL32_FIELDS[:7] + ((13, 2), (5, 8))])
 
 
@@ -632,10 +627,12 @@ def test_block_degrees_are_the_ranks_of_their_centers(group, p, k):
 
 
 def test_repeated_factor_of_a_minimal_polynomial_is_an_internal_error(sl32_s8, f11, monkeypatch, capsys):
-    def squared(mu, seed=0):
-        return [(mu, 2)]
+    # factor rejects a polynomial with a repeated factor, and the refinement
+    # turns that into an internal error, exit 1
+    def rejecting(mu):
+        raise ValueError("factor takes a squarefree polynomial")
 
-    monkeypatch.setattr(oracle, "factor", squared)
+    monkeypatch.setattr(oracle, "factor", rejecting)
     with pytest.raises(AssertionError, match="non-squarefree"):
         split_center(sl32_s8, f11, seed=0)
     code = cli.main(["oracle", "--group", C15, "--p", "11"])
@@ -687,19 +684,12 @@ def test_split_s5(s5, f11):
     assert verify_split(split)
 
 
-# the zoo groups of bench/workloads.py, each at its two primes
-ZOO_PRIMES = {"c15": (11, 17), "q8": (5, 11), "d10": (7, 31), "a4": (5, 13), "s4": (7, 29),
-              "c7c3": (11, 43), "a5": (7, 61), "s5": (13, 127), "psl27": (13, 179),
-              "a6": (11, 367), "s6": (11, 727)}
-
-
 @pytest.mark.parametrize("name,p", [(name, p) for name, ps in ZOO_PRIMES.items() for p in ps])
 def test_verify_split_on_the_zoo(name, p, monkeypatch):
     # every block dimension is proved by the Krylov certificate, and no
     # full table is built, at a prime below |G| and one above it
     G = resolve_group(f"file:{GROUP_DIR / (name + '.txt')}")
     split = split_center(G, make_field(p), seed=0)
-    no_full_rank(monkeypatch)
     table_reads(monkeypatch, full_reads=False)
     assert verify_split(split)
     krylov_ranks_are_bounded_and_reached(split)
@@ -868,21 +858,6 @@ def test_each_table_column_is_built_once(sl32_s8, f11):
         assert tracemalloc.get_traced_memory()[1] < 2 * 10**6
     finally:
         tracemalloc.stop()
-
-
-@pytest.mark.parametrize("p,k", [(11, 1), (13, 3)])
-def test_verify_reads_the_full_table_once(sl32_s8, p, k, monkeypatch):
-    # a good split reads no whole table: the Krylov steps read only the
-    # columns they gather through.  Blocks that fall back to
-    # the full rank share one table per call
-    split = split_center(sl32_s8, make_field(p, k, seed=0), seed=0)
-    reads = table_reads(monkeypatch)
-    assert verify_split(split)
-    assert reads and None not in reads
-    monkeypatch.setattr(oracle, "_krylov_ranks", lambda G, spec, arrs, lengths, rng: [0] * len(lengths))
-    for calls in (1, 2):
-        assert verify_split(split)
-        assert reads.count(None) == calls
 
 
 def test_algebra_element_keeps_its_array(sl32_s8, f11):

@@ -45,11 +45,13 @@ center e*Z has dimension d = sum of the d_j, which verify also checks.  For
 any x in e*F_q[G], F_q[x] has dimension at most sum of n_j * d_j, at most
 sqrt(d * D') by Cauchy-Schwarz; so n*d independent Krylov vectors e, x,
 ..., x^(n*d - 1) give D' >= d * n^2 = D, and the claimed D summing to |G|
-make every D exact.  A block still short of n*d independent vectors
-after KRYLOV_DRAWS draws is rejected, so verify's work is bounded and it
-builds no |G| x |G| table.  A block with d >= 2 also gets e*Z proved a
-field, so that e*F_q[G] is one block M_n(F_(q^d)) and not a product of
-smaller ones.
+make every D exact.  Verify ranks each draw's Krylov vectors on a sample
+of about n*d + 32 of their |G| coordinates: a submatrix's rank is at most
+the matrix's, so a sample can cost a good split a draw and never passes a
+bad one.  A block still short of n*d independent vectors after
+KRYLOV_DRAWS draws is rejected, so verify's work is bounded and it builds
+no |G| x |G| table.  A block with d >= 2 also gets e*Z proved a field, so
+that e*F_q[G] is one block M_n(F_(q^d)) and not a product of smaller ones.
 
 Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product,
 _convolve, writes the coefficient of g as sum over h of a(h^-1) * b(h g):
@@ -57,7 +59,9 @@ it gathers its right factor through the full multiplication table, permutes
 the left one by inversion, does k^2 matrix-vector products mod p and folds
 the result with FieldSpec.fold; the overflow rule is ffield's, with the sum
 over the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms
-(_int64_chunk, which the Krylov steps share).  Only AlgebraElement.__mul__
+(_int64_chunk).  _dot_mod is that chunked product mod p, and every product
+whose multiplier lies in F_p is one: _convolve's, each Krylov step of the
+split and of verify, and the CRT combination.  Only AlgebraElement.__mul__
 calls it: no package path multiplies two elements of F_q[G].  Every
 column comes from FiniteGroup.mul_table, which builds the columns asked for
 and each column on their parent words once: the class constants
@@ -71,10 +75,12 @@ the center over F_q, over F_p and over the Galois ring.  A product u * v
 is the basis products of v, an O(m^3 k) integer matmul against c, then
 their combination with the coefficients of u, O(m^2 k^2), summed before
 one FieldSpec.fold.  The basis products
-of a random central element w are made once for all the Krylov steps
-v -> v * w, which _CenterAlgebra.krylov takes and stacks as the columns
-of the matrix minpoly reads; a split's idempotents are combinations of
-those Krylov vectors, with no product made again; and a product is
+of a random central element w are made once, as the (m k x m k) matrix
+over F_p of v -> v * w (ffield's _blow_up), and each Krylov step is one
+matrix-vector product of it, which _CenterAlgebra.krylov stacks as the
+columns of the matrix minpoly reads; a split's idempotents are F_p
+combinations of those Krylov vectors, one matrix product with no fold
+and no product made again; and a product is
 broadcast over stacks: each Newton step lifts every idempotent at once,
 and each new idempotent is checked orthogonal to all those before it at
 once.  Class vectors become (|G|, k) rows in one place: split_center
@@ -95,7 +101,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ModularCaseError
-from .ffield import FieldSpec, MatrixFq, Polynomial, factor, minpoly
+from .ffield import FieldSpec, MatrixFq, Polynomial, _blow_up, factor, minpoly
 from .perm import FiniteGroup
 
 __all__ = ["AlgebraElement", "CentralSplit", "split_center", "verify_split"]
@@ -118,8 +124,12 @@ KRYLOV_TERMS = 6
 # 6 terms, of the 1240 verifies above 1200 needed one draw, 32 two, 7 three and 1 four, and none
 # more; a block fell short in at most 8% of draws on any split measured.  Over 2610 verifies, the
 # 11 bench/groups files and builtin S5 at every prime 5 to 199 not dividing |G| with k <= 3 and
-# q <= 10^6, at seeds 0 and 1, 2580 needed one draw, 28 two and 2 three, and none was rejected
+# q <= 10^6, at seeds 0 and 1, 2580 needed one draw, 28 two and 2 three, and none was rejected;
+# ranking the column sample below in place of the full vectors left those counts as they were
 KRYLOV_DRAWS = 8
+# the coordinates beyond the longest block's n*d that each Krylov draw keeps and ranks: M12's
+# largest rank is 176 x 208 with it, not 176 x 95040
+_SAMPLE_SLACK = 32
 
 
 class AlgebraElement:
@@ -182,18 +192,29 @@ def _int64_chunk(spec: FieldSpec, terms: int) -> int:
     return terms if spec.dtype is object else max(1, (2**63 - 1) // (spec.p - 1) ** 2)
 
 
+def _dot_mod(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b mod p for arrays of residues mod p = spec.p: one matmul per
+    _int64_chunk of the sum over a's last axis, each reduced before the
+    next is added."""
+    terms = a.shape[-1]
+    step = _int64_chunk(spec, terms)
+    y = a[..., :step] @ b[:step] % spec.p
+    if step >= terms:
+        return y
+    for t in range(step, terms, step):
+        y += a[..., t : t + step] @ b[t : t + step] % spec.p
+    return y % spec.p
+
+
 def _convolve(G: FiniteGroup, spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (|G|, k) coefficients of a * b over F_q = spec, for (|G|, k)
     arrays a and b: b is gathered through the full multiplication table,
-    and a, permuted by inversion, meets it in one matmul per chunk of the
-    sum."""
-    n, p, k = G.order, spec.p, spec.k
+    and a, permuted by inversion, meets it in one _dot_mod."""
+    n, k = G.order, spec.k
     # y[t, g, s] = sum over h of a_t(h^-1) * b_s(h g)
     left = a[G.inverse_indices]
     gathered = b[G.mul_table()].reshape(n, n * k)
-    step = _int64_chunk(spec, n)
-    y = sum(left[h : h + step].T @ gathered[h : h + step] % p for h in range(0, n, step))
-    return spec.fold((y % p).reshape(k, n, k).transpose(1, 0, 2))
+    return spec.fold(_dot_mod(spec, left.T, gathered).reshape(k, n, k).transpose(1, 0, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,27 +283,32 @@ class _CenterAlgebra:
     def krylov(self, e: np.ndarray, dim: int, rng: random.Random):
         """(powers, mu) for one central element w whose m * k coefficients
         are drawn from rng: powers is the (dim + 1, m, k) stack e, w*e, ...,
-        w^dim * e, made from w's class products, computed once for all the
-        steps, and mu the minimal polynomial over F_p of w on e*Z read off
-        it, dim = dim e*Z over F_p bounding its degree.  e*Z is an
-        F_p-algebra on the (m * k, 1) columns of its (m, k) vectors."""
+        w^dim * e, and mu the minimal polynomial over F_p of w on e*Z read
+        off it, dim = dim e*Z over F_p bounding its degree.  e*Z is an
+        F_p-algebra on the (m * k, 1) columns of its (m, k) vectors, and
+        multiplication by w is F_p-linear there: w's class products, made
+        once, become its (m k x m k) matrix over F_p (_blow_up of their
+        transpose, as v*w = sum over i of v_i * (b_i * w)), and each power
+        is one matrix-vector product of it, a _dot_mod."""
         spec = self.spec
         m, k = self.m, spec.k
         w = np.array([[rng.randrange(spec.p) for _ in range(k)] for _ in range(m)], dtype=spec.dtype)
-        w_classes = self._mul_classes(w)
-        powers = [e]
-        for _ in range(dim):  # w^i * e lies in e*Z, of dimension dim, so deg mu <= dim
-            powers.append(self._combine(powers[-1], w_classes))
-        powers = np.stack(powers)
-        return powers, minpoly(self.fp, powers.reshape(dim + 1, m * k).T)
+        times_w = _blow_up(spec, self._mul_classes(w).transpose(1, 0, 2)) % spec.p
+        powers = np.empty((dim + 1, m * k), dtype=spec.dtype)
+        powers[0] = e.reshape(m * k)
+        for i in range(dim):  # w^i * e lies in e*Z, of dimension dim, so deg mu <= dim
+            powers[i + 1] = _dot_mod(spec, times_w, powers[i])
+        return powers.reshape(dim + 1, m, k), minpoly(self.fp, powers.T)
 
 
 def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
     """Refine the idempotent e along the coprime factorization mu = prod f_j
     over F_p: the new idempotents are h_j(w) where h_j = 1 mod f_j and 0 mod
     the rest, evaluated at the stacked powers e, w, ..., w^(deg mu - 1) in
-    one combination, whose coefficient rows hold the F_p coefficients of h_j
-    in column 0.  With g_j = mu / f_j, h_j is s_j * g_j mod mu for the s_j
+    one _dot_mod: the (r, deg mu) coefficients of the h_j lie in F_p, and so
+    does a power's every coordinate against them, so the powers flattened
+    to (deg mu, m * k) take one matrix product mod p, with no fold.  With
+    g_j = mu / f_j, h_j is s_j * g_j mod mu for the s_j
     of the extended gcd s_j * g_j + t_j * f_j = 1.  For a linear f_j = x - r
     it is Lagrange's g_j / g_j(r), a multiple of every other factor and of
     degree below deg mu, with no extended gcd: g_j(r) != 0 exactly when g_j
@@ -291,7 +317,7 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
     alone: O(r m^3 k) for r idempotents, not the O(r^2 m^3 k) of one
     product per pair."""
     spec, p = Z.spec, mu.spec.p
-    coeffs = np.zeros((len(factors), len(powers), spec.k), dtype=spec.dtype)
+    coeffs = np.zeros((len(factors), len(powers)), dtype=spec.dtype)
     for j, f_j in enumerate(factors):
         g_j = mu // f_j
         if f_j.degree() == 1:
@@ -305,8 +331,8 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
             if gcd.degree() != 0:
                 raise AssertionError("minimal polynomial factors are not coprime (bug)")
             h_j = ((s_j * g_j) % mu).coeffs
-        coeffs[j, : len(h_j), 0] = h_j
-    outs = Z._combine(coeffs, powers)
+        coeffs[j, : len(h_j)] = h_j
+    outs = _dot_mod(spec, coeffs, powers.reshape(len(powers), -1)).reshape(len(factors), *powers.shape[1:])
     if not np.array_equal(outs.sum(0) % spec.p, e):
         raise AssertionError("refined idempotents do not sum to the block unit (bug)")
     if any(Z.mul(outs[:b], outs[b]).any() for b in range(1, len(outs))):
@@ -454,28 +480,39 @@ def _krylov_ranks(G: FiniteGroup, spec: FieldSpec, arrs, lengths, rng: random.Ra
     """For one sparse element a = sum over t of c_t * g_t drawn from rng,
     g_0 = 1 and KRYLOV_TERMS random group elements g_1, g_2, ... (repeats
     allowed) with every c_t in F_p, the rank over F_q of e, e*a, ...,
-    e*a^(r - 1) for each (|G|, k) array e in arrs and its length r in
-    lengths.  The vectors of every block step together, x -> x * a:
-    (x * g)(h) = x(h g^-1) is x gathered through the table column at g^-1,
-    so a step is one gather through the KRYLOV_TERMS + 1 columns and one
-    product with the c_t, with no fold as the c_t lie in F_p; its sum is
-    cut into _int64_chunk's chunks, as _convolve's.  The columns come from
-    one mul_table call, which builds them and the columns on their parent
-    words alone, and a block whose r vectors are done drops out of the
-    stack."""
-    p = spec.p
+    e*a^(r - 1) restricted to a sample S of coordinates, for each (|G|, k)
+    array e in arrs and its length r in lengths.  The vectors of every
+    block step together, x -> x * a: (x * g)(h) = x(h g^-1) is x gathered
+    through the table column at g^-1, so a step is one take through the
+    KRYLOV_TERMS + 1 columns and one _dot_mod with the c_t, with no fold as
+    the c_t lie in F_p.  When every e lies in F_p, so does every step, and
+    only coefficient 0 is stepped and ranked, over F_p: the rank over F_q
+    of vectors over F_p is their rank over F_p.  The columns come from one
+    mul_table call, which builds them and the columns on their parent words
+    alone, and a block whose r vectors are done drops out of the stack.
+
+    Each step runs on the full vectors, but only their coordinates in S
+    are kept, |S| = min(|G|, L + _SAMPLE_SLACK) and L the longest r.  S is
+    drawn from a random.Random seeded by p, k, |G| and the draw's elements,
+    so each draw has its own sample and takes nothing from rng.  A
+    submatrix's rank is at most the matrix's, so a sampled rank is at most
+    the true one and reaches r only when the true one does."""
+    p, k = spec.p, spec.k
     coeffs = np.array([rng.randrange(p) for _ in range(KRYLOV_TERMS + 1)], dtype=spec.dtype)
     elements = [0] + [rng.randrange(G.order) for _ in range(KRYLOV_TERMS)]
     columns = G.mul_table(G.inverse_indices[elements])
-    chunk = _int64_chunk(spec, len(coeffs))
+    if k > 1 and not arrs[..., 1:].any():
+        spec, arrs = FieldSpec(p, 1, (0, 1)), arrs[..., :1]
     order = sorted(range(len(arrs)), key=lambda i: -lengths[i])  # the live blocks are a prefix
-    x = np.stack([arrs[i] for i in order])
-    steps = [x]
-    for j in range(1, lengths[order[0]]):
-        gathered = x[: sum(lengths[i] > j for i in order), columns]  # [block, h, t, coefficient]
-        x = sum(np.einsum("bhts,t->bhs", gathered[:, :, t : t + chunk], coeffs[t : t + chunk]) % p
-                for t in range(0, len(coeffs), chunk)) % p
-        steps.append(x)
+    longest = lengths[order[0]]
+    size = min(G.order, longest + _SAMPLE_SLACK)
+    sample = sorted(random.Random(f"verify-sample:{p}:{k}:{G.order}:{elements}").sample(range(G.order), size))
+    x = arrs[order]
+    steps = [x[:, sample]]
+    for j in range(1, longest):
+        gathered = x[: sum(lengths[i] > j for i in order)].take(columns, axis=1)  # [block, h, t, coefficient]
+        x = _dot_mod(spec, gathered.swapaxes(2, 3), coeffs)
+        steps.append(x[:, sample])
     ranks = [0] * len(arrs)
     for b, i in enumerate(order):
         ranks[i] = MatrixFq(spec, np.stack([x[b] for x in steps[: lengths[i]]])).rank()
@@ -523,7 +560,11 @@ def verify_split(split: CentralSplit) -> bool:
     of n_j * d_j, which Cauchy-Schwarz bounds by sqrt(d * D').  Each draw
     takes one sparse element a (_krylov_ranks) and x = e*a, so x^j = e*a^j:
     if the n*d vectors e, e*a, ..., e*a^(n*d - 1) have rank n*d over F_q,
-    then n*d <= sqrt(d * D'), and D' >= d * n^2 = D.  A block short of n*d
+    then n*d <= sqrt(d * D'), and D' >= d * n^2 = D.  The rank is taken of
+    the vectors restricted to a sample of at most L + 32 of their |G|
+    coordinates, L the longest n*d: a submatrix's rank is at most the
+    matrix's, so a sampled rank of n*d proves the full one, and a sample
+    that misses it only costs the block a draw.  A block short of n*d
     gets a fresh draw, and verify returns False for a block still short
     after KRYLOV_DRAWS draws: the draws can only reject a good split, never
     accept a bad one, and a rejection means no more than that the
@@ -532,9 +573,11 @@ def verify_split(split: CentralSplit) -> bool:
     center a field of degree d over F_q, is one block M_n(F_(q^d)).  The route
     shares no step with the lifted trace split_center uses, and D >= 1
     makes it prove e != 0.  Verify builds no |G| x |G| table, and its work
-    is bounded by KRYLOV_DRAWS draws of sum n*d gathers of length |G|: the
-    Krylov steps gather through mul_table's columns at the elements they
-    need, built with the columns on their parent words alone."""
+    is bounded by KRYLOV_DRAWS draws of sum n*d gathers of length |G| and
+    ranks of at most L + 32 columns: the Krylov steps gather through
+    mul_table's columns at the elements they need, built with the columns
+    on their parent words alone, and keep only the sampled coordinates of
+    each step."""
     G, spec, es = split.group, split.spec, split.idempotents
     p = spec.p
     if (not split.blocks or es.shape != (len(split.blocks), G.order, spec.k) or es.dtype != spec.dtype

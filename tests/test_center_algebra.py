@@ -18,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from wedderburn import Polynomial, make_field
+from wedderburn import Polynomial, builtin_sl32_s8, make_field
 from wedderburn.oracle import _CenterAlgebra, _refine
 
 PRIMES = (5, 11, 13, 101)
@@ -154,3 +154,40 @@ def test_block_dimension_is_the_factor_degree(p, seed):
         e = np.array([[c] for c in padded(crt_idempotent(f, f_j), n)], dtype=F.dtype)
         assert np.array_equal(Z.mul(e, e), e)
         assert Z.block_dimension(e) == f_j.degree()
+
+
+def repeated_products(Z: _CenterAlgebra, e: np.ndarray, dim: int, rng: random.Random) -> np.ndarray:
+    """e, w*e, ..., w^dim * e by Z.mul, for w drawn from rng as
+    _CenterAlgebra.krylov draws it: m rows of k residues mod p."""
+    spec = Z.spec
+    w = np.array([[rng.randrange(spec.p) for _ in range(spec.k)] for _ in range(Z.m)], dtype=spec.dtype)
+    powers = [e]
+    for _ in range(dim):
+        powers.append(Z.mul(w, powers[-1]))
+    return np.stack(powers)
+
+
+@pytest.mark.parametrize("algebra,p,k", [("sl32", 11, 1), ("sl32", 13, 3), ("poly", 11, 1)],
+                         ids=["sl32-F11", "sl32-F13^3", "F11[X]/(f)"])
+def test_krylov_powers_are_repeated_products(algebra, p, k):
+    # the matrix of w over F_p, applied dim times, gives the powers that
+    # dim products by w give, for the same w: the same draws from a copy
+    # of the stream.  The centre of SL(3,2) starts at its unit, of
+    # dimension k*m over F_p, and F_p[X]/(f) at its unit for a seeded
+    # squarefree f
+    if algebra == "sl32":
+        c = builtin_sl32_s8().class_product_coefficients()
+        spec = make_field(p, k, seed=0)
+    else:
+        spec, _, f = squarefree_case(p, 0)
+        c = monomial_constants(f)
+    Z = _CenterAlgebra(c, spec)
+    dim = k * Z.m
+    rng = random.Random(f"krylov:{algebra}:{p}:{k}")
+    copy = random.Random()
+    copy.setstate(rng.getstate())
+    powers, mu = Z.krylov(unit(Z.m, spec), dim, rng)
+    assert powers.dtype == spec.dtype
+    assert np.array_equal(powers, repeated_products(Z, unit(Z.m, spec), dim, copy))
+    assert copy.getstate() == rng.getstate()
+    assert 1 <= mu.degree() <= dim

@@ -102,9 +102,11 @@ ROWS = [
         blocks=[(1, 1), (3, 1), (3, 1), (4, 1), (5, 1)]),
     # the split builds only the table columns at the class representatives and on their parent
     # words, where a full int32 table is 33.6 GiB for M12.  Verify builds no full table either: its
-    # Krylov steps gather through seven columns a draw, and its largest rank is of n * d <= 70
-    # vectors of length |G| (S7, M11, A8; A8's full table alone would be 1.6 GB)
+    # Krylov steps gather through seven columns a draw, and it keeps and ranks only n * d + 32
+    # sampled coordinates of the longest block's vectors of length |G|, so M12's largest rank is
+    # 176 x 208 and its verify fits 1 GB (A8's full table alone would be 1.6 GB)
     row("oracle --group file:m12.txt --p 95063 --format json", limit=3 * GB, marks=pytest.mark.slow, blocks=M12),
+    row("oracle --group file:m12.txt --p 95063 --verify", limit=GB, marks=pytest.mark.slow, blocks=M12),
     row("oracle --group file:s7.txt --p 11 --verify", limit=GB, marks=pytest.mark.slow, blocks=S7),
     row("oracle --group file:s7.txt --p 5051 --verify", limit=GB, marks=pytest.mark.slow, blocks=S7),
     row("oracle --group file:m11.txt --p 7933 --verify", limit=GB, marks=pytest.mark.slow, blocks=M11),

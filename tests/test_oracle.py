@@ -301,13 +301,21 @@ def krylov_ranks_are_bounded_and_reached(split):
     """F_q[x] for x in M_n(F_{q^d}) has dimension at most n*d over F_q, the
     bound the certificate's proof rests on: on each block of a good split,
     n*d + 1 Krylov vectors never have rank above n*d, and every block
-    reaches n*d within KRYLOV_DRAWS draws."""
+    reaches n*d within KRYLOV_DRAWS draws.  Each draw's ranks, taken on a
+    sample of coordinates, are those of the full vectors: the same draw
+    again, from a copy of the stream, with a sample as large as |G|."""
     G, spec = split.group, split.spec
     lengths = [n * d for n, d in split.blocks]
     rng = random.Random(f"krylov-test:{spec.p}:{spec.k}:{G.order}")
     reached = set()
     for _ in range(oracle.KRYLOV_DRAWS):
+        copy = random.Random()
+        copy.setstate(rng.getstate())
         ranks = oracle._krylov_ranks(G, spec, split.idempotents, [r + 1 for r in lengths], rng)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(oracle, "_SAMPLE_SLACK", G.order)
+            assert oracle._krylov_ranks(G, spec, split.idempotents, [r + 1 for r in lengths], copy) == ranks
+        assert copy.getstate() == rng.getstate()
         assert all(rank <= r for rank, r in zip(ranks, lengths)), (ranks, lengths)
         reached |= {b for b, (rank, r) in enumerate(zip(ranks, lengths)) if rank == r}
     assert reached == set(range(len(lengths)))
@@ -465,14 +473,15 @@ def test_split_ranks_each_center_block_once(sl32_s8, f11, q8, monkeypatch):
 
 def test_split_makes_the_class_products_of_each_factor_once(sl32_s8, f11, monkeypatch):
     # SL(3,2) over F_11 at seed 0: the first draw generates the 6-dimensional
-    # center.  The draw's class products serve all six Krylov steps of the
-    # matrix minpoly reads, whose vectors the six idempotents are combined
-    # from; e_1 .. e_5
+    # center.  The draw's class products, made once as the matrix of w over
+    # F_p, serve all six Krylov steps of the matrix minpoly reads, whose
+    # vectors the six idempotents are combined from, with no F_q
+    # combination: w and the CRT coefficients lie in F_p.  e_1 .. e_5
     # are each checked orthogonal to the stacked idempotents before them;
     # and the six are lifted mod 11^3 > 168 together, in two Newton steps of
     # two stacked products
     factors = []  # the shape of each right factor whose class products are made
-    combined = []  # the shape of each combination's coefficients
+    combined = []  # the shape of each F_q combination's coefficients
     mul_classes, combine = _CenterAlgebra._mul_classes, _CenterAlgebra._combine
 
     def recording_classes(self, v):
@@ -487,7 +496,7 @@ def test_split_makes_the_class_products_of_each_factor_once(sl32_s8, f11, monkey
     monkeypatch.setattr(_CenterAlgebra, "_combine", recording_combine)
     split_center(sl32_s8, f11, seed=0)
     assert factors == [(6, 1)] * 6 + [(6, 6, 1)] * 4
-    assert combined == [(6, 1)] * 6 + [(6, 6, 1)] + [(b, 6, 1) for b in range(1, 6)] + [(6, 6, 1)] * 4
+    assert combined == [(b, 6, 1) for b in range(1, 6)] + [(6, 6, 1)] * 4
 
 
 C15 = f"file:{GROUP_DIR / 'c15.txt'}"
@@ -686,13 +695,18 @@ def test_split_s5(s5, f11):
 
 @pytest.mark.parametrize("name,p", [(name, p) for name, ps in ZOO_PRIMES.items() for p in ps])
 def test_verify_split_on_the_zoo(name, p, monkeypatch):
-    # every block dimension is proved by the Krylov certificate, and no
-    # full table is built, at a prime below |G| and one above it
+    # the column sample costs the zoo's good splits no draw: verify asks
+    # for the same lengths and gets the same Krylov ranks, draw by draw, as
+    # with a sample as large as |G|, at a prime below |G| and one above it
     G = resolve_group(f"file:{GROUP_DIR / (name + '.txt')}")
     split = split_center(G, make_field(p), seed=0)
-    table_reads(monkeypatch, full_reads=False)
-    assert verify_split(split)
-    krylov_ranks_are_bounded_and_reached(split)
+    draws = []
+    for slack in (oracle._SAMPLE_SLACK, G.order):
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_SAMPLE_SLACK", slack)
+            draws.append(recording(m, "_krylov_ranks"))
+            assert verify_split(split)
+    assert draws[0] == draws[1]
 
 
 # the sha256 of repr(draws), draws holding per _krylov_ranks call of one

@@ -20,26 +20,21 @@ of F_p; then the fixed space {a : a^p = a mod f}, the left kernel of Q - I
 for Berlekamp's matrix Q, rows x^(ip) mod f, whose dimension is the number
 of irreducible factors, and random splits on it.  is_irreducible reads the
 same dimension.
-There is one elimination, _eliminate, run in place on a fresh working copy
-(_working_copy): MatrixFq.rank reads the rank of the F_p blow-up of an F_q
-matrix off it (each entry expanded by one einsum against the powers of the
-modulus's companion matrix), minpoly reads the minimal polynomial off the
-echelon form it leaves of the Krylov matrix, and _berlekamp_basis reads
-the fixed space off that of [Q - I | I].  A matrix whose entries all
-lie in F_p skips the blow-up: MatrixFq.rank eliminates its constant
-coefficients, since rank does not change under field extension.
-The elimination delays its reductions: each pivot subtracts unreduced
-products of at most (p - 1)**2, and the trailing block is reduced only
-before t updates could break p + t (p - 1)**2 <= the working dtype's
-largest value; it stops at the first column with no pivot whose trailing
-block is zero mod p.  Overflow rule: arrays are int64 when p < 2**31 and
-p + (k - 1) (p - 1)**2 < 2**63, the bound FieldSpec.fold needs, and sums of
-products are reduced modulo p before they can pass 2**63 - 1; otherwise
-arrays hold Python ints (dtype object), on which the same numpy code is
-exact.  Every field make_field builds has p**k < 2**63 and so meets the
-bound whenever p < 2**31.  The elimination alone narrows: on a matrix of
-at least _NARROW_MIN_ENTRIES entries its working copy is int16 when p <= 31
-and int32 when 37 <= p <= 8191 (_working_dtype).
+There is one elimination, _eliminate, run in place on a fresh copy reduced
+mod p that its caller makes: MatrixFq.rank reads the rank of the F_p
+blow-up of an F_q matrix off it (each entry expanded by one einsum against
+the powers of the modulus's companion matrix), minpoly reads the minimal
+polynomial off the echelon form it leaves of the Krylov matrix, and
+_berlekamp_basis reads the fixed space off that of [Q - I | I].  A matrix
+whose entries all lie in F_p skips the blow-up: MatrixFq.rank eliminates
+its constant coefficients, since rank does not change under field
+extension.  The elimination reduces its working matrix mod p after every
+pivot, in the matrix's own dtype.  Overflow rule: arrays are int64 when
+p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the bound FieldSpec.fold
+needs, and sums of products are reduced modulo p before they can pass
+2**63 - 1; otherwise arrays hold Python ints (dtype object), on which the
+same numpy code is exact.  Every field make_field builds has p**k < 2**63
+and so meets the bound whenever p < 2**31.
 """
 from __future__ import annotations
 
@@ -563,7 +558,7 @@ def _roots(f: Polynomial) -> list[int]:
     for c in reversed(f.coeffs[:-1]):
         vals *= xs
         vals += c
-        _reduce(vals, p, vals)
+        np.remainder(vals, p, out=vals)
     return np.flatnonzero(vals == 0).tolist()
 
 
@@ -574,14 +569,13 @@ def _berlekamp_basis(f: Polynomial) -> list[list[int]]:
     Chinese remainder theorem they are the a that are constant mod each
     factor.  As a^p is the sum of a_i x^(ip), they are the left kernel of
     Q - I, Q Berlekamp's matrix (_frobenius_matrix), which one _eliminate
-    of [Q - I | I] reads off: the rows whose left half is zero mod p hold a
-    basis of it in their right half."""
+    of [Q - I | I] reads off: the rows whose left half is zero hold a basis
+    of it in their right half."""
     p, n = f.spec.p, f.degree()
     q = _frobenius_matrix(f)
     q[range(n), range(n)] -= 1
-    w = _working_copy(np.concatenate([q, np.eye(n, dtype=q.dtype)], axis=1), p)
+    w = np.concatenate([q, np.eye(n, dtype=q.dtype)], axis=1) % p
     _eliminate(w, p)
-    w %= p
     return w[~w[:, :n].any(axis=1), n:].tolist()
 
 
@@ -622,11 +616,12 @@ def minpoly(spec: FieldSpec, krylov: np.ndarray) -> Polynomial:
 
     b bounds deg m, as the dimension of the space or of an invariant
     subspace known to hold v does; minpoly raises ValueError if the b + 1
-    columns are independent.  _eliminate reduces a working copy of the
-    matrix, which is left as it was.  With t = deg m, the columns 0..t-1
-    are independent and every later one depends on them, so the pivots are
-    exactly the first t columns.  Only e = w[:t, :t + 1] mod p, the pivot
-    rows up to column t, is read, as int lists: column t is A^t v itself;
+    columns are independent.  _eliminate reduces a copy of the matrix mod
+    p, made C-ordered (the caller's matrix is often a transposed stack), and
+    the matrix is left as it was.  With t = deg m, the columns 0..t-1 are
+    independent and every later one depends on them, so the pivots are
+    exactly the first t columns.  Only e = w[:t, :t + 1], the pivot rows up
+    to column t, is read, as int lists: column t is A^t v itself;
     back-substitution over the rows of the unit upper triangle
     U = e[:, :t] solves U y = -e[:, t], and the coefficient of X^j in m is
     y[j].  A zero start vector gives t = 0 and m = 1.
@@ -635,11 +630,11 @@ def minpoly(spec: FieldSpec, krylov: np.ndarray) -> Polynomial:
     if np.ndim(krylov) != 2:
         raise ValueError("the Krylov matrix must be 2-D")
     p = spec.p
-    w = _working_copy(krylov, p)
+    w = np.remainder(krylov, p, out=np.empty(krylov.shape, krylov.dtype))
     t = _eliminate(w, p)
     if t == w.shape[1]:
         raise ValueError(f"minimal polynomial degree exceeds the bound {t - 1}")
-    e = (w[:t, : t + 1] % p).tolist()
+    e = w[:t, : t + 1].tolist()
     if any(e[r][r] != 1 for r in range(t)):
         raise AssertionError("Krylov pivots are not the leading columns (bug)")
     y = [0] * t
@@ -672,7 +667,7 @@ class MatrixFq:
             a = _blow_up(self.spec, self.arr)
         else:
             a, k = self.arr[..., 0], 1
-        rk = _eliminate(_working_copy(a, p), p)
+        rk = _eliminate(np.remainder(a, p, out=np.empty(a.shape, a.dtype)), p)
         if rk % k:
             raise AssertionError("blown-up rank not divisible by extension degree (bug)")
         return rk // k
@@ -695,106 +690,38 @@ def _blow_up(spec: FieldSpec, arr: np.ndarray) -> np.ndarray:
     return np.einsum("ijt,tcr->irjc", arr, companion).reshape(k * nrows, k * ncols)
 
 
-# the fewest updates a narrowed dtype must hold between two reductions of the
-# trailing block, each of which costs several updates
-_MIN_PERIOD = 32
-_NARROW_MIN_ENTRIES = 1024  # the least matrix size that is narrowed (see _eliminate)
-
-
-def _period(dtype: np.dtype, p: int) -> int:
-    """The unreduced updates a signed integer dtype holds between two
-    reductions: the most t with p + t (p - 1)**2 <= its largest value,
-    2**(8 * itemsize - 1) - 1."""
-    return ((1 << 8 * dtype.itemsize - 1) - 1 - p) // (p - 1) ** 2
-
-
-def _reduce(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
-    """x mod p, into out (which may be x itself).  From 512 entries up it is
-    x - (x // p) p: numpy divides by a scalar several times faster than it
-    takes a remainder (a 96 x 96 array takes 17 us against 128 us in int16
-    and 70 us in int64), but in three calls, which cost more than the one
-    remainder below about 512 entries."""
-    if x.size < 512:
-        return np.remainder(x, p, out=out)
-    q = x // p
-    q *= p
-    return np.subtract(x, q, out=out)
-
-
-def _working_dtype(a: np.ndarray, p: int):
-    """The dtype _eliminate works on a in: int16, else int32, the first
-    whose _period(dtype, p) is at least _MIN_PERIOD, once a has at least
-    _NARROW_MIN_ENTRIES entries; otherwise a's own dtype (int64, or object
-    from p = 2**31 up)."""
-    if a.dtype != object and a.size >= _NARROW_MIN_ENTRIES:
-        for dtype in (np.dtype(np.int16), np.dtype(np.int32)):
-            if _period(dtype, p) >= _MIN_PERIOD:
-                return dtype
-    return a.dtype
-
-
-def _working_copy(a: np.ndarray, p: int) -> np.ndarray:
-    """A fresh copy of a in _working_dtype(a, p), reduced mod p as it is
-    made: one full-array reduction, and a is left as it was."""
-    return _reduce(a, p, np.empty(a.shape, _working_dtype(a, p)))
-
-
 def _eliminate(w: np.ndarray, p: int) -> int:
-    """Rank r modulo p of w, an array already reduced mod p in its working
-    dtype (_working_copy), by Gaussian elimination in place.  On return w is
-    congruent mod p, entry by entry but not reduced, to the row echelon
-    form: rows 0..r-1 are the pivot rows, each zero left of its pivot and
-    with the pivot scaled to 1, every entry below a pivot is zero, and rows
-    r and up are zero.
+    """Rank r modulo p of w, a fresh array reduced mod p (int64, or object
+    from p = 2**31 up), by Gaussian elimination in place.  On return w is
+    the row echelon form, reduced mod p: rows 0..r-1 are the pivot rows,
+    each zero left of its pivot and with the pivot scaled to 1, every entry
+    below a pivot is zero, and rows r and up are zero.
 
-    The updates are memory-bound, so a narrow working copy pays only on
-    larger matrices: measured on square matrices of full rank, of rank about
-    half and of rank 1 at p = 11, 37 and 5051, the narrow copy made a rank
-    3-15% slower at 12 columns, cost about what it saved at 24 to 32, and
-    made it 5-20% faster at 40 to 48 and 15-45% faster at 64 to 96.
-    Reduction is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
-    each pivot reduces only its column and its row, and subtracts the
-    unreduced products col * row, each at most (p - 1)**2, from the rows
-    below.  After t such updates an entry lies in (-t (p - 1)**2, p), so the
-    trailing block is reduced (_reduce) once every ``period`` updates, the
-    most t with p + t (p - 1)**2 within the working dtype: at least 32 in
-    int16 and int32, about 9.2e18 / (p - 1)**2 in int64; Python ints reduce
-    on every update.
-
-    A pivot step works on slices from the pivot column c on: the pivot row
-    is reduced mod p before it is scaled by its inverse (so the product
-    stays below p**2), the first row below r with a nonzero in column c
-    trades places with row r from c on only, and one outer product
-    updates the whole slice w[r+1:, c:], zero rows of the column included.
-    Left of c those two rows hold multiples of p, which a reduction turns
-    to zeros, so the result is that of a full row swap.  At a column
-    with no pivot the elimination stops once the block right of it, rows r
-    and up, is zero mod p: every later column would have no pivot either."""
+    A pivot step works on slices from the pivot column c on: the first row
+    at or below r with a nonzero in column c is scaled by the inverse of
+    that entry and trades places with row r from c on only (left of c both
+    rows are zero), and one outer product, each entry at most (p - 1)**2,
+    updates the whole slice w[r+1:, c:], zero rows of the column included,
+    which is then reduced mod p.  At a column with no pivot the elimination
+    stops once the block right of it, rows r and up, is zero: every later
+    column would have no pivot either."""
     nrows, ncols = w.shape
-    period = 1 if w.dtype == object else _period(w.dtype, p)
-    r = pending = 0
+    r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        col = w[r:, c] % p
-        nz = np.nonzero(col)[0]
+        nz = w[r:, c].nonzero()[0]
         if nz.size == 0:
-            if not _reduce(w[r:, c + 1 :], p).any():
+            if not w[r:, c + 1 :].any():
                 break
             continue
         pr = r + int(nz[0])
-        row = w[pr, c:] % p
+        row = w[pr, c:] * pow(int(w[pr, c]), -1, p) % p
         if pr != r:
-            # left of c both rows are multiples of p, zero after the last reduction
             w[pr, c:] = w[r, c:]
-            col[pr - r] = col[0]
-        row = row * pow(int(row[0]), -1, p) % p
         w[r, c:] = row
         if nz.size > 1:
-            w[r + 1 :, c:] -= col[1:, None] * row
-            pending += 1
-            if pending == period:
-                _reduce(w[r + 1 :, c:], p, w[r + 1 :, c:])
-                pending = 0
+            below = w[r + 1 :, c:]
+            np.remainder(below - below[:, :1] * row, p, out=below)
         r += 1
     return r

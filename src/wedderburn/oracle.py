@@ -61,13 +61,13 @@ the result with FieldSpec.fold; the overflow rule is ffield's, with the sum
 over the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms
 (_int64_chunk).  _dot_mod is that chunked product mod p, and every product
 whose multiplier lies in F_p is one: _convolve's, each Krylov step of the
-split and of verify, and the CRT combination.  Only AlgebraElement.__mul__
-calls it: no package path multiplies two elements of F_q[G].  Every
-column comes from FiniteGroup.mul_table, which builds the columns asked for
-and each column on their parent words once: the class constants
-split_center reads take the m at the representatives, and each Krylov draw
-the few at its elements; only _convolve builds the whole table.  The
-refinement and the lift run on _CenterAlgebra, a commutative algebra given
+split and of verify, and the CRT combination.  _convolve itself has one
+caller, AlgebraElement.__mul__: no package path multiplies two elements of
+F_q[G].  Every column comes from FiniteGroup.mul_table, which builds the
+columns asked for and each column on their parent words once: the class
+constants split_center reads take the m at the representatives, and each
+Krylov draw the few at its elements; only _convolve builds the whole table.
+The refinement and the lift run on _CenterAlgebra, a commutative algebra given
 by its integer structure constants c alone, on (m, k) arrays: its unit
 must be b_0, and every entry of c[i].T @ v must stay within int64, at
 most |G| * p for the class constants, which split_center reads once for

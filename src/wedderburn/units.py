@@ -12,10 +12,10 @@ quadratic time.
 from __future__ import annotations
 
 import decimal
-import math
 from typing import NamedTuple
 
 from .errors import ModularCaseError
+from .ffield import is_prime
 
 __all__ = [
     "ReferenceRow",
@@ -96,10 +96,15 @@ class ReferenceRow(NamedTuple):
 def sl32_expected_row(p: int, k: int) -> ReferenceRow:
     """The paper's answer for F_{p^k} SL(3,2), read off q = p^k alone: type 1
     when q = 1, 2 or 4 (mod 7), the squares mod 7, and type 2 otherwise.
-    Raises ModularCaseError, a ValueError, when p shares a factor with
-    |SL(3,2)| = 168 = 2^3 3 7: for a prime p, the modular case."""
-    if math.gcd(p, 168) != 1:
+    Raises ValueError for a p that is not prime, then ModularCaseError, a
+    ValueError, for a p dividing |SL(3,2)| = 168 = 2^3 3 7, the modular
+    case, and then ValueError for k < 1: a row only for a field that exists."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if 168 % p == 0:
         raise ModularCaseError(p, 168)
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if pow(p, k, 7) in (1, 2, 4):
         return ReferenceRow(1, TYPE1_COMPONENTS)
     return ReferenceRow(2, TYPE2_COMPONENTS)

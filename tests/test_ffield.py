@@ -624,11 +624,9 @@ def test_minpoly_degree_bound(f11):
 
 def test_minpoly_companion_matrix():
     # multiplication by x modulo f has minimal polynomial exactly f.  At
-    # degree 48 the Krylov matrix, 48 x 49, is eliminated in int16 (p = 11,
-    # 31) or int32 (p = 37, 8191), and minpoly reads the echelon form off
-    # that working copy; the start vector g gives f / gcd(f, g), and a Krylov
-    # matrix that is not already in echelon form
-    assert 48 * 49 >= ffield._NARROW_MIN_ENTRIES
+    # degree 48 the Krylov matrix is 48 x 49, and minpoly reads the echelon
+    # form off its working copy; the start vector g gives f / gcd(f, g), and
+    # a Krylov matrix that is not already in echelon form
     for p in (11, 31, 37, 8191):
         spec = make_field(p)
         x = Polynomial.x(spec)

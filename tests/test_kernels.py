@@ -3,8 +3,8 @@ coefficient rows and the group-algebra product against tuple arithmetic
 written here, one coefficient vector at a time, the center's products
 against the group algebra's, minimal polynomials against their
 definition, the companion-matrix rank expansion against a row reduction in
-tuple arithmetic, and the echelon form that the delayed-reduction
-elimination leaves against a plain-Python one."""
+tuple arithmetic, and the echelon form that the elimination leaves
+against a plain-Python one."""
 
 import random
 
@@ -15,8 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
-from wedderburn import ffield
-from wedderburn.ffield import _NARROW_MIN_ENTRIES, _blow_up, _eliminate, _working_copy, _working_dtype
+from wedderburn.ffield import _blow_up, _eliminate
 from wedderburn.oracle import _CenterAlgebra, _convolve
 
 FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0),
@@ -390,9 +389,9 @@ def test_matrix_rows_are_what_rank_sees():
 
 
 def reference_echelon(rows, p):
-    """The row echelon form _eliminate leaves, up to congruence mod p, on
-    lists of Python ints reduced at every step: first nonzero pivot, swapped
-    up, scaled to 1."""
+    """The row echelon form _eliminate leaves, reduced mod p, on lists of
+    Python ints reduced at every step: first nonzero pivot, swapped up,
+    scaled to 1."""
     out = [[x % p for x in row] for row in rows]
     r = 0
     for c in range(len(out[0])):
@@ -454,23 +453,17 @@ def _empty_column_then_pivots(rng, p, nrows, ncols, c):
     return rows
 
 
-# the working dtype of each p once a matrix is narrowed, and the unreduced
-# updates between two reductions of the trailing block in it,
-# (2**(bits - 1) - 1 - p) // (p - 1)**2: 327 and 36 in int16 (p = 11, 31),
-# 1657009 and 32 in int32 (p = 37, 8191), and in int64, which smaller
-# matrices keep at every p < 2**31, about 9.2e16 at p = 11, 1.4e11 at 8209,
-# 8 at 1073741789 and 2 at 2**31 - 1; from 2**31 up the arrays hold Python
-# ints and every update is reduced.  The 40 x 40 worst case makes 39
-# updates, so it passes the period at 31 and 8191 (narrowed) and at 2**31 - 1
-WORKING_DTYPES = {11: np.int16, 31: np.int16, 37: np.int32, 8191: np.int32, 8209: np.int64,
-                  1073741789: np.int64, 2**31 - 1: np.int64, 2**31 + 11: object}
+# small and middle primes, primes near 2**30 and 2**31, whose update
+# products (p - 1)**2 come nearest 2**63 in int64, and 2**31 + 11, where
+# the arrays hold Python ints; the 40 x 40 worst case subtracts (p - 1)**2
+# from every trailing entry at each of its 39 updates
+ECHELON_PRIMES = (11, 31, 37, 8191, 8209, 1073741789, 2**31 - 1, 2**31 + 11)
 
 
-@pytest.mark.parametrize("p", sorted(WORKING_DTYPES))
-def test_delayed_reduction_leaves_the_reference_echelon_form(p, monkeypatch):
+@pytest.mark.parametrize("p", ECHELON_PRIMES)
+def test_elimination_leaves_the_reference_echelon_form(p):
     rng = random.Random(p)
     dtype = np.int64 if p < 2**31 else object
-    assert _working_dtype(np.zeros((1, _NARROW_MIN_ENTRIES), dtype=dtype), p) == WORKING_DTYPES[p]
     cases = [
         (_worst_case_rows(p, 40), 40),
         ([[rng.randrange(p) for _ in range(44)] for _ in range(36)], 36),
@@ -486,24 +479,21 @@ def test_delayed_reduction_leaves_the_reference_echelon_form(p, monkeypatch):
         (_empty_column_then_pivots(rng, p, 14, 12, 5), 11),  # the early stop must not fire
         (_low_rank_rows(rng, p, 30, 30, 12), 12),  # the trailing block empties at column 12
     ]
-    for narrow_from in (_NARROW_MIN_ENTRIES, 0):  # at 0 every case, however small, runs in p's working dtype
-        monkeypatch.setattr("wedderburn.ffield._NARROW_MIN_ENTRIES", narrow_from)
-        for rows, rank in cases:
-            expected = reference_echelon(rows, p)
-            if rank is None:
-                rank = sum(map(any, expected))
-            a = np.array(rows, dtype=dtype)
-            w = _working_copy(a, p)
-            assert w.dtype == (WORKING_DTYPES[p] if a.size >= narrow_from else dtype)
-            assert _eliminate(w, p) == rank
-            assert (w % p).tolist() == expected
-            assert a.dtype == dtype and a.tolist() == rows  # the copy leaves a as it was
+    for rows, rank in cases:
+        expected = reference_echelon(rows, p)
+        if rank is None:
+            rank = sum(map(any, expected))
+        a = np.array(rows, dtype=dtype)
+        w = a % p
+        assert _eliminate(w, p) == rank
+        assert w.tolist() == expected
+        assert a.dtype == dtype and a.tolist() == rows  # the copy leaves a as it was
 
 
 @pytest.mark.parametrize("p", [31, 37])
 def test_blown_up_rank_in_each_working_dtype(p):
     # a 24 x 24 matrix over F_{p^2} with entries outside F_p blows up to
-    # 48 x 48, which is eliminated in int16 at p = 31 and int32 at p = 37
+    # 48 x 48
     spec = make_field(p, 2, seed=0)
     rng = random.Random(p)
     left = [[random_scalar(spec, rng) for _ in range(17)] for _ in range(24)]
@@ -511,46 +501,19 @@ def test_blown_up_rank_in_each_working_dtype(p):
     rows = [[dot(spec, left[i], [right[t][j] for t in range(17)]) for j in range(24)] for i in range(24)]
     m = as_matrix(spec, rows)
     assert m.arr[..., 1:].any()
-    assert _working_dtype(_blow_up(spec, m.arr), p) == WORKING_DTYPES[p]
     assert m.rank() == reference_rank(spec, rows) == 17
-
-
-def full_reductions(monkeypatch, call):
-    """call() with _reduce and _eliminate watched: the count of _reduce calls
-    on an array of the eliminated shape before, during and after _eliminate."""
-    events = []
-    reduce, eliminate = ffield._reduce, ffield._eliminate
-
-    def watched_reduce(x, p, out=None):
-        events.append(x.shape)
-        return reduce(x, p, out)
-
-    def watched_eliminate(w, p):
-        events.append("start")
-        r = eliminate(w, p)
-        events.append(("end", w.shape))
-        return r
-
-    monkeypatch.setattr(ffield, "_reduce", watched_reduce)
-    monkeypatch.setattr(ffield, "_eliminate", watched_eliminate)
-    result = call()
-    shape = next(e for e in events if e[0] == "end")[1]
-    start, end = events.index("start"), events.index(("end", shape))
-    return result, tuple(sum(e == shape for e in part)
-                         for part in (events[:start], events[start:end], events[end + 1:]))
 
 
 @pytest.mark.parametrize("field, size, outside_fp", [
     ((11, 1), 5, False),
-    ((11, 1), 48, False),  # narrowed to int16
+    ((11, 1), 48, False),
     ((11, 2), 24, True),  # blown up to 48 x 48
     ((13, 3), 4, True),
     ((13, 3), 6, False),
     ((2**31 + 11, 2), 6, False),  # Python ints
 ])
-def test_rank_reduces_the_whole_array_once(field, size, outside_fp, monkeypatch):
-    # MatrixFq.rank reduces its working copy as it makes it, and nothing
-    # reduces the whole array again, before the pivot loop or after it
+def test_rank_reduces_the_whole_array_once(field, size, outside_fp):
+    # MatrixFq.rank eliminates a reduced copy and leaves the matrix as it was
     spec = FIELDS[field]
     rng = random.Random(size)
     if outside_fp:
@@ -559,21 +522,20 @@ def test_rank_reduces_the_whole_array_once(field, size, outside_fp, monkeypatch)
         rows = [[(rng.randrange(spec.p),) + (0,) * (spec.k - 1) for _ in range(size)] for _ in range(size)]
     m = as_matrix(spec, rows)
     assert bool(m.arr[..., 1:].any()) == outside_fp
-    rank, counts = full_reductions(monkeypatch, m.rank)
-    assert rank == reference_rank(spec, rows)
-    assert counts == (1, 0, 0)
+    arr = m.arr.copy()
+    assert m.rank() == reference_rank(spec, rows)
+    assert np.array_equal(m.arr, arr)
 
 
-@pytest.mark.parametrize("p, dim, dtype", [
-    (11, 6, np.int64),  # a 6 x 7 Krylov matrix
-    (11, 40, np.int16),  # 40 x 41, narrowed
-    (2**31 + 11, 4, object),  # 4 x 5, Python ints
+@pytest.mark.parametrize("p, dim", [
+    (11, 6),  # a 6 x 7 Krylov matrix
+    (11, 40),  # 40 x 41
+    (2**31 + 11, 4),  # 4 x 5, Python ints
 ], ids=["11-6-int64", "11-40-int16", "2147483659-4-object"])
-def test_minpoly_reduces_the_whole_array_once(p, dim, dtype, monkeypatch):
-    # minpoly eliminates a working copy of its Krylov matrix, reduced as it
-    # is made, and then reads only the pivot rows up to column t
+def test_minpoly_reduces_the_whole_array_once(p, dim):
+    # minpoly eliminates a reduced copy of its Krylov matrix, leaves the
+    # matrix as it was, and reads only the pivot rows up to column t
     spec = PRIME_FIELDS[p]
-    assert _working_dtype(np.zeros((dim, dim + 1), dtype=spec.dtype), p) == dtype
 
     def cyclic_shift(w):
         return np.roll(w, 1, axis=0)
@@ -581,9 +543,9 @@ def test_minpoly_reduces_the_whole_array_once(p, dim, dtype, monkeypatch):
     v = np.zeros((dim, 1), dtype=spec.dtype)
     v[0, 0] = 1
     krylov = krylov_matrix(cyclic_shift, v, dim)
-    m, counts = full_reductions(monkeypatch, lambda: minpoly(spec, krylov))
-    assert m == Polynomial(spec, [spec.p - 1] + [0] * (dim - 1) + [1])  # X^dim - 1
-    assert counts == (1, 0, 0)
+    before = krylov.copy()
+    assert minpoly(spec, krylov) == Polynomial(spec, [spec.p - 1] + [0] * (dim - 1) + [1])  # X^dim - 1
+    assert np.array_equal(krylov, before)
 
 
 def test_rank_blows_up_entries_outside_fp():
@@ -593,7 +555,7 @@ def test_rank_blows_up_entries_outside_fp():
     x, zero, one = (0, 1, 0), (0, 0, 0), (1, 0, 0)
     m = as_matrix(spec, [[x, zero], [zero, one]])
     assert m.rank() == 2
-    assert _eliminate(_working_copy(m.arr[..., 0], spec.p), spec.p) == 1
+    assert _eliminate(m.arr[..., 0] % spec.p, spec.p) == 1
 
 
 def test_rank_of_fp_entries_skips_the_blow_up(monkeypatch):
@@ -602,7 +564,7 @@ def test_rank_of_fp_entries_skips_the_blow_up(monkeypatch):
     rows = [[(rng.randrange(spec.p), 0, 0) for _ in range(7)] for _ in range(3)]
     rows += [[_ref_add(spec, a, b) for a, b in zip(rows[0], rows[1])], rows[2]]
     m = as_matrix(spec, rows)
-    expected = _eliminate(_working_copy(_blow_up(spec, m.arr), spec.p), spec.p) // spec.k
+    expected = _eliminate(_blow_up(spec, m.arr) % spec.p, spec.p) // spec.k
     assert expected == reference_rank(spec, rows) == 3
 
     def no_blow_up(*args):

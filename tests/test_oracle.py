@@ -25,6 +25,7 @@ from wedderburn import cli, ffield, oracle
 from wedderburn.cli import resolve_group
 from wedderburn.oracle import _CenterAlgebra
 
+from closed_forms import cyclic_blocks, cyclic_group
 from test_kernels import as_rows, random_scalar
 
 
@@ -796,6 +797,16 @@ def test_split_blocks_are_an_analytic_candidate_on_the_zoo(name, p):
         assert blocks == rep.solutions[0]
     else:
         assert blocks in rep.solutions
+
+
+@pytest.mark.parametrize("n, p, k", [(15, 11, 1), (21, 5, 1), (21, 5, 2), (40, 7, 1), (40, 7, 2),
+                                     (60, 7, 1), (99, 5, 1), (100, 7, 1)])
+def test_cyclic_groups_split_into_their_cyclotomic_cosets(n, p, k):
+    # one M_1(F_{q^d}) per q-cyclotomic coset of size d of Z/n, each split
+    # verified; C_99 and C_100 take minimal polynomials of degree up to 100
+    split = split_center(cyclic_group(n), make_field(p, k, seed=0), seed=0)
+    assert split.pairs() == cyclic_blocks(n, p, k)
+    assert verify_split(split)
 
 
 def table_reads(monkeypatch, full_reads=True):

@@ -131,6 +131,20 @@ def test_reference_row_rejects_the_modular_primes():
             sl32_expected_row(p, 1)
 
 
+def test_reference_row_exists_only_for_fields():
+    # no row for a p that is not prime, checked first, nor for k < 1,
+    # checked after the modular case, as cyclotomic_partition rejects both
+    for p in (25, 21, 6, 1, 0, -11):
+        for k in (1, 0):
+            with pytest.raises(ValueError, match="not prime"):
+                sl32_expected_row(p, k)
+    for p, k in ((11, 0), (11, -1), (13, -2)):
+        with pytest.raises(ValueError, match="k must be positive"):
+            sl32_expected_row(p, k)
+    with pytest.raises(ModularCaseError):
+        sl32_expected_row(3, -1)
+
+
 def test_unit_group_matches_reference_for_sample_grid():
     for p in (5, 11, 13, 29, 199):
         for k in (1, 2, 3, 6, 12):

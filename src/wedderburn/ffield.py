@@ -4,7 +4,8 @@ factorization, and linear algebra.
 F_q, q = p**k, is F_p[x] modulo a monic irreducible modulus found by seeded
 search; there are no Conway-polynomial tables and no discrete-log tables.
 An element of F_q exists only as a row of an (..., k) array over F_p, its
-coefficient vector, and FieldSpec.fold is the one product of such rows.
+coefficient vector, and its k x k multiplication matrix over F_p, _blow_up,
+is the one product of such rows (Lidl and Niederreiter, Finite Fields, 2.5).
 Polynomials are over F_p alone: Polynomial holds one residue per
 coefficient and computes with % p and pow(c, -1, p) inline, and Polynomial
 and minpoly reject a spec with k > 1.  An F_q-linear map is F_p-linear on k
@@ -22,16 +23,15 @@ of irreducible factors, and random splits on it.  is_irreducible reads the
 same dimension.
 There is one elimination, _eliminate, run in place on a fresh copy reduced
 mod p that its caller makes: MatrixFq.rank reads the rank of the F_p
-blow-up of an F_q matrix off it (each entry expanded by one einsum against
-the powers of the modulus's companion matrix), minpoly reads the minimal
+blow-up of an F_q matrix off it, minpoly reads the minimal
 polynomial off the echelon form it leaves of the Krylov matrix, and
 _berlekamp_basis reads the fixed space off that of [Q - I | I].  A matrix
 whose entries all lie in F_p skips the blow-up: MatrixFq.rank eliminates
 its constant coefficients, since rank does not change under field
 extension.  The elimination reduces its working matrix mod p after every
 pivot, in the matrix's own dtype.  Overflow rule: arrays are int64 when
-p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the bound FieldSpec.fold
-needs, and sums of products are reduced modulo p before they can pass
+p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the bound on an entry of a
+blow-up, and sums of products are reduced modulo p before they can pass
 2**63 - 1; otherwise arrays hold Python ints (dtype object), on which the
 same numpy code is exact.  Every field make_field builds has p**k < 2**63
 and so meets the bound whenever p < 2**31.
@@ -181,14 +181,14 @@ class FieldSpec:
     are length-1 coefficient vectors.  Built by make_field, which checks p
     and k and finds an irreducible modulus.  ``x_powers`` holds x^0 ..
     x^(2k-2) mod the modulus as rows of dtype ``dtype``, the array dtype:
-    int64 when p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the bound fold
-    needs, and object (Python ints) otherwise.  An element of F_q is a row
-    of k residues mod p, its coefficient vector, and fold is the one
-    product of such rows.
+    int64 when p < 2**31 and p + (k - 1) (p - 1)**2 < 2**63, the bound on
+    an entry of _blow_up, and object (Python ints) otherwise.  An element of
+    F_q is a row of k residues mod p, its coefficient vector, and _blow_up
+    gives its product with others as its k x k multiplication matrix.
 
     With a prime power P = p**s in place of p, the same object is the Galois
-    ring (Z/P)[x]/(modulus) for a modulus irreducible mod p: fold only adds
-    and multiplies, so it is exact there too."""
+    ring (Z/P)[x]/(modulus) for a modulus irreducible mod p: _blow_up only
+    adds and multiplies, so it is exact there too, under the same dtype rule."""
 
     __slots__ = ("p", "k", "q", "modulus", "dtype", "x_powers")
 
@@ -201,21 +201,9 @@ class FieldSpec:
         self.q = p**k
         self.modulus = modulus
         self.dtype = np.int64 if p < ARRAY_P_LIMIT and p + (k - 1) * (p - 1) ** 2 < 2**63 else object
-        # x^d mod modulus for d = 0 .. 2k-2, used to fold products back below degree k
+        # x^d mod modulus for d = 0 .. 2k-2, the columns of the companion matrix's powers
         rows = [_poly_divmod(self, [0] * d + [1], modulus)[1] for d in range(2 * k - 1)]
         self.x_powers = np.array([r + [0] * (k - len(r)) for r in rows], dtype=self.dtype)
-
-    def fold(self, y: np.ndarray) -> np.ndarray:
-        """Reduce an array of shape (..., k, k) whose entry [..., t, s], below
-        p, is the coefficient of x^(t+s), to the (..., k) coefficients of the
-        sum mod the modulus.  Each degree sums at most k entries and is reduced
-        before the fold through ``x_powers``, whose rows for x^0 .. x^(k-1) are
-        unit vectors: the fold sums stay below 2**63."""
-        k = self.k
-        conv = np.zeros(y.shape[:-2] + (2 * k - 1,), dtype=self.dtype)
-        for t in range(k):
-            conv[..., t : t + k] += y[..., t, :]
-        return (conv % self.p) @ self.x_powers % self.p
 
     def __eq__(self, other) -> bool:
         return (
@@ -664,10 +652,10 @@ class MatrixFq:
         over F_q."""
         p, k = self.spec.p, self.spec.k
         if self.arr[..., 1:].any():
-            a = _blow_up(self.spec, self.arr)
+            w = _blow_up(self.spec, self.arr)
         else:
-            a, k = self.arr[..., 0], 1
-        rk = _eliminate(np.remainder(a, p, out=np.empty(a.shape, a.dtype)), p)
+            w, k = self.arr[..., 0] % p, 1
+        rk = _eliminate(w, p)
         if rk % k:
             raise AssertionError("blown-up rank not divisible by extension degree (bug)")
         return rk // k
@@ -677,17 +665,19 @@ class MatrixFq:
 
 
 def _blow_up(spec: FieldSpec, arr: np.ndarray) -> np.ndarray:
-    """The F_p matrix of an (nrows, ncols, k) array over F_q, as a fresh
-    (k * nrows, k * ncols) array: entry (i, j) becomes its k x k
-    multiplication matrix sum_t a_t C^t (C the companion matrix of the
-    modulus), whose column c holds the coefficients of arr[i, j] * x^c."""
+    """The F_p matrix of an (..., nrows, ncols, k) array over F_q, as a fresh
+    (..., k * nrows, k * ncols) array reduced mod p: entry (i, j) becomes
+    its k x k multiplication matrix sum_t a_t C^t (C the companion matrix of
+    the modulus), whose column c holds the coefficients of arr[i, j] * x^c."""
     k = spec.k
-    nrows, ncols = arr.shape[:2]
-    # companion[t, c] = x^(t+c), column c of C^t; an entry of the blow-up is
-    # a sum of k products below p**2, less than 2**63 in int64 (p < 2**31
-    # and p**k < 2**63)
+    *lead, nrows, ncols = arr.shape[:-1]
+    # companion[t, c] = x^(t+c), column c of C^t.  Its rows for t + c < k are
+    # unit vectors, so an entry of the blow-up is at most one term below p
+    # and k - 1 products below p**2: p + (k - 1) (p - 1)**2 < 2**63 in int64,
+    # the dtype rule, which Galois rings FieldSpec(p**s, k, modulus) meet too
     companion = spec.x_powers[np.add.outer(np.arange(k), np.arange(k))]
-    return np.einsum("ijt,tcr->irjc", arr, companion).reshape(k * nrows, k * ncols)
+    out = np.einsum("...ijt,tcr->...irjc", arr, companion)
+    return np.remainder(out, spec.p, out=out).reshape(*lead, k * nrows, k * ncols)
 
 
 def _eliminate(w: np.ndarray, p: int) -> int:

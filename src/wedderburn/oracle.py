@@ -53,16 +53,17 @@ KRYLOV_DRAWS draws is rejected, so verify's work is bounded and it builds
 no |G| x |G| table.  A block with d >= 2 also gets e*Z proved a field, so
 that e*F_q[G] is one block M_n(F_(q^d)) and not a product of smaller ones.
 
-Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  A product,
-_convolve, writes the coefficient of g as sum over h of a(h^-1) * b(h g):
-it gathers its right factor through the full multiplication table, permutes
-the left one by inversion, does k^2 matrix-vector products mod p and folds
-the result with FieldSpec.fold; the overflow rule is ffield's, with the sum
-over the group cut into chunks of (2**63 - 1) // (p - 1)**2 terms
-(_int64_chunk).  _dot_mod is that chunked product mod p, and every product
-whose multiplier lies in F_p is one: _convolve's, each Krylov step of the
-split and of verify, and the CRT combination.  _convolve itself has one
-caller, AlgebraElement.__mul__: no package path multiplies two elements of
+Elements of F_q[G] are arrays of shape (|G|, k) over F_p.  Every F_q
+product in this module is one chunked matrix product mod p, _dot_mod,
+against ffield's _blow_up, which writes an element of F_q as its k x k
+multiplication matrix over F_p; where the multiplier lies in F_p, that
+matrix is a scalar and the product needs no blow-up.  The overflow rule is
+ffield's, with each sum of products cut into chunks of (2**63 - 1) //
+(p - 1)**2 terms (_int64_chunk).  A group-algebra product, _convolve,
+writes the coefficient of g as sum over h of a(h^-1) * b(h g): the left
+factor, permuted by inversion and blown up, meets the right one gathered
+through the full multiplication table.  _convolve has one caller,
+AlgebraElement.__mul__: no package path multiplies two elements of
 F_q[G].  Every column comes from FiniteGroup.mul_table, which builds the
 columns asked for and each column on their parent words once: the class
 constants split_center reads take the m at the representatives, and each
@@ -72,15 +73,13 @@ by its integer structure constants c alone, on (m, k) arrays: its unit
 must be b_0, and every entry of c[i].T @ v must stay within int64, at
 most |G| * p for the class constants, which split_center reads once for
 the center over F_q, over F_p and over the Galois ring.  A product u * v
-is the basis products of v, an O(m^3 k) integer matmul against c, then
-their combination with the coefficients of u, O(m^2 k^2), summed before
-one FieldSpec.fold.  The basis products
-of a random central element w are made once, as the (m k x m k) matrix
-over F_p of v -> v * w (ffield's _blow_up), and each Krylov step is one
-matrix-vector product of it, which _CenterAlgebra.krylov stacks as the
-columns of the matrix minpoly reads; a split's idempotents are F_p
-combinations of those Krylov vectors, one matrix product with no fold
-and no product made again; and a product is
+makes the basis products of v, an O(m^3 k) integer matmul against c,
+blows them up to the (m k x m k) matrix over F_p of u -> u * v, and
+applies it to u.  That matrix of a random central element w is made once,
+and each Krylov step is one matrix-vector product of it, which
+_CenterAlgebra.krylov stacks as the columns of the matrix minpoly reads;
+a split's idempotents are F_p combinations of those Krylov vectors, one
+matrix product and no product made again; and a product is
 broadcast over stacks: each Newton step lifts every idempotent at once,
 and each new idempotent is checked orthogonal to all those before it at
 once.  Class vectors become (|G|, k) rows in one place: split_center
@@ -193,28 +192,27 @@ def _int64_chunk(spec: FieldSpec, terms: int) -> int:
 
 
 def _dot_mod(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b mod p for arrays of residues mod p = spec.p: one matmul per
-    _int64_chunk of the sum over a's last axis, each reduced before the
-    next is added."""
+    """a @ b mod p for arrays of residues mod p = spec.p: a's last axis
+    meets b's second-to-last axis, or b's only one, in one matmul per
+    _int64_chunk of the sum, each reduced before the next is added."""
     terms = a.shape[-1]
     step = _int64_chunk(spec, terms)
-    y = a[..., :step] @ b[:step] % spec.p
     if step >= terms:
-        return y
-    for t in range(step, terms, step):
-        y += a[..., t : t + step] @ b[t : t + step] % spec.p
+        return a @ b % spec.p
+    y = 0
+    for t in range(0, terms, step):
+        y += a[..., t : t + step] @ (b[t : t + step] if b.ndim == 1 else b[..., t : t + step, :]) % spec.p
     return y % spec.p
 
 
 def _convolve(G: FiniteGroup, spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (|G|, k) coefficients of a * b over F_q = spec, for (|G|, k)
-    arrays a and b: b is gathered through the full multiplication table,
-    and a, permuted by inversion, meets it in one _dot_mod."""
+    arrays a and b: a, permuted by inversion and blown up, meets b gathered
+    through the full multiplication table in one _dot_mod."""
     n, k = G.order, spec.k
-    # y[t, g, s] = sum over h of a_t(h^-1) * b_s(h g)
-    left = a[G.inverse_indices]
-    gathered = b[G.mul_table()].reshape(n, n * k)
-    return spec.fold(_dot_mod(spec, left.T, gathered).reshape(k, n, k).transpose(1, 0, 2))
+    left = _blow_up(spec, a[G.inverse_indices][None])  # [r, (h, c)]: coefficient r of a(h^-1) * x^c
+    gathered = b[G.mul_table()].swapaxes(1, 2).reshape(n * k, n)  # [(h, c), g]: b_c(h g)
+    return _dot_mod(spec, left, gathered).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,13 +241,13 @@ class _CenterAlgebra:
     """A commutative algebra over F_q = spec given by its integer structure
     constants alone: b_i * b_j = sum over l of c[i, j, l] * b_l, m = len(c).
     Its unit must be b_0 (c[0] is the identity matrix), and every entry of
-    c[i].T @ v must stay within int64 for v below p; a combination reduces
-    each entry product, below p^2, before it sums at most m of them.  The
-    class sums of F_q[G] meet both, with the bound |G| * p, as column l of
-    c[i] sums to |K_i|, and so does the monomial basis of F_p[X]/(f).
-    Vectors are (m, k) arrays of dtype spec.dtype.  The products only add
-    and multiply, so over spec = FieldSpec(p^s, k, modulus) they are those
-    over the Galois ring.  fp is F_p, the refinement's polynomial field."""
+    c[i].T @ v must stay within int64 for v below p.  The class sums of
+    F_q[G] meet both, with the bound |G| * p, as column l of c[i] sums to
+    |K_i|, and so does the monomial basis of F_p[X]/(f).  Vectors are (m, k)
+    arrays of dtype spec.dtype, and every product is a _dot_mod with the
+    _mul_matrix of its right factor.  The products only add and multiply,
+    so over spec = FieldSpec(p^s, k, modulus) they are those over the
+    Galois ring.  fp is F_p, the refinement's polynomial field."""
 
     def __init__(self, c: np.ndarray, spec: FieldSpec):
         self.c, self.spec, self.m = c, spec, len(c)
@@ -260,21 +258,19 @@ class _CenterAlgebra:
         (..., m, k): the O(m^3 k) part of a product by v."""
         return self.c.transpose(0, 2, 1) @ v[..., None, :, :] % self.spec.p
 
-    def _combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """sum over i of coeffs_i * rows[i] in F_q, for coeffs of shape
-        (..., n, k) and rows of shape (..., n, m, k), broadcast over leading
-        axes: O(n m k^2), each entry product reduced and the sum over i
-        reduced again before the one fold."""
-        p = self.spec.p
-        y = coeffs[..., :, None, :, None] * rows[..., None, :]  # [..., i, l, t, s]
-        y %= p
-        return self.spec.fold(y.sum(-4) % p)
+    def _mul_matrix(self, v: np.ndarray) -> np.ndarray:
+        """The (..., m k, m k) matrix over F_p of u -> u * v on the flattened
+        (m k,) vectors, for v of shape (..., m, k): as u * v = sum over i of
+        u_i * (b_i * v), it is _blow_up of v's class products with the class
+        axis i as columns."""
+        return _blow_up(self.spec, self._mul_classes(v).swapaxes(-3, -2))
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Product u * v = sum over i of u_i * b_i * v, for (m, k)
-        arrays, broadcast over leading axes: a (B, m, k) stack of u by one v,
-        or B products of two stacks."""
-        return self._combine(u, self._mul_classes(v))
+        """Product u * v, for (m, k) arrays, broadcast over leading axes: a
+        (B, m, k) stack of u by one v, or B products of two stacks.  It is
+        one _dot_mod of v's _mul_matrix with u as a column."""
+        y = _dot_mod(self.spec, self._mul_matrix(v), u.reshape(*u.shape[:-2], -1, 1))
+        return y.reshape(*y.shape[:-2], self.m, self.spec.k)
 
     def block_dimension(self, e: np.ndarray) -> int:
         """Dimension over F_q of e*Z, the span of the projected basis."""
@@ -286,14 +282,12 @@ class _CenterAlgebra:
         w^dim * e, and mu the minimal polynomial over F_p of w on e*Z read
         off it, dim = dim e*Z over F_p bounding its degree.  e*Z is an
         F_p-algebra on the (m * k, 1) columns of its (m, k) vectors, and
-        multiplication by w is F_p-linear there: w's class products, made
-        once, become its (m k x m k) matrix over F_p (_blow_up of their
-        transpose, as v*w = sum over i of v_i * (b_i * w)), and each power
-        is one matrix-vector product of it, a _dot_mod."""
+        multiplication by w is F_p-linear there: its _mul_matrix is made
+        once, and each power is one _dot_mod with it."""
         spec = self.spec
         m, k = self.m, spec.k
         w = np.array([[rng.randrange(spec.p) for _ in range(k)] for _ in range(m)], dtype=spec.dtype)
-        times_w = _blow_up(spec, self._mul_classes(w).transpose(1, 0, 2)) % spec.p
+        times_w = self._mul_matrix(w)
         powers = np.empty((dim + 1, m * k), dtype=spec.dtype)
         powers[0] = e.reshape(m * k)
         for i in range(dim):  # w^i * e lies in e*Z, of dimension dim, so deg mu <= dim
@@ -307,7 +301,7 @@ def _crt_idempotents(Z: _CenterAlgebra, e, powers, mu: Polynomial, factors):
     the rest, evaluated at the stacked powers e, w, ..., w^(deg mu - 1) in
     one _dot_mod: the (r, deg mu) coefficients of the h_j lie in F_p, and so
     does a power's every coordinate against them, so the powers flattened
-    to (deg mu, m * k) take one matrix product mod p, with no fold.  With
+    to (deg mu, m * k) take one matrix product mod p, with no blow-up.  With
     g_j = mu / f_j, h_j is s_j * g_j mod mu for the s_j
     of the extended gcd s_j * g_j + t_j * f_j = 1.  For a linear f_j = x - r
     it is Lagrange's g_j / g_j(r), a multiple of every other factor and of
@@ -484,7 +478,7 @@ def _krylov_ranks(G: FiniteGroup, spec: FieldSpec, arrs, lengths, rng: random.Ra
     array e in arrs and its length r in lengths.  The vectors of every
     block step together, x -> x * a: (x * g)(h) = x(h g^-1) is x gathered
     through the table column at g^-1, so a step is one take through the
-    KRYLOV_TERMS + 1 columns and one _dot_mod with the c_t, with no fold as
+    KRYLOV_TERMS + 1 columns and one _dot_mod with the c_t, with no blow-up as
     the c_t lie in F_p.  When every e lies in F_p, so does every step, and
     only coefficient 0 is stepped and ranked, over F_p: the rank over F_q
     of vectors over F_p is their rank over F_p.  The columns come from one

@@ -18,7 +18,7 @@ import random
 import numpy as np
 import pytest
 
-from wedderburn import Polynomial, builtin_sl32_s8, make_field
+from wedderburn import FieldSpec, Polynomial, builtin_sl32_s8, make_field
 from wedderburn.oracle import _CenterAlgebra, _refine
 
 PRIMES = (5, 11, 13, 101)
@@ -142,6 +142,23 @@ def test_products_are_polynomial_products_mod_f(p, seed):
     assert Z.mul(u[0], v[0])[:, 0].tolist() == reference(u[0], v[0])
     assert Z.mul(u, v)[..., 0].tolist() == [reference(a, b) for a, b in zip(u, v)]
     assert Z.mul(u, v[0])[..., 0].tolist() == [reference(a, v[0]) for a in u]
+
+
+def test_products_in_the_widest_int64_galois_ring_match_python_ints():
+    # P = 46337**2 < 2**31 at k = 3, a modulus with no zero coefficient:
+    # P + 2 (P - 1)**2 < 2**63 by about 2**51, so the ring is int64 and the
+    # entries of a blown-up all-(P - 1) factor come that close to 2**63.
+    # The same products on Python ints, which cannot overflow
+    modulus = make_field(46337, 3, seed=0).modulus
+    R = FieldSpec(46337**2, 3, modulus)
+    assert R.dtype is np.int64 and all(modulus)
+    Z = _CenterAlgebra(builtin_sl32_s8().class_product_coefficients(), R)
+    rng = random.Random("galois-ring")
+    top = np.full((Z.m, 3), R.p - 1, dtype=np.int64)
+    u, v = (np.array([[[rng.randrange(R.p) for _ in range(3)] for _ in range(Z.m)] for _ in range(4)])
+            for _ in range(2))
+    for a, b in ((top, top), (u, v), (u, top), (top, v)):
+        assert Z.mul(a, b).tolist() == Z.mul(a.astype(object), b.astype(object)).tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -19,7 +19,7 @@ from wedderburn import (
 )
 from wedderburn import ffield
 
-from test_kernels import (_ref_add, _ref_inv, _ref_mul, as_matrix, as_rows, fold_product, krylov_matrix, random_scalar,
+from test_kernels import (_ref_add, _ref_inv, _ref_mul, as_matrix, as_rows, matrix_product, krylov_matrix, random_scalar,
                           reference_rank)
 
 
@@ -85,18 +85,19 @@ def test_is_prime_rejects_every_strong_pseudoprime_bound(n):
     assert not is_prime(n)
 
 
-def _fold_mul(spec, a, b):
-    """The product of two coefficient tuples by FieldSpec.fold."""
-    return tuple(fold_product(spec, np.array(a, dtype=spec.dtype), np.array(b, dtype=spec.dtype)).tolist())
+def _matrix_mul(spec, a, b):
+    """The product of two coefficient tuples: a's multiplication matrix
+    times b's coefficient vector."""
+    return tuple(matrix_product(spec, np.array(a, dtype=spec.dtype), np.array(b, dtype=spec.dtype)).tolist())
 
 
-def _fold_pow(spec, a, e):
-    """a**e for a coefficient tuple a and e >= 0, by squaring on fold products."""
+def _matrix_pow(spec, a, e):
+    """a**e for a coefficient tuple a and e >= 0, by squaring on matrix products."""
     out = (1,) + (0,) * (spec.k - 1)
     while e:
         if e & 1:
-            out = _fold_mul(spec, out, a)
-        a, e = _fold_mul(spec, a, a), e >> 1
+            out = _matrix_mul(spec, out, a)
+        a, e = _matrix_mul(spec, a, a), e >> 1
     return out
 
 
@@ -114,8 +115,8 @@ def test_make_field_extension_element_orders(f169):
     for _ in range(25):
         a = random_scalar(f169, rng)
         if any(a):
-            assert _fold_pow(f169, a, 168) == one
-            assert _fold_pow(f169, a, 169) == a  # Frobenius fixed field check via q-power
+            assert _matrix_pow(f169, a, 168) == one
+            assert _matrix_pow(f169, a, 169) == a  # Frobenius fixed field check via q-power
 
 
 def test_make_field_rejects():
@@ -154,8 +155,9 @@ def test_make_field_accepts_7():
 
 
 def test_field_axioms_seeded(f11, f169):
-    # FieldSpec.fold, the package's one product of coefficient rows, against
-    # the field axioms, the tuple product and the tuple inverse
+    # the multiplication matrix of _blow_up, the package's one product of
+    # coefficient rows, against the field axioms, the tuple product and the
+    # tuple inverse
     rng = random.Random(42)
     for spec in (f11, f169):
         one = (1,) + (0,) * (spec.k - 1)
@@ -164,7 +166,7 @@ def test_field_axioms_seeded(f11, f169):
             return _ref_add(spec, x, y)
 
         def mul(x, y):
-            return _fold_mul(spec, x, y)
+            return _matrix_mul(spec, x, y)
 
         for _ in range(1000):
             a = random_scalar(spec, rng)
@@ -184,7 +186,7 @@ def test_frobenius_is_additive(f169):
     for _ in range(200):
         a = random_scalar(f169, rng)
         b = random_scalar(f169, rng)
-        assert _fold_pow(f169, _ref_add(f169, a, b), p) == _ref_add(f169, _fold_pow(f169, a, p), _fold_pow(f169, b, p))
+        assert _matrix_pow(f169, _ref_add(f169, a, b), p) == _ref_add(f169, _matrix_pow(f169, a, p), _matrix_pow(f169, b, p))
 
 
 def test_factor_x2_minus_1(f11):
@@ -742,7 +744,7 @@ def test_modulus_choice_is_seeded():
         a = random_scalar(spec, rng)
         while not any(a):
             a = random_scalar(spec, rng)
-        assert _fold_pow(spec, a, 168) == (1, 0)
+        assert _matrix_pow(spec, a, 168) == (1, 0)
 
 
 def test_pow_mod_rejects_a_negative_exponent(f13):

@@ -1,4 +1,4 @@
-"""Differential tests of the array kernels: FieldSpec.fold's product of
+"""Differential tests of the array kernels: the multiplication matrices of
 coefficient rows and the group-algebra product against tuple arithmetic
 written here, one coefficient vector at a time, the center's products
 against the group algebra's, minimal polynomials against their
@@ -16,17 +16,18 @@ from hypothesis import strategies as st
 
 from wedderburn import AlgebraElement, MatrixFq, Polynomial, make_field, minpoly, split_center, verify_split
 from wedderburn.ffield import _blow_up, _eliminate
-from wedderburn.oracle import _CenterAlgebra, _convolve
+from wedderburn.oracle import _CenterAlgebra, _convolve, _dot_mod
 
 FIELDS = {(11, 1): make_field(11), (11, 2): make_field(11, 2, seed=0), (13, 3): make_field(13, 3, seed=0),
           (2**31 + 11, 2): make_field(2**31 + 11, 2, seed=0)}
-CENTER_FIELDS = [(11, 1), (13, 2), (13, 3), (2**31 + 11, 2)]
+# 2**31 - 1 is int64 with sums of products chunked 2 terms at a time, 2**31 + 11 Python ints
+CENTER_FIELDS = [(11, 1), (13, 2), (13, 3), (2**31 - 1, 2), (2**31 + 11, 2)]
 
 
 # Arithmetic on coefficient tuples (c_0, ..., c_(k-1)) of F_q, the reference
 # for the package's arrays: products reduced by x^k = -(m_0 + ... +
-# m_(k-1) x^(k-1)) from the top degree down, independent of FieldSpec.fold
-# and its reduction rows.
+# m_(k-1) x^(k-1)) from the top degree down, independent of _blow_up and
+# the reduction rows FieldSpec.x_powers.
 def _ref_add(spec, a, b):
     return tuple((x + y) % spec.p for x, y in zip(a, b))
 
@@ -137,10 +138,11 @@ def as_matrix(spec, rows):
     return MatrixFq(spec, arr.reshape(arr.shape[:2] + (spec.k,)))
 
 
-def fold_product(spec, a, b):
+def matrix_product(spec, a, b):
     """The entrywise F_q product of broadcastable (..., k) arrays with
-    entries reduced mod p, by FieldSpec.fold on their outer products."""
-    return spec.fold(a[..., :, None] * b[..., None, :] % spec.p)
+    entries reduced mod p: each entry of a as its k x k multiplication
+    matrix (_blow_up) times b's coefficient vector, in one _dot_mod."""
+    return _dot_mod(spec, _blow_up(spec, a[..., None, None, :]), b[..., None])[..., 0]
 
 
 def random_algebra_element(G, spec, rng, density=1.0):
@@ -172,7 +174,7 @@ def test_product_matches_convolution_sl32(sl32_s8, field, seed, density):
     # does, against the same operations one scalar at a time
     c = random_scalar(spec, rng)
     pairs = list(zip(coefficients(a), coefficients(b)))
-    scaled = fold_product(spec, a.arr, np.array(c, dtype=spec.dtype))
+    scaled = matrix_product(spec, a.arr, np.array(c, dtype=spec.dtype))
     assert np.array_equal(scaled, as_rows(spec, [_ref_mul(spec, x, c) for x, _ in pairs]))
     assert np.array_equal((a.arr + b.arr) % spec.p, as_rows(spec, [_ref_add(spec, x, y) for x, y in pairs]))
     minus = [tuple(-t % spec.p for t in y) for _, y in pairs]
@@ -188,13 +190,20 @@ def random_array(spec, rng, shape):
 @settings(max_examples=20, deadline=None)
 @given(field=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2**32),
        shapes=st.sampled_from([((), ()), ((3,), ()), ((), (4,)), ((2, 1), (1, 3)), ((5,), (5,))]))
-def test_fold_matches_tuple_products(field, seed, shapes):
-    # FieldSpec.fold on the outer products of broadcast rows, entry by entry
-    # against the tuple product
+def test_multiplication_matrices_match_tuple_products(field, seed, shapes):
+    # _blow_up on a stack of entries, column c of each matrix against the
+    # tuple product by x^c, and the products of broadcast rows by those
+    # matrices, entry by entry against the tuple product
     spec = FIELDS[field]
     rng = random.Random(seed)
     a, b = random_array(spec, rng, shapes[0]), random_array(spec, rng, shapes[1])
-    out = fold_product(spec, a, b)
+    times_a = _blow_up(spec, a[..., None, None, :])
+    assert times_a.shape == a.shape[:-1] + (spec.k, spec.k)
+    powers_of_x = [tuple(int(t == c) for t in range(spec.k)) for c in range(spec.k)]
+    for idx in np.ndindex(a.shape[:-1]):
+        x = tuple(a[idx].tolist())
+        assert [tuple(col) for col in times_a[idx].T.tolist()] == [_ref_mul(spec, x, y) for y in powers_of_x]
+    out = matrix_product(spec, a, b)
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
     assert out.shape == shape + (spec.k,)
     a_b, b_b = np.broadcast_to(a, shape + (spec.k,)), np.broadcast_to(b, shape + (spec.k,))
@@ -491,7 +500,7 @@ def test_elimination_leaves_the_reference_echelon_form(p):
 
 
 @pytest.mark.parametrize("p", [31, 37])
-def test_blown_up_rank_in_each_working_dtype(p):
+def test_rank_of_a_48_by_48_blow_up(p):
     # a 24 x 24 matrix over F_{p^2} with entries outside F_p blows up to
     # 48 x 48
     spec = make_field(p, 2, seed=0)
@@ -531,8 +540,8 @@ def test_rank_reduces_the_whole_array_once(field, size, outside_fp):
     (11, 6),  # a 6 x 7 Krylov matrix
     (11, 40),  # 40 x 41
     (2**31 + 11, 4),  # 4 x 5, Python ints
-], ids=["11-6-int64", "11-40-int16", "2147483659-4-object"])
-def test_minpoly_reduces_the_whole_array_once(p, dim):
+], ids=["p11-dim6", "p11-dim40", "p2147483659-dim4"])
+def test_minpoly_leaves_its_krylov_matrix(p, dim):
     # minpoly eliminates a reduced copy of its Krylov matrix, leaves the
     # matrix as it was, and reads only the pivot rows up to column t
     spec = PRIME_FIELDS[p]

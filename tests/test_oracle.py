@@ -476,28 +476,28 @@ def test_split_makes_the_class_products_of_each_factor_once(sl32_s8, f11, monkey
     # SL(3,2) over F_11 at seed 0: the first draw generates the 6-dimensional
     # center.  The draw's class products, made once as the matrix of w over
     # F_p, serve all six Krylov steps of the matrix minpoly reads, whose
-    # vectors the six idempotents are combined from, with no F_q
-    # combination: w and the CRT coefficients lie in F_p.  e_1 .. e_5
-    # are each checked orthogonal to the stacked idempotents before them;
+    # vectors the six idempotents are combined from, with no call of mul:
+    # w and the CRT coefficients lie in F_p.  e_1 .. e_5 are each checked
+    # orthogonal to the stacked idempotents before them, in one mul each;
     # and the six are lifted mod 11^3 > 168 together, in two Newton steps of
     # two stacked products
     factors = []  # the shape of each right factor whose class products are made
-    combined = []  # the shape of each F_q combination's coefficients
-    mul_classes, combine = _CenterAlgebra._mul_classes, _CenterAlgebra._combine
+    lefts = []  # the shape of each product's left factor
+    mul_classes, mul = _CenterAlgebra._mul_classes, _CenterAlgebra.mul
 
     def recording_classes(self, v):
         factors.append(v.shape)
         return mul_classes(self, v)
 
-    def recording_combine(self, coeffs, rows):
-        combined.append(coeffs.shape)
-        return combine(self, coeffs, rows)
+    def recording_mul(self, u, v):
+        lefts.append(u.shape)
+        return mul(self, u, v)
 
     monkeypatch.setattr(_CenterAlgebra, "_mul_classes", recording_classes)
-    monkeypatch.setattr(_CenterAlgebra, "_combine", recording_combine)
+    monkeypatch.setattr(_CenterAlgebra, "mul", recording_mul)
     split_center(sl32_s8, f11, seed=0)
     assert factors == [(6, 1)] * 6 + [(6, 6, 1)] * 4
-    assert combined == [(b, 6, 1) for b in range(1, 6)] + [(6, 6, 1)] * 4
+    assert lefts == [(b, 6, 1) for b in range(1, 6)] + [(6, 6, 1)] * 4
 
 
 C15 = f"file:{GROUP_DIR / 'c15.txt'}"
